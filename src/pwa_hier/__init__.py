@@ -4,13 +4,11 @@ certificate verification, and closed-loop hybrid simulation."""
 
 from .certificate import (
     Certificate,
-    Gains,
     LmiReport,
     ModeCertificate,
-    compute_gains,
-    error_bound,
     sim_fn_derivative,
     sim_fn_value,
+    sim_fn_values,
     synthesize_certificate,
     verify_all,
     verify_lmi,
@@ -33,7 +31,6 @@ from .polytope import (
     cell_bounding,
     classify_cell,
     contains_mapped,
-    identity_continuity,
     joint_partition_linear,
     joint_partition_pwa,
     locate_mode,
@@ -44,12 +41,13 @@ from .relation import (
     JointMode,
     JointSystem,
     RelationMaps,
+    assemble_joint,
     assemble_joint_linear,
     assemble_joint_pwa,
     build_interface,
     default_R,
     interface_linear,
-    interface_pwa,
+    relation_residual,
     solve_relation,
     solve_relation_pairing,
     solve_system_relation,
@@ -62,6 +60,7 @@ from .simulator import (
     reference_schedule,
     run_scenario,
     step_rk4,
+    verdict,
 )
 from .systems import (
     AbstractionMode,

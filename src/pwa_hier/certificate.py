@@ -1,4 +1,4 @@
-"""Simulation-function certificates: verification, synthesis, gains, bounds.
+"""Simulation-function certificates: verification, synthesis, values, gain slopes.
 
 A certificate for a joint mode is a positive-definite matrix ``M`` (extended
 by a positive scalar ``m`` in homogeneous coordinates for affine cells)
@@ -6,8 +6,9 @@ satisfying three matrix-inequality margins: it dominates the squared output
 map, stays positive definite against the cell-bounding relaxation, and
 decays at rate ``lambda`` along the closed loop.  The simulation function
 ``V = sqrt(quadratic form)/kappa`` then bounds the output error by
-``kappa V``, and linear gains translate input/disturbance magnitudes into
-the invariant-level thresholds ``b0``/``b1``.
+``kappa V``, and linear gain slopes translate input/disturbance magnitudes
+into the invariant-level threshold ``b`` that the simulator evaluates per
+sample.
 """
 
 from __future__ import annotations
@@ -70,14 +71,16 @@ class ModeCertificate:
         object.__setattr__(self, "M", M)
         if self.m_scalar is not None:
             if not self.m_scalar > 0.0:
-                raise ValueError(f"m_scalar must be positive, got {self.m_scalar}")
+                raise InfeasibleCertificateError(
+                    f"m_scalar must be positive, got {self.m_scalar}"
+                )
             object.__setattr__(self, "m_scalar", float(self.m_scalar))
         for name in ("U", "W"):
             val = getattr(self, name)
             if val is not None:
                 val = as_matrix(val, name)
                 if np.any(val < 0.0):
-                    raise ValueError(f"{name} must have nonnegative entries")
+                    raise InfeasibleCertificateError(f"{name} must have nonnegative entries")
                 object.__setattr__(self, name, val)
 
     def extended(self) -> np.ndarray:
@@ -103,9 +106,9 @@ class Certificate:
 
     def __post_init__(self):
         if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+            raise InfeasibleCertificateError(f"kappa must be positive, got {self.kappa}")
         if not self.lam > 0.0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+            raise InfeasibleCertificateError(f"lambda must be positive, got {self.lam}")
         object.__setattr__(self, "entries", tuple(self.entries))
         if self.T is not None:
             T = as_matrix(self.T, "T")
@@ -119,17 +122,6 @@ class Certificate:
                         raise InfeasibleCertificateError(
                             f"entry {idx}: continuity factorization off by {err:.3e}"
                         )
-
-
-@dataclass(frozen=True)
-class Gains:
-    """Linear gain slopes and the induced invariant-level thresholds."""
-
-    gamma1: float
-    gamma2: float
-    gamma3: float
-    b0: float
-    b1: float
 
 
 @dataclass(frozen=True)
@@ -279,26 +271,38 @@ def synthesize_certificate(
     )
 
 
-def sim_fn_value(cert: Certificate, idx: int, omega, kind: str) -> float:
-    """Simulation-function value ``sqrt(quadratic form)/kappa`` at ``omega``.
+def _quad_forms(entry: ModeCertificate, omega: np.ndarray, kind: str) -> np.ndarray:
+    """Quadratic form of each row of ``omega``, plus ``m_scalar`` (the
+    implicit trailing 1) on affine cells."""
+    quad = np.einsum("ij,jk,ik->i", omega, entry.M, omega)
+    if kind == AFFINE:
+        quad = quad + entry.m_scalar
+    return quad
 
-    ``omega`` excludes the homogeneous coordinate; affine cells add the
-    ``m_scalar`` contribution of the implicit trailing 1.
-    """
+
+def sim_fn_values(cert: Certificate, idx: int, omega: np.ndarray, kind: str) -> np.ndarray:
+    """Simulation-function values ``sqrt(quadratic form)/kappa``, one per row
+    of ``omega`` (homogeneous coordinate excluded); forms that round below
+    zero count as zero."""
+    quad = _quad_forms(cert.entries[idx], omega, kind)
+    return np.sqrt(np.clip(quad, 0.0, None)) / cert.kappa
+
+
+def sim_fn_value(cert: Certificate, idx: int, omega, kind: str) -> float:
+    """Simulation-function value at one state ``omega``: the one-row view of
+    :func:`sim_fn_values` with its inputs checked."""
     entry = cert.entries[idx]
     omega = as_vector(omega, "omega")
     if omega.shape[0] != entry.M.shape[0]:
         raise DimensionMismatchError(
             f"omega has length {omega.shape[0]}, M is {entry.M.shape[0]}x"
         )
-    q = float(omega @ entry.M @ omega)
-    if kind == AFFINE:
-        if entry.m_scalar is None:
-            raise InfeasibleCertificateError("affine cell without homogeneous entry")
-        q += entry.m_scalar
+    if kind == AFFINE and entry.m_scalar is None:
+        raise InfeasibleCertificateError("affine cell without homogeneous entry")
+    q = float(_quad_forms(entry, omega[None, :], kind)[0])
     if q < -1e-12:
         raise NegativeQuadFormError(f"quadratic form evaluated to {q:.3e}")
-    return float(np.sqrt(max(q, 0.0)) / cert.kappa)
+    return float(sim_fn_values(cert, idx, omega[None, :], kind)[0])
 
 
 def gain_slopes(
@@ -326,36 +330,6 @@ def gain_slopes(
     g2 = 2.0 * spectral_norm(root) / cert.lam
     g3 = 2.0 * spectral_norm(root @ B1) / cert.lam
     return g1, g2, g3, sqrt_m
-
-
-def compute_gains(
-    cert: Certificate,
-    joint: JointSystem,
-    idx: int,
-    u2bar_sup: float,
-    c_sup: float,
-    x2_sup: float,
-) -> Gains:
-    """Invariant-level thresholds from the gain slopes and input suprema.
-
-    ``b0`` applies on conic cells; ``b1`` adds the homogeneous ``sqrt(m)``
-    term for affine cells.  Raises InfeasibleCertificateError when the
-    certificate fails its margins for this mode.
-    """
-    if not verify_lmi(cert, joint, idx).feasible:
-        raise InfeasibleCertificateError(f"mode {joint.modes[idx].label} infeasible")
-    g1, g2, g3, sqrt_m = gain_slopes(cert, joint, idx)
-    b0 = g1 * u2bar_sup + g2 * c_sup + g3 * x2_sup
-    return Gains(gamma1=g1, gamma2=g2, gamma3=g3, b0=b0, b1=b0 + sqrt_m)
-
-
-def error_bound(cert: Certificate, gains: Gains, v_now: float, kind: str) -> float:
-    """Certified output-error level: ``kappa * max(V, threshold)`` with the
-    threshold picked by cell kind."""
-    if v_now < 0.0:
-        raise ValueError(f"V must be nonnegative, got {v_now}")
-    b = gains.b0 if kind == CONIC else gains.b1
-    return cert.kappa * max(v_now, b)
 
 
 def sim_fn_derivative(

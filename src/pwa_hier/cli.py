@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .certificate import gain_slopes, verify_all
-from .errors import ModelError, ParseError, PwaHierError
+from .errors import ModelError, PwaHierError
 from .modelfile import (
     Pipeline,
     build_pipeline,
@@ -29,12 +29,15 @@ from .modelfile import (
     load_model,
     resolve_model_path,
 )
-from .simulator import Scenario, Trajectory, export_trajectory, run_scenario
-
-logger = logging.getLogger("pwa_hier")
-
-#: Slack used by the PASS verdict on the per-sample bound chain.
-CHAIN_TOL = 1e-6
+from .simulator import (
+    Scenario,
+    Trajectory,
+    atomic_write,
+    export_trajectory,
+    run_scenario,
+    verdict,
+    write_columns,
+)
 
 _SWEEP_PARAMS = ("disturbance-amplitude", "kappa", "step")
 
@@ -91,9 +94,7 @@ def _attach_trajectory(report: RunReport, traj: Trajectory) -> None:
     report.max_err = float(np.max(traj.err))
     report.max_V = float(np.max(traj.V))
     report.max_delta = float(np.max(traj.delta))
-    chain = (np.all(traj.err <= traj.kappa * traj.V + CHAIN_TOL)
-             and np.all(traj.kappa * traj.V <= traj.delta + CHAIN_TOL))
-    report.verdict = "PASS" if bool(chain) else "FAIL"
+    report.verdict = verdict(traj)
 
 
 def _print_report(report: RunReport) -> None:
@@ -114,23 +115,6 @@ def _print_report(report: RunReport) -> None:
         print(f"bound chain: {report.verdict}")
 
 
-def _atomic_write(path: Path, payload: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(payload, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _write_bounds_csv(traj: Trajectory, path: Path) -> None:
-    lines = ["t,err,kV,delta"]
-    kappa = traj.kappa
-    for k in range(len(traj)):
-        lines.append(",".join([
-            repr(float(traj.t[k])), repr(float(traj.err[k])),
-            repr(float(kappa * traj.V[k])), repr(float(traj.delta[k])),
-        ]))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
 def _write_plot_data(pipe: Pipeline, traj: Trajectory, plot_dir: Path) -> list:
     """Two-column (or paired-column) series, one file per plotted quantity."""
     plot_dir.mkdir(parents=True, exist_ok=True)
@@ -147,16 +131,15 @@ def _write_plot_data(pipe: Pipeline, traj: Trajectory, plot_dir: Path) -> list:
     else:
         y2[:] = traj.x2 @ pipe.config.abstraction.H.T
     series = {
-        "err.dat": np.column_stack([traj.t, traj.err]),
-        "sim_fn.dat": np.column_stack([traj.t, traj.kappa * traj.V]),
-        "bound.dat": np.column_stack([traj.t, traj.delta]),
-        "path_concrete.dat": y1,
-        "path_abstraction.dat": y2,
+        "err.dat": (traj.t, traj.err),
+        "sim_fn.dat": (traj.t, traj.kappa * traj.V),
+        "bound.dat": (traj.t, traj.delta),
+        "path_concrete.dat": y1.T,
+        "path_abstraction.dat": y2.T,
     }
     written = []
-    for fname, data in series.items():
-        lines = [" ".join(repr(float(v)) for v in row) for row in data]
-        _atomic_write(plot_dir / fname, "\n".join(lines) + "\n")
+    for fname, columns in series.items():
+        write_columns(plot_dir / fname, columns, sep=" ")
         written.append(str(plot_dir / fname))
     return written
 
@@ -166,10 +149,10 @@ def cmd_check(model_spec: str, save_certificate: Optional[str] = None) -> int:
     report = _report_from_pipeline(pipe)
     _print_report(report)
     if save_certificate:
-        payload = json.dumps(
-            certificate_to_jsonable(pipe.certificate, pipe.joint), indent=2
-        ) + "\n"
-        _atomic_write(Path(save_certificate), payload)
+        with atomic_write(save_certificate) as fh:
+            fh.write(json.dumps(
+                certificate_to_jsonable(pipe.certificate, pipe.joint), indent=2
+            ) + "\n")
         print(f"certificate written to {save_certificate}")
     return 0 if report.certified else 1
 
@@ -195,12 +178,14 @@ def cmd_run(model_spec: str, out_dir: str, plot_data: bool = False,
     traj_path = out / "trajectory.csv"
     bounds_path = out / "bounds.csv"
     export_trajectory(traj, traj_path)
-    _write_bounds_csv(traj, bounds_path)
+    write_columns(bounds_path, (traj.t, traj.err, traj.kappa * traj.V, traj.delta),
+                  header=("t", "err", "kV", "delta"))
     report.files = [str(traj_path), str(bounds_path)]
     if plot_data:
         report.files += _write_plot_data(pipe, traj, out / "plot")
     report_path = out / "report.json"
-    _atomic_write(report_path, json.dumps(report.to_jsonable(), indent=2) + "\n")
+    with atomic_write(report_path) as fh:
+        fh.write(json.dumps(report.to_jsonable(), indent=2) + "\n")
     report.files.append(str(report_path))
 
     _print_report(report)
@@ -220,11 +205,7 @@ def _sweep_scenario(pipe: Pipeline, param: str, value: float) -> Scenario:
     if param == "kappa":
         cert = dataclasses.replace(scenario.certificate, kappa=value)
         return dataclasses.replace(scenario, certificate=cert)
-    if param == "step":
-        return dataclasses.replace(scenario, h=value)
-    raise ModelError(
-        f"unknown sweep parameter {param!r} (choose from {_SWEEP_PARAMS})"
-    )
+    return dataclasses.replace(scenario, h=value)  # param == "step"
 
 
 def cmd_sweep(model_spec: str, param: str, values: list[float]) -> int:
@@ -239,14 +220,19 @@ def cmd_sweep(model_spec: str, param: str, values: list[float]) -> int:
     all_pass = True
     for value in values:
         traj = run_scenario(_sweep_scenario(pipe, param, value))
-        kappa = traj.kappa
-        chain = (np.all(traj.err <= kappa * traj.V + CHAIN_TOL)
-                 and np.all(kappa * traj.V <= traj.delta + CHAIN_TOL))
-        verdict = "PASS" if bool(chain) else "FAIL"
-        all_pass = all_pass and bool(chain)
+        outcome = verdict(traj)
+        all_pass = all_pass and outcome == "PASS"
         print(f"{value:>12.6g} {float(np.max(traj.err)):>14.6g} "
-              f"{float(np.max(traj.V)):>14.6g} {verdict}")
+              f"{float(np.max(traj.V)):>14.6g} {outcome}")
     return 0 if all_pass else 2
+
+
+def _parse_values(text: str) -> list[float]:
+    """Comma-separated sweep values; a non-number raises ModelError."""
+    try:
+        return [float(v) for v in text.split(",") if v != ""]
+    except ValueError as exc:
+        raise ModelError(f"--values: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,18 +276,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_run(args.model, args.out, plot_data=args.plot_data,
                            t_end=args.t_end, step=args.step, seed=args.seed)
         if args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v != ""]
-            return cmd_sweep(args.model, args.param, values)
+            return cmd_sweep(args.model, args.param, _parse_values(args.values))
         raise AssertionError(f"unhandled command {args.command}")
-    except (ParseError, ModelError) as exc:
-        logger.error("%s", exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except PwaHierError as exc:
-        validation = isinstance(exc, ValueError)
-        logger.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if validation else 2
+        return 1 if isinstance(exc, ValueError) else 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

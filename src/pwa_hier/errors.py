@@ -84,7 +84,7 @@ class SynthesisFailedError(PwaHierError, RuntimeError):
 
 
 class InfeasibleCertificateError(PwaHierError, ValueError):
-    """Certificate fails its matrix-inequality margins."""
+    """Certificate data are out of range or fail their matrix-inequality margins."""
 
 
 class DegenerateStateError(PwaHierError, ValueError):
@@ -110,7 +110,7 @@ class UncertifiedModeError(PwaHierError, RuntimeError):
 
 
 class EmptyTrajectoryError(PwaHierError, ValueError):
-    """Requested horizon produces no trajectory."""
+    """Requested horizon or step width produces no trajectory."""
 
 
 # -- model files / CLI -----------------------------------------------------

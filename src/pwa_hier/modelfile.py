@@ -30,9 +30,9 @@ from .relation import (
     Interface,
     JointSystem,
     RelationMaps,
-    assemble_joint_linear,
-    assemble_joint_pwa,
+    assemble_joint,
     build_interface,
+    relation_residual,
     solve_relation_pairing,
     solve_system_relation,
 )
@@ -44,6 +44,7 @@ from .systems import (
     PwaAbstraction,
     PwaMode,
     PwaSystem,
+    check_disturbance_bound,
 )
 
 
@@ -252,6 +253,13 @@ def _build_config(doc: dict) -> ModelConfig:
                       for i, q in enumerate(_require(rel_node, "Q", "relation"))]
         if len(relation_P) != system.n_modes or len(relation_Q) != system.n_modes:
             raise ModelError("relation: need one P and one Q per mode")
+        want_P, want_Q = (system.n, abstraction.m), (system.p, abstraction.m)
+        for i, (P, Q) in enumerate(zip(relation_P, relation_Q)):
+            if P.shape != want_P or Q.shape != want_Q:
+                raise ModelError(
+                    f"relation: P[{i}] and Q[{i}] have shapes {P.shape} and "
+                    f"{Q.shape}, expected {want_P} and {want_Q}"
+                )
 
     declared_pairing = None
     if "pairing" in doc:
@@ -290,12 +298,7 @@ def _build_config(doc: dict) -> ModelConfig:
     t_end = float(_require(scen, "t_end", "scenario"))
     step = float(_require(scen, "step", "scenario"))
     disturbance = _disturbance(_require(scen, "disturbance", "scenario"), system.n)
-    declared = min(m.c_bound for m in modes)
-    if disturbance.sup_norm() > declared + 1e-12:
-        raise ModelError(
-            f"scenario.disturbance: supremum {disturbance.sup_norm():.6g} exceeds "
-            f"the declared mode bound {declared:.6g}"
-        )
+    check_disturbance_bound(system, disturbance)
     waypoints = [
         (float(_require(wn, "t", "u2bar waypoint")),
          _vector(_require(wn, "value", "u2bar waypoint"), "u2bar value"))
@@ -337,17 +340,10 @@ def _supplied_relation(config: ModelConfig, pairing) -> RelationMaps:
     """Residual-check relation maps supplied by the file."""
     residuals = []
     for i, mode in enumerate(config.system.modes):
-        if isinstance(config.abstraction, PwaAbstraction):
-            am = config.abstraction.modes[pairing[i]]
-            F, H = am.F, am.H
-        else:
-            F, H = config.abstraction.F, config.abstraction.H
-        P, Q = config.relation_P[i], config.relation_Q[i]
-        r = float(np.sqrt(
-            np.linalg.norm(H - mode.C @ P) ** 2
-            + np.linalg.norm(P @ F - mode.A @ P - mode.B @ Q) ** 2
+        am = config.abstraction if pairing is None else config.abstraction.modes[pairing[i]]
+        residuals.append(relation_residual(
+            mode.A, mode.B, mode.C, am.F, am.H, config.relation_P[i], config.relation_Q[i]
         ))
-        residuals.append(r)
     return RelationMaps(
         tuple(config.relation_P), tuple(config.relation_Q), tuple(residuals),
         pairing=tuple(pairing) if pairing is not None else None,
@@ -361,7 +357,8 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
     is_pwa = isinstance(config.abstraction, PwaAbstraction)
     pairing = None
     if is_pwa:
-        pairing, solved = solve_relation_pairing(
+        # the pairing comes from the solve even when the file supplies P/Q
+        pairing, relation = solve_relation_pairing(
             config.system.modes, config.abstraction.modes
         )
         if config.declared_pairing is not None and pairing != config.declared_pairing:
@@ -369,26 +366,16 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
                 f"pairing: solved {tuple(j + 1 for j in pairing)} does not match "
                 f"the declared {tuple(j + 1 for j in config.declared_pairing)}"
             )
-    else:
-        solved = solve_system_relation(config.system, config.abstraction)
-
     if config.relation_P is not None:
         relation = _supplied_relation(config, pairing)
-    else:
-        relation = solved
+    elif not is_pwa:
+        relation = solve_system_relation(config.system, config.abstraction)
 
     interface = build_interface(
         config.system, config.abstraction, relation, config.K,
         R=config.R, pairing=pairing,
     )
-    if is_pwa:
-        joint = assemble_joint_pwa(
-            config.system, config.abstraction, pairing, relation, interface
-        )
-    else:
-        joint = assemble_joint_linear(
-            config.system, config.abstraction, relation, interface
-        )
+    joint = assemble_joint(config.system, config.abstraction, relation, interface, pairing)
 
     if config.cert_M is not None:
         if len(config.cert_M) != len(joint.modes):

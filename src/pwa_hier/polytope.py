@@ -99,14 +99,6 @@ class ContinuityMatrix:
         object.__setattr__(self, "Jbar", as_matrix(self.Jbar, "Jbar"))
 
 
-def identity_continuity(state_dim: int, kind: str) -> ContinuityMatrix:
-    """Default continuity matrix: identity, extended by [0;...;1] for affine
-    cells.  Trivially agrees across every facet."""
-    if kind == CONIC:
-        return ContinuityMatrix(np.eye(state_dim))
-    return ContinuityMatrix(np.eye(state_dim + 1))
-
-
 @dataclass(frozen=True)
 class Partition:
     """Ordered list of cells over one state space."""
@@ -126,10 +118,6 @@ class Partition:
     @property
     def dim(self) -> int:
         return self.cells[0].dim
-
-    @property
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(classify_cell(c) for c in self.cells)
 
     def __len__(self) -> int:
         return len(self.cells)

@@ -69,6 +69,14 @@ def _vec(M: np.ndarray) -> np.ndarray:
     return M.reshape(-1, order="F")
 
 
+def relation_residual(A, B, C, F, H, P, Q) -> float:
+    """Residual ``sqrt(||H - C P||^2 + ||P F - A P - B Q||^2)`` (Frobenius)
+    of the relation equations at ``(P, Q)``."""
+    return float(np.sqrt(
+        np.linalg.norm(H - C @ P) ** 2 + np.linalg.norm(P @ F - A @ P - B @ Q) ** 2
+    ))
+
+
 def solve_relation(A, B, C, F, H) -> tuple[np.ndarray, np.ndarray, float]:
     """Minimum-norm least-squares ``(P, Q, residual)`` for the relation
     equations ``H = C P`` and ``P F = A P + B Q``.
@@ -104,10 +112,10 @@ def solve_relation(A, B, C, F, H) -> tuple[np.ndarray, np.ndarray, float]:
     ])
     coeff = np.vstack([output_rows, dynamics_rows])
     rhs = np.concatenate([_vec(H), np.zeros(n * m)])
-    sol, residual = kron_solve_least_squares(coeff, rhs)
+    sol, _ = kron_solve_least_squares(coeff, rhs)
     P = sol[: n * m].reshape((n, m), order="F")
     Q = sol[n * m:].reshape((p, m), order="F")
-    return P, Q, residual
+    return P, Q, relation_residual(A, B, C, F, H, P, Q)
 
 
 @dataclass(frozen=True)
@@ -208,12 +216,6 @@ def interface_linear(xtilde, x2, u2bar, R, Q, L, K) -> np.ndarray:
     return R @ u2bar + (Q + R @ L) @ x2 + K @ xtilde
 
 
-def interface_pwa(xtilde, x2, u2bar, R_ij, Q_i, L_j, K_i) -> np.ndarray:
-    """Pair-indexed variant of the interface: same affine law with the
-    feedthrough and transformation taken from the active pair."""
-    return interface_linear(xtilde, x2, u2bar, R_ij, Q_i, L_j, K_i)
-
-
 @dataclass(frozen=True)
 class Interface:
     """Per-concrete-mode interface gains, resolved against the pairing.
@@ -227,11 +229,6 @@ class Interface:
     R: tuple[np.ndarray, ...]
     Q: tuple[np.ndarray, ...]
     L: tuple[np.ndarray, ...]
-
-    def u1(self, idx: int, xtilde, x2, u2bar) -> np.ndarray:
-        return interface_linear(
-            xtilde, x2, u2bar, self.R[idx], self.Q[idx], self.L[idx], self.K[idx]
-        )
 
 
 def build_interface(
@@ -384,6 +381,22 @@ def assemble_joint_linear(
             abstraction.G, interface.L[i], closed_abs, joint_cells.cells[i],
         ))
     return JointSystem(tuple(modes), n=system.n, m=abstraction.m)
+
+
+def assemble_joint(
+    system: PwaSystem,
+    abstraction: Union[LinearAbstraction, PwaAbstraction],
+    relation: RelationMaps,
+    interface: Interface,
+    pairing: Optional[Sequence[int]] = None,
+) -> JointSystem:
+    """Closed-loop joint system for either abstraction kind; a PWA
+    abstraction needs the pairing."""
+    if not isinstance(abstraction, PwaAbstraction):
+        return assemble_joint_linear(system, abstraction, relation, interface)
+    if pairing is None:
+        raise DimensionMismatchError("PWA abstraction requires a pairing")
+    return assemble_joint_pwa(system, abstraction, pairing, relation, interface)
 
 
 def assemble_joint_pwa(

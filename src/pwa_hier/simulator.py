@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .certificate import Certificate, gain_slopes, verify_lmi
+from .certificate import Certificate, gain_slopes, sim_fn_values, verify_lmi
 from .errors import (
     DimensionMismatchError,
     EmptyScheduleError,
@@ -28,15 +29,15 @@ from .errors import (
     UncertifiedModeError,
 )
 from .linalg import as_vector
-from .polytope import AFFINE, MEMBERSHIP_SLACK, Partition, locate_mode
-from .relation import (
-    Interface,
-    JointSystem,
-    RelationMaps,
-    assemble_joint_linear,
-    assemble_joint_pwa,
+from .polytope import MEMBERSHIP_SLACK, Partition, locate_mode
+from .relation import Interface, JointSystem, RelationMaps, assemble_joint
+from .systems import (
+    DisturbanceSignal,
+    LinearAbstraction,
+    PwaAbstraction,
+    PwaSystem,
+    check_disturbance_bound,
 )
-from .systems import DisturbanceSignal, LinearAbstraction, PwaAbstraction, PwaSystem
 
 #: Crossing times are localized to a bracket narrower than this (seconds).
 CROSSING_BRACKET = 1e-10
@@ -46,6 +47,9 @@ BISECTION_CAP = 40
 
 #: Mode switches tolerated within one output step before giving up.
 _SWITCH_CAP = 64
+
+#: Slack of the PASS verdict on the per-sample bound chain.
+CHAIN_TOL = 1e-6
 
 
 def step_rk4(f: Callable[[np.ndarray, float], np.ndarray], x, t: float, h: float) -> np.ndarray:
@@ -133,35 +137,31 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "x1_0", as_vector(self.x1_0, "x1_0"))
         object.__setattr__(self, "x2_0", as_vector(self.x2_0, "x2_0"))
-        if self.t_end <= 0.0:
-            raise EmptyTrajectoryError(f"t_end must be positive, got {self.t_end}")
-        if not self.h > 0.0:
-            raise ValueError(f"step must be positive, got {self.h}")
+        if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
+            raise EmptyTrajectoryError(f"t_end must be positive and finite, got {self.t_end}")
+        if not (self.h > 0.0 and math.isfinite(self.h)):
+            raise EmptyTrajectoryError(f"step must be positive and finite, got {self.h}")
+        if self.steps < 1:
+            raise EmptyTrajectoryError(
+                f"horizon {self.t_end:g} holds no step of width {self.h:g}"
+            )
         if self.x1_0.shape[0] != self.system.n:
             raise DimensionMismatchError("x1_0 does not match the state dimension")
         if self.x2_0.shape[0] != self.abstraction.m:
             raise DimensionMismatchError("x2_0 does not match the abstraction dimension")
         if self.disturbance.dim != self.system.n:
             raise DimensionMismatchError("disturbance does not match the state dimension")
-        declared = min(mode.c_bound for mode in self.system.modes)
-        if self.disturbance.sup_norm() > declared + 1e-12:
-            raise ValueError(
-                f"disturbance supremum {self.disturbance.sup_norm():.6g} exceeds "
-                f"the declared mode bound {declared:.6g}"
-            )
+        check_disturbance_bound(self.system, self.disturbance)
         if self.joint is None:
-            if isinstance(self.abstraction, PwaAbstraction):
-                if self.pairing is None:
-                    raise DimensionMismatchError("PWA abstraction requires a pairing")
-                joint = assemble_joint_pwa(
-                    self.system, self.abstraction, self.pairing,
-                    self.relation, self.interface,
-                )
-            else:
-                joint = assemble_joint_linear(
-                    self.system, self.abstraction, self.relation, self.interface
-                )
-            object.__setattr__(self, "joint", joint)
+            object.__setattr__(self, "joint", assemble_joint(
+                self.system, self.abstraction, self.relation, self.interface,
+                self.pairing,
+            ))
+
+    @property
+    def steps(self) -> int:
+        """Output steps in the horizon (one fewer than the samples)."""
+        return int(math.floor(self.t_end / self.h + 1e-9))
 
 
 @dataclass(frozen=True)
@@ -192,6 +192,14 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.t.shape[0]
+
+
+def verdict(traj: Trajectory) -> str:
+    """``"PASS"`` when every sample satisfies the bound chain
+    ``err <= kappa V <= delta`` within CHAIN_TOL, else ``"FAIL"``."""
+    kV = traj.kappa * traj.V
+    chain = np.all(traj.err <= kV + CHAIN_TOL) and np.all(kV <= traj.delta + CHAIN_TOL)
+    return "PASS" if chain else "FAIL"
 
 
 class _Runner:
@@ -337,7 +345,7 @@ def run_scenario(s: Scenario) -> Trajectory:
     """
     runner = _Runner(s)
     n, m = runner.n, runner.m
-    steps = int(math.floor(s.t_end / s.h + 1e-9))
+    steps = s.steps
     t = np.arange(steps + 1) * s.h
     pick = np.maximum(np.searchsorted(s.schedule.times, t, side="right") - 1, 0)
     u2bar = s.schedule.values[pick]
@@ -388,8 +396,6 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i, mode_j,
         rows = np.nonzero(mode_i == idx)[0]
         mode = s.system.modes[idx]
         P = s.relation.P[idx]
-        entry = cert.entries[idx]
-        jm = joint.modes[idx]
         H = (s.abstraction.modes[s.pairing[idx]].H if runner.is_pwa
              else s.abstraction.H)
         xt = x1[rows] - x2[rows] @ P.T
@@ -398,11 +404,7 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i, mode_j,
                     + x2[rows] @ (s.interface.Q[idx] + s.interface.R[idx] @ s.interface.L[idx]).T
                     + xt @ s.interface.K[idx].T)
         err[rows] = np.linalg.norm(x1[rows] @ mode.C.T - x2[rows] @ H.T, axis=1)
-        omega = np.hstack([xt, x2[rows]])
-        quad = np.einsum("ij,jk,ik->i", omega, entry.M, omega)
-        if jm.kind == AFFINE:
-            quad = quad + entry.m_scalar
-        V[rows] = np.sqrt(np.clip(quad, 0.0, None)) / cert.kappa
+        V[rows] = sim_fn_values(cert, idx, np.hstack([xt, x2[rows]]), joint.modes[idx].kind)
         slope_cols[rows] = gain_slopes(cert, joint, idx)
 
     x2_running = np.maximum.accumulate(np.max(np.abs(x2), axis=1))
@@ -415,6 +417,27 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i, mode_j,
         mode_i=mode_i, mode_j=mode_j, err=err, V=V, b=b, delta=delta,
         kappa=cert.kappa, u2_sup=u2_sup, c_sup=c_sup, crossings=events,
     )
+
+
+@contextmanager
+def atomic_write(path) -> Iterator[TextIO]:
+    """Text file handle on ``<path>.tmp``, renamed onto ``path`` once the
+    block completes, so readers never see a partial file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        yield fh
+    os.replace(tmp, path)
+
+
+def write_columns(path, columns: Sequence[np.ndarray], sep: str = ",",
+                  header: Optional[Sequence[str]] = None) -> None:
+    """Write equal-length 1-D columns as ``sep``-separated rows of
+    shortest-exact (``repr``) values, one line at a time, atomically."""
+    with atomic_write(path) as fh:
+        if header is not None:
+            fh.write(sep.join(header) + "\n")
+        fh.writelines(sep.join(map(repr, row)) + "\n"
+                      for row in zip(*(np.asarray(c).tolist() for c in columns)))
 
 
 def export_trajectory(traj: Trajectory, path) -> None:
@@ -433,20 +456,6 @@ def export_trajectory(traj: Trajectory, path) -> None:
         + [f"u1_{a}" for a in range(p)]
         + ["mode_i", "mode_j", "err", "V", "b", "delta"]
     )
-    lines = [",".join(header)]
-    for k in range(len(traj)):
-        row = (
-            [repr(float(traj.t[k]))]
-            + [repr(float(v)) for v in traj.x1[k]]
-            + [repr(float(v)) for v in traj.x2[k]]
-            + [repr(float(v)) for v in traj.u1[k]]
-            + [str(int(traj.mode_i[k]) + 1), str(int(traj.mode_j[k]) + 1)]
-            + [repr(float(traj.err[k])), repr(float(traj.V[k])),
-               repr(float(traj.b[k])), repr(float(traj.delta[k]))]
-        )
-        lines.append(",".join(row))
-    payload = "\n".join(lines) + "\n"
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    columns = [traj.t, *traj.x1.T, *traj.x2.T, *traj.u1.T, traj.mode_i + 1,
+               traj.mode_j + 1, traj.err, traj.V, traj.b, traj.delta]
+    write_columns(path, columns, header=header)

@@ -9,13 +9,12 @@ transformation ``u2 = L x2 + u2bar`` that renders it internally stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHurwitzError
+from .errors import DimensionMismatchError, ModelError, NotHurwitzError
 from .linalg import as_matrix, as_vector
-from .polytope import ContinuityMatrix, Partition
+from .polytope import Partition
 
 #: Eigenvalue real parts must sit below minus this margin to count as stable.
 HURWITZ_MARGIN = 1e-8
@@ -100,7 +99,6 @@ class PwaSystem:
 
     modes: tuple[PwaMode, ...]
     partition: Partition
-    continuity: Optional[tuple[ContinuityMatrix, ...]] = None
 
     def __post_init__(self):
         modes = tuple(self.modes)
@@ -117,11 +115,6 @@ class PwaSystem:
             raise DimensionMismatchError(
                 f"partition dimension {self.partition.dim} != state dimension {n}"
             )
-        if self.continuity is not None:
-            cont = tuple(self.continuity)
-            if len(cont) != len(modes):
-                raise DimensionMismatchError("need one continuity matrix per cell")
-            object.__setattr__(self, "continuity", cont)
 
     @property
     def n(self) -> int:
@@ -180,40 +173,9 @@ class LinearAbstraction:
         return self.F + self.G @ self.L
 
 
-@dataclass(frozen=True)
-class AbstractionMode:
-    """One regime of a piecewise-affine abstraction."""
-
-    F: np.ndarray
-    G: np.ndarray
-    H: np.ndarray
-    L: np.ndarray
-
-    def __post_init__(self):
-        F = as_matrix(self.F, "F")
-        G = as_matrix(self.G, "G")
-        H = as_matrix(self.H, "H")
-        L = as_matrix(self.L, "L")
-        if H.shape[1] != F.shape[0]:
-            raise DimensionMismatchError(
-                f"H has {H.shape[1]} columns, expected {F.shape[0]}"
-            )
-        transformed_abstraction_matrix(F, G, L)
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "L", L)
-
-    @property
-    def m(self) -> int:
-        return self.F.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.G.shape[1]
-
-    def transformed(self) -> np.ndarray:
-        return self.F + self.G @ self.L
+class AbstractionMode(LinearAbstraction):
+    """One regime of a piecewise-affine abstraction; same data and checks as
+    a linear abstraction."""
 
 
 @dataclass(frozen=True)
@@ -319,4 +281,15 @@ class DisturbanceSignal:
         return DisturbanceSignal(
             self.kind, self.mask, offset=self.offset * factor,
             amplitude=self.amplitude * factor,
+        )
+
+
+def check_disturbance_bound(system: PwaSystem, disturbance: DisturbanceSignal) -> None:
+    """Raise ModelError unless the disturbance supremum stays within the
+    smallest ``c_bound`` the plant's modes declare."""
+    declared = min(mode.c_bound for mode in system.modes)
+    if not disturbance.sup_norm() <= declared + 1e-12:
+        raise ModelError(
+            f"scenario.disturbance: supremum {disturbance.sup_norm():.6g} exceeds "
+            f"the declared mode bound {declared:.6g}"
         )

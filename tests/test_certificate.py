@@ -1,4 +1,6 @@
-"""Certificate verification, synthesis, gains, bounds, derivatives."""
+"""Certificate verification, synthesis, gain slopes, thresholds, derivatives."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,8 +8,6 @@ import pytest
 from pwa_hier.certificate import (
     Certificate,
     ModeCertificate,
-    compute_gains,
-    error_bound,
     gain_slopes,
     lmi_margins,
     sim_fn_derivative,
@@ -20,9 +20,12 @@ from pwa_hier.errors import (
     DegenerateStateError,
     InfeasibleCertificateError,
     SynthesisFailedError,
+    UncertifiedModeError,
 )
 from pwa_hier.polytope import AFFINE, CONIC, ContinuityMatrix, Polyhedron, cell_bounding
 from pwa_hier.relation import JointMode, JointSystem
+from pwa_hier.simulator import reference_schedule, run_scenario
+from pwa_hier.systems import DisturbanceSignal
 
 I2 = np.eye(2)
 
@@ -58,6 +61,19 @@ def _affine_cell(d):
     return Polyhedron(E, np.array([-10.0]))
 
 
+@pytest.fixture(scope="module")
+def trajs(case1, case2):
+    """Shipped runs (V stays below b throughout) plus case1 with zero
+    reference, disturbance and abstraction state, where b is zero and V is
+    not."""
+    quiet = dataclasses.replace(
+        case1.scenario, schedule=reference_schedule([(0.0, [0.0, 0.0])]),
+        disturbance=DisturbanceSignal.zero(6), x2_0=np.zeros(2), t_end=0.5,
+    )
+    return {"case1": run_scenario(case1.scenario), "case2": run_scenario(case2.scenario),
+            "quiet": run_scenario(quiet)}
+
+
 class TestSimFnValue:
     def test_euclidean_norm(self):
         cert = Certificate(1.0, 1.0, (ModeCertificate(np.eye(4)),))
@@ -78,6 +94,16 @@ class TestSimFnValue:
         for _ in range(100):
             v = sim_fn_value(cert, 0, rng.normal(size=2), AFFINE)
             assert v >= np.sqrt(4.0) / 2.0 - 1e-12
+
+    @pytest.mark.parametrize("which", ["case1", "case2"])
+    def test_matches_trajectory_column(self, which, case1, case2, trajs):
+        """The scalar view agrees with the simulator's V column."""
+        bundle, traj = (case1 if which == "case1" else case2), trajs[which]
+        for k in range(0, len(traj), 100):
+            idx = int(traj.mode_i[k])
+            omega = np.concatenate([traj.xtilde[k], traj.x2[k]])
+            v = sim_fn_value(bundle.certificate, idx, omega, bundle.joint.modes[idx].kind)
+            assert abs(v - traj.V[k]) <= 1e-14 * abs(traj.V[k])
 
 
 class TestLmiMargins:
@@ -172,9 +198,10 @@ class TestSynthesis:
 
 
 class TestGains:
-    def test_zero_inputs_conic(self, case1):
-        g = compute_gains(case1.certificate, case1.joint, 0, 0.0, 0.0, 0.0)
-        assert g.b0 == 0.0
+    def test_zero_inputs_conic(self, trajs):
+        """Zero reference, disturbance and abstraction state leave b at zero
+        on conic cells."""
+        assert np.all(trajs["quiet"].b == 0.0)
 
     def test_zero_inputs_affine_sqrt_m(self):
         cert = Certificate(1.0, 2.0, (ModeCertificate(np.eye(2), m_scalar=4.0),))
@@ -182,9 +209,9 @@ class TestGains:
             Aprime=-np.eye(2), B1=np.zeros((2, 1)), B2=np.zeros((2, 1)),
             C=np.zeros((1, 2)), cell=_affine_cell(2), n=1, m=1,
         )
-        g = compute_gains(cert, joint, 0, 0.0, 0.0, 0.0)
-        assert g.b0 == 0.0
-        assert g.b1 == pytest.approx(2.0)
+        g1, _, g3, sqrt_m = gain_slopes(cert, joint, 0)
+        assert (g1, g3) == (0.0, 0.0)
+        assert sqrt_m == pytest.approx(2.0)
 
     def test_unit_slope(self):
         cert = Certificate(1.0, 2.0, (ModeCertificate(np.eye(2)),))
@@ -192,9 +219,9 @@ class TestGains:
             Aprime=-2.0 * np.eye(2), B1=np.zeros((2, 2)), B2=np.eye(2),
             C=np.zeros((1, 2)), cell=_conic_cell(2), n=1, m=1,
         )
-        g = compute_gains(cert, joint, 0, u2bar_sup=1.0, c_sup=0.0, x2_sup=0.0)
-        assert g.gamma1 == pytest.approx(1.0)
-        assert g.b0 == pytest.approx(1.0)
+        g1, _, _, sqrt_m = gain_slopes(cert, joint, 0)
+        assert g1 == pytest.approx(1.0)
+        assert sqrt_m == 0.0
 
     def test_slopes_scale_as_sqrt(self, case1):
         cert, joint = case1.certificate, case1.joint
@@ -212,28 +239,33 @@ class TestGains:
             8.0, 1e6,  # absurd decay rate can't verify
             case1.certificate.entries,
         )
-        with pytest.raises(InfeasibleCertificateError):
-            compute_gains(bad, case1.joint, 0, 0.0, 0.0, 0.0)
+        scen = dataclasses.replace(case1.scenario, certificate=bad, t_end=0.01)
+        with pytest.raises(UncertifiedModeError):
+            run_scenario(scen)
 
 
 class TestErrorBound:
-    def setup_method(self):
-        self.cert = Certificate(8.0, 1.0, (ModeCertificate(np.eye(2)),))
+    """``delta = kappa * max(V, b)`` sample by sample."""
 
-    def _gains(self, b0):
-        from pwa_hier.certificate import Gains
-        return Gains(0.0, 0.0, 0.0, b0, b0 + 1.0)
+    def test_above_threshold(self, trajs):
+        traj = trajs["quiet"]
+        above = traj.V > traj.b
+        assert np.any(above)
+        np.testing.assert_array_equal(traj.delta[above], traj.kappa * traj.V[above])
 
-    def test_above_threshold(self):
-        assert error_bound(self.cert, self._gains(1.0), 2.0, CONIC) == pytest.approx(16.0)
+    def test_below_threshold(self, trajs):
+        traj = trajs["case1"]
+        below = traj.V <= traj.b
+        assert np.any(below)
+        np.testing.assert_array_equal(traj.delta[below], traj.kappa * traj.b[below])
 
-    def test_below_threshold(self):
-        assert error_bound(self.cert, self._gains(1.0), 0.5, CONIC) == pytest.approx(8.0)
-
-    def test_boundary_continuity(self):
-        g = self._gains(1.0)
-        at = error_bound(self.cert, g, g.b1, AFFINE)
-        assert at == pytest.approx(8.0 * g.b1)
+    def test_boundary_continuity(self, trajs):
+        """Both branches meet at V = b, so delta is exactly kappa max(V, b),
+        also on affine cells where b carries the sqrt(m) term."""
+        for traj in trajs.values():
+            np.testing.assert_array_equal(
+                traj.delta, traj.kappa * np.maximum(traj.V, traj.b)
+            )
 
 
 class TestSimFnDerivative:

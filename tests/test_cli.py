@@ -85,8 +85,31 @@ class TestRun:
         assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
         assert (a / "bounds.csv").read_bytes() == (b / "bounds.csv").read_bytes()
 
-    def test_zero_horizon_exits_one(self, tmp_path, capsys):
-        assert main(["run", "case1", "--out", str(tmp_path), "--t-end", "0.0"]) == 1
+    @pytest.mark.parametrize("argv", [
+        ["run", "case1", "--t-end", "0.0"],
+        ["run", "case1", "--t-end", "0.5", "--step", "0.7"],
+        ["run", "case1", "--step", "0"],
+        ["run", "case1", "--step", "nan"],
+        ["sweep", "case1", "--param", "step", "--values", "0.001,abc"],
+        ["sweep", "case1", "--param", "kappa", "--values", "-1"],
+        ["sweep", "case1", "--param", "disturbance-amplitude", "--values", "1"],
+        ["check", "relation-shape"],
+    ], ids=["t-end-zero", "no-step-in-horizon", "step-zero", "step-nan",
+            "values-not-numbers", "kappa-negative", "disturbance-above-bound",
+            "relation-shape"])
+    def test_zero_horizon_exits_one(self, argv, tmp_path, capsys, caplog):
+        """Bad input of every kind exits 1 with one error line, no traceback."""
+        if argv[0] == "run":
+            argv = argv + ["--out", str(tmp_path / "out")]
+        if argv[1] == "relation-shape":
+            doc = json.loads(builtin_model_path("case1").read_text())
+            doc["relation"]["P"][0] = [row[:1] for row in doc["relation"]["P"][0]]
+            argv = [argv[0], str(tmp_path / "bad.model")]
+            (tmp_path / "bad.model").write_text(json.dumps(doc))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and not caplog.records
+        assert "Traceback" not in err
 
     def test_seed_recorded(self, tmp_path, capsys):
         out = tmp_path / "out"

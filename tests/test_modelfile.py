@@ -137,6 +137,18 @@ class TestValidation:
         with pytest.raises(UncertifiedRelationError):
             build_pipeline(load_model(p))
 
+    def test_supplied_linear_relation_not_solved(self, monkeypatch):
+        """A supplied relation replaces the solve for a linear abstraction;
+        its residual is still checked."""
+        import pwa_hier.modelfile as modelfile
+
+        def no_solve(*args):
+            raise AssertionError("relation solved although the file supplies it")
+
+        monkeypatch.setattr(modelfile, "solve_system_relation", no_solve)
+        pipe = load_pipeline(builtin_model_path("case1"))
+        assert all(r <= 1e-12 for r in pipe.relation.residuals)
+
     def test_declared_pairing_mismatch(self, tmp_path):
         doc = json.loads(builtin_model_path("case2").read_text())
         doc["pairing"] = [1, 1, 1, 3, 3]

@@ -13,7 +13,6 @@ from pwa_hier.relation import (
     assemble_joint_linear,
     default_R,
     interface_linear,
-    interface_pwa,
     relation_tolerance,
     solve_relation,
     solve_relation_pairing,
@@ -149,9 +148,9 @@ class TestInterface:
     def test_case2_error_feedback_column(self, case2):
         e1 = np.zeros(4)
         e1[0] = 1.0
-        u = interface_pwa(e1, np.zeros(2), np.zeros(2),
-                          R_ij=case2.interface.R[0], Q_i=case2.relation.Q[0],
-                          L_j=case2.abstraction.modes[0].L, K_i=case2.interface.K[0])
+        u = interface_linear(e1, np.zeros(2), np.zeros(2),
+                             R=case2.interface.R[0], Q=case2.relation.Q[0],
+                             L=case2.abstraction.modes[0].L, K=case2.interface.K[0])
         np.testing.assert_allclose(u, [-50.0, 0.0])
 
     def test_zero_everything(self):

@@ -1,4 +1,6 @@
-"""Integration, mode switching, bound bookkeeping, trajectory export."""
+"""Integration, mode switching, bound bookkeeping, verdict, trajectory export."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from pwa_hier import (
     run_scenario,
     step_rk4,
     synthesize_certificate,
+    verdict,
 )
 from pwa_hier.certificate import sim_fn_derivative
 from pwa_hier.errors import (
@@ -27,6 +30,7 @@ from pwa_hier.errors import (
     NonMonotoneTimesError,
 )
 from pwa_hier.relation import assemble_joint_linear, solve_system_relation
+from pwa_hier.simulator import CHAIN_TOL
 
 I2 = np.eye(2)
 
@@ -347,6 +351,17 @@ class TestRobustnessSweep:
             assert np.all(traj.kappa * traj.V <= traj.delta + 1e-6)
             # initial sample satisfies the certified precision directly
             assert traj.err[0] <= traj.delta[0] + 1e-6
+
+
+class TestVerdict:
+    def test_one_sample_above_kappa_v_fails(self, case1):
+        traj = run_scenario(dataclasses.replace(case1.scenario, t_end=0.1))
+        assert verdict(traj) == "PASS"
+        err = traj.err.copy()
+        err[50] = traj.kappa * traj.V[50] + 0.5 * CHAIN_TOL
+        assert verdict(dataclasses.replace(traj, err=err)) == "PASS"
+        err[50] = traj.kappa * traj.V[50] + 2.0 * CHAIN_TOL
+        assert verdict(dataclasses.replace(traj, err=err)) == "FAIL"
 
 
 class TestExport:
