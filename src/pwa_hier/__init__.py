@@ -15,8 +15,6 @@ from .certificate import (
 )
 from .linalg import (
     SymEigen,
-    kron_solve_least_squares,
-    matrix_sqrt_psd,
     spectral_norm,
     sym_eigen,
 )
@@ -27,7 +25,6 @@ from .polytope import (
     ContinuityMatrix,
     Partition,
     Polyhedron,
-    abstraction_cell_estimate,
     cell_bounding,
     classify_cell,
     contains_mapped,

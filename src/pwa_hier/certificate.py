@@ -25,14 +25,7 @@ from .errors import (
     NegativeQuadFormError,
     SynthesisFailedError,
 )
-from .linalg import (
-    as_matrix,
-    as_vector,
-    kron_solve_least_squares,
-    matrix_sqrt_psd,
-    spectral_norm,
-    sym_eigen,
-)
+from .linalg import as_matrix, as_vector, sym_eigen
 from .polytope import AFFINE, CONIC, ContinuityMatrix
 from .relation import JointMode, JointSystem
 from .systems import hurwitz_margin
@@ -42,6 +35,9 @@ LMI_TOL = 1e-9
 
 #: Diagonal loading of the decay equation during synthesis.
 SYNTH_EPSILON = 1e-6
+
+#: Number of decay-rate candidates in the default synthesis grid.
+LAMBDA_GRID_POINTS = 16
 
 _FACTORIZATION_TOL = 1e-8
 
@@ -195,21 +191,25 @@ def verify_all(cert: Certificate, joint: JointSystem) -> tuple[LmiReport, ...]:
     return tuple(verify_lmi(cert, joint, idx) for idx in range(len(joint.modes)))
 
 
-def _solve_decay_equation(A: np.ndarray, lam: float, eps: float) -> Optional[np.ndarray]:
-    """Solve ``A^T M + M A + lam M = -eps I`` by vectorization; None when the
-    operator is (near-)singular at this decay rate."""
+def _solve_decay_equation(A: np.ndarray, lam: float) -> Optional[np.ndarray]:
+    """Solve ``A^T M + M A + lam M = -SYNTH_EPSILON I`` by vectorization
+    (one LU solve of the ``d^2 x d^2`` operator); None when the operator is
+    (near-)singular at this decay rate."""
     d = A.shape[0]
     I = np.eye(d)
     coeff = np.kron(I, A.T) + np.kron(A.T, I) + lam * np.eye(d * d)
-    rhs = (-eps * I).reshape(-1, order="F")
-    sol, residual = kron_solve_least_squares(coeff, rhs)
-    if residual > 1e-6 * eps * np.sqrt(d):
+    rhs = (-SYNTH_EPSILON * I).reshape(-1, order="F")
+    try:
+        sol = np.linalg.solve(coeff, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if np.linalg.norm(coeff @ sol - rhs) > 1e-6 * SYNTH_EPSILON * np.sqrt(d):
         return None
     M = sol.reshape((d, d), order="F")
     return 0.5 * (M + M.T)
 
 
-def default_lambda_grid(joint: JointSystem, points: int = 16) -> np.ndarray:
+def default_lambda_grid(joint: JointSystem) -> np.ndarray:
     """Descending log-spaced decay-rate candidates below twice the slowest
     closed-loop eigenvalue."""
     slowest = min(-hurwitz_margin(jm.Aprime) for jm in joint.modes)
@@ -217,7 +217,7 @@ def default_lambda_grid(joint: JointSystem, points: int = 16) -> np.ndarray:
         raise SynthesisFailedError("joint closed loop is not Hurwitz")
     top = 2.0 * slowest
     lo = min(1e-3, top / 10.0)
-    return np.geomspace(top, lo, points)
+    return np.geomspace(top, lo, LAMBDA_GRID_POINTS)
 
 
 def synthesize_certificate(
@@ -225,7 +225,6 @@ def synthesize_certificate(
     kappa: float,
     lambda_grid: Optional[Sequence[float]] = None,
     m_scalar: float = 1.0,
-    epsilon: float = SYNTH_EPSILON,
 ) -> Certificate:
     """Heuristic certificate construction checked by the exact verifier.
 
@@ -244,7 +243,7 @@ def synthesize_certificate(
             continue
         entries = []
         for jm in joint.modes:
-            M = _solve_decay_equation(jm.Aprime, lam, epsilon)
+            M = _solve_decay_equation(jm.Aprime, lam)
             if M is None:
                 break
             eig = sym_eigen(M)
@@ -305,30 +304,39 @@ def sim_fn_value(cert: Certificate, idx: int, omega, kind: str) -> float:
     return float(sim_fn_values(cert, idx, omega[None, :], kind)[0])
 
 
+def _root_norm(M: np.ndarray, X: np.ndarray) -> float:
+    """``||M^(1/2) X||_2`` of a PSD ``M``, as ``sqrt(lambda_max(X^T M X))``."""
+    if X.size == 0:
+        return 0.0
+    S = X.T @ M @ X
+    return float(np.sqrt(max(np.linalg.eigvalsh(0.5 * (S + S.T))[-1], 0.0)))
+
+
 def gain_slopes(
     cert: Certificate, joint: JointSystem, idx: int
 ) -> tuple[float, float, float, float]:
     """Raw gain slopes ``(gamma1, gamma2, gamma3, sqrt_m)`` of one mode.
 
     gamma1 scales the transformed input, gamma2 the disturbance, gamma3 the
-    abstraction state; all are ``2 ||sqrt(M) X|| / lambda`` with the blocks
-    matching the cell kind.  ``sqrt_m`` is zero for conic cells.
+    abstraction state; all are ``2 ||sqrt(M) X||_2 / lambda`` with the
+    blocks matching the cell kind (``X = I`` for gamma2).  ``sqrt_m`` is
+    zero for conic cells.
     """
     entry = cert.entries[idx]
     jm = joint.modes[idx]
     if jm.kind == CONIC:
-        root = matrix_sqrt_psd(entry.M)
+        M = entry.M
         B1, B2 = jm.B1prime, jm.B2prime
         sqrt_m = 0.0
     else:
-        root = matrix_sqrt_psd(entry.extended())
+        M = entry.extended()
         B1, B2 = jm.B1bar, jm.B2bar
         if entry.m_scalar is None:
             raise InfeasibleCertificateError("affine cell without homogeneous entry")
         sqrt_m = float(np.sqrt(entry.m_scalar))
-    g1 = 2.0 * spectral_norm(root @ B2) / cert.lam
-    g2 = 2.0 * spectral_norm(root) / cert.lam
-    g3 = 2.0 * spectral_norm(root @ B1) / cert.lam
+    g1 = 2.0 * _root_norm(M, B2) / cert.lam
+    g2 = 2.0 * _root_norm(M, np.eye(M.shape[0])) / cert.lam
+    g3 = 2.0 * _root_norm(M, B1) / cert.lam
     return g1, g2, g3, sqrt_m
 
 

@@ -31,10 +31,6 @@ class NoConvergenceError(PwaHierError, RuntimeError):
     """The eigensolver hit its iteration cap."""
 
 
-class NotPsdError(PwaHierError, ValueError):
-    """Matrix has an eigenvalue below the PSD tolerance."""
-
-
 # -- polytope --------------------------------------------------------------
 
 class NoCellError(PwaHierError, LookupError):

@@ -15,19 +15,11 @@ from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
     NonSquareError,
-    NotPsdError,
     NotSymmetricError,
 )
 
 #: Relative asymmetry tolerated before a matrix is rejected as non-symmetric.
 SYMMETRY_RTOL = 1e-12
-
-#: Gram-matrix eigenvalues below this fraction of the largest count as zero
-#: when a pseudo-inverse is formed.
-RANK_RTOL = 1e-10
-
-#: Eigenvalues of a nominally-PSD matrix may undershoot zero by this much.
-PSD_TOL = 1e-10
 
 
 def as_matrix(A, name: str = "matrix") -> np.ndarray:
@@ -82,57 +74,9 @@ def sym_eigen(S) -> SymEigen:
     return SymEigen(w, Q)
 
 
-def matrix_sqrt_psd(S) -> np.ndarray:
-    """Symmetric square root of a positive-semidefinite matrix.
-
-    Eigenvalues in [-PSD_TOL, 0) are clamped to zero; anything below
-    -PSD_TOL raises NotPsdError.
-    """
-    eig = sym_eigen(S)
-    w = eig.eigenvalues
-    if w[0] < -PSD_TOL:
-        raise NotPsdError(f"smallest eigenvalue {w[0]:.3e} below -{PSD_TOL:.0e}")
-    w = np.clip(w, 0.0, None)
-    Q = eig.eigenvectors
-    R = (Q * np.sqrt(w)) @ Q.T
-    return 0.5 * (R + R.T)
-
-
 def spectral_norm(A) -> float:
     """Largest singular value (operator 2-norm)."""
     A = as_matrix(A, "A")
     if A.size == 0:
         return 0.0
     return float(np.linalg.norm(A, 2))
-
-
-def pinv_psd(S, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Pseudo-inverse of a symmetric PSD matrix with eigenvalue thresholding.
-
-    Eigenvalues at or below ``rtol * lambda_max`` are treated as zero.
-    """
-    eig = sym_eigen(S)
-    w, Q = eig.eigenvalues, eig.eigenvectors
-    threshold = rtol * max(float(w[-1]), 0.0)
-    inv = np.where(w > threshold, 1.0 / np.where(w > threshold, w, 1.0), 0.0)
-    return (Q * inv) @ Q.T
-
-
-def kron_solve_least_squares(coeff, rhs) -> tuple[np.ndarray, float]:
-    """Minimum-norm least-squares solution of ``coeff @ x = rhs``.
-
-    Solved through the normal equations with an eigenvalue-thresholded
-    pseudo-inverse (threshold RANK_RTOL times the largest Gram eigenvalue),
-    which returns the minimum-norm solution on rank-deficient systems.
-    Returns ``(solution, residual)`` with ``residual = ||coeff@x - rhs||_2``.
-    """
-    A = as_matrix(coeff, "coeff")
-    b = as_vector(rhs, "rhs")
-    if A.shape[0] != b.shape[0]:
-        raise DimensionMismatchError(
-            f"coeff has {A.shape[0]} rows but rhs has length {b.shape[0]}"
-        )
-    gram = A.T @ A
-    sol = pinv_psd(0.5 * (gram + gram.T)) @ (A.T @ b)
-    residual = float(np.linalg.norm(A @ sol - b))
-    return sol, residual

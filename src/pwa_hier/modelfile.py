@@ -78,7 +78,7 @@ class ModelConfig:
     relation_Q: Optional[list]
     declared_pairing: Optional[tuple[int, ...]]
     kappa: float
-    lambda_grid: Optional[list]
+    lambda_grid: Optional[np.ndarray]
     m_scalar: float
     cert_lambda: Optional[float]
     cert_M: Optional[list]
@@ -117,6 +117,8 @@ def _matrix(node, what: str) -> np.ndarray:
         raise ModelError(f"{what}: not a numeric matrix ({exc})") from exc
     if arr.ndim != 2:
         raise ModelError(f"{what}: expected a matrix (list of rows)")
+    if not np.all(np.isfinite(arr)):
+        raise ModelError(f"{what}: entries must be finite numbers")
     return arr
 
 
@@ -127,6 +129,8 @@ def _vector(node, what: str) -> np.ndarray:
         raise ModelError(f"{what}: not a numeric vector ({exc})") from exc
     if arr.ndim != 1:
         raise ModelError(f"{what}: expected a flat list of numbers")
+    if not np.all(np.isfinite(arr)):
+        raise ModelError(f"{what}: entries must be finite numbers")
     return arr
 
 
@@ -270,6 +274,8 @@ def _build_config(doc: dict) -> ModelConfig:
     cert_node = _require(doc, "certificate", "model")
     kappa = float(_require(cert_node, "kappa", "certificate"))
     lambda_grid = cert_node.get("lambda_grid")
+    if lambda_grid is not None:
+        lambda_grid = _vector(lambda_grid, "certificate.lambda_grid")
     m_scalar = float(cert_node.get("m_scalar", 1.0))
     cert_lambda = cert_node.get("lambda")
     cert_M = cert_node.get("M")
@@ -490,7 +496,7 @@ def model_to_jsonable(config: ModelConfig) -> dict:
         doc["pairing"] = [j + 1 for j in config.declared_pairing]
     cert = doc["certificate"]
     if config.lambda_grid is not None:
-        cert["lambda_grid"] = list(config.lambda_grid)
+        cert["lambda_grid"] = [float(v) for v in config.lambda_grid]
     if config.m_scalar != 1.0:
         cert["m_scalar"] = config.m_scalar
     if config.cert_lambda is not None:

@@ -194,20 +194,6 @@ def joint_partition_pwa(
     return Partition(tuple(cells))
 
 
-def abstraction_cell_estimate(Ec, fc, P, xtilde) -> Polyhedron:
-    """Abstraction-space cell implied by a concrete-space region at the
-    current tracking error: ``{x2 : (Ec P) x2 >= fc - Ec xt}``."""
-    Ec = as_matrix(Ec, "Ec")
-    fc = as_vector(fc, "fc")
-    P = as_matrix(P, "P")
-    xtilde = as_vector(xtilde, "xtilde")
-    if Ec.shape[1] != P.shape[0] or Ec.shape[1] != xtilde.shape[0]:
-        raise DimensionMismatchError("Ec columns must match P rows and xtilde length")
-    if Ec.shape[0] != fc.shape[0]:
-        raise DimensionMismatchError("Ec rows must match fc length")
-    return Polyhedron(Ec @ P, fc - Ec @ xtilde)
-
-
 def _rot90(v: np.ndarray) -> np.ndarray:
     return np.array([-v[1], v[0]])
 

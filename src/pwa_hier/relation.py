@@ -22,14 +22,7 @@ from .errors import (
     SingularBBtError,
     UncertifiedRelationError,
 )
-from .linalg import (
-    as_matrix,
-    as_vector,
-    kron_solve_least_squares,
-    pinv_psd,
-    spectral_norm,
-    sym_eigen,
-)
+from .linalg import as_matrix, as_vector, spectral_norm
 from .polytope import (
     CellBounding,
     Polyhedron,
@@ -82,9 +75,11 @@ def solve_relation(A, B, C, F, H) -> tuple[np.ndarray, np.ndarray, float]:
     equations ``H = C P`` and ``P F = A P + B Q``.
 
     Both matrix equations are stacked as one linear system in
-    ``(vec P, vec Q)`` (column-major vec); the backend returns the
-    minimum-norm solution on rank-deficient systems, so the result is
-    deterministic even when the relation is underdetermined.
+    ``(vec P, vec Q)`` (column-major vec) and solved by the SVD-based
+    ``numpy.linalg.lstsq``, which works on the stacked operator itself (its
+    condition number is not squared) and returns the minimum-norm solution
+    on rank-deficient systems, so the result is deterministic even when the
+    relation is underdetermined.
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
@@ -112,7 +107,7 @@ def solve_relation(A, B, C, F, H) -> tuple[np.ndarray, np.ndarray, float]:
     ])
     coeff = np.vstack([output_rows, dynamics_rows])
     rhs = np.concatenate([_vec(H), np.zeros(n * m)])
-    sol, _ = kron_solve_least_squares(coeff, rhs)
+    sol = np.linalg.lstsq(coeff, rhs, rcond=None)[0]
     P = sol[: n * m].reshape((n, m), order="F")
     Q = sol[n * m:].reshape((p, m), order="F")
     return P, Q, relation_residual(A, B, C, F, H, P, Q)
@@ -181,23 +176,22 @@ def solve_relation_pairing(
 
 
 def default_R(B, P, G) -> np.ndarray:
-    """Default interface feedthrough ``B^T (B B^T)^+ P G``.
+    """Default interface feedthrough ``B^+ P G``.
 
-    The pseudo-inverse makes this the least-squares feedthrough (it projects
-    ``P G`` onto the range of ``B``), and reduces to the plain inverse when
-    ``B B^T`` is nonsingular.  Raises SingularBBtError only when ``B`` is
-    numerically zero.
+    ``B^+`` is the Moore-Penrose pseudo-inverse (``numpy.linalg.pinv``,
+    SVD-based), which equals ``B^T (B B^T)^+`` without forming ``B B^T``.
+    It makes this the least-squares feedthrough (``B R`` is the projection
+    of ``P G`` onto the range of ``B``).  Raises SingularBBtError only when
+    ``B`` is numerically zero (``||B||_2^2 <= 1e-10``).
     """
     B = as_matrix(B, "B")
     P = as_matrix(P, "P")
     G = as_matrix(G, "G")
     if P.shape[0] != B.shape[0] or P.shape[1] != G.shape[0]:
         raise DimensionMismatchError("B/P/G shapes are inconsistent")
-    BBt = B @ B.T
-    eig = sym_eigen(BBt)
-    if float(eig.eigenvalues[-1]) <= 1e-10:
+    if spectral_norm(B) ** 2 <= 1e-10:
         raise SingularBBtError("B is numerically zero; no feedthrough exists")
-    return B.T @ pinv_psd(BBt) @ P @ G
+    return np.linalg.pinv(B) @ P @ G
 
 
 def interface_linear(xtilde, x2, u2bar, R, Q, L, K) -> np.ndarray:

@@ -276,7 +276,7 @@ class DisturbanceSignal:
             return DisturbanceSignal.zero(self.dim)
         current = self.sup_norm()
         if current == 0.0:
-            raise ValueError("cannot scale an identically-zero disturbance upward")
+            raise ModelError("cannot scale an identically-zero disturbance upward")
         factor = sup / current
         return DisturbanceSignal(
             self.kind, self.mask, offset=self.offset * factor,

@@ -174,6 +174,16 @@ class TestSynthesis:
             assert m1 >= -1e-9 and m2 >= 1e-9 and m3 <= 1e-9
             assert report.feasible
 
+    def test_singular_decay_operator_skips_lambda(self):
+        """With Aprime = -I and lambda = 2 the decay operator is zero."""
+        joint = _toy_joint(
+            Aprime=-np.eye(2), B1=np.zeros((2, 1)), B2=np.zeros((2, 1)),
+            C=np.array([[1.0, 0.0]]), cell=_conic_cell(2), n=1, m=1,
+        )
+        assert synthesize_certificate(joint, kappa=1.0, lambda_grid=[2.0, 1.0]).lam == 1.0
+        with pytest.raises(SynthesisFailedError):
+            synthesize_certificate(joint, kappa=1.0, lambda_grid=[2.0])
+
     def test_unstable_block_fails(self):
         joint = _toy_joint(
             Aprime=np.diag([1.0, -1.0]), B1=np.zeros((2, 1)),
@@ -233,6 +243,27 @@ class TestGains:
         g2 = gain_slopes(doubled, joint, 0)
         for a, b in zip(g[:3], g2[:3]):
             assert b == pytest.approx(np.sqrt(2.0) * a, rel=1e-9)
+
+    @pytest.mark.parametrize("which", ["case1", "case2"])
+    def test_matches_sqrt_oracle(self, which, case1, case2):
+        """Slopes equal ``2 ||sqrt(M) X||_2 / lambda`` with the square root
+        taken by eigendecomposition (case1 cells are conic, case2 affine)."""
+        bundle = {"case1": case1, "case2": case2}[which]
+        cert, joint = bundle.certificate, bundle.joint
+        for idx, jm in enumerate(joint.modes):
+            entry = cert.entries[idx]
+            if jm.kind == CONIC:
+                M, B1, B2 = entry.M, jm.B1prime, jm.B2prime
+            else:
+                M, B1, B2 = entry.extended(), jm.B1bar, jm.B2bar
+            w, V = np.linalg.eigh(M)
+            root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+            assert np.linalg.norm(root @ root - M) <= 1e-12 * np.linalg.norm(M)
+            want = [2.0 * np.linalg.norm(root @ X, 2) / cert.lam
+                    for X in (B2, np.eye(len(M)), B1)]
+            got = gain_slopes(cert, joint, idx)
+            np.testing.assert_allclose(got[:3], want, rtol=1e-12)
+            assert got[3] == (0.0 if jm.kind == CONIC else np.sqrt(entry.m_scalar))
 
     def test_infeasible_certificate_rejected(self, case1):
         bad = Certificate(

@@ -13,6 +13,22 @@ def _read_csv(path):
     return np.genfromtxt(path, delimiter=",", names=True)
 
 
+def _break_model(doc, how):
+    """Apply one named defect to a model document, in place."""
+    if how == "relation-shape":
+        doc["relation"]["P"][0] = [row[:1] for row in doc["relation"]["P"][0]]
+    elif how == "x1-0-nan":
+        doc["scenario"]["x1_0"][0] = float("nan")
+    elif how == "waypoint-inf":
+        doc["scenario"]["u2bar"][1]["value"][0] = float("inf")
+    elif how == "lambda-grid-text":
+        doc["certificate"]["lambda_grid"] = ["a"]
+    elif how == "zero-disturbance":
+        doc["scenario"]["disturbance"] = {"kind": "zero"}
+    else:
+        raise AssertionError(f"unknown defect {how!r}")
+
+
 class TestCheck:
     def test_case1_exit_zero(self, capsys):
         assert main(["check", "case1"]) == 0
@@ -94,17 +110,24 @@ class TestRun:
         ["sweep", "case1", "--param", "kappa", "--values", "-1"],
         ["sweep", "case1", "--param", "disturbance-amplitude", "--values", "1"],
         ["check", "relation-shape"],
+        ["check", "x1-0-nan"],
+        ["check", "waypoint-inf"],
+        ["check", "lambda-grid-text"],
+        ["sweep", "zero-disturbance", "--param", "disturbance-amplitude",
+         "--values", "0.1"],
     ], ids=["t-end-zero", "no-step-in-horizon", "step-zero", "step-nan",
             "values-not-numbers", "kappa-negative", "disturbance-above-bound",
-            "relation-shape"])
+            "relation-shape", "x1-0-nan", "waypoint-inf", "lambda-grid-text",
+            "zero-disturbance-scaled"])
     def test_zero_horizon_exits_one(self, argv, tmp_path, capsys, caplog):
-        """Bad input of every kind exits 1 with one error line, no traceback."""
+        """Bad input of every kind exits 1 with one error line, no traceback.
+        A model name other than case1 names an edit of case1's model file."""
         if argv[0] == "run":
             argv = argv + ["--out", str(tmp_path / "out")]
-        if argv[1] == "relation-shape":
+        if argv[1] != "case1":
             doc = json.loads(builtin_model_path("case1").read_text())
-            doc["relation"]["P"][0] = [row[:1] for row in doc["relation"]["P"][0]]
-            argv = [argv[0], str(tmp_path / "bad.model")]
+            _break_model(doc, argv[1])
+            argv = [argv[0], str(tmp_path / "bad.model")] + argv[2:]
             (tmp_path / "bad.model").write_text(json.dumps(doc))
         assert main(argv) == 1
         err = capsys.readouterr().err

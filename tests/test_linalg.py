@@ -3,19 +3,8 @@
 import numpy as np
 import pytest
 
-from pwa_hier.errors import (
-    DimensionMismatchError,
-    NonSquareError,
-    NotPsdError,
-    NotSymmetricError,
-)
-from pwa_hier.linalg import (
-    kron_solve_least_squares,
-    matrix_sqrt_psd,
-    pinv_psd,
-    spectral_norm,
-    sym_eigen,
-)
+from pwa_hier.errors import NonSquareError, NotSymmetricError
+from pwa_hier.linalg import spectral_norm, sym_eigen
 
 
 class TestSymEigen:
@@ -54,38 +43,6 @@ class TestSymEigen:
             assert np.linalg.norm(Q.T @ Q - np.eye(dim)) <= 1e-10
 
 
-class TestMatrixSqrtPsd:
-    def test_identity(self):
-        np.testing.assert_allclose(matrix_sqrt_psd(np.eye(4)), np.eye(4), atol=1e-12)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            matrix_sqrt_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12
-        )
-
-    def test_recompose(self):
-        S = np.array([[2.0, 1.0], [1.0, 2.0]])
-        R = matrix_sqrt_psd(S)
-        assert np.linalg.norm(R @ R - S) <= 1e-9 * np.linalg.norm(S)
-
-    def test_not_psd_rejected(self):
-        with pytest.raises(NotPsdError):
-            matrix_sqrt_psd(np.diag([1.0, -1e-6]))
-
-    def test_tiny_negative_clamped(self):
-        R = matrix_sqrt_psd(np.diag([1.0, -5e-11]))
-        np.testing.assert_allclose(R, np.diag([1.0, 0.0]), atol=1e-5)
-
-    def test_random_psd(self):
-        rng = np.random.default_rng(11)
-        for dim in (2, 4, 7):
-            G = rng.normal(size=(dim, dim))
-            S = G.T @ G
-            R = matrix_sqrt_psd(S)
-            assert np.linalg.norm(R @ R - S) <= 1e-9 * max(1.0, np.linalg.norm(S))
-            np.testing.assert_allclose(R, R.T, atol=1e-12)
-
-
 class TestSpectralNorm:
     def test_identity(self):
         assert spectral_norm(np.eye(3)) == pytest.approx(1.0)
@@ -105,41 +62,3 @@ class TestSpectralNorm:
             v = rng.normal(size=5)
             v /= np.linalg.norm(v)
             assert np.linalg.norm(A @ v) <= sigma + 1e-6
-
-
-class TestKronSolve:
-    def test_identity_system(self):
-        sol, res = kron_solve_least_squares(np.eye(2), [1.0, 2.0])
-        np.testing.assert_allclose(sol, [1.0, 2.0], atol=1e-12)
-        assert res == pytest.approx(0.0, abs=1e-12)
-
-    def test_rank_deficient_minimum_norm(self):
-        sol, res = kron_solve_least_squares([[1.0, 0.0], [0.0, 0.0]], [3.0, 4.0])
-        np.testing.assert_allclose(sol, [3.0, 0.0], atol=1e-10)
-        assert res == pytest.approx(4.0, abs=1e-10)
-
-    def test_overdetermined_scalar(self):
-        sol, res = kron_solve_least_squares([[1.0], [1.0]], [1.0, 3.0])
-        np.testing.assert_allclose(sol, [2.0], atol=1e-12)
-        assert res == pytest.approx(np.sqrt(2.0), abs=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            kron_solve_least_squares(np.eye(2), [1.0, 2.0, 3.0])
-
-    def test_residual_beats_perturbed_candidates(self):
-        rng = np.random.default_rng(19)
-        A = rng.normal(size=(8, 5))
-        A[:, 4] = A[:, 3]  # force rank deficiency
-        b = rng.normal(size=8)
-        sol, res = kron_solve_least_squares(A, b)
-        for _ in range(100):
-            cand = sol + rng.normal(scale=0.1, size=5)
-            assert res <= np.linalg.norm(A @ cand - b) + 1e-12
-
-
-def test_pinv_psd_matches_inverse_on_full_rank():
-    rng = np.random.default_rng(5)
-    G = rng.normal(size=(4, 4))
-    S = G.T @ G + np.eye(4)
-    np.testing.assert_allclose(pinv_psd(S), np.linalg.inv(S), atol=1e-10)

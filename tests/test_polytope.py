@@ -14,7 +14,6 @@ from pwa_hier.polytope import (
     CONIC,
     Partition,
     Polyhedron,
-    abstraction_cell_estimate,
     cell_bounding,
     classify_cell,
     contains_mapped,
@@ -164,26 +163,6 @@ class TestJointPartitionPwa:
         for _ in range(100):
             omega = rng.normal(scale=3.0, size=8)
             assert joint.cells[0].contains(omega) == lin.cells[0].contains(omega)
-
-
-class TestAbstractionCellEstimate:
-    def test_zero_tracking_error(self):
-        Ec = np.array([[1.0, 0.0, 0.0]])
-        P = np.array([[1.0], [0.0], [0.0]])
-        est = abstraction_cell_estimate(Ec, [0.5], P, np.zeros(3))
-        np.testing.assert_allclose(est.E, [[1.0]])
-        np.testing.assert_allclose(est.f, [0.5])
-
-    def test_offset_shift(self):
-        Ec = np.eye(3)
-        P = np.vstack([np.eye(2), np.zeros((1, 2))])
-        est = abstraction_cell_estimate(Ec, [1.0, 2.0, 3.0], P, np.array([1.0, 0.0, 0.0]))
-        np.testing.assert_allclose(est.E, P)
-        np.testing.assert_allclose(est.f, [0.0, 2.0, 3.0])
-
-    def test_degenerate_all_space(self):
-        est = abstraction_cell_estimate(np.zeros((1, 2)), [0.0], np.eye(2), np.zeros(2))
-        assert est.contains(np.array([100.0, -100.0]))
 
 
 class TestVertices2d:

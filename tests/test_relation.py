@@ -63,6 +63,25 @@ class TestSolveRelation:
             r1, r2 = _residual_norms(A, B, C, F, H, P, Q)
             assert r1 <= 1e-9 and r2 <= 1e-9
 
+    def test_ill_conditioned_planted_relation_certified(self):
+        """A solve that squares the condition number loses the Q direction
+        here (sigma_min^2 / sigma_max^2 is about 1e-12)."""
+        n, m, p, k = 4, 2, 2, 2
+        A, B, C, F, H = plant_relation_instance(
+            np.random.default_rng(0), n, m, p, k, b_scale=4e-5
+        )
+        stacked = np.vstack([
+            np.hstack([np.kron(np.eye(m), C), np.zeros((k * m, p * m))]),
+            np.hstack([np.kron(F.T, np.eye(n)) - np.kron(np.eye(m), A),
+                       -np.kron(np.eye(m), B)]),
+        ])
+        sv = np.linalg.svd(stacked, compute_uv=False)
+        assert 1e-7 <= sv[-1] / sv[0] <= 1e-5
+        P, Q, res = solve_relation(A, B, C, F, H)
+        assert res <= relation_tolerance(A, H)
+        r1, r2 = _residual_norms(A, B, C, F, H, P, Q)
+        assert r1 <= 1e-12 and r2 <= 1e-12
+
 
 class TestPairing:
     def test_case2_reproduces_segment_assignment(self, case2):
@@ -91,6 +110,21 @@ class TestPairing:
         pairing, maps = solve_relation_pairing([mode], [bad, good])
         assert pairing == (1,)
         assert maps.residuals[0] <= 1e-12
+
+    def test_exact_tie_breaks_by_smaller_norm(self):
+        """A similarity-transformed copy relates exactly too, with P and Q
+        scaled by T; the leaner relation wins even at the higher index."""
+        mode = PwaMode(A=-I2, B=I2, C=I2)
+        F = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        T = np.array([[2.0, 1.0], [0.0, 1.0]])
+        copy = AbstractionMode(F=np.linalg.solve(T, F @ T), G=I2, H=T, L=Z2)
+        lean = AbstractionMode(F=F, G=I2, H=I2, L=Z2)
+        pairing, maps = solve_relation_pairing([mode], [copy, lean])
+        assert pairing == (1,)
+        np.testing.assert_allclose(maps.P[0], I2, atol=1e-12)
+        np.testing.assert_allclose(maps.Q[0], F + I2, atol=1e-12)
+        _, copy_maps = solve_relation_pairing([mode], [copy])
+        assert copy_maps.residuals[0] <= 1e-12
 
     def test_no_feasible_pairing(self):
         mode = PwaMode(A=-I2, B=np.zeros((2, 1)), C=np.zeros((1, 2)))
@@ -311,15 +345,17 @@ class TestJointAssembly:
             assert np.linalg.norm(C @ omega[:6]) <= 1e-9
 
 
-def plant_relation_instance(rng, n, m, p, k):
-    """Random (A, B, C, F, H) admitting an exact relation by construction."""
+def plant_relation_instance(rng, n, m, p, k, b_scale=1.0):
+    """Random (A, B, C, F, H) admitting an exact relation by construction;
+    ``b_scale`` shrinks B, and with it the stacked operator's smallest
+    singular values."""
     while True:
         P0 = rng.normal(size=(n, m))
         if np.linalg.matrix_rank(P0) == m:
             break
     Q0 = rng.normal(size=(p, m))
     F = rng.normal(size=(m, m))
-    B = rng.normal(size=(n, p))
+    B = b_scale * rng.normal(size=(n, p))
     C = rng.normal(size=(k, n))
     H = C @ P0
     rhs = P0 @ F - B @ Q0
