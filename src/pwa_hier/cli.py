@@ -36,7 +36,6 @@ from .simulator import (
     export_trajectory,
     run_scenario,
     verdict,
-    write_columns,
 )
 
 _SWEEP_PARAMS = ("disturbance-amplitude", "kappa", "step")
@@ -115,8 +114,9 @@ def _print_report(report: RunReport) -> None:
         print(f"bound chain: {report.verdict}")
 
 
-def _write_plot_data(pipe: Pipeline, traj: Trajectory, plot_dir: Path) -> list:
-    """Two-column (or paired-column) series, one file per plotted quantity."""
+def _plot_tables(pipe: Pipeline, traj: Trajectory, plot_dir: Path) -> tuple[dict, list]:
+    """Output-path columns and the ``write_tables`` entries of the
+    space-separated series under ``plot_dir``, one per plotted quantity."""
     plot_dir.mkdir(parents=True, exist_ok=True)
     k_dim = pipe.config.system.k
     y1 = np.empty((len(traj), k_dim))
@@ -130,18 +130,17 @@ def _write_plot_data(pipe: Pipeline, traj: Trajectory, plot_dir: Path) -> list:
             y2[rows] = traj.x2[rows] @ pipe.config.abstraction.modes[jdx].H.T
     else:
         y2[:] = traj.x2 @ pipe.config.abstraction.H.T
+    columns = {f"{name}_{a}": col for name, y in (("y1", y1), ("y2", y2))
+               for a, col in enumerate(y.T)}
     series = {
-        "err.dat": (traj.t, traj.err),
-        "sim_fn.dat": (traj.t, traj.kappa * traj.V),
-        "bound.dat": (traj.t, traj.delta),
-        "path_concrete.dat": y1.T,
-        "path_abstraction.dat": y2.T,
+        "err.dat": ("t", "err"),
+        "sim_fn.dat": ("t", "kV"),
+        "bound.dat": ("t", "delta"),
+        "path_concrete.dat": tuple(f"y1_{a}" for a in range(k_dim)),
+        "path_abstraction.dat": tuple(f"y2_{a}" for a in range(k_dim)),
     }
-    written = []
-    for fname, columns in series.items():
-        write_columns(plot_dir / fname, columns, sep=" ")
-        written.append(str(plot_dir / fname))
-    return written
+    return columns, [(plot_dir / fname, names, " ", False)
+                     for fname, names in series.items()]
 
 
 def cmd_check(model_spec: str, save_certificate: Optional[str] = None) -> int:
@@ -177,12 +176,14 @@ def cmd_run(model_spec: str, out_dir: str, plot_data: bool = False,
     out.mkdir(parents=True, exist_ok=True)
     traj_path = out / "trajectory.csv"
     bounds_path = out / "bounds.csv"
-    export_trajectory(traj, traj_path)
-    write_columns(bounds_path, (traj.t, traj.err, traj.kappa * traj.V, traj.delta),
-                  header=("t", "err", "kV", "delta"))
-    report.files = [str(traj_path), str(bounds_path)]
+    columns = {"kV": traj.kappa * traj.V}
+    tables = [(bounds_path, ("t", "err", "kV", "delta"), ",", True)]
     if plot_data:
-        report.files += _write_plot_data(pipe, traj, out / "plot")
+        plot_columns, plot_tables = _plot_tables(pipe, traj, out / "plot")
+        columns.update(plot_columns)
+        tables += plot_tables
+    export_trajectory(traj, traj_path, columns=columns, files=tables)
+    report.files = [str(traj_path)] + [str(path) for path, *_ in tables]
     report_path = out / "report.json"
     with atomic_write(report_path) as fh:
         fh.write(json.dumps(report.to_jsonable(), indent=2) + "\n")

@@ -134,6 +134,10 @@ def _vector(node, what: str) -> np.ndarray:
     return arr
 
 
+def _scalar(node, what: str) -> float:
+    return float(_vector([node], what)[0])
+
+
 def _require(node: dict, key: str, what: str):
     if key not in node:
         raise ModelError(f"{what}: missing required key {key!r}")
@@ -151,11 +155,12 @@ def _disturbance(node: dict, dim: int) -> DisturbanceSignal:
     if kind == "zero":
         return DisturbanceSignal.zero(dim)
     if kind == "constant":
-        return DisturbanceSignal.constant(float(_require(node, "offset", "disturbance")), dim)
+        return DisturbanceSignal.constant(
+            _scalar(_require(node, "offset", "disturbance"), "disturbance.offset"), dim)
     if kind == "sinusoid":
         return DisturbanceSignal.sinusoid(
-            float(_require(node, "offset", "disturbance")),
-            float(_require(node, "amplitude", "disturbance")),
+            _scalar(_require(node, "offset", "disturbance"), "disturbance.offset"),
+            _scalar(_require(node, "amplitude", "disturbance"), "disturbance.amplitude"),
             dim,
         )
     raise ModelError(f"scenario.disturbance: unknown kind {kind!r}")
@@ -193,7 +198,7 @@ def _build_config(doc: dict) -> ModelConfig:
             _matrix(_require(mn, "A", f"mode {i}"), f"mode {i}.A"),
             _matrix(_require(mn, "B", f"mode {i}"), f"mode {i}.B"),
             _matrix(_require(mn, "C", f"mode {i}"), f"mode {i}.C"),
-            float(mn.get("c_bound", 0.0)),
+            _scalar(mn.get("c_bound", 0.0), f"mode {i}.c_bound"),
         )
         for i, mn in enumerate(mode_nodes)
     )
@@ -272,11 +277,11 @@ def _build_config(doc: dict) -> ModelConfig:
             raise ModelError("pairing: need one entry per concrete mode")
 
     cert_node = _require(doc, "certificate", "model")
-    kappa = float(_require(cert_node, "kappa", "certificate"))
+    kappa = _scalar(_require(cert_node, "kappa", "certificate"), "certificate.kappa")
     lambda_grid = cert_node.get("lambda_grid")
     if lambda_grid is not None:
         lambda_grid = _vector(lambda_grid, "certificate.lambda_grid")
-    m_scalar = float(cert_node.get("m_scalar", 1.0))
+    m_scalar = _scalar(cert_node.get("m_scalar", 1.0), "certificate.m_scalar")
     cert_lambda = cert_node.get("lambda")
     cert_M = cert_node.get("M")
     cert_m = cert_node.get("m")
@@ -301,12 +306,12 @@ def _build_config(doc: dict) -> ModelConfig:
     scen = _require(doc, "scenario", "model")
     x1_0 = _vector(_require(scen, "x1_0", "scenario"), "scenario.x1_0")
     x2_0 = _vector(_require(scen, "x2_0", "scenario"), "scenario.x2_0")
-    t_end = float(_require(scen, "t_end", "scenario"))
-    step = float(_require(scen, "step", "scenario"))
+    t_end = _scalar(_require(scen, "t_end", "scenario"), "scenario.t_end")
+    step = _scalar(_require(scen, "step", "scenario"), "scenario.step")
     disturbance = _disturbance(_require(scen, "disturbance", "scenario"), system.n)
     check_disturbance_bound(system, disturbance)
     waypoints = [
-        (float(_require(wn, "t", "u2bar waypoint")),
+        (_scalar(_require(wn, "t", "u2bar waypoint"), "u2bar waypoint t"),
          _vector(_require(wn, "value", "u2bar waypoint"), "u2bar value"))
         for wn in _require(scen, "u2bar", "scenario")
     ]

@@ -1,19 +1,21 @@
 """Closed-loop hybrid simulation with mode switching and bound bookkeeping.
 
 The concrete plant and the transformed abstraction are integrated together
-with classical RK4; the active mode is frozen within a step and boundary
-crossings are localized by bisecting the step.  Every sample records the
-tracking error, the simulation-function value, the running invariant-level
-threshold, and the certified output-error level.
+with classical RK4, the active mode frozen within a step: one precomputed
+affine map per visited mode, applied in blocks with one vectorized
+membership test per block; only the first step that leaves the mode is
+split, by bisecting the crossing.  Every sample records the tracking error,
+the simulation-function value, the running invariant-level threshold, and
+the certified output-error level.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence, TextIO, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -47,6 +49,12 @@ BISECTION_CAP = 40
 
 #: Mode switches tolerated within one output step before giving up.
 _SWITCH_CAP = 64
+
+#: Output steps propagated between two vectorized membership tests.
+_BLOCK = 32
+
+#: Rows formatted at a time by the artifact writer.
+_WRITE_BLOCK = 1024
 
 #: Slack of the PASS verdict on the per-sample bound chain.
 CHAIN_TOL = 1e-6
@@ -86,12 +94,14 @@ class ReferenceSchedule:
 def reference_schedule(waypoints: Sequence[tuple[float, Sequence[float]]]) -> ReferenceSchedule:
     """Build a schedule from ``(time, value)`` waypoints.
 
-    Times must strictly increase and start at zero; lookups are
+    Times must be finite, strictly increase and start at zero; lookups are
     right-continuous (a waypoint's value applies from its time onward).
     """
     if not waypoints:
         raise EmptyScheduleError("schedule needs at least one waypoint")
     times = np.array([float(t) for t, _ in waypoints])
+    if not np.all(np.isfinite(times)):
+        raise NonMonotoneTimesError("waypoint times must be finite")
     if times[0] != 0.0:
         raise NonMonotoneTimesError("first waypoint must be at t=0")
     if np.any(np.diff(times) <= 0.0):
@@ -202,12 +212,24 @@ def verdict(traj: Trajectory) -> str:
     return "PASS" if chain else "FAIL"
 
 
+def rk4_weights(h: float) -> np.ndarray:
+    """Classical RK4 on ``z' = Z z + v(t)`` as weights on ``Z^0 .. Z^4``: a
+    step of width ``h`` is ``sum_k Z^k (W[0,k] z + W[1,k] v(t)
+    + W[2,k] v(t + h/2) + W[3,k] v(t + h))``; row 0 is ``T4(hZ)``."""
+    c = h / 6.0
+    return np.array([
+        [1.0, h, h * h / 2.0, h ** 3 / 6.0, h ** 4 / 24.0],
+        [c, c * h, c * h * h / 2.0, c * h ** 3 / 4.0, 0.0],
+        [4.0 * c, 2.0 * c * h, c * h * h / 2.0, 0.0, 0.0],
+        [c, 0.0, 0.0, 0.0, 0.0],
+    ])
+
+
 class _Runner:
     """Single-run integration state; not part of the public surface."""
 
     def __init__(self, s: Scenario):
-        self.s = s
-        self.joint = s.joint
+        self.h = s.h
         self.n = s.system.n
         self.m = s.joint.m
         self.part = s.system.partition
@@ -220,34 +242,36 @@ class _Runner:
         self.dist_offset = dist.offset if dist.kind != "zero" else 0.0
         self.dist_amplitude = dist.amplitude if dist.kind == "sinusoid" else 0.0
         self.mask_ext = np.concatenate([dist.mask, np.zeros(self.m)])
-        # stacked closed-loop dynamics per concrete mode: z = (x1, x2)
-        self.Z = []
-        self.BU = []
+        # stacked closed-loop dynamics per concrete mode: z = (x1, x2), and
+        # the rows (E, f) of its cell, with its paired region for PWA
+        self.Z, self.BU, self.rows = [], [], []
         for i, mode in enumerate(s.system.modes):
             K, R, Q, L = (s.interface.K[i], s.interface.R[i],
                           s.interface.Q[i], s.interface.L[i])
             P = s.relation.P[i]
+            cell = self.part.cells[i]
             if self.is_pwa:
                 am = s.abstraction.modes[self.pairing[i]]
                 G, closed_abs = am.G, am.transformed()
+                reg = self.regions.cells[self.pairing[i]]
+                self.rows.append((np.vstack([cell.E, reg.E]),
+                                  np.concatenate([cell.f, reg.f])))
             else:
                 G, closed_abs = s.abstraction.G, s.abstraction.transformed()
+                self.rows.append((cell.E, cell.f))
             Z = np.zeros((self.n + self.m, self.n + self.m))
             Z[: self.n, : self.n] = mode.A + mode.B @ K
             Z[: self.n, self.n:] = mode.B @ (Q + R @ L - K @ P)
             Z[self.n:, self.n:] = closed_abs
             self.Z.append(Z)
             self.BU.append(np.vstack([mode.B @ R, G]))
+        self._maps: dict = {}
 
     # -- membership ---------------------------------------------------------
 
-    def _margin(self, x1: np.ndarray, i: int, j: int) -> float:
-        cell = self.part.cells[i]
-        margin = float(np.min(cell.E @ x1 - cell.f))
-        if self.is_pwa:
-            reg = self.regions.cells[j]
-            margin = min(margin, float(np.min(reg.E @ x1 - reg.f)))
-        return margin
+    def _margin(self, x1: np.ndarray, i: int) -> float:
+        E, f = self.rows[i]
+        return float(np.min(E @ x1 - f))
 
     def _locate_j(self, x1: np.ndarray, i: int, prev_j: int) -> int:
         if not self.is_pwa:
@@ -265,46 +289,76 @@ class _Runner:
 
     # -- integration --------------------------------------------------------
 
-    def _rk4(self, z: np.ndarray, t: float, h: float, i: int, uvec: np.ndarray) -> np.ndarray:
-        """One RK4 step of the frozen-mode closed loop; the disturbance phase
-        is evaluated per stage."""
-        Z = self.Z[i]
-        if self.dist_amplitude != 0.0:
-            sins = np.sin(np.array([t, t + 0.5 * h, t + h]))
-            s0, s1, s2 = self.dist_offset + self.dist_amplitude * sins
-        else:
-            s0 = s1 = s2 = self.dist_offset
-        k1 = Z @ z + uvec + s0 * self.mask_ext
-        k2 = Z @ (z + 0.5 * h * k1) + uvec + s1 * self.mask_ext
-        k3 = Z @ (z + 0.5 * h * k2) + uvec + s1 * self.mask_ext
-        k4 = Z @ (z + h * k3) + uvec + s2 * self.mask_ext
-        return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def stages(self, t, h: float) -> np.ndarray:
+        """Disturbance scale at ``t``, ``t + h/2`` and ``t + h`` (the RK4
+        stage times); ``t`` may be an array of step starts."""
+        times = np.asarray(t, dtype=float)[..., None] + np.array([0.0, 0.5 * h, h])
+        return self.dist_offset + self.dist_amplitude * np.sin(times)
+
+    def maps(self, i: int) -> tuple:
+        """Mode ``i``'s powers ``Z^0 .. Z^4`` applied to the identity, to its
+        reference input map and to the disturbance mask, then its step map
+        ``(Phi, Gu, Ws)``: ``z+ = Phi z + Gu u2bar + stages(t, h) @ Ws``."""
+        if i not in self._maps:
+            Zk = [np.eye(len(self.mask_ext))]
+            for _ in range(4):
+                Zk.append(self.Z[i] @ Zk[-1])
+            Zk = np.array(Zk)
+            ZkB, Zkm = Zk @ self.BU[i], Zk @ self.mask_ext
+            w = rk4_weights(self.h)
+            self._maps[i] = (Zk, ZkB, Zkm, np.tensordot(w[0], Zk, 1),
+                             np.tensordot(w[1:].sum(axis=0), ZkB, 1), w[1:] @ Zkm)
+        return self._maps[i]
+
+    def sub_step(self, basis: np.ndarray, t: float, tau: float) -> np.ndarray:
+        """RK4 step of width ``tau`` from ``z`` at ``t``, given the stacked
+        ``Z^k z``, ``Z^k BU u2bar`` and ``Z^k mask`` of the mode as ``basis``."""
+        w = rk4_weights(tau)
+        return np.concatenate([w[0], w[1:].sum(axis=0), self.stages(t, tau) @ w[1:]]) @ basis
+
+    def propagate(self, zs: np.ndarray, k: int, stop: int, i: int,
+                  u2bar: np.ndarray, stages: np.ndarray) -> int:
+        """Fill ``zs[k+1 : stop+1]`` with steps of mode ``i`` from ``zs[k]``;
+        return how many leading rows are finite and inside the mode."""
+        Phi, Gu, Ws = self.maps(i)[3:]
+        block = zs[k + 1: stop + 1]
+        np.matmul(u2bar[k:stop], Gu.T, out=block)
+        block += stages[k:stop] @ Ws
+        prev = zs[k]
+        for row in block:
+            row += Phi @ prev
+            prev = row
+        E, f = self.rows[i]
+        ok = (np.isfinite(block).all(axis=1)
+              & (np.min(block[:, : self.n] @ E.T - f, axis=1) >= -MEMBERSHIP_SLACK))
+        return len(ok) if ok.all() else int(np.argmin(ok))
 
     def advance(self, z: np.ndarray, t: float, h: float, i: int, j: int,
                 u2val: np.ndarray, events: list) -> tuple[np.ndarray, int, int]:
         """Advance exactly ``h`` with the reference value frozen at the step
         start, splitting the step at every detected cell-boundary crossing."""
-        uvec = self.BU[i] @ u2val
         remaining = h
         for _ in range(_SWITCH_CAP):
             if remaining <= 1e-15:
                 return z, i, j
-            trial = self._rk4(z, t, remaining, i, uvec)
+            Zk, ZkB, Zkm = self.maps(i)[:3]
+            basis = np.concatenate([Zk @ z, ZkB @ u2val, Zkm])
+            trial = self.sub_step(basis, t, remaining)
             if not np.isfinite(trial).all():
                 raise NonFiniteStateError(f"non-finite state near t={t}")
-            if self._margin(trial[: self.n], i, j) >= -MEMBERSHIP_SLACK:
+            if self._margin(trial[: self.n], i) >= -MEMBERSHIP_SLACK:
                 return trial, i, j
             # bisect the exit point of the (i, j) membership along the step
             lo, hi = 0.0, 1.0
-            m_lo = self._margin(z[: self.n], i, j)
-            m_hi = self._margin(trial[: self.n], i, j)
+            m_lo = self._margin(z[: self.n], i)
+            m_hi = self._margin(trial[: self.n], i)
             z_hi = trial
             for _ in range(BISECTION_CAP):
                 if (hi - lo) * remaining <= CROSSING_BRACKET:
                     break
                 mid = 0.5 * (lo + hi)
-                z_mid = self._rk4(z, t, mid * remaining, i, uvec)
-                m_mid = self._margin(z_mid[: self.n], i, j)
+                z_mid = self.sub_step(basis, t, mid * remaining)
+                m_mid = self._margin(z_mid[: self.n], i)
                 if m_mid >= -MEMBERSHIP_SLACK:
                     lo, m_lo = mid, m_mid
                 else:
@@ -328,7 +382,6 @@ class _Runner:
             ))
             t += committed
             remaining -= committed
-            uvec = self.BU[i] @ u2val
         raise PwaHierError(
             f"more than {_SWITCH_CAP} mode switches within one step at t={t}"
         )
@@ -337,37 +390,47 @@ class _Runner:
 def run_scenario(s: Scenario) -> Trajectory:
     """Simulate the closed loop and record the certified bound chain.
 
-    Per step: locate the concrete mode (and abstraction region for PWA
-    abstractions) with hysteresis, advance the stacked state with the mode
-    and reference frozen, and split the step at boundary crossings.  The
+    Steps go in blocks of ``_BLOCK`` through the mode's step map; the first
+    step of a block that leaves the mode (cell, and abstraction region for
+    PWA abstractions) or turns non-finite is redone by ``advance``, which
+    bisects the crossing and relocates the mode with hysteresis.  The
     per-sample certificate columns are evaluated afterwards in one
     vectorized pass.
     """
     runner = _Runner(s)
-    n, m = runner.n, runner.m
+    n = runner.n
     steps = s.steps
     t = np.arange(steps + 1) * s.h
     pick = np.maximum(np.searchsorted(s.schedule.times, t, side="right") - 1, 0)
     u2bar = s.schedule.values[pick]
+    stages = runner.stages(t[:-1], s.h)
 
-    x1 = np.empty((steps + 1, n))
-    x2 = np.empty((steps + 1, m))
+    zs = np.empty((steps + 1, n + runner.m))
     mode_i = np.empty(steps + 1, dtype=int)
     mode_j = np.empty(steps + 1, dtype=int)
 
     i = locate_mode(s.system.partition, s.x1_0)
     j = runner._locate_j(s.x1_0, i, prev_j=runner.pairing[i] if runner.is_pwa else 0)
-    z = np.concatenate([s.x1_0, s.x2_0])
-    x1[0], x2[0] = z[:n], z[n:]
+    zs[0] = np.concatenate([s.x1_0, s.x2_0])
     mode_i[0], mode_j[0] = i, j
 
     events: list[CrossingEvent] = []
-    for k in range(steps):
-        z, i, j = runner.advance(z, float(t[k]), s.h, i, j, u2bar[k], events)
-        x1[k + 1], x2[k + 1] = z[:n], z[n:]
-        mode_i[k + 1], mode_j[k + 1] = i, j
+    k = 0
+    # a diverging state overflows quietly; advance reports it as non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < steps:
+            stop = min(k + _BLOCK, steps)
+            kept = runner.propagate(zs, k, stop, i, u2bar, stages)
+            mode_i[k + 1: k + 1 + kept], mode_j[k + 1: k + 1 + kept] = i, j
+            k += kept
+            if k < stop:
+                zs[k + 1], i, j = runner.advance(zs[k], float(t[k]), s.h, i, j,
+                                                 u2bar[k], events)
+                mode_i[k + 1], mode_j[k + 1] = i, j
+                k += 1
 
-    return _bookkeep(s, runner, t, x1, x2, u2bar, mode_i, mode_j, tuple(events))
+    return _bookkeep(s, runner, t, zs[:, :n], zs[:, n:], u2bar, mode_i, mode_j,
+                     tuple(events))
 
 
 def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i, mode_j,
@@ -429,33 +492,45 @@ def atomic_write(path) -> Iterator[TextIO]:
     os.replace(tmp, path)
 
 
-def write_columns(path, columns: Sequence[np.ndarray], sep: str = ",",
-                  header: Optional[Sequence[str]] = None) -> None:
-    """Write equal-length 1-D columns as ``sep``-separated rows of
-    shortest-exact (``repr``) values, one line at a time, atomically."""
-    with atomic_write(path) as fh:
-        if header is not None:
-            fh.write(sep.join(header) + "\n")
-        fh.writelines(sep.join(map(repr, row)) + "\n"
-                      for row in zip(*(np.asarray(c).tolist() for c in columns)))
+def write_tables(columns: Mapping[str, np.ndarray],
+                 files: Sequence[tuple]) -> None:
+    """Write text tables that share named 1-D columns, in one pass.
+
+    Each ``(path, names, sep, header)`` entry of ``files`` is a table whose
+    rows are its named columns' shortest-exact (``repr``) values joined by
+    ``sep``, under a line of the names when ``header`` is true.  The rows
+    are walked in blocks of ``_WRITE_BLOCK``; each column a table names is
+    formatted once per block, however many tables share it.  Every table is
+    written atomically.
+    """
+    used = list(dict.fromkeys(name for _, names, _, _ in files for name in names))
+    rows = len(columns[used[0]]) if used else 0
+    with ExitStack() as stack:
+        handles = [stack.enter_context(atomic_write(path)) for path, *_ in files]
+        for fh, (_, names, sep, header) in zip(handles, files):
+            if header:
+                fh.write(sep.join(names) + "\n")
+        for start in range(0, rows, _WRITE_BLOCK):
+            text = {name: list(map(repr, columns[name][start:start + _WRITE_BLOCK].tolist()))
+                    for name in used}
+            for fh, (_, names, sep, _) in zip(handles, files):
+                fh.write("\n".join(map(sep.join, zip(*(text[name] for name in names))))
+                         + "\n")
 
 
-def export_trajectory(traj: Trajectory, path) -> None:
+def export_trajectory(traj: Trajectory, path,
+                      columns: Optional[Mapping[str, np.ndarray]] = None,
+                      files: Sequence[tuple] = ()) -> None:
     """Write the trajectory as CSV with shortest-exact decimal columns.
 
     Mode columns are 1-based in the file (human-facing), floats round-trip
-    exactly.  The write is atomic (temp file + rename).
+    exactly.  The write is atomic (temp file + rename).  ``files`` are more
+    ``write_tables`` entries for the same pass, over the trajectory's
+    columns (named as in its header) and ``columns``.
     """
-    n = traj.x1.shape[1]
-    m = traj.x2.shape[1]
-    p = traj.u1.shape[1]
-    header = (
-        ["t"]
-        + [f"x1_{a}" for a in range(n)]
-        + [f"x2_{a}" for a in range(m)]
-        + [f"u1_{a}" for a in range(p)]
-        + ["mode_i", "mode_j", "err", "V", "b", "delta"]
-    )
-    columns = [traj.t, *traj.x1.T, *traj.x2.T, *traj.u1.T, traj.mode_i + 1,
-               traj.mode_j + 1, traj.err, traj.V, traj.b, traj.delta]
-    write_columns(path, columns, header=header)
+    own = {"t": traj.t}
+    for prefix, block in (("x1", traj.x1), ("x2", traj.x2), ("u1", traj.u1)):
+        own.update((f"{prefix}_{a}", col) for a, col in enumerate(block.T))
+    own.update(mode_i=traj.mode_i + 1, mode_j=traj.mode_j + 1, err=traj.err,
+               V=traj.V, b=traj.b, delta=traj.delta)
+    write_tables({**own, **(columns or {})}, [(path, tuple(own), ",", True), *files])

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from pwa_hier import export_trajectory, run_scenario
 from pwa_hier.cli import main
-from pwa_hier.modelfile import builtin_model_path
+from pwa_hier.modelfile import build_pipeline, builtin_model_path, load_model
 
 
 def _read_csv(path):
@@ -25,6 +26,10 @@ def _break_model(doc, how):
         doc["certificate"]["lambda_grid"] = ["a"]
     elif how == "zero-disturbance":
         doc["scenario"]["disturbance"] = {"kind": "zero"}
+    elif how == "waypoint-t-nan":
+        doc["scenario"]["u2bar"][1]["t"] = float("nan")
+    elif how == "offset-nan":
+        doc["scenario"]["disturbance"]["offset"] = float("nan")
     else:
         raise AssertionError(f"unknown defect {how!r}")
 
@@ -115,10 +120,12 @@ class TestRun:
         ["check", "lambda-grid-text"],
         ["sweep", "zero-disturbance", "--param", "disturbance-amplitude",
          "--values", "0.1"],
+        ["run", "waypoint-t-nan"],
+        ["check", "offset-nan"],
     ], ids=["t-end-zero", "no-step-in-horizon", "step-zero", "step-nan",
             "values-not-numbers", "kappa-negative", "disturbance-above-bound",
             "relation-shape", "x1-0-nan", "waypoint-inf", "lambda-grid-text",
-            "zero-disturbance-scaled"])
+            "zero-disturbance-scaled", "waypoint-t-nan", "offset-nan"])
     def test_zero_horizon_exits_one(self, argv, tmp_path, capsys, caplog):
         """Bad input of every kind exits 1 with one error line, no traceback.
         A model name other than case1 names an edit of case1's model file."""
@@ -133,6 +140,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and not caplog.records
         assert "Traceback" not in err
+
+    def test_one_pass_writer_consistency(self, tmp_path, capsys):
+        """Shared columns are formatted the same in every artifact, and the
+        trajectory file equals a standalone export of the same run."""
+        out = tmp_path / "out"
+        assert main(["run", "case1", "--out", str(out), "--plot-data"]) == 0
+        rows = [line.split(",") for line in
+                (out / "bounds.csv").read_text().splitlines()[1:]]
+        for name, col in (("err.dat", 1), ("sim_fn.dat", 2), ("bound.dat", 3)):
+            want = "".join(f"{r[0]} {r[col]}\n" for r in rows)
+            assert (out / "plot" / name).read_text() == want
+        traj = run_scenario(build_pipeline(load_model(builtin_model_path("case1"))).scenario)
+        export_trajectory(traj, tmp_path / "alone.csv")
+        assert (out / "trajectory.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
     def test_seed_recorded(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -169,6 +190,19 @@ class TestSweep:
         xa = np.array([ta[c][-1] for c in cols])
         xb = np.array([tb[c][-1] for c in cols])
         assert np.linalg.norm(xa - xb) < 1e-8
+
+    def test_step_sweep_matches_run(self, tmp_path, capsys):
+        """Each swept step width rebuilds the step maps: the table's max
+        ||e|| equals that of ``run --step`` at the same width."""
+        steps = ("0.001", "0.0005")
+        assert main(["sweep", "case1", "--param", "step", "--values", ",".join(steps)]) == 0
+        lines = [l.split() for l in capsys.readouterr().out.splitlines()[1:]]
+        assert [l[-1] for l in lines] == ["PASS", "PASS"]
+        for step, line in zip(steps, lines):
+            out = tmp_path / step
+            assert main(["run", "case1", "--out", str(out), "--step", step]) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert line[1] == f"{report['max_err']:.6g}"
 
     def test_unknown_parameter_exits_one(self, capsys):
         # argparse rejects unknown choices before our handler sees them

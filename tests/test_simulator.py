@@ -27,10 +27,12 @@ from pwa_hier.errors import (
     EmptyScheduleError,
     EmptyTrajectoryError,
     NoCellError,
+    NonFiniteStateError,
     NonMonotoneTimesError,
 )
+from pwa_hier.polytope import locate_mode
 from pwa_hier.relation import assemble_joint_linear, solve_system_relation
-from pwa_hier.simulator import CHAIN_TOL
+from pwa_hier.simulator import _BLOCK, CHAIN_TOL, _Runner
 
 I2 = np.eye(2)
 
@@ -94,6 +96,10 @@ class TestReferenceSchedule:
             reference_schedule([(0.0, [1.0]), (2.0, [2.0]), (2.0, [3.0])])
         with pytest.raises(NonMonotoneTimesError):
             reference_schedule([(1.0, [1.0])])
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(NonMonotoneTimesError):
+            reference_schedule([(0.0, [1.0]), (float("nan"), [2.0])])
 
 
 def _matched_single_mode_scenario(case1, x1_offset=0.0, disturbance=None):
@@ -282,6 +288,95 @@ class TestDecreaseAndInvariance:
             frozen = traj.b[seg[start]]
             assert np.all(traj.V[seg[start:]] <= frozen + 1e-6)
         assert dipped > 0
+
+
+def _frozen_field(scen, runner, i, u2val):
+    """Stacked closed-loop field of mode ``i`` with the reference frozen."""
+    pad = np.zeros(runner.m)
+
+    def field(z, tau):
+        dist = np.concatenate([scen.disturbance.value(tau), pad])
+        return runner.Z[i] @ z + runner.BU[i] @ u2val + dist
+    return field
+
+
+class TestPropagator:
+    @pytest.mark.parametrize("which", ["case1", "case2"])
+    def test_one_step_matches_rk4(self, which, case1, case2):
+        """The precomputed step map and the bisection sub-step both equal a
+        classical RK4 step of the frozen field, in every mode."""
+        scen = (case1 if which == "case1" else case2).scenario
+        runner = _Runner(scen)
+        rng = np.random.default_rng(11)
+        for i in range(len(scen.system.modes)):
+            z = rng.normal(size=runner.n + runner.m)
+            u2val = rng.normal(size=scen.schedule.values.shape[1])
+            t = float(rng.uniform(0.0, 12.0))
+            field = _frozen_field(scen, runner, i, u2val)
+            Phi, Gu, Ws = runner.maps(i)[3:]
+            got = Phi @ z + Gu @ u2val + runner.stages(t, scen.h) @ Ws
+            want = step_rk4(field, z, t, scen.h)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            tau = 0.37 * scen.h
+            Zk, ZkB, Zkm = runner.maps(i)[:3]
+            got = runner.sub_step(np.concatenate([Zk @ z, ZkB @ u2val, Zkm]), t, tau)
+            want = step_rk4(field, z, t, tau)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("row", [0, _BLOCK - 1])
+    @pytest.mark.parametrize("which", ["case1", "case2"])
+    def test_first_crossing_at_block_edge(self, which, row, case1, case2):
+        """The step width is chosen so the first crossing falls on the first
+        or last row of a block; modes and crossing labels match stepping
+        the frozen field one RK4 step at a time and relocating the mode
+        after each step."""
+        scen = (case1 if which == "case1" else case2).scenario
+        t_cross = run_scenario(dataclasses.replace(scen, t_end=3.0)).crossings[0].t_outside
+        block = int(t_cross / (_BLOCK * scen.h))
+        k_cross = block * _BLOCK + row
+        h = t_cross / (k_cross + 0.5)
+        short = dataclasses.replace(scen, h=h, t_end=(k_cross + 8) * h)
+        traj = run_scenario(short)
+        assert int(traj.crossings[0].t_outside / h) == k_cross
+
+        runner = _Runner(short)
+        z = np.concatenate([short.x1_0, short.x2_0])
+        i, j = int(traj.mode_i[0]), int(traj.mode_j[0])
+        modes, labels = [(i, j)], []
+        for k in range(len(traj) - 1):
+            field = _frozen_field(short, runner, i, traj.u2bar[k])
+            z = step_rk4(field, z, float(traj.t[k]), h)
+            new_i = locate_mode(short.system.partition, z[: runner.n], previous=i)
+            new_j = (locate_mode(runner.regions, z[: runner.n], previous=j)
+                     if runner.is_pwa else 0)
+            if (new_i, new_j) != (i, j):
+                labels.append(((i, j), (new_i, new_j)))
+            i, j = new_i, new_j
+            modes.append((i, j))
+        np.testing.assert_array_equal(traj.mode_i, [m[0] for m in modes])
+        np.testing.assert_array_equal(traj.mode_j, [m[1] for m in modes])
+        assert [(ev.old_label, ev.new_label) for ev in traj.crossings] == labels
+
+    def test_divergence_mid_block_is_non_finite(self, case1):
+        """A state that overflows inside a block is reported as non-finite,
+        not as having left the (single, all-space) cell."""
+        scen = _matched_single_mode_scenario(case1)
+        mode = scen.system.modes[0]
+        hot = PwaSystem((PwaMode(mode.A + 1e5 * np.eye(6), mode.B, mode.C, mode.c_bound),),
+                        scen.system.partition)
+        bad = dataclasses.replace(scen, system=hot)
+        runner = _Runner(bad)
+        z = np.concatenate([bad.x1_0, bad.x2_0])
+        diverged_at = 0
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError):
+            while True:
+                t = diverged_at * bad.h
+                field = _frozen_field(bad, runner, 0, bad.schedule.value(t))
+                z = step_rk4(field, z, t, bad.h)
+                diverged_at += 1
+        assert 0 < diverged_at % _BLOCK < _BLOCK - 1
+        with pytest.raises(NonFiniteStateError):
+            run_scenario(bad)
 
 
 class TestNonzeroFeedforward:
