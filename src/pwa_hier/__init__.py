@@ -28,8 +28,7 @@ from .polytope import (
     cell_bounding,
     classify_cell,
     contains_mapped,
-    joint_partition_linear,
-    joint_partition_pwa,
+    joint_partition,
     locate_mode,
     vertices_2d,
 )
@@ -39,8 +38,6 @@ from .relation import (
     JointSystem,
     RelationMaps,
     assemble_joint,
-    assemble_joint_linear,
-    assemble_joint_pwa,
     build_interface,
     default_R,
     interface_linear,
@@ -66,6 +63,8 @@ from .systems import (
     PwaAbstraction,
     PwaMode,
     PwaSystem,
+    needs_pairing,
+    paired_modes,
     transformed_abstraction_matrix,
 )
 

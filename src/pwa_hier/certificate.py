@@ -106,6 +106,8 @@ class Certificate:
         if not self.lam > 0.0:
             raise InfeasibleCertificateError(f"lambda must be positive, got {self.lam}")
         object.__setattr__(self, "entries", tuple(self.entries))
+        if self.jbars is not None and len(self.jbars) != len(self.entries):
+            raise DimensionMismatchError("need one continuity matrix per mode")
         if self.T is not None:
             T = as_matrix(self.T, "T")
             object.__setattr__(self, "T", T)

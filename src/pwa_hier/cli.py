@@ -37,6 +37,7 @@ from .simulator import (
     run_scenario,
     verdict,
 )
+from .systems import paired_modes
 
 _SWEEP_PARAMS = ("disturbance-amplitude", "kappa", "step")
 
@@ -118,26 +119,22 @@ def _plot_tables(pipe: Pipeline, traj: Trajectory, plot_dir: Path) -> tuple[dict
     """Output-path columns and the ``write_tables`` entries of the
     space-separated series under ``plot_dir``, one per plotted quantity."""
     plot_dir.mkdir(parents=True, exist_ok=True)
-    k_dim = pipe.config.system.k
-    y1 = np.empty((len(traj), k_dim))
-    y2 = np.empty((len(traj), k_dim))
+    system = pipe.config.system
+    paired = paired_modes(pipe.config.abstraction, pipe.pairing, system.n_modes)
+    y1 = np.empty((len(traj), system.k))
+    y2 = np.empty((len(traj), system.k))
     for idx in np.unique(traj.mode_i):
         rows = traj.mode_i == idx
-        y1[rows] = traj.x1[rows] @ pipe.config.system.modes[idx].C.T
-    if pipe.pairing is not None:
-        for jdx in np.unique(traj.mode_j):
-            rows = traj.mode_j == jdx
-            y2[rows] = traj.x2[rows] @ pipe.config.abstraction.modes[jdx].H.T
-    else:
-        y2[:] = traj.x2 @ pipe.config.abstraction.H.T
+        y1[rows] = traj.x1[rows] @ system.modes[idx].C.T
+        y2[rows] = traj.x2[rows] @ paired[idx].mode.H.T
     columns = {f"{name}_{a}": col for name, y in (("y1", y1), ("y2", y2))
                for a, col in enumerate(y.T)}
     series = {
         "err.dat": ("t", "err"),
         "sim_fn.dat": ("t", "kV"),
         "bound.dat": ("t", "delta"),
-        "path_concrete.dat": tuple(f"y1_{a}" for a in range(k_dim)),
-        "path_abstraction.dat": tuple(f"y2_{a}" for a in range(k_dim)),
+        "path_concrete.dat": tuple(f"y1_{a}" for a in range(system.k)),
+        "path_abstraction.dat": tuple(f"y2_{a}" for a in range(system.k)),
     }
     return columns, [(plot_dir / fname, names, " ", False)
                      for fname, names in series.items()]

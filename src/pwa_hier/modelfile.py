@@ -45,6 +45,8 @@ from .systems import (
     PwaMode,
     PwaSystem,
     check_disturbance_bound,
+    needs_pairing,
+    paired_modes,
 )
 
 
@@ -82,7 +84,7 @@ class ModelConfig:
     m_scalar: float
     cert_lambda: Optional[float]
     cert_M: Optional[list]
-    cert_m: Optional[list]
+    cert_m: Optional[np.ndarray]
     cert_U: Optional[list]
     cert_W: Optional[list]
     cert_T: Optional[np.ndarray]
@@ -272,9 +274,12 @@ def _build_config(doc: dict) -> ModelConfig:
 
     declared_pairing = None
     if "pairing" in doc:
-        declared_pairing = tuple(int(j) - 1 for j in doc["pairing"])
-        if len(declared_pairing) != system.n_modes:
-            raise ModelError("pairing: need one entry per concrete mode")
+        if not needs_pairing(abstraction):
+            raise ModelError("pairing: only a PWA abstraction is paired")
+        entries = _vector(doc["pairing"], "pairing")
+        if len(entries) != system.n_modes or not np.all(entries == np.round(entries)):
+            raise ModelError("pairing: need one whole number per concrete mode")
+        declared_pairing = tuple(int(j) - 1 for j in entries)
 
     cert_node = _require(doc, "certificate", "model")
     kappa = _scalar(_require(cert_node, "kappa", "certificate"), "certificate.kappa")
@@ -283,25 +288,27 @@ def _build_config(doc: dict) -> ModelConfig:
         lambda_grid = _vector(lambda_grid, "certificate.lambda_grid")
     m_scalar = _scalar(cert_node.get("m_scalar", 1.0), "certificate.m_scalar")
     cert_lambda = cert_node.get("lambda")
-    cert_M = cert_node.get("M")
+    if cert_lambda is not None:
+        cert_lambda = _scalar(cert_lambda, "certificate.lambda")
     cert_m = cert_node.get("m")
+    if cert_m is not None:
+        cert_m = _vector(cert_m, "certificate.m")
+    cert_M, cert_U, cert_W, cert_jbar = (
+        None if cert_node.get(key) is None else
+        [_matrix(X, f"certificate.{key}[{i}]") for i, X in enumerate(cert_node[key])]
+        for key in ("M", "U", "W", "Jbar")
+    )
     if cert_M is not None:
         if cert_lambda is None:
             raise ModelError("certificate: supplied M requires an explicit lambda")
-        cert_M = [_matrix(Mn, f"certificate.M[{i}]") for i, Mn in enumerate(cert_M)]
-    cert_U = cert_node.get("U")
-    if cert_U is not None:
-        cert_U = [_matrix(Un, f"certificate.U[{i}]") for i, Un in enumerate(cert_U)]
-    cert_W = cert_node.get("W")
-    if cert_W is not None:
-        cert_W = [_matrix(Wn, f"certificate.W[{i}]") for i, Wn in enumerate(cert_W)]
+        for key, entries in (("M", cert_M), ("m", cert_m), ("U", cert_U),
+                             ("W", cert_W), ("Jbar", cert_jbar)):
+            if entries is not None and len(entries) != system.n_modes:
+                raise ModelError(f"certificate.{key}: need one entry per mode "
+                                 f"({system.n_modes}), got {len(entries)}")
     cert_T = cert_node.get("T")
     if cert_T is not None:
         cert_T = _matrix(cert_T, "certificate.T")
-    cert_jbar = cert_node.get("Jbar")
-    if cert_jbar is not None:
-        cert_jbar = [_matrix(Jn, f"certificate.Jbar[{i}]")
-                     for i, Jn in enumerate(cert_jbar)]
 
     scen = _require(doc, "scenario", "model")
     x1_0 = _vector(_require(scen, "x1_0", "scenario"), "scenario.x1_0")
@@ -349,25 +356,22 @@ def _build_config(doc: dict) -> ModelConfig:
 
 def _supplied_relation(config: ModelConfig, pairing) -> RelationMaps:
     """Residual-check relation maps supplied by the file."""
-    residuals = []
-    for i, mode in enumerate(config.system.modes):
-        am = config.abstraction if pairing is None else config.abstraction.modes[pairing[i]]
-        residuals.append(relation_residual(
-            mode.A, mode.B, mode.C, am.F, am.H, config.relation_P[i], config.relation_Q[i]
-        ))
-    return RelationMaps(
-        tuple(config.relation_P), tuple(config.relation_Q), tuple(residuals),
-        pairing=tuple(pairing) if pairing is not None else None,
+    paired = paired_modes(config.abstraction, pairing, config.system.n_modes)
+    residuals = tuple(
+        relation_residual(mode.A, mode.B, mode.C, pm.mode.F, pm.mode.H, P, Q)
+        for mode, pm, P, Q in zip(config.system.modes, paired,
+                                  config.relation_P, config.relation_Q)
     )
+    return RelationMaps(tuple(config.relation_P), tuple(config.relation_Q),
+                        residuals, pairing=pairing)
 
 
 def build_pipeline(config: ModelConfig) -> Pipeline:
     """Solve relations, build the interface and joint system, obtain a
     certificate (synthesized unless the file supplies one), and assemble
     the scenario."""
-    is_pwa = isinstance(config.abstraction, PwaAbstraction)
     pairing = None
-    if is_pwa:
+    if needs_pairing(config.abstraction):
         # the pairing comes from the solve even when the file supplies P/Q
         pairing, relation = solve_relation_pairing(
             config.system.modes, config.abstraction.modes
@@ -379,7 +383,7 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
             )
     if config.relation_P is not None:
         relation = _supplied_relation(config, pairing)
-    elif not is_pwa:
+    elif pairing is None:
         relation = solve_system_relation(config.system, config.abstraction)
 
     interface = build_interface(
@@ -389,25 +393,21 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
     joint = assemble_joint(config.system, config.abstraction, relation, interface, pairing)
 
     if config.cert_M is not None:
-        if len(config.cert_M) != len(joint.modes):
-            raise ModelError("certificate.M: need one matrix per mode")
-        entries = []
-        for idx, jm in enumerate(joint.modes):
-            msc = None
-            if jm.kind == "affine":
-                msc = (float(config.cert_m[idx]) if config.cert_m is not None
-                       else config.m_scalar)
-            entries.append(ModeCertificate(
+        m = config.cert_m if config.cert_m is not None else [config.m_scalar] * len(joint)
+        entries = tuple(
+            ModeCertificate(
                 config.cert_M[idx],
-                m_scalar=msc,
+                m_scalar=float(m[idx]) if jm.kind == "affine" else None,
                 U=config.cert_U[idx] if config.cert_U is not None else None,
                 W=config.cert_W[idx] if config.cert_W is not None else None,
-            ))
+            )
+            for idx, jm in enumerate(joint.modes)
+        )
         jbars = None
         if config.cert_jbar is not None:
             jbars = tuple(ContinuityMatrix(J) for J in config.cert_jbar)
-        certificate = Certificate(config.kappa, float(config.cert_lambda),
-                                  tuple(entries), T=config.cert_T, jbars=jbars)
+        certificate = Certificate(config.kappa, config.cert_lambda, entries,
+                                  T=config.cert_T, jbars=jbars)
     else:
         certificate = synthesize_certificate(
             joint, kappa=config.kappa, lambda_grid=config.lambda_grid,
@@ -471,7 +471,7 @@ def model_to_jsonable(config: ModelConfig) -> dict:
             ],
         },
     }
-    if isinstance(config.abstraction, PwaAbstraction):
+    if needs_pairing(config.abstraction):
         doc["abstraction"] = {
             "kind": "pwa",
             "modes": [

@@ -144,53 +144,37 @@ def locate_mode(part: Partition, x, previous: Optional[int] = None) -> int:
     raise NoCellError(f"state {x.tolist()} lies in no partition cell")
 
 
-def joint_partition_linear(part: Partition, P_per_mode: Sequence[np.ndarray]) -> Partition:
+def joint_partition(
+    part: Partition,
+    P_per_mode: Sequence[np.ndarray],
+    regions: Optional[Sequence[Optional[Polyhedron]]] = None,
+) -> Partition:
     """Lift a concrete partition to the joint (tracking-error, abstraction)
-    space: cell i becomes ``{(xt, x2) : [E_i, E_i P_i] (xt, x2) >= f_i}``."""
-    if len(P_per_mode) != len(part.cells):
-        raise DimensionMismatchError("need one P matrix per cell")
+    space: cell i becomes ``{(xt, x2) : [E_i, E_i P_i] (xt, x2) >= f_i}``.
+
+    ``regions[i]``, when given and not None, is the region of the
+    abstraction mode paired with concrete mode i, in the concrete state
+    space (``E_c x1 >= f_c``); its rows, lifted by the same ``P_i``, are
+    stacked under the cell's.
+    """
+    if regions is None:
+        regions = (None,) * len(part.cells)
+    if len(P_per_mode) != len(part.cells) or len(regions) != len(part.cells):
+        raise DimensionMismatchError("need one P matrix and one region entry per cell")
     cells = []
-    for cell, P in zip(part.cells, P_per_mode):
+    for cell, P, reg in zip(part.cells, P_per_mode, regions):
         P = as_matrix(P, "P")
         if P.shape[0] != cell.dim:
             raise DimensionMismatchError(
                 f"P has {P.shape[0]} rows, cell dimension is {cell.dim}"
             )
-        cells.append(Polyhedron(np.hstack([cell.E, cell.E @ P]), cell.f))
-    return Partition(tuple(cells))
-
-
-def joint_partition_pwa(
-    concrete: Partition,
-    regions: Sequence[Polyhedron],
-    P_per_mode: Sequence[np.ndarray],
-    pairs: Optional[Sequence[tuple[int, int]]] = None,
-) -> Partition:
-    """Joint cells for (concrete mode i, abstraction region j) pairs.
-
-    ``regions`` describe the abstraction's cells in the concrete state space
-    (``E_c x1 >= f_c``).  Each pair stacks the concrete cell's rows over the
-    region's rows, both lifted by the same ``P_i``.  ``pairs`` defaults to
-    the full product in ``itertools.product`` order.
-    """
-    if len(P_per_mode) != len(concrete.cells):
-        raise DimensionMismatchError("need one P matrix per concrete cell")
-    for reg in regions:
-        if reg.dim != concrete.dim:
+        if reg is not None and reg.dim != cell.dim:
             raise DimensionMismatchError(
                 "abstraction regions must live in the concrete state space"
             )
-    if pairs is None:
-        pairs = list(itertools.product(range(len(concrete.cells)), range(len(regions))))
-    cells = []
-    for i, j in pairs:
-        cell, reg, P = concrete.cells[i], regions[j], as_matrix(P_per_mode[i], "P")
-        E = np.vstack([
-            np.hstack([cell.E, cell.E @ P]),
-            np.hstack([reg.E, reg.E @ P]),
-        ])
-        f = np.concatenate([cell.f, reg.f])
-        cells.append(Polyhedron(E, f))
+        lifted = [cell] if reg is None else [cell, reg]
+        E = np.vstack([np.hstack([c.E, c.E @ P]) for c in lifted])
+        cells.append(Polyhedron(E, np.concatenate([c.f for c in lifted])))
     return Partition(tuple(cells))
 
 

@@ -28,8 +28,7 @@ from .polytope import (
     Polyhedron,
     cell_bounding,
     classify_cell,
-    joint_partition_linear,
-    joint_partition_pwa,
+    joint_partition,
 )
 from .systems import (
     AbstractionMode,
@@ -38,6 +37,7 @@ from .systems import (
     PwaMode,
     PwaSystem,
     assert_hurwitz,
+    paired_modes,
 )
 
 #: Residuals are tied for pairing purposes when within this scaled quantum.
@@ -242,31 +242,23 @@ def build_interface(
         raise DimensionMismatchError("need one K gain per concrete mode")
     if R is not None and len(R) != system.n_modes:
         raise DimensionMismatchError("need one R per concrete mode when overriding")
-    if isinstance(abstraction, PwaAbstraction):
-        if pairing is None:
-            pairing = relation.pairing
-        if pairing is None or len(pairing) != system.n_modes:
-            raise DimensionMismatchError("PWA abstraction requires a pairing")
+    paired = paired_modes(abstraction, relation.pairing if pairing is None else pairing,
+                          system.n_modes)
     Ks, Rs, Qs, Ls = [], [], [], []
-    for i, mode in enumerate(system.modes):
+    for i, (mode, pm) in enumerate(zip(system.modes, paired)):
         Ki = as_matrix(K[i], f"K[{i}]")
         if Ki.shape != (mode.p, mode.n):
             raise DimensionMismatchError(
                 f"K[{i}] has shape {Ki.shape}, expected {(mode.p, mode.n)}"
             )
         assert_hurwitz(mode.A + mode.B @ Ki, f"closed loop of mode {i}")
-        if isinstance(abstraction, PwaAbstraction):
-            am = abstraction.modes[pairing[i]]
-            G, L = am.G, am.L
-        else:
-            G, L = abstraction.G, abstraction.L
         Ri = as_matrix(R[i], f"R[{i}]") if R is not None else default_R(
-            mode.B, relation.P[i], G
+            mode.B, relation.P[i], pm.mode.G
         )
         Ks.append(Ki)
         Rs.append(Ri)
         Qs.append(relation.Q[i])
-        Ls.append(L)
+        Ls.append(pm.mode.L)
     return Interface(tuple(Ks), tuple(Rs), tuple(Qs), tuple(Ls))
 
 
@@ -352,31 +344,6 @@ def _check_certified(residual: float, tol: float, P: np.ndarray, what: str) -> N
         )
 
 
-def assemble_joint_linear(
-    system: PwaSystem,
-    abstraction: LinearAbstraction,
-    relation: RelationMaps,
-    interface: Interface,
-) -> JointSystem:
-    """Closed-loop joint system for a linear abstraction, one entry per
-    concrete mode, over the lifted joint partition."""
-    closed_abs = abstraction.transformed()
-    joint_cells = joint_partition_linear(system.partition, relation.P)
-    modes = []
-    for i, mode in enumerate(system.modes):
-        _check_certified(
-            relation.residuals[i],
-            relation_tolerance(mode.A, abstraction.H),
-            relation.P[i],
-            f"mode {i}",
-        )
-        modes.append(_joint_mode(
-            (i,), mode, interface.K[i], interface.R[i], relation.P[i],
-            abstraction.G, interface.L[i], closed_abs, joint_cells.cells[i],
-        ))
-    return JointSystem(tuple(modes), n=system.n, m=abstraction.m)
-
-
 def assemble_joint(
     system: PwaSystem,
     abstraction: Union[LinearAbstraction, PwaAbstraction],
@@ -384,43 +351,25 @@ def assemble_joint(
     interface: Interface,
     pairing: Optional[Sequence[int]] = None,
 ) -> JointSystem:
-    """Closed-loop joint system for either abstraction kind; a PWA
-    abstraction needs the pairing."""
-    if not isinstance(abstraction, PwaAbstraction):
-        return assemble_joint_linear(system, abstraction, relation, interface)
-    if pairing is None:
-        raise DimensionMismatchError("PWA abstraction requires a pairing")
-    return assemble_joint_pwa(system, abstraction, pairing, relation, interface)
-
-
-def assemble_joint_pwa(
-    system: PwaSystem,
-    abstraction: PwaAbstraction,
-    pairing: Sequence[int],
-    relation: RelationMaps,
-    interface: Interface,
-) -> JointSystem:
-    """Closed-loop joint system for a PWA abstraction, one entry per
-    certified pair ``(i, pairing[i])``; joint cells stack the concrete cell
-    rows over the paired region rows."""
-    if len(pairing) != system.n_modes:
-        raise DimensionMismatchError("pairing must cover every concrete mode")
-    pairs = [(i, pairing[i]) for i in range(system.n_modes)]
-    joint_cells = joint_partition_pwa(
-        system.partition, list(abstraction.concrete_cells), relation.P, pairs=pairs
-    )
+    """Closed-loop joint system, one entry per concrete mode i and the
+    abstraction mode it is paired with: labelled ``(i,)`` for a linear
+    abstraction and ``(i, pairing[i])`` for a PWA one, which needs the
+    pairing.  Joint cells lift the concrete cell, with the paired region's
+    rows stacked under it for a PWA abstraction."""
+    paired = paired_modes(abstraction, pairing, system.n_modes)
+    joint_cells = joint_partition(system.partition, relation.P,
+                                  [pm.region for pm in paired])
     modes = []
-    for idx, (i, j) in enumerate(pairs):
-        mode = system.modes[i]
-        am = abstraction.modes[j]
+    for i, (mode, pm) in enumerate(zip(system.modes, paired)):
+        label = (i,) if pm.j is None else (i, pm.j)
         _check_certified(
             relation.residuals[i],
-            relation_tolerance(mode.A, am.H),
+            relation_tolerance(mode.A, pm.mode.H),
             relation.P[i],
-            f"pair ({i}, {j})",
+            f"mode {i}" if pm.j is None else f"pair {label}",
         )
         modes.append(_joint_mode(
-            (i, j), mode, interface.K[i], interface.R[i], relation.P[i],
-            am.G, am.L, am.transformed(), joint_cells.cells[idx],
+            label, mode, interface.K[i], interface.R[i], relation.P[i],
+            pm.mode.G, interface.L[i], pm.mode.transformed(), joint_cells.cells[i],
         ))
     return JointSystem(tuple(modes), n=system.n, m=abstraction.m)

@@ -31,7 +31,7 @@ from .errors import (
     UncertifiedModeError,
 )
 from .linalg import as_vector
-from .polytope import MEMBERSHIP_SLACK, Partition, locate_mode
+from .polytope import MEMBERSHIP_SLACK, locate_mode
 from .relation import Interface, JointSystem, RelationMaps, assemble_joint
 from .systems import (
     DisturbanceSignal,
@@ -39,6 +39,7 @@ from .systems import (
     PwaAbstraction,
     PwaSystem,
     check_disturbance_bound,
+    paired_modes,
 )
 
 #: Crossing times are localized to a bracket narrower than this (seconds).
@@ -233,38 +234,32 @@ class _Runner:
         self.n = s.system.n
         self.m = s.joint.m
         self.part = s.system.partition
-        self.is_pwa = isinstance(s.abstraction, PwaAbstraction)
-        self.regions: Optional[Partition] = (
-            Partition(tuple(s.abstraction.concrete_cells)) if self.is_pwa else None
-        )
-        self.pairing = s.pairing if self.is_pwa else None
+        self.paired = paired_modes(s.abstraction, s.pairing, s.system.n_modes)
+        # abstraction-mode index per concrete mode; 0 for a linear abstraction
+        self.js = [0 if pm.j is None else pm.j for pm in self.paired]
         dist = s.disturbance
         self.dist_offset = dist.offset if dist.kind != "zero" else 0.0
         self.dist_amplitude = dist.amplitude if dist.kind == "sinusoid" else 0.0
         self.mask_ext = np.concatenate([dist.mask, np.zeros(self.m)])
         # stacked closed-loop dynamics per concrete mode: z = (x1, x2), and
-        # the rows (E, f) of its cell, with its paired region for PWA
+        # the rows (E, f) of its cell, stacked over its paired region's
         self.Z, self.BU, self.rows = [], [], []
-        for i, mode in enumerate(s.system.modes):
+        for i, (mode, pm) in enumerate(zip(s.system.modes, self.paired)):
             K, R, Q, L = (s.interface.K[i], s.interface.R[i],
                           s.interface.Q[i], s.interface.L[i])
             P = s.relation.P[i]
             cell = self.part.cells[i]
-            if self.is_pwa:
-                am = s.abstraction.modes[self.pairing[i]]
-                G, closed_abs = am.G, am.transformed()
-                reg = self.regions.cells[self.pairing[i]]
-                self.rows.append((np.vstack([cell.E, reg.E]),
-                                  np.concatenate([cell.f, reg.f])))
-            else:
-                G, closed_abs = s.abstraction.G, s.abstraction.transformed()
+            if pm.region is None:
                 self.rows.append((cell.E, cell.f))
+            else:
+                self.rows.append((np.vstack([cell.E, pm.region.E]),
+                                  np.concatenate([cell.f, pm.region.f])))
             Z = np.zeros((self.n + self.m, self.n + self.m))
             Z[: self.n, : self.n] = mode.A + mode.B @ K
             Z[: self.n, self.n:] = mode.B @ (Q + R @ L - K @ P)
-            Z[self.n:, self.n:] = closed_abs
+            Z[self.n:, self.n:] = pm.mode.transformed()
             self.Z.append(Z)
-            self.BU.append(np.vstack([mode.B @ R, G]))
+            self.BU.append(np.vstack([mode.B @ R, pm.mode.G]))
         self._maps: dict = {}
 
     # -- membership ---------------------------------------------------------
@@ -273,19 +268,15 @@ class _Runner:
         E, f = self.rows[i]
         return float(np.min(E @ x1 - f))
 
-    def _locate_j(self, x1: np.ndarray, i: int, prev_j: int) -> int:
-        if not self.is_pwa:
-            return 0
-        j = locate_mode(self.regions, x1, previous=prev_j)
-        want = self.pairing[i]
-        if j != want:
-            if self.regions.cells[want].contains(x1):
-                return want
+    def label(self, x1: np.ndarray, i: int) -> tuple[int, int]:
+        """``(i, js[i])``, once ``x1`` is checked to lie in the region of
+        the abstraction mode that concrete mode ``i`` is certified against."""
+        region = self.paired[i].region
+        if region is not None and not region.contains(x1):
             raise UncertifiedModeError(
-                f"state entered region {j} while mode {i} is certified "
-                f"against region {want}"
+                f"state left region {self.js[i]}, against which mode {i} is certified"
             )
-        return j
+        return i, self.js[i]
 
     # -- integration --------------------------------------------------------
 
@@ -333,22 +324,22 @@ class _Runner:
               & (np.min(block[:, : self.n] @ E.T - f, axis=1) >= -MEMBERSHIP_SLACK))
         return len(ok) if ok.all() else int(np.argmin(ok))
 
-    def advance(self, z: np.ndarray, t: float, h: float, i: int, j: int,
-                u2val: np.ndarray, events: list) -> tuple[np.ndarray, int, int]:
+    def advance(self, z: np.ndarray, t: float, h: float, i: int,
+                u2val: np.ndarray, events: list) -> tuple[np.ndarray, int]:
         """Advance exactly ``h`` with the reference value frozen at the step
         start, splitting the step at every detected cell-boundary crossing."""
         remaining = h
         for _ in range(_SWITCH_CAP):
             if remaining <= 1e-15:
-                return z, i, j
+                return z, i
             Zk, ZkB, Zkm = self.maps(i)[:3]
             basis = np.concatenate([Zk @ z, ZkB @ u2val, Zkm])
             trial = self.sub_step(basis, t, remaining)
             if not np.isfinite(trial).all():
                 raise NonFiniteStateError(f"non-finite state near t={t}")
             if self._margin(trial[: self.n], i) >= -MEMBERSHIP_SLACK:
-                return trial, i, j
-            # bisect the exit point of the (i, j) membership along the step
+                return trial, i
+            # bisect the exit point of the mode's membership along the step
             lo, hi = 0.0, 1.0
             m_lo = self._margin(z[: self.n], i)
             m_hi = self._margin(trial[: self.n], i)
@@ -365,20 +356,19 @@ class _Runner:
                     hi, m_hi, z_hi = mid, m_mid, z_mid
             committed = hi * remaining
             z = z_hi
-            old = (i, j)
+            old = (i, self.js[i])
             x1 = z[: self.n]
             try:
                 i = locate_mode(self.part, x1, previous=i)
             except NoCellError as exc:
                 raise NoCellError(f"t={t + committed:.6f}: {exc}") from exc
-            j = self._locate_j(x1, i, j)
             events.append(CrossingEvent(
                 t_inside=t + lo * remaining,
                 t_outside=t + committed,
                 margin_inside=m_lo,
                 margin_outside=m_hi,
                 old_label=old,
-                new_label=(i, j),
+                new_label=self.label(x1, i),
             ))
             t += committed
             remaining -= committed
@@ -407,12 +397,11 @@ def run_scenario(s: Scenario) -> Trajectory:
 
     zs = np.empty((steps + 1, n + runner.m))
     mode_i = np.empty(steps + 1, dtype=int)
-    mode_j = np.empty(steps + 1, dtype=int)
 
     i = locate_mode(s.system.partition, s.x1_0)
-    j = runner._locate_j(s.x1_0, i, prev_j=runner.pairing[i] if runner.is_pwa else 0)
+    runner.label(s.x1_0, i)  # raises unless x1_0 lies in the paired region
     zs[0] = np.concatenate([s.x1_0, s.x2_0])
-    mode_i[0], mode_j[0] = i, j
+    mode_i[0] = i
 
     events: list[CrossingEvent] = []
     k = 0
@@ -421,14 +410,15 @@ def run_scenario(s: Scenario) -> Trajectory:
         while k < steps:
             stop = min(k + _BLOCK, steps)
             kept = runner.propagate(zs, k, stop, i, u2bar, stages)
-            mode_i[k + 1: k + 1 + kept], mode_j[k + 1: k + 1 + kept] = i, j
+            mode_i[k + 1: k + 1 + kept] = i
             k += kept
             if k < stop:
-                zs[k + 1], i, j = runner.advance(zs[k], float(t[k]), s.h, i, j,
-                                                 u2bar[k], events)
-                mode_i[k + 1], mode_j[k + 1] = i, j
+                zs[k + 1], i = runner.advance(zs[k], float(t[k]), s.h, i,
+                                              u2bar[k], events)
+                mode_i[k + 1] = i
                 k += 1
 
+    mode_j = np.array(runner.js)[mode_i]
     return _bookkeep(s, runner, t, zs[:, :n], zs[:, n:], u2bar, mode_i, mode_j,
                      tuple(events))
 
@@ -459,8 +449,7 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i, mode_j,
         rows = np.nonzero(mode_i == idx)[0]
         mode = s.system.modes[idx]
         P = s.relation.P[idx]
-        H = (s.abstraction.modes[s.pairing[idx]].H if runner.is_pwa
-             else s.abstraction.H)
+        H = runner.paired[idx].mode.H
         xt = x1[rows] - x2[rows] @ P.T
         xtilde[rows] = xt
         u1[rows] = (u2bar[rows] @ s.interface.R[idx].T

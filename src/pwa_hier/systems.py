@@ -9,12 +9,13 @@ transformation ``u2 = L x2 + u2bar`` that renders it internally stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ModelError, NotHurwitzError
 from .linalg import as_matrix, as_vector
-from .polytope import Partition
+from .polytope import Partition, Polyhedron
 
 #: Eigenvalue real parts must sit below minus this margin to count as stable.
 HURWITZ_MARGIN = 1e-8
@@ -211,6 +212,46 @@ class PwaAbstraction:
     @property
     def n_modes(self) -> int:
         return len(self.modes)
+
+
+class PairedMode(NamedTuple):
+    """The abstraction mode one concrete mode is related to: its index
+    ``j`` and its region in the concrete state space, both None for a
+    linear abstraction (one mode, no region to check)."""
+
+    j: Optional[int]
+    mode: LinearAbstraction
+    region: Optional[Polyhedron]
+
+
+def needs_pairing(abstraction: Union[LinearAbstraction, PwaAbstraction]) -> bool:
+    """Whether concrete modes must be paired with one of several abstraction
+    modes (PWA); a linear abstraction is its own single mode."""
+    return isinstance(abstraction, PwaAbstraction)
+
+
+def paired_modes(
+    abstraction: Union[LinearAbstraction, PwaAbstraction],
+    pairing: Optional[Sequence[int]],
+    n_modes: int,
+) -> tuple[PairedMode, ...]:
+    """Abstraction mode of each of ``n_modes`` concrete modes.
+
+    Concrete mode i gets ``abstraction.modes[pairing[i]]`` and its region for
+    a PWA abstraction, which needs a pairing of every concrete mode; for a
+    linear abstraction it gets the abstraction itself and the pairing is not
+    read.
+    """
+    if not needs_pairing(abstraction):
+        return (PairedMode(None, abstraction, None),) * n_modes
+    if (pairing is None or len(pairing) != n_modes
+            or not all(0 <= j < abstraction.n_modes for j in pairing)):
+        raise DimensionMismatchError(
+            f"PWA abstraction requires a pairing of each of the {n_modes} concrete "
+            f"modes with one of its {abstraction.n_modes} modes"
+        )
+    return tuple(PairedMode(j, abstraction.modes[j], abstraction.concrete_cells[j])
+                 for j in pairing)
 
 
 ZERO = "zero"

@@ -18,6 +18,7 @@ from pwa_hier.certificate import (
 )
 from pwa_hier.errors import (
     DegenerateStateError,
+    DimensionMismatchError,
     InfeasibleCertificateError,
     SynthesisFailedError,
     UncertifiedModeError,
@@ -388,3 +389,10 @@ class TestCertificateValidation:
                 (ModeCertificate(np.diag([2.0, 3.0]), m_scalar=5.0),),
                 T=T, jbars=(jbar,),
             )
+
+    def test_continuity_matrix_per_mode_required(self):
+        """A short continuity list is rejected, not cut to the first modes."""
+        entry = ModeCertificate(np.diag([2.0, 3.0]), m_scalar=5.0)
+        with pytest.raises(DimensionMismatchError):
+            Certificate(1.0, 1.0, (entry, entry), T=np.diag([2.0, 3.0, 5.0]),
+                        jbars=(ContinuityMatrix(np.eye(3)),))

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, artifacts, determinism, report consistency."""
 
+import functools
 import json
 
 import numpy as np
@@ -7,16 +8,50 @@ import pytest
 
 from pwa_hier import export_trajectory, run_scenario
 from pwa_hier.cli import main
-from pwa_hier.modelfile import build_pipeline, builtin_model_path, load_model
+from pwa_hier.modelfile import (
+    build_pipeline,
+    builtin_model_path,
+    certificate_to_jsonable,
+    load_model,
+)
 
 
 def _read_csv(path):
     return np.genfromtxt(path, delimiter=",", names=True)
 
 
+@functools.lru_cache(maxsize=None)
+def _saved_certificate(name):
+    """The certificate fragment ``check NAME --save-certificate`` writes."""
+    pipe = build_pipeline(load_model(builtin_model_path(name)))
+    return json.dumps(certificate_to_jsonable(pipe.certificate, pipe.joint))
+
+
 def _break_model(doc, how):
-    """Apply one named defect to a model document, in place."""
-    if how == "relation-shape":
+    """Apply one named defect to a model document, in place.  Defects named
+    ``cert-*`` edit the model's own saved certificate, supplied in the file."""
+    if how.startswith("cert-"):
+        cert = json.loads(_saved_certificate(doc["name"]))
+        doc["certificate"].update(cert)
+        modes = len(cert["M"])
+        rows = len(doc["system"]["partition"][0]["f"])
+        if how == "cert-lambda-text":
+            doc["certificate"]["lambda"] = "abc"
+        elif how == "cert-lambda-list":
+            doc["certificate"]["lambda"] = [1]
+        elif how == "cert-m-text":
+            doc["certificate"]["m"] = ["x"] + [1.0] * (modes - 1)
+        elif how == "cert-m-short":
+            doc["certificate"]["m"] = [1.0]
+        elif how == "cert-U-short":
+            doc["certificate"]["U"] = [[[0.0] * rows] * rows]
+        elif how == "cert-jbar-short":
+            # case1's modes share one M, so T = M factors through J = I
+            eye = np.eye(len(cert["M"][0])).tolist()
+            doc["certificate"].update(T=cert["M"][0], Jbar=[eye])
+        else:
+            raise AssertionError(f"unknown defect {how!r}")
+    elif how == "relation-shape":
         doc["relation"]["P"][0] = [row[:1] for row in doc["relation"]["P"][0]]
     elif how == "x1-0-nan":
         doc["scenario"]["x1_0"][0] = float("nan")
@@ -30,6 +65,10 @@ def _break_model(doc, how):
         doc["scenario"]["u2bar"][1]["t"] = float("nan")
     elif how == "offset-nan":
         doc["scenario"]["disturbance"]["offset"] = float("nan")
+    elif how == "pairing-on-linear":
+        doc["pairing"] = [9] * len(doc["system"]["modes"])
+    elif how == "pwa-pairing-fraction":
+        doc["pairing"][0] += 0.7
     else:
         raise AssertionError(f"unknown defect {how!r}")
 
@@ -122,17 +161,30 @@ class TestRun:
          "--values", "0.1"],
         ["run", "waypoint-t-nan"],
         ["check", "offset-nan"],
+        ["check", "cert-lambda-text"],
+        ["check", "cert-lambda-list"],
+        ["check", "cert-m-text"],
+        ["check", "cert-m-short"],
+        ["check", "cert-U-short"],
+        ["check", "cert-jbar-short"],
+        ["check", "pairing-on-linear"],
+        ["check", "pwa-pairing-fraction"],
     ], ids=["t-end-zero", "no-step-in-horizon", "step-zero", "step-nan",
             "values-not-numbers", "kappa-negative", "disturbance-above-bound",
             "relation-shape", "x1-0-nan", "waypoint-inf", "lambda-grid-text",
-            "zero-disturbance-scaled", "waypoint-t-nan", "offset-nan"])
+            "zero-disturbance-scaled", "waypoint-t-nan", "offset-nan",
+            "cert-lambda-text", "cert-lambda-list", "cert-m-text", "cert-m-short",
+            "cert-U-short", "cert-jbar-short", "pairing-on-linear",
+            "pwa-pairing-fraction"])
     def test_zero_horizon_exits_one(self, argv, tmp_path, capsys, caplog):
         """Bad input of every kind exits 1 with one error line, no traceback.
-        A model name other than case1 names an edit of case1's model file."""
+        A model name other than case1 names an edit of case1's model file
+        (of case2's, the PWA model, when it starts with ``pwa-``)."""
         if argv[0] == "run":
             argv = argv + ["--out", str(tmp_path / "out")]
         if argv[1] != "case1":
-            doc = json.loads(builtin_model_path("case1").read_text())
+            base = "case2" if argv[1].startswith("pwa-") else "case1"
+            doc = json.loads(builtin_model_path(base).read_text())
             _break_model(doc, argv[1])
             argv = [argv[0], str(tmp_path / "bad.model")] + argv[2:]
             (tmp_path / "bad.model").write_text(json.dumps(doc))

@@ -17,8 +17,7 @@ from pwa_hier.polytope import (
     cell_bounding,
     classify_cell,
     contains_mapped,
-    joint_partition_linear,
-    joint_partition_pwa,
+    joint_partition,
     locate_mode,
     vertices_2d,
 )
@@ -91,7 +90,7 @@ class TestLocateMode:
 class TestJointPartitionLinear:
     def test_case1_block_layout(self, case1):
         P = case1.relation.P
-        joint = joint_partition_linear(case1.system.partition, P)
+        joint = joint_partition(case1.system.partition, P)
         cell = joint.cells[0]
         E = case1.system.partition.cells[0].E
         np.testing.assert_allclose(cell.E[:, :6], E)
@@ -101,20 +100,20 @@ class TestJointPartitionLinear:
 
     def test_identity_lift(self):
         part = Partition((Polyhedron(np.eye(2), np.zeros(2)),))
-        joint = joint_partition_linear(part, [np.eye(2)])
+        joint = joint_partition(part, [np.eye(2)])
         np.testing.assert_allclose(joint.cells[0].E, np.hstack([np.eye(2), np.eye(2)]))
         np.testing.assert_allclose(joint.cells[0].f, np.zeros(2))
 
     def test_vacuous_cell(self):
         part = Partition((Polyhedron(np.zeros((1, 3)), np.zeros(1)),))
-        joint = joint_partition_linear(part, [np.ones((3, 2))])
+        joint = joint_partition(part, [np.ones((3, 2))])
         assert joint.cells[0].dim == 5
         assert joint.cells[0].contains(np.ones(5))
 
     def test_feasible_set_equivalence(self, case1):
         rng = np.random.default_rng(31)
         part = case1.system.partition
-        joint = joint_partition_linear(part, case1.relation.P)
+        joint = joint_partition(part, case1.relation.P)
         for _ in range(500):
             xt = rng.normal(scale=2.0, size=6)
             x2 = rng.normal(scale=2.0, size=2)
@@ -126,11 +125,8 @@ class TestJointPartitionLinear:
 
 class TestJointPartitionPwa:
     def test_case2_pair_layout(self, case2):
-        pairs = [(i, case2.pairing[i]) for i in range(5)]
-        joint = joint_partition_pwa(
-            case2.system.partition, list(case2.abstraction.concrete_cells),
-            case2.relation.P, pairs=pairs,
-        )
+        regions = [case2.abstraction.concrete_cells[j] for j in case2.pairing]
+        joint = joint_partition(case2.system.partition, case2.relation.P, regions)
         cell = joint.cells[0]
         conc = case2.system.partition.cells[0]
         reg = case2.abstraction.concrete_cells[0]
@@ -148,18 +144,22 @@ class TestJointPartitionPwa:
         part = case1.system.partition
         P = case1.relation.P
         vac = Polyhedron(np.zeros((1, 6)), np.zeros(1))
-        joint_pwa = joint_partition_pwa(part, [vac], P, pairs=[(0, 0)])
-        joint_lin = joint_partition_linear(part, P)
-        np.testing.assert_allclose(joint_pwa.cells[0].E[:6], joint_lin.cells[0].E)
-        np.testing.assert_allclose(joint_pwa.cells[0].E[6], np.zeros(8))
+        joint_pwa = joint_partition(part, P, [vac] * len(part))
+        joint_lin = joint_partition(part, P)
+        for cp, cl in zip(joint_pwa.cells, joint_lin.cells):
+            np.testing.assert_allclose(cp.E[:-1], cl.E)
+            np.testing.assert_allclose(cp.E[-1], np.zeros(8))
+            np.testing.assert_allclose(cp.f, np.append(cl.f, 0.0))
 
     def test_duplicated_rows_same_set(self, case1):
         part = case1.system.partition
         P = case1.relation.P
         dup = part.cells[0]
-        joint = joint_partition_pwa(part, [dup], P, pairs=[(0, 0)])
+        joint = joint_partition(part, P, [dup, None, None])
         rng = np.random.default_rng(5)
-        lin = joint_partition_linear(part, P)
+        lin = joint_partition(part, P)
+        # a mode without a region gains no rows
+        np.testing.assert_array_equal(joint.cells[1].E, lin.cells[1].E)
         for _ in range(100):
             omega = rng.normal(scale=3.0, size=8)
             assert joint.cells[0].contains(omega) == lin.cells[0].contains(omega)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from pwa_hier.errors import (
+    DimensionMismatchError,
     NoFeasiblePairingError,
     SingularBBtError,
     UncertifiedRelationError,
 )
 from pwa_hier.relation import (
     RelationMaps,
-    assemble_joint_linear,
+    assemble_joint,
     default_R,
     interface_linear,
     relation_tolerance,
@@ -243,7 +244,7 @@ class TestJointAssembly:
         rel = solve_system_relation(system, absn)
         iface = build_interface(system, absn, rel, [np.zeros((3, 3))],
                                 R=[np.zeros((3, 1))])
-        joint = assemble_joint_linear(system, absn, rel, iface)
+        joint = assemble_joint(system, absn, rel, iface)
         jm = joint.modes[0]
         np.testing.assert_allclose(jm.Aprime[:3, :3], mode.A)
         np.testing.assert_allclose(jm.Aprime[3:, 3:], -np.eye(1))
@@ -252,24 +253,33 @@ class TestJointAssembly:
     def test_uncertified_rejected(self, case1):
         bad = RelationMaps(case1.relation.P, case1.relation.Q, (1.0, 0.0, 0.0))
         with pytest.raises(UncertifiedRelationError):
-            assemble_joint_linear(case1.system, case1.abstraction, bad,
-                                  case1.interface)
+            assemble_joint(case1.system, case1.abstraction, bad, case1.interface)
+
+    @pytest.mark.parametrize("pairing", [None, (0, 0, 1, 2), (0, 0, 1, 2, -1),
+                                         (0, 0, 1, 2, 3)],
+                             ids=["missing", "short", "negative", "past-end"])
+    def test_pwa_pairing_required(self, case2, pairing):
+        """A PWA abstraction needs an in-range abstraction mode for every
+        concrete mode; a negative index is not read from the end."""
+        with pytest.raises(DimensionMismatchError):
+            assemble_joint(case2.system, case2.abstraction, case2.relation,
+                           case2.interface, pairing)
 
     def test_single_mode_pwa_reduces_to_linear(self, case1):
         """A one-mode PWA abstraction with a vacuous region reproduces the
         linear assembly block for block."""
         from pwa_hier import Polyhedron, PwaAbstraction
-        from pwa_hier.relation import assemble_joint_pwa
         a = case1.abstraction
         vac = Polyhedron(np.zeros((1, 6)), np.zeros(1))
         single = PwaAbstraction(
             (AbstractionMode(F=a.F, G=a.G, H=a.H, L=a.L),), (vac,)
         )
-        joint_pwa = assemble_joint_pwa(
-            case1.system, single, (0, 0, 0), case1.relation, case1.interface
+        joint_pwa = assemble_joint(
+            case1.system, single, case1.relation, case1.interface, (0, 0, 0)
         )
         joint_lin = case1.joint
-        for jp, jl in zip(joint_pwa.modes, joint_lin.modes):
+        for i, (jp, jl) in enumerate(zip(joint_pwa.modes, joint_lin.modes)):
+            assert (jp.label, jl.label) == ((i, 0), (i,))
             np.testing.assert_allclose(jp.Aprime, jl.Aprime)
             np.testing.assert_allclose(jp.B1prime, jl.B1prime)
             np.testing.assert_allclose(jp.B2prime, jl.B2prime)
@@ -331,7 +341,7 @@ class TestJointAssembly:
         K = -3 * np.eye(6) - A  # A + B K = -3I
         iface = build_interface(system, absn, rel, [K])
         np.testing.assert_allclose(B @ iface.R[0], rel.P[0] @ absn.G, atol=1e-10)
-        joint = assemble_joint_linear(system, absn, rel, iface)
+        joint = assemble_joint(system, absn, rel, iface)
         jm = joint.modes[0]
         u2bar = np.array([1.0, -2.0])
         omega = np.concatenate([np.zeros(6), np.array([0.7, 0.1])])

@@ -31,8 +31,9 @@ from pwa_hier.errors import (
     NonMonotoneTimesError,
 )
 from pwa_hier.polytope import locate_mode
-from pwa_hier.relation import assemble_joint_linear, solve_system_relation
+from pwa_hier.relation import assemble_joint, solve_system_relation
 from pwa_hier.simulator import _BLOCK, CHAIN_TOL, _Runner
+from pwa_hier.systems import paired_modes
 
 I2 = np.eye(2)
 
@@ -115,7 +116,7 @@ def _matched_single_mode_scenario(case1, x1_offset=0.0, disturbance=None):
     rel = solve_system_relation(system, absn)
     K = -3 * np.eye(6) - A
     iface = build_interface(system, absn, rel, [K])
-    joint = assemble_joint_linear(system, absn, rel, iface)
+    joint = assemble_joint(system, absn, rel, iface)
     cert = synthesize_certificate(joint, kappa=8.0)
     sched = reference_schedule([(0.0, [1.0, -0.5]), (3.0, [-2.0, 1.0])])
     dist = disturbance or DisturbanceSignal.zero(6)
@@ -340,6 +341,7 @@ class TestPropagator:
         assert int(traj.crossings[0].t_outside / h) == k_cross
 
         runner = _Runner(short)
+        paired = paired_modes(short.abstraction, short.pairing, short.system.n_modes)
         z = np.concatenate([short.x1_0, short.x2_0])
         i, j = int(traj.mode_i[0]), int(traj.mode_j[0])
         modes, labels = [(i, j)], []
@@ -347,8 +349,10 @@ class TestPropagator:
             field = _frozen_field(short, runner, i, traj.u2bar[k])
             z = step_rk4(field, z, float(traj.t[k]), h)
             new_i = locate_mode(short.system.partition, z[: runner.n], previous=i)
-            new_j = (locate_mode(runner.regions, z[: runner.n], previous=j)
-                     if runner.is_pwa else 0)
+            # the state stays in the region of the abstraction mode it is paired with
+            region = paired[new_i].region
+            assert region is None or region.contains(z[: runner.n])
+            new_j = paired[new_i].j or 0
             if (new_i, new_j) != (i, j):
                 labels.append(((i, j), (new_i, new_j)))
             i, j = new_i, new_j
@@ -385,7 +389,7 @@ class TestNonzeroFeedforward:
         fused closed-loop matrices agree with stepping the raw plant and
         abstraction through the interface formula."""
         from pwa_hier import LinearAbstraction
-        from pwa_hier.relation import (assemble_joint_linear, interface_linear,
+        from pwa_hier.relation import (assemble_joint, interface_linear,
                                        solve_system_relation)
         system = PwaSystem(
             (PwaMode(np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -400,7 +404,7 @@ class TestNonzeroFeedforward:
         K = np.array([[-2.0, -3.0]])
         iface = build_interface(system, absn, rel, [K])
         np.testing.assert_allclose(iface.R[0], [[-1.0]], atol=1e-10)
-        joint = assemble_joint_linear(system, absn, rel, iface)
+        joint = assemble_joint(system, absn, rel, iface)
         cert = synthesize_certificate(joint, kappa=4.0)
         sched = reference_schedule([(0.0, [0.8]), (2.0, [-0.4])])
         dist = DisturbanceSignal.sinusoid(-0.05, 0.05, 2)
