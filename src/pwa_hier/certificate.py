@@ -136,21 +136,19 @@ class LmiReport:
     feasible: bool
 
 
-def lmi_margins(M, A, C, E, U, W, lam: float, affine: bool) -> tuple[float, float, float]:
-    """Raw eigenvalue margins of the three conditions for given blocks.
+def _condition_matrices(M, A, C, E, U, W, lam: float, affine: bool) -> np.ndarray:
+    """The three symmetrized condition matrices ``(S1, S2, S3)`` of one
+    mode, stacked, after checking the blocks' shapes (the blocks are float
+    arrays; ``U``/``W`` may be None for zero).
 
     For affine cells the decay weight applies only to the state block
     (``diag(lam I, 0)``); conic cells scale all of ``M``.
     """
-    M = as_matrix(M, "M")
     d = M.shape[0]
-    C = as_matrix(C, "C")
-    E = as_matrix(E, "E")
-    A = as_matrix(A, "A")
     if A.shape != (d, d) or C.shape[1] != d or E.shape[1] != d:
         raise DimensionMismatchError("certificate blocks disagree on dimension")
-    U = np.zeros((E.shape[0], E.shape[0])) if U is None else as_matrix(U, "U")
-    W = np.zeros((E.shape[0], E.shape[0])) if W is None else as_matrix(W, "W")
+    U = np.zeros((E.shape[0], E.shape[0])) if U is None else U
+    W = np.zeros((E.shape[0], E.shape[0])) if W is None else W
     if U.shape != (E.shape[0], E.shape[0]) or W.shape != (E.shape[0], E.shape[0]):
         raise DimensionMismatchError("U/W must be square over the bounding rows")
 
@@ -160,11 +158,33 @@ def lmi_margins(M, A, C, E, U, W, lam: float, affine: bool) -> tuple[float, floa
     if affine:
         lam_weights[-1] = 0.0
     S3 = A.T @ M + M @ A + E.T @ W @ E + lam_weights[:, None] * M
-    S3 = 0.5 * (S3 + S3.T)
-    m1 = float(sym_eigen(0.5 * (S1 + S1.T)).eigenvalues[0])
-    m2 = float(sym_eigen(0.5 * (S2 + S2.T)).eigenvalues[0])
-    m3 = float(sym_eigen(S3).eigenvalues[-1])
-    return m1, m2, m3
+    return np.array([0.5 * (S + S.T) for S in (S1, S2, S3)])
+
+
+def _eigvalsh_by_shape(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Ascending eigenvalues of each symmetric matrix (or stack of them) in
+    ``mats``, with one ``np.linalg.eigvalsh`` call per distinct shape."""
+    groups: dict = {}
+    for k, S in enumerate(mats):
+        groups.setdefault(S.shape, []).append(k)
+    out: list = [None] * len(mats)
+    for ks in groups.values():
+        for k, w in zip(ks, np.linalg.eigvalsh(np.array([mats[k] for k in ks]))):
+            out[k] = w
+    return out
+
+
+def _margins(w: np.ndarray) -> tuple[float, float, float]:
+    """``(m1, m2, m3)`` from the eigenvalues of a condition-matrix stack."""
+    return float(w[0, 0]), float(w[1, 0]), float(w[2, -1])
+
+
+def lmi_margins(M, A, C, E, U, W, lam: float, affine: bool) -> tuple[float, float, float]:
+    """Raw eigenvalue margins of the three conditions for given blocks."""
+    M, A, C, E = as_matrix(M, "M"), as_matrix(A, "A"), as_matrix(C, "C"), as_matrix(E, "E")
+    U = None if U is None else as_matrix(U, "U")
+    W = None if W is None else as_matrix(W, "W")
+    return _margins(np.linalg.eigvalsh(_condition_matrices(M, A, C, E, U, W, lam, affine)))
 
 
 def _mode_blocks(entry: ModeCertificate, jm: JointMode):
@@ -179,18 +199,33 @@ def _mode_blocks(entry: ModeCertificate, jm: JointMode):
     return entry.extended(), jm.Abar, jm.Cbar, jm.bounding.Ebar, True
 
 
+def verify_all(cert: Certificate, joint: JointSystem,
+               idxs: Optional[Sequence[int]] = None) -> tuple[LmiReport, ...]:
+    """Eigenvalue margins of the certificate conditions for the modes
+    ``idxs`` (every mode by default), in that order.
+
+    The condition matrices of all those modes go through one stacked
+    eigenvalue call per matrix size (conic modes are ``d x d``, affine ones
+    ``(d+1) x (d+1)``).
+    """
+    idxs = range(len(joint.modes)) if idxs is None else idxs
+    stacks = []
+    for idx in idxs:
+        entry = cert.entries[idx]
+        M, A, C, E, affine = _mode_blocks(entry, joint.modes[idx])
+        stacks.append(_condition_matrices(M, A, C, E, entry.U, entry.W, cert.lam, affine))
+    reports = []
+    for w in _eigvalsh_by_shape(stacks):
+        m1, m2, m3 = _margins(w)
+        feasible = (m1 >= -LMI_TOL) and (m2 >= LMI_TOL) and (m3 <= LMI_TOL)
+        reports.append(LmiReport((m1, m2, m3), feasible))
+    return tuple(reports)
+
+
 def verify_lmi(cert: Certificate, joint: JointSystem, idx: int) -> LmiReport:
-    """Eigenvalue margins of the certificate conditions for one mode."""
-    entry = cert.entries[idx]
-    jm = joint.modes[idx]
-    M, A, C, E, affine = _mode_blocks(entry, jm)
-    m1, m2, m3 = lmi_margins(M, A, C, E, entry.U, entry.W, cert.lam, affine)
-    feasible = (m1 >= -LMI_TOL) and (m2 >= LMI_TOL) and (m3 <= LMI_TOL)
-    return LmiReport((m1, m2, m3), feasible)
-
-
-def verify_all(cert: Certificate, joint: JointSystem) -> tuple[LmiReport, ...]:
-    return tuple(verify_lmi(cert, joint, idx) for idx in range(len(joint.modes)))
+    """Eigenvalue margins of the certificate conditions for one mode: the
+    one-mode view of :func:`verify_all`."""
+    return verify_all(cert, joint, (idx,))[0]
 
 
 def _solve_decay_equation(A: np.ndarray, lam: float) -> Optional[np.ndarray]:
@@ -306,40 +341,49 @@ def sim_fn_value(cert: Certificate, idx: int, omega, kind: str) -> float:
     return float(sim_fn_values(cert, idx, omega[None, :], kind)[0])
 
 
-def _root_norm(M: np.ndarray, X: np.ndarray) -> float:
-    """``||M^(1/2) X||_2`` of a PSD ``M``, as ``sqrt(lambda_max(X^T M X))``."""
-    if X.size == 0:
-        return 0.0
-    S = X.T @ M @ X
-    return float(np.sqrt(max(np.linalg.eigvalsh(0.5 * (S + S.T))[-1], 0.0)))
+def gain_slopes_all(cert: Certificate, joint: JointSystem,
+                    idxs: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Raw gain slopes of the modes ``idxs`` (every mode by default), one
+    row ``(gamma1, gamma2, gamma3, sqrt_m)`` per mode.
+
+    gamma1 scales the transformed input, gamma2 the disturbance, gamma3 the
+    abstraction state; all are ``2 ||sqrt(M) X||_2 / lambda`` with the
+    blocks matching the cell kind (``X = I`` for gamma2), where
+    ``||sqrt(M) X||_2 = sqrt(lambda_max(X^T M X))``.  ``sqrt_m`` is zero
+    for conic cells.  The ``X^T M X`` forms go through one stacked
+    eigenvalue call per matrix size.
+    """
+    idxs = range(len(joint.modes)) if idxs is None else idxs
+    out = np.zeros((len(idxs), 4))
+    forms, where = [], []
+    for row, idx in enumerate(idxs):
+        entry = cert.entries[idx]
+        jm = joint.modes[idx]
+        if jm.kind == CONIC:
+            M = entry.M
+            B1, B2 = jm.B1prime, jm.B2prime
+        else:
+            M = entry.extended()
+            B1, B2 = jm.B1bar, jm.B2bar
+            if entry.m_scalar is None:
+                raise InfeasibleCertificateError("affine cell without homogeneous entry")
+            out[row, 3] = np.sqrt(entry.m_scalar)
+        for col, X in enumerate((B2, np.eye(M.shape[0]), B1)):
+            if X.size:  # an empty block has slope zero
+                S = X.T @ M @ X
+                forms.append(0.5 * (S + S.T))
+                where.append((row, col))
+    for (row, col), w in zip(where, _eigvalsh_by_shape(forms)):
+        out[row, col] = 2.0 * np.sqrt(max(w[-1], 0.0)) / cert.lam
+    return out
 
 
 def gain_slopes(
     cert: Certificate, joint: JointSystem, idx: int
 ) -> tuple[float, float, float, float]:
-    """Raw gain slopes ``(gamma1, gamma2, gamma3, sqrt_m)`` of one mode.
-
-    gamma1 scales the transformed input, gamma2 the disturbance, gamma3 the
-    abstraction state; all are ``2 ||sqrt(M) X||_2 / lambda`` with the
-    blocks matching the cell kind (``X = I`` for gamma2).  ``sqrt_m`` is
-    zero for conic cells.
-    """
-    entry = cert.entries[idx]
-    jm = joint.modes[idx]
-    if jm.kind == CONIC:
-        M = entry.M
-        B1, B2 = jm.B1prime, jm.B2prime
-        sqrt_m = 0.0
-    else:
-        M = entry.extended()
-        B1, B2 = jm.B1bar, jm.B2bar
-        if entry.m_scalar is None:
-            raise InfeasibleCertificateError("affine cell without homogeneous entry")
-        sqrt_m = float(np.sqrt(entry.m_scalar))
-    g1 = 2.0 * _root_norm(M, B2) / cert.lam
-    g2 = 2.0 * _root_norm(M, np.eye(M.shape[0])) / cert.lam
-    g3 = 2.0 * _root_norm(M, B1) / cert.lam
-    return g1, g2, g3, sqrt_m
+    """Raw gain slopes ``(gamma1, gamma2, gamma3, sqrt_m)`` of one mode: the
+    one-mode view of :func:`gain_slopes_all`."""
+    return tuple(gain_slopes_all(cert, joint, (idx,))[0].tolist())
 
 
 def sim_fn_derivative(

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .certificate import gain_slopes, verify_all
+from .certificate import gain_slopes_all, verify_all
 from .errors import ModelError, PwaHierError
 from .modelfile import (
     Pipeline,
@@ -76,8 +76,7 @@ class RunReport:
 
 def _report_from_pipeline(pipe: Pipeline) -> RunReport:
     reports = verify_all(pipe.certificate, pipe.joint)
-    slopes = [list(gain_slopes(pipe.certificate, pipe.joint, idx)[:3])
-              for idx in range(len(pipe.joint.modes))]
+    slopes = gain_slopes_all(pipe.certificate, pipe.joint)[:, :3].tolist()
     return RunReport(
         name=pipe.config.name,
         residuals=[float(r) for r in pipe.relation.residuals],

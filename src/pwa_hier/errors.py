@@ -17,6 +17,10 @@ class DimensionMismatchError(PwaHierError, ValueError):
     """Operands have incompatible shapes."""
 
 
+class NonFiniteInputError(PwaHierError, ValueError):
+    """An input array has NaN or infinite entries."""
+
+
 # -- linalg ----------------------------------------------------------------
 
 class NonSquareError(DimensionMismatchError):
@@ -116,4 +120,5 @@ class ParseError(PwaHierError, ValueError):
 
 
 class ModelError(PwaHierError, ValueError):
-    """Model file is syntactically valid but fails schema validation."""
+    """Model data fail validation: a syntactically valid model file, or a
+    model object built in code, with a value outside its allowed range."""

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
+    NonFiniteInputError,
     NonSquareError,
     NotSymmetricError,
 )
@@ -28,7 +29,7 @@ def as_matrix(A, name: str = "matrix") -> np.ndarray:
     if A.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-D, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
-        raise ValueError(f"{name} has non-finite entries")
+        raise NonFiniteInputError(f"{name} has non-finite entries")
     return A
 
 
@@ -36,7 +37,7 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float array."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} has non-finite entries")
+        raise NonFiniteInputError(f"{name} has non-finite entries")
     return x
 
 

@@ -137,7 +137,15 @@ def _vector(node, what: str) -> np.ndarray:
 
 
 def _scalar(node, what: str) -> float:
-    return float(_vector([node], what)[0])
+    try:
+        value = np.asarray(node, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"{what}: expected a number ({exc})") from exc
+    if value.ndim != 0:
+        raise ModelError(f"{what}: expected a number, not a list")
+    if not np.isfinite(value):
+        raise ModelError(f"{what}: must be a finite number")
+    return float(value)
 
 
 def _require(node: dict, key: str, what: str):

@@ -10,7 +10,7 @@ that land numerically on a facet still resolve to a cell.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -101,9 +101,17 @@ class ContinuityMatrix:
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered list of cells over one state space."""
+    """Ordered list of cells over one state space.
+
+    ``E``/``f`` stack every cell's rows in order, and ``starts`` holds the
+    index of each cell's first row, so all membership margins come from one
+    matrix-vector product.
+    """
 
     cells: tuple[Polyhedron, ...]
+    E: np.ndarray = field(init=False, repr=False, compare=False)
+    f: np.ndarray = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cells = tuple(self.cells)
@@ -114,6 +122,10 @@ class Partition:
             if c.dim != dim:
                 raise DimensionMismatchError("partition cells differ in dimension")
         object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "E", np.vstack([c.E for c in cells]))
+        object.__setattr__(self, "f", np.concatenate([c.f for c in cells]))
+        object.__setattr__(self, "starts",
+                           np.cumsum([0] + [c.E.shape[0] for c in cells[:-1]]))
 
     @property
     def dim(self) -> int:
@@ -128,20 +140,21 @@ def locate_mode(part: Partition, x, previous: Optional[int] = None) -> int:
 
     Ties break by keeping ``previous`` whenever it still qualifies
     (hysteresis, so boundary chatter does not flip modes), else by lowest
-    index.  Raises NoCellError when no cell qualifies.
+    index.  Raises NoCellError when no cell qualifies.  Every cell's margin
+    comes from the partition's stacked rows in one matrix-vector product.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != part.dim:
         raise DimensionMismatchError(
             f"state has dimension {x.shape[0]}, partition expects {part.dim}"
         )
-    if previous is not None and 0 <= previous < len(part.cells):
-        if part.cells[previous].contains(x):
-            return previous
-    for idx, cell in enumerate(part.cells):
-        if cell.contains(x):
-            return idx
-    raise NoCellError(f"state {x.tolist()} lies in no partition cell")
+    inside = np.minimum.reduceat(part.E @ x - part.f, part.starts) >= -MEMBERSHIP_SLACK
+    if previous is not None and 0 <= previous < len(part.cells) and inside[previous]:
+        return previous
+    hits = np.flatnonzero(inside)
+    if hits.size == 0:
+        raise NoCellError(f"state {x.tolist()} lies in no partition cell")
+    return int(hits[0])
 
 
 def joint_partition(

@@ -4,9 +4,11 @@ The concrete plant and the transformed abstraction are integrated together
 with classical RK4, the active mode frozen within a step: one precomputed
 affine map per visited mode, applied in blocks with one vectorized
 membership test per block; only the first step that leaves the mode is
-split, by bisecting the crossing.  Every sample records the tracking error,
-the simulation-function value, the running invariant-level threshold, and
-the certified output-error level.
+split, by bisecting the crossing.  The bisection tests the dyadic points of
+``_LEVELS`` levels at a time in one batched evaluation, so a crossing costs
+a few numpy calls rather than one sub-step per level.  Every sample records
+the tracking error, the simulation-function value, the running
+invariant-level threshold, and the certified output-error level.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO, Unio
 
 import numpy as np
 
-from .certificate import Certificate, gain_slopes, sim_fn_values, verify_lmi
+from .certificate import Certificate, gain_slopes_all, sim_fn_values, verify_all
 from .errors import (
     DimensionMismatchError,
     EmptyScheduleError,
@@ -54,6 +56,10 @@ _SWITCH_CAP = 64
 #: Output steps propagated between two vectorized membership tests.
 _BLOCK = 32
 
+#: Bisection levels whose ``2**_LEVELS - 1`` dyadic points are tested in
+#: one batched evaluation.
+_LEVELS = 7
+
 #: Rows formatted at a time by the artifact writer.
 _WRITE_BLOCK = 1024
 
@@ -64,7 +70,7 @@ CHAIN_TOL = 1e-6
 def step_rk4(f: Callable[[np.ndarray, float], np.ndarray], x, t: float, h: float) -> np.ndarray:
     """One classical four-stage Runge-Kutta step of width ``h``."""
     if not h > 0.0:
-        raise ValueError(f"step width must be positive, got {h}")
+        raise EmptyTrajectoryError(f"step width must be positive, got {h}")
     x = np.asarray(x, dtype=float)
     k1 = f(x, t)
     k2 = f(x + 0.5 * h * k1, t + 0.5 * h)
@@ -213,17 +219,23 @@ def verdict(traj: Trajectory) -> str:
     return "PASS" if chain else "FAIL"
 
 
-def rk4_weights(h: float) -> np.ndarray:
+def rk4_weights(h) -> np.ndarray:
     """Classical RK4 on ``z' = Z z + v(t)`` as weights on ``Z^0 .. Z^4``: a
     step of width ``h`` is ``sum_k Z^k (W[0,k] z + W[1,k] v(t)
-    + W[2,k] v(t + h/2) + W[3,k] v(t + h))``; row 0 is ``T4(hZ)``."""
+    + W[2,k] v(t + h/2) + W[3,k] v(t + h))``; row 0 is ``T4(hZ)``.
+
+    ``h`` may be a 1-D array of widths; the weights then stack along a
+    leading axis, shape ``(len(h), 4, 5)``."""
     c = h / 6.0
-    return np.array([
-        [1.0, h, h * h / 2.0, h ** 3 / 6.0, h ** 4 / 24.0],
-        [c, c * h, c * h * h / 2.0, c * h ** 3 / 4.0, 0.0],
-        [4.0 * c, 2.0 * c * h, c * h * h / 2.0, 0.0, 0.0],
-        [c, 0.0, 0.0, 0.0, 0.0],
+    ch2, h3 = c * h * h / 2.0, h ** 3
+    zero = 0.0 * h
+    W = np.array([
+        [zero + 1.0, h, h * h / 2.0, h3 / 6.0, h ** 4 / 24.0],
+        [c, c * h, ch2, c * h3 / 4.0, zero],
+        [4.0 * c, 2.0 * c * h, ch2, zero, zero],
+        [c, zero, zero, zero, zero],
     ])
+    return W if W.ndim == 2 else W.transpose(2, 0, 1)
 
 
 class _Runner:
@@ -266,7 +278,7 @@ class _Runner:
 
     def _margin(self, x1: np.ndarray, i: int) -> float:
         E, f = self.rows[i]
-        return float(np.min(E @ x1 - f))
+        return float((E @ x1 - f).min())
 
     def label(self, x1: np.ndarray, i: int) -> tuple[int, int]:
         """``(i, js[i])``, once ``x1`` is checked to lie in the region of
@@ -280,10 +292,12 @@ class _Runner:
 
     # -- integration --------------------------------------------------------
 
-    def stages(self, t, h: float) -> np.ndarray:
+    def stages(self, t, h) -> np.ndarray:
         """Disturbance scale at ``t``, ``t + h/2`` and ``t + h`` (the RK4
-        stage times); ``t`` may be an array of step starts."""
-        times = np.asarray(t, dtype=float)[..., None] + np.array([0.0, 0.5 * h, h])
+        stage times); ``t`` may be an array of step starts, or ``h`` an
+        array of widths from one start."""
+        times = (np.asarray(t, dtype=float)[..., None]
+                 + np.asarray(h, dtype=float)[..., None] * np.array([0.0, 0.5, 1.0]))
         return self.dist_offset + self.dist_amplitude * np.sin(times)
 
     def maps(self, i: int) -> tuple:
@@ -301,11 +315,19 @@ class _Runner:
                              np.tensordot(w[1:].sum(axis=0), ZkB, 1), w[1:] @ Zkm)
         return self._maps[i]
 
-    def sub_step(self, basis: np.ndarray, t: float, tau: float) -> np.ndarray:
-        """RK4 step of width ``tau`` from ``z`` at ``t``, given the stacked
-        ``Z^k z``, ``Z^k BU u2bar`` and ``Z^k mask`` of the mode as ``basis``."""
+    def coefficients(self, t: float, tau) -> np.ndarray:
+        """Weights on the rows of a sub-step ``basis`` (the stacked ``Z^k z``,
+        ``Z^k BU u2bar`` and ``Z^k mask`` of the mode) for an RK4 step of
+        width ``tau`` from ``t``; one row per width when ``tau`` is an array."""
         w = rk4_weights(tau)
-        return np.concatenate([w[0], w[1:].sum(axis=0), self.stages(t, tau) @ w[1:]]) @ basis
+        drive = (self.stages(t, tau)[..., None, :] @ w[..., 1:, :])[..., 0, :]
+        return np.concatenate([w[..., 0, :], w[..., 1, :] + w[..., 2, :] + w[..., 3, :], drive],
+                              axis=-1)
+
+    def sub_step(self, basis: np.ndarray, t: float, tau: float) -> np.ndarray:
+        """RK4 step of width ``tau`` from ``z`` at ``t``, given the mode's
+        sub-step ``basis`` (see ``coefficients``)."""
+        return self.coefficients(t, tau) @ basis
 
     def propagate(self, zs: np.ndarray, k: int, stop: int, i: int,
                   u2bar: np.ndarray, stages: np.ndarray) -> int:
@@ -324,10 +346,53 @@ class _Runner:
               & (np.min(block[:, : self.n] @ E.T - f, axis=1) >= -MEMBERSHIP_SLACK))
         return len(ok) if ok.all() else int(np.argmin(ok))
 
+    def bisect(self, basis: np.ndarray, t: float, width: float, i: int) -> tuple[float, float]:
+        """Bracket ``(lo, hi)``, as fractions of ``width``, of where a
+        sub-step from ``t`` leaves mode ``i``: inside at ``lo`` (or ``lo =
+        0``), outside at ``hi``.
+
+        Plain bisection on the fraction, ``BISECTION_CAP`` levels at most
+        and none once the bracket is within ``CROSSING_BRACKET``.  The
+        ``2**L - 1`` dyadic points of the next ``L <= _LEVELS`` levels are
+        stepped to and tested in one batched evaluation, with the cell rows
+        projected onto ``basis`` once; the bisection walk then reads its
+        decisions from them.  Those points are exactly the midpoints the
+        walk can visit, so the bracket is the one scalar bisection finds.
+        """
+        E, f = self.rows[i]
+        proj = basis[:, : self.n] @ E.T
+        depth = 0
+        while depth < BISECTION_CAP and 0.5 ** depth * width > CROSSING_BRACKET:
+            depth += 1
+        lo, hi = 0.0, 1.0
+        while depth > 0:
+            levels = min(depth, _LEVELS)
+            count = 1 << levels
+            # lo, hi and the grid are dyadic with at most BISECTION_CAP bits,
+            # so the grid holds exactly the scalar walk's midpoints
+            grid = lo + (hi - lo) * np.arange(count + 1) / count
+            margins = (self.coefficients(t, grid[1:-1] * width) @ proj - f).min(axis=1)
+            inside = (margins >= -MEMBERSHIP_SLACK).tolist()
+            a, b = 0, count
+            for _ in range(levels):
+                mid = (a + b) // 2
+                if inside[mid - 1]:
+                    a = mid
+                else:
+                    b = mid
+            lo, hi = float(grid[a]), float(grid[b])
+            depth -= levels
+        return lo, hi
+
     def advance(self, z: np.ndarray, t: float, h: float, i: int,
                 u2val: np.ndarray, events: list) -> tuple[np.ndarray, int]:
         """Advance exactly ``h`` with the reference value frozen at the step
-        start, splitting the step at every detected cell-boundary crossing."""
+        start, splitting the step at every detected cell-boundary crossing.
+
+        A sub-step that ends outside the mode is bracketed by ``bisect``'s
+        batched dyadic localization; the state is committed at the bracket's
+        outer end, computed (like the event's margins) by the scalar
+        sub-step, and the mode is relocated with hysteresis from there."""
         remaining = h
         for _ in range(_SWITCH_CAP):
             if remaining <= 1e-15:
@@ -339,25 +404,14 @@ class _Runner:
                 raise NonFiniteStateError(f"non-finite state near t={t}")
             if self._margin(trial[: self.n], i) >= -MEMBERSHIP_SLACK:
                 return trial, i
-            # bisect the exit point of the mode's membership along the step
-            lo, hi = 0.0, 1.0
-            m_lo = self._margin(z[: self.n], i)
-            m_hi = self._margin(trial[: self.n], i)
-            z_hi = trial
-            for _ in range(BISECTION_CAP):
-                if (hi - lo) * remaining <= CROSSING_BRACKET:
-                    break
-                mid = 0.5 * (lo + hi)
-                z_mid = self.sub_step(basis, t, mid * remaining)
-                m_mid = self._margin(z_mid[: self.n], i)
-                if m_mid >= -MEMBERSHIP_SLACK:
-                    lo, m_lo = mid, m_mid
-                else:
-                    hi, m_hi, z_hi = mid, m_mid, z_mid
+            lo, hi = self.bisect(basis, t, remaining, i)
+            z_lo = z if lo == 0.0 else self.sub_step(basis, t, lo * remaining)
+            z = trial if hi == 1.0 else self.sub_step(basis, t, hi * remaining)
             committed = hi * remaining
-            z = z_hi
             old = (i, self.js[i])
             x1 = z[: self.n]
+            margin_inside = self._margin(z_lo[: self.n], i)
+            margin_outside = self._margin(x1, i)
             try:
                 i = locate_mode(self.part, x1, previous=i)
             except NoCellError as exc:
@@ -365,8 +419,8 @@ class _Runner:
             events.append(CrossingEvent(
                 t_inside=t + lo * remaining,
                 t_outside=t + committed,
-                margin_inside=m_lo,
-                margin_outside=m_hi,
+                margin_inside=margin_inside,
+                margin_outside=margin_outside,
                 old_label=old,
                 new_label=self.label(x1, i),
             ))
@@ -440,12 +494,14 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i, mode_j,
     V = np.empty(n_samples)
     slope_cols = np.empty((n_samples, 4))  # gamma1, gamma2, gamma3, sqrt_m
 
-    for idx in np.unique(mode_i):
-        # lazy certificate check: only modes the trajectory visited
-        if not verify_lmi(cert, joint, idx).feasible:
+    # lazy certificate check: only modes the trajectory visited
+    visited = np.unique(mode_i)
+    for idx, report in zip(visited, verify_all(cert, joint, visited)):
+        if not report.feasible:
             raise UncertifiedModeError(
                 f"certificate infeasible for visited mode {joint.modes[idx].label}"
             )
+    for idx, slopes in zip(visited, gain_slopes_all(cert, joint, visited)):
         rows = np.nonzero(mode_i == idx)[0]
         mode = s.system.modes[idx]
         P = s.relation.P[idx]
@@ -457,7 +513,7 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i, mode_j,
                     + xt @ s.interface.K[idx].T)
         err[rows] = np.linalg.norm(x1[rows] @ mode.C.T - x2[rows] @ H.T, axis=1)
         V[rows] = sim_fn_values(cert, idx, np.hstack([xt, x2[rows]]), joint.modes[idx].kind)
-        slope_cols[rows] = gain_slopes(cert, joint, idx)
+        slope_cols[rows] = slopes
 
     x2_running = np.maximum.accumulate(np.max(np.abs(x2), axis=1))
     b = (slope_cols[:, 0] * u2_sup + slope_cols[:, 1] * c_sup

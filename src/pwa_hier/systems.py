@@ -75,7 +75,7 @@ class PwaMode:
         if C.shape[1] != n:
             raise DimensionMismatchError(f"C has {C.shape[1]} columns, expected {n}")
         if not self.c_bound >= 0.0:
-            raise ValueError(f"c_bound must be nonnegative, got {self.c_bound}")
+            raise ModelError(f"c_bound must be nonnegative, got {self.c_bound}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
@@ -274,7 +274,7 @@ class DisturbanceSignal:
 
     def __post_init__(self):
         if self.kind not in (ZERO, CONSTANT, SINUSOID):
-            raise ValueError(f"unknown disturbance kind {self.kind!r}")
+            raise ModelError(f"unknown disturbance kind {self.kind!r}")
         object.__setattr__(self, "mask", as_vector(self.mask, "mask"))
         object.__setattr__(self, "offset", float(self.offset))
         object.__setattr__(self, "amplitude", float(self.amplitude))

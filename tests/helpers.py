@@ -1,8 +1,24 @@
-"""Shared randomized-geometry helpers for containment tests."""
+"""Shared randomized-geometry helpers: containment instances and a
+switch-dense cone fan."""
+
+import math
 
 import numpy as np
 
+from pwa_hier import (
+    DisturbanceSignal,
+    LinearAbstraction,
+    Partition,
+    PwaMode,
+    PwaSystem,
+    Scenario,
+    assemble_joint,
+    build_interface,
+    reference_schedule,
+    synthesize_certificate,
+)
 from pwa_hier.polytope import Polyhedron, vertices_2d
+from pwa_hier.relation import solve_system_relation
 
 
 def random_polygon(rng, radius=None) -> Polyhedron:
@@ -61,3 +77,61 @@ def grid_oracle(Z: Polyhedron, P, yhat, X: Polyhedron, samples: int = 100) -> bo
             if Z.contains(z, slack=0.0) and not X.contains(P @ z + yhat):
                 return False
     return True
+
+
+def fan_scenario(cones: int = 32, seed: int = 0, t_end: float = 0.5,
+                 h: float = 1e-3) -> Scenario:
+    """Double-integrator robot on a fan of ``cones`` cones of random width
+    around the origin of its position plane, tracked through a
+    single-integrator abstraction whose reference circles the shared
+    vertex: the position sweeps through about 80 cones per second, so a
+    boundary is crossed every dozen steps or so."""
+    rng = np.random.default_rng(seed)
+    I2, Z2 = np.eye(2), np.zeros((2, 2))
+    widths = rng.uniform(0.8, 1.2, cones)
+    theta = rng.uniform(0.0, 2.0 * math.pi) + np.concatenate(
+        [[0.0], np.cumsum(widths * 2.0 * math.pi / widths.sum())])
+
+    def ray_normal(angle):  # a x >= 0 counter-clockwise of the ray at angle
+        return np.array([-math.sin(angle), math.cos(angle)])
+
+    cells = tuple(
+        Polyhedron(np.hstack([np.vstack([ray_normal(lo), -ray_normal(hi)]), Z2]),
+                   np.zeros(2))
+        for lo, hi in zip(theta[:-1], theta[1:])
+    )
+    A = np.block([[Z2, I2], [Z2, Z2]])
+    B = np.vstack([Z2, I2])
+    C = np.hstack([I2, Z2])
+    system = PwaSystem(tuple(PwaMode(A, B, C, 0.15) for _ in range(cones)),
+                       Partition(cells))
+    gains = [-np.hstack([rng.uniform(400.0, 900.0) * I2, rng.uniform(40.0, 60.0) * I2])
+             for _ in range(cones)]
+    rate = rng.uniform(4.0, 8.0)
+    abstraction = LinearAbstraction(F=Z2, G=I2, H=I2, L=-rate * I2)
+    relation = solve_system_relation(system, abstraction)
+    interface = build_interface(system, abstraction, relation, gains)
+    joint = assemble_joint(system, abstraction, relation, interface)
+    certificate = synthesize_certificate(joint, kappa=8.0)
+
+    omega = 2.0 * math.pi * 80.0 / cones
+    radius = rng.uniform(1.0, 2.0)
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    # the abstraction lags its input by atan(omega / rate); lead by as much
+    # so that x2 starts on its steady circle at angle ``phase``
+    lead = phase + math.atan2(omega, rate)
+    gain = radius * math.hypot(rate, omega)
+    dt = 0.01
+    schedule = reference_schedule([
+        (k * dt, gain * np.array([math.cos(lead + omega * k * dt),
+                                  math.sin(lead + omega * k * dt)]))
+        for k in range(int(round(t_end / dt)))
+    ])
+    start = radius * np.array([math.cos(phase), math.sin(phase)])
+    velocity = radius * omega * np.array([-math.sin(phase), math.cos(phase)])
+    return Scenario(
+        system, abstraction, relation, interface, certificate, schedule,
+        DisturbanceSignal.sinusoid(-0.1, 0.05, 4),
+        x1_0=np.concatenate([start, velocity]), x2_0=start,
+        t_end=t_end, h=h, joint=joint,
+    )

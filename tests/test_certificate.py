@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from pwa_hier.certificate import (
+    LMI_TOL,
     Certificate,
     ModeCertificate,
     gain_slopes,
+    gain_slopes_all,
     lmi_margins,
     sim_fn_derivative,
     sim_fn_value,
@@ -274,6 +276,128 @@ class TestGains:
         scen = dataclasses.replace(case1.scenario, certificate=bad, t_end=0.01)
         with pytest.raises(UncertifiedModeError):
             run_scenario(scen)
+
+
+def _mixed_joint(rng, kinds, d=4, n=2, m=2, p=2, lam=0.3):
+    """Joint system whose modes have conic or affine cells as ``kinds``
+    says, with random Hurwitz drift.  The certificate is feasible by
+    construction on even modes (decay-equation ``M`` scaled over ``C^T C``,
+    no affine drift offset) and random, with relaxation weights, on odd
+    ones."""
+    modes, entries = [], []
+    I = np.eye(d)
+    for k, kind in enumerate(kinds):
+        skew = rng.normal(size=(d, d))
+        A = -np.diag(rng.uniform(0.5, 3.0, d)) + 0.5 * (skew - skew.T)
+        E = rng.normal(size=(2, d))
+        cell = Polyhedron(E, np.zeros(2) if kind == CONIC else rng.normal(size=2))
+        B1, B2 = rng.normal(size=(d, m)), rng.normal(size=(d, p))
+        C = 0.3 * rng.normal(size=(n, d))
+        Abar = np.zeros((d + 1, d + 1))
+        Abar[:d, :d] = A
+        Cbar = np.hstack([C, np.zeros((n, 1))])
+        if k % 2 == 0:
+            vec = np.linalg.solve(np.kron(I, A.T) + np.kron(A.T, I) + lam * np.eye(d * d),
+                                  -I.reshape(-1))
+            M = vec.reshape(d, d)
+            M = 0.5 * (M + M.T)
+            M *= 1.0 + 2.0 * np.linalg.eigvalsh(C.T @ C)[-1] / np.linalg.eigvalsh(M)[0]
+            weights = {}
+        else:
+            Abar[:d, d] = rng.normal(size=d)
+            Cbar[:, d] = rng.normal(size=n)
+            root = rng.normal(size=(d, d))
+            M = root @ root.T + 0.2 * I
+            weights = {"U": np.full((2, 2), 0.01), "W": np.full((2, 2), 0.02)}
+        modes.append(JointMode(
+            label=(k,), kind=kind, Aprime=A, B1prime=B1, B2prime=B2, Cprime=C,
+            cell=cell, bounding=cell_bounding(cell), Abar=Abar,
+            B1bar=np.vstack([B1, np.zeros((1, m))]),
+            B2bar=np.vstack([B2, np.zeros((1, p))]), Cbar=Cbar,
+        ))
+        m_scalar = None if kind == CONIC else float(rng.uniform(0.5, 2.0))
+        entries.append(ModeCertificate(M, m_scalar=m_scalar, **weights))
+    return Certificate(2.0, lam, tuple(entries)), JointSystem(tuple(modes), n=n, m=m)
+
+
+def _reference_margins(cert, joint, idx):
+    """The per-mode margin formulas, one full eigendecomposition each."""
+    entry, jm = cert.entries[idx], joint.modes[idx]
+    if jm.kind == CONIC:
+        M, A, C, E, affine = entry.M, jm.Aprime, jm.Cprime, jm.cell.E, False
+    else:
+        M, A, C, E, affine = entry.extended(), jm.Abar, jm.Cbar, jm.bounding.Ebar, True
+    zero = np.zeros((E.shape[0], E.shape[0]))
+    U = zero if entry.U is None else entry.U
+    W = zero if entry.W is None else entry.W
+    weights = np.full(M.shape[0], cert.lam)
+    if affine:
+        weights[-1] = 0.0
+    S3 = A.T @ M + M @ A + E.T @ W @ E + weights[:, None] * M
+
+    def eig(S):
+        return np.linalg.eigh(0.5 * (S + S.T))[0]
+
+    return eig(M - C.T @ C)[0], eig(M - E.T @ U @ E)[0], eig(S3)[-1]
+
+
+def _reference_slopes(cert, joint, idx):
+    """``2 sqrt(lambda_max(X^T M X)) / lambda`` per block, then sqrt(m)."""
+    entry, jm = cert.entries[idx], joint.modes[idx]
+    if jm.kind == CONIC:
+        M, B1, B2, tail = entry.M, jm.B1prime, jm.B2prime, 0.0
+    else:
+        M, B1, B2, tail = entry.extended(), jm.B1bar, jm.B2bar, np.sqrt(entry.m_scalar)
+    out = []
+    for X in (B2, np.eye(len(M)), B1):
+        S = X.T @ M @ X
+        out.append(2.0 * np.sqrt(max(np.linalg.eigvalsh(0.5 * (S + S.T))[-1], 0.0)) / cert.lam)
+    return out + [tail]
+
+
+class TestStackedChecks:
+    KINDS = (CONIC, AFFINE, AFFINE, CONIC, AFFINE, CONIC, CONIC, AFFINE)
+
+    def test_margins_match_per_mode_formulas(self):
+        """One stacked eigenvalue call per matrix size (d and d+1 here)
+        gives the per-mode margins within 1e-12 and the same feasibility."""
+        cert, joint = _mixed_joint(np.random.default_rng(5), self.KINDS)
+        reports = verify_all(cert, joint)
+        feasible = []
+        for idx, report in enumerate(reports):
+            want = _reference_margins(cert, joint, idx)
+            np.testing.assert_allclose(report.margins, want, rtol=0.0, atol=1e-12)
+            m1, m2, m3 = want
+            assert report.feasible == (m1 >= -LMI_TOL and m2 >= LMI_TOL and m3 <= LMI_TOL)
+            feasible.append(report.feasible)
+        assert feasible == [k % 2 == 0 for k in range(len(self.KINDS))]
+
+    def test_subset_in_order_and_one_mode_views(self):
+        cert, joint = _mixed_joint(np.random.default_rng(6), self.KINDS)
+        full = verify_all(cert, joint)
+        idxs = [5, 1, 2, 7]
+        assert verify_all(cert, joint, idxs) == tuple(full[i] for i in idxs)
+        for idx in range(len(self.KINDS)):
+            assert verify_lmi(cert, joint, idx) == full[idx]
+
+    def test_slopes_match_per_mode_formulas(self):
+        cert, joint = _mixed_joint(np.random.default_rng(8), self.KINDS)
+        slopes = gain_slopes_all(cert, joint)
+        assert slopes.shape == (len(self.KINDS), 4)
+        for idx in range(len(self.KINDS)):
+            np.testing.assert_allclose(slopes[idx], _reference_slopes(cert, joint, idx),
+                                       rtol=1e-12, atol=0.0)
+            assert gain_slopes(cert, joint, idx) == tuple(slopes[idx])
+        np.testing.assert_array_equal(gain_slopes_all(cert, joint, [3, 0]), slopes[[3, 0]])
+
+    @pytest.mark.parametrize("which", ["case1", "case2"])
+    def test_shipped_margins_and_feasibility(self, which, case1, case2):
+        bundle = {"case1": case1, "case2": case2}[which]
+        cert, joint = bundle.certificate, bundle.joint
+        for idx, report in enumerate(verify_all(cert, joint)):
+            np.testing.assert_allclose(report.margins, _reference_margins(cert, joint, idx),
+                                       rtol=0.0, atol=1e-12)
+            assert report.feasible
 
 
 class TestErrorBound:

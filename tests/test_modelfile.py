@@ -149,6 +149,22 @@ class TestValidation:
         pipe = load_pipeline(builtin_model_path("case1"))
         assert all(r <= 1e-12 for r in pipe.relation.residuals)
 
+    @pytest.mark.parametrize("value, message", [
+        ([1], "certificate.lambda: expected a number, not a list"),
+        ("abc", "certificate.lambda: expected a number"),
+        (None, "certificate.kappa: must be a finite number"),
+    ])
+    def test_scalar_messages(self, tmp_path, case1_doc, value, message):
+        """A scalar field reads as a scalar error, not as a vector one."""
+        doc = json.loads(json.dumps(case1_doc))
+        key = "kappa" if value is None else "lambda"
+        doc["certificate"][key] = value
+        p = tmp_path / "bad.model"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match=message) as info:
+            load_model(p)
+        assert "vector" not in str(info.value) and "flat list" not in str(info.value)
+
     def test_declared_pairing_mismatch(self, tmp_path):
         doc = json.loads(builtin_model_path("case2").read_text())
         doc["pairing"] = [1, 1, 1, 3, 3]

@@ -22,7 +22,7 @@ from pwa_hier.polytope import (
     vertices_2d,
 )
 
-from helpers import containment_instance, grid_oracle, random_polygon
+from helpers import containment_instance, fan_scenario, grid_oracle, random_polygon
 
 UNIT_SQUARE = Polyhedron(
     np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
@@ -85,6 +85,67 @@ class TestLocateMode:
                     assert got == prev
                 else:
                     assert got == first
+
+
+def loop_locate(part, x, previous=None):
+    """Per-cell ``contains`` loop with the documented hysteresis and
+    lowest-index rule; None where no cell qualifies."""
+    if previous is not None and 0 <= previous < len(part.cells):
+        if part.cells[previous].contains(x):
+            return previous
+    for idx, cell in enumerate(part.cells):
+        if cell.contains(x):
+            return idx
+    return None
+
+
+def _facet_points(part, rng, count):
+    """Points on the boundary hyperplane of random cell rows (random
+    component along the row's null space)."""
+    pts = []
+    for _ in range(count):
+        cell = part.cells[rng.integers(len(part.cells))]
+        r = rng.integers(cell.E.shape[0])
+        a, b = cell.E[r], cell.f[r]
+        if not np.any(a):
+            continue
+        x = rng.normal(scale=2.0, size=part.dim)
+        pts.append(x - (a @ x - b) / (a @ a) * a)
+    return pts
+
+
+class TestStackedLocate:
+    @pytest.mark.parametrize("which", ["case1", "case2", "fan"])
+    def test_matches_per_cell_loop(self, which, case1, case2):
+        """The stacked lookup agrees with the per-cell loop, with and
+        without ``previous``, on random points and on facet points, and
+        raises NoCellError exactly where the loop finds no cell."""
+        part = {"case1": lambda: case1.system.partition,
+                "case2": lambda: case2.system.partition,
+                "fan": lambda: fan_scenario(32, seed=3, t_end=0.05).system.partition}[which]()
+        rng = np.random.default_rng(7)
+        points = [rng.normal(scale=2.0, size=part.dim) for _ in range(150)]
+        points += _facet_points(part, rng, 150)
+        points.append(np.zeros(part.dim))  # on every facet of a fan or cone
+        missed = 0
+        for x in points:
+            for prev in (None, -1, len(part.cells), *range(len(part.cells))):
+                want = loop_locate(part, x, prev)
+                if want is None:
+                    missed += 1
+                    with pytest.raises(NoCellError):
+                        locate_mode(part, x, previous=prev)
+                else:
+                    assert locate_mode(part, x, previous=prev) == want
+        if which == "case1":
+            assert missed > 0  # the road leaves a gap cone
+
+    def test_stacked_rows(self, case2):
+        part = case2.system.partition
+        assert part.E.shape[0] == sum(c.E.shape[0] for c in part.cells)
+        for cell, start in zip(part.cells, part.starts):
+            np.testing.assert_array_equal(part.E[start: start + len(cell.f)], cell.E)
+            np.testing.assert_array_equal(part.f[start: start + len(cell.f)], cell.f)
 
 
 class TestJointPartitionLinear:

@@ -27,13 +27,18 @@ from pwa_hier.errors import (
     EmptyScheduleError,
     EmptyTrajectoryError,
     NoCellError,
+    NonFiniteInputError,
     NonFiniteStateError,
     NonMonotoneTimesError,
 )
-from pwa_hier.polytope import locate_mode
+from pwa_hier import simulator
+from pwa_hier.polytope import MEMBERSHIP_SLACK, locate_mode
 from pwa_hier.relation import assemble_joint, solve_system_relation
-from pwa_hier.simulator import _BLOCK, CHAIN_TOL, _Runner
+from pwa_hier.simulator import (_BLOCK, _LEVELS, CHAIN_TOL, CROSSING_BRACKET, _Runner,
+                                 rk4_weights)
 from pwa_hier.systems import paired_modes
+
+from helpers import fan_scenario
 
 I2 = np.eye(2)
 
@@ -51,6 +56,11 @@ class TestStepRk4:
     def test_constant_field_exact(self):
         out = step_rk4(lambda x, t: np.ones(1), np.array([0.0]), 0.0, 0.25)
         assert out[0] == pytest.approx(0.25, abs=1e-15)
+
+    @pytest.mark.parametrize("h", [0.0, -0.1, np.nan])
+    def test_non_positive_width_rejected(self, h):
+        with pytest.raises(EmptyTrajectoryError):
+            step_rk4(lambda x, t: -x, np.array([1.0]), 0.0, h)
 
     def test_order_four_convergence(self, case1):
         """Halving the step shrinks the terminal error by 8x..32x on a
@@ -196,6 +206,15 @@ class TestRunScenario:
                      scen.disturbance, x1_0=scen.x1_0, x2_0=scen.x2_0,
                      t_end=0.0, h=1e-3, joint=scen.joint)
 
+    @pytest.mark.parametrize("field", ["x1_0", "x2_0"])
+    def test_non_finite_initial_state_rejected(self, field, case1):
+        """A library caller's NaN start is a package error, not a bare
+        ValueError."""
+        start = np.array(getattr(case1.scenario, field), dtype=float)
+        start[0] = np.nan
+        with pytest.raises(NonFiniteInputError, match=field):
+            dataclasses.replace(case1.scenario, **{field: start})
+
     def test_region_pairing_mismatch_rejected(self, case2):
         """Regions rearranged against the dynamics-derived pairing put the
         initial state in an uncertified pair."""
@@ -324,6 +343,19 @@ class TestPropagator:
             want = step_rk4(field, z, t, tau)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    def test_batched_coefficients_match_scalar(self, case1):
+        """RK4 weights and sub-step coefficients for an array of widths
+        equal the one-width results row by row (up to rounding)."""
+        runner = _Runner(case1.scenario)
+        taus = np.array([1e-3, 3.7e-4, 2.5e-7, 1.0])
+        got_w = rk4_weights(taus)
+        got_c = runner.coefficients(1.3, taus)
+        assert got_w.shape == (4, 4, 5) and got_c.shape == (4, 15)
+        for k, tau in enumerate(taus):
+            np.testing.assert_allclose(got_w[k], rk4_weights(float(tau)), rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(got_c[k], runner.coefficients(1.3, float(tau)),
+                                       rtol=1e-15, atol=0.0)
+
     @pytest.mark.parametrize("row", [0, _BLOCK - 1])
     @pytest.mark.parametrize("which", ["case1", "case2"])
     def test_first_crossing_at_block_edge(self, which, row, case1, case2):
@@ -381,6 +413,74 @@ class TestPropagator:
         assert 0 < diverged_at % _BLOCK < _BLOCK - 1
         with pytest.raises(NonFiniteStateError):
             run_scenario(bad)
+
+
+def scalar_bisect(runner, basis, t, width, i):
+    """Plain bisection of the exit point, one scalar sub-step and margin
+    per level: the reference the batched localization must reproduce."""
+    lo, hi = 0.0, 1.0
+    for _ in range(simulator.BISECTION_CAP):
+        if (hi - lo) * width <= CROSSING_BRACKET:
+            break
+        mid = 0.5 * (lo + hi)
+        z_mid = runner.sub_step(basis, t, mid * width)
+        if runner._margin(z_mid[: runner.n], i) >= -MEMBERSHIP_SLACK:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@pytest.fixture(scope="module")
+def fans():
+    """Two cone fans (32 and 48 cones) whose reference circles the vertex."""
+    return [fan_scenario(32, seed=0), fan_scenario(48, seed=1)]
+
+
+class TestBatchedBisection:
+    def test_fan_crosses_often(self, fans):
+        for scen in fans:
+            traj = run_scenario(scen)
+            assert len(traj.crossings) >= 25
+            assert len(np.unique(traj.mode_i)) >= 25
+
+    def test_run_matches_scalar_bisection(self, fans, monkeypatch):
+        """States, modes and every crossing event equal those of a run whose
+        crossings are localized by plain scalar bisection."""
+        batched = [run_scenario(scen) for scen in fans]
+        monkeypatch.setattr(_Runner, "bisect", scalar_bisect)
+        for scen, got in zip(fans, batched):
+            want = run_scenario(scen)
+            np.testing.assert_array_equal(got.x1, want.x1)
+            np.testing.assert_array_equal(got.x2, want.x2)
+            np.testing.assert_array_equal(got.mode_i, want.mode_i)
+            assert got.crossings == want.crossings
+            for ev in got.crossings:
+                assert ev.width <= CROSSING_BRACKET
+                assert ev.margin_inside >= -MEMBERSHIP_SLACK
+                assert ev.margin_outside < -MEMBERSHIP_SLACK
+
+    @pytest.mark.parametrize("cap", [simulator.BISECTION_CAP, _LEVELS + 3])
+    def test_bracket_matches_scalar_bisection(self, fans, cap, monkeypatch):
+        """From the step start before each crossing, the batched bracket is
+        the scalar one for widths needing more levels than one batch holds,
+        fewer than one batch, or more than the level cap allows."""
+        monkeypatch.setattr(simulator, "BISECTION_CAP", cap)
+        scen = fans[0]
+        traj = run_scenario(scen)
+        runner = _Runner(scen)
+        z = np.hstack([traj.x1, traj.x2])
+        for ev in traj.crossings:
+            k = int(np.searchsorted(traj.t, ev.t_inside, side="right")) - 1
+            i = int(traj.mode_i[k])
+            Zk, ZkB, Zkm = runner.maps(i)[:3]
+            basis = np.concatenate([Zk @ z[k], ZkB @ traj.u2bar[k], Zkm])
+            for width in (scen.h, 0.37 * scen.h, 5e-10):
+                t = float(traj.t[k])
+                got = runner.bisect(basis, t, width, i)
+                assert got == scalar_bisect(runner, basis, t, width, i)
+                assert got[1] - got[0] == 0.5 ** min(
+                    cap, max(0, int(np.ceil(np.log2(width / CROSSING_BRACKET)))))
 
 
 class TestNonzeroFeedforward:

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from pwa_hier.errors import DimensionMismatchError, NotHurwitzError
+from pwa_hier.errors import (
+    DimensionMismatchError,
+    ModelError,
+    NonFiniteInputError,
+    NotHurwitzError,
+    PwaHierError,
+)
+from pwa_hier.linalg import as_matrix, as_vector
 from pwa_hier.systems import (
     DisturbanceSignal,
     LinearAbstraction,
@@ -85,6 +92,27 @@ class TestModelValidation:
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             PwaMode(A=-I2, B=I2, C=I2, c_bound=-0.1)
+
+    def test_negative_bound_is_package_error(self):
+        with pytest.raises(ModelError, match="c_bound"):
+            PwaMode(A=-I2, B=I2, C=I2, c_bound=-0.1)
+
+    def test_unknown_disturbance_kind_is_package_error(self):
+        with pytest.raises(ModelError, match="bogus"):
+            DisturbanceSignal("bogus", np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_entries(self, bad):
+        """Non-finite entries raise a package error that is still a
+        ValueError, for matrices and vectors alike."""
+        with pytest.raises(NonFiniteInputError, match="A has non-finite"):
+            PwaMode(A=[[-1.0, bad], [0.0, -1.0]], B=I2, C=I2)
+        with pytest.raises(NonFiniteInputError):
+            as_matrix([[bad]], "M")
+        with pytest.raises(NonFiniteInputError):
+            as_vector([0.0, bad], "v")
+        assert issubclass(NonFiniteInputError, PwaHierError)
+        assert issubclass(NonFiniteInputError, ValueError)
 
     def test_abstraction_requires_stabilizing_L(self):
         with pytest.raises(NotHurwitzError):
