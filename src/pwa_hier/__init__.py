@@ -13,11 +13,6 @@ from .certificate import (
     verify_all,
     verify_lmi,
 )
-from .linalg import (
-    SymEigen,
-    spectral_norm,
-    sym_eigen,
-)
 from .polytope import (
     AFFINE,
     CONIC,

@@ -23,9 +23,10 @@ from .errors import (
     DimensionMismatchError,
     InfeasibleCertificateError,
     NegativeQuadFormError,
+    NotSymmetricError,
     SynthesisFailedError,
 )
-from .linalg import as_matrix, as_vector, sym_eigen
+from .linalg import as_matrix, as_vector
 from .polytope import AFFINE, CONIC, ContinuityMatrix
 from .relation import JointMode, JointSystem
 from .systems import hurwitz_margin
@@ -40,6 +41,9 @@ SYNTH_EPSILON = 1e-6
 LAMBDA_GRID_POINTS = 16
 
 _FACTORIZATION_TOL = 1e-8
+
+#: Relative asymmetry tolerated in a supplied ``M`` before it is rejected.
+SYMMETRY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,13 @@ class ModeCertificate:
         M = as_matrix(self.M, "M")
         if M.shape[0] != M.shape[1]:
             raise DimensionMismatchError(f"M must be square, got {M.shape}")
-        if float(sym_eigen(M).eigenvalues[0]) < 1e-10:
+        scale = max(1.0, float(np.linalg.norm(M)))
+        asym = float(np.linalg.norm(M - M.T))
+        if asym > SYMMETRY_RTOL * scale:
+            raise NotSymmetricError(
+                f"M: relative asymmetry {asym / scale:.3e} exceeds {SYMMETRY_RTOL:.0e}"
+            )
+        if float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]) < 1e-10:
             raise InfeasibleCertificateError(
                 "M must be positive definite (smallest eigenvalue >= 1e-10)"
             )
@@ -240,7 +250,7 @@ def _solve_decay_equation(A: np.ndarray, lam: float) -> Optional[np.ndarray]:
         sol = np.linalg.solve(coeff, rhs)
     except np.linalg.LinAlgError:
         return None
-    if np.linalg.norm(coeff @ sol - rhs) > 1e-6 * SYNTH_EPSILON * np.sqrt(d):
+    if not np.linalg.norm(coeff @ sol - rhs) <= 1e-6 * SYNTH_EPSILON * np.sqrt(d):
         return None
     M = sol.reshape((d, d), order="F")
     return 0.5 * (M + M.T)
@@ -283,15 +293,16 @@ def synthesize_certificate(
             M = _solve_decay_equation(jm.Aprime, lam)
             if M is None:
                 break
-            eig = sym_eigen(M)
-            min_eig = float(eig.eigenvalues[0])
+            w, Qm = np.linalg.eigh(M)
+            min_eig = float(w[0])
             if min_eig <= 0.0:
                 break
-            # scale so M dominates C'^T C' (generalized top eigenvalue)
-            inv_sqrt = (eig.eigenvectors / np.sqrt(eig.eigenvalues)) @ eig.eigenvectors.T
+            # scale so M dominates C'^T C' (generalized top eigenvalue), from
+            # eigh: eigvalsh's can differ in the last bit and move alpha
+            inv_sqrt = (Qm / np.sqrt(w)) @ Qm.T
             CtC = jm.Cprime.T @ jm.Cprime
             ratio = inv_sqrt @ CtC @ inv_sqrt
-            alpha = max(1.0, float(sym_eigen(0.5 * (ratio + ratio.T)).eigenvalues[-1]))
+            alpha = max(1.0, float(np.linalg.eigh(0.5 * (ratio + ratio.T))[0][-1]))
             if alpha * min_eig < 1e-10:
                 break
             entries.append(ModeCertificate(

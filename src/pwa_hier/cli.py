@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -37,17 +35,8 @@ from .simulator import (
     run_scenario,
     verdict,
 )
-from .systems import paired_modes
 
 _SWEEP_PARAMS = ("disturbance-amplitude", "kappa", "step")
-
-
-def _setup_logging() -> None:
-    level = {"error": logging.ERROR, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(os.environ.get("PWA_HIER_LOG", "error"))
-    if level is None:
-        level = logging.ERROR
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
 @dataclasses.dataclass
@@ -114,26 +103,19 @@ def _print_report(report: RunReport) -> None:
         print(f"bound chain: {report.verdict}")
 
 
-def _plot_tables(pipe: Pipeline, traj: Trajectory, plot_dir: Path) -> tuple[dict, list]:
+def _plot_tables(traj: Trajectory, plot_dir: Path) -> tuple[dict, list]:
     """Output-path columns and the ``write_tables`` entries of the
     space-separated series under ``plot_dir``, one per plotted quantity."""
     plot_dir.mkdir(parents=True, exist_ok=True)
-    system = pipe.config.system
-    paired = paired_modes(pipe.config.abstraction, pipe.pairing, system.n_modes)
-    y1 = np.empty((len(traj), system.k))
-    y2 = np.empty((len(traj), system.k))
-    for idx in np.unique(traj.mode_i):
-        rows = traj.mode_i == idx
-        y1[rows] = traj.x1[rows] @ system.modes[idx].C.T
-        y2[rows] = traj.x2[rows] @ paired[idx].mode.H.T
-    columns = {f"{name}_{a}": col for name, y in (("y1", y1), ("y2", y2))
+    k = traj.y1.shape[1]
+    columns = {f"{name}_{a}": col for name, y in (("y1", traj.y1), ("y2", traj.y2))
                for a, col in enumerate(y.T)}
     series = {
         "err.dat": ("t", "err"),
         "sim_fn.dat": ("t", "kV"),
         "bound.dat": ("t", "delta"),
-        "path_concrete.dat": tuple(f"y1_{a}" for a in range(system.k)),
-        "path_abstraction.dat": tuple(f"y2_{a}" for a in range(system.k)),
+        "path_concrete.dat": tuple(f"y1_{a}" for a in range(k)),
+        "path_abstraction.dat": tuple(f"y2_{a}" for a in range(k)),
     }
     return columns, [(plot_dir / fname, names, " ", False)
                      for fname, names in series.items()]
@@ -175,7 +157,7 @@ def cmd_run(model_spec: str, out_dir: str, plot_data: bool = False,
     columns = {"kV": traj.kappa * traj.V}
     tables = [(bounds_path, ("t", "err", "kV", "delta"), ",", True)]
     if plot_data:
-        plot_columns, plot_tables = _plot_tables(pipe, traj, out / "plot")
+        plot_columns, plot_tables = _plot_tables(traj, out / "plot")
         columns.update(plot_columns)
         tables += plot_tables
     export_trajectory(traj, traj_path, columns=columns, files=tables)
@@ -264,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "check":

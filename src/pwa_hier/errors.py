@@ -21,20 +21,6 @@ class NonFiniteInputError(PwaHierError, ValueError):
     """An input array has NaN or infinite entries."""
 
 
-# -- linalg ----------------------------------------------------------------
-
-class NonSquareError(DimensionMismatchError):
-    """A square matrix was required."""
-
-
-class NotSymmetricError(PwaHierError, ValueError):
-    """Matrix is asymmetric beyond the accepted relative tolerance."""
-
-
-class NoConvergenceError(PwaHierError, RuntimeError):
-    """The eigensolver hit its iteration cap."""
-
-
 # -- polytope --------------------------------------------------------------
 
 class NoCellError(PwaHierError, LookupError):
@@ -74,6 +60,10 @@ class UncertifiedRelationError(PwaHierError, ValueError):
 
 
 # -- certificate -----------------------------------------------------------
+
+class NotSymmetricError(PwaHierError, ValueError):
+    """Matrix is asymmetric beyond the accepted relative tolerance."""
+
 
 class NegativeQuadFormError(PwaHierError, ValueError):
     """Quadratic form evaluated negative beyond numerical tolerance."""

@@ -11,7 +11,7 @@ matrix entry bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
@@ -96,7 +96,6 @@ class ModelConfig:
     disturbance: DisturbanceSignal
     waypoints: list
     reconstructed: bool
-    raw: dict = field(repr=False, default_factory=dict)
 
 
 @dataclass
@@ -105,11 +104,15 @@ class Pipeline:
 
     config: ModelConfig
     relation: RelationMaps
-    pairing: Optional[tuple[int, ...]]
     interface: Interface
     joint: JointSystem
     certificate: Certificate
     scenario: Scenario
+
+    @property
+    def pairing(self) -> Optional[tuple[int, ...]]:
+        """The relation's pairing (None for a linear abstraction)."""
+        return self.relation.pairing
 
 
 def _matrix(node, what: str) -> np.ndarray:
@@ -358,12 +361,13 @@ def _build_config(doc: dict) -> ModelConfig:
         disturbance=disturbance,
         waypoints=waypoints,
         reconstructed=bool(scen.get("reconstructed", False)),
-        raw=doc,
     )
 
 
-def _supplied_relation(config: ModelConfig, pairing) -> RelationMaps:
-    """Residual-check relation maps supplied by the file."""
+def _supplied_relation(config: ModelConfig, solved: Optional[RelationMaps]) -> RelationMaps:
+    """Residual-check relation maps supplied by the file, paired as the
+    ``solved`` relation is (None for a linear abstraction)."""
+    pairing = None if solved is None else solved.pairing
     paired = paired_modes(config.abstraction, pairing, config.system.n_modes)
     residuals = tuple(
         relation_residual(mode.A, mode.B, mode.C, pm.mode.F, pm.mode.H, P, Q)
@@ -378,7 +382,7 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
     """Solve relations, build the interface and joint system, obtain a
     certificate (synthesized unless the file supplies one), and assemble
     the scenario."""
-    pairing = None
+    relation = None
     if needs_pairing(config.abstraction):
         # the pairing comes from the solve even when the file supplies P/Q
         pairing, relation = solve_relation_pairing(
@@ -390,15 +394,13 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
                 f"the declared {tuple(j + 1 for j in config.declared_pairing)}"
             )
     if config.relation_P is not None:
-        relation = _supplied_relation(config, pairing)
-    elif pairing is None:
+        relation = _supplied_relation(config, relation)
+    elif relation is None:
         relation = solve_system_relation(config.system, config.abstraction)
 
-    interface = build_interface(
-        config.system, config.abstraction, relation, config.K,
-        R=config.R, pairing=pairing,
-    )
-    joint = assemble_joint(config.system, config.abstraction, relation, interface, pairing)
+    interface = build_interface(config.system, config.abstraction, relation, config.K,
+                                R=config.R)
+    joint = assemble_joint(config.system, config.abstraction, relation, interface)
 
     if config.cert_M is not None:
         m = config.cert_m if config.cert_m is not None else [config.m_scalar] * len(joint)
@@ -426,10 +428,10 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
         config.system, config.abstraction, relation, interface, certificate,
         reference_schedule(config.waypoints), config.disturbance,
         x1_0=config.x1_0, x2_0=config.x2_0, t_end=config.t_end, h=config.step,
-        pairing=pairing, joint=joint,
+        joint=joint,
     )
     return Pipeline(
-        config=config, relation=relation, pairing=pairing, interface=interface,
+        config=config, relation=relation, interface=interface,
         joint=joint, certificate=certificate, scenario=scenario,
     )
 
@@ -547,13 +549,3 @@ def certificate_to_jsonable(cert: Certificate, joint: JointSystem) -> dict:
                     for e in cert.entries]
     doc["feasible"] = [bool(r.feasible) for r in verify_all(cert, joint)]
     return doc
-
-
-def certificate_from_jsonable(doc: dict, joint: JointSystem) -> Certificate:
-    entries = []
-    for idx, jm in enumerate(joint.modes):
-        msc = None
-        if jm.kind == "affine":
-            msc = float(doc["m"][idx]) if "m" in doc else 1.0
-        entries.append(ModeCertificate(_matrix(doc["M"][idx], "M"), m_scalar=msc))
-    return Certificate(float(doc["kappa"]), float(doc["lambda"]), tuple(entries))

@@ -33,9 +33,10 @@ MEMBERSHIP_SLACK = 1e-9
 _DEGENERATE_ROW_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polyhedron:
-    """Region ``{x : E x >= f}``."""
+    """Region ``{x : E x >= f}``, compared and hashed by identity (array
+    fields have no single truth value for a generated ``__eq__``)."""
 
     E: np.ndarray
     f: np.ndarray

@@ -22,7 +22,7 @@ from .errors import (
     SingularBBtError,
     UncertifiedRelationError,
 )
-from .linalg import as_matrix, as_vector, spectral_norm
+from .linalg import as_matrix, as_vector
 from .polytope import (
     CellBounding,
     Polyhedron,
@@ -49,7 +49,7 @@ INJECTIVITY_TOL = 1e-8
 
 def relation_tolerance(A, H) -> float:
     """Certification threshold for a relation residual."""
-    return 1e-8 * (1.0 + spectral_norm(H) + spectral_norm(A))
+    return 1e-8 * (1.0 + np.linalg.norm(H, 2) + np.linalg.norm(A, 2))
 
 
 def _injective(P: np.ndarray) -> bool:
@@ -115,7 +115,9 @@ def solve_relation(A, B, C, F, H) -> tuple[np.ndarray, np.ndarray, float]:
 
 @dataclass(frozen=True)
 class RelationMaps:
-    """Per-mode relation solution; ``pairing`` is set for PWA abstractions."""
+    """Per-mode relation solution.  ``pairing[i]``, set for PWA abstractions
+    only, is the abstraction mode concrete mode i is related to; interface,
+    joint assembly and simulation all read the pairing from here."""
 
     P: tuple[np.ndarray, ...]
     Q: tuple[np.ndarray, ...]
@@ -152,11 +154,11 @@ def solve_relation_pairing(
     pairing, Ps, Qs, residuals = [], [], [], []
     for i, mode in enumerate(concrete_modes):
         candidates = []
-        scale = 1.0 + spectral_norm(mode.A)
+        scale = 1.0 + np.linalg.norm(mode.A, 2)
         for j, am in enumerate(abstraction_modes):
             P, Q, r = solve_relation(mode.A, mode.B, mode.C, am.F, am.H)
             tol = relation_tolerance(mode.A, am.H)
-            scale = max(scale, 1.0 + spectral_norm(am.H) + spectral_norm(mode.A))
+            scale = max(scale, 1.0 + np.linalg.norm(am.H, 2) + np.linalg.norm(mode.A, 2))
             if r <= tol and _injective(P):
                 norm = float(np.sqrt(np.sum(P * P) + np.sum(Q * Q)))
                 candidates.append((j, P, Q, r, norm))
@@ -189,7 +191,7 @@ def default_R(B, P, G) -> np.ndarray:
     G = as_matrix(G, "G")
     if P.shape[0] != B.shape[0] or P.shape[1] != G.shape[0]:
         raise DimensionMismatchError("B/P/G shapes are inconsistent")
-    if spectral_norm(B) ** 2 <= 1e-10:
+    if np.linalg.norm(B, 2) ** 2 <= 1e-10:
         raise SingularBBtError("B is numerically zero; no feedthrough exists")
     return np.linalg.pinv(B) @ P @ G
 
@@ -231,9 +233,9 @@ def build_interface(
     relation: RelationMaps,
     K: Sequence[np.ndarray],
     R: Optional[Sequence[np.ndarray]] = None,
-    pairing: Optional[Sequence[int]] = None,
 ) -> Interface:
-    """Assemble and validate the interface for every concrete mode.
+    """Assemble and validate the interface for every concrete mode, each
+    against the abstraction mode the relation pairs it with.
 
     ``R`` entries default to the pseudo-inverse feedthrough.  Every
     ``A_i + B_i K_i`` must be Hurwitz.
@@ -242,8 +244,7 @@ def build_interface(
         raise DimensionMismatchError("need one K gain per concrete mode")
     if R is not None and len(R) != system.n_modes:
         raise DimensionMismatchError("need one R per concrete mode when overriding")
-    paired = paired_modes(abstraction, relation.pairing if pairing is None else pairing,
-                          system.n_modes)
+    paired = paired_modes(abstraction, relation.pairing, system.n_modes)
     Ks, Rs, Qs, Ls = [], [], [], []
     for i, (mode, pm) in enumerate(zip(system.modes, paired)):
         Ki = as_matrix(K[i], f"K[{i}]")
@@ -349,21 +350,23 @@ def assemble_joint(
     abstraction: Union[LinearAbstraction, PwaAbstraction],
     relation: RelationMaps,
     interface: Interface,
-    pairing: Optional[Sequence[int]] = None,
 ) -> JointSystem:
     """Closed-loop joint system, one entry per concrete mode i and the
-    abstraction mode it is paired with: labelled ``(i,)`` for a linear
-    abstraction and ``(i, pairing[i])`` for a PWA one, which needs the
-    pairing.  Joint cells lift the concrete cell, with the paired region's
-    rows stacked under it for a PWA abstraction."""
-    paired = paired_modes(abstraction, pairing, system.n_modes)
+    abstraction mode the relation pairs it with: labelled ``(i,)`` for a
+    linear abstraction and ``(i, relation.pairing[i])`` for a PWA one.
+    Each pair is certified as assembled: its relation residual is
+    recomputed for that pair, not read from ``relation.residuals``.  Joint
+    cells lift the concrete cell, with the paired region's rows stacked
+    under it for a PWA abstraction."""
+    paired = paired_modes(abstraction, relation.pairing, system.n_modes)
     joint_cells = joint_partition(system.partition, relation.P,
                                   [pm.region for pm in paired])
     modes = []
     for i, (mode, pm) in enumerate(zip(system.modes, paired)):
         label = (i,) if pm.j is None else (i, pm.j)
         _check_certified(
-            relation.residuals[i],
+            relation_residual(mode.A, mode.B, mode.C, pm.mode.F, pm.mode.H,
+                              relation.P[i], relation.Q[i]),
             relation_tolerance(mode.A, pm.mode.H),
             relation.P[i],
             f"mode {i}" if pm.j is None else f"pair {label}",

@@ -148,7 +148,6 @@ class Scenario:
     x2_0: np.ndarray
     t_end: float
     h: float
-    pairing: Optional[tuple[int, ...]] = None
     joint: Optional[JointSystem] = None
 
     def __post_init__(self):
@@ -172,7 +171,6 @@ class Scenario:
         if self.joint is None:
             object.__setattr__(self, "joint", assemble_joint(
                 self.system, self.abstraction, self.relation, self.interface,
-                self.pairing,
             ))
 
     @property
@@ -185,9 +183,10 @@ class Scenario:
 class Trajectory:
     """Uniformly sampled closed-loop run with certificate bookkeeping.
 
-    ``mode_j`` stays zero for linear abstractions.  ``b`` is the
-    invariant-level threshold with the running abstraction-state supremum,
-    so it is nondecreasing between mode switches.
+    ``mode_j`` stays zero for linear abstractions.  ``y1`` and ``y2`` are
+    the concrete and abstraction outputs, whose difference has norm
+    ``err``.  ``b`` is the invariant-level threshold with the running
+    abstraction-state supremum, so it is nondecreasing between mode switches.
     """
 
     t: np.ndarray
@@ -198,6 +197,8 @@ class Trajectory:
     u2bar: np.ndarray
     mode_i: np.ndarray
     mode_j: np.ndarray
+    y1: np.ndarray
+    y2: np.ndarray
     err: np.ndarray
     V: np.ndarray
     b: np.ndarray
@@ -246,7 +247,7 @@ class _Runner:
         self.n = s.system.n
         self.m = s.joint.m
         self.part = s.system.partition
-        self.paired = paired_modes(s.abstraction, s.pairing, s.system.n_modes)
+        self.paired = paired_modes(s.abstraction, s.relation.pairing, s.system.n_modes)
         # abstraction-mode index per concrete mode; 0 for a linear abstraction
         self.js = [0 if pm.j is None else pm.j for pm in self.paired]
         dist = s.disturbance
@@ -490,7 +491,8 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i, mode_j,
 
     xtilde = np.empty_like(x1)
     u1 = np.empty((n_samples, s.system.p))
-    err = np.empty(n_samples)
+    y1 = np.empty((n_samples, s.system.k))
+    y2 = np.empty((n_samples, s.system.k))
     V = np.empty(n_samples)
     slope_cols = np.empty((n_samples, 4))  # gamma1, gamma2, gamma3, sqrt_m
 
@@ -511,10 +513,12 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i, mode_j,
         u1[rows] = (u2bar[rows] @ s.interface.R[idx].T
                     + x2[rows] @ (s.interface.Q[idx] + s.interface.R[idx] @ s.interface.L[idx]).T
                     + xt @ s.interface.K[idx].T)
-        err[rows] = np.linalg.norm(x1[rows] @ mode.C.T - x2[rows] @ H.T, axis=1)
+        y1[rows] = x1[rows] @ mode.C.T
+        y2[rows] = x2[rows] @ H.T
         V[rows] = sim_fn_values(cert, idx, np.hstack([xt, x2[rows]]), joint.modes[idx].kind)
         slope_cols[rows] = slopes
 
+    err = np.linalg.norm(y1 - y2, axis=1)
     x2_running = np.maximum.accumulate(np.max(np.abs(x2), axis=1))
     b = (slope_cols[:, 0] * u2_sup + slope_cols[:, 1] * c_sup
          + slope_cols[:, 2] * x2_running + slope_cols[:, 3])
@@ -522,7 +526,7 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i, mode_j,
 
     return Trajectory(
         t=t, x1=x1, x2=x2, xtilde=xtilde, u1=u1, u2bar=u2bar,
-        mode_i=mode_i, mode_j=mode_j, err=err, V=V, b=b, delta=delta,
+        mode_i=mode_i, mode_j=mode_j, y1=y1, y2=y2, err=err, V=V, b=b, delta=delta,
         kappa=cert.kappa, u2_sup=u2_sup, c_sup=c_sup, crossings=events,
     )
 

@@ -111,11 +111,11 @@ def build_case2() -> SimpleNamespace:
         Polyhedron(np.array([[1.0, 0.0, 0.0, 0.0]]), np.array([0.5])),
     )
     abstraction = PwaAbstraction(abs_modes, regions)
-    pairing, relation = solve_relation_pairing(system.modes, abstraction.modes)
+    _, relation = solve_relation_pairing(system.modes, abstraction.modes)
     K1 = -np.hstack([50 * I2, 10 * I2])
     K = [K1, K1, 0.5 * K1, 2 * K1, 2 * K1]
-    interface = build_interface(system, abstraction, relation, K, pairing=pairing)
-    joint = assemble_joint(system, abstraction, relation, interface, pairing)
+    interface = build_interface(system, abstraction, relation, K)
+    joint = assemble_joint(system, abstraction, relation, interface)
     certificate = synthesize_certificate(joint, kappa=12.0)
     schedule = reference_schedule([
         (0.0, [-2.0, 0.2]), (2.5, [0.0, 0.4]), (5.0, [2.0, 0.2]),
@@ -125,13 +125,12 @@ def build_case2() -> SimpleNamespace:
     scenario = Scenario(
         system, abstraction, relation, interface, certificate, schedule,
         disturbance, x1_0=[-2.4, 0.0, 0.0, 0.0], x2_0=[-2.5, 0.0],
-        t_end=12.0, h=1e-3, pairing=pairing, joint=joint,
+        t_end=12.0, h=1e-3, joint=joint,
     )
     return SimpleNamespace(
         system=system, abstraction=abstraction, relation=relation,
         interface=interface, joint=joint, certificate=certificate,
         schedule=schedule, disturbance=disturbance, scenario=scenario,
-        pairing=pairing,
     )
 
 

@@ -45,6 +45,8 @@ def _break_model(doc, how):
             doc["certificate"]["m"] = [1.0]
         elif how == "cert-U-short":
             doc["certificate"]["U"] = [[[0.0] * rows] * rows]
+        elif how == "cert-M-asymmetric":
+            doc["certificate"]["M"][0][0][1] += 1e-3
         elif how == "cert-jbar-short":
             # case1's modes share one M, so T = M factors through J = I
             eye = np.eye(len(cert["M"][0])).tolist()
@@ -167,6 +169,7 @@ class TestRun:
         ["check", "cert-m-short"],
         ["check", "cert-U-short"],
         ["check", "cert-jbar-short"],
+        ["check", "cert-M-asymmetric"],
         ["check", "pairing-on-linear"],
         ["check", "pwa-pairing-fraction"],
     ], ids=["t-end-zero", "no-step-in-horizon", "step-zero", "step-nan",
@@ -174,8 +177,8 @@ class TestRun:
             "relation-shape", "x1-0-nan", "waypoint-inf", "lambda-grid-text",
             "zero-disturbance-scaled", "waypoint-t-nan", "offset-nan",
             "cert-lambda-text", "cert-lambda-list", "cert-m-text", "cert-m-short",
-            "cert-U-short", "cert-jbar-short", "pairing-on-linear",
-            "pwa-pairing-fraction"])
+            "cert-U-short", "cert-jbar-short", "cert-M-asymmetric",
+            "pairing-on-linear", "pwa-pairing-fraction"])
     def test_zero_horizon_exits_one(self, argv, tmp_path, capsys, caplog):
         """Bad input of every kind exits 1 with one error line, no traceback.
         A model name other than case1 names an edit of case1's model file

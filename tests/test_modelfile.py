@@ -9,7 +9,6 @@ from pwa_hier.errors import ModelError, ParseError, UncertifiedRelationError
 from pwa_hier.modelfile import (
     builtin_model_path,
     build_pipeline,
-    certificate_from_jsonable,
     certificate_to_jsonable,
     load_model,
     load_pipeline,
@@ -176,11 +175,17 @@ class TestValidation:
 
 class TestCertificateFragments:
     def test_round_trip_exact(self, tmp_path):
+        """A saved fragment pasted into the model's certificate block comes
+        back bit for bit."""
         pipe = load_pipeline(builtin_model_path("case2"))
-        frag = certificate_to_jsonable(pipe.certificate, pipe.joint)
+        frag = json.loads(json.dumps(certificate_to_jsonable(pipe.certificate, pipe.joint)))
         assert all(frag["feasible"])
-        text = json.dumps(frag)
-        rebuilt = certificate_from_jsonable(json.loads(text), pipe.joint)
+        doc = json.loads(builtin_model_path("case2").read_text())
+        doc["certificate"].update((key, frag[key]) for key in ("lambda", "M", "m")
+                                  if key in frag)
+        p = tmp_path / "withcert.model"
+        p.write_text(json.dumps(doc))
+        rebuilt = build_pipeline(load_model(p)).certificate
         assert rebuilt.kappa == pipe.certificate.kappa
         assert rebuilt.lam == pipe.certificate.lam
         for a, b in zip(rebuilt.entries, pipe.certificate.entries):

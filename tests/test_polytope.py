@@ -50,6 +50,19 @@ class TestClassify:
         assert affine.kind == AFFINE
 
 
+class TestCellIdentity:
+    def test_cells_compare_and_hash_by_identity(self):
+        """A cell is found in its partition and usable as a key; an equal
+        copy is a different cell."""
+        a = Polyhedron(np.eye(2), np.zeros(2))
+        b = Polyhedron(np.eye(2), np.zeros(2))
+        part = Partition((a, UNIT_SQUARE))
+        assert a in part.cells and b not in part.cells
+        assert a == a and a != b
+        assert {a: 0, b: 1}[b] == 1
+        assert hash(part) == hash(Partition((a, UNIT_SQUARE)))
+
+
 class TestLocateMode:
     def test_case1_left_cone(self, case1):
         x = np.array([-2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
@@ -186,7 +199,7 @@ class TestJointPartitionLinear:
 
 class TestJointPartitionPwa:
     def test_case2_pair_layout(self, case2):
-        regions = [case2.abstraction.concrete_cells[j] for j in case2.pairing]
+        regions = [case2.abstraction.concrete_cells[j] for j in case2.relation.pairing]
         joint = joint_partition(case2.system.partition, case2.relation.P, regions)
         cell = joint.cells[0]
         conc = case2.system.partition.cells[0]

@@ -1,5 +1,7 @@
 """Relation equations, pairing, interface law, joint assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -251,9 +253,21 @@ class TestJointAssembly:
         np.testing.assert_allclose(jm.B2prime, np.vstack([-rel.P[0], np.eye(1)]))
 
     def test_uncertified_rejected(self, case1):
-        bad = RelationMaps(case1.relation.P, case1.relation.Q, (1.0, 0.0, 0.0))
-        with pytest.raises(UncertifiedRelationError):
+        """A perturbed state map fails the residual recomputed at assembly,
+        whatever residuals the relation records."""
+        P0 = case1.relation.P[0].copy()
+        P0[0, 0] += 1.0
+        bad = RelationMaps((P0,) + case1.relation.P[1:], case1.relation.Q,
+                           case1.relation.residuals)
+        with pytest.raises(UncertifiedRelationError, match="mode 0"):
             assemble_joint(case1.system, case1.abstraction, bad, case1.interface)
+
+    def test_pairing_certified_as_assembled(self, case2):
+        """A pairing other than the solved one is checked against the pair
+        it assembles, not the residuals recorded for the solved pairing."""
+        repaired = dataclasses.replace(case2.relation, pairing=(0,) * 5)
+        with pytest.raises(UncertifiedRelationError, match=r"pair \(2, 0\)"):
+            assemble_joint(case2.system, case2.abstraction, repaired, case2.interface)
 
     @pytest.mark.parametrize("pairing", [None, (0, 0, 1, 2), (0, 0, 1, 2, -1),
                                          (0, 0, 1, 2, 3)],
@@ -262,8 +276,9 @@ class TestJointAssembly:
         """A PWA abstraction needs an in-range abstraction mode for every
         concrete mode; a negative index is not read from the end."""
         with pytest.raises(DimensionMismatchError):
-            assemble_joint(case2.system, case2.abstraction, case2.relation,
-                           case2.interface, pairing)
+            assemble_joint(case2.system, case2.abstraction,
+                           dataclasses.replace(case2.relation, pairing=pairing),
+                           case2.interface)
 
     def test_single_mode_pwa_reduces_to_linear(self, case1):
         """A one-mode PWA abstraction with a vacuous region reproduces the
@@ -275,7 +290,8 @@ class TestJointAssembly:
             (AbstractionMode(F=a.F, G=a.G, H=a.H, L=a.L),), (vac,)
         )
         joint_pwa = assemble_joint(
-            case1.system, single, case1.relation, case1.interface, (0, 0, 0)
+            case1.system, single, dataclasses.replace(case1.relation, pairing=(0, 0, 0)),
+            case1.interface,
         )
         joint_lin = case1.joint
         for i, (jp, jl) in enumerate(zip(joint_pwa.modes, joint_lin.modes)):

@@ -168,7 +168,7 @@ class TestRunScenario:
         assert set(np.unique(traj.mode_j)) == {0, 1, 2}
         # abstraction region always matches the pairing of the active mode
         for i, j in zip(traj.mode_i, traj.mode_j):
-            assert j == case2.pairing[i]
+            assert j == case2.relation.pairing[i]
         # stored error column matches the pairwise output maps
         C = case2.system.modes[0].C
         for jdx in (0, 1, 2):
@@ -227,8 +227,7 @@ class TestRunScenario:
         )
         bad = Scenario(scen.system, shuffled, scen.relation, scen.interface,
                        scen.certificate, scen.schedule, scen.disturbance,
-                       x1_0=scen.x1_0, x2_0=scen.x2_0, t_end=1.0, h=1e-3,
-                       pairing=scen.pairing)
+                       x1_0=scen.x1_0, x2_0=scen.x2_0, t_end=1.0, h=1e-3)
         with pytest.raises(UncertifiedModeError):
             run_scenario(bad)
 
@@ -373,7 +372,7 @@ class TestPropagator:
         assert int(traj.crossings[0].t_outside / h) == k_cross
 
         runner = _Runner(short)
-        paired = paired_modes(short.abstraction, short.pairing, short.system.n_modes)
+        paired = paired_modes(short.abstraction, short.relation.pairing, short.system.n_modes)
         z = np.concatenate([short.x1_0, short.x2_0])
         i, j = int(traj.mode_i[0]), int(traj.mode_j[0])
         modes, labels = [(i, j)], []
@@ -599,7 +598,7 @@ class TestExport:
             t=np.empty(0), x1=np.empty((0, 2)), x2=np.empty((0, 1)),
             xtilde=np.empty((0, 2)), u1=np.empty((0, 1)), u2bar=np.empty((0, 1)),
             mode_i=np.empty(0, dtype=int), mode_j=np.empty(0, dtype=int),
-            err=np.empty(0), V=np.empty(0), b=np.empty(0), delta=np.empty(0),
+            y1=np.empty((0, 1)), y2=np.empty((0, 1)), err=np.empty(0), V=np.empty(0), b=np.empty(0), delta=np.empty(0),
             kappa=1.0, u2_sup=0.0, c_sup=0.0,
         )
         path = tmp_path / "empty.csv"
