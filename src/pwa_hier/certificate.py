@@ -13,6 +13,7 @@ sample.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -238,22 +239,52 @@ def verify_lmi(cert: Certificate, joint: JointSystem, idx: int) -> LmiReport:
     return verify_all(cert, joint, (idx,))[0]
 
 
-def _solve_decay_equation(A: np.ndarray, lam: float) -> Optional[np.ndarray]:
-    """Solve ``A^T M + M A + lam M = -SYNTH_EPSILON I`` by vectorization
-    (one LU solve of the ``d^2 x d^2`` operator); None when the operator is
-    (near-)singular at this decay rate."""
+@functools.lru_cache(maxsize=None)
+def _upper_triangle(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column indices ``(a, b)`` of the upper triangle of a ``d x d``
+    matrix in row-major order, and the ``d x d`` map from each entry to the
+    position of its upper-triangle mirror in that order (read-only)."""
+    a, b = np.triu_indices(d)
+    tri = np.empty((d, d), dtype=np.intp)
+    tri[a, b] = tri[b, a] = np.arange(a.size)
+    for arr in (a, b, tri):
+        arr.flags.writeable = False
+    return a, b, tri
+
+
+def _decay_operator(A: np.ndarray) -> np.ndarray:
+    """Matrix of ``M -> A^T M + M A`` on symmetric ``M``, over the
+    ``s = d(d+1)/2`` upper-triangle coordinates of both ``M`` and its
+    (symmetric) image.
+
+    Entry ``(a, b)`` of the image is ``sum_k A[k, a] M[k, b] + M[a, k]
+    A[k, b]``; its ``2d`` terms are scattered onto the coordinates of the
+    ``M`` entries they read, so the operator is filled without forming the
+    ``d^2 x d^2`` Kronecker sum.
+    """
+    a, b, tri = _upper_triangle(A.shape[0])
+    op = np.zeros((a.size, a.size))
+    np.add.at(op, (np.arange(a.size)[:, None], np.hstack([tri[:, b].T, tri[a]])),
+              np.hstack([A.T[a], A.T[b]]))
+    return op
+
+
+def _solve_decay_equation(A: np.ndarray, op: np.ndarray, lam: float) -> Optional[np.ndarray]:
+    """Solve ``A^T M + M A + lam M = -SYNTH_EPSILON I`` for symmetric ``M``,
+    given ``op = _decay_operator(A)``: one LU solve of size ``d(d+1)/2``.
+    None when the shifted operator is (near-)singular at this decay rate."""
     d = A.shape[0]
-    I = np.eye(d)
-    coeff = np.kron(I, A.T) + np.kron(A.T, I) + lam * np.eye(d * d)
-    rhs = (-SYNTH_EPSILON * I).reshape(-1, order="F")
+    a, b, _ = _upper_triangle(d)
     try:
-        sol = np.linalg.solve(coeff, rhs)
+        x = np.linalg.solve(op + lam * np.eye(a.size), np.where(a == b, -SYNTH_EPSILON, 0.0))
     except np.linalg.LinAlgError:
         return None
-    if not np.linalg.norm(coeff @ sol - rhs) <= 1e-6 * SYNTH_EPSILON * np.sqrt(d):
+    M = np.empty((d, d))
+    M[a, b] = M[b, a] = x
+    residual = A.T @ M + M @ A + lam * M + SYNTH_EPSILON * np.eye(d)
+    if not np.linalg.norm(residual) <= 1e-6 * SYNTH_EPSILON * np.sqrt(d):
         return None
-    M = sol.reshape((d, d), order="F")
-    return 0.5 * (M + M.T)
+    return M
 
 
 def default_lambda_grid(joint: JointSystem) -> np.ndarray:
@@ -276,7 +307,8 @@ def synthesize_certificate(
     """Heuristic certificate construction checked by the exact verifier.
 
     For each candidate decay rate (descending, so the first hit is the
-    fastest certified decay): solve the loaded decay equation per mode, scale
+    fastest certified decay): solve the loaded decay equation per mode (its
+    operator is built once per mode and shifted per rate), scale
     the solution until it dominates the squared output map, attach the
     homogeneous entry for affine cells, and accept the first rate at which
     every mode verifies.  Relaxation weights stay zero, which only
@@ -285,12 +317,14 @@ def synthesize_certificate(
     grid = default_lambda_grid(joint) if lambda_grid is None else np.asarray(
         lambda_grid, dtype=float
     )
+    ops = [_decay_operator(jm.Aprime) for jm in joint.modes]
+    CtCs = [jm.Cprime.T @ jm.Cprime for jm in joint.modes]
     for lam in sorted(grid, reverse=True):
         if lam <= 0.0:
             continue
         entries = []
-        for jm in joint.modes:
-            M = _solve_decay_equation(jm.Aprime, lam)
+        for jm, op, CtC in zip(joint.modes, ops, CtCs):
+            M = _solve_decay_equation(jm.Aprime, op, lam)
             if M is None:
                 break
             w, Qm = np.linalg.eigh(M)
@@ -300,7 +334,6 @@ def synthesize_certificate(
             # scale so M dominates C'^T C' (generalized top eigenvalue), from
             # eigh: eigvalsh's can differ in the last bit and move alpha
             inv_sqrt = (Qm / np.sqrt(w)) @ Qm.T
-            CtC = jm.Cprime.T @ jm.Cprime
             ratio = inv_sqrt @ CtC @ inv_sqrt
             alpha = max(1.0, float(np.linalg.eigh(0.5 * (ratio + ratio.T))[0][-1]))
             if alpha * min_eig < 1e-10:

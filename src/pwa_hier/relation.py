@@ -47,9 +47,14 @@ _PAIRING_TIE_RTOL = 1e-12
 INJECTIVITY_TOL = 1e-8
 
 
+def _tolerance(norm_A: float, norm_H: float) -> float:
+    """Certification threshold from the spectral norms of ``A`` and ``H``."""
+    return 1e-8 * (1.0 + norm_H + norm_A)
+
+
 def relation_tolerance(A, H) -> float:
     """Certification threshold for a relation residual."""
-    return 1e-8 * (1.0 + np.linalg.norm(H, 2) + np.linalg.norm(A, 2))
+    return _tolerance(np.linalg.norm(A, 2), np.linalg.norm(H, 2))
 
 
 def _injective(P: np.ndarray) -> bool:
@@ -68,6 +73,30 @@ def relation_residual(A, B, C, F, H, P, Q) -> float:
     return float(np.sqrt(
         np.linalg.norm(H - C @ P) ** 2 + np.linalg.norm(P @ F - A @ P - B @ Q) ** 2
     ))
+
+
+def _relation_operator(A, B, C, F) -> np.ndarray:
+    """Stacked operator of the relation equations on ``(vec P, vec Q)``
+    (column-major vec): rows ``vec(C P)`` over rows ``vec(P F - A P - B Q)``.
+
+    Each Kronecker-structured block is written into 4-D views (block row,
+    row, block column, column) of one zeroed array, so no Kronecker product
+    is formed.  Blocks are copied or subtracted from zero, so the operator
+    holds no ``-0.0`` unless ``C`` or ``F`` does (a Kronecker product puts
+    one wherever ``0.0`` multiplies a negative entry).
+    """
+    n, p, k, m = A.shape[0], B.shape[1], C.shape[0], F.shape[0]
+    coeff = np.zeros((k * m + n * m, n * m + p * m))
+    blk, diag = np.arange(m), np.arange(n)
+    # (I_m kron C) vec P
+    coeff[:k * m, :n * m].reshape(m, k, m, n)[blk, :, blk, :] = C
+    # (F^T kron I_n - I_m kron A) vec P: F[j, i] I_n - [i == j] A in block (i, j)
+    dyn = coeff[k * m:, :n * m].reshape(m, n, m, n)
+    dyn[:, diag, :, diag] = F.T
+    dyn[blk, :, blk, :] -= A
+    # -(I_m kron B) vec Q
+    coeff[k * m:, n * m:].reshape(m, n, m, p)[blk, :, blk, :] -= B
+    return coeff
 
 
 def solve_relation(A, B, C, F, H) -> tuple[np.ndarray, np.ndarray, float]:
@@ -97,17 +126,8 @@ def solve_relation(A, B, C, F, H) -> tuple[np.ndarray, np.ndarray, float]:
     if F.shape[1] != m or H.shape != (k, m):
         raise DimensionMismatchError("F/H do not match the abstraction dimension")
 
-    Im = np.eye(m)
-    In = np.eye(n)
-    # rows: vec(C P) = vec(H) ; vec(P F - A P - B Q) = 0
-    output_rows = np.hstack([np.kron(Im, C), np.zeros((k * m, p * m))])
-    dynamics_rows = np.hstack([
-        np.kron(F.T, In) - np.kron(Im, A),
-        -np.kron(Im, B),
-    ])
-    coeff = np.vstack([output_rows, dynamics_rows])
     rhs = np.concatenate([_vec(H), np.zeros(n * m)])
-    sol = np.linalg.lstsq(coeff, rhs, rcond=None)[0]
+    sol = np.linalg.lstsq(_relation_operator(A, B, C, F), rhs, rcond=None)[0]
     P = sol[: n * m].reshape((n, m), order="F")
     Q = sol[n * m:].reshape((p, m), order="F")
     return P, Q, relation_residual(A, B, C, F, H, P, Q)
@@ -151,14 +171,15 @@ def solve_relation_pairing(
     """
     if not abstraction_modes:
         raise DimensionMismatchError("need at least one abstraction mode")
+    norms_H = [np.linalg.norm(am.H, 2) for am in abstraction_modes]
     pairing, Ps, Qs, residuals = [], [], [], []
     for i, mode in enumerate(concrete_modes):
         candidates = []
-        scale = 1.0 + np.linalg.norm(mode.A, 2)
-        for j, am in enumerate(abstraction_modes):
+        norm_A = np.linalg.norm(mode.A, 2)
+        scale = 1.0 + max(norms_H) + norm_A
+        for j, (am, norm_H) in enumerate(zip(abstraction_modes, norms_H)):
             P, Q, r = solve_relation(mode.A, mode.B, mode.C, am.F, am.H)
-            tol = relation_tolerance(mode.A, am.H)
-            scale = max(scale, 1.0 + np.linalg.norm(am.H, 2) + np.linalg.norm(mode.A, 2))
+            tol = _tolerance(norm_A, norm_H)
             if r <= tol and _injective(P):
                 norm = float(np.sqrt(np.sum(P * P) + np.sum(Q * Q)))
                 candidates.append((j, P, Q, r, norm))

@@ -1,5 +1,6 @@
-"""Shared randomized-geometry helpers: containment instances and a
-switch-dense cone fan."""
+"""Shared test helpers: randomized containment instances, a switch-dense
+cone fan, and Kronecker-product oracles for the decay equation and the
+stacked relation system."""
 
 import math
 
@@ -17,6 +18,7 @@ from pwa_hier import (
     reference_schedule,
     synthesize_certificate,
 )
+from pwa_hier.certificate import SYNTH_EPSILON
 from pwa_hier.polytope import Polyhedron, vertices_2d
 from pwa_hier.relation import solve_system_relation
 
@@ -135,3 +137,48 @@ def fan_scenario(cones: int = 32, seed: int = 0, t_end: float = 0.5,
         x1_0=np.concatenate([start, velocity]), x2_0=start,
         t_end=t_end, h=h, joint=joint,
     )
+
+
+def kron_decay_solve(A, lam):
+    """Symmetrized solution of ``A^T M + M A + lam M = -SYNTH_EPSILON I`` by
+    one LU solve of the full ``d^2 x d^2`` Kronecker sum on column-major
+    ``vec M``; None when the solve fails or misses the synthesis residual
+    bound."""
+    A = np.asarray(A, dtype=float)
+    d = A.shape[0]
+    I = np.eye(d)
+    coeff = np.kron(I, A.T) + np.kron(A.T, I) + lam * np.eye(d * d)
+    rhs = (-SYNTH_EPSILON * I).reshape(-1, order="F")
+    try:
+        sol = np.linalg.solve(coeff, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.linalg.norm(coeff @ sol - rhs) <= 1e-6 * SYNTH_EPSILON * np.sqrt(d):
+        return None
+    M = sol.reshape((d, d), order="F")
+    return 0.5 * (M + M.T)
+
+
+def kron_relation_operator(A, B, C, F):
+    """Stacked relation operator on ``(vec P, vec Q)`` (column-major vec):
+    rows ``vec(C P)`` over rows ``vec(P F - A P - B Q)``, from Kronecker
+    products."""
+    n, p, k, m = A.shape[0], B.shape[1], C.shape[0], F.shape[0]
+    Im, In = np.eye(m), np.eye(n)
+    return np.vstack([
+        np.hstack([np.kron(Im, C), np.zeros((k * m, p * m))]),
+        np.hstack([np.kron(F.T, In) - np.kron(Im, A), -np.kron(Im, B)]),
+    ])
+
+
+def kron_relation_solve(A, B, C, F, H):
+    """Minimum-norm least-squares ``(P, Q)`` of the Kronecker-built stacked
+    relation system, with its zeros made ``+0.0``: the least-squares solve
+    reads the sign of a zero (a Householder reflector takes the sign of its
+    leading entry), so the ``-0.0`` entries that the Kronecker products
+    leave can move the solution in the last bits."""
+    n, p, m = A.shape[0], B.shape[1], F.shape[0]
+    rhs = np.concatenate([H.reshape(-1, order="F"), np.zeros(n * m)])
+    coeff = kron_relation_operator(A, B, C, F) + 0.0
+    sol = np.linalg.lstsq(coeff, rhs, rcond=None)[0]
+    return sol[:n * m].reshape((n, m), order="F"), sol[n * m:].reshape((p, m), order="F")

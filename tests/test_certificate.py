@@ -7,6 +7,8 @@ import pytest
 
 from pwa_hier.certificate import (
     LMI_TOL,
+    _decay_operator,
+    _solve_decay_equation,
     Certificate,
     ModeCertificate,
     gain_slopes,
@@ -26,9 +28,12 @@ from pwa_hier.errors import (
     UncertifiedModeError,
 )
 from pwa_hier.polytope import AFFINE, CONIC, ContinuityMatrix, Polyhedron, cell_bounding
+from pwa_hier.modelfile import build_pipeline, builtin_model_path, load_model
 from pwa_hier.relation import JointMode, JointSystem
 from pwa_hier.simulator import reference_schedule, run_scenario
 from pwa_hier.systems import DisturbanceSignal
+
+from helpers import kron_decay_solve
 
 I2 = np.eye(2)
 
@@ -183,9 +188,22 @@ class TestSynthesis:
             Aprime=-np.eye(2), B1=np.zeros((2, 1)), B2=np.zeros((2, 1)),
             C=np.array([[1.0, 0.0]]), cell=_conic_cell(2), n=1, m=1,
         )
+        A = joint.modes[0].Aprime
+        assert _solve_decay_equation(A, _decay_operator(A), 2.0) is None
+        assert kron_decay_solve(A, 2.0) is None
         assert synthesize_certificate(joint, kappa=1.0, lambda_grid=[2.0, 1.0]).lam == 1.0
         with pytest.raises(SynthesisFailedError):
             synthesize_certificate(joint, kappa=1.0, lambda_grid=[2.0])
+
+    @pytest.mark.parametrize("which, lam", [("case1", 1.2049286456050499),
+                                            ("case2", 2.3010320011342635)])
+    def test_shipped_lambda(self, which, lam, case1, case2):
+        """The first feasible grid point of each shipped model; a change
+        that flips a grid decision moves it by a whole grid step."""
+        bundle = {"case1": case1, "case2": case2}[which]
+        assert bundle.certificate.lam == pytest.approx(lam, rel=1e-12, abs=0.0)
+        config = load_model(builtin_model_path(which))
+        assert build_pipeline(config).certificate.lam == pytest.approx(lam, rel=1e-12, abs=0.0)
 
     def test_unstable_block_fails(self):
         joint = _toy_joint(
@@ -208,6 +226,64 @@ class TestSynthesis:
                     v = sim_fn_value(cert, idx, omega, jm.kind)
                     err = np.linalg.norm(jm.Cprime @ omega)
                     assert err / cert.kappa <= v + 1e-9
+
+
+def _jordan_block(d, eig=-1.0):
+    return eig * np.eye(d) + np.diag(np.ones(d - 1), 1)
+
+
+class TestDecayEquation:
+    """The symmetric-subspace decay solve against the full Kronecker LU."""
+
+    @staticmethod
+    def _relative_gap(A, lam):
+        M = _solve_decay_equation(A, _decay_operator(A), lam)
+        ref = kron_decay_solve(A, lam)
+        assert M is not None and ref is not None
+        np.testing.assert_array_equal(M, M.T)
+        return np.linalg.norm(M - ref) / np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_random_stable_matches_kronecker(self, d):
+        rng = np.random.default_rng(100 + d)
+        X = rng.normal(size=(d, d))
+        A = X - (np.max(np.linalg.eigvals(X).real) + rng.uniform(0.2, 2.0)) * np.eye(d)
+        lam = float(rng.uniform(0.1, 1.9)) * -np.max(np.linalg.eigvals(A).real)
+        assert self._relative_gap(A, lam) <= 1e-12
+
+    def test_defective_jordan_block(self):
+        """A defective A has no eigenvector basis (a solve through
+        ``np.linalg.eig`` is off by O(1) here); the operator solve needs
+        none.  Both solves reject the rate at which the shifted operator
+        is too ill-conditioned to meet the residual bound."""
+        A = _jordan_block(8)
+        S = np.linalg.eig(A)[1]
+        assert np.linalg.cond(S) > 1e12
+        for lam in (0.1, 0.5, 1.0):
+            assert self._relative_gap(A, lam) <= 1e-12
+        assert _solve_decay_equation(A, _decay_operator(A), 1.9) is None
+        assert kron_decay_solve(A, 1.9) is None
+
+    def test_operator_is_the_lyapunov_map(self):
+        """On symmetric M the operator reproduces the upper triangle of
+        ``A^T M + M A`` in row-major order."""
+        rng = np.random.default_rng(5)
+        d = 5
+        A = rng.normal(size=(d, d))
+        R = rng.normal(size=(d, d))
+        M = R + R.T
+        rows, cols = np.triu_indices(d)
+        image = A.T @ M + M @ A
+        np.testing.assert_allclose(_decay_operator(A) @ M[rows, cols], image[rows, cols],
+                                   rtol=1e-13, atol=1e-13)
+
+    def test_defective_mode_synthesizes(self):
+        joint = _toy_joint(
+            Aprime=_jordan_block(4), B1=np.zeros((4, 1)), B2=np.zeros((4, 1)),
+            C=np.array([[1.0, 0.0, 0.0, 0.0]]), cell=_conic_cell(4), n=3, m=1,
+        )
+        cert = synthesize_certificate(joint, kappa=1.0)
+        assert verify_lmi(cert, joint, 0).feasible
 
 
 class TestGains:

@@ -13,15 +13,19 @@ from pwa_hier.errors import (
 )
 from pwa_hier.relation import (
     RelationMaps,
+    _relation_operator,
     assemble_joint,
     default_R,
     interface_linear,
+    relation_residual,
     relation_tolerance,
     solve_relation,
     solve_relation_pairing,
 )
 from pwa_hier.systems import AbstractionMode, PwaMode
 from pwa_hier.simulator import step_rk4
+
+from helpers import kron_relation_operator, kron_relation_solve
 
 I2 = np.eye(2)
 Z2 = np.zeros((2, 2))
@@ -73,17 +77,76 @@ class TestSolveRelation:
         A, B, C, F, H = plant_relation_instance(
             np.random.default_rng(0), n, m, p, k, b_scale=4e-5
         )
-        stacked = np.vstack([
-            np.hstack([np.kron(np.eye(m), C), np.zeros((k * m, p * m))]),
-            np.hstack([np.kron(F.T, np.eye(n)) - np.kron(np.eye(m), A),
-                       -np.kron(np.eye(m), B)]),
-        ])
-        sv = np.linalg.svd(stacked, compute_uv=False)
+        sv = np.linalg.svd(kron_relation_operator(A, B, C, F), compute_uv=False)
         assert 1e-7 <= sv[-1] / sv[0] <= 1e-5
         P, Q, res = solve_relation(A, B, C, F, H)
         assert res <= relation_tolerance(A, H)
         r1, r2 = _residual_norms(A, B, C, F, H, P, Q)
         assert r1 <= 1e-12 and r2 <= 1e-12
+
+
+class TestRelationOperator:
+    """``solve_relation`` assembles the stacked system without Kronecker
+    products: the operator must equal the Kronecker-built one entry for
+    entry, and the solution must match that system's bit for bit."""
+
+    @staticmethod
+    def _assert_matches_oracle(A, B, C, F, H):
+        op = _relation_operator(A, B, C, F)
+        np.testing.assert_array_equal(op, kron_relation_operator(A, B, C, F))
+        assert not np.signbit(op[op == 0.0]).any()
+        P, Q, _ = solve_relation(A, B, C, F, H)
+        P_ref, Q_ref = kron_relation_solve(A, B, C, F, H)
+        np.testing.assert_array_equal(P, P_ref)
+        np.testing.assert_array_equal(Q, Q_ref)
+
+    @pytest.mark.parametrize("n, m, p, k", [
+        (3, 1, 2, 2),   # one abstraction state
+        (4, 2, 1, 2),   # one concrete input
+        (5, 2, 2, 3),   # several outputs
+        (6, 3, 3, 1),
+        (1, 1, 1, 1),
+    ])
+    def test_planted_instances(self, n, m, p, k):
+        rng = np.random.default_rng(7 * n + m)
+        for _ in range(5):
+            self._assert_matches_oracle(*plant_relation_instance(rng, n, m, p, k))
+
+    def test_non_symmetric_F_and_sparse_blocks(self):
+        """A transposed F would swap the off-diagonal blocks; zeros in A,
+        B and F exercise the signed-zero arithmetic of the block writes."""
+        rng = np.random.default_rng(3)
+        n, m, p, k = 4, 3, 2, 2
+
+        def sparse(*shape):
+            return np.where(rng.random(shape) < 0.5, 0.0, rng.normal(size=shape))
+
+        A, B, C, H = sparse(n, n), sparse(n, p), sparse(k, n), rng.normal(size=(k, m))
+        F = np.triu(rng.normal(size=(m, m)), 1) - np.eye(m)
+        assert not np.array_equal(F, F.T)
+        self._assert_matches_oracle(A, B, C, F, H)
+
+    def test_case2_pairing_matches_per_pair_tolerances(self, case2):
+        """The pairing computes each spectral norm once; it must select
+        what per-pair ``relation_tolerance`` calls and Kronecker solves
+        select, with the same residuals."""
+        pairing, maps = solve_relation_pairing(case2.system.modes, case2.abstraction.modes)
+        expected = []
+        for i, mode in enumerate(case2.system.modes):
+            certified = []
+            for j, am in enumerate(case2.abstraction.modes):
+                P, Q = kron_relation_solve(mode.A, mode.B, mode.C, am.F, am.H)
+                r = relation_residual(mode.A, mode.B, mode.C, am.F, am.H, P, Q)
+                if r <= relation_tolerance(mode.A, am.H):
+                    certified.append((r, np.sqrt(np.sum(P * P) + np.sum(Q * Q)), j))
+            r_min = min(c[0] for c in certified)
+            scale = max(1.0 + np.linalg.norm(am.H, 2) + np.linalg.norm(mode.A, 2)
+                        for am in case2.abstraction.modes)
+            tied = [c for c in certified if c[0] <= r_min + 1e-12 * scale]
+            r, _, j = min(tied, key=lambda c: (c[1], c[2]))
+            expected.append(j)
+            assert maps.residuals[i] == r
+        assert pairing == tuple(expected) == (0, 0, 1, 2, 2)
 
 
 class TestPairing:
