@@ -17,7 +17,6 @@ from .polytope import (
     AFFINE,
     CONIC,
     CellBounding,
-    ContinuityMatrix,
     Partition,
     Polyhedron,
     cell_bounding,

@@ -28,7 +28,7 @@ from .errors import (
     SynthesisFailedError,
 )
 from .linalg import as_matrix, as_vector
-from .polytope import AFFINE, CONIC, ContinuityMatrix
+from .polytope import AFFINE, CONIC
 from .relation import JointMode, JointSystem
 from .systems import hurwitz_margin
 
@@ -109,7 +109,7 @@ class Certificate:
     lam: float
     entries: tuple[ModeCertificate, ...]
     T: Optional[np.ndarray] = None
-    jbars: Optional[tuple[ContinuityMatrix, ...]] = None
+    jbars: Optional[tuple[np.ndarray, ...]] = None
 
     def __post_init__(self):
         if not self.kappa > 0.0:
@@ -117,14 +117,16 @@ class Certificate:
         if not self.lam > 0.0:
             raise InfeasibleCertificateError(f"lambda must be positive, got {self.lam}")
         object.__setattr__(self, "entries", tuple(self.entries))
-        if self.jbars is not None and len(self.jbars) != len(self.entries):
-            raise DimensionMismatchError("need one continuity matrix per mode")
+        if self.jbars is not None:
+            object.__setattr__(self, "jbars", tuple(as_matrix(J, "Jbar") for J in self.jbars))
+            if len(self.jbars) != len(self.entries):
+                raise DimensionMismatchError("need one continuity matrix per mode")
         if self.T is not None:
             T = as_matrix(self.T, "T")
             object.__setattr__(self, "T", T)
             if self.jbars is not None:
-                for idx, (entry, jbar) in enumerate(zip(self.entries, self.jbars)):
-                    rebuilt = jbar.Jbar.T @ T @ jbar.Jbar
+                for idx, (entry, J) in enumerate(zip(self.entries, self.jbars)):
+                    rebuilt = J.T @ T @ J
                     target = entry.extended()
                     err = np.linalg.norm(rebuilt - target)
                     if err > _FACTORIZATION_TOL * (1.0 + np.linalg.norm(target)):

@@ -3,9 +3,11 @@ gains, certificate options, and a scenario.
 
 The loader validates the schema, builds the typed objects, solves (or
 validates supplied) relations, synthesizes (or verifies supplied)
-certificates, and returns a ready-to-run pipeline.  Serialization uses
-shortest-exact float encoding, so a load/save round-trip preserves every
-matrix entry bit for bit.
+certificates, and returns a ready-to-run pipeline.  Numbers are read as
+IEEE doubles; the one writer, the certificate fragment, uses shortest-exact
+float encoding, so a fragment read back preserves every entry bit for bit.
+Keys the schema does not name (``description``, ``reconstructed``) are
+annotations and are ignored.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .certificate import (
     verify_all,
 )
 from .errors import ModelError, ParseError, PwaHierError
-from .polytope import ContinuityMatrix, Partition, Polyhedron
+from .polytope import Partition, Polyhedron
 from .relation import (
     Interface,
     JointSystem,
@@ -71,7 +73,6 @@ class ModelConfig:
     """Validated raw content of a model file."""
 
     name: str
-    description: str
     system: PwaSystem
     abstraction: Union[LinearAbstraction, PwaAbstraction]
     K: list
@@ -95,7 +96,6 @@ class ModelConfig:
     step: float
     disturbance: DisturbanceSignal
     waypoints: list
-    reconstructed: bool
 
 
 @dataclass
@@ -336,7 +336,6 @@ def _build_config(doc: dict) -> ModelConfig:
 
     return ModelConfig(
         name=str(doc.get("name", Path("model").stem)),
-        description=str(doc.get("description", "")),
         system=system,
         abstraction=abstraction,
         K=K,
@@ -360,7 +359,6 @@ def _build_config(doc: dict) -> ModelConfig:
         step=step,
         disturbance=disturbance,
         waypoints=waypoints,
-        reconstructed=bool(scen.get("reconstructed", False)),
     )
 
 
@@ -413,11 +411,8 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
             )
             for idx, jm in enumerate(joint.modes)
         )
-        jbars = None
-        if config.cert_jbar is not None:
-            jbars = tuple(ContinuityMatrix(J) for J in config.cert_jbar)
         certificate = Certificate(config.kappa, config.cert_lambda, entries,
-                                  T=config.cert_T, jbars=jbars)
+                                  T=config.cert_T, jbars=config.cert_jbar)
     else:
         certificate = synthesize_certificate(
             joint, kappa=config.kappa, lambda_grid=config.lambda_grid,
@@ -444,97 +439,6 @@ def load_pipeline(path) -> Pipeline:
 
 def _mat_list(M: np.ndarray) -> list:
     return [[float(v) for v in row] for row in np.asarray(M)]
-
-
-def model_to_jsonable(config: ModelConfig) -> dict:
-    """Rebuild the document from the typed objects (shortest-exact floats)."""
-    doc: dict = {
-        "name": config.name,
-        "description": config.description,
-        "system": {
-            "modes": [
-                {"A": _mat_list(m.A), "B": _mat_list(m.B), "C": _mat_list(m.C),
-                 "c_bound": m.c_bound}
-                for m in config.system.modes
-            ],
-            "partition": [
-                {"E": _mat_list(c.E), "f": [float(v) for v in c.f]}
-                for c in config.system.partition.cells
-            ],
-        },
-        "gains": {"K": [_mat_list(k) for k in config.K]},
-        "certificate": {"kappa": config.kappa},
-        "scenario": {
-            "reconstructed": config.reconstructed,
-            "x1_0": [float(v) for v in config.x1_0],
-            "x2_0": [float(v) for v in config.x2_0],
-            "t_end": config.t_end,
-            "step": config.step,
-            "disturbance": {
-                "kind": config.disturbance.kind,
-                "offset": config.disturbance.offset,
-                "amplitude": config.disturbance.amplitude,
-            },
-            "u2bar": [
-                {"t": t, "value": [float(v) for v in val]}
-                for t, val in config.waypoints
-            ],
-        },
-    }
-    if needs_pairing(config.abstraction):
-        doc["abstraction"] = {
-            "kind": "pwa",
-            "modes": [
-                {"F": _mat_list(a.F), "G": _mat_list(a.G),
-                 "H": _mat_list(a.H), "L": _mat_list(a.L)}
-                for a in config.abstraction.modes
-            ],
-            "concrete_cells": [
-                {"E": _mat_list(c.E), "f": [float(v) for v in c.f]}
-                for c in config.abstraction.concrete_cells
-            ],
-        }
-    else:
-        a = config.abstraction
-        doc["abstraction"] = {
-            "kind": "linear", "F": _mat_list(a.F), "G": _mat_list(a.G),
-            "H": _mat_list(a.H), "L": _mat_list(a.L),
-        }
-    if config.R is not None:
-        doc["gains"]["R"] = [_mat_list(r) for r in config.R]
-    if config.relation_P is not None:
-        doc["relation"] = {
-            "P": [_mat_list(p) for p in config.relation_P],
-            "Q": [_mat_list(q) for q in config.relation_Q],
-        }
-    if config.declared_pairing is not None:
-        doc["pairing"] = [j + 1 for j in config.declared_pairing]
-    cert = doc["certificate"]
-    if config.lambda_grid is not None:
-        cert["lambda_grid"] = [float(v) for v in config.lambda_grid]
-    if config.m_scalar != 1.0:
-        cert["m_scalar"] = config.m_scalar
-    if config.cert_lambda is not None:
-        cert["lambda"] = config.cert_lambda
-    if config.cert_M is not None:
-        cert["M"] = [_mat_list(M) for M in config.cert_M]
-    if config.cert_m is not None:
-        cert["m"] = [float(v) for v in config.cert_m]
-    if config.cert_U is not None:
-        cert["U"] = [_mat_list(U) for U in config.cert_U]
-    if config.cert_W is not None:
-        cert["W"] = [_mat_list(W) for W in config.cert_W]
-    if config.cert_T is not None:
-        cert["T"] = _mat_list(config.cert_T)
-    if config.cert_jbar is not None:
-        cert["Jbar"] = [_mat_list(J) for J in config.cert_jbar]
-    return doc
-
-
-def save_model(config: ModelConfig, path) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_jsonable(config), indent=2) + "\n", encoding="utf-8"
-    )
 
 
 def certificate_to_jsonable(cert: Certificate, joint: JointSystem) -> dict:

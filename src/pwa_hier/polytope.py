@@ -91,16 +91,6 @@ def cell_bounding(p: Polyhedron) -> CellBounding:
 
 
 @dataclass(frozen=True)
-class ContinuityMatrix:
-    """Per-cell matrix agreeing across shared facets in homogeneous form."""
-
-    Jbar: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "Jbar", as_matrix(self.Jbar, "Jbar"))
-
-
-@dataclass(frozen=True)
 class Partition:
     """Ordered list of cells over one state space.
 

@@ -274,9 +274,14 @@ def build_interface(
                 f"K[{i}] has shape {Ki.shape}, expected {(mode.p, mode.n)}"
             )
         assert_hurwitz(mode.A + mode.B @ Ki, f"closed loop of mode {i}")
-        Ri = as_matrix(R[i], f"R[{i}]") if R is not None else default_R(
-            mode.B, relation.P[i], pm.mode.G
-        )
+        if R is None:
+            Ri = default_R(mode.B, relation.P[i], pm.mode.G)
+        else:
+            Ri = as_matrix(R[i], f"R[{i}]")
+            if Ri.shape != (mode.p, pm.mode.q):
+                raise DimensionMismatchError(
+                    f"R[{i}] has shape {Ri.shape}, expected {(mode.p, pm.mode.q)}"
+                )
         Ks.append(Ki)
         Rs.append(Ri)
         Qs.append(relation.Q[i])

@@ -113,8 +113,14 @@ def reference_schedule(waypoints: Sequence[tuple[float, Sequence[float]]]) -> Re
         raise NonMonotoneTimesError("first waypoint must be at t=0")
     if np.any(np.diff(times) <= 0.0):
         raise NonMonotoneTimesError("waypoint times must strictly increase")
-    values = np.array([as_vector(v, "waypoint value") for _, v in waypoints])
-    return ReferenceSchedule(times, values)
+    values = [as_vector(v, "waypoint value") for _, v in waypoints]
+    for k, v in enumerate(values):
+        if v.shape != values[0].shape:
+            raise DimensionMismatchError(
+                f"waypoint {k} (t={times[k]:g}) has {v.size} values, waypoint 0 has "
+                f"{values[0].size}"
+            )
+    return ReferenceSchedule(times, np.array(values))
 
 
 @dataclass(frozen=True)
@@ -165,6 +171,11 @@ class Scenario:
             raise DimensionMismatchError("x1_0 does not match the state dimension")
         if self.x2_0.shape[0] != self.abstraction.m:
             raise DimensionMismatchError("x2_0 does not match the abstraction dimension")
+        if self.schedule.values.shape[1] != self.abstraction.q:
+            raise DimensionMismatchError(
+                f"u2bar waypoints have {self.schedule.values.shape[1]} values, the "
+                f"abstraction input has dimension {self.abstraction.q}"
+            )
         if self.disturbance.dim != self.system.n:
             raise DimensionMismatchError("disturbance does not match the state dimension")
         check_disturbance_bound(self.system, self.disturbance)
@@ -204,8 +215,6 @@ class Trajectory:
     b: np.ndarray
     delta: np.ndarray
     kappa: float
-    u2_sup: float
-    c_sup: float
     crossings: tuple[CrossingEvent, ...] = field(default=())
 
     def __len__(self) -> int:
@@ -527,7 +536,7 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i, mode_j,
     return Trajectory(
         t=t, x1=x1, x2=x2, xtilde=xtilde, u1=u1, u2bar=u2bar,
         mode_i=mode_i, mode_j=mode_j, y1=y1, y2=y2, err=err, V=V, b=b, delta=delta,
-        kappa=cert.kappa, u2_sup=u2_sup, c_sup=c_sup, crossings=events,
+        kappa=cert.kappa, crossings=events,
     )
 
 

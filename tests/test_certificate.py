@@ -27,7 +27,7 @@ from pwa_hier.errors import (
     SynthesisFailedError,
     UncertifiedModeError,
 )
-from pwa_hier.polytope import AFFINE, CONIC, ContinuityMatrix, Polyhedron, cell_bounding
+from pwa_hier.polytope import AFFINE, CONIC, Polyhedron, cell_bounding
 from pwa_hier.modelfile import build_pipeline, builtin_model_path, load_model
 from pwa_hier.relation import JointMode, JointSystem
 from pwa_hier.simulator import reference_schedule, run_scenario
@@ -572,7 +572,7 @@ class TestCertificateValidation:
 
     def test_continuity_factorization_accepted(self):
         T = np.diag([2.0, 3.0, 5.0])
-        jbar = ContinuityMatrix(np.eye(3))
+        jbar = np.eye(3)
         cert = Certificate(
             1.0, 1.0,
             (ModeCertificate(np.diag([2.0, 3.0]), m_scalar=5.0),),
@@ -582,7 +582,7 @@ class TestCertificateValidation:
 
     def test_continuity_factorization_mismatch(self):
         T = np.eye(3)
-        jbar = ContinuityMatrix(np.eye(3))
+        jbar = np.eye(3)
         with pytest.raises(InfeasibleCertificateError):
             Certificate(
                 1.0, 1.0,
@@ -595,4 +595,4 @@ class TestCertificateValidation:
         entry = ModeCertificate(np.diag([2.0, 3.0]), m_scalar=5.0)
         with pytest.raises(DimensionMismatchError):
             Certificate(1.0, 1.0, (entry, entry), T=np.diag([2.0, 3.0, 5.0]),
-                        jbars=(ContinuityMatrix(np.eye(3)),))
+                        jbars=(np.eye(3),))

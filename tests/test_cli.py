@@ -71,6 +71,13 @@ def _break_model(doc, how):
         doc["pairing"] = [9] * len(doc["system"]["modes"])
     elif how == "pwa-pairing-fraction":
         doc["pairing"][0] += 0.7
+    elif how == "waypoint-ragged":
+        doc["scenario"]["u2bar"][1]["value"].append(1.0)
+    elif how == "waypoint-wrong-dim":
+        for waypoint in doc["scenario"]["u2bar"]:
+            waypoint["value"].append(1.0)
+    elif how == "R-shape":
+        doc["gains"]["R"] = doc["gains"]["K"]  # p x n, where R needs p x q
     else:
         raise AssertionError(f"unknown defect {how!r}")
 
@@ -172,13 +179,17 @@ class TestRun:
         ["check", "cert-M-asymmetric"],
         ["check", "pairing-on-linear"],
         ["check", "pwa-pairing-fraction"],
+        ["run", "waypoint-ragged"],
+        ["run", "waypoint-wrong-dim"],
+        ["check", "R-shape"],
     ], ids=["t-end-zero", "no-step-in-horizon", "step-zero", "step-nan",
             "values-not-numbers", "kappa-negative", "disturbance-above-bound",
             "relation-shape", "x1-0-nan", "waypoint-inf", "lambda-grid-text",
             "zero-disturbance-scaled", "waypoint-t-nan", "offset-nan",
             "cert-lambda-text", "cert-lambda-list", "cert-m-text", "cert-m-short",
             "cert-U-short", "cert-jbar-short", "cert-M-asymmetric",
-            "pairing-on-linear", "pwa-pairing-fraction"])
+            "pairing-on-linear", "pwa-pairing-fraction", "waypoint-ragged",
+            "waypoint-wrong-dim", "R-shape"])
     def test_zero_horizon_exits_one(self, argv, tmp_path, capsys, caplog):
         """Bad input of every kind exits 1 with one error line, no traceback.
         A model name other than case1 names an edit of case1's model file

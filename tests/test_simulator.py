@@ -599,7 +599,7 @@ class TestExport:
             xtilde=np.empty((0, 2)), u1=np.empty((0, 1)), u2bar=np.empty((0, 1)),
             mode_i=np.empty(0, dtype=int), mode_j=np.empty(0, dtype=int),
             y1=np.empty((0, 1)), y2=np.empty((0, 1)), err=np.empty(0), V=np.empty(0), b=np.empty(0), delta=np.empty(0),
-            kappa=1.0, u2_sup=0.0, c_sup=0.0,
+            kappa=1.0,
         )
         path = tmp_path / "empty.csv"
         export_trajectory(empty, path)
