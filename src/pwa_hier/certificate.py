@@ -124,10 +124,18 @@ class Certificate:
         if self.T is not None:
             T = as_matrix(self.T, "T")
             object.__setattr__(self, "T", T)
+            if T.shape[0] != T.shape[1]:
+                raise DimensionMismatchError(f"T must be square, got shape {T.shape}")
             if self.jbars is not None:
                 for idx, (entry, J) in enumerate(zip(self.entries, self.jbars)):
-                    rebuilt = J.T @ T @ J
                     target = entry.extended()
+                    if J.shape != (T.shape[0], target.shape[0]):
+                        raise DimensionMismatchError(
+                            f"entry {idx}: Jbar has shape {J.shape}, expected "
+                            f"{(T.shape[0], target.shape[0])} (T's rows by the "
+                            f"extended M's size)"
+                        )
+                    rebuilt = J.T @ T @ J
                     err = np.linalg.norm(rebuilt - target)
                     if err > _FACTORIZATION_TOL * (1.0 + np.linalg.norm(target)):
                         raise InfeasibleCertificateError(

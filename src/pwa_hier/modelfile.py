@@ -318,6 +318,9 @@ def _build_config(doc: dict) -> ModelConfig:
                 raise ModelError(f"certificate.{key}: need one entry per mode "
                                  f"({system.n_modes}), got {len(entries)}")
     cert_T = cert_node.get("T")
+    if (cert_T is None) != (cert_jbar is None):
+        missing = "T" if cert_T is None else "Jbar"
+        raise ModelError(f"certificate: T and Jbar come together, {missing} is missing")
     if cert_T is not None:
         cert_T = _matrix(cert_T, "certificate.T")
 

@@ -596,3 +596,14 @@ class TestCertificateValidation:
         with pytest.raises(DimensionMismatchError):
             Certificate(1.0, 1.0, (entry, entry), T=np.diag([2.0, 3.0, 5.0]),
                         jbars=(np.eye(3),))
+
+    @pytest.mark.parametrize("T, jbar", [
+        (np.ones((3, 2)), np.eye(3)),        # T not square
+        (np.eye(2), np.eye(3)),              # Jbar rows differ from T's
+        (np.eye(3), np.eye(3, 4)),           # Jbar columns differ from extended M
+    ], ids=["T-not-square", "jbar-rows", "jbar-cols"])
+    def test_continuity_shapes_checked(self, T, jbar):
+        """Misshapen continuity data are a dimension error, not a matmul one."""
+        entry = ModeCertificate(np.diag([2.0, 3.0]), m_scalar=5.0)
+        with pytest.raises(DimensionMismatchError):
+            Certificate(1.0, 1.0, (entry,), T=T, jbars=(jbar,))

@@ -51,6 +51,11 @@ def _break_model(doc, how):
             # case1's modes share one M, so T = M factors through J = I
             eye = np.eye(len(cert["M"][0])).tolist()
             doc["certificate"].update(T=cert["M"][0], Jbar=[eye])
+        elif how == "cert-T-Jbar-shape":
+            eye = np.eye(len(cert["M"][0])).tolist()
+            doc["certificate"].update(T=np.eye(3).tolist(), Jbar=[eye] * modes)
+        elif how == "cert-T-only":
+            doc["certificate"]["T"] = cert["M"][0]
         else:
             raise AssertionError(f"unknown defect {how!r}")
     elif how == "relation-shape":
@@ -177,6 +182,8 @@ class TestRun:
         ["check", "cert-U-short"],
         ["check", "cert-jbar-short"],
         ["check", "cert-M-asymmetric"],
+        ["check", "cert-T-Jbar-shape"],
+        ["check", "cert-T-only"],
         ["check", "pairing-on-linear"],
         ["check", "pwa-pairing-fraction"],
         ["run", "waypoint-ragged"],
@@ -188,8 +195,8 @@ class TestRun:
             "zero-disturbance-scaled", "waypoint-t-nan", "offset-nan",
             "cert-lambda-text", "cert-lambda-list", "cert-m-text", "cert-m-short",
             "cert-U-short", "cert-jbar-short", "cert-M-asymmetric",
-            "pairing-on-linear", "pwa-pairing-fraction", "waypoint-ragged",
-            "waypoint-wrong-dim", "R-shape"])
+            "cert-T-Jbar-shape", "cert-T-only", "pairing-on-linear",
+            "pwa-pairing-fraction", "waypoint-ragged", "waypoint-wrong-dim", "R-shape"])
     def test_zero_horizon_exits_one(self, argv, tmp_path, capsys, caplog):
         """Bad input of every kind exits 1 with one error line, no traceback.
         A model name other than case1 names an edit of case1's model file

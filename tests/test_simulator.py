@@ -24,6 +24,7 @@ from pwa_hier import (
 )
 from pwa_hier.certificate import sim_fn_derivative
 from pwa_hier.errors import (
+    DimensionMismatchError,
     EmptyScheduleError,
     EmptyTrajectoryError,
     NoCellError,
@@ -34,8 +35,8 @@ from pwa_hier.errors import (
 from pwa_hier import simulator
 from pwa_hier.polytope import MEMBERSHIP_SLACK, locate_mode
 from pwa_hier.relation import assemble_joint, solve_system_relation
-from pwa_hier.simulator import (_BLOCK, _LEVELS, CHAIN_TOL, CROSSING_BRACKET, _Runner,
-                                 rk4_weights)
+from pwa_hier.simulator import (_BLOCK, _LEVELS, _WRITE_BLOCK, CHAIN_TOL, CROSSING_BRACKET,
+                                 _Runner, rk4_weights, write_tables)
 from pwa_hier.systems import paired_modes
 
 from helpers import fan_scenario
@@ -617,3 +618,55 @@ class TestExport:
         export_trajectory(run_scenario(short), a)
         export_trajectory(run_scenario(short), b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("rows", [0, 1, _WRITE_BLOCK, 2 * _WRITE_BLOCK + 3])
+    def test_writer_matches_per_value_repr(self, rows, tmp_path):
+        """The writer's bytes equal formatting every value on its own, for
+        signed zeros, NaN payloads, infinities, subnormals, repeated values,
+        constant, twin and strided columns and ints, across block edges."""
+        rng = np.random.default_rng(rows)
+        nan_payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+        special = np.array([-0.0, 0.0, np.nan, nan_payload, np.inf, -np.inf, 5e-324])
+        x = np.where(rng.random(rows) < 0.3, rng.choice(special, rows),
+                     rng.standard_normal(rows))
+        x[:min(rows, len(special))] = special[:rows]
+        stacked = rng.standard_normal((rows, 3))
+        columns = {
+            "x": x,
+            "twin": x.copy(),
+            "const": np.full(rows, 0.1),
+            "zero": np.zeros(rows),
+            "negzero": -np.zeros(rows),
+            "mode": rng.integers(1, 4, rows),
+            "strided": stacked.T[1],
+        }
+        files = [(tmp_path / "all.csv", tuple(columns), ",", True),
+                 (tmp_path / "some.dat", ("strided", "x", "negzero", "mode"), " ", False)]
+        write_tables(columns, files)
+        for path, names, sep, header in files:
+            lines = [sep.join(names)] if header else []
+            lines += [sep.join(repr(columns[name][i].item()) for name in names)
+                      for i in range(rows)]
+            assert path.read_text() == "".join(line + "\n" for line in lines)
+
+    @pytest.mark.parametrize("bad", [np.arange(3.0), np.zeros((5, 1))],
+                             ids=["short", "two-d"])
+    def test_writer_rejects_misshapen_column(self, bad, tmp_path):
+        """A column that is not 1-D of the first column's length is
+        rejected by name, not cut to the shortest column."""
+        path = tmp_path / "t.dat"
+        with pytest.raises(DimensionMismatchError, match="'z'"):
+            write_tables({"t": np.arange(5.0), "z": bad}, [(path, ("t", "z"), " ", False)])
+        assert not path.exists()
+
+    def test_export_rejects_short_extra_column(self, tmp_path):
+        traj = Trajectory(
+            t=np.zeros(2), x1=np.zeros((2, 2)), x2=np.zeros((2, 1)),
+            xtilde=np.zeros((2, 2)), u1=np.zeros((2, 1)), u2bar=np.zeros((2, 1)),
+            mode_i=np.zeros(2, dtype=int), mode_j=np.zeros(2, dtype=int),
+            y1=np.zeros((2, 1)), y2=np.zeros((2, 1)), err=np.zeros(2), V=np.zeros(2),
+            b=np.zeros(2), delta=np.zeros(2), kappa=1.0,
+        )
+        with pytest.raises(DimensionMismatchError, match="'kV'"):
+            export_trajectory(traj, tmp_path / "t.csv", columns={"kV": np.zeros(1)},
+                              files=[(tmp_path / "b.csv", ("t", "kV"), ",", True)])
