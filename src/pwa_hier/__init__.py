@@ -34,7 +34,6 @@ from .relation import (
     assemble_joint,
     build_interface,
     default_R,
-    interface_linear,
     relation_residual,
     solve_relation,
     solve_relation_pairing,

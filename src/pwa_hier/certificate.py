@@ -209,15 +209,16 @@ def lmi_margins(M, A, C, E, U, W, lam: float, affine: bool) -> tuple[float, floa
 
 
 def _mode_blocks(entry: ModeCertificate, jm: JointMode):
-    """(M, A, C, E, affine) blocks for one joint mode, in the coordinates
-    its cell kind dictates."""
+    """(M, A, B1, B2, C, E, affine) blocks for one joint mode, in the
+    coordinates its cell kind dictates: plain joint coordinates for a conic
+    cell, homogeneous ones for an affine cell."""
     if jm.kind == CONIC:
-        return entry.M, jm.Aprime, jm.Cprime, jm.cell.E, False
+        return entry.M, jm.Aprime, jm.B1prime, jm.B2prime, jm.Cprime, jm.cell.E, False
     if entry.m_scalar is None:
         raise InfeasibleCertificateError(
             f"mode {jm.label}: affine cell requires a homogeneous block entry"
         )
-    return entry.extended(), jm.Abar, jm.Cbar, jm.bounding.Ebar, True
+    return entry.extended(), jm.Abar, jm.B1bar, jm.B2bar, jm.Cbar, jm.bounding.Ebar, True
 
 
 def verify_all(cert: Certificate, joint: JointSystem,
@@ -233,7 +234,7 @@ def verify_all(cert: Certificate, joint: JointSystem,
     stacks = []
     for idx in idxs:
         entry = cert.entries[idx]
-        M, A, C, E, affine = _mode_blocks(entry, joint.modes[idx])
+        M, A, _, _, C, E, affine = _mode_blocks(entry, joint.modes[idx])
         stacks.append(_condition_matrices(M, A, C, E, entry.U, entry.W, cert.lam, affine))
     reports = []
     for w in _eigvalsh_by_shape(stacks):
@@ -412,15 +413,8 @@ def gain_slopes_all(cert: Certificate, joint: JointSystem,
     forms, where = [], []
     for row, idx in enumerate(idxs):
         entry = cert.entries[idx]
-        jm = joint.modes[idx]
-        if jm.kind == CONIC:
-            M = entry.M
-            B1, B2 = jm.B1prime, jm.B2prime
-        else:
-            M = entry.extended()
-            B1, B2 = jm.B1bar, jm.B2bar
-            if entry.m_scalar is None:
-                raise InfeasibleCertificateError("affine cell without homogeneous entry")
+        M, _, B1, B2, _, _, affine = _mode_blocks(entry, joint.modes[idx])
+        if affine:
             out[row, 3] = np.sqrt(entry.m_scalar)
         for col, X in enumerate((B2, np.eye(M.shape[0]), B1)):
             if X.size:  # an empty block has slope zero

@@ -195,10 +195,12 @@ def cmd_sweep(model_spec: str, param: str, values: list[float]) -> int:
     if not values:
         raise ModelError("sweep needs at least one value")
     pipe = build_pipeline(load_model(resolve_model_path(model_spec)))
+    # every value is checked before the table starts
+    scenarios = [_sweep_scenario(pipe, param, value) for value in values]
     print(f"{'value':>12} {'max ||e||':>14} {'max V':>14} verdict")
     all_pass = True
-    for value in values:
-        traj = run_scenario(_sweep_scenario(pipe, param, value))
+    for value, scenario in zip(values, scenarios):
+        traj = run_scenario(scenario)
         outcome = verdict(traj)
         all_pass = all_pass and outcome == "PASS"
         print(f"{value:>12.6g} {float(np.max(traj.err)):>14.6g} "

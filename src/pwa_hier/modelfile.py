@@ -297,6 +297,8 @@ def _build_config(doc: dict) -> ModelConfig:
     lambda_grid = cert_node.get("lambda_grid")
     if lambda_grid is not None:
         lambda_grid = _vector(lambda_grid, "certificate.lambda_grid")
+        if not np.any(lambda_grid > 0.0):
+            raise ModelError("certificate.lambda_grid: needs a positive decay rate")
     m_scalar = _scalar(cert_node.get("m_scalar", 1.0), "certificate.m_scalar")
     cert_lambda = cert_node.get("lambda")
     if cert_lambda is not None:
@@ -309,6 +311,10 @@ def _build_config(doc: dict) -> ModelConfig:
         [_matrix(X, f"certificate.{key}[{i}]") for i, X in enumerate(cert_node[key])]
         for key in ("M", "U", "W", "Jbar")
     )
+    stray = [key for key in ("lambda", "m", "U", "W", "T", "Jbar")
+             if cert_node.get(key) is not None and cert_M is None]
+    if stray:
+        raise ModelError(f"certificate: {', '.join(stray)} given without a supplied M")
     if cert_M is not None:
         if cert_lambda is None:
             raise ModelError("certificate: supplied M requires an explicit lambda")

@@ -22,7 +22,7 @@ from .errors import (
     SingularBBtError,
     UncertifiedRelationError,
 )
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix
 from .polytope import (
     CellBounding,
     Polyhedron,
@@ -217,22 +217,6 @@ def default_R(B, P, G) -> np.ndarray:
     return np.linalg.pinv(B) @ P @ G
 
 
-def interface_linear(xtilde, x2, u2bar, R, Q, L, K) -> np.ndarray:
-    """Concrete input ``u1 = R u2bar + (Q + R L) x2 + K xtilde``."""
-    xtilde = as_vector(xtilde, "xtilde")
-    x2 = as_vector(x2, "x2")
-    u2bar = as_vector(u2bar, "u2bar")
-    R = as_matrix(R, "R")
-    Q = as_matrix(Q, "Q")
-    L = as_matrix(L, "L")
-    K = as_matrix(K, "K")
-    if (K.shape[1] != xtilde.shape[0] or Q.shape[1] != x2.shape[0]
-            or R.shape[1] != u2bar.shape[0] or L.shape[0] != u2bar.shape[0]
-            or L.shape[1] != x2.shape[0]):
-        raise DimensionMismatchError("interface operand shapes are inconsistent")
-    return R @ u2bar + (Q + R @ L) @ x2 + K @ xtilde
-
-
 @dataclass(frozen=True)
 class Interface:
     """Per-concrete-mode interface gains, resolved against the pairing.
@@ -246,6 +230,13 @@ class Interface:
     R: tuple[np.ndarray, ...]
     Q: tuple[np.ndarray, ...]
     L: tuple[np.ndarray, ...]
+
+    def u1(self, i: int, xtilde, x2, u2bar) -> np.ndarray:
+        """Concrete input ``u1 = R u2bar + (Q + R L) x2 + K xtilde`` of mode
+        ``i``: one row per row of the row-stacked arguments, or one input
+        from vectors."""
+        R = self.R[i]
+        return u2bar @ R.T + x2 @ (self.Q[i] + R @ self.L[i]).T + xtilde @ self.K[i].T
 
 
 def build_interface(

@@ -90,9 +90,10 @@ class ReferenceSchedule:
     times: np.ndarray
     values: np.ndarray
 
-    def value(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return self.values[max(idx, 0)]
+    def value(self, t) -> np.ndarray:
+        """Value at time ``t``, or one row per time when ``t`` is an array."""
+        idx = np.searchsorted(self.times, t, side="right") - 1
+        return self.values[np.maximum(idx, 0)]
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -259,26 +260,20 @@ class _Runner:
         self.paired = paired_modes(s.abstraction, s.relation.pairing, s.system.n_modes)
         # abstraction-mode index per concrete mode; 0 for a linear abstraction
         self.js = [0 if pm.j is None else pm.j for pm in self.paired]
-        dist = s.disturbance
-        self.dist_offset = dist.offset if dist.kind != "zero" else 0.0
-        self.dist_amplitude = dist.amplitude if dist.kind == "sinusoid" else 0.0
-        self.mask_ext = np.concatenate([dist.mask, np.zeros(self.m)])
-        # stacked closed-loop dynamics per concrete mode: z = (x1, x2), and
-        # the rows (E, f) of its cell, stacked over its paired region's
+        self.dist = s.disturbance
+        self.mask_ext = np.concatenate([self.dist.mask, np.zeros(self.m)])
+        # stacked closed-loop dynamics per concrete mode, z = (x1, x2), and
+        # the rows (E, f) of its cell and paired region in x1 space: the
+        # first n columns of its joint cell's rows
         self.Z, self.BU, self.rows = [], [], []
         for i, (mode, pm) in enumerate(zip(s.system.modes, self.paired)):
             K, R, Q, L = (s.interface.K[i], s.interface.R[i],
                           s.interface.Q[i], s.interface.L[i])
-            P = s.relation.P[i]
-            cell = self.part.cells[i]
-            if pm.region is None:
-                self.rows.append((cell.E, cell.f))
-            else:
-                self.rows.append((np.vstack([cell.E, pm.region.E]),
-                                  np.concatenate([cell.f, pm.region.f])))
+            cell = s.joint.modes[i].cell
+            self.rows.append((np.ascontiguousarray(cell.E[:, :self.n]), cell.f))
             Z = np.zeros((self.n + self.m, self.n + self.m))
             Z[: self.n, : self.n] = mode.A + mode.B @ K
-            Z[: self.n, self.n:] = mode.B @ (Q + R @ L - K @ P)
+            Z[: self.n, self.n:] = mode.B @ (Q + R @ L - K @ s.relation.P[i])
             Z[self.n:, self.n:] = pm.mode.transformed()
             self.Z.append(Z)
             self.BU.append(np.vstack([mode.B @ R, pm.mode.G]))
@@ -308,7 +303,7 @@ class _Runner:
         array of widths from one start."""
         times = (np.asarray(t, dtype=float)[..., None]
                  + np.asarray(h, dtype=float)[..., None] * np.array([0.0, 0.5, 1.0]))
-        return self.dist_offset + self.dist_amplitude * np.sin(times)
+        return self.dist.scale(times)
 
     def maps(self, i: int) -> tuple:
         """Mode ``i``'s powers ``Z^0 .. Z^4`` applied to the identity, to its
@@ -455,8 +450,7 @@ def run_scenario(s: Scenario) -> Trajectory:
     n = runner.n
     steps = s.steps
     t = np.arange(steps + 1) * s.h
-    pick = np.maximum(np.searchsorted(s.schedule.times, t, side="right") - 1, 0)
-    u2bar = s.schedule.values[pick]
+    u2bar = s.schedule.value(t)
     stages = runner.stages(t[:-1], s.h)
 
     zs = np.empty((steps + 1, n + runner.m))
@@ -514,16 +508,11 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i, mode_j,
             )
     for idx, slopes in zip(visited, gain_slopes_all(cert, joint, visited)):
         rows = np.nonzero(mode_i == idx)[0]
-        mode = s.system.modes[idx]
-        P = s.relation.P[idx]
-        H = runner.paired[idx].mode.H
-        xt = x1[rows] - x2[rows] @ P.T
+        xt = x1[rows] - x2[rows] @ s.relation.P[idx].T
         xtilde[rows] = xt
-        u1[rows] = (u2bar[rows] @ s.interface.R[idx].T
-                    + x2[rows] @ (s.interface.Q[idx] + s.interface.R[idx] @ s.interface.L[idx]).T
-                    + xt @ s.interface.K[idx].T)
-        y1[rows] = x1[rows] @ mode.C.T
-        y2[rows] = x2[rows] @ H.T
+        u1[rows] = s.interface.u1(idx, xt, x2[rows], u2bar[rows])
+        y1[rows] = x1[rows] @ s.system.modes[idx].C.T
+        y2[rows] = x2[rows] @ runner.paired[idx].mode.H.T
         V[rows] = sim_fn_values(cert, idx, np.hstack([xt, x2[rows]]), joint.modes[idx].kind)
         slope_cols[rows] = slopes
 

@@ -261,11 +261,9 @@ SINUSOID = "sinusoid"
 
 @dataclass(frozen=True)
 class DisturbanceSignal:
-    """Matched disturbance entering the concrete dynamics.
-
-    ``value(t) = (offset + amplitude * sin t) * mask`` for the sinusoid kind;
-    the constant kind drops the sine term, the zero kind is identically zero.
-    """
+    """Matched disturbance entering the concrete dynamics, ``value(t) =
+    scale(t) * mask`` with ``scale(t) = offset + amplitude * sin t``; the
+    zero kind has no offset or amplitude, the constant kind no amplitude."""
 
     kind: str
     mask: np.ndarray
@@ -278,6 +276,11 @@ class DisturbanceSignal:
         object.__setattr__(self, "mask", as_vector(self.mask, "mask"))
         object.__setattr__(self, "offset", float(self.offset))
         object.__setattr__(self, "amplitude", float(self.amplitude))
+        unused = {ZERO: ("offset", "amplitude"), CONSTANT: ("amplitude",)}
+        for name in unused.get(self.kind, ()):
+            if getattr(self, name) != 0.0:
+                raise ModelError(f"a {self.kind} disturbance takes no {name}, "
+                                 f"got {getattr(self, name)}")
 
     @classmethod
     def zero(cls, dim: int) -> "DisturbanceSignal":
@@ -295,24 +298,24 @@ class DisturbanceSignal:
     def dim(self) -> int:
         return self.mask.shape[0]
 
+    def scale(self, t):
+        """Scalar waveform ``offset + amplitude * sin t``, elementwise over
+        an array of times."""
+        return self.offset + self.amplitude * np.sin(t)
+
     def value(self, t: float) -> np.ndarray:
-        if self.kind == ZERO:
-            return np.zeros(self.dim)
-        if self.kind == CONSTANT:
-            return self.offset * self.mask
-        return (self.offset + self.amplitude * np.sin(t)) * self.mask
+        return self.scale(t) * self.mask
 
     def sup_norm(self) -> float:
         """Analytic supremum of ``||value(t)||_inf`` over all t >= 0."""
         peak = float(np.max(np.abs(self.mask))) if self.mask.size else 0.0
-        if self.kind == ZERO:
-            return 0.0
-        if self.kind == CONSTANT:
-            return abs(self.offset) * peak
         return (abs(self.offset) + abs(self.amplitude)) * peak
 
     def scaled_to(self, sup: float) -> "DisturbanceSignal":
-        """Same waveform rescaled so the sup-norm equals ``sup``."""
+        """Same waveform rescaled so the sup-norm equals ``sup``, a finite
+        target >= 0 (a negative factor would flip the waveform instead)."""
+        if not (sup >= 0.0 and np.isfinite(sup)):
+            raise ModelError(f"disturbance sup-norm target must be finite and >= 0, got {sup}")
         if sup == 0.0:
             return DisturbanceSignal.zero(self.dim)
         current = self.sup_norm()

@@ -56,6 +56,12 @@ def _break_model(doc, how):
             doc["certificate"].update(T=np.eye(3).tolist(), Jbar=[eye] * modes)
         elif how == "cert-T-only":
             doc["certificate"]["T"] = cert["M"][0]
+        elif how == "cert-lambda-without-M":
+            doc["certificate"] = {"kappa": cert["kappa"], "lambda": 5.0}
+        elif how == "cert-T-without-M":
+            # shapes that could not even factor M: only the missing M is wrong
+            doc["certificate"] = {"kappa": cert["kappa"], "T": np.eye(3).tolist(),
+                                  "Jbar": [np.eye(3, len(cert["M"][0])).tolist()] * modes}
         else:
             raise AssertionError(f"unknown defect {how!r}")
     elif how == "relation-shape":
@@ -66,6 +72,10 @@ def _break_model(doc, how):
         doc["scenario"]["u2bar"][1]["value"][0] = float("inf")
     elif how == "lambda-grid-text":
         doc["certificate"]["lambda_grid"] = ["a"]
+    elif how == "lambda-grid-nonpositive":
+        doc["certificate"]["lambda_grid"] = [0.0, -1.0]
+    elif how == "lambda-grid-empty":
+        doc["certificate"]["lambda_grid"] = []
     elif how == "zero-disturbance":
         doc["scenario"]["disturbance"] = {"kind": "zero"}
     elif how == "waypoint-t-nan":
@@ -167,10 +177,14 @@ class TestRun:
         ["sweep", "case1", "--param", "step", "--values", "0.001,abc"],
         ["sweep", "case1", "--param", "kappa", "--values", "-1"],
         ["sweep", "case1", "--param", "disturbance-amplitude", "--values", "1"],
+        ["sweep", "case1", "--param", "disturbance-amplitude", "--values", "-0.1"],
+        ["sweep", "case1", "--param", "disturbance-amplitude", "--values", "0.05,nan"],
         ["check", "relation-shape"],
         ["check", "x1-0-nan"],
         ["check", "waypoint-inf"],
         ["check", "lambda-grid-text"],
+        ["check", "lambda-grid-nonpositive"],
+        ["check", "lambda-grid-empty"],
         ["sweep", "zero-disturbance", "--param", "disturbance-amplitude",
          "--values", "0.1"],
         ["run", "waypoint-t-nan"],
@@ -184,6 +198,8 @@ class TestRun:
         ["check", "cert-M-asymmetric"],
         ["check", "cert-T-Jbar-shape"],
         ["check", "cert-T-only"],
+        ["check", "cert-lambda-without-M"],
+        ["check", "cert-T-without-M"],
         ["check", "pairing-on-linear"],
         ["check", "pwa-pairing-fraction"],
         ["run", "waypoint-ragged"],
@@ -191,11 +207,14 @@ class TestRun:
         ["check", "R-shape"],
     ], ids=["t-end-zero", "no-step-in-horizon", "step-zero", "step-nan",
             "values-not-numbers", "kappa-negative", "disturbance-above-bound",
+            "disturbance-amplitude-negative", "disturbance-amplitude-nan",
             "relation-shape", "x1-0-nan", "waypoint-inf", "lambda-grid-text",
+            "lambda-grid-nonpositive", "lambda-grid-empty",
             "zero-disturbance-scaled", "waypoint-t-nan", "offset-nan",
             "cert-lambda-text", "cert-lambda-list", "cert-m-text", "cert-m-short",
             "cert-U-short", "cert-jbar-short", "cert-M-asymmetric",
-            "cert-T-Jbar-shape", "cert-T-only", "pairing-on-linear",
+            "cert-T-Jbar-shape", "cert-T-only", "cert-lambda-without-M",
+            "cert-T-without-M", "pairing-on-linear",
             "pwa-pairing-fraction", "waypoint-ragged", "waypoint-wrong-dim", "R-shape"])
     def test_zero_horizon_exits_one(self, argv, tmp_path, capsys, caplog):
         """Bad input of every kind exits 1 with one error line, no traceback.
@@ -276,6 +295,15 @@ class TestSweep:
             assert main(["run", "case1", "--out", str(out), "--step", step]) == 0
             report = json.loads((out / "report.json").read_text())
             assert line[1] == f"{report['max_err']:.6g}"
+
+    @pytest.mark.parametrize("values", ["-0.1", "nan", "0.05,-0.1"])
+    def test_bad_amplitude_rejected_before_the_table(self, values, capsys):
+        """Amplitude values are sup-norm targets: a negative one (which would
+        flip the waveform) or NaN is named as such, before any row runs."""
+        assert main(["sweep", "case1", "--param", "disturbance-amplitude",
+                     "--values", values]) == 1
+        captured = capsys.readouterr()
+        assert "sup-norm target" in captured.err and captured.out == ""
 
     def test_unknown_parameter_exits_one(self, capsys):
         # argparse rejects unknown choices before our handler sees them

@@ -131,6 +131,19 @@ class TestValidation:
             load_model(p)
         assert "vector" not in str(info.value) and "flat list" not in str(info.value)
 
+    @pytest.mark.parametrize("key, value", [
+        ("lambda", 5.0), ("m", [1.0]), ("U", [[[1.0]]]), ("W", [[[1.0]]]),
+    ])
+    def test_certificate_keys_need_M(self, tmp_path, case1_doc, key, value):
+        """Keys read only with a supplied M are rejected without one, by
+        name, instead of being ignored in favour of synthesis."""
+        doc = json.loads(json.dumps(case1_doc))
+        doc["certificate"][key] = value
+        p = tmp_path / "bad.model"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match=f"certificate: {key} given without a supplied M"):
+            load_model(p)
+
     def test_declared_pairing_mismatch(self, tmp_path):
         doc = json.loads(builtin_model_path("case2").read_text())
         doc["pairing"] = [1, 1, 1, 3, 3]

@@ -12,11 +12,11 @@ from pwa_hier.errors import (
     UncertifiedRelationError,
 )
 from pwa_hier.relation import (
+    Interface,
     RelationMaps,
     _relation_operator,
     assemble_joint,
     default_R,
-    interface_linear,
     relation_residual,
     relation_tolerance,
     solve_relation,
@@ -230,44 +230,73 @@ class TestDefaultR:
             assert best <= np.linalg.norm(B @ cand - P @ G) + 1e-12
 
 
+def _one_mode_interface(R, Q, L, K) -> Interface:
+    return Interface((K,), (R,), (Q,), (L,))
+
+
 class TestInterface:
     def test_feedthrough_only(self):
-        u = interface_linear(np.zeros(3), np.zeros(2), [1.0, 2.0],
-                             R=np.eye(2), Q=np.zeros((2, 2)), L=-I2,
-                             K=np.zeros((2, 3)))
+        iface = _one_mode_interface(R=np.eye(2), Q=np.zeros((2, 2)), L=-I2,
+                                    K=np.zeros((2, 3)))
+        u = iface.u1(0, np.zeros(3), np.zeros(2), [1.0, 2.0])
         np.testing.assert_allclose(u, [1.0, 2.0])
 
     def test_case1_error_feedback_column(self, case1):
         e1 = np.zeros(6)
         e1[0] = 1.0
-        u = interface_linear(e1, np.zeros(2), np.zeros(2),
-                             R=case1.interface.R[0], Q=case1.relation.Q[0],
-                             L=case1.abstraction.L, K=case1.interface.K[0])
+        # the interface closes over mode 1's relation map and the abstraction's L
+        np.testing.assert_array_equal(case1.interface.Q[0], case1.relation.Q[0])
+        np.testing.assert_array_equal(case1.interface.L[0], case1.abstraction.L)
+        u = case1.interface.u1(0, e1, np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(u, [-52.0, 0.0])
 
     def test_case2_error_feedback_column(self, case2):
         e1 = np.zeros(4)
         e1[0] = 1.0
-        u = interface_linear(e1, np.zeros(2), np.zeros(2),
-                             R=case2.interface.R[0], Q=case2.relation.Q[0],
-                             L=case2.abstraction.modes[0].L, K=case2.interface.K[0])
+        np.testing.assert_array_equal(case2.interface.Q[0], case2.relation.Q[0])
+        np.testing.assert_array_equal(case2.interface.L[0], case2.abstraction.modes[0].L)
+        u = case2.interface.u1(0, e1, np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(u, [-50.0, 0.0])
 
     def test_zero_everything(self):
-        u = interface_linear(np.zeros(2), np.zeros(2), np.zeros(2),
-                             R=Z2, Q=Z2, L=-5 * I2, K=Z2)
+        iface = _one_mode_interface(R=Z2, Q=Z2, L=-5 * I2, K=Z2)
+        u = iface.u1(0, np.zeros(2), np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(u, np.zeros(2))
 
     def test_affine_in_arguments(self):
         rng = np.random.default_rng(37)
         R, Q, L, K = (rng.normal(size=(2, 2)) for _ in range(4))
+        iface = _one_mode_interface(R=R, Q=Q, L=L, K=K)
         def u(args):
-            return interface_linear(args[:2], args[2:4], args[4:], R=R, Q=Q, L=L, K=K)
+            return iface.u1(0, args[:2], args[2:4], args[4:])
         a, b = rng.normal(size=6), rng.normal(size=6)
         al, be = 0.7, -1.3
         np.testing.assert_allclose(
             u(al * a + be * b), al * u(a) + be * u(b), atol=1e-12
         )
+
+    @pytest.mark.parametrize("which", ["case1", "case2"])
+    def test_one_row_matches_stacked_rows(self, which, case1, case2):
+        """Each row of a many-row call equals the call on that row alone, as
+        a vector or as a one-row stack, in every mode.  Equal to rounding,
+        not bit for bit: BLAS takes a one-row product through its
+        matrix-vector kernel and a stack through its matrix-matrix kernel,
+        and the two round differently (about half the rows of case1 differ
+        in the last bit)."""
+        iface = (case1 if which == "case1" else case2).interface
+        rng = np.random.default_rng(41)
+        n, q = iface.K[0].shape[1], iface.R[0].shape[1]
+        xt, x2, u2 = (rng.normal(size=(64, d)) for d in (n, iface.L[0].shape[1], q))
+        for i in range(len(iface.K)):
+            many = iface.u1(i, xt, x2, u2)
+            assert many.shape == (64, iface.K[i].shape[0])
+            tol = 1e-13 * (1.0 + np.max(np.abs(many)))
+            for k in range(64):
+                np.testing.assert_allclose(iface.u1(i, xt[k], x2[k], u2[k]), many[k],
+                                           rtol=0.0, atol=tol)
+                np.testing.assert_allclose(
+                    iface.u1(i, xt[k:k + 1], x2[k:k + 1], u2[k:k + 1]), many[k:k + 1],
+                    rtol=0.0, atol=tol)
 
 
 class TestJointAssembly:
@@ -373,7 +402,6 @@ class TestJointAssembly:
         mode = case1.system.modes[0]
         P = case1.relation.P[0]
         jm = case1.joint.modes[0]
-        K, R, Q = case1.interface.K[0], case1.interface.R[0], case1.relation.Q[0]
         L, G, F = case1.abstraction.L, case1.abstraction.G, case1.abstraction.F
         u2bar = np.array([0.3, -0.4])
         m = 2
@@ -384,7 +412,7 @@ class TestJointAssembly:
 
         def physical_field(z, t):
             x1, x2 = z[:6], z[6:]
-            u1 = interface_linear(x1 - P @ x2, x2, u2bar, R=R, Q=Q, L=L, K=K)
+            u1 = case1.interface.u1(0, x1 - P @ x2, x2, u2bar)
             dx1 = mode.A @ x1 + mode.B @ u1
             dx2 = (F + G @ L) @ x2 + G @ u2bar
             return np.concatenate([dx1, dx2])

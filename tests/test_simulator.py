@@ -113,6 +113,17 @@ class TestReferenceSchedule:
         with pytest.raises(NonMonotoneTimesError):
             reference_schedule([(0.0, [1.0]), (float("nan"), [2.0])])
 
+    def test_array_lookup_matches_scalar(self):
+        """An array of times gives the per-time lookups row by row, at t = 0,
+        exactly at each waypoint, just before one and past the last."""
+        s = reference_schedule([(0.0, [1.0, -1.0]), (0.25, [2.0, 0.5]),
+                                (3.0, [-4.0, 7.0])])
+        t = np.array([0.0, 0.1, 0.25, np.nextafter(3.0, 0.0), 3.0, 9.5, 0.25, 0.0])
+        got = s.value(t)
+        assert got.shape == (len(t), 2)
+        np.testing.assert_array_equal(got, np.array([s.value(float(x)) for x in t]))
+        np.testing.assert_array_equal(got[[0, 2, 4]], s.values)
+
 
 def _matched_single_mode_scenario(case1, x1_offset=0.0, disturbance=None):
     """Single-mode plant with invertible input map: the feedthrough matches
@@ -343,6 +354,38 @@ class TestPropagator:
             want = step_rk4(field, z, t, tau)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("dist", [DisturbanceSignal.sinusoid(-0.1, 0.05, 6),
+                                      DisturbanceSignal.constant(0.07, 6),
+                                      DisturbanceSignal.zero(6)],
+                             ids=["sinusoid", "constant", "zero"])
+    def test_stages_are_the_waveform(self, dist, case1):
+        """The RK4 stage scales are the disturbance waveform at t, t + h/2 and
+        t + h, bit for bit, for an array of starts and for an array of widths."""
+        runner = _Runner(dataclasses.replace(case1.scenario, disturbance=dist))
+        t = np.linspace(0.0, 12.0, 37)
+        h = case1.scenario.h
+        got = runner.stages(t, h)
+        assert got.shape == (len(t), 3)
+        for col, times in enumerate((t, t + 0.5 * h, t + h)):
+            np.testing.assert_array_equal(got[:, col], dist.scale(times))
+        widths = np.array([0.0, 0.3, 1.0]) * h
+        got = runner.stages(2.5, widths)
+        for col, frac in enumerate((0.0, 0.5, 1.0)):
+            np.testing.assert_array_equal(got[:, col], dist.scale(2.5 + widths * frac))
+
+    def test_rows_are_cell_over_region(self, case2):
+        """The runner's x1-space rows of each mode are its cell's rows over
+        its paired region's, bit for bit."""
+        scen = case2.scenario
+        runner = _Runner(scen)
+        for i, pm in enumerate(paired_modes(scen.abstraction, scen.relation.pairing,
+                                            scen.system.n_modes)):
+            cell = scen.system.partition.cells[i]
+            E, f = runner.rows[i]
+            np.testing.assert_array_equal(E, np.vstack([cell.E, pm.region.E]))
+            np.testing.assert_array_equal(f, np.concatenate([cell.f, pm.region.f]))
+            assert E.flags.c_contiguous
+
     def test_batched_coefficients_match_scalar(self, case1):
         """RK4 weights and sub-step coefficients for an array of widths
         equal the one-width results row by row (up to rounding)."""
@@ -489,8 +532,7 @@ class TestNonzeroFeedforward:
         fused closed-loop matrices agree with stepping the raw plant and
         abstraction through the interface formula."""
         from pwa_hier import LinearAbstraction
-        from pwa_hier.relation import (assemble_joint, interface_linear,
-                                       solve_system_relation)
+        from pwa_hier.relation import assemble_joint, solve_system_relation
         system = PwaSystem(
             (PwaMode(np.array([[0.0, 1.0], [0.0, 0.0]]),
                      np.array([[0.0], [1.0]]),
@@ -522,9 +564,7 @@ class TestNonzeroFeedforward:
 
             def field(state, tau):
                 x1, x2 = state[:2], state[2:]
-                u1 = interface_linear(x1 - P @ x2, x2, u2bar,
-                                      R=iface.R[0], Q=rel.Q[0],
-                                      L=absn.L, K=K)
+                u1 = iface.u1(0, x1 - P @ x2, x2, u2bar)
                 dx1 = mode.A @ x1 + mode.B @ u1 + dist.value(tau)
                 dx2 = FGL @ x2 + absn.G @ u2bar
                 return np.concatenate([dx1, dx2])

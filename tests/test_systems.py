@@ -83,6 +83,35 @@ class TestDisturbance:
         d = DisturbanceSignal.sinusoid(-0.1, 0.05, 6).scaled_to(0.0)
         assert d.sup_norm() == 0.0
 
+    @pytest.mark.parametrize("sup", [-0.1, -1e-300, np.nan, np.inf])
+    def test_scaled_to_rejects_bad_target(self, sup):
+        """A negative factor would flip the waveform and leave the sup-norm
+        at |sup|; NaN and infinity are no sup-norm either."""
+        with pytest.raises(ModelError, match="sup-norm target"):
+            DisturbanceSignal.sinusoid(-0.1, 0.05, 6).scaled_to(sup)
+
+    @pytest.mark.parametrize("kind, offset, amplitude, unused", [
+        ("zero", 0.1, 0.0, "offset"),
+        ("zero", 0.0, 0.05, "amplitude"),
+        ("constant", 0.1, 0.05, "amplitude"),
+    ])
+    def test_kind_rejects_unused_terms(self, kind, offset, amplitude, unused):
+        with pytest.raises(ModelError, match=f"{kind} disturbance takes no {unused}"):
+            DisturbanceSignal(kind, np.ones(3), offset=offset, amplitude=amplitude)
+
+    def test_value_is_scale_times_mask(self):
+        """One waveform for every kind: ``scale`` is elementwise over an array
+        of times, the constant kind is its offset and the zero kind zero."""
+        t = np.linspace(0.0, 7.0, 71)
+        for d in (DisturbanceSignal.sinusoid(-0.1, 0.05, 3),
+                  DisturbanceSignal.constant(-0.2, 3), DisturbanceSignal.zero(3)):
+            np.testing.assert_array_equal(d.scale(t), [d.scale(x) for x in t])
+            for x in t:
+                np.testing.assert_array_equal(d.value(x), d.scale(x) * d.mask)
+        np.testing.assert_array_equal(DisturbanceSignal.constant(-0.2, 3).value(1.3),
+                                      [-0.2] * 3)
+        np.testing.assert_array_equal(DisturbanceSignal.zero(3).value(4.0), np.zeros(3))
+
 
 class TestModelValidation:
     def test_mode_shape_check(self):
