@@ -40,6 +40,8 @@ from .relation import (
 )
 from .simulator import Scenario, reference_schedule
 from .systems import (
+    DISTURBANCE_TERMS,
+    ZERO,
     AbstractionMode,
     DisturbanceSignal,
     LinearAbstraction,
@@ -165,18 +167,15 @@ def _cell(node, what: str) -> Polyhedron:
 
 def _disturbance(node: dict, dim: int) -> DisturbanceSignal:
     kind = _require(node, "kind", "scenario.disturbance")
-    if kind == "zero":
-        return DisturbanceSignal.zero(dim)
-    if kind == "constant":
-        return DisturbanceSignal.constant(
-            _scalar(_require(node, "offset", "disturbance"), "disturbance.offset"), dim)
-    if kind == "sinusoid":
-        return DisturbanceSignal.sinusoid(
-            _scalar(_require(node, "offset", "disturbance"), "disturbance.offset"),
-            _scalar(_require(node, "amplitude", "disturbance"), "disturbance.amplitude"),
-            dim,
-        )
-    raise ModelError(f"scenario.disturbance: unknown kind {kind!r}")
+    if not isinstance(kind, str) or kind not in DISTURBANCE_TERMS:
+        raise ModelError(f"scenario.disturbance: unknown kind {kind!r}")
+    takes = DISTURBANCE_TERMS[kind]
+    for key in ("offset", "amplitude"):
+        if key in node and key not in takes:
+            raise ModelError(f"scenario.disturbance: a {kind} disturbance takes no {key!r}")
+    terms = {key: _scalar(_require(node, key, "disturbance"), f"disturbance.{key}")
+             for key in takes}
+    return DisturbanceSignal(kind, np.zeros(dim) if kind == ZERO else np.ones(dim), **terms)
 
 
 def load_model(path) -> ModelConfig:

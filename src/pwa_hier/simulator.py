@@ -1,14 +1,18 @@
 """Closed-loop hybrid simulation with mode switching and bound bookkeeping.
 
 The concrete plant and the transformed abstraction are integrated together
-with classical RK4, the active mode frozen within a step: one precomputed
-affine map per visited mode, applied in blocks with one vectorized
-membership test per block; only the first step that leaves the mode is
-split, by bisecting the crossing.  The bisection tests the dyadic points of
-``_LEVELS`` levels at a time in one batched evaluation, so a crossing costs
-a few numpy calls rather than one sub-step per level.  Every sample records
-the tracking error, the simulation-function value, the running
-invariant-level threshold, and the certified output-error level.
+with classical RK4, the active mode frozen within a step.  Every mode's
+affine step map, and the matrix powers the crossing sub-steps use, are
+built when the run starts, for all modes in one stacked pass; the RK4
+weights are constant tables times powers of the step width.  Steps go in
+blocks: a doubling scan fills a block with ``log2 _BLOCK`` batched products,
+and one vectorized membership test checks it.  Only the first step that
+leaves the mode is split, by bisecting the crossing.  The bisection tests
+the dyadic points of ``_LEVELS`` levels at a time in one batched
+evaluation, so a crossing costs a few numpy calls rather than one sub-step
+per level.  Every sample records the tracking error, the
+simulation-function value, the running invariant-level threshold, and the
+certified output-error level.
 """
 
 from __future__ import annotations
@@ -230,23 +234,35 @@ def verdict(traj: Trajectory) -> str:
     return "PASS" if chain else "FAIL"
 
 
-def rk4_weights(h) -> np.ndarray:
-    """Classical RK4 on ``z' = Z z + v(t)`` as weights on ``Z^0 .. Z^4``: a
-    step of width ``h`` is ``sum_k Z^k (W[0,k] z + W[1,k] v(t)
-    + W[2,k] v(t + h/2) + W[3,k] v(t + h))``; row 0 is ``T4(hZ)``.
+#: Classical RK4 on ``z' = Z z + v(t)`` as weights on ``Z^0 .. Z^4``: a step
+#: of width ``h`` is ``sum_k Z^k (W[0,k] z + W[1,k] v(t) + W[2,k] v(t + h/2)
+#: + W[3,k] v(t + h))`` with ``W = _RK4_COEF * h ** _RK4_EXP``; row 0 is
+#: ``T4(hZ)``.
+_RK4_COEF = np.array([
+    [1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0],
+    [1.0 / 6.0, 1.0 / 6.0, 1.0 / 12.0, 1.0 / 24.0, 0.0],
+    [2.0 / 3.0, 1.0 / 3.0, 1.0 / 12.0, 0.0, 0.0],
+    [1.0 / 6.0, 0.0, 0.0, 0.0, 0.0],
+])
+_RK4_EXP = np.arange(5) + np.array([[0], [1], [1], [1]])
 
-    ``h`` may be a 1-D array of widths; the weights then stack along a
-    leading axis, shape ``(len(h), 4, 5)``."""
-    c = h / 6.0
-    ch2, h3 = c * h * h / 2.0, h ** 3
-    zero = 0.0 * h
-    W = np.array([
-        [zero + 1.0, h, h * h / 2.0, h3 / 6.0, h ** 4 / 24.0],
-        [c, c * h, ch2, c * h3 / 4.0, zero],
-        [4.0 * c, 2.0 * c * h, ch2, zero, zero],
-        [c, zero, zero, zero, zero],
-    ])
-    return W if W.ndim == 2 else W.transpose(2, 0, 1)
+#: The same weights laid out over a sub-step basis, the stacked ``Z^k z``,
+#: ``Z^k BU u2bar`` and ``Z^k mask``: ``(stages @ _SUB_DRIVE + _SUB_FIXED)
+#: * tau ** _SUB_EXP``, the reference input taking the stage weights' sum.
+_SUB_FIXED = np.concatenate([_RK4_COEF[0], _RK4_COEF[1:].sum(axis=0), np.zeros(5)])
+_SUB_DRIVE = np.hstack([np.zeros((3, 10)), _RK4_COEF[1:]])
+_SUB_EXP = np.concatenate([_RK4_EXP[0], _RK4_EXP[1], _RK4_EXP[1]])
+
+#: Shifts of the doubling scan that fills a block: ``1, 2, 4, ...`` below
+#: ``_BLOCK``.
+_SHIFTS = tuple(1 << b for b in range((_BLOCK - 1).bit_length()))
+
+
+def rk4_weights(h) -> np.ndarray:
+    """The RK4 weights ``W`` of a step of width ``h`` (see ``_RK4_COEF``),
+    shape ``(4, 5)``; ``h`` may be a 1-D array of widths, whose weights
+    then stack along a leading axis, shape ``(len(h), 4, 5)``."""
+    return _RK4_COEF * np.asarray(h, dtype=float)[..., None, None] ** _RK4_EXP
 
 
 class _Runner:
@@ -261,23 +277,41 @@ class _Runner:
         # abstraction-mode index per concrete mode; 0 for a linear abstraction
         self.js = [0 if pm.j is None else pm.j for pm in self.paired]
         self.dist = s.disturbance
-        self.mask_ext = np.concatenate([self.dist.mask, np.zeros(self.m)])
+        d = self.n + self.m
+        mask_ext = np.concatenate([self.dist.mask, np.zeros(self.m)])
         # stacked closed-loop dynamics per concrete mode, z = (x1, x2), and
         # the rows (E, f) of its cell and paired region in x1 space: the
         # first n columns of its joint cell's rows
-        self.Z, self.BU, self.rows = [], [], []
+        Z, BU, self.rows = [], [], []
         for i, (mode, pm) in enumerate(zip(s.system.modes, self.paired)):
             K, R, Q, L = (s.interface.K[i], s.interface.R[i],
                           s.interface.Q[i], s.interface.L[i])
             cell = s.joint.modes[i].cell
             self.rows.append((np.ascontiguousarray(cell.E[:, :self.n]), cell.f))
-            Z = np.zeros((self.n + self.m, self.n + self.m))
-            Z[: self.n, : self.n] = mode.A + mode.B @ K
-            Z[: self.n, self.n:] = mode.B @ (Q + R @ L - K @ s.relation.P[i])
-            Z[self.n:, self.n:] = pm.mode.transformed()
-            self.Z.append(Z)
-            self.BU.append(np.vstack([mode.B @ R, pm.mode.G]))
-        self._maps: dict = {}
+            Zi = np.zeros((d, d))
+            Zi[: self.n, : self.n] = mode.A + mode.B @ K
+            Zi[: self.n, self.n:] = mode.B @ (Q + R @ L - K @ s.relation.P[i])
+            Zi[self.n:, self.n:] = pm.mode.transformed()
+            Z.append(Zi)
+            BU.append(np.vstack([mode.B @ R, pm.mode.G]))
+        self.Z, self.BU = np.array(Z), np.array(BU)
+        # every mode's powers Z^0 .. Z^4 and step map, in one stacked pass
+        Zk = np.empty((len(Z), 5, d, d))
+        Zk[:, 0] = np.eye(d)
+        for k in range(1, 5):
+            Zk[:, k] = self.Z @ Zk[:, k - 1]
+        ZkB, Zkm = Zk @ self.BU[:, None], Zk @ mask_ext
+        w = rk4_weights(self.h)
+        Phi = np.einsum("k,mkij->mij", w[0], Zk)
+        Gu = np.einsum("k,mkij->mij", w[1:].sum(axis=0), ZkB)
+        Ws = np.einsum("sk,mki->msi", w[1:], Zkm)
+        self._maps = (Zk, ZkB, Zkm, Phi, Gu, Ws)
+        # transposed Phi^s for the scan's shifts s, by repeated squaring
+        powers = np.empty((len(Z), len(_SHIFTS), d, d))
+        powers[:, 0] = Phi
+        for b in range(1, len(_SHIFTS)):
+            powers[:, b] = powers[:, b - 1] @ powers[:, b - 1]
+        self.scan_powers = powers.transpose(0, 1, 3, 2).copy()
 
     # -- membership ---------------------------------------------------------
 
@@ -308,26 +342,18 @@ class _Runner:
     def maps(self, i: int) -> tuple:
         """Mode ``i``'s powers ``Z^0 .. Z^4`` applied to the identity, to its
         reference input map and to the disturbance mask, then its step map
-        ``(Phi, Gu, Ws)``: ``z+ = Phi z + Gu u2bar + stages(t, h) @ Ws``."""
-        if i not in self._maps:
-            Zk = [np.eye(len(self.mask_ext))]
-            for _ in range(4):
-                Zk.append(self.Z[i] @ Zk[-1])
-            Zk = np.array(Zk)
-            ZkB, Zkm = Zk @ self.BU[i], Zk @ self.mask_ext
-            w = rk4_weights(self.h)
-            self._maps[i] = (Zk, ZkB, Zkm, np.tensordot(w[0], Zk, 1),
-                             np.tensordot(w[1:].sum(axis=0), ZkB, 1), w[1:] @ Zkm)
-        return self._maps[i]
+        ``(Phi, Gu, Ws)``: ``z+ = Phi z + Gu u2bar + stages(t, h) @ Ws``.
+        Every mode's maps are built together, as stacked arrays, when the
+        runner is."""
+        return tuple(a[i] for a in self._maps)
 
     def coefficients(self, t: float, tau) -> np.ndarray:
         """Weights on the rows of a sub-step ``basis`` (the stacked ``Z^k z``,
         ``Z^k BU u2bar`` and ``Z^k mask`` of the mode) for an RK4 step of
         width ``tau`` from ``t``; one row per width when ``tau`` is an array."""
-        w = rk4_weights(tau)
-        drive = (self.stages(t, tau)[..., None, :] @ w[..., 1:, :])[..., 0, :]
-        return np.concatenate([w[..., 0, :], w[..., 1, :] + w[..., 2, :] + w[..., 3, :], drive],
-                              axis=-1)
+        tau = np.asarray(tau, dtype=float)
+        return ((self.stages(t, tau) @ _SUB_DRIVE + _SUB_FIXED)
+                * tau[..., None] ** _SUB_EXP)
 
     def sub_step(self, basis: np.ndarray, t: float, tau: float) -> np.ndarray:
         """RK4 step of width ``tau`` from ``z`` at ``t``, given the mode's
@@ -337,15 +363,24 @@ class _Runner:
     def propagate(self, zs: np.ndarray, k: int, stop: int, i: int,
                   u2bar: np.ndarray, stages: np.ndarray) -> int:
         """Fill ``zs[k+1 : stop+1]`` with steps of mode ``i`` from ``zs[k]``;
-        return how many leading rows are finite and inside the mode."""
+        return how many leading rows are finite and inside the mode.
+
+        The block first holds each step's drive ``Gu u2bar + stages @ Ws``,
+        the first row also ``Phi zs[k]``.  A doubling scan then adds to
+        every row ``Phi^s`` times the row ``s`` above it for ``s = 1, 2, 4,
+        ...``, after which row ``r`` sums ``Phi^j`` times the drive of row
+        ``r - j`` over all ``j <= r``: the recurrence ``z+ = Phi z + drive``
+        in ``log2 _BLOCK`` batched products.  A row that overflows only
+        spoils the rows after it, which the caller redoes."""
         Phi, Gu, Ws = self.maps(i)[3:]
         block = zs[k + 1: stop + 1]
         np.matmul(u2bar[k:stop], Gu.T, out=block)
         block += stages[k:stop] @ Ws
-        prev = zs[k]
-        for row in block:
-            row += Phi @ prev
-            prev = row
+        block[0] += Phi @ zs[k]
+        for s, power in zip(_SHIFTS, self.scan_powers[i]):
+            if s >= len(block):
+                break
+            block[s:] += block[:-s] @ power
         E, f = self.rows[i]
         ok = (np.isfinite(block).all(axis=1)
               & (np.min(block[:, : self.n] @ E.T - f, axis=1) >= -MEMBERSHIP_SLACK))
@@ -439,12 +474,12 @@ class _Runner:
 def run_scenario(s: Scenario) -> Trajectory:
     """Simulate the closed loop and record the certified bound chain.
 
-    Steps go in blocks of ``_BLOCK`` through the mode's step map; the first
-    step of a block that leaves the mode (cell, and abstraction region for
-    PWA abstractions) or turns non-finite is redone by ``advance``, which
-    bisects the crossing and relocates the mode with hysteresis.  The
-    per-sample certificate columns are evaluated afterwards in one
-    vectorized pass.
+    Steps go in blocks of ``_BLOCK`` through the mode's step map, each block
+    filled by one doubling scan; the first step of a block that leaves the
+    mode (cell, and abstraction region for PWA abstractions) or turns
+    non-finite is redone by ``advance``, which bisects the crossing and
+    relocates the mode with hysteresis.  The per-sample certificate columns
+    are evaluated afterwards in one vectorized pass.
     """
     runner = _Runner(s)
     n = runner.n
@@ -499,9 +534,12 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i, mode_j,
     V = np.empty(n_samples)
     slope_cols = np.empty((n_samples, 4))  # gamma1, gamma2, gamma3, sqrt_m
 
-    # lazy certificate check: only modes the trajectory visited
+    # lazy certificate check: only modes the trajectory visited, at a sample
+    # or between two (both sides of every crossing)
     visited = np.unique(mode_i)
-    for idx, report in zip(visited, verify_all(cert, joint, visited)):
+    crossed = [label[0] for ev in events for label in (ev.old_label, ev.new_label)]
+    checked = np.union1d(visited, crossed).astype(int)
+    for idx, report in zip(checked, verify_all(cert, joint, checked)):
         if not report.feasible:
             raise UncertifiedModeError(
                 f"certificate infeasible for visited mode {joint.modes[idx].label}"

@@ -258,6 +258,9 @@ ZERO = "zero"
 CONSTANT = "constant"
 SINUSOID = "sinusoid"
 
+#: Waveform terms each disturbance kind takes; the others stay zero.
+DISTURBANCE_TERMS = {ZERO: (), CONSTANT: ("offset",), SINUSOID: ("offset", "amplitude")}
+
 
 @dataclass(frozen=True)
 class DisturbanceSignal:
@@ -271,14 +274,13 @@ class DisturbanceSignal:
     amplitude: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (ZERO, CONSTANT, SINUSOID):
+        if self.kind not in DISTURBANCE_TERMS:
             raise ModelError(f"unknown disturbance kind {self.kind!r}")
         object.__setattr__(self, "mask", as_vector(self.mask, "mask"))
         object.__setattr__(self, "offset", float(self.offset))
         object.__setattr__(self, "amplitude", float(self.amplitude))
-        unused = {ZERO: ("offset", "amplitude"), CONSTANT: ("amplitude",)}
-        for name in unused.get(self.kind, ()):
-            if getattr(self, name) != 0.0:
+        for name in ("offset", "amplitude"):
+            if name not in DISTURBANCE_TERMS[self.kind] and getattr(self, name) != 0.0:
                 raise ModelError(f"a {self.kind} disturbance takes no {name}, "
                                  f"got {getattr(self, name)}")
 

@@ -82,6 +82,8 @@ def _break_model(doc, how):
         doc["scenario"]["u2bar"][1]["t"] = float("nan")
     elif how == "offset-nan":
         doc["scenario"]["disturbance"]["offset"] = float("nan")
+    elif how == "constant-with-amplitude":
+        doc["scenario"]["disturbance"] = {"kind": "constant", "offset": 0.1, "amplitude": 0.05}
     elif how == "pairing-on-linear":
         doc["pairing"] = [9] * len(doc["system"]["modes"])
     elif how == "pwa-pairing-fraction":
@@ -189,6 +191,7 @@ class TestRun:
          "--values", "0.1"],
         ["run", "waypoint-t-nan"],
         ["check", "offset-nan"],
+        ["run", "constant-with-amplitude"],
         ["check", "cert-lambda-text"],
         ["check", "cert-lambda-list"],
         ["check", "cert-m-text"],
@@ -210,7 +213,7 @@ class TestRun:
             "disturbance-amplitude-negative", "disturbance-amplitude-nan",
             "relation-shape", "x1-0-nan", "waypoint-inf", "lambda-grid-text",
             "lambda-grid-nonpositive", "lambda-grid-empty",
-            "zero-disturbance-scaled", "waypoint-t-nan", "offset-nan",
+            "zero-disturbance-scaled", "waypoint-t-nan", "offset-nan", "constant-with-amplitude",
             "cert-lambda-text", "cert-lambda-list", "cert-m-text", "cert-m-short",
             "cert-U-short", "cert-jbar-short", "cert-M-asymmetric",
             "cert-T-Jbar-shape", "cert-T-only", "cert-lambda-without-M",

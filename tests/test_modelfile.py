@@ -95,6 +95,18 @@ class TestValidation:
         with pytest.raises(ModelError, match="supremum"):
             load_model(p)
 
+    @pytest.mark.parametrize("node, key", [
+        ({"kind": "constant", "offset": 0.1, "amplitude": 0.05}, "amplitude"),
+        ({"kind": "zero", "offset": 0.1}, "offset"),
+    ], ids=["constant-amplitude", "zero-offset"])
+    def test_disturbance_term_kind_does_not_take(self, tmp_path, case1_doc, node, key):
+        doc = json.loads(json.dumps(case1_doc))
+        doc["scenario"]["disturbance"] = node
+        p = tmp_path / "bad.model"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match=f"takes no '{key}'"):
+            load_model(p)
+
     def test_inconsistent_supplied_relation(self, tmp_path, case1_doc):
         doc = json.loads(json.dumps(case1_doc))
         doc["relation"]["P"][0][0][0] = 2.0  # H != C P now

@@ -1,6 +1,7 @@
 """Integration, mode switching, bound bookkeeping, verdict, trajectory export."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from pwa_hier import (
     synthesize_certificate,
     verdict,
 )
-from pwa_hier.certificate import sim_fn_derivative
+from pwa_hier.certificate import ModeCertificate, sim_fn_derivative
 from pwa_hier.errors import (
     DimensionMismatchError,
     EmptyScheduleError,
@@ -31,6 +32,7 @@ from pwa_hier.errors import (
     NonFiniteInputError,
     NonFiniteStateError,
     NonMonotoneTimesError,
+    UncertifiedModeError,
 )
 from pwa_hier import simulator
 from pwa_hier.polytope import MEMBERSHIP_SLACK, locate_mode
@@ -243,6 +245,24 @@ class TestRunScenario:
         with pytest.raises(UncertifiedModeError):
             run_scenario(bad)
 
+    def test_mode_crossed_between_samples_is_verified(self):
+        """A mode the state passes through between two samples has its
+        certificate checked too: on a coarse step, some crossed modes never
+        hold a sample, and an infeasible certificate for one of them stops
+        the run."""
+        scen = fan_scenario(48, seed=0, h=0.02)
+        traj = run_scenario(scen)
+        crossed = {label[0] for ev in traj.crossings for label in (ev.old_label, ev.new_label)}
+        unsampled = sorted(crossed - set(traj.mode_i.tolist()))
+        assert unsampled
+        entries = list(scen.certificate.entries)
+        d = entries[unsampled[0]].M.shape[0]
+        entries[unsampled[0]] = ModeCertificate(1e-6 * np.eye(d))  # fails domination
+        bad = dataclasses.replace(
+            scen, certificate=dataclasses.replace(scen.certificate, entries=tuple(entries)))
+        with pytest.raises(UncertifiedModeError, match="infeasible"):
+            run_scenario(bad)
+
 
 def _switch_adjacent(traj):
     """Sample indices within one step of any boundary crossing."""
@@ -398,6 +418,64 @@ class TestPropagator:
             np.testing.assert_allclose(got_w[k], rk4_weights(float(tau)), rtol=1e-15, atol=0.0)
             np.testing.assert_allclose(got_c[k], runner.coefficients(1.3, float(tau)),
                                        rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("which", ["case1", "case2", "fan"])
+    def test_block_scan_matches_recurrence(self, which, case1, case2, fans):
+        """A block of every length from 1 to ``_BLOCK``, filled by the
+        doubling scan, equals the step-by-step recurrence ``z+ = Phi z +
+        Gu u2bar + stages @ Ws`` in every mode, row by row."""
+        scen = {"case1": case1.scenario, "case2": case2.scenario, "fan": fans[0]}[which]
+        runner = _Runner(scen)
+        rng = np.random.default_rng(5)
+        d = runner.n + runner.m
+        for i in range(len(scen.system.modes)):
+            Phi, Gu, Ws = runner.maps(i)[3:]
+            u2bar = rng.normal(size=(_BLOCK, Gu.shape[1]))
+            stages = rng.normal(size=(_BLOCK, 3))
+            z0 = rng.normal(size=d)
+            want = [z0]
+            for k in range(_BLOCK):
+                want.append(Phi @ want[-1] + Gu @ u2bar[k] + stages[k] @ Ws)
+            want = np.array(want)
+            for length in range(1, _BLOCK + 1):
+                zs = np.empty((length + 1, d))
+                zs[0] = z0
+                runner.propagate(zs, 0, length, i, u2bar, stages)
+                err = np.linalg.norm(zs[1:] - want[1: length + 1], axis=1)
+                assert np.all(err <= 1e-12 * np.linalg.norm(want[1: length + 1], axis=1))
+
+    def test_rk4_weights_are_exact_at_dyadic_widths(self):
+        """At dyadic widths the weights equal the classical RK4 step on
+        ``z' = Z z + v(t)`` expanded exactly in rationals, to one rounding."""
+        def times_z(poly):  # multiply a polynomial in Z by Z
+            return [Fraction(0)] + poly[:-1]
+
+        def axpy(a, x, y):  # a x + y, per source
+            return {src: [a * p + q for p, q in zip(x[src], y[src])] for src in x}
+
+        def exact(h):
+            """Coefficients of Z^0 .. Z^4 on z, v(t), v(t + h/2), v(t + h)."""
+            unit = [Fraction(1)] + [Fraction(0)] * 4
+            zero = [Fraction(0)] * 5
+            z = {"z": unit, 0: zero, 1: zero, 2: zero}
+            drive = [{**{src: zero for src in z}, v: unit} for v in (0, 1, 1, 2)]
+            stages, prev = [], None
+            for a, v in zip((0, h / 2, h / 2, h), drive):
+                x = z if prev is None else axpy(a, prev, z)
+                prev = axpy(1, {src: times_z(p) for src, p in x.items()}, v)
+                stages.append(prev)
+            step = z
+            for weight, k in zip((1, 2, 2, 1), stages):
+                step = axpy(h / 6 * weight, k, step)
+            return [step[src] for src in ("z", 0, 1, 2)]
+
+        widths = [Fraction(1), Fraction(1, 8), Fraction(3, 1 << 12), Fraction(1, 1 << 20),
+                  Fraction(5, 1 << 33)]
+        got = rk4_weights(np.array([float(h) for h in widths]))
+        for h, w in zip(widths, got):
+            want = np.array([[float(c) for c in row] for row in exact(h)])
+            np.testing.assert_allclose(w, want, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(rk4_weights(float(h)), want, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("row", [0, _BLOCK - 1])
     @pytest.mark.parametrize("which", ["case1", "case2"])
