@@ -17,10 +17,13 @@ certified output-error level.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
-from contextlib import ExitStack, contextmanager
+import stat
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 import numpy as np
@@ -567,14 +570,86 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i, mode_j,
     )
 
 
+#: ``renameat2`` arguments: the working directory, and the flag that swaps
+#: the two names instead of replacing one.
+_AT_FDCWD = -100
+_RENAME_EXCHANGE = 2
+#: ``renameat2`` errors that mean no exchange for these two paths (old
+#: kernel, a filesystem without it, names on two filesystems, a target gone
+#: since it was looked up); ``os.replace`` places the file instead.
+_NO_EXCHANGE = frozenset({errno.EINVAL, errno.ENOSYS, errno.ENOTSUP, errno.EXDEV,
+                          errno.ENOENT})
+
+
+@lru_cache(maxsize=None)
+def _renameat2() -> Optional[Callable[..., int]]:
+    """libc's ``renameat2``, or None where libc has none (macOS, Windows,
+    glibc before 2.28).  Looked up on the first replace, not at import."""
+    import ctypes
+
+    try:
+        fn = ctypes.CDLL(None, use_errno=True).renameat2
+    except (AttributeError, OSError, TypeError):
+        return None
+    fn.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p,
+                   ctypes.c_uint)
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _exchange(tmp: str, path) -> bool:
+    """Swap the names ``tmp`` and ``path`` in one step when ``path`` is a
+    regular file; False, with nothing moved, when it is missing or not a
+    regular file, or the exchange is unavailable."""
+    fn = _renameat2()
+    if fn is None:
+        return False
+    try:
+        mode = os.lstat(path).st_mode
+    except OSError:
+        return False
+    if not stat.S_ISREG(mode):
+        return False
+    if fn(_AT_FDCWD, os.fsencode(tmp), _AT_FDCWD, os.fsencode(path), _RENAME_EXCHANGE) == 0:
+        return True
+    import ctypes
+
+    code = ctypes.get_errno()
+    if code in _NO_EXCHANGE:
+        return False
+    raise OSError(code, os.strerror(code), tmp, None, os.fspath(path))
+
+
 @contextmanager
 def atomic_write(path) -> Iterator[TextIO]:
-    """Text file handle on ``<path>.tmp``, renamed onto ``path`` once the
-    block completes, so readers never see a partial file."""
+    """Text file handle on ``<path>.tmp``, placed onto ``path`` once the
+    block completes.
+
+    A reader of ``path`` sees the old file or the new one, never a partial
+    or missing file, and a handle opened before keeps the old bytes.  An
+    existing regular file is swapped with the temp file in one step
+    (``renameat2`` with ``RENAME_EXCHANGE``) and the temp name, which then
+    holds the old bytes, is unlinked.  Renaming over the old file instead
+    makes ext4 force the new data to disk, and a rerun into the same
+    directory then waits for that writeback.  A missing target, one that is
+    not a regular file, or a system without the exchange gets
+    ``os.replace``.  Nothing is fsynced: the files are not crash-durable;
+    rerunning reproduces them.  If the block or the placing raises, the
+    temp file is removed and the error propagates.
+    """
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        yield fh
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        if _exchange(tmp, path):
+            os.unlink(tmp)
+        else:
+            os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _column_text(col: np.ndarray, seen: dict) -> list:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from pwa_hier import export_trajectory, run_scenario
+from pwa_hier import export_trajectory, run_scenario, simulator
 from pwa_hier.cli import main
 from pwa_hier.modelfile import (
     build_pipeline,
@@ -126,6 +126,19 @@ class TestCheck:
         frag = json.loads(cert_path.read_text())
         assert frag["kappa"] == 12.0
         assert len(frag["M"]) == 5
+
+    def test_save_certificate_onto_directory_exits_two(self, tmp_path, capsys):
+        """A directory in the certificate's place is an I/O error: it and
+        its contents stay as they were, and no temp file is left."""
+        target = tmp_path / "cert"
+        target.mkdir()
+        (target / "keep.txt").write_text("mine\n")
+        assert main(["check", "case1", "--save-certificate", str(target)]) == 2
+        assert "i/o error" in capsys.readouterr().err
+        assert target.is_dir()
+        assert [p.name for p in target.iterdir()] == ["keep.txt"]
+        assert (target / "keep.txt").read_text() == "mine\n"
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_destabilizing_gain_exits_one(self, tmp_path, capsys):
         doc = json.loads(builtin_model_path("case1").read_text())
@@ -249,6 +262,42 @@ class TestRun:
         traj = run_scenario(build_pipeline(load_model(builtin_model_path("case1"))).scenario)
         export_trajectory(traj, tmp_path / "alone.csv")
         assert (out / "trajectory.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+    @pytest.mark.parametrize("exchange", [True, False], ids=["exchange", "replace"])
+    def test_rerun_replaces_each_file_old_or_new(self, exchange, tmp_path, monkeypatch,
+                                                 capsys):
+        """A rerun into one ``--out`` replaces every artifact whole: a handle
+        opened before it keeps the first run's bytes, each path then reads
+        what a fresh run writes, and no temp file is left.  Without the
+        exchange (``replace``) every file goes through ``os.replace``."""
+        if not exchange:
+            monkeypatch.setattr(simulator, "_renameat2", lambda: None)
+        replaced = []
+        real_replace = simulator.os.replace
+        monkeypatch.setattr(simulator.os, "replace",
+                            lambda src, dst: (replaced.append(dst), real_replace(src, dst)))
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        argv = ["run", "case1", "--plot-data", "--t-end"]
+        assert main(argv + ["1.0", "--out", str(out)]) == 0
+        first = (out / "trajectory.csv").read_bytes()
+        with open(out / "trajectory.csv", "rb") as old:
+            replaced.clear()
+            assert main(argv + ["2.0", "--out", str(out)]) == 0
+            assert old.read() == first
+        if not exchange:
+            assert len(replaced) == 8
+        elif simulator._renameat2() is not None:
+            assert replaced == []
+        assert main(argv + ["2.0", "--out", str(fresh)]) == 0
+        names = sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
+        assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == names
+        assert len(names) == 8
+        for name in names:
+            want = (fresh / name).read_bytes()
+            if name.name == "report.json":
+                want = want.replace(str(fresh).encode(), str(out).encode())
+            assert (out / name).read_bytes() == want, name
+        assert (out / "trajectory.csv").read_bytes() != first
 
     def test_seed_recorded(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -681,6 +681,46 @@ class TestVerdict:
         assert verdict(dataclasses.replace(traj, err=err)) == "FAIL"
 
 
+class TestAtomicWrite:
+    def test_error_in_block_keeps_old_file(self, tmp_path):
+        """A write that fails part-way leaves the old file as it was and
+        removes the temp file."""
+        path = tmp_path / "f.txt"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with simulator.atomic_write(path) as fh:
+                fh.write("half")
+                raise RuntimeError
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+    def test_missing_target_and_symlink_get_replace(self, tmp_path):
+        """A new path is created, and a symlink is replaced by the file, not
+        followed, as ``os.replace`` does."""
+        new, target, link = tmp_path / "new.txt", tmp_path / "target.txt", tmp_path / "link"
+        target.write_text("target\n")
+        link.symlink_to(target)
+        for path in (new, link):
+            with simulator.atomic_write(path) as fh:
+                fh.write("written\n")
+        assert new.read_text() == "written\n"
+        assert not link.is_symlink() and link.read_text() == "written\n"
+        assert target.read_text() == "target\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "new.txt", "target.txt"]
+
+    @pytest.mark.skipif(simulator._renameat2() is None, reason="libc has no renameat2")
+    def test_exchange_swaps_regular_files_only(self, tmp_path):
+        a, b, d = tmp_path / "a", tmp_path / "b", tmp_path / "d"
+        a.write_text("A")
+        b.write_text("B")
+        d.mkdir()
+        assert simulator._exchange(str(a), b)
+        assert (a.read_text(), b.read_text()) == ("B", "A")
+        assert not simulator._exchange(str(a), d)
+        assert not simulator._exchange(str(a), tmp_path / "missing")
+        assert d.is_dir() and a.read_text() == "B"
+
+
 class TestExport:
     def test_three_samples_four_lines(self, case1, tmp_path):
         scen = case1.scenario
