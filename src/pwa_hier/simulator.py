@@ -17,7 +17,6 @@ certified output-error level.
 
 from __future__ import annotations
 
-import errno
 import math
 import os
 import stat
@@ -574,11 +573,6 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i, mode_j,
 #: the two names instead of replacing one.
 _AT_FDCWD = -100
 _RENAME_EXCHANGE = 2
-#: ``renameat2`` errors that mean no exchange for these two paths (old
-#: kernel, a filesystem without it, names on two filesystems, a target gone
-#: since it was looked up); ``os.replace`` places the file instead.
-_NO_EXCHANGE = frozenset({errno.EINVAL, errno.ENOSYS, errno.ENOTSUP, errno.EXDEV,
-                          errno.ENOENT})
 
 
 @lru_cache(maxsize=None)
@@ -588,7 +582,7 @@ def _renameat2() -> Optional[Callable[..., int]]:
     import ctypes
 
     try:
-        fn = ctypes.CDLL(None, use_errno=True).renameat2
+        fn = ctypes.CDLL(None).renameat2
     except (AttributeError, OSError, TypeError):
         return None
     fn.argtypes = (ctypes.c_int, ctypes.c_char_p, ctypes.c_int, ctypes.c_char_p,
@@ -600,7 +594,9 @@ def _renameat2() -> Optional[Callable[..., int]]:
 def _exchange(tmp: str, path) -> bool:
     """Swap the names ``tmp`` and ``path`` in one step when ``path`` is a
     regular file; False, with nothing moved, when it is missing or not a
-    regular file, or the exchange is unavailable."""
+    regular file, or the exchange fails for any reason (a failed exchange
+    moves nothing, and ``os.replace`` then places the file or reports the
+    error)."""
     fn = _renameat2()
     if fn is None:
         return False
@@ -610,14 +606,7 @@ def _exchange(tmp: str, path) -> bool:
         return False
     if not stat.S_ISREG(mode):
         return False
-    if fn(_AT_FDCWD, os.fsencode(tmp), _AT_FDCWD, os.fsencode(path), _RENAME_EXCHANGE) == 0:
-        return True
-    import ctypes
-
-    code = ctypes.get_errno()
-    if code in _NO_EXCHANGE:
-        return False
-    raise OSError(code, os.strerror(code), tmp, None, os.fspath(path))
+    return fn(_AT_FDCWD, os.fsencode(tmp), _AT_FDCWD, os.fsencode(path), _RENAME_EXCHANGE) == 0
 
 
 @contextmanager
@@ -630,12 +619,15 @@ def atomic_write(path) -> Iterator[TextIO]:
     existing regular file is swapped with the temp file in one step
     (``renameat2`` with ``RENAME_EXCHANGE``) and the temp name, which then
     holds the old bytes, is unlinked.  Renaming over the old file instead
-    makes ext4 force the new data to disk, and a rerun into the same
-    directory then waits for that writeback.  A missing target, one that is
-    not a regular file, or a system without the exchange gets
-    ``os.replace``.  Nothing is fsynced: the files are not crash-durable;
-    rerunning reproduces them.  If the block or the placing raises, the
-    temp file is removed and the error propagates.
+    makes ext4 write the new data to disk at once (``auto_da_alloc``), and
+    each rerun into the same directory then waited on the disk.  With the
+    swap, a rerun made before the kernel writes the old files out on its
+    own (``vm.dirty_expire_centisecs``, 30 s by default) does not wait; a
+    later one waits as before.  A missing target, one that is not a regular
+    file, or a failed exchange gets ``os.replace``.  Nothing is fsynced:
+    after a crash or power loss a file may be empty or truncated, and only
+    rerunning gets it back.  If the block or the placing raises, the temp
+    file is removed and the error propagates.
     """
     tmp = f"{path}.tmp"
     fh = open(tmp, "w", encoding="utf-8")

@@ -720,6 +720,18 @@ class TestAtomicWrite:
         assert not simulator._exchange(str(a), tmp_path / "missing")
         assert d.is_dir() and a.read_text() == "B"
 
+    def test_failed_exchange_falls_back_to_replace(self, tmp_path, monkeypatch):
+        """An exchange that fails with any error (here, as a policy that
+        blocks ``renameat2`` would) moves nothing, and ``os.replace`` places
+        the file."""
+        monkeypatch.setattr(simulator, "_renameat2", lambda: lambda *args: -1)
+        path = tmp_path / "f.txt"
+        path.write_text("old\n")
+        with simulator.atomic_write(path) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
 
 class TestExport:
     def test_three_samples_four_lines(self, case1, tmp_path):
