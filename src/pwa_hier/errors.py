@@ -100,7 +100,8 @@ class UncertifiedModeError(PwaHierError, RuntimeError):
 
 
 class EmptyTrajectoryError(PwaHierError, ValueError):
-    """Requested horizon or step width produces no trajectory."""
+    """Requested horizon or step width produces no trajectory, or one with
+    more samples than can be allocated."""
 
 
 # -- model files / CLI -----------------------------------------------------

@@ -7,10 +7,12 @@ built when the run starts, for all modes in one stacked pass; the RK4
 weights are constant tables times powers of the step width.  Steps go in
 blocks: a doubling scan fills a block with ``log2 _BLOCK`` batched products,
 and one vectorized membership test checks it.  Only the first step that
-leaves the mode is split, by bisecting the crossing.  The bisection tests
-the dyadic points of ``_LEVELS`` levels at a time in one batched
-evaluation, so a crossing costs a few numpy calls rather than one sub-step
-per level.  Every sample records the tracking error, the
+leaves the mode is split, by bisecting the crossing.  The bisection
+guesses the exit point and tests, in one batched evaluation, the midpoints
+it visits if every decision agrees with the guess; a decision that
+disagrees starts a new guess and batch from there.  A crossing costs about
+two batches rather than one sub-step per level, and its bracket is the one
+plain bisection finds.  Every sample records the tracking error, the
 simulation-function value, the running invariant-level threshold, and the
 certified output-error level.
 """
@@ -63,8 +65,8 @@ _SWITCH_CAP = 64
 _BLOCK = 32
 
 #: Bisection levels whose ``2**_LEVELS - 1`` dyadic points are tested in
-#: one batched evaluation.
-_LEVELS = 7
+#: one batched evaluation when no exit point can be predicted.
+_LEVELS = 4
 
 #: Rows formatted at a time by the artifact writer.
 _WRITE_BLOCK = 1024
@@ -255,6 +257,9 @@ _SUB_FIXED = np.concatenate([_RK4_COEF[0], _RK4_COEF[1:].sum(axis=0), np.zeros(5
 _SUB_DRIVE = np.hstack([np.zeros((3, 10)), _RK4_COEF[1:]])
 _SUB_EXP = np.concatenate([_RK4_EXP[0], _RK4_EXP[1], _RK4_EXP[1]])
 
+#: RK4 stage times as fractions of the step width.
+_STAGE_AT = np.array([0.0, 0.5, 1.0])
+
 #: Shifts of the doubling scan that fills a block: ``1, 2, 4, ...`` below
 #: ``_BLOCK``.
 _SHIFTS = tuple(1 << b for b in range((_BLOCK - 1).bit_length()))
@@ -265,6 +270,40 @@ def rk4_weights(h) -> np.ndarray:
     shape ``(4, 5)``; ``h`` may be a 1-D array of widths, whose weights
     then stack along a leading axis, shape ``(len(h), 4, 5)``."""
     return _RK4_COEF * np.asarray(h, dtype=float)[..., None, None] ** _RK4_EXP
+
+
+def _exit_guess(lo: float, hi: float, at_lo: np.ndarray, at_hi: np.ndarray,
+                slope: Optional[np.ndarray] = None) -> float:
+    """Predicted point in ``[lo, hi]`` where a sub-step leaves the mode,
+    from its row margins at ``lo`` (inside) and ``hi`` (outside) and, when
+    given, their slopes at ``lo`` per unit of ``hi - lo``.
+
+    Each row outside at ``hi`` is modelled by the quadratic through its two
+    margins with that slope, or by the chord without one, and the guess is
+    the earliest root among them; ``lo`` when a row is already outside at
+    ``lo``, NaN when no row outside at ``hi`` has finite margins.  A guess
+    only sets how many batches ``bisect`` needs, never its bracket.
+    """
+    first = math.inf
+    slopes = [None] * len(at_lo) if slope is None else slope.tolist()
+    for a, c, b in zip(at_lo.tolist(), at_hi.tolist(), slopes):
+        a += MEMBERSHIP_SLACK  # relative to the membership test's threshold
+        c += MEMBERSHIP_SLACK
+        if not c < 0.0:
+            continue
+        if a < 0.0:
+            return lo
+        root = a / (a - c)  # the chord's
+        if b is not None:
+            k = c - a - b  # a + b s + k s^2 starts with slope b, meets both ends
+            disc = b * b - 4.0 * k * a
+            if k and disc >= 0.0:
+                # its roots q / k and a / q, computed stably; the earliest in [0, 1]
+                q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+                roots = [r for r in (q / k, a / q if q else math.inf) if 0.0 <= r <= 1.0]
+                root = min(roots, default=root)
+        first = min(first, root)
+    return lo + (hi - lo) * first if first <= 1.0 else math.nan
 
 
 class _Runner:
@@ -317,9 +356,14 @@ class _Runner:
 
     # -- membership ---------------------------------------------------------
 
-    def _margin(self, x1: np.ndarray, i: int) -> float:
+    def _margins(self, x1: np.ndarray, i: int) -> np.ndarray:
+        """Margins ``E x1 - f`` of mode ``i``'s rows; inside within slack
+        when none is below ``-MEMBERSHIP_SLACK``."""
         E, f = self.rows[i]
-        return float((E @ x1 - f).min())
+        return E @ x1 - f
+
+    def _margin(self, x1: np.ndarray, i: int) -> float:
+        return float(self._margins(x1, i).min())
 
     def label(self, x1: np.ndarray, i: int) -> tuple[int, int]:
         """``(i, js[i])``, once ``x1`` is checked to lie in the region of
@@ -338,7 +382,7 @@ class _Runner:
         stage times); ``t`` may be an array of step starts, or ``h`` an
         array of widths from one start."""
         times = (np.asarray(t, dtype=float)[..., None]
-                 + np.asarray(h, dtype=float)[..., None] * np.array([0.0, 0.5, 1.0]))
+                 + np.asarray(h, dtype=float)[..., None] * _STAGE_AT)
         return self.dist.scale(times)
 
     def maps(self, i: int) -> tuple:
@@ -388,42 +432,68 @@ class _Runner:
               & (np.min(block[:, : self.n] @ E.T - f, axis=1) >= -MEMBERSHIP_SLACK))
         return len(ok) if ok.all() else int(np.argmin(ok))
 
-    def bisect(self, basis: np.ndarray, t: float, width: float, i: int) -> tuple[float, float]:
+    def bisect(self, basis: np.ndarray, t: float, width: float, i: int,
+               end: Optional[np.ndarray] = None) -> tuple[float, float]:
         """Bracket ``(lo, hi)``, as fractions of ``width``, of where a
         sub-step from ``t`` leaves mode ``i``: inside at ``lo`` (or ``lo =
-        0``), outside at ``hi``.
+        0``), outside at ``hi``.  ``end`` holds the mode's row margins at
+        the full width, when the caller has them.
 
         Plain bisection on the fraction, ``BISECTION_CAP`` levels at most
-        and none once the bracket is within ``CROSSING_BRACKET``.  The
-        ``2**L - 1`` dyadic points of the next ``L <= _LEVELS`` levels are
-        stepped to and tested in one batched evaluation, with the cell rows
-        projected onto ``basis`` once; the bisection walk then reads its
-        decisions from them.  Those points are exactly the midpoints the
-        walk can visit, so the bracket is the one scalar bisection finds.
+        and none once the bracket is within ``CROSSING_BRACKET``.  The exit
+        point is guessed first (``_exit_guess``), and the midpoints the walk
+        visits if every decision agrees with the guess are stepped to and
+        tested in one batched evaluation, with the cell rows projected onto
+        ``basis`` once.  The walk reads its decisions from them until it
+        reaches a midpoint the batch lacks, after a decision that went
+        against the guess; the next guess comes from the margins at the new
+        bracket's ends.  Without a guess (non-finite margins) the batch is
+        the ``2**L - 1`` dyadic points of the next ``L <= _LEVELS`` levels.
+        Every decision reads the margin at the exact midpoint it visits, so
+        the bracket is the one scalar bisection finds; the guesses only set
+        how many batches it takes, about two per crossing.
         """
         E, f = self.rows[i]
         proj = basis[:, : self.n] @ E.T
         depth = 0
         while depth < BISECTION_CAP and 0.5 ** depth * width > CROSSING_BRACKET:
             depth += 1
+        if end is None:
+            end = self._margins(self.sub_step(basis, t, width)[: self.n], i)
         lo, hi = 0.0, 1.0
+        at_lo, at_hi = proj[0] - f, end
+        # margins' rate per unit fraction at the start: E z'(t) * width, with
+        # z' = Z z + BU u2bar + scale(t) mask from the basis rows
+        slope = width * (proj[1] + proj[5] + self.dist.scale(t) * proj[10])
         while depth > 0:
-            levels = min(depth, _LEVELS)
-            count = 1 << levels
-            # lo, hi and the grid are dyadic with at most BISECTION_CAP bits,
-            # so the grid holds exactly the scalar walk's midpoints
-            grid = lo + (hi - lo) * np.arange(count + 1) / count
-            margins = (self.coefficients(t, grid[1:-1] * width) @ proj - f).min(axis=1)
-            inside = (margins >= -MEMBERSHIP_SLACK).tolist()
-            a, b = 0, count
-            for _ in range(levels):
-                mid = (a + b) // 2
-                if inside[mid - 1]:
-                    a = mid
+            guess = _exit_guess(lo, hi, at_lo, at_hi, slope)
+            slope = None  # known at the start only
+            if math.isnan(guess):
+                count = 1 << min(depth, _LEVELS)
+                points = (lo + (hi - lo) * np.arange(1, count) / count).tolist()
+            else:
+                points, a, b = [], lo, hi
+                for _ in range(depth):
+                    mid = 0.5 * (a + b)
+                    points.append(mid)
+                    if mid <= guess:
+                        a = mid
+                    else:
+                        b = mid
+            # lo, hi and the points are dyadic with at most BISECTION_CAP
+            # bits, so a point equals the walk's midpoint exactly
+            rows = self.coefficients(t, np.array(points) * width) @ proj - f
+            inside = (rows.min(axis=1) >= -MEMBERSHIP_SLACK).tolist()
+            index = {mid: k for k, mid in enumerate(points)}
+            while depth > 0:
+                k = index.get(0.5 * (lo + hi))
+                if k is None:
+                    break
+                if inside[k]:
+                    lo, at_lo = points[k], rows[k]
                 else:
-                    b = mid
-            lo, hi = float(grid[a]), float(grid[b])
-            depth -= levels
+                    hi, at_hi = points[k], rows[k]
+                depth -= 1
         return lo, hi
 
     def advance(self, z: np.ndarray, t: float, h: float, i: int,
@@ -444,9 +514,10 @@ class _Runner:
             trial = self.sub_step(basis, t, remaining)
             if not np.isfinite(trial).all():
                 raise NonFiniteStateError(f"non-finite state near t={t}")
-            if self._margin(trial[: self.n], i) >= -MEMBERSHIP_SLACK:
+            end = self._margins(trial[: self.n], i)
+            if end.min() >= -MEMBERSHIP_SLACK:
                 return trial, i
-            lo, hi = self.bisect(basis, t, remaining, i)
+            lo, hi = self.bisect(basis, t, remaining, i, end)
             z_lo = z if lo == 0.0 else self.sub_step(basis, t, lo * remaining)
             z = trial if hi == 1.0 else self.sub_step(basis, t, hi * remaining)
             committed = hi * remaining
@@ -486,12 +557,17 @@ def run_scenario(s: Scenario) -> Trajectory:
     runner = _Runner(s)
     n = runner.n
     steps = s.steps
-    t = np.arange(steps + 1) * s.h
-    u2bar = s.schedule.value(t)
-    stages = runner.stages(t[:-1], s.h)
-
-    zs = np.empty((steps + 1, n + runner.m))
-    mode_i = np.empty(steps + 1, dtype=int)
+    try:
+        t = np.arange(steps + 1) * s.h
+        u2bar = s.schedule.value(t)
+        stages = runner.stages(t[:-1], s.h)
+        zs = np.empty((steps + 1, n + runner.m))
+        mode_i = np.empty(steps + 1, dtype=int)
+    except MemoryError as exc:
+        raise EmptyTrajectoryError(
+            f"horizon {s.t_end:g} at step {s.h:g} needs {steps + 1} samples, more "
+            f"than can be allocated"
+        ) from exc
 
     i = locate_mode(s.system.partition, s.x1_0)
     runner.label(s.x1_0, i)  # raises unless x1_0 lies in the paired region
@@ -611,8 +687,8 @@ def _exchange(tmp: str, path) -> bool:
 
 @contextmanager
 def atomic_write(path) -> Iterator[TextIO]:
-    """Text file handle on ``<path>.tmp``, placed onto ``path`` once the
-    block completes.
+    """Text file handle on ``<path>.<pid>.tmp``, placed onto ``path`` once
+    the block completes.
 
     A reader of ``path`` sees the old file or the new one, never a partial
     or missing file, and a handle opened before keeps the old bytes.  An
@@ -627,9 +703,11 @@ def atomic_write(path) -> Iterator[TextIO]:
     file, or a failed exchange gets ``os.replace``.  Nothing is fsynced:
     after a crash or power loss a file may be empty or truncated, and only
     rerunning gets it back.  If the block or the placing raises, the temp
-    file is removed and the error propagates.
+    file is removed and the error propagates.  The temp name carries the
+    process id, so two processes writing one path never write, place or
+    remove each other's temp file.
     """
-    tmp = f"{path}.tmp"
+    tmp = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp, "w", encoding="utf-8")
     try:
         with fh:

@@ -189,6 +189,8 @@ class TestRun:
         ["run", "case1", "--t-end", "0.5", "--step", "0.7"],
         ["run", "case1", "--step", "0"],
         ["run", "case1", "--step", "nan"],
+        # 1.2e16 samples: numpy refuses the allocation at once
+        ["run", "case1", "--step", "1e-15"],
         ["sweep", "case1", "--param", "step", "--values", "0.001,abc"],
         ["sweep", "case1", "--param", "kappa", "--values", "-1"],
         ["sweep", "case1", "--param", "disturbance-amplitude", "--values", "1"],
@@ -221,7 +223,7 @@ class TestRun:
         ["run", "waypoint-ragged"],
         ["run", "waypoint-wrong-dim"],
         ["check", "R-shape"],
-    ], ids=["t-end-zero", "no-step-in-horizon", "step-zero", "step-nan",
+    ], ids=["t-end-zero", "no-step-in-horizon", "step-zero", "step-nan", "step-unallocatable",
             "values-not-numbers", "kappa-negative", "disturbance-above-bound",
             "disturbance-amplitude-negative", "disturbance-amplitude-nan",
             "relation-shape", "x1-0-nan", "waypoint-inf", "lambda-grid-text",

@@ -37,7 +37,7 @@ from pwa_hier.errors import (
 from pwa_hier import simulator
 from pwa_hier.polytope import MEMBERSHIP_SLACK, locate_mode
 from pwa_hier.relation import assemble_joint, solve_system_relation
-from pwa_hier.simulator import (_BLOCK, _LEVELS, _WRITE_BLOCK, CHAIN_TOL, CROSSING_BRACKET,
+from pwa_hier.simulator import (_BLOCK, _WRITE_BLOCK, CHAIN_TOL, CROSSING_BRACKET,
                                  _Runner, rk4_weights, write_tables)
 from pwa_hier.systems import paired_modes
 
@@ -536,9 +536,10 @@ class TestPropagator:
             run_scenario(bad)
 
 
-def scalar_bisect(runner, basis, t, width, i):
+def scalar_bisect(runner, basis, t, width, i, end=None):
     """Plain bisection of the exit point, one scalar sub-step and margin
-    per level: the reference the batched localization must reproduce."""
+    per level: the reference the batched localization must reproduce
+    (``end``, the margins at the full width, is not needed)."""
     lo, hi = 0.0, 1.0
     for _ in range(simulator.BISECTION_CAP):
         if (hi - lo) * width <= CROSSING_BRACKET:
@@ -558,6 +559,33 @@ def fans():
     return [fan_scenario(32, seed=0), fan_scenario(48, seed=1)]
 
 
+def _crossing_starts(scen, traj, runner):
+    """``(basis, t, i)`` of the step start before each crossing of ``traj``."""
+    z = np.hstack([traj.x1, traj.x2])
+    for ev in traj.crossings:
+        k = int(np.searchsorted(traj.t, ev.t_inside, side="right")) - 1
+        i = int(traj.mode_i[k])
+        Zk, ZkB, Zkm = runner.maps(i)[:3]
+        yield np.concatenate([Zk @ z[k], ZkB @ traj.u2bar[k], Zkm]), float(traj.t[k]), i
+
+
+def _assert_matches_scalar_run(scenarios, monkeypatch):
+    """States, modes and every crossing event of each run equal those of a
+    run whose crossings are localized by plain scalar bisection."""
+    batched = [run_scenario(scen) for scen in scenarios]
+    monkeypatch.setattr(_Runner, "bisect", scalar_bisect)
+    for scen, got in zip(scenarios, batched):
+        want = run_scenario(scen)
+        np.testing.assert_array_equal(got.x1, want.x1)
+        np.testing.assert_array_equal(got.x2, want.x2)
+        np.testing.assert_array_equal(got.mode_i, want.mode_i)
+        assert got.crossings == want.crossings
+        for ev in got.crossings:
+            assert ev.width <= CROSSING_BRACKET
+            assert ev.margin_inside >= -MEMBERSHIP_SLACK
+            assert ev.margin_outside < -MEMBERSHIP_SLACK
+
+
 class TestBatchedBisection:
     def test_fan_crosses_often(self, fans):
         for scen in fans:
@@ -568,40 +596,76 @@ class TestBatchedBisection:
     def test_run_matches_scalar_bisection(self, fans, monkeypatch):
         """States, modes and every crossing event equal those of a run whose
         crossings are localized by plain scalar bisection."""
-        batched = [run_scenario(scen) for scen in fans]
-        monkeypatch.setattr(_Runner, "bisect", scalar_bisect)
-        for scen, got in zip(fans, batched):
-            want = run_scenario(scen)
-            np.testing.assert_array_equal(got.x1, want.x1)
-            np.testing.assert_array_equal(got.x2, want.x2)
-            np.testing.assert_array_equal(got.mode_i, want.mode_i)
-            assert got.crossings == want.crossings
-            for ev in got.crossings:
-                assert ev.width <= CROSSING_BRACKET
-                assert ev.margin_inside >= -MEMBERSHIP_SLACK
-                assert ev.margin_outside < -MEMBERSHIP_SLACK
+        _assert_matches_scalar_run(fans, monkeypatch)
 
-    @pytest.mark.parametrize("cap", [simulator.BISECTION_CAP, _LEVELS + 3])
+    def test_coarse_step_run_matches_scalar_bisection(self, monkeypatch):
+        """The same on a step of 0.02: modes are entered and left within one
+        step, and each crossing takes 28 levels."""
+        scen = fan_scenario(48, seed=0, h=0.02)
+        traj = run_scenario(scen)
+        assert {ev.new_label[0] for ev in traj.crossings} - set(traj.mode_i.tolist())
+        _assert_matches_scalar_run([scen], monkeypatch)
+
+    @pytest.mark.parametrize("cap", [simulator.BISECTION_CAP, 10])
     def test_bracket_matches_scalar_bisection(self, fans, cap, monkeypatch):
         """From the step start before each crossing, the batched bracket is
-        the scalar one for widths needing more levels than one batch holds,
-        fewer than one batch, or more than the level cap allows."""
+        the scalar one for widths needing 24, 22 and 3 levels, and with a
+        level cap below the first two."""
         monkeypatch.setattr(simulator, "BISECTION_CAP", cap)
         scen = fans[0]
         traj = run_scenario(scen)
         runner = _Runner(scen)
-        z = np.hstack([traj.x1, traj.x2])
-        for ev in traj.crossings:
-            k = int(np.searchsorted(traj.t, ev.t_inside, side="right")) - 1
-            i = int(traj.mode_i[k])
-            Zk, ZkB, Zkm = runner.maps(i)[:3]
-            basis = np.concatenate([Zk @ z[k], ZkB @ traj.u2bar[k], Zkm])
+        for basis, t, i in _crossing_starts(scen, traj, runner):
             for width in (scen.h, 0.37 * scen.h, 5e-10):
-                t = float(traj.t[k])
                 got = runner.bisect(basis, t, width, i)
                 assert got == scalar_bisect(runner, basis, t, width, i)
                 assert got[1] - got[0] == 0.5 ** min(
                     cap, max(0, int(np.ceil(np.log2(width / CROSSING_BRACKET)))))
+
+    @pytest.mark.parametrize("wrong", ["zero", "one", "nan", "next-cell"])
+    def test_wrong_guesses_keep_the_bracket(self, fans, wrong, monkeypatch):
+        """Guesses that are always 0, always 1, never available (NaN, so
+        every batch is a dyadic grid) or one final cell off the crossing
+        cost batches but never change the bracket."""
+        cases = []
+        for scen in fans:
+            runner = _Runner(scen)
+            cases += [(runner, basis, t, scen.h, i)
+                      for basis, t, i in _crossing_starts(scen, run_scenario(scen), runner)]
+        guess = [0.0]
+        monkeypatch.setattr(simulator, "_exit_guess", lambda *args: guess[0])
+        for runner, basis, t, width, i in cases:
+            want = scalar_bisect(runner, basis, t, width, i)
+            cell = want[1] - want[0]
+            guess[0] = {"zero": 0.0, "one": 1.0, "nan": float("nan"),
+                        "next-cell": want[1] + 0.5 * cell if want[1] < 1.0
+                        else want[0] - 0.5 * cell}[wrong]
+            assert runner.bisect(basis, t, width, i) == want
+
+    def test_about_two_batches_per_crossing(self, fans, monkeypatch):
+        """The predicted path settles a crossing of the 32-cone fan, 24
+        levels, in at most 2.5 batched evaluations on average."""
+        calls = {"bisect": 0, "coefficients": 0}
+        in_bisect = [False]
+        coefficients, bisect = _Runner.coefficients, _Runner.bisect
+
+        def counted_coefficients(self, t, tau):
+            calls["coefficients"] += in_bisect[0]
+            return coefficients(self, t, tau)
+
+        def counted_bisect(self, *args):
+            calls["bisect"] += 1
+            in_bisect[0] = True
+            try:
+                return bisect(self, *args)
+            finally:
+                in_bisect[0] = False
+
+        monkeypatch.setattr(_Runner, "coefficients", counted_coefficients)
+        monkeypatch.setattr(_Runner, "bisect", counted_bisect)
+        traj = run_scenario(fans[0])
+        assert calls["bisect"] == len(traj.crossings) >= 25
+        assert calls["coefficients"] / calls["bisect"] <= 2.5
 
 
 class TestNonzeroFeedforward:
@@ -693,6 +757,18 @@ class TestAtomicWrite:
                 raise RuntimeError
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+    def test_foreign_temp_file_is_untouched(self, tmp_path):
+        """Another writer's temp file next to the path keeps its bytes and
+        its name: the temp name is this process's own."""
+        path, foreign = tmp_path / "f.txt", tmp_path / "f.txt.tmp"
+        path.write_text("old\n")
+        foreign.write_bytes(b"another writer's half\n")
+        with simulator.atomic_write(path) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert foreign.read_bytes() == b"another writer's half\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt", "f.txt.tmp"]
 
     def test_missing_target_and_symlink_get_replace(self, tmp_path):
         """A new path is created, and a symlink is replaced by the file, not
