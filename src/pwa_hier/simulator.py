@@ -64,10 +64,6 @@ _SWITCH_CAP = 64
 #: Output steps propagated between two vectorized membership tests.
 _BLOCK = 32
 
-#: Bisection levels whose ``2**_LEVELS - 1`` dyadic points are tested in
-#: one batched evaluation when no exit point can be predicted.
-_LEVELS = 4
-
 #: Rows formatted at a time by the artifact writer.
 _WRITE_BLOCK = 1024
 
@@ -272,37 +268,25 @@ def rk4_weights(h) -> np.ndarray:
     return _RK4_COEF * np.asarray(h, dtype=float)[..., None, None] ** _RK4_EXP
 
 
-def _exit_guess(lo: float, hi: float, at_lo: np.ndarray, at_hi: np.ndarray,
-                slope: Optional[np.ndarray] = None) -> float:
+def _exit_guess(lo: float, hi: float, at_lo: np.ndarray, at_hi: np.ndarray) -> float:
     """Predicted point in ``[lo, hi]`` where a sub-step leaves the mode,
-    from its row margins at ``lo`` (inside) and ``hi`` (outside) and, when
-    given, their slopes at ``lo`` per unit of ``hi - lo``.
+    from its row margins at ``lo`` (inside) and ``hi`` (outside).
 
-    Each row outside at ``hi`` is modelled by the quadratic through its two
-    margins with that slope, or by the chord without one, and the guess is
-    the earliest root among them; ``lo`` when a row is already outside at
-    ``lo``, NaN when no row outside at ``hi`` has finite margins.  A guess
-    only sets how many batches ``bisect`` needs, never its bracket.
+    Each row outside at ``hi`` is modelled by the chord between its two
+    margins, and the guess is the earliest root among them; ``lo`` when a
+    row is already outside at ``lo``, NaN when no row outside at ``hi`` has
+    finite margins.  A guess only sets how many batches ``bisect`` needs,
+    never its bracket.
     """
     first = math.inf
-    slopes = [None] * len(at_lo) if slope is None else slope.tolist()
-    for a, c, b in zip(at_lo.tolist(), at_hi.tolist(), slopes):
+    for a, c in zip(at_lo.tolist(), at_hi.tolist()):
         a += MEMBERSHIP_SLACK  # relative to the membership test's threshold
         c += MEMBERSHIP_SLACK
         if not c < 0.0:
             continue
         if a < 0.0:
             return lo
-        root = a / (a - c)  # the chord's
-        if b is not None:
-            k = c - a - b  # a + b s + k s^2 starts with slope b, meets both ends
-            disc = b * b - 4.0 * k * a
-            if k and disc >= 0.0:
-                # its roots q / k and a / q, computed stably; the earliest in [0, 1]
-                q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
-                roots = [r for r in (q / k, a / q if q else math.inf) if 0.0 <= r <= 1.0]
-                root = min(roots, default=root)
-        first = min(first, root)
+        first = min(first, a / (a - c))
     return lo + (hi - lo) * first if first <= 1.0 else math.nan
 
 
@@ -446,12 +430,13 @@ class _Runner:
         tested in one batched evaluation, with the cell rows projected onto
         ``basis`` once.  The walk reads its decisions from them until it
         reaches a midpoint the batch lacks, after a decision that went
-        against the guess; the next guess comes from the margins at the new
-        bracket's ends.  Without a guess (non-finite margins) the batch is
-        the ``2**L - 1`` dyadic points of the next ``L <= _LEVELS`` levels.
-        Every decision reads the margin at the exact midpoint it visits, so
-        the bracket is the one scalar bisection finds; the guesses only set
-        how many batches it takes, about two per crossing.
+        against the guess; each guess comes from the margins at the
+        bracket's ends, the first from those at the start and ``end``.  A
+        NaN guess (no row outside with finite margins) lists the path
+        towards ``lo``.  Every decision reads the margin at the exact
+        midpoint it visits, so the bracket is the one scalar bisection
+        finds; the guesses only set how many batches it takes, about two per
+        crossing.
         """
         E, f = self.rows[i]
         proj = basis[:, : self.n] @ E.T
@@ -462,24 +447,16 @@ class _Runner:
             end = self._margins(self.sub_step(basis, t, width)[: self.n], i)
         lo, hi = 0.0, 1.0
         at_lo, at_hi = proj[0] - f, end
-        # margins' rate per unit fraction at the start: E z'(t) * width, with
-        # z' = Z z + BU u2bar + scale(t) mask from the basis rows
-        slope = width * (proj[1] + proj[5] + self.dist.scale(t) * proj[10])
         while depth > 0:
-            guess = _exit_guess(lo, hi, at_lo, at_hi, slope)
-            slope = None  # known at the start only
-            if math.isnan(guess):
-                count = 1 << min(depth, _LEVELS)
-                points = (lo + (hi - lo) * np.arange(1, count) / count).tolist()
-            else:
-                points, a, b = [], lo, hi
-                for _ in range(depth):
-                    mid = 0.5 * (a + b)
-                    points.append(mid)
-                    if mid <= guess:
-                        a = mid
-                    else:
-                        b = mid
+            guess = _exit_guess(lo, hi, at_lo, at_hi)
+            points, a, b = [], lo, hi
+            for _ in range(depth):
+                mid = 0.5 * (a + b)
+                points.append(mid)
+                if mid <= guess:
+                    a = mid
+                else:
+                    b = mid
             # lo, hi and the points are dyadic with at most BISECTION_CAP
             # bits, so a point equals the walk's midpoint exactly
             rows = self.coefficients(t, np.array(points) * width) @ proj - f
@@ -502,7 +479,7 @@ class _Runner:
         start, splitting the step at every detected cell-boundary crossing.
 
         A sub-step that ends outside the mode is bracketed by ``bisect``'s
-        batched dyadic localization; the state is committed at the bracket's
+        batched localization; the state is committed at the bracket's
         outer end, computed (like the event's margins) by the scalar
         sub-step, and the mode is relocated with hysteresis from there."""
         remaining = h

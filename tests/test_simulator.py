@@ -625,7 +625,7 @@ class TestBatchedBisection:
     @pytest.mark.parametrize("wrong", ["zero", "one", "nan", "next-cell"])
     def test_wrong_guesses_keep_the_bracket(self, fans, wrong, monkeypatch):
         """Guesses that are always 0, always 1, never available (NaN, so
-        every batch is a dyadic grid) or one final cell off the crossing
+        every path heads towards ``lo``) or one final cell off the crossing
         cost batches but never change the bracket."""
         cases = []
         for scen in fans:
