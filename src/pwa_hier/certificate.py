@@ -14,6 +14,7 @@ sample.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .linalg import as_matrix, as_vector
 from .polytope import AFFINE, CONIC
-from .relation import JointMode, JointSystem
+from .relation import JointSystem
 from .systems import hurwitz_margin
 
 #: Eigenvalue-margin tolerance used by all three feasibility conditions.
@@ -112,11 +113,13 @@ class Certificate:
     jbars: Optional[tuple[np.ndarray, ...]] = None
 
     def __post_init__(self):
-        if not self.kappa > 0.0:
-            raise InfeasibleCertificateError(f"kappa must be positive, got {self.kappa}")
+        if not 0.0 < self.kappa < math.inf:
+            raise InfeasibleCertificateError(f"kappa must be positive and finite, got {self.kappa}")
         if not self.lam > 0.0:
             raise InfeasibleCertificateError(f"lambda must be positive, got {self.lam}")
         object.__setattr__(self, "entries", tuple(self.entries))
+        if len({entry.M.shape for entry in self.entries}) > 1:
+            raise DimensionMismatchError("every mode's M must have the same size")
         if self.jbars is not None:
             object.__setattr__(self, "jbars", tuple(as_matrix(J, "Jbar") for J in self.jbars))
             if len(self.jbars) != len(self.entries):
@@ -159,45 +162,35 @@ class LmiReport:
 
 def _condition_matrices(M, A, C, E, U, W, lam: float, affine: bool) -> np.ndarray:
     """The three symmetrized condition matrices ``(S1, S2, S3)`` of one
-    mode, stacked, after checking the blocks' shapes (the blocks are float
-    arrays; ``U``/``W`` may be None for zero).
+    mode, stacked, or of each mode of blocks stacked along a leading axis,
+    after checking the blocks' shapes (``U``/``W`` may be None for zero).
 
     For affine cells the decay weight applies only to the state block
     (``diag(lam I, 0)``); conic cells scale all of ``M``.
     """
-    d = M.shape[0]
-    if A.shape != (d, d) or C.shape[1] != d or E.shape[1] != d:
+    d, rows = M.shape[-1], E.shape[-2]
+    if A.shape[-2:] != (d, d) or C.shape[-1] != d or E.shape[-1] != d:
         raise DimensionMismatchError("certificate blocks disagree on dimension")
-    U = np.zeros((E.shape[0], E.shape[0])) if U is None else U
-    W = np.zeros((E.shape[0], E.shape[0])) if W is None else W
-    if U.shape != (E.shape[0], E.shape[0]) or W.shape != (E.shape[0], E.shape[0]):
+    if any(X is not None and X.shape[-2:] != (rows, rows) for X in (U, W)):
         raise DimensionMismatchError("U/W must be square over the bounding rows")
 
-    S1 = M - C.T @ C
-    S2 = M - E.T @ U @ E
+    Et = np.swapaxes(E, -1, -2)
+    S = np.empty(M.shape[:-2] + (3, d, d))
+    S[..., 0, :, :] = M - np.swapaxes(C, -1, -2) @ C
+    S[..., 1, :, :] = M if U is None else M - Et @ U @ E
     lam_weights = np.full(d, lam)
     if affine:
         lam_weights[-1] = 0.0
-    S3 = A.T @ M + M @ A + E.T @ W @ E + lam_weights[:, None] * M
-    return np.array([0.5 * (S + S.T) for S in (S1, S2, S3)])
+    S3 = np.swapaxes(A, -1, -2) @ M + M @ A
+    if W is not None:
+        S3 += Et @ W @ E
+    S[..., 2, :, :] = S3 + lam_weights[:, None] * M
+    return 0.5 * (S + np.swapaxes(S, -1, -2))
 
 
-def _eigvalsh_by_shape(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Ascending eigenvalues of each symmetric matrix (or stack of them) in
-    ``mats``, with one ``np.linalg.eigvalsh`` call per distinct shape."""
-    groups: dict = {}
-    for k, S in enumerate(mats):
-        groups.setdefault(S.shape, []).append(k)
-    out: list = [None] * len(mats)
-    for ks in groups.values():
-        for k, w in zip(ks, np.linalg.eigvalsh(np.array([mats[k] for k in ks]))):
-            out[k] = w
-    return out
-
-
-def _margins(w: np.ndarray) -> tuple[float, float, float]:
-    """``(m1, m2, m3)`` from the eigenvalues of a condition-matrix stack."""
-    return float(w[0, 0]), float(w[1, 0]), float(w[2, -1])
+def _margins(w: np.ndarray) -> np.ndarray:
+    """``(m1, m2, m3)`` along the last axis from condition-matrix eigenvalues."""
+    return np.stack([w[..., 0, 0], w[..., 1, 0], w[..., 2, -1]], axis=-1)
 
 
 def lmi_margins(M, A, C, E, U, W, lam: float, affine: bool) -> tuple[float, float, float]:
@@ -205,20 +198,34 @@ def lmi_margins(M, A, C, E, U, W, lam: float, affine: bool) -> tuple[float, floa
     M, A, C, E = as_matrix(M, "M"), as_matrix(A, "A"), as_matrix(C, "C"), as_matrix(E, "E")
     U = None if U is None else as_matrix(U, "U")
     W = None if W is None else as_matrix(W, "W")
-    return _margins(np.linalg.eigvalsh(_condition_matrices(M, A, C, E, U, W, lam, affine)))
+    w = np.linalg.eigvalsh(_condition_matrices(M, A, C, E, U, W, lam, affine))
+    return tuple(_margins(w).tolist())
 
 
-def _mode_blocks(entry: ModeCertificate, jm: JointMode):
-    """(M, A, B1, B2, C, E, affine) blocks for one joint mode, in the
-    coordinates its cell kind dictates: plain joint coordinates for a conic
-    cell, homogeneous ones for an affine cell."""
-    if jm.kind == CONIC:
-        return entry.M, jm.Aprime, jm.B1prime, jm.B2prime, jm.Cprime, jm.cell.E, False
-    if entry.m_scalar is None:
-        raise InfeasibleCertificateError(
-            f"mode {jm.label}: affine cell requires a homogeneous block entry"
-        )
-    return entry.extended(), jm.Abar, jm.B1bar, jm.B2bar, jm.Cbar, jm.bounding.Ebar, True
+def _stacked_blocks(cert: Certificate, joint: JointSystem, idxs: Sequence[int]):
+    """The modes ``idxs`` in groups whose blocks share their shapes (cell
+    kind, dimension, bounding rows, whether ``U``/``W`` are given).  Yields
+    per group the positions of its modes in ``idxs``, its blocks ``(M, A,
+    B1, B2, C, E, U, W)`` stacked along a leading axis (``U``/``W`` None if
+    not given), and whether its cells are affine: then the blocks are in
+    homogeneous coordinates, else in plain joint ones."""
+    groups: dict = {}
+    for pos, idx in enumerate(idxs):
+        entry, jm = cert.entries[idx], joint.modes[idx]
+        affine = jm.kind != CONIC
+        if affine and entry.m_scalar is None:
+            raise InfeasibleCertificateError(
+                f"mode {jm.label}: affine cell requires a homogeneous block entry")
+        blocks = ((entry.extended(), jm.Abar, jm.B1bar, jm.B2bar, jm.Cbar, jm.bounding.Ebar)
+                  if affine else (entry.M, jm.Aprime, jm.B1prime, jm.B2prime, jm.Cprime,
+                                  jm.cell.E)) + (entry.U, entry.W)
+        key = (affine, *(None if X is None else X.shape for X in blocks))
+        positions, members = groups.setdefault(key, ([], []))
+        positions.append(pos)
+        members.append(blocks)
+    for (affine, *_), (positions, members) in groups.items():
+        yield positions, [None if col[0] is None else np.array(col)
+                          for col in zip(*members)], affine
 
 
 def verify_all(cert: Certificate, joint: JointSystem,
@@ -226,22 +233,17 @@ def verify_all(cert: Certificate, joint: JointSystem,
     """Eigenvalue margins of the certificate conditions for the modes
     ``idxs`` (every mode by default), in that order.
 
-    The condition matrices of all those modes go through one stacked
-    eigenvalue call per matrix size (conic modes are ``d x d``, affine ones
-    ``(d+1) x (d+1)``).
+    The modes are grouped by block shape (``_stacked_blocks``); each
+    group's condition matrices are built in one stacked expression and go
+    through one eigenvalue call.
     """
     idxs = range(len(joint.modes)) if idxs is None else idxs
-    stacks = []
-    for idx in idxs:
-        entry = cert.entries[idx]
-        M, A, _, _, C, E, affine = _mode_blocks(entry, joint.modes[idx])
-        stacks.append(_condition_matrices(M, A, C, E, entry.U, entry.W, cert.lam, affine))
-    reports = []
-    for w in _eigvalsh_by_shape(stacks):
-        m1, m2, m3 = _margins(w)
-        feasible = (m1 >= -LMI_TOL) and (m2 >= LMI_TOL) and (m3 <= LMI_TOL)
-        reports.append(LmiReport((m1, m2, m3), feasible))
-    return tuple(reports)
+    margins = np.empty((len(idxs), 3))
+    for positions, (M, A, _, _, C, E, U, W), affine in _stacked_blocks(cert, joint, idxs):
+        w = np.linalg.eigvalsh(_condition_matrices(M, A, C, E, U, W, cert.lam, affine))
+        margins[positions] = _margins(w)
+    return tuple(LmiReport((m1, m2, m3), m1 >= -LMI_TOL and m2 >= LMI_TOL and m3 <= LMI_TOL)
+                 for m1, m2, m3 in margins.tolist())
 
 
 def verify_lmi(cert: Certificate, joint: JointSystem, idx: int) -> LmiReport:
@@ -362,21 +364,23 @@ def synthesize_certificate(
     )
 
 
-def _quad_forms(entry: ModeCertificate, omega: np.ndarray, kind: str) -> np.ndarray:
-    """Quadratic form of each row of ``omega``, plus ``m_scalar`` (the
-    implicit trailing 1) on affine cells."""
-    quad = np.einsum("ij,jk,ik->i", omega, entry.M, omega)
-    if kind == AFFINE:
-        quad = quad + entry.m_scalar
-    return quad
+def _quad_forms(cert: Certificate, idx, omega: np.ndarray, kind) -> np.ndarray:
+    """Quadratic form of each row of ``omega`` under the ``M`` of mode
+    ``idx``, plus ``m_scalar`` (the implicit trailing 1) where the cell is
+    affine; ``idx`` and ``kind`` may give one mode and cell kind per row."""
+    M = np.array([e.M for e in cert.entries])[idx]
+    m = np.array([e.m_scalar for e in cert.entries], float)[idx]  # NaN for None
+    quad = np.einsum("...j,...jk,...k->...", omega, M, omega)
+    return quad + np.where(np.asarray(kind) == AFFINE, m, 0.0)
 
 
-def sim_fn_values(cert: Certificate, idx: int, omega: np.ndarray, kind: str) -> np.ndarray:
+def sim_fn_values(cert: Certificate, idx, omega: np.ndarray, kind) -> np.ndarray:
     """Simulation-function values ``sqrt(quadratic form)/kappa``, one per row
-    of ``omega`` (homogeneous coordinate excluded); forms that round below
-    zero count as zero."""
-    quad = _quad_forms(cert.entries[idx], omega, kind)
-    return np.sqrt(np.clip(quad, 0.0, None)) / cert.kappa
+    of ``omega`` (homogeneous coordinate excluded), with one mode and cell
+    kind, or one per row; forms that round below zero count as zero."""
+    quad = _quad_forms(cert, idx, omega, kind)
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.clip(quad, 0.0, None)) / cert.kappa
 
 
 def sim_fn_value(cert: Certificate, idx: int, omega, kind: str) -> float:
@@ -390,7 +394,7 @@ def sim_fn_value(cert: Certificate, idx: int, omega, kind: str) -> float:
         )
     if kind == AFFINE and entry.m_scalar is None:
         raise InfeasibleCertificateError("affine cell without homogeneous entry")
-    q = float(_quad_forms(entry, omega[None, :], kind)[0])
+    q = float(_quad_forms(cert, idx, omega[None, :], kind)[0])
     if q < -1e-12:
         raise NegativeQuadFormError(f"quadratic form evaluated to {q:.3e}")
     return float(sim_fn_values(cert, idx, omega[None, :], kind)[0])
@@ -405,24 +409,19 @@ def gain_slopes_all(cert: Certificate, joint: JointSystem,
     abstraction state; all are ``2 ||sqrt(M) X||_2 / lambda`` with the
     blocks matching the cell kind (``X = I`` for gamma2), where
     ``||sqrt(M) X||_2 = sqrt(lambda_max(X^T M X))``.  ``sqrt_m`` is zero
-    for conic cells.  The ``X^T M X`` forms go through one stacked
-    eigenvalue call per matrix size.
+    for conic cells.  The ``X^T M X`` forms of each group of modes with one
+    block shape (``_stacked_blocks``) are built and solved stacked.
     """
     idxs = range(len(joint.modes)) if idxs is None else idxs
     out = np.zeros((len(idxs), 4))
-    forms, where = [], []
-    for row, idx in enumerate(idxs):
-        entry = cert.entries[idx]
-        M, _, B1, B2, _, _, affine = _mode_blocks(entry, joint.modes[idx])
+    for positions, (M, _, B1, B2, *_), affine in _stacked_blocks(cert, joint, idxs):
+        XtMX = (np.swapaxes(B2, -1, -2) @ M @ B2, M, np.swapaxes(B1, -1, -2) @ M @ B1)
+        for col, S in enumerate(XtMX):
+            if S.shape[-1]:  # an empty block has slope zero
+                w = np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, -1, -2)))[..., -1]
+                out[positions, col] = 2.0 * np.sqrt(np.maximum(w, 0.0)) / cert.lam
         if affine:
-            out[row, 3] = np.sqrt(entry.m_scalar)
-        for col, X in enumerate((B2, np.eye(M.shape[0]), B1)):
-            if X.size:  # an empty block has slope zero
-                S = X.T @ M @ X
-                forms.append(0.5 * (S + S.T))
-                where.append((row, col))
-    for (row, col), w in zip(where, _eigvalsh_by_shape(forms)):
-        out[row, col] = 2.0 * np.sqrt(max(w[-1], 0.0)) / cert.lam
+            out[positions, 3] = np.sqrt(M[:, -1, -1])
     return out
 
 

@@ -60,7 +60,9 @@ class RunReport:
     seed: Optional[int] = None
 
     def to_jsonable(self) -> dict:
-        return dataclasses.asdict(self)
+        """The report as JSON data, non-finite numbers (an overflowed V or
+        delta) as null: JSON has no ``Infinity`` or ``NaN``."""
+        return json.loads(json.dumps(dataclasses.asdict(self)), parse_constant=lambda _: None)
 
 
 def _report_from_pipeline(pipe: Pipeline) -> RunReport:

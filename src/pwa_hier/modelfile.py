@@ -12,6 +12,7 @@ annotations and are ignored.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -117,40 +118,29 @@ class Pipeline:
         return self.relation.pairing
 
 
-def _matrix(node, what: str) -> np.ndarray:
+#: How a model-file entry of rank 0, 1 or 2 that does not parse as numbers,
+#: or has another rank, is reported.
+_RANK_ERRORS = (("expected a number", "expected a number, not a list"),
+                ("not a numeric vector", "expected a flat list of numbers"),
+                ("not a numeric matrix", "expected a matrix (list of rows)"))
+
+
+def _array(node, what: str, ndim: int):
+    """``node`` as a finite float array of rank ``ndim``, a float for rank 0."""
+    unparsed, misshapen = _RANK_ERRORS[ndim]
     try:
         arr = np.asarray(node, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ModelError(f"{what}: not a numeric matrix ({exc})") from exc
-    if arr.ndim != 2:
-        raise ModelError(f"{what}: expected a matrix (list of rows)")
+        raise ModelError(f"{what}: {unparsed} ({exc})") from exc
+    if arr.ndim != ndim:
+        raise ModelError(f"{what}: {misshapen}")
     if not np.all(np.isfinite(arr)):
-        raise ModelError(f"{what}: entries must be finite numbers")
-    return arr
+        raise ModelError(f"{what}: " + ("entries must be finite numbers" if ndim
+                                        else "must be a finite number"))
+    return arr if ndim else float(arr)
 
 
-def _vector(node, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(node, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelError(f"{what}: not a numeric vector ({exc})") from exc
-    if arr.ndim != 1:
-        raise ModelError(f"{what}: expected a flat list of numbers")
-    if not np.all(np.isfinite(arr)):
-        raise ModelError(f"{what}: entries must be finite numbers")
-    return arr
-
-
-def _scalar(node, what: str) -> float:
-    try:
-        value = np.asarray(node, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelError(f"{what}: expected a number ({exc})") from exc
-    if value.ndim != 0:
-        raise ModelError(f"{what}: expected a number, not a list")
-    if not np.isfinite(value):
-        raise ModelError(f"{what}: must be a finite number")
-    return float(value)
+_scalar, _vector, _matrix = (functools.partial(_array, ndim=k) for k in range(3))
 
 
 def _require(node: dict, key: str, what: str):

@@ -231,12 +231,17 @@ class Interface:
     Q: tuple[np.ndarray, ...]
     L: tuple[np.ndarray, ...]
 
-    def u1(self, i: int, xtilde, x2, u2bar) -> np.ndarray:
+    def stacked_gains(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every mode's ``R``, ``Q + R L`` and ``K``, stacked by mode."""
+        R = np.array(self.R)
+        return R, np.array(self.Q) + R @ np.array(self.L), np.array(self.K)
+
+    def u1(self, i, xtilde, x2, u2bar) -> np.ndarray:
         """Concrete input ``u1 = R u2bar + (Q + R L) x2 + K xtilde`` of mode
-        ``i``: one row per row of the row-stacked arguments, or one input
-        from vectors."""
-        R = self.R[i]
-        return u2bar @ R.T + x2 @ (self.Q[i] + R @ self.L[i]).T + xtilde @ self.K[i].T
+        ``i``, or of each row's mode when ``i`` is an array: one row per row
+        of the row-stacked arguments, or one input from vectors."""
+        terms = zip(self.stacked_gains(), (u2bar, x2, xtilde))
+        return sum(np.einsum("...ij,...j->...i", G[i], x) for G, x in terms)
 
 
 def build_interface(

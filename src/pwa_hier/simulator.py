@@ -14,7 +14,8 @@ disagrees starts a new guess and batch from there.  A crossing costs about
 two batches rather than one sub-step per level, and its bracket is the one
 plain bisection finds.  Every sample records the tracking error, the
 simulation-function value, the running invariant-level threshold, and the
-certified output-error level.
+certified output-error level, computed after the run for all modes at once
+from matrices gathered by each sample's mode, a bounded chunk at a time.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ _BLOCK = 32
 
 #: Rows formatted at a time by the artifact writer.
 _WRITE_BLOCK = 1024
+
+#: Samples whose per-mode matrices the bookkeeping gathers at a time.
+_GATHER_ROWS = 1024
 
 #: Slack of the PASS verdict on the per-sample bound chain.
 CHAIN_TOL = 1e-6
@@ -227,11 +231,13 @@ class Trajectory:
 
 
 def verdict(traj: Trajectory) -> str:
-    """``"PASS"`` when every sample satisfies the bound chain
-    ``err <= kappa V <= delta`` within CHAIN_TOL, else ``"FAIL"``."""
+    """``"PASS"`` when every sample satisfies the bound chain ``err <= kappa
+    V <= delta`` within CHAIN_TOL, all three finite, else ``"FAIL"``."""
     kV = traj.kappa * traj.V
     chain = np.all(traj.err <= kV + CHAIN_TOL) and np.all(kV <= traj.delta + CHAIN_TOL)
-    return "PASS" if chain else "FAIL"
+    # finite err and delta bound kappa V to finite values through the chain
+    finite = np.isfinite(traj.err).all() and np.isfinite(traj.delta).all()
+    return "PASS" if finite and chain else "FAIL"
 
 
 #: Classical RK4 on ``z' = Z z + v(t)`` as weights on ``Z^0 .. Z^4``: a step
@@ -302,26 +308,23 @@ class _Runner:
         # abstraction-mode index per concrete mode; 0 for a linear abstraction
         self.js = [0 if pm.j is None else pm.j for pm in self.paired]
         self.dist = s.disturbance
-        d = self.n + self.m
+        n, d = self.n, self.n + self.m
         mask_ext = np.concatenate([self.dist.mask, np.zeros(self.m)])
-        # stacked closed-loop dynamics per concrete mode, z = (x1, x2), and
-        # the rows (E, f) of its cell and paired region in x1 space: the
-        # first n columns of its joint cell's rows
-        Z, BU, self.rows = [], [], []
-        for i, (mode, pm) in enumerate(zip(s.system.modes, self.paired)):
-            K, R, Q, L = (s.interface.K[i], s.interface.R[i],
-                          s.interface.Q[i], s.interface.L[i])
-            cell = s.joint.modes[i].cell
-            self.rows.append((np.ascontiguousarray(cell.E[:, :self.n]), cell.f))
-            Zi = np.zeros((d, d))
-            Zi[: self.n, : self.n] = mode.A + mode.B @ K
-            Zi[: self.n, self.n:] = mode.B @ (Q + R @ L - K @ s.relation.P[i])
-            Zi[self.n:, self.n:] = pm.mode.transformed()
-            Z.append(Zi)
-            BU.append(np.vstack([mode.B @ R, pm.mode.G]))
-        self.Z, self.BU = np.array(Z), np.array(BU)
+        # the rows (E, f) of each concrete mode's cell and paired region in
+        # x1 space: the first n columns of its joint cell's rows
+        self.rows = [(np.ascontiguousarray(jm.cell.E[:, :n]), jm.cell.f)
+                     for jm in s.joint.modes]
+        # stacked closed-loop dynamics per concrete mode, z = (x1, x2)
+        A, B, self.C = (np.array([getattr(mode, X) for mode in s.system.modes]) for X in "ABC")
+        F, G, L, self.H = (np.array([getattr(pm.mode, X) for pm in self.paired])
+                           for X in "FGLH")
+        R, feed, K = s.interface.stacked_gains()
+        self.P = P = np.array(s.relation.P)
+        self.Z = np.block([[A + B @ K, B @ (feed - K @ P)],
+                           [np.zeros((len(A), self.m, n)), F + G @ L]])
+        self.BU = np.concatenate([B @ R, G], axis=1)
         # every mode's powers Z^0 .. Z^4 and step map, in one stacked pass
-        Zk = np.empty((len(Z), 5, d, d))
+        Zk = np.empty((len(self.Z), 5, d, d))
         Zk[:, 0] = np.eye(d)
         for k in range(1, 5):
             Zk[:, k] = self.Z @ Zk[:, k - 1]
@@ -332,7 +335,7 @@ class _Runner:
         Ws = np.einsum("sk,mki->msi", w[1:], Zkm)
         self._maps = (Zk, ZkB, Zkm, Phi, Gu, Ws)
         # transposed Phi^s for the scan's shifts s, by repeated squaring
-        powers = np.empty((len(Z), len(_SHIFTS), d, d))
+        powers = np.empty((len(self.Z), len(_SHIFTS), d, d))
         powers[:, 0] = Phi
         for b in range(1, len(_SHIFTS)):
             powers[:, b] = powers[:, b - 1] @ powers[:, b - 1]
@@ -573,47 +576,42 @@ def run_scenario(s: Scenario) -> Trajectory:
 
 def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i, mode_j,
               events: tuple[CrossingEvent, ...]) -> Trajectory:
-    """Vectorized per-sample certificate columns."""
-    joint = s.joint
-    cert = s.certificate
-    n_samples = t.shape[0]
-    n, m = runner.n, runner.m
-
-    u2_sup = s.schedule.sup_norm()
-    c_sup = s.disturbance.sup_norm()
-
-    xtilde = np.empty_like(x1)
-    u1 = np.empty((n_samples, s.system.p))
-    y1 = np.empty((n_samples, s.system.k))
-    y2 = np.empty((n_samples, s.system.k))
-    V = np.empty(n_samples)
-    slope_cols = np.empty((n_samples, 4))  # gamma1, gamma2, gamma3, sqrt_m
-
-    # lazy certificate check: only modes the trajectory visited, at a sample
-    # or between two (both sides of every crossing)
+    """Per-sample certificate columns, with no loop over modes: the modes
+    visited (at a sample, or between two across a crossing) are verified,
+    and the sampled ones' gain slopes computed, in one stacked call each;
+    then each sample's P, C, H, interface gains and M are gathered by its
+    mode, ``_GATHER_ROWS`` samples at a time, so the gathers stay small."""
+    joint, cert = s.joint, s.certificate
     visited = np.unique(mode_i)
     crossed = [label[0] for ev in events for label in (ev.old_label, ev.new_label)]
     checked = np.union1d(visited, crossed).astype(int)
-    for idx, report in zip(checked, verify_all(cert, joint, checked)):
-        if not report.feasible:
-            raise UncertifiedModeError(
-                f"certificate infeasible for visited mode {joint.modes[idx].label}"
-            )
-    for idx, slopes in zip(visited, gain_slopes_all(cert, joint, visited)):
-        rows = np.nonzero(mode_i == idx)[0]
-        xt = x1[rows] - x2[rows] @ s.relation.P[idx].T
-        xtilde[rows] = xt
-        u1[rows] = s.interface.u1(idx, xt, x2[rows], u2bar[rows])
-        y1[rows] = x1[rows] @ s.system.modes[idx].C.T
-        y2[rows] = x2[rows] @ runner.paired[idx].mode.H.T
-        V[rows] = sim_fn_values(cert, idx, np.hstack([xt, x2[rows]]), joint.modes[idx].kind)
-        slope_cols[rows] = slopes
+    bad = [idx for idx, r in zip(checked, verify_all(cert, joint, checked)) if not r.feasible]
+    if bad:
+        raise UncertifiedModeError(
+            f"certificate infeasible for visited mode {joint.modes[bad[0]].label}")
+    slopes = np.zeros((len(joint.modes), 4))  # gamma1, gamma2, gamma3, sqrt_m
+    slopes[visited] = gain_slopes_all(cert, joint, visited)
+
+    P, C, H = runner.P, runner.C, runner.H
+    kinds = np.array([jm.kind for jm in joint.modes])
+    xtilde, u1, y1, y2, V = (np.empty((len(t), *cols)) for cols in (
+        (runner.n,), (s.system.p,), (s.system.k,), (s.system.k,), ()))
+    for start in range(0, len(t), _GATHER_ROWS):
+        rows = slice(start, start + _GATHER_ROWS)
+        i = mode_i[rows]
+        xtilde[rows] = x1[rows] - np.einsum("rij,rj->ri", P[i], x2[rows])
+        u1[rows] = s.interface.u1(i, xtilde[rows], x2[rows], u2bar[rows])
+        y1[rows] = np.einsum("rij,rj->ri", C[i], x1[rows])
+        y2[rows] = np.einsum("rij,rj->ri", H[i], x2[rows])
+        V[rows] = sim_fn_values(cert, i, np.hstack([xtilde[rows], x2[rows]]), kinds[i])
 
     err = np.linalg.norm(y1 - y2, axis=1)
     x2_running = np.maximum.accumulate(np.max(np.abs(x2), axis=1))
-    b = (slope_cols[:, 0] * u2_sup + slope_cols[:, 1] * c_sup
-         + slope_cols[:, 2] * x2_running + slope_cols[:, 3])
-    delta = cert.kappa * np.maximum(V, b)
+    with np.errstate(over="ignore"):  # an overflowed level is inf, and FAILs
+        b = (slopes[mode_i, 0] * s.schedule.sup_norm()
+             + slopes[mode_i, 1] * s.disturbance.sup_norm()
+             + slopes[mode_i, 2] * x2_running + slopes[mode_i, 3])
+        delta = cert.kappa * np.maximum(V, b)
 
     return Trajectory(
         t=t, x1=x1, x2=x2, xtilde=xtilde, u1=u1, u2bar=u2bar,

@@ -9,6 +9,7 @@ from pwa_hier.certificate import (
     LMI_TOL,
     _decay_operator,
     _solve_decay_equation,
+    _stacked_blocks,
     Certificate,
     ModeCertificate,
     gain_slopes,
@@ -33,7 +34,7 @@ from pwa_hier.relation import JointMode, JointSystem
 from pwa_hier.simulator import reference_schedule, run_scenario
 from pwa_hier.systems import DisturbanceSignal
 
-from helpers import kron_decay_solve
+from helpers import fan_scenario, kron_decay_solve
 
 I2 = np.eye(2)
 
@@ -354,19 +355,21 @@ class TestGains:
             run_scenario(scen)
 
 
-def _mixed_joint(rng, kinds, d=4, n=2, m=2, p=2, lam=0.3):
+def _mixed_joint(rng, kinds, d=4, n=2, m=2, p=2, lam=0.3, rows=None):
     """Joint system whose modes have conic or affine cells as ``kinds``
-    says, with random Hurwitz drift.  The certificate is feasible by
+    says, with random Hurwitz drift, and ``rows[k]`` bounding rows in mode
+    ``k`` (2 in every mode by default).  The certificate is feasible by
     construction on even modes (decay-equation ``M`` scaled over ``C^T C``,
     no affine drift offset) and random, with relaxation weights, on odd
     ones."""
     modes, entries = [], []
     I = np.eye(d)
     for k, kind in enumerate(kinds):
+        r = 2 if rows is None else rows[k]
         skew = rng.normal(size=(d, d))
         A = -np.diag(rng.uniform(0.5, 3.0, d)) + 0.5 * (skew - skew.T)
-        E = rng.normal(size=(2, d))
-        cell = Polyhedron(E, np.zeros(2) if kind == CONIC else rng.normal(size=2))
+        E = rng.normal(size=(r, d))
+        cell = Polyhedron(E, np.zeros(r) if kind == CONIC else rng.normal(size=r))
         B1, B2 = rng.normal(size=(d, m)), rng.normal(size=(d, p))
         C = 0.3 * rng.normal(size=(n, d))
         Abar = np.zeros((d + 1, d + 1))
@@ -384,7 +387,7 @@ def _mixed_joint(rng, kinds, d=4, n=2, m=2, p=2, lam=0.3):
             Cbar[:, d] = rng.normal(size=n)
             root = rng.normal(size=(d, d))
             M = root @ root.T + 0.2 * I
-            weights = {"U": np.full((2, 2), 0.01), "W": np.full((2, 2), 0.02)}
+            weights = {"U": np.full((r, r), 0.01), "W": np.full((r, r), 0.02)}
         modes.append(JointMode(
             label=(k,), kind=kind, Aprime=A, B1prime=B1, B2prime=B2, Cprime=C,
             cell=cell, bounding=cell_bounding(cell), Abar=Abar,
@@ -397,7 +400,8 @@ def _mixed_joint(rng, kinds, d=4, n=2, m=2, p=2, lam=0.3):
 
 
 def _reference_margins(cert, joint, idx):
-    """The per-mode margin formulas, one full eigendecomposition each."""
+    """The per-mode margin formulas, one mode at a time: its three condition
+    matrices with zero ``U``/``W`` written out, one eigenvalue call each."""
     entry, jm = cert.entries[idx], joint.modes[idx]
     if jm.kind == CONIC:
         M, A, C, E, affine = entry.M, jm.Aprime, jm.Cprime, jm.cell.E, False
@@ -412,7 +416,7 @@ def _reference_margins(cert, joint, idx):
     S3 = A.T @ M + M @ A + E.T @ W @ E + weights[:, None] * M
 
     def eig(S):
-        return np.linalg.eigh(0.5 * (S + S.T))[0]
+        return np.linalg.eigvalsh(0.5 * (S + S.T))
 
     return eig(M - C.T @ C)[0], eig(M - E.T @ U @ E)[0], eig(S3)[-1]
 
@@ -474,6 +478,60 @@ class TestStackedChecks:
             np.testing.assert_allclose(report.margins, _reference_margins(cert, joint, idx),
                                        rtol=0.0, atol=1e-12)
             assert report.feasible
+
+
+def _ragged_joint():
+    """Supplied certificate over modes of both cell kinds with 2 to 4
+    bounding rows, relaxation weights on odd modes, two odd modes without
+    ``W`` and one without ``U``: seven block shapes, six of them shared by
+    several modes."""
+    kinds = (CONIC, AFFINE) * 2 + (AFFINE, CONIC) * 2 + (CONIC, AFFINE) * 3
+    rows = (2, 3, 2, 3, 2, 3, 2, 3, 4, 3, 4, 3, 2, 3)
+    cert, joint = _mixed_joint(np.random.default_rng(11), kinds, rows=rows)
+    entries = list(cert.entries)
+    for idx, weight in ((9, "W"), (11, "W"), (13, "U")):
+        entries[idx] = dataclasses.replace(entries[idx], **{weight: None})
+    return dataclasses.replace(cert, entries=tuple(entries)), joint
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestStackedEqualsPerMode:
+    """``verify_all`` and ``gain_slopes_all`` stack the modes of each block
+    shape; their results equal the one-mode-at-a-time formulas bit for
+    bit."""
+
+    @pytest.fixture(params=["case1", "case2", "fan48", "ragged"])
+    def cert_joint(self, request, case1, case2):
+        if request.param == "fan48":
+            scen = fan_scenario(cones=48, seed=0)
+            return scen.certificate, scen.joint
+        if request.param == "ragged":
+            return _ragged_joint()
+        bundle = {"case1": case1, "case2": case2}[request.param]
+        return bundle.certificate, bundle.joint
+
+    def test_margins_and_feasibility(self, cert_joint):
+        cert, joint = cert_joint
+        want = np.array([_reference_margins(cert, joint, idx) for idx in range(len(joint))])
+        reports = verify_all(cert, joint)
+        np.testing.assert_array_equal(_bits([r.margins for r in reports]), _bits(want))
+        assert [r.feasible for r in reports] == [
+            bool(m1 >= -LMI_TOL and m2 >= LMI_TOL and m3 <= LMI_TOL) for m1, m2, m3 in want]
+        order = list(range(len(joint)))[::-3] + [0]
+        assert verify_all(cert, joint, order) == tuple(reports[idx] for idx in order)
+
+    def test_gain_slopes(self, cert_joint):
+        cert, joint = cert_joint
+        want = [_reference_slopes(cert, joint, idx) for idx in range(len(joint))]
+        np.testing.assert_array_equal(_bits(gain_slopes_all(cert, joint)), _bits(want))
+
+    def test_ragged_modes_group_by_block_shape(self):
+        cert, joint = _ragged_joint()
+        groups = [pos for pos, _, _ in _stacked_blocks(cert, joint, range(len(joint)))]
+        assert groups == [[0, 2, 12], [1, 3], [4, 6], [5, 7], [8, 10], [9, 11], [13]]
 
 
 class TestErrorBound:
@@ -569,6 +627,15 @@ class TestCertificateValidation:
     def test_negative_relaxation_rejected(self):
         with pytest.raises(ValueError):
             ModeCertificate(np.eye(2), U=np.array([[-1.0]]))
+
+    @pytest.mark.parametrize("kappa", [np.inf, np.nan, 0.0, -1.0])
+    def test_kappa_positive_and_finite(self, kappa):
+        with pytest.raises(InfeasibleCertificateError, match="kappa"):
+            Certificate(kappa, 1.0, (ModeCertificate(np.eye(2)),))
+
+    def test_mode_sizes_must_agree(self):
+        with pytest.raises(DimensionMismatchError):
+            Certificate(1.0, 1.0, (ModeCertificate(np.eye(2)), ModeCertificate(np.eye(3))))
 
     def test_continuity_factorization_accepted(self):
         T = np.diag([2.0, 3.0, 5.0])

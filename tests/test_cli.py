@@ -2,6 +2,7 @@
 
 import functools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,7 @@ class TestRun:
         ["run", "case1", "--step", "1e-15"],
         ["sweep", "case1", "--param", "step", "--values", "0.001,abc"],
         ["sweep", "case1", "--param", "kappa", "--values", "-1"],
+        ["sweep", "case1", "--param", "kappa", "--values", "inf"],
         ["sweep", "case1", "--param", "disturbance-amplitude", "--values", "1"],
         ["sweep", "case1", "--param", "disturbance-amplitude", "--values", "-0.1"],
         ["sweep", "case1", "--param", "disturbance-amplitude", "--values", "0.05,nan"],
@@ -224,7 +226,7 @@ class TestRun:
         ["run", "waypoint-wrong-dim"],
         ["check", "R-shape"],
     ], ids=["t-end-zero", "no-step-in-horizon", "step-zero", "step-nan", "step-unallocatable",
-            "values-not-numbers", "kappa-negative", "disturbance-above-bound",
+            "values-not-numbers", "kappa-negative", "kappa-inf", "disturbance-above-bound",
             "disturbance-amplitude-negative", "disturbance-amplitude-nan",
             "relation-shape", "x1-0-nan", "waypoint-inf", "lambda-grid-text",
             "lambda-grid-nonpositive", "lambda-grid-empty",
@@ -301,6 +303,25 @@ class TestRun:
             assert (out / name).read_bytes() == want, name
         assert (out / "trajectory.csv").read_bytes() != first
 
+    def test_overflowed_bound_fails_and_reports_null(self, tmp_path, capsys):
+        """A kappa so small that V overflows ends in FAIL (exit 2), and
+        report.json holds null for the infinite levels: JSON has no
+        Infinity."""
+        doc = json.loads(builtin_model_path("case1").read_text())
+        doc["certificate"]["kappa"] = 1e-310
+        (tmp_path / "tiny.model").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", str(tmp_path / "tiny.model"), "--out", str(out),
+                         "--t-end", "0.5"]) == 2
+        assert "bound chain: FAIL" in capsys.readouterr().out
+        text = (out / "report.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        report = json.loads(text)
+        assert report["max_V"] is None and report["max_delta"] is None
+        assert report["max_err"] > 0.0 and report["verdict"] == "FAIL"
+
     def test_seed_recorded(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "case1", "--out", str(out), "--t-end", "1.0",
@@ -324,6 +345,16 @@ class TestSweep:
         line = [l for l in capsys.readouterr().out.splitlines() if "PASS" in l][0]
         # table prints six significant digits
         assert float(line.split()[1]) == pytest.approx(report["max_err"], rel=1e-5)
+
+    @pytest.mark.parametrize("kappa", ["1e-310", "1e308"], ids=["V-overflows",
+                                                              "delta-overflows"])
+    def test_overflowing_kappa_fails(self, kappa, capsys):
+        """A kappa whose V or delta overflows certifies nothing: FAIL and
+        exit 2, with no RuntimeWarning on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["sweep", "case2", "--param", "kappa", "--values", kappa]) == 2
+        assert capsys.readouterr().out.splitlines()[-1].endswith("FAIL")
 
     def test_step_refinement_consistency(self, tmp_path, capsys):
         """Terminal states under h and h/2 agree to integrator accuracy."""

@@ -1,6 +1,7 @@
 """Integration, mode switching, bound bookkeeping, verdict, trajectory export."""
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -262,6 +263,49 @@ class TestRunScenario:
             scen, certificate=dataclasses.replace(scen.certificate, entries=tuple(entries)))
         with pytest.raises(UncertifiedModeError, match="infeasible"):
             run_scenario(bad)
+
+    def test_bookkeeping_memory_is_bounded(self, case1):
+        """The per-sample columns gather each mode's matrices a chunk of
+        samples at a time: the traced peak of a case1 run stays under twice
+        the bytes of the arrays it returns (gathering the whole horizon at
+        once takes it to about 3.7 times)."""
+        run_scenario(case1.scenario)  # first-call allocations out of the count
+        tracemalloc.start()
+        try:
+            traj = run_scenario(case1.scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(v.nbytes for v in vars(traj).values() if isinstance(v, np.ndarray))
+        assert peak <= 2 * size
+
+    def test_columns_match_per_mode_bookkeeping(self, case2, fans):
+        """Every per-sample column of a run equals the one-mode-at-a-time
+        formulas on the rows of each mode: bit for bit, apart from u1, which
+        sums its three terms in another order (1e-13 relative)."""
+        for scen in (case2.scenario, fans[1]):
+            traj = run_scenario(scen)
+            runner = _Runner(scen)
+            for idx in np.unique(traj.mode_i):
+                rows = np.nonzero(traj.mode_i == idx)[0]
+                x1, x2 = traj.x1[rows], traj.x2[rows]
+                xt = x1 - x2 @ scen.relation.P[idx].T
+                np.testing.assert_array_equal(traj.xtilde[rows], xt)
+                np.testing.assert_array_equal(traj.y1[rows], x1 @ scen.system.modes[idx].C.T)
+                np.testing.assert_array_equal(traj.y2[rows],
+                                              x2 @ runner.paired[idx].mode.H.T)
+                iface = scen.interface
+                u1 = (traj.u2bar[rows] @ iface.R[idx].T
+                      + x2 @ (iface.Q[idx] + iface.R[idx] @ iface.L[idx]).T
+                      + xt @ iface.K[idx].T)
+                np.testing.assert_allclose(traj.u1[rows], u1, rtol=0.0,
+                                           atol=1e-13 * (1.0 + np.abs(u1).max()))
+                omega = np.hstack([xt, x2])
+                quad = np.einsum("ij,jk,ik->i", omega, scen.certificate.entries[idx].M, omega)
+                if scen.joint.modes[idx].kind == "affine":
+                    quad = quad + scen.certificate.entries[idx].m_scalar
+                np.testing.assert_array_equal(
+                    traj.V[rows], np.sqrt(np.clip(quad, 0.0, None)) / scen.certificate.kappa)
 
 
 def _switch_adjacent(traj):
@@ -743,6 +787,20 @@ class TestVerdict:
         assert verdict(dataclasses.replace(traj, err=err)) == "PASS"
         err[50] = traj.kappa * traj.V[50] + 2.0 * CHAIN_TOL
         assert verdict(dataclasses.replace(traj, err=err)) == "FAIL"
+
+    @pytest.mark.parametrize("column", ["err", "V", "delta"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_sample_fails(self, column, value, case1):
+        """An inf (or NaN) err, V or delta fails, though ``inf <= inf``
+        would pass the chain: a level that overflowed bounds nothing."""
+        traj = run_scenario(dataclasses.replace(case1.scenario, t_end=0.1))
+        col = getattr(traj, column).copy()
+        col[50] = value
+        if column == "V":
+            delta = traj.delta.copy()
+            delta[50] = value
+            traj = dataclasses.replace(traj, delta=delta)
+        assert verdict(dataclasses.replace(traj, **{column: col})) == "FAIL"
 
 
 class TestAtomicWrite:
