@@ -28,10 +28,10 @@ from .errors import (
     NotSymmetricError,
     SynthesisFailedError,
 )
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, frobenius
 from .polytope import AFFINE, CONIC
 from .relation import JointSystem
-from .systems import hurwitz_margin
+from .systems import hurwitz_margin, stack_blocks
 
 #: Eigenvalue-margin tolerance used by all three feasibility conditions.
 LMI_TOL = 1e-9
@@ -268,42 +268,54 @@ def _upper_triangle(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _decay_operator(A: np.ndarray) -> np.ndarray:
     """Matrix of ``M -> A^T M + M A`` on symmetric ``M``, over the
     ``s = d(d+1)/2`` upper-triangle coordinates of both ``M`` and its
-    (symmetric) image.
+    (symmetric) image; for a stack of matrices, one operator per matrix.
 
     Entry ``(a, b)`` of the image is ``sum_k A[k, a] M[k, b] + M[a, k]
     A[k, b]``; its ``2d`` terms are scattered onto the coordinates of the
-    ``M`` entries they read, so the operator is filled without forming the
-    ``d^2 x d^2`` Kronecker sum.
+    ``M`` entries they read, by one ``np.add.at`` over the whole stack, so
+    no ``d^2 x d^2`` Kronecker sum is formed.
     """
-    a, b, tri = _upper_triangle(A.shape[0])
-    op = np.zeros((a.size, a.size))
-    np.add.at(op, (np.arange(a.size)[:, None], np.hstack([tri[:, b].T, tri[a]])),
-              np.hstack([A.T[a], A.T[b]]))
-    return op
+    a, b, tri = _upper_triangle(A.shape[-1])
+    At = np.swapaxes(A.reshape((-1,) + A.shape[-2:]), -1, -2)
+    op = np.zeros((len(At), a.size, a.size))
+    np.add.at(op, (np.arange(len(At))[:, None, None], np.arange(a.size)[:, None],
+                   np.hstack([tri[:, b].T, tri[a]])),
+              np.concatenate([At[:, a], At[:, b]], axis=-1))
+    return op.reshape(A.shape[:-2] + op.shape[1:])
 
 
 def _solve_decay_equation(A: np.ndarray, op: np.ndarray, lam: float) -> Optional[np.ndarray]:
     """Solve ``A^T M + M A + lam M = -SYNTH_EPSILON I`` for symmetric ``M``,
-    given ``op = _decay_operator(A)``: one LU solve of size ``d(d+1)/2``.
-    None when the shifted operator is (near-)singular at this decay rate."""
-    d = A.shape[0]
+    given ``op = _decay_operator(A)``: one LU solve of size ``d(d+1)/2``, or
+    one stacked solve for a stack of matrices ``A``.  None when the shifted
+    operator of any of them is (near-)singular at this rate, or a solution
+    misses the residual bound.  ``op`` is shifted in place and restored, so
+    a stack is not copied (``op`` holds no ``-0.0``, so shifting only the
+    diagonal gives the bits of ``op + lam I``)."""
+    d = A.shape[-1]
     a, b, _ = _upper_triangle(d)
+    rhs = np.broadcast_to(np.where(a == b, -SYNTH_EPSILON, 0.0)[:, None], op.shape[:-1] + (1,))
+    diag = np.arange(a.size)
+    unshifted = op[..., diag, diag]
+    op[..., diag, diag] += lam
     try:
-        x = np.linalg.solve(op + lam * np.eye(a.size), np.where(a == b, -SYNTH_EPSILON, 0.0))
+        x = np.linalg.solve(op, rhs)[..., 0]
     except np.linalg.LinAlgError:
         return None
-    M = np.empty((d, d))
-    M[a, b] = M[b, a] = x
-    residual = A.T @ M + M @ A + lam * M + SYNTH_EPSILON * np.eye(d)
-    if not np.linalg.norm(residual) <= 1e-6 * SYNTH_EPSILON * np.sqrt(d):
+    finally:
+        op[..., diag, diag] = unshifted
+    M = np.empty(A.shape)
+    M[..., a, b] = M[..., b, a] = x
+    residual = np.swapaxes(A, -1, -2) @ M + M @ A + lam * M + SYNTH_EPSILON * np.eye(d)
+    if not np.all(frobenius(residual) <= 1e-6 * SYNTH_EPSILON * np.sqrt(d)):
         return None
     return M
 
 
 def default_lambda_grid(joint: JointSystem) -> np.ndarray:
     """Descending log-spaced decay-rate candidates below twice the slowest
-    closed-loop eigenvalue."""
-    slowest = min(-hurwitz_margin(jm.Aprime) for jm in joint.modes)
+    closed-loop eigenvalue (one stacked eigenvalue call over the modes)."""
+    slowest = -np.max(hurwitz_margin(np.array([jm.Aprime for jm in joint.modes])))
     if slowest <= 0.0:
         raise SynthesisFailedError("joint closed loop is not Hurwitz")
     top = 2.0 * slowest
@@ -320,45 +332,40 @@ def synthesize_certificate(
     """Heuristic certificate construction checked by the exact verifier.
 
     For each candidate decay rate (descending, so the first hit is the
-    fastest certified decay): solve the loaded decay equation per mode (its
-    operator is built once per mode and shifted per rate), scale
-    the solution until it dominates the squared output map, attach the
-    homogeneous entry for affine cells, and accept the first rate at which
-    every mode verifies.  Relaxation weights stay zero, which only
-    strengthens the verified conditions.  Deterministic given its inputs.
+    fastest certified decay): solve the loaded decay equation of every mode
+    in one stacked solve (the operators are built once, stacked, and
+    shifted per rate), scale each solution until it dominates the squared
+    output map, attach the homogeneous entry for affine cells, and accept
+    the first rate at which every mode verifies.  A rate at which any mode
+    fails is skipped.  Relaxation weights stay zero, which only strengthens
+    the verified conditions.  Deterministic given its inputs.
     """
-    grid = default_lambda_grid(joint) if lambda_grid is None else np.asarray(
-        lambda_grid, dtype=float
-    )
-    ops = [_decay_operator(jm.Aprime) for jm in joint.modes]
-    CtCs = [jm.Cprime.T @ jm.Cprime for jm in joint.modes]
+    grid = default_lambda_grid(joint) if lambda_grid is None else np.asarray(lambda_grid, float)
+    A, C = stack_blocks(joint.modes, ("Aprime", "Cprime"))
+    ops = _decay_operator(A)
+    CtC = np.swapaxes(C, -1, -2) @ C
+    m = [m_scalar if jm.kind == AFFINE else None for jm in joint.modes]
     for lam in sorted(grid, reverse=True):
         if lam <= 0.0:
             continue
-        entries = []
-        for jm, op, CtC in zip(joint.modes, ops, CtCs):
-            M = _solve_decay_equation(jm.Aprime, op, lam)
-            if M is None:
-                break
-            w, Qm = np.linalg.eigh(M)
-            min_eig = float(w[0])
-            if min_eig <= 0.0:
-                break
-            # scale so M dominates C'^T C' (generalized top eigenvalue), from
-            # eigh: eigvalsh's can differ in the last bit and move alpha
-            inv_sqrt = (Qm / np.sqrt(w)) @ Qm.T
-            ratio = inv_sqrt @ CtC @ inv_sqrt
-            alpha = max(1.0, float(np.linalg.eigh(0.5 * (ratio + ratio.T))[0][-1]))
-            if alpha * min_eig < 1e-10:
-                break
-            entries.append(ModeCertificate(
-                M=alpha * M,
-                m_scalar=m_scalar if jm.kind == AFFINE else None,
-            ))
-        else:
-            cert = Certificate(kappa=kappa, lam=float(lam), entries=tuple(entries))
-            if all(r.feasible for r in verify_all(cert, joint)):
-                return cert
+        M = _solve_decay_equation(A, ops, lam)
+        if M is None:
+            continue
+        w, Qm = np.linalg.eigh(M)
+        if np.any(w[:, 0] <= 0.0):
+            continue
+        # scale so M dominates C'^T C' (generalized top eigenvalue), from
+        # eigh: eigvalsh's can differ in the last bit and move alpha
+        inv_sqrt = (Qm / np.sqrt(w)[:, None, :]) @ np.swapaxes(Qm, -1, -2)
+        ratio = inv_sqrt @ CtC @ inv_sqrt
+        alpha = np.maximum(1.0, np.linalg.eigh(0.5 * (ratio + ratio.swapaxes(-1, -2)))[0][:, -1])
+        if np.any(alpha * w[:, 0] < 1e-10):
+            continue
+        cert = Certificate(kappa=kappa, lam=float(lam), entries=tuple(
+            ModeCertificate(M=alpha_i * M_i, m_scalar=m_i)
+            for alpha_i, M_i, m_i in zip(alpha.tolist(), M, m)))
+        if all(r.feasible for r in verify_all(cert, joint)):
+            return cert
     raise SynthesisFailedError(
         "no decay rate in the grid produced a feasible certificate"
     )

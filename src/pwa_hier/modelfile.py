@@ -24,6 +24,7 @@ import numpy as np
 from .certificate import (
     Certificate,
     ModeCertificate,
+    gain_slopes_all,
     synthesize_certificate,
     verify_all,
 )
@@ -52,6 +53,7 @@ from .systems import (
     check_disturbance_bound,
     needs_pairing,
     paired_modes,
+    stack_blocks,
 )
 
 
@@ -365,13 +367,10 @@ def _supplied_relation(config: ModelConfig, solved: Optional[RelationMaps]) -> R
     ``solved`` relation is (None for a linear abstraction)."""
     pairing = None if solved is None else solved.pairing
     paired = paired_modes(config.abstraction, pairing, config.system.n_modes)
-    residuals = tuple(
-        relation_residual(mode.A, mode.B, mode.C, pm.mode.F, pm.mode.H, P, Q)
-        for mode, pm, P, Q in zip(config.system.modes, paired,
-                                  config.relation_P, config.relation_Q)
-    )
-    return RelationMaps(tuple(config.relation_P), tuple(config.relation_Q),
-                        residuals, pairing=pairing)
+    P, Q = np.array(config.relation_P), np.array(config.relation_Q)
+    residuals = relation_residual(*stack_blocks(config.system.modes, "ABC"),
+                                  *stack_blocks([pm.mode for pm in paired], "FH"), P, Q)
+    return RelationMaps(P, Q, tuple(residuals.tolist()), pairing=pairing)
 
 
 def build_pipeline(config: ModelConfig) -> Pipeline:
@@ -411,6 +410,11 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
         )
         certificate = Certificate(config.kappa, config.cert_lambda, entries,
                                   T=config.cert_T, jbars=config.cert_jbar)
+        with np.errstate(over="ignore"):
+            slopes = gain_slopes_all(certificate, joint)
+        if not np.all(np.isfinite(slopes)):
+            raise ModelError(f"certificate.lambda: {config.cert_lambda!r} makes a gain "
+                             f"slope overflow")
     else:
         certificate = synthesize_certificate(
             joint, kappa=config.kappa, lambda_grid=config.lambda_grid,

@@ -19,15 +19,15 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NoFeasiblePairingError,
+    NonFiniteInputError,
     SingularBBtError,
     UncertifiedRelationError,
 )
-from .linalg import as_matrix
+from .linalg import as_matrix, frobenius
 from .polytope import (
     CellBounding,
     Polyhedron,
     cell_bounding,
-    classify_cell,
     joint_partition,
 )
 from .systems import (
@@ -38,6 +38,7 @@ from .systems import (
     PwaSystem,
     assert_hurwitz,
     paired_modes,
+    stack_blocks,
 )
 
 #: Residuals are tied for pairing purposes when within this scaled quantum.
@@ -47,37 +48,44 @@ _PAIRING_TIE_RTOL = 1e-12
 INJECTIVITY_TOL = 1e-8
 
 
-def _tolerance(norm_A: float, norm_H: float) -> float:
+def _tolerance(norm_A, norm_H):
     """Certification threshold from the spectral norms of ``A`` and ``H``."""
     return 1e-8 * (1.0 + norm_H + norm_A)
 
 
-def relation_tolerance(A, H) -> float:
-    """Certification threshold for a relation residual."""
-    return _tolerance(np.linalg.norm(A, 2), np.linalg.norm(H, 2))
+def _norm2(X) -> np.ndarray:
+    """Spectral norm of a matrix, or of each matrix of a stack."""
+    return np.linalg.norm(X, 2, axis=(-2, -1))
 
 
-def _injective(P: np.ndarray) -> bool:
-    if P.shape[0] < P.shape[1]:
-        return False
-    return float(np.linalg.svd(P, compute_uv=False)[-1]) >= INJECTIVITY_TOL
+def relation_tolerance(A, H):
+    """Certification threshold for a relation residual (or each of a stack)."""
+    return _tolerance(_norm2(A), _norm2(H))
 
 
-def _vec(M: np.ndarray) -> np.ndarray:
-    return M.reshape(-1, order="F")
+def _injective(P) -> np.ndarray:
+    """Whether a state map (or each of a stack) has no more columns than
+    rows and a smallest singular value of at least INJECTIVITY_TOL."""
+    if P.shape[-2] < P.shape[-1]:
+        return np.zeros(P.shape[:-2], dtype=bool)
+    return np.linalg.svd(P, compute_uv=False)[..., -1] >= INJECTIVITY_TOL
 
 
-def relation_residual(A, B, C, F, H, P, Q) -> float:
+def relation_residual(A, B, C, F, H, P, Q):
     """Residual ``sqrt(||H - C P||^2 + ||P F - A P - B Q||^2)`` (Frobenius)
-    of the relation equations at ``(P, Q)``."""
-    return float(np.sqrt(
-        np.linalg.norm(H - C @ P) ** 2 + np.linalg.norm(P @ F - A @ P - B @ Q) ** 2
-    ))
+    of the relation equations at ``(P, Q)``: a float for one mode, an array
+    for each mode (or pair) of stacked blocks.  Each norm is squared by
+    ``float_power``, as a float's ``**`` squares it; an array's ``**`` takes
+    the product instead, which rounds differently."""
+    r = np.sqrt(np.float_power(frobenius(H - C @ P), 2)
+                + np.float_power(frobenius(P @ F - A @ P - B @ Q), 2))
+    return float(r) if np.ndim(r) == 0 else r
 
 
 def _relation_operator(A, B, C, F) -> np.ndarray:
     """Stacked operator of the relation equations on ``(vec P, vec Q)``
-    (column-major vec): rows ``vec(C P)`` over rows ``vec(P F - A P - B Q)``.
+    (column-major vec): rows ``vec(C P)`` over rows ``vec(P F - A P - B Q)``,
+    one per pair of blocks over their broadcast leading axes.
 
     Each Kronecker-structured block is written into 4-D views (block row,
     row, block column, column) of one zeroed array, so no Kronecker product
@@ -85,75 +93,81 @@ def _relation_operator(A, B, C, F) -> np.ndarray:
     holds no ``-0.0`` unless ``C`` or ``F`` does (a Kronecker product puts
     one wherever ``0.0`` multiplies a negative entry).
     """
-    n, p, k, m = A.shape[0], B.shape[1], C.shape[0], F.shape[0]
-    coeff = np.zeros((k * m + n * m, n * m + p * m))
+    n, p, k, m = A.shape[-1], B.shape[-1], C.shape[-2], F.shape[-1]
+    batch = np.broadcast_shapes(A.shape[:-2], B.shape[:-2], C.shape[:-2], F.shape[:-2])
+    coeff = np.zeros(batch + (k * m + n * m, n * m + p * m))
     blk, diag = np.arange(m), np.arange(n)
     # (I_m kron C) vec P
-    coeff[:k * m, :n * m].reshape(m, k, m, n)[blk, :, blk, :] = C
+    coeff[..., :k * m, :n * m].reshape(batch + (m, k, m, n))[..., blk, :, blk, :] = C
     # (F^T kron I_n - I_m kron A) vec P: F[j, i] I_n - [i == j] A in block (i, j)
-    dyn = coeff[k * m:, :n * m].reshape(m, n, m, n)
-    dyn[:, diag, :, diag] = F.T
-    dyn[blk, :, blk, :] -= A
+    dyn = coeff[..., k * m:, :n * m].reshape(batch + (m, n, m, n))
+    dyn[..., :, diag, :, diag] = np.swapaxes(F, -1, -2)
+    dyn[..., blk, :, blk, :] -= A
     # -(I_m kron B) vec Q
-    coeff[k * m:, n * m:].reshape(m, n, m, p)[blk, :, blk, :] -= B
+    coeff[..., k * m:, n * m:].reshape(batch + (m, n, m, p))[..., blk, :, blk, :] -= B
     return coeff
+
+
+def _relation_solutions(A, B, C, F, H) -> np.ndarray:
+    """Minimum-norm least-squares ``(vec P, vec Q)`` of the relation
+    equations, per pair of blocks over their broadcast leading axes, from
+    the SVD-based ``numpy.linalg.lstsq`` (one call per pair: numpy has no
+    stacked one).  It works on the operator itself, so its condition number
+    is not squared, and its minimum-norm solution makes the result
+    deterministic even when the relation is underdetermined."""
+    k, m = C.shape[-2], F.shape[-1]
+    if F.shape[-2] != m or H.shape[-2:] != (k, m):
+        raise DimensionMismatchError("F/H do not match the abstraction dimension")
+    coeff = _relation_operator(A, B, C, F)
+    rhs = np.zeros(coeff.shape[:-1])
+    rhs[..., :k * m] = np.swapaxes(H, -1, -2).reshape(H.shape[:-2] + (k * m,))
+    sols = [np.linalg.lstsq(c, r, rcond=None)[0] for c, r in
+            zip(coeff.reshape((-1,) + coeff.shape[-2:]), rhs.reshape(-1, rhs.shape[-1]))]
+    return np.array(sols).reshape(coeff.shape[:-2] + (-1,))
+
+
+def _unvec(sol: np.ndarray, n: int, m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(P, Q)`` from ``(vec P, vec Q)`` along the last axis: column-major
+    views (a product's last bits depend on the order BLAS reads it in)."""
+    lead = sol.shape[:-1]
+    return (np.swapaxes(sol[..., :n * m].reshape(lead + (m, n)), -1, -2),
+            np.swapaxes(sol[..., n * m:].reshape(lead + (m, p)), -1, -2))
 
 
 def solve_relation(A, B, C, F, H) -> tuple[np.ndarray, np.ndarray, float]:
     """Minimum-norm least-squares ``(P, Q, residual)`` for the relation
-    equations ``H = C P`` and ``P F = A P + B Q``.
-
-    Both matrix equations are stacked as one linear system in
-    ``(vec P, vec Q)`` (column-major vec) and solved by the SVD-based
-    ``numpy.linalg.lstsq``, which works on the stacked operator itself (its
-    condition number is not squared) and returns the minimum-norm solution
-    on rank-deficient systems, so the result is deterministic even when the
-    relation is underdetermined.
-    """
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    C = as_matrix(C, "C")
-    F = as_matrix(F, "F")
-    H = as_matrix(H, "H")
+    equations ``H = C P`` and ``P F = A P + B Q`` (see
+    ``_relation_solutions``)."""
+    A, B, C, F, H = (as_matrix(X, name) for X, name in zip((A, B, C, F, H), "ABCFH"))
     n = A.shape[0]
     if A.shape[1] != n:
         raise DimensionMismatchError(f"A must be square, got {A.shape}")
-    p = B.shape[1]
-    k = C.shape[0]
-    m = F.shape[0]
     if B.shape[0] != n or C.shape[1] != n:
         raise DimensionMismatchError("B/C do not match the state dimension")
-    if F.shape[1] != m or H.shape != (k, m):
-        raise DimensionMismatchError("F/H do not match the abstraction dimension")
-
-    rhs = np.concatenate([_vec(H), np.zeros(n * m)])
-    sol = np.linalg.lstsq(_relation_operator(A, B, C, F), rhs, rcond=None)[0]
-    P = sol[: n * m].reshape((n, m), order="F")
-    Q = sol[n * m:].reshape((p, m), order="F")
+    P, Q = _unvec(_relation_solutions(A, B, C, F, H), n, F.shape[0], B.shape[1])
     return P, Q, relation_residual(A, B, C, F, H, P, Q)
 
 
 @dataclass(frozen=True)
 class RelationMaps:
-    """Per-mode relation solution.  ``pairing[i]``, set for PWA abstractions
-    only, is the abstraction mode concrete mode i is related to; interface,
-    joint assembly and simulation all read the pairing from here."""
+    """Per-mode relation solution: ``P`` and ``Q`` hold one matrix per
+    concrete mode (the solvers stack them along a leading axis).
+    ``pairing[i]``, set for PWA abstractions only, is the abstraction mode
+    concrete mode i is related to; interface, joint assembly and simulation
+    all read the pairing from here."""
 
-    P: tuple[np.ndarray, ...]
-    Q: tuple[np.ndarray, ...]
+    P: Sequence[np.ndarray]
+    Q: Sequence[np.ndarray]
     residuals: tuple[float, ...]
     pairing: Optional[tuple[int, ...]] = None
 
 
 def solve_system_relation(system: PwaSystem, abstraction: LinearAbstraction) -> RelationMaps:
     """Relation maps of every concrete mode against one linear abstraction."""
-    Ps, Qs, residuals = [], [], []
-    for mode in system.modes:
-        P, Q, r = solve_relation(mode.A, mode.B, mode.C, abstraction.F, abstraction.H)
-        Ps.append(P)
-        Qs.append(Q)
-        residuals.append(r)
-    return RelationMaps(tuple(Ps), tuple(Qs), tuple(residuals))
+    A, B, C = stack_blocks(system.modes, "ABC")
+    F, H = abstraction.F, abstraction.H
+    P, Q = _unvec(_relation_solutions(A, B, C, F, H), system.n, abstraction.m, system.p)
+    return RelationMaps(P, Q, tuple(relation_residual(A, B, C, F, H, P, Q).tolist()))
 
 
 def solve_relation_pairing(
@@ -167,74 +181,76 @@ def solve_relation_pairing(
     within a small scaled quantum count as tied, and ties break by the
     smaller solution norm ``||(vec P, vec Q)||_2`` (several abstraction
     modes often solve a given concrete mode exactly; the leanest certified
-    relation wins), then by the lower index.
+    relation wins), then by the lower index.  Operators, residuals,
+    tolerances and norms are stacked over all pairs.
     """
     if not abstraction_modes:
         raise DimensionMismatchError("need at least one abstraction mode")
-    norms_H = [np.linalg.norm(am.H, 2) for am in abstraction_modes]
-    pairing, Ps, Qs, residuals = [], [], [], []
-    for i, mode in enumerate(concrete_modes):
-        candidates = []
-        norm_A = np.linalg.norm(mode.A, 2)
-        scale = 1.0 + max(norms_H) + norm_A
-        for j, (am, norm_H) in enumerate(zip(abstraction_modes, norms_H)):
-            P, Q, r = solve_relation(mode.A, mode.B, mode.C, am.F, am.H)
-            tol = _tolerance(norm_A, norm_H)
-            if r <= tol and _injective(P):
-                norm = float(np.sqrt(np.sum(P * P) + np.sum(Q * Q)))
-                candidates.append((j, P, Q, r, norm))
-        if not candidates:
-            raise NoFeasiblePairingError(
-                f"concrete mode {i} admits no certified relation"
-            )
-        r_min = min(c[3] for c in candidates)
-        tied = [c for c in candidates if c[3] <= r_min + _PAIRING_TIE_RTOL * scale]
-        j, P, Q, r, _ = min(tied, key=lambda c: (c[4], c[0]))
-        pairing.append(j)
-        Ps.append(P)
-        Qs.append(Q)
-        residuals.append(r)
-    maps = RelationMaps(tuple(Ps), tuple(Qs), tuple(residuals), tuple(pairing))
-    return tuple(pairing), maps
+    A, B, C = (X[:, None] for X in stack_blocks(concrete_modes, "ABC"))
+    F, H = stack_blocks(abstraction_modes, "FH")
+    n, p, m = A.shape[-1], B.shape[-1], F.shape[-1]
+    sol = _relation_solutions(A, B, C, F, H)
+    P, Q = _unvec(sol, n, m, p)
+    r = relation_residual(A, B, C, F, H, P, Q)
+    norm_A, norm_H = _norm2(A), _norm2(H)
+    ok = (r <= _tolerance(norm_A, norm_H)) & _injective(P)
+    if not ok.any(axis=1).all():
+        raise NoFeasiblePairingError(
+            f"concrete mode {np.argmin(ok.any(axis=1))} admits no certified relation"
+        )
+    r_min = np.where(ok, r, np.inf).min(axis=1, keepdims=True)
+    tied = ok & (r <= r_min + _PAIRING_TIE_RTOL * (1.0 + np.max(norm_H) + norm_A))
+    norms = np.sqrt(np.sum(P * P, axis=(-2, -1)) + np.sum(Q * Q, axis=(-2, -1)))
+    pairing = np.where(tied, norms, np.inf).argmin(axis=1)
+    rows = np.arange(len(pairing))
+    maps = RelationMaps(*_unvec(sol[rows, pairing], n, m, p),
+                        tuple(r[rows, pairing].tolist()), tuple(pairing.tolist()))
+    return maps.pairing, maps
 
 
 def default_R(B, P, G) -> np.ndarray:
-    """Default interface feedthrough ``B^+ P G``.
+    """Default interface feedthrough ``B^+ P G``, of one mode or of each mode
+    of stacked blocks.
 
     ``B^+`` is the Moore-Penrose pseudo-inverse (``numpy.linalg.pinv``,
     SVD-based), which equals ``B^T (B B^T)^+`` without forming ``B B^T``.
     It makes this the least-squares feedthrough (``B R`` is the projection
     of ``P G`` onto the range of ``B``).  Raises SingularBBtError only when
-    ``B`` is numerically zero (``||B||_2^2 <= 1e-10``).
+    ``B`` is numerically zero (``||B||_2^2 <= 1e-10``), naming the lowest
+    such mode of a stack.
     """
-    B = as_matrix(B, "B")
-    P = as_matrix(P, "P")
-    G = as_matrix(G, "G")
-    if P.shape[0] != B.shape[0] or P.shape[1] != G.shape[0]:
+    B, P, G = (np.asarray(X, dtype=float) for X in (B, P, G))
+    if not all(np.isfinite(X).all() for X in (B, P, G)):
+        raise NonFiniteInputError("B/P/G have non-finite entries")
+    if min(B.ndim, P.ndim, G.ndim) < 2 or P.shape[-2] != B.shape[-2] \
+            or P.shape[-1] != G.shape[-2]:
         raise DimensionMismatchError("B/P/G shapes are inconsistent")
-    if np.linalg.norm(B, 2) ** 2 <= 1e-10:
-        raise SingularBBtError("B is numerically zero; no feedthrough exists")
+    zero = np.flatnonzero(_norm2(B) ** 2 <= 1e-10)
+    if zero.size:
+        where = "" if B.ndim == 2 else f"mode {zero[0]}: "
+        raise SingularBBtError(f"{where}B is numerically zero; no feedthrough exists")
     return np.linalg.pinv(B) @ P @ G
 
 
 @dataclass(frozen=True)
 class Interface:
-    """Per-concrete-mode interface gains, resolved against the pairing.
+    """Per-concrete-mode interface gains, resolved against the pairing, one
+    matrix per mode (:func:`build_interface` stacks them by mode).
 
     ``K[i]`` stabilizes ``A_i + B_i K[i]``; ``R[i]`` is the feedthrough for
     mode i (paired abstraction mode for PWA abstractions); ``Q[i]`` and
     ``L[i]`` are the relation map and input transformation it closes over.
     """
 
-    K: tuple[np.ndarray, ...]
-    R: tuple[np.ndarray, ...]
-    Q: tuple[np.ndarray, ...]
-    L: tuple[np.ndarray, ...]
+    K: Sequence[np.ndarray]
+    R: Sequence[np.ndarray]
+    Q: Sequence[np.ndarray]
+    L: Sequence[np.ndarray]
 
     def stacked_gains(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every mode's ``R``, ``Q + R L`` and ``K``, stacked by mode."""
-        R = np.array(self.R)
-        return R, np.array(self.Q) + R @ np.array(self.L), np.array(self.K)
+        R = np.asarray(self.R)
+        return R, np.asarray(self.Q) + R @ np.asarray(self.L), np.asarray(self.K)
 
     def u1(self, i, xtilde, x2, u2bar) -> np.ndarray:
         """Concrete input ``u1 = R u2bar + (Q + R L) x2 + K xtilde`` of mode
@@ -242,6 +258,13 @@ class Interface:
         of the row-stacked arguments, or one input from vectors."""
         terms = zip(self.stacked_gains(), (u2bar, x2, xtilde))
         return sum(np.einsum("...ij,...j->...i", G[i], x) for G, x in terms)
+
+
+def _shaped(X, name: str, shape: tuple) -> np.ndarray:
+    X = as_matrix(X, name)
+    if X.shape != shape:
+        raise DimensionMismatchError(f"{name} has shape {X.shape}, expected {shape}")
+    return X
 
 
 def build_interface(
@@ -255,34 +278,25 @@ def build_interface(
     against the abstraction mode the relation pairs it with.
 
     ``R`` entries default to the pseudo-inverse feedthrough.  Every
-    ``A_i + B_i K_i`` must be Hurwitz.
+    ``A_i + B_i K_i`` must be Hurwitz.  Shapes are checked first; then the
+    closed loops (one stacked eigenvalue call) and the default feedthroughs
+    each name their lowest failing mode.
     """
     if len(K) != system.n_modes:
         raise DimensionMismatchError("need one K gain per concrete mode")
     if R is not None and len(R) != system.n_modes:
         raise DimensionMismatchError("need one R per concrete mode when overriding")
+    K = np.array([_shaped(Ki, f"K[{i}]", (system.p, system.n)) for i, Ki in enumerate(K)])
+    if R is not None:
+        R = np.array([_shaped(Ri, f"R[{i}]", (system.p, abstraction.q))
+                      for i, Ri in enumerate(R)])
     paired = paired_modes(abstraction, relation.pairing, system.n_modes)
-    Ks, Rs, Qs, Ls = [], [], [], []
-    for i, (mode, pm) in enumerate(zip(system.modes, paired)):
-        Ki = as_matrix(K[i], f"K[{i}]")
-        if Ki.shape != (mode.p, mode.n):
-            raise DimensionMismatchError(
-                f"K[{i}] has shape {Ki.shape}, expected {(mode.p, mode.n)}"
-            )
-        assert_hurwitz(mode.A + mode.B @ Ki, f"closed loop of mode {i}")
-        if R is None:
-            Ri = default_R(mode.B, relation.P[i], pm.mode.G)
-        else:
-            Ri = as_matrix(R[i], f"R[{i}]")
-            if Ri.shape != (mode.p, pm.mode.q):
-                raise DimensionMismatchError(
-                    f"R[{i}] has shape {Ri.shape}, expected {(mode.p, pm.mode.q)}"
-                )
-        Ks.append(Ki)
-        Rs.append(Ri)
-        Qs.append(relation.Q[i])
-        Ls.append(pm.mode.L)
-    return Interface(tuple(Ks), tuple(Rs), tuple(Qs), tuple(Ls))
+    A, B = stack_blocks(system.modes, "AB")
+    G, L = stack_blocks([pm.mode for pm in paired], "GL")
+    assert_hurwitz(A + B @ K, "closed loop of mode {}")
+    if R is None:
+        R = default_R(B, np.asarray(relation.P), G)
+    return Interface(K, R, np.asarray(relation.Q), L)
 
 
 @dataclass(frozen=True)
@@ -322,51 +336,6 @@ class JointSystem:
         return len(self.modes)
 
 
-def _joint_mode(label, mode, K, R, P, G, L, closed_abs, cell) -> JointMode:
-    n, m = mode.n, P.shape[1]
-    closed = mode.A + mode.B @ K
-    Aprime = np.block([
-        [closed, np.zeros((n, m))],
-        [np.zeros((m, n)), closed_abs],
-    ])
-    feed = mode.B @ R - P @ G
-    B1prime = np.vstack([feed @ L, np.zeros((m, m))])
-    B2prime = np.vstack([feed, G])
-    Cprime = np.hstack([mode.C, np.zeros((mode.k, m))])
-    d = n + m
-    Abar = np.zeros((d + 1, d + 1))
-    Abar[:d, :d] = Aprime
-    B1bar = np.vstack([B1prime, np.zeros((1, m))])
-    B2bar = np.vstack([B2prime, np.zeros((1, B2prime.shape[1]))])
-    Cbar = np.hstack([Cprime, np.zeros((mode.k, 1))])
-    return JointMode(
-        label=label,
-        kind=classify_cell(cell),
-        Aprime=Aprime,
-        B1prime=B1prime,
-        B2prime=B2prime,
-        Cprime=Cprime,
-        cell=cell,
-        bounding=cell_bounding(cell),
-        Abar=Abar,
-        B1bar=B1bar,
-        B2bar=B2bar,
-        Cbar=Cbar,
-    )
-
-
-def _check_certified(residual: float, tol: float, P: np.ndarray, what: str) -> None:
-    if residual > tol:
-        raise UncertifiedRelationError(
-            f"{what}: relation residual {residual:.3e} exceeds tolerance {tol:.3e}"
-        )
-    if not _injective(P):
-        raise UncertifiedRelationError(
-            f"{what}: state map is not injective (singular value below "
-            f"{INJECTIVITY_TOL:.0e})"
-        )
-
-
 def assemble_joint(
     system: PwaSystem,
     abstraction: Union[LinearAbstraction, PwaAbstraction],
@@ -377,24 +346,52 @@ def assemble_joint(
     abstraction mode the relation pairs it with: labelled ``(i,)`` for a
     linear abstraction and ``(i, relation.pairing[i])`` for a PWA one.
     Each pair is certified as assembled: its relation residual is
-    recomputed for that pair, not read from ``relation.residuals``.  Joint
-    cells lift the concrete cell, with the paired region's rows stacked
-    under it for a PWA abstraction."""
+    recomputed for that pair, not read from ``relation.residuals``; the
+    lowest failing pair is named, its residual checked before injectivity.
+    Joint cells lift the concrete cell, with the paired region's rows
+    stacked under it for a PWA abstraction.  Every block is built for all
+    modes at once; the entries hold slices of the stacks.
+    """
     paired = paired_modes(abstraction, relation.pairing, system.n_modes)
-    joint_cells = joint_partition(system.partition, relation.P,
-                                  [pm.region for pm in paired])
-    modes = []
-    for i, (mode, pm) in enumerate(zip(system.modes, paired)):
-        label = (i,) if pm.j is None else (i, pm.j)
-        _check_certified(
-            relation_residual(mode.A, mode.B, mode.C, pm.mode.F, pm.mode.H,
-                              relation.P[i], relation.Q[i]),
-            relation_tolerance(mode.A, pm.mode.H),
-            relation.P[i],
-            f"mode {i}" if pm.j is None else f"pair {label}",
-        )
-        modes.append(_joint_mode(
-            label, mode, interface.K[i], interface.R[i], relation.P[i],
-            pm.mode.G, interface.L[i], pm.mode.transformed(), joint_cells.cells[i],
-        ))
-    return JointSystem(tuple(modes), n=system.n, m=abstraction.m)
+    labels = [(i,) if pm.j is None else (i, pm.j) for i, pm in enumerate(paired)]
+    A, B, C = stack_blocks(system.modes, "ABC")
+    F, G, H, L_abs = stack_blocks([pm.mode for pm in paired], "FGHL")
+    P, Q = np.asarray(relation.P), np.asarray(relation.Q)
+    residual = relation_residual(A, B, C, F, H, P, Q)
+    tol = relation_tolerance(A, H)
+    injective = _injective(P)
+    failing = np.flatnonzero((residual > tol) | ~injective)
+    if failing.size:
+        i = failing[0]
+        what = f"mode {i}" if paired[i].j is None else f"pair {labels[i]}"
+        if residual[i] > tol[i]:
+            raise UncertifiedRelationError(f"{what}: relation residual {residual[i]:.3e} "
+                                           f"exceeds tolerance {tol[i]:.3e}")
+        raise UncertifiedRelationError(f"{what}: state map is not injective (singular "
+                                       f"value below {INJECTIVITY_TOL:.0e})")
+
+    n, m, d = system.n, abstraction.m, system.n + abstraction.m
+    K, R, L = (np.asarray(X) for X in (interface.K, interface.R, interface.L))
+    feed = B @ R - P @ G
+    # homogeneous forms, zero in the last row (and for A and C the last
+    # column); the plain forms are their leading blocks
+    Abar = np.zeros((len(A), d + 1, d + 1))
+    Abar[:, :n, :n] = A + B @ K
+    Abar[:, n:d, n:d] = F + G @ L_abs
+    B1bar = np.zeros((len(A), d + 1, m))
+    B1bar[:, :n] = feed @ L
+    B2bar = np.zeros((len(A), d + 1, G.shape[-1]))
+    B2bar[:, :n], B2bar[:, n:d] = feed, G
+    Cbar = np.zeros((len(A), system.k, d + 1))
+    Cbar[:, :, :n] = C
+    Aprime, B1prime, B2prime, Cprime = (np.ascontiguousarray(X) for X in (
+        Abar[:, :d, :d], B1bar[:, :d], B2bar[:, :d], Cbar[:, :, :d]))
+    joint_cells = joint_partition(system.partition, P, [pm.region for pm in paired])
+    bounds = [cell_bounding(cell) for cell in joint_cells.cells]
+    modes = tuple(
+        JointMode(label=labels[i], kind=bound.kind, Aprime=Aprime[i], B1prime=B1prime[i],
+                  B2prime=B2prime[i], Cprime=Cprime[i], cell=joint_cells.cells[i],
+                  bounding=bound, Abar=Abar[i], B1bar=B1bar[i], B2bar=B2bar[i], Cbar=Cbar[i])
+        for i, bound in enumerate(bounds)
+    )
+    return JointSystem(modes, n=n, m=m)

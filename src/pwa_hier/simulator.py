@@ -51,6 +51,7 @@ from .systems import (
     PwaSystem,
     check_disturbance_bound,
     paired_modes,
+    stack_blocks,
 )
 
 #: Crossing times are localized to a bracket narrower than this (seconds).
@@ -315,9 +316,8 @@ class _Runner:
         self.rows = [(np.ascontiguousarray(jm.cell.E[:, :n]), jm.cell.f)
                      for jm in s.joint.modes]
         # stacked closed-loop dynamics per concrete mode, z = (x1, x2)
-        A, B, self.C = (np.array([getattr(mode, X) for mode in s.system.modes]) for X in "ABC")
-        F, G, L, self.H = (np.array([getattr(pm.mode, X) for pm in self.paired])
-                           for X in "FGLH")
+        A, B, self.C = stack_blocks(s.system.modes, "ABC")
+        F, G, L, self.H = stack_blocks([pm.mode for pm in self.paired], "FGLH")
         R, feed, K = s.interface.stacked_gains()
         self.P = P = np.array(s.relation.P)
         self.Z = np.block([[A + B @ K, B @ (feed - K @ P)],

@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ModelError, NotHurwitzError
+from .errors import DimensionMismatchError, ModelError, NonFiniteInputError, NotHurwitzError
 from .linalg import as_matrix, as_vector
 from .polytope import Partition, Polyhedron
 
@@ -21,20 +21,34 @@ from .polytope import Partition, Polyhedron
 HURWITZ_MARGIN = 1e-8
 
 
-def hurwitz_margin(M) -> float:
-    """Largest eigenvalue real part (negative for stable matrices)."""
-    M = as_matrix(M, "M")
-    if M.shape[0] != M.shape[1]:
+def hurwitz_margin(M):
+    """Largest eigenvalue real part (negative for stable matrices) of a
+    square matrix, or of each matrix of a stack ``(..., d, d)``."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
         raise DimensionMismatchError(f"expected square matrix, got {M.shape}")
-    return float(np.max(np.linalg.eigvals(M).real))
+    if not np.all(np.isfinite(M)):
+        raise NonFiniteInputError("M has non-finite entries")
+    margin = np.linalg.eigvals(M).real.max(axis=-1)
+    return float(margin) if M.ndim == 2 else margin
 
 
 def assert_hurwitz(M, what: str = "matrix") -> None:
-    margin = hurwitz_margin(M)
-    if margin >= -HURWITZ_MARGIN:
+    """Raise NotHurwitzError unless ``M`` is Hurwitz; for a stack, name the
+    lowest failing matrix by formatting its index into ``what``."""
+    margin = np.atleast_1d(hurwitz_margin(M))
+    failing = np.flatnonzero(margin >= -HURWITZ_MARGIN)
+    if failing.size:
         raise NotHurwitzError(
-            f"{what} has eigenvalue real part {margin:.3e} >= -{HURWITZ_MARGIN:.0e}"
+            f"{what.format(failing[0])} has eigenvalue real part "
+            f"{margin[failing[0]]:.3e} >= -{HURWITZ_MARGIN:.0e}"
         )
+
+
+def stack_blocks(objs, names: Sequence[str]) -> tuple[np.ndarray, ...]:
+    """The attributes ``names`` of each of ``objs`` (a string names one per
+    letter), each stacked along a new leading axis."""
+    return tuple(np.array([getattr(obj, X) for obj in objs]) for X in names)
 
 
 def transformed_abstraction_matrix(F, G, L) -> np.ndarray:

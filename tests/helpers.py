@@ -1,13 +1,15 @@
 """Shared test helpers: randomized containment instances, a switch-dense
-cone fan, and Kronecker-product oracles for the decay equation and the
-stacked relation system."""
+cone fan, Kronecker-product oracles for the decay equation and the stacked
+relation system, and a mode-by-mode reference synthesis."""
 
 import math
 
 import numpy as np
 
 from pwa_hier import (
+    Certificate,
     DisturbanceSignal,
+    ModeCertificate,
     LinearAbstraction,
     Partition,
     PwaMode,
@@ -17,8 +19,10 @@ from pwa_hier import (
     build_interface,
     reference_schedule,
     synthesize_certificate,
+    verify_all,
 )
-from pwa_hier.certificate import SYNTH_EPSILON
+from pwa_hier.certificate import SYNTH_EPSILON, _decay_operator, _solve_decay_equation
+from pwa_hier.polytope import AFFINE
 from pwa_hier.polytope import Polyhedron, vertices_2d
 from pwa_hier.relation import solve_system_relation
 
@@ -182,3 +186,33 @@ def kron_relation_solve(A, B, C, F, H):
     coeff = kron_relation_operator(A, B, C, F) + 0.0
     sol = np.linalg.lstsq(coeff, rhs, rcond=None)[0]
     return sol[:n * m].reshape((n, m), order="F"), sol[n * m:].reshape((p, m), order="F")
+
+
+def reference_synthesis(joint, kappa, lambda_grid, m_scalar=1.0):
+    """Certificate synthesis one mode at a time: for each rate of the grid,
+    descending, each mode's decay solve, eigen-decomposition and scaling in
+    turn, stopping at the first mode that fails; the first rate at which
+    every mode solves and verifies wins.  None when no rate does."""
+    for lam in sorted(np.asarray(lambda_grid, dtype=float), reverse=True):
+        if lam <= 0.0:
+            continue
+        entries = []
+        for jm in joint.modes:
+            A = jm.Aprime
+            M = _solve_decay_equation(A, _decay_operator(A), lam)
+            if M is None:
+                break
+            w, V = np.linalg.eigh(M)
+            if w[0] <= 0.0:
+                break
+            inv_sqrt = (V / np.sqrt(w)) @ V.T
+            ratio = inv_sqrt @ (jm.Cprime.T @ jm.Cprime) @ inv_sqrt
+            alpha = max(1.0, float(np.linalg.eigh(0.5 * (ratio + ratio.T))[0][-1]))
+            if alpha * w[0] < 1e-10:
+                break
+            entries.append(ModeCertificate(alpha * M, m_scalar if jm.kind == AFFINE else None))
+        else:
+            cert = Certificate(kappa, float(lam), tuple(entries))
+            if all(r.feasible for r in verify_all(cert, joint)):
+                return cert
+    return None

@@ -34,7 +34,7 @@ from pwa_hier.relation import JointMode, JointSystem
 from pwa_hier.simulator import reference_schedule, run_scenario
 from pwa_hier.systems import DisturbanceSignal
 
-from helpers import fan_scenario, kron_decay_solve
+from helpers import fan_scenario, kron_decay_solve, reference_synthesis
 
 I2 = np.eye(2)
 
@@ -285,6 +285,74 @@ class TestDecayEquation:
         )
         cert = synthesize_certificate(joint, kappa=1.0)
         assert verify_lmi(cert, joint, 0).feasible
+
+
+def _stable(rng, d, slowest):
+    """Random ``d x d`` matrix whose eigenvalue real parts are at most
+    ``-slowest``."""
+    X = rng.normal(size=(d, d))
+    return X - (np.max(np.linalg.eigvals(X).real) + slowest) * np.eye(d)
+
+
+def _joint_of(As) -> JointSystem:
+    """Conic joint modes with the given closed loops, each observed through
+    its first coordinate."""
+    modes = []
+    for i, A in enumerate(As):
+        d = A.shape[0]
+        C = np.eye(1, d)
+        jm = _toy_joint(A, np.zeros((d, 1)), np.zeros((d, 1)), C, _conic_cell(d),
+                        n=d - 1, m=1).modes[0]
+        modes.append(dataclasses.replace(jm, label=(i,)))
+    return JointSystem(tuple(modes), n=As[0].shape[0] - 1, m=1)
+
+
+def _assert_same_certificate(cert, ref):
+    assert ref is not None and cert.lam == ref.lam
+    for got, want in zip(cert.entries, ref.entries, strict=True):
+        np.testing.assert_allclose(got.M, want.M, rtol=1e-12, atol=0.0)
+        assert got.m_scalar == want.m_scalar
+
+
+class TestStackedSynthesis:
+    """One stacked solve decides a rate for every mode: a rate at which any
+    single mode fails is skipped, as the mode-by-mode reference skips it."""
+
+    def test_one_singular_mode_skips_the_rate(self):
+        """With Aprime = -I and lambda = 2 the shifted decay operator of the
+        middle mode is zero; the other two solve at that rate."""
+        rng = np.random.default_rng(17)
+        As = [_stable(rng, 2, 1.5), -np.eye(2), _stable(rng, 2, 1.2)]
+        joint = _joint_of(As)
+        assert [_solve_decay_equation(A, _decay_operator(A), 2.0) is None for A in As] == [
+            False, True, False]
+        stack = np.array(As)
+        assert _solve_decay_equation(stack, _decay_operator(stack), 2.0) is None
+        cert = synthesize_certificate(joint, kappa=1.0, lambda_grid=[2.0, 1.0])
+        assert cert.lam == 1.0
+        _assert_same_certificate(cert, reference_synthesis(joint, 1.0, [2.0, 1.0]))
+
+    def test_one_mode_missing_the_residual_bound_skips_the_rate(self):
+        """The defective block solves at 1.9 but misses the residual bound;
+        the stable modes around it meet it."""
+        rng = np.random.default_rng(19)
+        As = [_stable(rng, 8, 1.5), _jordan_block(8), _stable(rng, 8, 1.2), _stable(rng, 8, 2.0)]
+        joint = _joint_of(As)
+        assert [_solve_decay_equation(A, _decay_operator(A), 1.9) is None for A in As] == [
+            False, True, False, False]
+        stack = np.array(As)
+        assert _solve_decay_equation(stack, _decay_operator(stack), 1.9) is None
+        cert = synthesize_certificate(joint, kappa=1.0, lambda_grid=[1.9, 1.0])
+        assert cert.lam == 1.0
+        _assert_same_certificate(cert, reference_synthesis(joint, 1.0, [1.9, 1.0]))
+
+    def test_stacked_solve_equals_one_mode_solves(self):
+        rng = np.random.default_rng(23)
+        As = np.array([_stable(rng, 5, 0.8) for _ in range(6)])
+        M = _solve_decay_equation(As, _decay_operator(As), 1.0)
+        for A, Mi in zip(As, M):
+            np.testing.assert_allclose(Mi, _solve_decay_equation(A, _decay_operator(A), 1.0),
+                                       rtol=1e-12, atol=0.0)
 
 
 class TestGains:

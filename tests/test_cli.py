@@ -40,6 +40,9 @@ def _break_model(doc, how):
             doc["certificate"]["lambda"] = "abc"
         elif how == "cert-lambda-list":
             doc["certificate"]["lambda"] = [1]
+        elif how == "cert-lambda-tiny":
+            # positive and finite, but every gain slope 2 ||sqrt(M) X|| / lambda overflows
+            doc["certificate"]["lambda"] = 1e-310
         elif how == "cert-m-text":
             doc["certificate"]["m"] = ["x"] + [1.0] * (modes - 1)
         elif how == "cert-m-short":
@@ -211,6 +214,7 @@ class TestRun:
         ["run", "constant-with-amplitude"],
         ["check", "cert-lambda-text"],
         ["check", "cert-lambda-list"],
+        ["check", "cert-lambda-tiny"],
         ["check", "cert-m-text"],
         ["check", "cert-m-short"],
         ["check", "cert-U-short"],
@@ -231,8 +235,8 @@ class TestRun:
             "relation-shape", "x1-0-nan", "waypoint-inf", "lambda-grid-text",
             "lambda-grid-nonpositive", "lambda-grid-empty",
             "zero-disturbance-scaled", "waypoint-t-nan", "offset-nan", "constant-with-amplitude",
-            "cert-lambda-text", "cert-lambda-list", "cert-m-text", "cert-m-short",
-            "cert-U-short", "cert-jbar-short", "cert-M-asymmetric",
+            "cert-lambda-text", "cert-lambda-list", "cert-lambda-tiny", "cert-m-text",
+            "cert-m-short", "cert-U-short", "cert-jbar-short", "cert-M-asymmetric",
             "cert-T-Jbar-shape", "cert-T-only", "cert-lambda-without-M",
             "cert-T-without-M", "pairing-on-linear",
             "pwa-pairing-fraction", "waypoint-ragged", "waypoint-wrong-dim", "R-shape"])

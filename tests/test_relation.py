@@ -5,9 +5,20 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pwa_hier import (
+    LinearAbstraction,
+    Partition,
+    Polyhedron,
+    PwaAbstraction,
+    PwaSystem,
+    build_interface,
+    solve_relation_pairing as pair_relations,
+    synthesize_certificate,
+)
 from pwa_hier.errors import (
     DimensionMismatchError,
     NoFeasiblePairingError,
+    NotHurwitzError,
     SingularBBtError,
     UncertifiedRelationError,
 )
@@ -21,11 +32,18 @@ from pwa_hier.relation import (
     relation_tolerance,
     solve_relation,
     solve_relation_pairing,
+    solve_system_relation,
 )
-from pwa_hier.systems import AbstractionMode, PwaMode
+from pwa_hier.certificate import default_lambda_grid
+from pwa_hier.systems import AbstractionMode, PwaMode, hurwitz_margin
 from pwa_hier.simulator import step_rk4
 
-from helpers import kron_relation_operator, kron_relation_solve
+from helpers import (
+    fan_scenario,
+    kron_relation_operator,
+    kron_relation_solve,
+    reference_synthesis,
+)
 
 I2 = np.eye(2)
 Z2 = np.zeros((2, 2))
@@ -349,7 +367,7 @@ class TestJointAssembly:
         whatever residuals the relation records."""
         P0 = case1.relation.P[0].copy()
         P0[0, 0] += 1.0
-        bad = RelationMaps((P0,) + case1.relation.P[1:], case1.relation.Q,
+        bad = RelationMaps((P0, *case1.relation.P[1:]), case1.relation.Q,
                            case1.relation.residuals)
         with pytest.raises(UncertifiedRelationError, match="mode 0"):
             assemble_joint(case1.system, case1.abstraction, bad, case1.interface)
@@ -479,3 +497,124 @@ def plant_relation_instance(rng, n, m, p, k, b_scale=1.0):
     pinv = np.linalg.pinv(P0)
     A = rhs @ pinv + rng.normal(size=(n, n)) @ (np.eye(n) - P0 @ pinv)
     return A, B, C, F, H
+
+
+def _minus_identity_system(Bs, C) -> PwaSystem:
+    """Modes with ``A = -I`` and the given input matrices over one vacuous
+    cell each, so every relation and closed loop is explicit."""
+    n = C.shape[1]
+    vac = Polyhedron(np.zeros((1, n)), np.zeros(1))
+    return PwaSystem(tuple(PwaMode(-np.eye(n), B, C) for B in Bs), Partition((vac,) * len(Bs)))
+
+
+class TestFailureOrder:
+    """The stacked checks name the lowest failing mode.  The closed loops are
+    checked before the default feedthroughs; within one mode the relation
+    residual is checked before injectivity."""
+
+    ABSN = LinearAbstraction(F=-I2, G=I2, H=I2, L=Z2)
+
+    def _interface(self, Bs, K):
+        system = _minus_identity_system(Bs, I2)
+        relation = solve_system_relation(system, self.ABSN)
+        return build_interface(system, self.ABSN, relation, K)
+
+    def test_lowest_unstable_closed_loop(self):
+        with pytest.raises(NotHurwitzError, match="closed loop of mode 1 "):
+            self._interface([I2] * 3, [Z2, 2 * I2, 3 * I2])
+
+    def test_lowest_zero_input_matrix(self):
+        with pytest.raises(SingularBBtError, match="mode 1:"):
+            self._interface([I2, Z2, Z2], [Z2] * 3)
+
+    def test_closed_loops_before_feedthroughs(self):
+        with pytest.raises(NotHurwitzError, match="closed loop of mode 1 "):
+            self._interface([Z2, I2, I2], [Z2, 2 * I2, Z2])
+
+    @pytest.mark.parametrize("middle, last, message", [
+        ("flat", "off", "mode 1: state map is not injective"),
+        ("off", "flat", "mode 1: relation residual"),
+        ("zero", "off", "mode 1: relation residual"),
+    ])
+    def test_lowest_uncertified_mode(self, middle, last, message):
+        """With ``C = H = [1, 0]`` the identity is a certified relation,
+        ``flat`` a relation (residual 0) that is not injective, ``off`` an
+        injective map off the relation, and ``zero`` fails both checks."""
+        C = np.array([[1.0, 0.0]])
+        system = _minus_identity_system([I2] * 3, C)
+        absn = LinearAbstraction(F=-I2, G=I2, H=C, L=Z2)
+        maps = {"flat": np.diag([1.0, 0.0]), "off": I2 + 0.1, "zero": Z2}
+        relation = RelationMaps((I2, maps[middle], maps[last]), (Z2,) * 3, (0.0,) * 3)
+        interface = build_interface(system, absn, relation, [Z2] * 3)
+        with pytest.raises(UncertifiedRelationError, match=message):
+            assemble_joint(system, absn, relation, interface)
+
+
+def _planted_pwa(rng, modes, n, m, k):
+    """A PWA plant whose every mode admits an exact relation with its own
+    abstraction mode (``plant_relation_instance``), with square ``B`` so
+    that ``K = -B^-1 (A + 3 I)`` closes each loop at ``-3 I``.  A square
+    ``B`` relates every pair exactly, so the pairing is decided by the
+    solution norms; every cell and region is vacuous."""
+    insts = [plant_relation_instance(rng, n, m, n, k) for _ in range(modes)]
+    vac = Polyhedron(np.zeros((1, n)), np.zeros(1))
+    system = PwaSystem(tuple(PwaMode(A, B, C) for A, B, C, _, _ in insts),
+                       Partition((vac,) * modes))
+    absn = PwaAbstraction(tuple(AbstractionMode(F=F, G=np.eye(m), H=H, L=-F - 2 * np.eye(m))
+                                for *_, F, H in insts), (vac,) * modes)
+    pairing, relation = pair_relations(system.modes, absn.modes)
+    K = [-np.linalg.solve(B, A + 3 * np.eye(n)) for A, B, *_ in insts]
+    interface = build_interface(system, absn, relation, K)
+    joint = assemble_joint(system, absn, relation, interface)
+    return system, absn, relation, interface, joint, synthesize_certificate(joint, kappa=2.0)
+
+
+def _close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * max(1.0, np.abs(want).max()))
+
+
+class TestStackedEqualsOneModeViews:
+    """Relation, interface, joint assembly and synthesis run once over all
+    modes; each result equals its one-mode view, mode by mode."""
+
+    @staticmethod
+    def _assert_one_mode_views(system, absn, relation, interface, joint, cert):
+        paired = ([absn.modes[j] for j in relation.pairing] if relation.pairing
+                  else [absn] * system.n_modes)
+        for i, (mode, am, jm) in enumerate(zip(system.modes, paired, joint.modes, strict=True)):
+            P, K, R = relation.P[i], interface.K[i], interface.R[i]
+            _close(R, default_R(mode.B, P, am.G))
+            n, m = P.shape
+            feed = mode.B @ R - P @ am.G
+            blocks = {
+                "Aprime": np.block([[mode.A + mode.B @ K, np.zeros((n, m))],
+                                    [np.zeros((m, n)), am.F + am.G @ am.L]]),
+                "B1prime": np.vstack([feed @ am.L, np.zeros((m, m))]),
+                "B2prime": np.vstack([feed, am.G]),
+                "Cprime": np.hstack([mode.C, np.zeros((mode.k, m))]),
+            }
+            for name, want in blocks.items():
+                _close(getattr(jm, name), want)
+                bar = getattr(jm, name.replace("prime", "bar"))
+                rows, cols = want.shape
+                _close(bar[:rows, :cols], want)
+                assert not bar[rows:].any() and not bar[:, cols:].any()
+        A, H = np.array([mode.A for mode in system.modes]), np.array([am.H for am in paired])
+        _close(relation_tolerance(A, H), [relation_tolerance(a, h) for a, h in zip(A, H)])
+        grid = default_lambda_grid(joint)
+        _close(grid[0], 2.0 * min(-hurwitz_margin(jm.Aprime) for jm in joint.modes))
+        ref = reference_synthesis(joint, cert.kappa, grid)
+        assert ref is not None and ref.lam == cert.lam
+        for got, want in zip(cert.entries, ref.entries, strict=True):
+            _close(got.M, want.M)
+
+    @pytest.mark.parametrize("cones, seed", [(8, 0), (48, 1)])
+    def test_fan(self, cones, seed):
+        scen = fan_scenario(cones, seed=seed)
+        self._assert_one_mode_views(scen.system, scen.abstraction, scen.relation,
+                                    scen.interface, scen.joint, scen.certificate)
+
+    @pytest.mark.parametrize("modes, n, m, k", [(3, 4, 2, 2), (5, 6, 3, 1)])
+    def test_planted_pwa(self, modes, n, m, k):
+        self._assert_one_mode_views(*_planted_pwa(np.random.default_rng(modes * n),
+                                                  modes, n, m, k))
