@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -18,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from .certificate import gain_slopes_all, verify_all
 from .errors import ModelError, PwaHierError
 from .modelfile import (
     Pipeline,
@@ -65,26 +65,20 @@ class RunReport:
         return json.loads(json.dumps(dataclasses.asdict(self)), parse_constant=lambda _: None)
 
 
-def _report_from_pipeline(pipe: Pipeline) -> RunReport:
-    reports = verify_all(pipe.certificate, pipe.joint)
-    slopes = gain_slopes_all(pipe.certificate, pipe.joint)[:, :3].tolist()
-    return RunReport(
+def _load(model_spec: str) -> tuple[Pipeline, RunReport]:
+    """The model's pipeline and summary, read from its scenario's checks."""
+    pipe = build_pipeline(load_model(resolve_model_path(model_spec)))
+    reports = pipe.scenario.reports
+    return pipe, RunReport(
         name=pipe.config.name,
         residuals=[float(r) for r in pipe.relation.residuals],
         pairing=None if pipe.pairing is None else [j + 1 for j in pipe.pairing],
         lmi_margins=[list(r.margins) for r in reports],
         lam=pipe.certificate.lam,
         kappa=pipe.certificate.kappa,
-        gain_slopes=slopes,
+        gain_slopes=pipe.scenario.slopes[:, :3].tolist(),
         certified=all(r.feasible for r in reports),
     )
-
-
-def _attach_trajectory(report: RunReport, traj: Trajectory) -> None:
-    report.max_err = float(np.max(traj.err))
-    report.max_V = float(np.max(traj.V))
-    report.max_delta = float(np.max(traj.delta))
-    report.verdict = verdict(traj)
 
 
 def _print_report(report: RunReport) -> None:
@@ -124,8 +118,7 @@ def _plot_tables(traj: Trajectory, plot_dir: Path) -> tuple[dict, list]:
 
 
 def cmd_check(model_spec: str, save_certificate: Optional[str] = None) -> int:
-    pipe = build_pipeline(load_model(resolve_model_path(model_spec)))
-    report = _report_from_pipeline(pipe)
+    pipe, report = _load(model_spec)
     _print_report(report)
     if save_certificate:
         with atomic_write(save_certificate) as fh:
@@ -139,7 +132,11 @@ def cmd_check(model_spec: str, save_certificate: Optional[str] = None) -> int:
 def cmd_run(model_spec: str, out_dir: str, plot_data: bool = False,
             t_end: Optional[float] = None, step: Optional[float] = None,
             seed: Optional[int] = None) -> int:
-    pipe = build_pipeline(load_model(resolve_model_path(model_spec)))
+    pipe, report = _load(model_spec)
+    if not report.certified:  # refused before simulating
+        _print_report(report)
+        return 1
+    report.seed = seed
     scenario = pipe.scenario
     if t_end is not None or step is not None:
         scenario = dataclasses.replace(
@@ -147,10 +144,10 @@ def cmd_run(model_spec: str, out_dir: str, plot_data: bool = False,
             t_end=t_end if t_end is not None else scenario.t_end,
             h=step if step is not None else scenario.h,
         )
-    report = _report_from_pipeline(pipe)
-    report.seed = seed
     traj = run_scenario(scenario)
-    _attach_trajectory(report, traj)
+    report.max_err, report.max_V, report.max_delta = (
+        float(np.max(col)) for col in (traj.err, traj.V, traj.delta))
+    report.verdict = verdict(traj)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -172,8 +169,6 @@ def cmd_run(model_spec: str, out_dir: str, plot_data: bool = False,
     _print_report(report)
     for f in report.files:
         print(f"wrote {f}")
-    if not report.certified:
-        return 1
     return 0 if report.verdict == "PASS" else 2
 
 
@@ -191,12 +186,13 @@ def _sweep_scenario(pipe: Pipeline, param: str, value: float) -> Scenario:
 
 def cmd_sweep(model_spec: str, param: str, values: list[float]) -> int:
     if param not in _SWEEP_PARAMS:
-        raise ModelError(
-            f"unknown sweep parameter {param!r} (choose from {_SWEEP_PARAMS})"
-        )
+        raise ModelError(f"unknown sweep parameter {param!r} (choose from {_SWEEP_PARAMS})")
     if not values:
         raise ModelError("sweep needs at least one value")
-    pipe = build_pipeline(load_model(resolve_model_path(model_spec)))
+    pipe, report = _load(model_spec)
+    if not report.certified:  # refused before simulating
+        _print_report(report)
+        return 1
     # every value is checked before the table starts
     scenarios = [_sweep_scenario(pipe, param, value) for value in values]
     print(f"{'value':>12} {'max ||e||':>14} {'max V':>14} verdict")
@@ -218,7 +214,9 @@ def _parse_values(text: str) -> list[float]:
         raise ModelError(f"--values: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="pwa-hier",
         description="Certified hierarchical tracking control of "

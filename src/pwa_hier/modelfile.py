@@ -24,7 +24,6 @@ import numpy as np
 from .certificate import (
     Certificate,
     ModeCertificate,
-    gain_slopes_all,
     synthesize_certificate,
     verify_all,
 )
@@ -375,8 +374,8 @@ def _supplied_relation(config: ModelConfig, solved: Optional[RelationMaps]) -> R
 
 def build_pipeline(config: ModelConfig) -> Pipeline:
     """Solve relations, build the interface and joint system, obtain a
-    certificate (synthesized unless the file supplies one), and assemble
-    the scenario."""
+    certificate (synthesized unless the file supplies one), assemble the
+    scenario, and refuse a lambda at which its gain slopes overflow."""
     relation = None
     if needs_pairing(config.abstraction):
         # the pairing comes from the solve even when the file supplies P/Q
@@ -410,11 +409,6 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
         )
         certificate = Certificate(config.kappa, config.cert_lambda, entries,
                                   T=config.cert_T, jbars=config.cert_jbar)
-        with np.errstate(over="ignore"):
-            slopes = gain_slopes_all(certificate, joint)
-        if not np.all(np.isfinite(slopes)):
-            raise ModelError(f"certificate.lambda: {config.cert_lambda!r} makes a gain "
-                             f"slope overflow")
     else:
         certificate = synthesize_certificate(
             joint, kappa=config.kappa, lambda_grid=config.lambda_grid,
@@ -427,6 +421,9 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
         x1_0=config.x1_0, x2_0=config.x2_0, t_end=config.t_end, h=config.step,
         joint=joint,
     )
+    if not np.all(np.isfinite(scenario.slopes)):
+        key = "certificate.lambda" if config.cert_M is not None else "certificate.lambda_grid"
+        raise ModelError(f"{key}: {certificate.lam!r} makes a gain slope overflow")
     return Pipeline(
         config=config, relation=relation, interface=interface,
         joint=joint, certificate=certificate, scenario=scenario,

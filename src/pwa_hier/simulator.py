@@ -12,10 +12,12 @@ guesses the exit point and tests, in one batched evaluation, the midpoints
 it visits if every decision agrees with the guess; a decision that
 disagrees starts a new guess and batch from there.  A crossing costs about
 two batches rather than one sub-step per level, and its bracket is the one
-plain bisection finds.  Every sample records the tracking error, the
-simulation-function value, the running invariant-level threshold, and the
-certified output-error level, computed after the run for all modes at once
-from matrices gathered by each sample's mode, a bounded chunk at a time.
+plain bisection finds.  A run is refused unless its certificate holds on
+every mode, as checked once when the scenario is built.  Each sample
+records the tracking error, the simulation-function value, the running
+invariant-level threshold, and the certified output-error level, computed
+after the run for all modes at once from matrices gathered by each
+sample's mode, a bounded chunk at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO, Unio
 
 import numpy as np
 
-from .certificate import Certificate, gain_slopes_all, sim_fn_values, verify_all
+from .certificate import Certificate, LmiReport, gain_slopes_all, sim_fn_values, verify_all
 from .errors import (
     DimensionMismatchError,
     EmptyScheduleError,
@@ -151,7 +153,10 @@ class CrossingEvent:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything one closed-loop experiment needs."""
+    """Everything one closed-loop experiment needs.  Building it assembles
+    the joint system (unless given) and checks the certificate on every joint
+    mode, once: ``reports`` holds the condition margins, ``slopes`` the gain
+    slopes ``(gamma1, gamma2, gamma3, sqrt_m)``, an overflowed one as inf."""
 
     system: PwaSystem
     abstraction: Union[LinearAbstraction, PwaAbstraction]
@@ -165,6 +170,8 @@ class Scenario:
     t_end: float
     h: float
     joint: Optional[JointSystem] = None
+    reports: tuple[LmiReport, ...] = field(init=False, repr=False)
+    slopes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x1_0", as_vector(self.x1_0, "x1_0"))
@@ -193,6 +200,12 @@ class Scenario:
             object.__setattr__(self, "joint", assemble_joint(
                 self.system, self.abstraction, self.relation, self.interface,
             ))
+        if len(self.certificate.entries) != len(self.joint):
+            raise DimensionMismatchError(f"certificate has {len(self.certificate.entries)} "
+                                         f"entries, the joint system {len(self.joint)} modes")
+        object.__setattr__(self, "reports", verify_all(self.certificate, self.joint))
+        with np.errstate(over="ignore"):  # an overflowed slope is inf
+            object.__setattr__(self, "slopes", gain_slopes_all(self.certificate, self.joint))
 
     @property
     def steps(self) -> int:
@@ -532,8 +545,12 @@ def run_scenario(s: Scenario) -> Trajectory:
     mode (cell, and abstraction region for PWA abstractions) or turns
     non-finite is redone by ``advance``, which bisects the crossing and
     relocates the mode with hysteresis.  The per-sample certificate columns
-    are evaluated afterwards in one vectorized pass.
+    are evaluated afterwards in one vectorized pass.  A certificate that fails
+    any mode, visited or not, raises UncertifiedModeError (lowest mode) first.
     """
+    bad = [jm.label for jm, r in zip(s.joint.modes, s.reports) if not r.feasible]
+    if bad:
+        raise UncertifiedModeError(f"certificate infeasible for mode {bad[0]}")
     runner = _Runner(s)
     n = runner.n
     steps = s.steps
@@ -576,22 +593,10 @@ def run_scenario(s: Scenario) -> Trajectory:
 
 def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i, mode_j,
               events: tuple[CrossingEvent, ...]) -> Trajectory:
-    """Per-sample certificate columns, with no loop over modes: the modes
-    visited (at a sample, or between two across a crossing) are verified,
-    and the sampled ones' gain slopes computed, in one stacked call each;
-    then each sample's P, C, H, interface gains and M are gathered by its
-    mode, ``_GATHER_ROWS`` samples at a time, so the gathers stay small."""
-    joint, cert = s.joint, s.certificate
-    visited = np.unique(mode_i)
-    crossed = [label[0] for ev in events for label in (ev.old_label, ev.new_label)]
-    checked = np.union1d(visited, crossed).astype(int)
-    bad = [idx for idx, r in zip(checked, verify_all(cert, joint, checked)) if not r.feasible]
-    if bad:
-        raise UncertifiedModeError(
-            f"certificate infeasible for visited mode {joint.modes[bad[0]].label}")
-    slopes = np.zeros((len(joint.modes), 4))  # gamma1, gamma2, gamma3, sqrt_m
-    slopes[visited] = gain_slopes_all(cert, joint, visited)
-
+    """Per-sample certificate columns, with no loop over modes: each sample's
+    P, C, H, interface gains and M are gathered by its mode, ``_GATHER_ROWS``
+    samples at a time, and its gain slopes read from the scenario's."""
+    joint, cert, slopes = s.joint, s.certificate, s.slopes
     P, C, H = runner.P, runner.C, runner.H
     kinds = np.array([jm.kind for jm in joint.modes])
     xtilde, u1, y1, y2, V = (np.empty((len(t), *cols)) for cols in (

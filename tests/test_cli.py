@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pwa_hier import export_trajectory, run_scenario, simulator
-from pwa_hier.cli import main
+from pwa_hier.cli import build_parser, main
 from pwa_hier.modelfile import (
     build_pipeline,
     builtin_model_path,
@@ -80,6 +80,9 @@ def _break_model(doc, how):
         doc["certificate"]["lambda_grid"] = [0.0, -1.0]
     elif how == "lambda-grid-empty":
         doc["certificate"]["lambda_grid"] = []
+    elif how == "lambda-grid-tiny":
+        # synthesis accepts the rate, but every gain slope overflows
+        doc["certificate"]["lambda_grid"] = [1e-310]
     elif how == "zero-disturbance":
         doc["scenario"]["disturbance"] = {"kind": "zero"}
     elif how == "waypoint-t-nan":
@@ -207,6 +210,7 @@ class TestRun:
         ["check", "lambda-grid-text"],
         ["check", "lambda-grid-nonpositive"],
         ["check", "lambda-grid-empty"],
+        ["check", "lambda-grid-tiny"],
         ["sweep", "zero-disturbance", "--param", "disturbance-amplitude",
          "--values", "0.1"],
         ["run", "waypoint-t-nan"],
@@ -233,7 +237,7 @@ class TestRun:
             "values-not-numbers", "kappa-negative", "kappa-inf", "disturbance-above-bound",
             "disturbance-amplitude-negative", "disturbance-amplitude-nan",
             "relation-shape", "x1-0-nan", "waypoint-inf", "lambda-grid-text",
-            "lambda-grid-nonpositive", "lambda-grid-empty",
+            "lambda-grid-nonpositive", "lambda-grid-empty", "lambda-grid-tiny",
             "zero-disturbance-scaled", "waypoint-t-nan", "offset-nan", "constant-with-amplitude",
             "cert-lambda-text", "cert-lambda-list", "cert-lambda-tiny", "cert-m-text",
             "cert-m-short", "cert-U-short", "cert-jbar-short", "cert-M-asymmetric",
@@ -241,9 +245,10 @@ class TestRun:
             "cert-T-without-M", "pairing-on-linear",
             "pwa-pairing-fraction", "waypoint-ragged", "waypoint-wrong-dim", "R-shape"])
     def test_zero_horizon_exits_one(self, argv, tmp_path, capsys, caplog):
-        """Bad input of every kind exits 1 with one error line, no traceback.
-        A model name other than case1 names an edit of case1's model file
-        (of case2's, the PWA model, when it starts with ``pwa-``)."""
+        """Bad input of every kind exits 1 with one error line, no traceback,
+        and no RuntimeWarning on the way.  A model name other than case1
+        names an edit of case1's model file (of case2's, the PWA model, when
+        it starts with ``pwa-``)."""
         if argv[0] == "run":
             argv = argv + ["--out", str(tmp_path / "out")]
         if argv[1] != "case1":
@@ -252,7 +257,9 @@ class TestRun:
             _break_model(doc, argv[1])
             argv = [argv[0], str(tmp_path / "bad.model")] + argv[2:]
             (tmp_path / "bad.model").write_text(json.dumps(doc))
-        assert main(argv) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and not caplog.records
         assert "Traceback" not in err
@@ -325,6 +332,38 @@ class TestRun:
         report = json.loads(text)
         assert report["max_V"] is None and report["max_delta"] is None
         assert report["max_err"] > 0.0 and report["verdict"] == "FAIL"
+
+    @pytest.mark.parametrize("argv", [["run", "--t-end", "0.5"],
+                                      ["sweep", "--param", "step", "--values", "0.001"]],
+                             ids=["run", "sweep"])
+    def test_uncertified_refused_before_simulating(self, argv, tmp_path, capsys):
+        """A certificate that fails on a mode the run would never enter is
+        still refused before simulating: exit 1, the failing margins printed
+        under ``certified = False``, no table and no artifact."""
+        doc = json.loads(builtin_model_path("case2").read_text())
+        cert = json.loads(_saved_certificate("case2"))
+        cert["M"][-1] = (1e-6 * np.eye(len(cert["M"][-1]))).tolist()  # fails domination
+        doc["certificate"].update(cert)
+        model = tmp_path / "bad.model"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = [argv[0], str(model)] + argv[1:]
+        if argv[0] == "run":
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
+        stdout = capsys.readouterr().out
+        assert "certified = False" in stdout and "mode 5: margins = (-1.000e+00" in stdout
+        assert "verdict" not in stdout and "wrote" not in stdout
+        assert not (out / "trajectory.csv").exists()
+
+    def test_parser_reuse_keeps_calls_apart(self, tmp_path, capsys):
+        """The parser is built once per process, and a flag given to one call
+        does not carry over to the next."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "case1", "--out", str(a), "--plot-data", "--t-end", "0.5"]) == 0
+        assert main(["run", "case1", "--out", str(b), "--t-end", "0.5"]) == 0
+        assert (a / "plot").is_dir() and not (b / "plot").exists()
+        assert build_parser() is build_parser()
 
     def test_seed_recorded(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -264,6 +264,62 @@ class TestRunScenario:
         with pytest.raises(UncertifiedModeError, match="infeasible"):
             run_scenario(bad)
 
+    def test_unvisited_infeasible_mode_refused_before_integrating(self, case2, monkeypatch):
+        """A certificate that fails only on a mode the run never enters is
+        refused all the same, naming that mode, before any step is taken:
+        the runner is never built."""
+        short = dataclasses.replace(case2.scenario, t_end=0.5)
+        traj = run_scenario(short)
+        last = len(short.joint) - 1
+        entered = set(traj.mode_i.tolist()) | {
+            label[0] for ev in traj.crossings for label in (ev.old_label, ev.new_label)}
+        assert last not in entered
+        entries = list(short.certificate.entries)
+        entries[last] = ModeCertificate(1e-6 * np.eye(entries[last].M.shape[0]),
+                                        m_scalar=entries[last].m_scalar)
+        bad = dataclasses.replace(
+            short, certificate=dataclasses.replace(short.certificate, entries=tuple(entries)))
+        assert not bad.reports[last].feasible
+        assert all(r.feasible for r in bad.reports[:last])
+
+        def no_runner(_):
+            raise AssertionError("the runner was built")
+
+        monkeypatch.setattr(simulator, "_Runner", no_runner)
+        with pytest.raises(UncertifiedModeError,
+                           match=rf"mode \({last}, {short.joint.modes[last].label[1]}\)"):
+            run_scenario(bad)
+
+    def test_run_reads_the_scenario_check(self, case1, case2, monkeypatch):
+        """The certificate is checked once, when the scenario is built: a run
+        verifies nothing and computes no gain slope, and its levels ``b``
+        come from the scenario's stored slopes."""
+        scenarios = [dataclasses.replace(b.scenario, t_end=0.2) for b in (case1, case2)]
+        calls = []
+        for name in ("verify_all", "gain_slopes_all"):
+            real = getattr(simulator, name)
+            monkeypatch.setattr(simulator, name, lambda *a, _n=name, _f=real, **k:
+                                (calls.append(_n), _f(*a, **k))[1])
+        for scen in scenarios:
+            traj = run_scenario(scen)
+            g = scen.slopes[traj.mode_i]
+            b = (g[:, 0] * scen.schedule.sup_norm() + g[:, 1] * scen.disturbance.sup_norm()
+                 + g[:, 2] * np.maximum.accumulate(np.abs(traj.x2).max(axis=1)) + g[:, 3])
+            np.testing.assert_array_equal(traj.b, b)
+        assert calls == []
+        dataclasses.replace(scenarios[0], t_end=0.1)  # the counters do see a build
+        assert calls == ["verify_all", "gain_slopes_all"]
+
+    @pytest.mark.parametrize("count", [2, 6], ids=["too-few", "too-many"])
+    def test_certificate_entry_count_must_match_modes(self, count, case2):
+        """A certificate with other than one entry per joint mode is refused
+        when the scenario is built, not with an IndexError after the run."""
+        entries = case2.certificate.entries
+        entries = (entries * 2)[:count]
+        cert = dataclasses.replace(case2.certificate, entries=entries)
+        with pytest.raises(DimensionMismatchError, match=f"{count} entries.*5 modes"):
+            dataclasses.replace(case2.scenario, certificate=cert)
+
     def test_bookkeeping_memory_is_bounded(self, case1):
         """The per-sample columns gather each mode's matrices a chunk of
         samples at a time: the traced peak of a case1 run stays under twice
