@@ -123,7 +123,7 @@ def cmd_check(model_spec: str, save_certificate: Optional[str] = None) -> int:
     if save_certificate:
         with atomic_write(save_certificate) as fh:
             fh.write(json.dumps(
-                certificate_to_jsonable(pipe.certificate, pipe.joint), indent=2
+                certificate_to_jsonable(pipe.certificate, pipe.scenario.reports), indent=2
             ) + "\n")
         print(f"certificate written to {save_certificate}")
     return 0 if report.certified else 1

@@ -17,15 +17,15 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .certificate import (
     Certificate,
+    LmiReport,
     ModeCertificate,
     synthesize_certificate,
-    verify_all,
 )
 from .errors import ModelError, ParseError, PwaHierError
 from .polytope import Partition, Polyhedron
@@ -440,8 +440,9 @@ def _mat_list(M: np.ndarray) -> list:
     return [[float(v) for v in row] for row in np.asarray(M)]
 
 
-def certificate_to_jsonable(cert: Certificate, joint: JointSystem) -> dict:
-    """Certificate as a document fragment reusable in a model file."""
+def certificate_to_jsonable(cert: Certificate, reports: Sequence[LmiReport]) -> dict:
+    """Certificate as a document fragment reusable in a model file, with the
+    per-mode verdicts of ``reports`` (the scenario's check) as ``feasible``."""
     doc = {
         "kappa": cert.kappa,
         "lambda": cert.lam,
@@ -450,5 +451,5 @@ def certificate_to_jsonable(cert: Certificate, joint: JointSystem) -> dict:
     if any(e.m_scalar is not None for e in cert.entries):
         doc["m"] = [float(e.m_scalar if e.m_scalar is not None else 1.0)
                     for e in cert.entries]
-    doc["feasible"] = [bool(r.feasible) for r in verify_all(cert, joint)]
+    doc["feasible"] = [bool(r.feasible) for r in reports]
     return doc

@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 import os
 import stat
+import tempfile
+import threading
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -37,6 +39,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyScheduleError,
     EmptyTrajectoryError,
+    InfeasibleCertificateError,
     NoCellError,
     NonFiniteStateError,
     NonMonotoneTimesError,
@@ -546,11 +549,17 @@ def run_scenario(s: Scenario) -> Trajectory:
     non-finite is redone by ``advance``, which bisects the crossing and
     relocates the mode with hysteresis.  The per-sample certificate columns
     are evaluated afterwards in one vectorized pass.  A certificate that fails
-    any mode, visited or not, raises UncertifiedModeError (lowest mode) first.
+    any mode, visited or not, raises UncertifiedModeError (lowest mode) first,
+    and one with a gain slope that overflowed InfeasibleCertificateError.
     """
     bad = [jm.label for jm, r in zip(s.joint.modes, s.reports) if not r.feasible]
     if bad:
         raise UncertifiedModeError(f"certificate infeasible for mode {bad[0]}")
+    over = ~np.isfinite(s.slopes).all(axis=1)
+    if over.any():
+        raise InfeasibleCertificateError(
+            f"certificate lambda {s.certificate.lam!r} makes a gain slope of mode "
+            f"{s.joint.modes[int(np.argmax(over))].label} overflow")
     runner = _Runner(s)
     n = runner.n
     steps = s.steps
@@ -721,6 +730,90 @@ def _column_text(col: np.ndarray, seen: dict) -> list:
     return text
 
 
+def _write_rows(handles: Sequence[TextIO], columns: Mapping[str, np.ndarray],
+                files: Sequence[tuple], used: Sequence[str], start: int, stop: int) -> None:
+    """Append rows ``[start, stop)`` of every table in ``files`` to its
+    handle, ``_WRITE_BLOCK`` rows at a time from the block edge ``start``,
+    each distinct value of a block formatted once."""
+    for lo in range(start, stop, _WRITE_BLOCK):
+        hi = min(lo + _WRITE_BLOCK, stop)
+        seen: dict = {}
+        text = {name: _column_text(columns[name][lo:hi], seen) for name in used}
+        for fh, (_, names, sep, _) in zip(handles, files):
+            fh.write("\n".join(map(sep.join, zip(*(text[name] for name in names)))) + "\n")
+
+
+def _split_row(rows: int) -> int:
+    """The block edge nearest the middle of ``rows``, from which a forked
+    child formats the rest; ``rows`` (no child) unless the tables span two
+    blocks, ``os.fork`` and ``os.sched_getaffinity`` exist, this process may
+    run on two CPUs, and it runs no other thread (a lock another thread
+    holds at the fork stays held in the child for good)."""
+    if (rows < 2 * _WRITE_BLOCK or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+            or threading.active_count() != 1):
+        return rows
+    return _WRITE_BLOCK * round(rows / (2 * _WRITE_BLOCK))
+
+
+@contextmanager
+def _forked(work: Callable[[], None]) -> Iterator[Callable[[], None]]:
+    """Run ``work`` in a forked child; yields ``join``, which waits for the
+    child and raises OSError unless it exited 0.
+
+    The child ends with ``os._exit`` on every path: it never returns into
+    the caller's frames, whose cleanup would place or remove this process's
+    files, and never flushes a handle it inherited (its garbage collector is
+    off, so no finalizer of inherited garbage does either).  Leaving the
+    block before ``join`` returned, by any exception including
+    KeyboardInterrupt, kills and reaps the child.  An OSError from ``fork``
+    propagates with no child.
+    """
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            import gc
+
+            gc.disable()
+            work()
+            code = 0
+        finally:
+            os._exit(code)
+    reaped = False
+
+    def join() -> None:
+        nonlocal reaped
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise OSError(f"the child formatting the second half of the rows "
+                          f"ended with status {code}")
+
+    try:
+        yield join
+    finally:
+        if not reaped:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _append_file(fh: TextIO, part) -> None:
+    """Append the whole of the file ``part`` to the text handle ``fh``,
+    copied by the kernel (``os.sendfile``), not through this process."""
+    fh.flush()
+    size = os.fstat(part.fileno()).st_size
+    offset = 0
+    while offset < size:
+        sent = os.sendfile(fh.fileno(), part.fileno(), offset, size - offset)
+        if sent == 0:
+            raise OSError(f"formatted rows end after {offset} of {size} bytes")
+        offset += sent
+
+
 def write_tables(columns: Mapping[str, np.ndarray],
                  files: Sequence[tuple]) -> None:
     """Write text tables that share named 1-D columns, in one pass.
@@ -735,6 +828,14 @@ def write_tables(columns: Mapping[str, np.ndarray],
     The bytes are those of formatting every value on its own.  Every table
     is written atomically.
 
+    Where ``_split_row`` allows, a forked child formats the rows from the
+    block edge nearest the middle into one anonymous temp file per table,
+    beside the table, while this process formats the first half; the
+    child's text is then appended by the kernel.  Dedup is per block, so the
+    bytes are the same as from one process.  A child that fails fails the
+    write (OSError), and no child outlives the call unless this process is
+    killed outright, in which case the child finishes and places nothing.
+
     Raises DimensionMismatchError if a named column is not 1-D or its
     length differs from the first one's.
     """
@@ -745,18 +846,32 @@ def write_tables(columns: Mapping[str, np.ndarray],
             raise DimensionMismatchError(
                 f"column {name!r} has shape {np.shape(columns[name])}, "
                 f"expected ({rows},) like {used[0]!r}")
+    split = _split_row(rows)
     with ExitStack() as stack:
         handles = [stack.enter_context(atomic_write(path)) for path, *_ in files]
         for fh, (_, names, sep, header) in zip(handles, files):
             if header:
                 fh.write(sep.join(names) + "\n")
-        for start in range(0, rows, _WRITE_BLOCK):
-            seen: dict = {}
-            text = {name: _column_text(columns[name][start:start + _WRITE_BLOCK], seen)
-                    for name in used}
-            for fh, (_, names, sep, _) in zip(handles, files):
-                fh.write("\n".join(map(sep.join, zip(*(text[name] for name in names))))
-                         + "\n")
+        join = None
+        if split < rows:
+            parts = [stack.enter_context(tempfile.TemporaryFile(
+                "w+", encoding="utf-8", dir=os.path.dirname(os.path.abspath(path))))
+                for path, *_ in files]
+
+            def work() -> None:
+                _write_rows(parts, columns, files, used, split, rows)
+                for part in parts:
+                    part.flush()
+
+            try:
+                join = stack.enter_context(_forked(work))
+            except OSError:  # no child: this process formats every row
+                split = rows
+        _write_rows(handles, columns, files, used, 0, split)
+        if join is not None:
+            join()
+            for fh, part in zip(handles, parts):
+                _append_file(fh, part)
 
 
 def export_trajectory(traj: Trajectory, path,

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -25,7 +26,7 @@ def _read_csv(path):
 def _saved_certificate(name):
     """The certificate fragment ``check NAME --save-certificate`` writes."""
     pipe = build_pipeline(load_model(builtin_model_path(name)))
-    return json.dumps(certificate_to_jsonable(pipe.certificate, pipe.joint))
+    return json.dumps(certificate_to_jsonable(pipe.certificate, pipe.scenario.reports))
 
 
 def _break_model(doc, how):
@@ -133,6 +134,25 @@ class TestCheck:
         frag = json.loads(cert_path.read_text())
         assert frag["kappa"] == 12.0
         assert len(frag["M"]) == 5
+
+    def test_save_certificate_reuses_the_verdict(self, tmp_path, capsys, monkeypatch):
+        """The saved ``feasible`` list is the scenario's verdict: saving the
+        certificate verifies nothing more than ``check`` does (synthesis
+        and the scenario build, one ``verify_all`` each)."""
+        from pwa_hier import certificate
+
+        real, calls = certificate.verify_all, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "verify_all", None) is real:
+                monkeypatch.setattr(module, "verify_all", counting)
+        assert main(["check", "case2", "--save-certificate", str(tmp_path / "c.json")]) == 0
+        assert len(calls) == 2
+        assert json.loads((tmp_path / "c.json").read_text())["feasible"] == [True] * 5
 
     def test_save_certificate_onto_directory_exits_two(self, tmp_path, capsys):
         """A directory in the certificate's place is an I/O error: it and

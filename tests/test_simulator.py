@@ -1,6 +1,8 @@
 """Integration, mode switching, bound bookkeeping, verdict, trajectory export."""
 
 import dataclasses
+import os
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -29,6 +31,7 @@ from pwa_hier.errors import (
     DimensionMismatchError,
     EmptyScheduleError,
     EmptyTrajectoryError,
+    InfeasibleCertificateError,
     NoCellError,
     NonFiniteInputError,
     NonFiniteStateError,
@@ -288,6 +291,24 @@ class TestRunScenario:
         monkeypatch.setattr(simulator, "_Runner", no_runner)
         with pytest.raises(UncertifiedModeError,
                            match=rf"mode \({last}, {short.joint.modes[last].label[1]}\)"):
+            run_scenario(bad)
+
+    def test_overflowed_gain_slope_refused_before_integrating(self, case1, monkeypatch):
+        """A library scenario whose gain slopes overflowed (a tiny lambda) is
+        refused before the runner is built, not bookkept into ``inf * 0``
+        under a zero disturbance."""
+        scen = case1.scenario
+        bad = dataclasses.replace(
+            scen, certificate=dataclasses.replace(scen.certificate, lam=1e-310),
+            disturbance=DisturbanceSignal.zero(scen.disturbance.dim), t_end=0.1)
+        assert all(r.feasible for r in bad.reports)
+        assert not np.isfinite(bad.slopes).all()
+
+        def no_runner(_):
+            raise AssertionError("the runner was built")
+
+        monkeypatch.setattr(simulator, "_Runner", no_runner)
+        with pytest.raises(InfeasibleCertificateError, match=r"1e-310 makes a gain slope"):
             run_scenario(bad)
 
     def test_run_reads_the_scenario_check(self, case1, case2, monkeypatch):
@@ -923,6 +944,47 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
 
 
+def _writer_columns(rows):
+    """Columns of ``rows`` values that exercise the writer's dedup: signed
+    zeros, NaN payloads, infinities, subnormals, repeated values, constant,
+    twin and strided columns and ints."""
+    rng = np.random.default_rng(rows)
+    nan_payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    special = np.array([-0.0, 0.0, np.nan, nan_payload, np.inf, -np.inf, 5e-324])
+    x = np.where(rng.random(rows) < 0.3, rng.choice(special, rows),
+                 rng.standard_normal(rows))
+    x[:min(rows, len(special))] = special[:rows]
+    stacked = rng.standard_normal((rows, 3))
+    return {
+        "x": x,
+        "twin": x.copy(),
+        "const": np.full(rows, 0.1),
+        "zero": np.zeros(rows),
+        "negzero": -np.zeros(rows),
+        "mode": rng.integers(1, 4, rows),
+        "strided": stacked.T[1],
+    }
+
+
+def _can_fork():
+    """Whether this machine lets the writer format in a forked child."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _record_spans(monkeypatch):
+    """The ``(start, stop)`` row spans this process formats (a child's are
+    not seen), recorded in the returned list."""
+    spans, real = [], simulator._write_rows
+
+    def recording(handles, columns, files, used, start, stop):
+        spans.append((start, stop))
+        real(handles, columns, files, used, start, stop)
+
+    monkeypatch.setattr(simulator, "_write_rows", recording)
+    return spans
+
+
 class TestExport:
     def test_three_samples_four_lines(self, case1, tmp_path):
         scen = case1.scenario
@@ -979,35 +1041,84 @@ class TestExport:
         export_trajectory(run_scenario(short), b)
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("rows", [0, 1, _WRITE_BLOCK, 2 * _WRITE_BLOCK + 3])
-    def test_writer_matches_per_value_repr(self, rows, tmp_path):
+    @pytest.mark.parametrize("rows, cpus", [
+        *(pytest.param(rows, None, id=str(rows))
+          for rows in (0, 1, _WRITE_BLOCK, 2 * _WRITE_BLOCK + 3)),
+        pytest.param(2 * _WRITE_BLOCK + 3, 1, id=f"{2 * _WRITE_BLOCK + 3}-one-cpu"),
+    ])
+    def test_writer_matches_per_value_repr(self, rows, cpus, tmp_path, monkeypatch):
         """The writer's bytes equal formatting every value on its own, for
         signed zeros, NaN payloads, infinities, subnormals, repeated values,
-        constant, twin and strided columns and ints, across block edges."""
-        rng = np.random.default_rng(rows)
-        nan_payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
-        special = np.array([-0.0, 0.0, np.nan, nan_payload, np.inf, -np.inf, 5e-324])
-        x = np.where(rng.random(rows) < 0.3, rng.choice(special, rows),
-                     rng.standard_normal(rows))
-        x[:min(rows, len(special))] = special[:rows]
-        stacked = rng.standard_normal((rows, 3))
-        columns = {
-            "x": x,
-            "twin": x.copy(),
-            "const": np.full(rows, 0.1),
-            "zero": np.zeros(rows),
-            "negzero": -np.zeros(rows),
-            "mode": rng.integers(1, 4, rows),
-            "strided": stacked.T[1],
-        }
+        constant, twin and strided columns and ints, across block edges:
+        from two processes where the machine has two CPUs, and from one on
+        one CPU, where they equal the two-process bytes."""
+        columns = _writer_columns(rows)
         files = [(tmp_path / "all.csv", tuple(columns), ",", True),
                  (tmp_path / "some.dat", ("strided", "x", "negzero", "mode"), " ", False)]
+        if cpus is not None:
+            (tmp_path / "default").mkdir()
+            default = [(tmp_path / "default" / path.name, *rest) for path, *rest in files]
+            write_tables(columns, default)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+        spans = _record_spans(monkeypatch)
         write_tables(columns, files)
+        two = cpus is None and rows >= 2 * _WRITE_BLOCK and _can_fork()
+        assert spans == [(0, _WRITE_BLOCK if two else rows)]
         for path, names, sep, header in files:
             lines = [sep.join(names)] if header else []
             lines += [sep.join(repr(columns[name][i].item()) for name in names)
                       for i in range(rows)]
             assert path.read_text() == "".join(line + "\n" for line in lines)
+        if cpus is not None:
+            for (path, *_), (twin, *_) in zip(files, default):
+                assert path.read_bytes() == twin.read_bytes()
+
+    @pytest.mark.parametrize("failure, raised", [(RuntimeError, OSError),
+                                                 (KeyboardInterrupt, KeyboardInterrupt)],
+                             ids=["child-fails", "parent-interrupted"])
+    def test_writer_failure_leaves_no_child_or_file(self, failure, raised, tmp_path,
+                                                    monkeypatch):
+        """A child that fails its half (rows from the split on) fails the
+        write; an interrupt in this process's half kills the child.  Either
+        way no table, temp file or child process is left."""
+        if not _can_fork():
+            pytest.skip("the writer forks only with os.fork and two CPUs")
+        real = simulator._write_rows
+        child = failure is RuntimeError
+
+        def failing(handles, columns, files, used, start, stop):
+            if (start >= _WRITE_BLOCK) == child:
+                raise failure("formatting failed")
+            real(handles, columns, files, used, start, stop)
+
+        monkeypatch.setattr(simulator, "_write_rows", failing)
+        columns = _writer_columns(2 * _WRITE_BLOCK + 3)
+        with pytest.raises(raised, match="ended with status 1" if child else "formatting failed"):
+            write_tables(columns, [(tmp_path / "all.csv", tuple(columns), ",", True),
+                                   (tmp_path / "x.dat", ("x",), " ", False)])
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_writer_with_a_thread_running_uses_one_process(self, tmp_path, monkeypatch):
+        """A fork copies a lock another thread holds: with a second thread
+        alive every row is formatted here, to the same bytes."""
+        columns = _writer_columns(2 * _WRITE_BLOCK + 3)
+        files = [(tmp_path / "all.csv", tuple(columns), ",", True)]
+        write_tables(columns, [(tmp_path / "before.csv", *files[0][1:])])
+        spans = _record_spans(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        thread.start()
+        try:
+            write_tables(columns, files)
+        finally:
+            release.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert spans == [(0, 2 * _WRITE_BLOCK + 3)]
+        assert (tmp_path / "all.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
 
     @pytest.mark.parametrize("bad", [np.arange(3.0), np.zeros((5, 1))],
                              ids=["short", "two-d"])
