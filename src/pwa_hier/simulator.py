@@ -747,11 +747,16 @@ def _split_row(rows: int) -> int:
     """The block edge nearest the middle of ``rows``, from which a forked
     child formats the rest; ``rows`` (no child) unless the tables span two
     blocks, ``os.fork`` and ``os.sched_getaffinity`` exist, this process may
-    run on two CPUs, and it runs no other thread (a lock another thread
-    holds at the fork stays held in the child for good)."""
+    run on two CPUs, it runs no other thread (a lock another thread holds at
+    the fork stays held in the child for good), and SIGCHLD has its default
+    action (ignored, or handled by code that reaps children, the child's
+    exit status is lost)."""
+    import signal
+
     if (rows < 2 * _WRITE_BLOCK or not hasattr(os, "fork")
             or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
-            or threading.active_count() != 1):
+            or threading.active_count() != 1
+            or signal.getsignal(signal.SIGCHLD) != signal.SIG_DFL):
         return rows
     return _WRITE_BLOCK * round(rows / (2 * _WRITE_BLOCK))
 

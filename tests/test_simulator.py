@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import signal
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -1101,22 +1102,33 @@ class TestExport:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_writer_with_a_thread_running_uses_one_process(self, tmp_path, monkeypatch):
-        """A fork copies a lock another thread holds: with a second thread
-        alive every row is formatted here, to the same bytes."""
+    @pytest.mark.parametrize("hazard", ["thread", "sigchld-ignored"])
+    def test_writer_forks_only_when_safe(self, hazard, tmp_path, monkeypatch):
+        """A fork copies a lock another thread holds, and an ignored SIGCHLD
+        loses the child's exit status: with a second thread alive, or
+        SIGCHLD ignored, every row is formatted here, to the same bytes."""
         columns = _writer_columns(2 * _WRITE_BLOCK + 3)
         files = [(tmp_path / "all.csv", tuple(columns), ",", True)]
         write_tables(columns, [(tmp_path / "before.csv", *files[0][1:])])
         spans = _record_spans(monkeypatch)
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait, args=(30,))
-        thread.start()
-        try:
-            write_tables(columns, files)
-        finally:
-            release.set()
-            thread.join(timeout=30)
-        assert not thread.is_alive()
+        if hazard == "thread":
+            release = threading.Event()
+            thread = threading.Thread(target=release.wait, args=(30,))
+            thread.start()
+            try:
+                write_tables(columns, files)
+            finally:
+                release.set()
+                thread.join(timeout=30)
+            assert not thread.is_alive()
+        else:
+            if not hasattr(signal, "SIGCHLD"):
+                pytest.skip("no SIGCHLD on this platform")
+            previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+            try:
+                write_tables(columns, files)
+            finally:
+                signal.signal(signal.SIGCHLD, previous)
         assert spans == [(0, 2 * _WRITE_BLOCK + 3)]
         assert (tmp_path / "all.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
 
