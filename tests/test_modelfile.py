@@ -170,7 +170,8 @@ class TestCertificateFragments:
         """A saved fragment pasted into the model's certificate block comes
         back bit for bit."""
         pipe = load_pipeline(builtin_model_path("case2"))
-        frag = json.loads(json.dumps(certificate_to_jsonable(pipe.certificate, pipe.scenario.reports)))
+        frag = json.loads(json.dumps(
+            certificate_to_jsonable(pipe.certificate, pipe.scenario.reports)))
         assert all(frag["feasible"])
         doc = json.loads(builtin_model_path("case2").read_text())
         doc["certificate"].update((key, frag[key]) for key in ("lambda", "M", "m")
