@@ -749,8 +749,8 @@ def _split_row(rows: int) -> int:
     blocks, ``os.fork`` and ``os.sched_getaffinity`` exist, this process may
     run on two CPUs, it runs no other thread (a lock another thread holds at
     the fork stays held in the child for good), and SIGCHLD has its default
-    action (ignored, or handled by code that reaps children, the child's
-    exit status is lost)."""
+    action (where it is ignored, or handled by code that reaps children, the
+    child's exit status is lost)."""
     import signal
 
     if (rows < 2 * _WRITE_BLOCK or not hasattr(os, "fork")
