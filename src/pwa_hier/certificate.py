@@ -202,16 +202,16 @@ def lmi_margins(M, A, C, E, U, W, lam: float, affine: bool) -> tuple[float, floa
     return tuple(_margins(w).tolist())
 
 
-def _stacked_blocks(cert: Certificate, joint: JointSystem, idxs: Sequence[int]):
-    """The modes ``idxs`` in groups whose blocks share their shapes (cell
-    kind, dimension, bounding rows, whether ``U``/``W`` are given).  Yields
-    per group the positions of its modes in ``idxs``, its blocks ``(M, A,
-    B1, B2, C, E, U, W)`` stacked along a leading axis (``U``/``W`` None if
-    not given), and whether its cells are affine: then the blocks are in
-    homogeneous coordinates, else in plain joint ones."""
+def _stacked_blocks(cert: Certificate, joint: JointSystem):
+    """The modes in groups whose blocks share their shapes (cell kind,
+    dimension, bounding rows, whether ``U``/``W`` are given).  Yields per
+    group the indices of its modes, its blocks ``(M, A, B1, B2, C, E, U,
+    W)`` stacked along a leading axis (``U``/``W`` None if not given), and
+    whether its cells are affine: then the blocks are in homogeneous
+    coordinates, else in plain joint ones."""
     groups: dict = {}
-    for pos, idx in enumerate(idxs):
-        entry, jm = cert.entries[idx], joint.modes[idx]
+    for idx, jm in enumerate(joint.modes):
+        entry = cert.entries[idx]
         affine = jm.kind != CONIC
         if affine and entry.m_scalar is None:
             raise InfeasibleCertificateError(
@@ -221,25 +221,22 @@ def _stacked_blocks(cert: Certificate, joint: JointSystem, idxs: Sequence[int]):
                                   jm.cell.E)) + (entry.U, entry.W)
         key = (affine, *(None if X is None else X.shape for X in blocks))
         positions, members = groups.setdefault(key, ([], []))
-        positions.append(pos)
+        positions.append(idx)
         members.append(blocks)
     for (affine, *_), (positions, members) in groups.items():
         yield positions, [None if col[0] is None else np.array(col)
                           for col in zip(*members)], affine
 
 
-def verify_all(cert: Certificate, joint: JointSystem,
-               idxs: Optional[Sequence[int]] = None) -> tuple[LmiReport, ...]:
-    """Eigenvalue margins of the certificate conditions for the modes
-    ``idxs`` (every mode by default), in that order.
+def verify_all(cert: Certificate, joint: JointSystem) -> tuple[LmiReport, ...]:
+    """Eigenvalue margins of the certificate conditions for every mode.
 
     The modes are grouped by block shape (``_stacked_blocks``); each
     group's condition matrices are built in one stacked expression and go
     through one eigenvalue call.
     """
-    idxs = range(len(joint.modes)) if idxs is None else idxs
-    margins = np.empty((len(idxs), 3))
-    for positions, (M, A, _, _, C, E, U, W), affine in _stacked_blocks(cert, joint, idxs):
+    margins = np.empty((len(joint.modes), 3))
+    for positions, (M, A, _, _, C, E, U, W), affine in _stacked_blocks(cert, joint):
         w = np.linalg.eigvalsh(_condition_matrices(M, A, C, E, U, W, cert.lam, affine))
         margins[positions] = _margins(w)
     return tuple(LmiReport((m1, m2, m3), m1 >= -LMI_TOL and m2 >= LMI_TOL and m3 <= LMI_TOL)
@@ -249,7 +246,7 @@ def verify_all(cert: Certificate, joint: JointSystem,
 def verify_lmi(cert: Certificate, joint: JointSystem, idx: int) -> LmiReport:
     """Eigenvalue margins of the certificate conditions for one mode: the
     one-mode view of :func:`verify_all`."""
-    return verify_all(cert, joint, (idx,))[0]
+    return verify_all(cert, joint)[idx]
 
 
 @functools.lru_cache(maxsize=None)
@@ -358,6 +355,8 @@ def synthesize_certificate(
         # eigh: eigvalsh's can differ in the last bit and move alpha
         inv_sqrt = (Qm / np.sqrt(w)[:, None, :]) @ np.swapaxes(Qm, -1, -2)
         ratio = inv_sqrt @ CtC @ inv_sqrt
+        if not np.isfinite(ratio).all():
+            continue
         alpha = np.maximum(1.0, np.linalg.eigh(0.5 * (ratio + ratio.swapaxes(-1, -2)))[0][:, -1])
         if np.any(alpha * w[:, 0] < 1e-10):
             continue
@@ -407,10 +406,9 @@ def sim_fn_value(cert: Certificate, idx: int, omega, kind: str) -> float:
     return float(sim_fn_values(cert, idx, omega[None, :], kind)[0])
 
 
-def gain_slopes_all(cert: Certificate, joint: JointSystem,
-                    idxs: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Raw gain slopes of the modes ``idxs`` (every mode by default), one
-    row ``(gamma1, gamma2, gamma3, sqrt_m)`` per mode.
+def gain_slopes_all(cert: Certificate, joint: JointSystem) -> np.ndarray:
+    """Raw gain slopes of every mode, one row ``(gamma1, gamma2, gamma3,
+    sqrt_m)`` per mode.
 
     gamma1 scales the transformed input, gamma2 the disturbance, gamma3 the
     abstraction state; all are ``2 ||sqrt(M) X||_2 / lambda`` with the
@@ -419,9 +417,8 @@ def gain_slopes_all(cert: Certificate, joint: JointSystem,
     for conic cells.  The ``X^T M X`` forms of each group of modes with one
     block shape (``_stacked_blocks``) are built and solved stacked.
     """
-    idxs = range(len(joint.modes)) if idxs is None else idxs
-    out = np.zeros((len(idxs), 4))
-    for positions, (M, _, B1, B2, *_), affine in _stacked_blocks(cert, joint, idxs):
+    out = np.zeros((len(joint.modes), 4))
+    for positions, (M, _, B1, B2, *_), affine in _stacked_blocks(cert, joint):
         XtMX = (np.swapaxes(B2, -1, -2) @ M @ B2, M, np.swapaxes(B1, -1, -2) @ M @ B1)
         for col, S in enumerate(XtMX):
             if S.shape[-1]:  # an empty block has slope zero
@@ -437,7 +434,7 @@ def gain_slopes(
 ) -> tuple[float, float, float, float]:
     """Raw gain slopes ``(gamma1, gamma2, gamma3, sqrt_m)`` of one mode: the
     one-mode view of :func:`gain_slopes_all`."""
-    return tuple(gain_slopes_all(cert, joint, (idx,))[0].tolist())
+    return tuple(gain_slopes_all(cert, joint)[idx].tolist())
 
 
 def sim_fn_derivative(

@@ -1,18 +1,19 @@
 """Model files: one JSON document declaring a system, its abstraction,
 gains, certificate options, and a scenario.
 
-The loader validates the schema, builds the typed objects, solves (or
-validates supplied) relations, synthesizes (or verifies supplied)
-certificates, and returns a ready-to-run pipeline.  Numbers are read as
-IEEE doubles; the one writer, the certificate fragment, uses shortest-exact
-float encoding, so a fragment read back preserves every entry bit for bit.
-Keys the schema does not name (``description``, ``reconstructed``) are
-annotations and are ignored.
+The loader reads every value through one reader that carries the value's
+JSON path (such as ``system.modes[1].B``), so each error it raises while
+reading the document starts with that path.  It builds the typed objects,
+solves (or validates supplied) relations, synthesizes (or verifies
+supplied) certificates, and returns a ready-to-run pipeline.  Numbers are
+read as IEEE doubles; the one writer, the certificate fragment, uses
+shortest-exact float encoding, so a fragment read back preserves every
+entry bit for bit.  Keys the schema does not name (``description``,
+``reconstructed``) are annotations and are ignored.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -89,7 +90,7 @@ class ModelConfig:
     m_scalar: float
     cert_lambda: Optional[float]
     cert_M: Optional[list]
-    cert_m: Optional[np.ndarray]
+    cert_m: Optional[list]
     cert_U: Optional[list]
     cert_W: Optional[list]
     cert_T: Optional[np.ndarray]
@@ -126,47 +127,104 @@ _RANK_ERRORS = (("expected a number", "expected a number, not a list"),
                 ("not a numeric matrix", "expected a matrix (list of rows)"))
 
 
-def _array(node, what: str, ndim: int):
-    """``node`` as a finite float array of rank ``ndim``, a float for rank 0."""
-    unparsed, misshapen = _RANK_ERRORS[ndim]
-    try:
-        arr = np.asarray(node, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelError(f"{what}: {unparsed} ({exc})") from exc
-    if arr.ndim != ndim:
-        raise ModelError(f"{what}: {misshapen}")
-    if not np.all(np.isfinite(arr)):
-        raise ModelError(f"{what}: " + ("entries must be finite numbers" if ndim
-                                        else "must be a finite number"))
-    return arr if ndim else float(arr)
+@dataclass(slots=True)
+class _Entry:
+    """One value of the model document and its JSON path (such as
+    ``system.modes[1].B``), which every error about the value starts with."""
+
+    value: object
+    path: str = ""
+
+    def error(self, message: str) -> ModelError:
+        return ModelError(f"{self.path}: {message}")
+
+    def _child(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def _fields(self) -> dict:
+        if not isinstance(self.value, dict):
+            raise self.error("expected an object")
+        return self.value
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._fields()
+
+    def __getitem__(self, key: str) -> "_Entry":
+        """The required entry ``key``."""
+        fields = self._fields()
+        if key not in fields:
+            raise ModelError(f"{self._child(key)}: missing required key")
+        return _Entry(fields[key], self._child(key))
+
+    def get(self, key: str, default=None) -> Optional["_Entry"]:
+        """The entry ``key``, or ``default`` where it is missing; None where
+        the entry is missing or null and there is no default."""
+        value = self._fields().get(key, default)
+        return None if value is None and default is None else _Entry(value, self._child(key))
+
+    def items(self) -> list["_Entry"]:
+        if not isinstance(self.value, list):
+            raise self.error("expected a list")
+        return [_Entry(v, f"{self.path}[{i}]") for i, v in enumerate(self.value)]
+
+    def array(self, ndim: int, shape: Optional[tuple] = None):
+        """The value as a finite float array of rank ``ndim`` (and of
+        ``shape``, if given), a float for rank 0."""
+        unparsed, misshapen = _RANK_ERRORS[ndim]
+        nonfinite = "entries must be finite numbers" if ndim else "must be a finite number"
+        try:
+            arr = np.asarray(self.value, dtype=float)
+        except OverflowError as exc:  # an integer literal beyond the double range
+            raise self.error(nonfinite) from exc
+        except (TypeError, ValueError) as exc:
+            raise self.error(f"{unparsed} ({exc})") from exc
+        if arr.ndim != ndim:
+            raise self.error(misshapen)
+        if not np.all(np.isfinite(arr)):
+            raise self.error(nonfinite)
+        if shape is not None and arr.shape != shape:
+            raise self.error(f"shape {arr.shape}, expected {shape}")
+        return arr if ndim else float(arr)
+
+    def matrices(self, letters: str) -> tuple:
+        """The required matrix entries named by each letter (``"ABC"``)."""
+        return tuple(self[X].array(2) for X in letters)
+
+    def per_mode(self, count: int, ndim: int = 2, shape: Optional[tuple] = None) -> list:
+        """A list of ``count`` entries of rank ``ndim`` (and of ``shape``),
+        one per mode."""
+        entries = [item.array(ndim, shape) for item in self.items()]
+        if len(entries) != count:
+            raise self.error(f"need {count} entries, got {len(entries)}")
+        return entries
+
+    def build(self, cls, *args):
+        """``cls(*args)``, with the path put before an error it raises."""
+        try:
+            return cls(*args)
+        except PwaHierError as exc:
+            raise type(exc)(f"{self.path}: {exc}") from exc
 
 
-_scalar, _vector, _matrix = (functools.partial(_array, ndim=k) for k in range(3))
+def _cell(node: _Entry, dim: Optional[int] = None) -> Polyhedron:
+    """The cell ``{x : E x >= f}`` of ``node``, of dimension ``dim`` if given."""
+    cell = node.build(Polyhedron, node["E"].array(2), node["f"].array(1))
+    if dim is not None and cell.dim != dim:
+        raise node.error(f"dimension {cell.dim} != state dimension {dim}")
+    return cell
 
 
-def _require(node: dict, key: str, what: str):
-    if key not in node:
-        raise ModelError(f"{what}: missing required key {key!r}")
-    return node[key]
-
-
-def _cell(node, what: str) -> Polyhedron:
-    E = _matrix(_require(node, "E", what), f"{what}.E")
-    f = _vector(_require(node, "f", what), f"{what}.f")
-    return Polyhedron(E, f)
-
-
-def _disturbance(node: dict, dim: int) -> DisturbanceSignal:
-    kind = _require(node, "kind", "scenario.disturbance")
-    if not isinstance(kind, str) or kind not in DISTURBANCE_TERMS:
-        raise ModelError(f"scenario.disturbance: unknown kind {kind!r}")
-    takes = DISTURBANCE_TERMS[kind]
+def _disturbance(node: _Entry, dim: int) -> DisturbanceSignal:
+    kind = node["kind"]
+    if not isinstance(kind.value, str) or kind.value not in DISTURBANCE_TERMS:
+        raise kind.error(f"unknown kind {kind.value!r}")
+    takes = DISTURBANCE_TERMS[kind.value]
     for key in ("offset", "amplitude"):
         if key in node and key not in takes:
-            raise ModelError(f"scenario.disturbance: a {kind} disturbance takes no {key!r}")
-    terms = {key: _scalar(_require(node, key, "disturbance"), f"disturbance.{key}")
-             for key in takes}
-    return DisturbanceSignal(kind, np.zeros(dim) if kind == ZERO else np.ones(dim), **terms)
+            raise node[key].error(f"a {kind.value} disturbance takes no {key!r}")
+    terms = {key: node[key].array(0) for key in takes}
+    mask = np.zeros(dim) if kind.value == ZERO else np.ones(dim)
+    return DisturbanceSignal(kind.value, mask, **terms)
 
 
 def load_model(path) -> ModelConfig:
@@ -180,183 +238,94 @@ def load_model(path) -> ModelConfig:
         ) from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
-    try:
-        return _build_config(doc)
-    except PwaHierError:
-        raise
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ModelError(f"{path}: {exc}") from exc
+    return _build_config(_Entry(doc))
 
 
-def _build_config(doc: dict) -> ModelConfig:
-    sys_node = _require(doc, "system", "model")
-    mode_nodes = _require(sys_node, "modes", "system")
-    part_nodes = _require(sys_node, "partition", "system")
-    if len(mode_nodes) != len(part_nodes):
-        raise ModelError(
-            f"system: {len(mode_nodes)} modes but {len(part_nodes)} partition cells"
-        )
-    modes = tuple(
-        PwaMode(
-            _matrix(_require(mn, "A", f"mode {i}"), f"mode {i}.A"),
-            _matrix(_require(mn, "B", f"mode {i}"), f"mode {i}.B"),
-            _matrix(_require(mn, "C", f"mode {i}"), f"mode {i}.C"),
-            _scalar(mn.get("c_bound", 0.0), f"mode {i}.c_bound"),
-        )
-        for i, mn in enumerate(mode_nodes)
-    )
-    partition = Partition(tuple(
-        _cell(pn, f"partition cell {i}") for i, pn in enumerate(part_nodes)
-    ))
-    system = PwaSystem(modes, partition)
+def _build_config(doc: _Entry) -> ModelConfig:
+    sys_node = doc["system"]
+    part_node = sys_node["partition"]
+    mode_nodes, cell_nodes = sys_node["modes"].items(), part_node.items()
+    if len(mode_nodes) != len(cell_nodes):
+        raise sys_node.error(f"{len(mode_nodes)} modes but {len(cell_nodes)} partition cells")
+    modes = tuple(mn.build(PwaMode, *mn.matrices("ABC"), mn.get("c_bound", 0.0).array(0))
+                  for mn in mode_nodes)
+    partition = part_node.build(Partition, tuple(_cell(cn) for cn in cell_nodes))
+    system = sys_node.build(PwaSystem, modes, partition)
+    n_modes = system.n_modes
 
-    abs_node = _require(doc, "abstraction", "model")
-    kind = _require(abs_node, "kind", "abstraction")
-    if kind == "linear":
-        abstraction = LinearAbstraction(
-            _matrix(_require(abs_node, "F", "abstraction"), "abstraction.F"),
-            _matrix(_require(abs_node, "G", "abstraction"), "abstraction.G"),
-            _matrix(_require(abs_node, "H", "abstraction"), "abstraction.H"),
-            _matrix(_require(abs_node, "L", "abstraction"), "abstraction.L"),
-        )
-    elif kind == "pwa":
-        amodes = tuple(
-            AbstractionMode(
-                _matrix(_require(an, "F", f"abstraction mode {j}"), "F"),
-                _matrix(_require(an, "G", f"abstraction mode {j}"), "G"),
-                _matrix(_require(an, "H", f"abstraction mode {j}"), "H"),
-                _matrix(_require(an, "L", f"abstraction mode {j}"), "L"),
-            )
-            for j, an in enumerate(_require(abs_node, "modes", "abstraction"))
-        )
-        cells = tuple(
-            _cell(cn, f"abstraction cell {j}")
-            for j, cn in enumerate(_require(abs_node, "concrete_cells", "abstraction"))
-        )
-        for j, cell in enumerate(cells):
-            if cell.dim != system.n:
-                raise ModelError(
-                    f"abstraction cell {j}: dimension {cell.dim} != state dimension {system.n}"
-                )
-        if len(amodes) > system.n_modes:
-            raise ModelError(
-                f"abstraction: {len(amodes)} modes exceed the plant's {system.n_modes}"
-            )
-        abstraction = PwaAbstraction(amodes, cells)
+    abs_node = doc["abstraction"]
+    kind = abs_node["kind"]
+    if kind.value == "linear":
+        abstraction = abs_node.build(LinearAbstraction, *abs_node.matrices("FGHL"))
+    elif kind.value == "pwa":
+        mode_list = abs_node["modes"]
+        abs_modes = tuple(an.build(AbstractionMode, *an.matrices("FGHL"))
+                          for an in mode_list.items())
+        cells = tuple(_cell(cn, system.n) for cn in abs_node["concrete_cells"].items())
+        if len(abs_modes) > n_modes:
+            raise mode_list.error(f"{len(abs_modes)} modes exceed the plant's {n_modes}")
+        abstraction = abs_node.build(PwaAbstraction, abs_modes, cells)
     else:
-        raise ModelError(f"abstraction: unknown kind {kind!r}")
+        raise kind.error(f"unknown kind {kind.value!r}")
 
-    gains = _require(doc, "gains", "model")
-    K = [_matrix(k, f"gains.K[{i}]") for i, k in enumerate(_require(gains, "K", "gains"))]
-    if len(K) != system.n_modes:
-        raise ModelError(f"gains.K: need {system.n_modes} entries, got {len(K)}")
-    R = None
-    if gains.get("R") is not None:
-        R = [_matrix(r, f"gains.R[{i}]") for i, r in enumerate(gains["R"])]
-        if len(R) != system.n_modes:
-            raise ModelError(f"gains.R: need {system.n_modes} entries, got {len(R)}")
+    gains = doc["gains"]
+    K = gains["K"].per_mode(n_modes)
+    R = gains.get("R")
+    R = None if R is None else R.per_mode(n_modes)
 
     relation_P = relation_Q = None
     if "relation" in doc:
-        rel_node = doc["relation"]
-        relation_P = [_matrix(p, f"relation.P[{i}]")
-                      for i, p in enumerate(_require(rel_node, "P", "relation"))]
-        relation_Q = [_matrix(q, f"relation.Q[{i}]")
-                      for i, q in enumerate(_require(rel_node, "Q", "relation"))]
-        if len(relation_P) != system.n_modes or len(relation_Q) != system.n_modes:
-            raise ModelError("relation: need one P and one Q per mode")
-        want_P, want_Q = (system.n, abstraction.m), (system.p, abstraction.m)
-        for i, (P, Q) in enumerate(zip(relation_P, relation_Q)):
-            if P.shape != want_P or Q.shape != want_Q:
-                raise ModelError(
-                    f"relation: P[{i}] and Q[{i}] have shapes {P.shape} and "
-                    f"{Q.shape}, expected {want_P} and {want_Q}"
-                )
+        rel = doc["relation"]
+        relation_P = rel["P"].per_mode(n_modes, shape=(system.n, abstraction.m))
+        relation_Q = rel["Q"].per_mode(n_modes, shape=(system.p, abstraction.m))
 
     declared_pairing = None
     if "pairing" in doc:
+        pairing = doc["pairing"]
         if not needs_pairing(abstraction):
-            raise ModelError("pairing: only a PWA abstraction is paired")
-        entries = _vector(doc["pairing"], "pairing")
-        if len(entries) != system.n_modes or not np.all(entries == np.round(entries)):
-            raise ModelError("pairing: need one whole number per concrete mode")
+            raise pairing.error("only a PWA abstraction is paired")
+        entries = pairing.array(1)
+        if len(entries) != n_modes or not np.all(entries == np.round(entries)):
+            raise pairing.error("need one whole number per concrete mode")
         declared_pairing = tuple(int(j) - 1 for j in entries)
 
-    cert_node = _require(doc, "certificate", "model")
-    kappa = _scalar(_require(cert_node, "kappa", "certificate"), "certificate.kappa")
-    lambda_grid = cert_node.get("lambda_grid")
-    if lambda_grid is not None:
-        lambda_grid = _vector(lambda_grid, "certificate.lambda_grid")
-        if not np.any(lambda_grid > 0.0):
-            raise ModelError("certificate.lambda_grid: needs a positive decay rate")
-    m_scalar = _scalar(cert_node.get("m_scalar", 1.0), "certificate.m_scalar")
-    cert_lambda = cert_node.get("lambda")
-    if cert_lambda is not None:
-        cert_lambda = _scalar(cert_lambda, "certificate.lambda")
-    cert_m = cert_node.get("m")
-    if cert_m is not None:
-        cert_m = _vector(cert_m, "certificate.m")
-    cert_M, cert_U, cert_W, cert_jbar = (
-        None if cert_node.get(key) is None else
-        [_matrix(X, f"certificate.{key}[{i}]") for i, X in enumerate(cert_node[key])]
-        for key in ("M", "U", "W", "Jbar")
-    )
-    stray = [key for key in ("lambda", "m", "U", "W", "T", "Jbar")
-             if cert_node.get(key) is not None and cert_M is None]
-    if stray:
-        raise ModelError(f"certificate: {', '.join(stray)} given without a supplied M")
-    if cert_M is not None:
-        if cert_lambda is None:
-            raise ModelError("certificate: supplied M requires an explicit lambda")
-        for key, entries in (("M", cert_M), ("m", cert_m), ("U", cert_U),
-                             ("W", cert_W), ("Jbar", cert_jbar)):
-            if entries is not None and len(entries) != system.n_modes:
-                raise ModelError(f"certificate.{key}: need one entry per mode "
-                                 f"({system.n_modes}), got {len(entries)}")
-    cert_T = cert_node.get("T")
-    if (cert_T is None) != (cert_jbar is None):
-        missing = "T" if cert_T is None else "Jbar"
-        raise ModelError(f"certificate: T and Jbar come together, {missing} is missing")
-    if cert_T is not None:
-        cert_T = _matrix(cert_T, "certificate.T")
+    cert = doc["certificate"]
+    kappa = cert["kappa"].array(0)
+    grid = cert.get("lambda_grid")
+    lambda_grid = None if grid is None else grid.array(1)
+    if lambda_grid is not None and not np.any(lambda_grid > 0.0):
+        raise grid.error("needs a positive decay rate")
+    m_scalar = cert.get("m_scalar", 1.0).array(0)
+    given = {key: cert.get(key) for key in ("M", "lambda", "m", "U", "W", "T", "Jbar")}
+    cert_lambda = None if given["lambda"] is None else given["lambda"].array(0)
+    # lambda, m, U, W, T and Jbar belong to a supplied M
+    stray = [key for key, node in given.items() if node is not None and key != "M"]
+    if given["M"] is None and stray:
+        raise cert.error(f"{', '.join(stray)} given without a supplied M")
+    if given["M"] is not None and cert_lambda is None:
+        raise cert.error("supplied M requires an explicit lambda")
+    cert_M, cert_m, cert_U, cert_W, cert_jbar = (
+        None if given[key] is None else given[key].per_mode(n_modes, ndim)
+        for key, ndim in (("M", 2), ("m", 0), ("U", 2), ("W", 2), ("Jbar", 2)))
+    if (given["T"] is None) != (given["Jbar"] is None):
+        raise cert.error("T and Jbar come together, "
+                         f"{'T' if given['T'] is None else 'Jbar'} is missing")
+    cert_T = None if given["T"] is None else given["T"].array(2)
 
-    scen = _require(doc, "scenario", "model")
-    x1_0 = _vector(_require(scen, "x1_0", "scenario"), "scenario.x1_0")
-    x2_0 = _vector(_require(scen, "x2_0", "scenario"), "scenario.x2_0")
-    t_end = _scalar(_require(scen, "t_end", "scenario"), "scenario.t_end")
-    step = _scalar(_require(scen, "step", "scenario"), "scenario.step")
-    disturbance = _disturbance(_require(scen, "disturbance", "scenario"), system.n)
+    scen = doc["scenario"]
+    x1_0, x2_0 = (scen[key].array(1) for key in ("x1_0", "x2_0"))
+    t_end, step = (scen[key].array(0) for key in ("t_end", "step"))
+    disturbance = _disturbance(scen["disturbance"], system.n)
     check_disturbance_bound(system, disturbance)
-    waypoints = [
-        (_scalar(_require(wn, "t", "u2bar waypoint"), "u2bar waypoint t"),
-         _vector(_require(wn, "value", "u2bar waypoint"), "u2bar value"))
-        for wn in _require(scen, "u2bar", "scenario")
-    ]
+    waypoints = [(wn["t"].array(0), wn["value"].array(1)) for wn in scen["u2bar"].items()]
 
     return ModelConfig(
-        name=str(doc.get("name", Path("model").stem)),
-        system=system,
-        abstraction=abstraction,
-        K=K,
-        R=R,
-        relation_P=relation_P,
-        relation_Q=relation_Q,
-        declared_pairing=declared_pairing,
-        kappa=kappa,
-        lambda_grid=lambda_grid,
-        m_scalar=m_scalar,
-        cert_lambda=cert_lambda,
-        cert_M=cert_M,
-        cert_m=cert_m,
-        cert_U=cert_U,
-        cert_W=cert_W,
-        cert_T=cert_T,
-        cert_jbar=cert_jbar,
-        x1_0=x1_0,
-        x2_0=x2_0,
-        t_end=t_end,
-        step=step,
-        disturbance=disturbance,
+        name=str(doc.get("name", "model").value), system=system, abstraction=abstraction,
+        K=K, R=R, relation_P=relation_P, relation_Q=relation_Q,
+        declared_pairing=declared_pairing, kappa=kappa, lambda_grid=lambda_grid,
+        m_scalar=m_scalar, cert_lambda=cert_lambda, cert_M=cert_M, cert_m=cert_m,
+        cert_U=cert_U, cert_W=cert_W, cert_T=cert_T, cert_jbar=cert_jbar,
+        x1_0=x1_0, x2_0=x2_0, t_end=t_end, step=step, disturbance=disturbance,
         waypoints=waypoints,
     )
 

@@ -30,7 +30,7 @@ import threading
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -154,12 +154,24 @@ class CrossingEvent:
         return self.t_outside - self.t_inside
 
 
+class CertificateCheck(NamedTuple):
+    """The check of one certificate on every mode of one joint system: the
+    condition margins (``reports``) and the gain slopes ``(gamma1, gamma2,
+    gamma3, sqrt_m)`` per mode, an overflowed one as inf."""
+
+    certificate: Certificate
+    joint: JointSystem
+    reports: tuple[LmiReport, ...]
+    slopes: np.ndarray
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Everything one closed-loop experiment needs.  Building it assembles
     the joint system (unless given) and checks the certificate on every joint
-    mode, once: ``reports`` holds the condition margins, ``slopes`` the gain
-    slopes ``(gamma1, gamma2, gamma3, sqrt_m)``, an overflowed one as inf."""
+    mode (``check``), unless ``check`` was made for this very certificate
+    and joint object: a variant made by ``dataclasses.replace`` that keeps
+    both reuses its original's check."""
 
     system: PwaSystem
     abstraction: Union[LinearAbstraction, PwaAbstraction]
@@ -173,8 +185,7 @@ class Scenario:
     t_end: float
     h: float
     joint: Optional[JointSystem] = None
-    reports: tuple[LmiReport, ...] = field(init=False, repr=False)
-    slopes: np.ndarray = field(init=False, repr=False)
+    check: Optional[CertificateCheck] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x1_0", as_vector(self.x1_0, "x1_0"))
@@ -183,6 +194,9 @@ class Scenario:
             raise EmptyTrajectoryError(f"t_end must be positive and finite, got {self.t_end}")
         if not (self.h > 0.0 and math.isfinite(self.h)):
             raise EmptyTrajectoryError(f"step must be positive and finite, got {self.h}")
+        if not math.isfinite(self.t_end / self.h):
+            raise EmptyTrajectoryError(f"t_end {self.t_end:g} / step {self.h:g} overflows "
+                                       "the sample count")
         if self.steps < 1:
             raise EmptyTrajectoryError(
                 f"horizon {self.t_end:g} holds no step of width {self.h:g}"
@@ -203,12 +217,24 @@ class Scenario:
             object.__setattr__(self, "joint", assemble_joint(
                 self.system, self.abstraction, self.relation, self.interface,
             ))
-        if len(self.certificate.entries) != len(self.joint):
-            raise DimensionMismatchError(f"certificate has {len(self.certificate.entries)} "
-                                         f"entries, the joint system {len(self.joint)} modes")
-        object.__setattr__(self, "reports", verify_all(self.certificate, self.joint))
-        with np.errstate(over="ignore"):  # an overflowed slope is inf
-            object.__setattr__(self, "slopes", gain_slopes_all(self.certificate, self.joint))
+        check = self.check
+        if not (check and check.certificate is self.certificate and check.joint is self.joint):
+            if len(self.certificate.entries) != len(self.joint):
+                raise DimensionMismatchError(f"certificate has {len(self.certificate.entries)} "
+                                             f"entries, the joint system {len(self.joint)} modes")
+            reports = verify_all(self.certificate, self.joint)
+            with np.errstate(over="ignore"):  # an overflowed slope is inf
+                slopes = gain_slopes_all(self.certificate, self.joint)
+            object.__setattr__(self, "check",
+                               CertificateCheck(self.certificate, self.joint, reports, slopes))
+
+    @property
+    def reports(self) -> tuple[LmiReport, ...]:
+        return self.check.reports
+
+    @property
+    def slopes(self) -> np.ndarray:
+        return self.check.slopes
 
     @property
     def steps(self) -> int:
@@ -436,11 +462,11 @@ class _Runner:
         return len(ok) if ok.all() else int(np.argmin(ok))
 
     def bisect(self, basis: np.ndarray, t: float, width: float, i: int,
-               end: Optional[np.ndarray] = None) -> tuple[float, float]:
+               end: np.ndarray) -> tuple[float, float]:
         """Bracket ``(lo, hi)``, as fractions of ``width``, of where a
         sub-step from ``t`` leaves mode ``i``: inside at ``lo`` (or ``lo =
         0``), outside at ``hi``.  ``end`` holds the mode's row margins at
-        the full width, when the caller has them.
+        the full width.
 
         Plain bisection on the fraction, ``BISECTION_CAP`` levels at most
         and none once the bracket is within ``CROSSING_BRACKET``.  The exit
@@ -462,8 +488,6 @@ class _Runner:
         depth = 0
         while depth < BISECTION_CAP and 0.5 ** depth * width > CROSSING_BRACKET:
             depth += 1
-        if end is None:
-            end = self._margins(self.sub_step(basis, t, width)[: self.n], i)
         lo, hi = 0.0, 1.0
         at_lo, at_hi = proj[0] - f, end
         while depth > 0:

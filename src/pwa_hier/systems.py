@@ -208,9 +208,8 @@ class PwaAbstraction:
             raise DimensionMismatchError("abstraction needs at least one mode")
         if len(cells) != len(modes):
             raise DimensionMismatchError("need one concrete-space cell per mode")
-        m = modes[0].m
         for mode in modes:
-            if mode.m != m or mode.q != modes[0].q:
+            if (mode.m, mode.q, mode.k) != (modes[0].m, modes[0].q, modes[0].k):
                 raise DimensionMismatchError("abstraction modes disagree on dimensions")
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "concrete_cells", cells)

@@ -29,6 +29,51 @@ def _saved_certificate(name):
     return json.dumps(certificate_to_jsonable(pipe.certificate, pipe.scenario.reports))
 
 
+def _count_calls(monkeypatch, *names):
+    """Count the calls of each of the ``certificate`` functions ``names``,
+    wrapped in every module namespace that holds them."""
+    from pwa_hier import certificate
+
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(certificate, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+#: ``_edit`` deletes the entry given this value.
+_DROP = object()
+
+
+def _edit(doc, path, value):
+    """Set the entry at ``path`` (keys and list indices) of ``doc`` to
+    ``value``, or delete it when ``value`` is ``_DROP``."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+
+
+def _entry_paths(node, path=()):
+    """Path of every entry under ``node``, descending into the first item
+    of each list only."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node[:1]) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _entry_paths(value, path + (key,))
+
+
 def _break_model(doc, how):
     """Apply one named defect to a model document, in place.  Defects named
     ``cert-*`` edit the model's own saved certificate, supplied in the file."""
@@ -103,6 +148,14 @@ def _break_model(doc, how):
             waypoint["value"].append(1.0)
     elif how == "R-shape":
         doc["gains"]["R"] = doc["gains"]["K"]  # p x n, where R needs p x q
+    elif how == "t-end-huge":
+        doc["scenario"]["t_end"] = 1e308  # t_end / step overflows a double
+    elif how == "step-tiny":
+        doc["scenario"]["step"] = 1e-310
+    elif how == "kappa-huge-integer":
+        doc["certificate"]["kappa"] = 10 ** 400  # an integer literal no double holds
+    elif how == "pwa-H-row-dropped":
+        del doc["abstraction"]["modes"][0]["H"][0]  # one output fewer than the other modes
     else:
         raise AssertionError(f"unknown defect {how!r}")
 
@@ -139,19 +192,9 @@ class TestCheck:
         """The saved ``feasible`` list is the scenario's verdict: saving the
         certificate verifies nothing more than ``check`` does (synthesis
         and the scenario build, one ``verify_all`` each)."""
-        from pwa_hier import certificate
-
-        real, calls = certificate.verify_all, []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        for module in list(sys.modules.values()):
-            if getattr(module, "verify_all", None) is real:
-                monkeypatch.setattr(module, "verify_all", counting)
+        calls = _count_calls(monkeypatch, "verify_all")
         assert main(["check", "case2", "--save-certificate", str(tmp_path / "c.json")]) == 0
-        assert len(calls) == 2
+        assert calls == {"verify_all": 2}
         assert json.loads((tmp_path / "c.json").read_text())["feasible"] == [True] * 5
 
     def test_save_certificate_onto_directory_exits_two(self, tmp_path, capsys):
@@ -166,6 +209,75 @@ class TestCheck:
         assert [p.name for p in target.iterdir()] == ["keep.txt"]
         assert (target / "keep.txt").read_text() == "mine\n"
         assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_overflowing_data_ends_synthesis_in_one_line(self, tmp_path, capsys):
+        """An output map entry of 1e308 makes every rate's scaling matrix
+        overflow: each rate is skipped and synthesis fails, exit 2.  (The
+        relation and interface overflow on the way; RuntimeWarnings are
+        silenced here.)"""
+        doc = json.loads(builtin_model_path("case1").read_text())
+        doc["system"]["modes"][0]["C"][0][2] = 1e308
+        p = tmp_path / "huge.model"
+        p.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["check", str(p)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: no decay rate")
+
+    @pytest.mark.parametrize("base, path, value, line", [
+        ("case2", ("abstraction", "modes", 1, "F"), "x",
+         "abstraction.modes[1].F: not a numeric matrix"),
+        ("case2", ("abstraction", "concrete_cells", 1, "f"), [[1]],
+         "abstraction.concrete_cells[1].f: expected a flat list of numbers"),
+        ("case1", ("system", "modes", 1, "B"), [1],
+         "system.modes[1].B: expected a matrix (list of rows)"),
+        ("case1", ("system", "partition", 1, "E"), [1],
+         "system.partition[1].E: expected a matrix (list of rows)"),
+        ("case1", ("gains", "K", 1), [1], "gains.K[1]: expected a matrix (list of rows)"),
+        ("case1", ("relation", "P", 1), [1], "relation.P[1]: expected a matrix (list of rows)"),
+        ("case1", ("scenario", "u2bar", 1, "value"), "x",
+         "scenario.u2bar[1].value: not a numeric vector"),
+        ("case1", ("scenario", "u2bar", 1, "t"), "x", "scenario.u2bar[1].t: expected a number"),
+        ("case1", ("scenario", "disturbance", "offset"), "x",
+         "scenario.disturbance.offset: expected a number"),
+    ], ids=["pwa-F-text", "pwa-cell-f-matrix", "B-list", "E-list", "K-list", "P-list",
+            "waypoint-value-text", "waypoint-t-text", "offset-text"])
+    def test_loader_error_names_the_json_path(self, base, path, value, line, tmp_path, capsys):
+        """A bad entry is named by its full JSON path, in one error line."""
+        doc = json.loads(builtin_model_path(base).read_text())
+        _edit(doc, path, value)
+        p = tmp_path / "bad.model"
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {line}")
+
+    def test_structural_mutants_end_in_one_error_line(self, tmp_path, capsys):
+        """Every entry of both shipped models (the first item of each list),
+        dropped, set to ``"x"`` or set to ``[]``: ``check`` raises nothing,
+        exits 0, 1 or 2 and prints no error line or exactly one.  Each
+        mutant gets a fresh file name: rewriting one path can force a
+        writeback on some filesystems, a new name does not."""
+        bad, count = [], 0
+        for base in ("case1", "case2"):
+            text = builtin_model_path(base).read_text()
+            for path in _entry_paths(json.loads(text)):
+                for value in (_DROP, "x", []):
+                    doc = json.loads(text)
+                    _edit(doc, path, value)
+                    count += 1
+                    p = tmp_path / f"m{count}.model"
+                    p.write_text(json.dumps(doc))
+                    try:
+                        code = main(["check", str(p)])
+                    except Exception as exc:
+                        code = repr(exc)
+                    err = capsys.readouterr().err.splitlines()
+                    if code not in (0, 1, 2) or len(err) > 1 or not all(
+                            line.startswith("error: ") for line in err):
+                        bad.append((base, path, value, code, err))
+        assert bad == []
 
     def test_destabilizing_gain_exits_one(self, tmp_path, capsys):
         doc = json.loads(builtin_model_path("case1").read_text())
@@ -253,6 +365,10 @@ class TestRun:
         ["run", "waypoint-ragged"],
         ["run", "waypoint-wrong-dim"],
         ["check", "R-shape"],
+        ["check", "t-end-huge"],
+        ["run", "step-tiny"],
+        ["check", "kappa-huge-integer"],
+        ["check", "pwa-H-row-dropped"],
     ], ids=["t-end-zero", "no-step-in-horizon", "step-zero", "step-nan", "step-unallocatable",
             "values-not-numbers", "kappa-negative", "kappa-inf", "disturbance-above-bound",
             "disturbance-amplitude-negative", "disturbance-amplitude-nan",
@@ -263,7 +379,8 @@ class TestRun:
             "cert-m-short", "cert-U-short", "cert-jbar-short", "cert-M-asymmetric",
             "cert-T-Jbar-shape", "cert-T-only", "cert-lambda-without-M",
             "cert-T-without-M", "pairing-on-linear",
-            "pwa-pairing-fraction", "waypoint-ragged", "waypoint-wrong-dim", "R-shape"])
+            "pwa-pairing-fraction", "waypoint-ragged", "waypoint-wrong-dim", "R-shape",
+            "t-end-huge", "step-tiny", "kappa-huge-integer", "pwa-H-row-dropped"])
     def test_zero_horizon_exits_one(self, argv, tmp_path, capsys, caplog):
         """Bad input of every kind exits 1 with one error line, no traceback,
         and no RuntimeWarning on the way.  A model name other than case1
@@ -384,6 +501,20 @@ class TestRun:
         assert main(["run", "case1", "--out", str(b), "--t-end", "0.5"]) == 0
         assert (a / "plot").is_dir() and not (b / "plot").exists()
         assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "case1", "--param", "step", "--values", "0.001,0.002,0.004"],
+        ["run", "case1", "--t-end", "1"],
+    ], ids=["sweep-step", "run-t-end"])
+    def test_variants_reuse_the_certificate_check(self, argv, tmp_path, capsys, monkeypatch):
+        """A scenario variant that keeps the certificate and joint objects
+        reuses the check made when the scenario was built: synthesis and
+        that build verify once each, and the gain slopes are computed once."""
+        if argv[0] == "run":
+            argv = argv + ["--out", str(tmp_path / "out")]
+        calls = _count_calls(monkeypatch, "verify_all", "gain_slopes_all")
+        assert main(argv) == 0
+        assert calls == {"verify_all": 2, "gain_slopes_all": 1}
 
     def test_seed_recorded(self, tmp_path, capsys):
         out = tmp_path / "out"

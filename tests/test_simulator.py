@@ -329,7 +329,8 @@ class TestRunScenario:
                  + g[:, 2] * np.maximum.accumulate(np.abs(traj.x2).max(axis=1)) + g[:, 3])
             np.testing.assert_array_equal(traj.b, b)
         assert calls == []
-        dataclasses.replace(scenarios[0], t_end=0.1)  # the counters do see a build
+        # the counters do see a build that checks a new certificate object
+        dataclasses.replace(scenarios[0], certificate=dataclasses.replace(case1.certificate))
         assert calls == ["verify_all", "gain_slopes_all"]
 
     @pytest.mark.parametrize("count", [2, 6], ids=["too-few", "too-many"])
@@ -658,6 +659,12 @@ class TestPropagator:
             run_scenario(bad)
 
 
+def end_margins(runner, basis, t, width, i):
+    """Row margins of mode ``i`` at the end of a sub-step of ``width``:
+    what ``advance`` passes ``bisect`` as ``end``."""
+    return runner._margins(runner.sub_step(basis, t, width)[: runner.n], i)
+
+
 def scalar_bisect(runner, basis, t, width, i, end=None):
     """Plain bisection of the exit point, one scalar sub-step and margin
     per level: the reference the batched localization must reproduce
@@ -739,7 +746,7 @@ class TestBatchedBisection:
         runner = _Runner(scen)
         for basis, t, i in _crossing_starts(scen, traj, runner):
             for width in (scen.h, 0.37 * scen.h, 5e-10):
-                got = runner.bisect(basis, t, width, i)
+                got = runner.bisect(basis, t, width, i, end_margins(runner, basis, t, width, i))
                 assert got == scalar_bisect(runner, basis, t, width, i)
                 assert got[1] - got[0] == 0.5 ** min(
                     cap, max(0, int(np.ceil(np.log2(width / CROSSING_BRACKET)))))
@@ -762,7 +769,8 @@ class TestBatchedBisection:
             guess[0] = {"zero": 0.0, "one": 1.0, "nan": float("nan"),
                         "next-cell": want[1] + 0.5 * cell if want[1] < 1.0
                         else want[0] - 0.5 * cell}[wrong]
-            assert runner.bisect(basis, t, width, i) == want
+            end = end_margins(runner, basis, t, width, i)
+            assert runner.bisect(basis, t, width, i, end) == want
 
     def test_about_two_batches_per_crossing(self, fans, monkeypatch):
         """The predicted path settles a crossing of the 32-cone fan, 24
