@@ -340,7 +340,10 @@ def synthesize_certificate(
     grid = default_lambda_grid(joint) if lambda_grid is None else np.asarray(lambda_grid, float)
     A, C = stack_blocks(joint.modes, ("Aprime", "Cprime"))
     ops = _decay_operator(A)
-    CtC = np.swapaxes(C, -1, -2) @ C
+    # an extreme finite output map may overflow C^T C and the scaling matrix;
+    # a rate whose scaling matrix is not finite is skipped below
+    with np.errstate(over="ignore", invalid="ignore"):
+        CtC = np.swapaxes(C, -1, -2) @ C
     m = [m_scalar if jm.kind == AFFINE else None for jm in joint.modes]
     for lam in sorted(grid, reverse=True):
         if lam <= 0.0:
@@ -354,7 +357,8 @@ def synthesize_certificate(
         # scale so M dominates C'^T C' (generalized top eigenvalue), from
         # eigh: eigvalsh's can differ in the last bit and move alpha
         inv_sqrt = (Qm / np.sqrt(w)[:, None, :]) @ np.swapaxes(Qm, -1, -2)
-        ratio = inv_sqrt @ CtC @ inv_sqrt
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = inv_sqrt @ CtC @ inv_sqrt
         if not np.isfinite(ratio).all():
             continue
         alpha = np.maximum(1.0, np.linalg.eigh(0.5 * (ratio + ratio.swapaxes(-1, -2)))[0][:, -1])

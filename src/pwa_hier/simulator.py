@@ -5,8 +5,10 @@ with classical RK4, the active mode frozen within a step.  Every mode's
 affine step map, and the matrix powers the crossing sub-steps use, are
 built when the run starts, for all modes in one stacked pass; the RK4
 weights are constant tables times powers of the step width.  Steps go in
-blocks: a doubling scan fills a block with ``log2 _BLOCK`` batched products,
-and one vectorized membership test checks it.  Only the first step that
+blocks: a doubling scan fills a block with ``log2`` of its length batched
+products, and one vectorized membership test checks it.  A block starts at
+``_BLOCK`` steps and doubles, up to ``_BLOCK_MAX``, while the run stays in
+its mode; a crossing drops it back to ``_BLOCK``.  Only the first step that
 leaves the mode is split, by bisecting the crossing.  The bisection
 guesses the exit point and tests, in one batched evaluation, the midpoints
 it visits if every decision agrees with the guess; a decision that
@@ -68,8 +70,12 @@ BISECTION_CAP = 40
 #: Mode switches tolerated within one output step before giving up.
 _SWITCH_CAP = 64
 
-#: Output steps propagated between two vectorized membership tests.
+#: Output steps propagated between two vectorized membership tests, at the
+#: start of a run and after each step ``advance`` redoes.
 _BLOCK = 32
+
+#: Cap of the block, which doubles after each block that stays in its mode.
+_BLOCK_MAX = 256
 
 #: Rows formatted at a time by the artifact writer.
 _WRITE_BLOCK = 1024
@@ -306,8 +312,8 @@ _SUB_EXP = np.concatenate([_RK4_EXP[0], _RK4_EXP[1], _RK4_EXP[1]])
 _STAGE_AT = np.array([0.0, 0.5, 1.0])
 
 #: Shifts of the doubling scan that fills a block: ``1, 2, 4, ...`` below
-#: ``_BLOCK``.
-_SHIFTS = tuple(1 << b for b in range((_BLOCK - 1).bit_length()))
+#: ``_BLOCK_MAX``.
+_SHIFTS = tuple(1 << b for b in range((_BLOCK_MAX - 1).bit_length()))
 
 
 def rk4_weights(h) -> np.ndarray:
@@ -376,11 +382,14 @@ class _Runner:
         Gu = np.einsum("k,mkij->mij", w[1:].sum(axis=0), ZkB)
         Ws = np.einsum("sk,mki->msi", w[1:], Zkm)
         self._maps = (Zk, ZkB, Zkm, Phi, Gu, Ws)
-        # transposed Phi^s for the scan's shifts s, by repeated squaring
+        # transposed Phi^s for the scan's shifts s, by repeated squaring; an
+        # unstable mode's power may overflow, which only spoils rows that
+        # propagate reports and advance redoes
         powers = np.empty((len(self.Z), len(_SHIFTS), d, d))
         powers[:, 0] = Phi
-        for b in range(1, len(_SHIFTS)):
-            powers[:, b] = powers[:, b - 1] @ powers[:, b - 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b in range(1, len(_SHIFTS)):
+                powers[:, b] = powers[:, b - 1] @ powers[:, b - 1]
         self.scan_powers = powers.transpose(0, 1, 3, 2).copy()
 
     # -- membership ---------------------------------------------------------
@@ -443,10 +452,11 @@ class _Runner:
         The block first holds each step's drive ``Gu u2bar + stages @ Ws``,
         the first row also ``Phi zs[k]``.  A doubling scan then adds to
         every row ``Phi^s`` times the row ``s`` above it for ``s = 1, 2, 4,
-        ...``, after which row ``r`` sums ``Phi^j`` times the drive of row
-        ``r - j`` over all ``j <= r``: the recurrence ``z+ = Phi z + drive``
-        in ``log2 _BLOCK`` batched products.  A row that overflows only
-        spoils the rows after it, which the caller redoes."""
+        ...`` below the block's length, after which row ``r`` sums ``Phi^j``
+        times the drive of row ``r - j`` over all ``j <= r``: the recurrence
+        ``z+ = Phi z + drive`` in ``log2`` of the length batched products.
+        The block may be up to ``_BLOCK_MAX`` rows long.  A row that
+        overflows only spoils the rows after it, which the caller redoes."""
         Phi, Gu, Ws = self.maps(i)[3:]
         block = zs[k + 1: stop + 1]
         np.matmul(u2bar[k:stop], Gu.T, out=block)
@@ -567,14 +577,19 @@ class _Runner:
 def run_scenario(s: Scenario) -> Trajectory:
     """Simulate the closed loop and record the certified bound chain.
 
-    Steps go in blocks of ``_BLOCK`` through the mode's step map, each block
-    filled by one doubling scan; the first step of a block that leaves the
-    mode (cell, and abstraction region for PWA abstractions) or turns
-    non-finite is redone by ``advance``, which bisects the crossing and
-    relocates the mode with hysteresis.  The per-sample certificate columns
-    are evaluated afterwards in one vectorized pass.  A certificate that fails
-    any mode, visited or not, raises UncertifiedModeError (lowest mode) first,
-    and one with a gain slope that overflowed InfeasibleCertificateError.
+    Steps go in blocks through the mode's step map, each block filled by
+    one doubling scan; the first step of a block that leaves the mode (cell,
+    and abstraction region for PWA abstractions) or turns non-finite is
+    redone by ``advance``, which bisects the crossing and relocates the mode
+    with hysteresis.  A block starts at ``_BLOCK`` steps and doubles after
+    each block that stays in its mode, up to ``_BLOCK_MAX``; every step
+    ``advance`` redoes drops it back to ``_BLOCK``.  So a run that stays in
+    one mode for thousands of steps takes few scans, and one that switches
+    often scans as with fixed blocks of ``_BLOCK``.  The per-sample
+    certificate columns are evaluated afterwards in one vectorized pass.  A
+    certificate that fails any mode, visited or not, raises
+    UncertifiedModeError (lowest mode) first, and one with a gain slope that
+    overflowed InfeasibleCertificateError.
     """
     bad = [jm.label for jm, r in zip(s.joint.modes, s.reports) if not r.feasible]
     if bad:
@@ -605,11 +620,11 @@ def run_scenario(s: Scenario) -> Trajectory:
     mode_i[0] = i
 
     events: list[CrossingEvent] = []
-    k = 0
+    k, block = 0, _BLOCK
     # a diverging state overflows quietly; advance reports it as non-finite
     with np.errstate(over="ignore", invalid="ignore"):
         while k < steps:
-            stop = min(k + _BLOCK, steps)
+            stop = min(k + block, steps)
             kept = runner.propagate(zs, k, stop, i, u2bar, stages)
             mode_i[k + 1: k + 1 + kept] = i
             k += kept
@@ -618,6 +633,9 @@ def run_scenario(s: Scenario) -> Trajectory:
                                               u2bar[k], events)
                 mode_i[k + 1] = i
                 k += 1
+                block = _BLOCK
+            else:
+                block = min(2 * block, _BLOCK_MAX)
 
     mode_j = np.array(runner.js)[mode_i]
     return _bookkeep(s, runner, t, zs[:, :n], zs[:, n:], u2bar, mode_i, mode_j,

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, artifacts, determinism, report consistency."""
 
+import dataclasses
 import functools
 import json
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from pwa_hier import export_trajectory, run_scenario, simulator
-from pwa_hier.cli import build_parser, main
+from pwa_hier.cli import _sweep_scenario, build_parser, main
 from pwa_hier.modelfile import (
     build_pipeline,
     builtin_model_path,
@@ -212,15 +213,14 @@ class TestCheck:
 
     def test_overflowing_data_ends_synthesis_in_one_line(self, tmp_path, capsys):
         """An output map entry of 1e308 makes every rate's scaling matrix
-        overflow: each rate is skipped and synthesis fails, exit 2.  (The
-        relation and interface overflow on the way; RuntimeWarnings are
-        silenced here.)"""
+        overflow: each rate is skipped and synthesis fails, exit 2, with no
+        RuntimeWarning on the way."""
         doc = json.loads(builtin_model_path("case1").read_text())
         doc["system"]["modes"][0]["C"][0][2] = 1e308
         p = tmp_path / "huge.model"
         p.write_text(json.dumps(doc))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             assert main(["check", str(p)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: no decay rate")
@@ -504,8 +504,9 @@ class TestRun:
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "case1", "--param", "step", "--values", "0.001,0.002,0.004"],
+        ["sweep", "case1", "--param", "kappa", "--values", "4,8,12"],
         ["run", "case1", "--t-end", "1"],
-    ], ids=["sweep-step", "run-t-end"])
+    ], ids=["sweep-step", "sweep-kappa", "run-t-end"])
     def test_variants_reuse_the_certificate_check(self, argv, tmp_path, capsys, monkeypatch):
         """A scenario variant that keeps the certificate and joint objects
         reuses the check made when the scenario was built: synthesis and
@@ -539,6 +540,20 @@ class TestSweep:
         line = [l for l in capsys.readouterr().out.splitlines() if "PASS" in l][0]
         # table prints six significant digits
         assert float(line.split()[1]) == pytest.approx(report["max_err"], rel=1e-5)
+
+    def test_kappa_variant_check_equals_a_fresh_one(self):
+        """A kappa value's scenario keeps the check made for the shipped
+        certificate, now naming the new one; its margins and gain slopes
+        equal those of checking the new certificate afresh."""
+        pipe = build_pipeline(load_model(builtin_model_path("case1")))
+        variant = _sweep_scenario(pipe, "kappa", 4.0)
+        assert variant.certificate.kappa == 4.0
+        assert variant.check.certificate is variant.certificate
+        assert variant.check.reports is pipe.scenario.reports
+        fresh = dataclasses.replace(variant, check=None)
+        assert fresh.check.reports is not variant.reports
+        assert fresh.reports == variant.reports
+        np.testing.assert_array_equal(fresh.slopes, variant.slopes)
 
     @pytest.mark.parametrize("kappa", ["1e-310", "1e308"], ids=["V-overflows",
                                                               "delta-overflows"])
