@@ -680,6 +680,10 @@ class TestPropagator:
                 calls[0] = 0
                 yield run_scenario(scen), calls[0]
 
+        def events(traj):
+            return [(ev.t_inside, ev.t_outside, ev.old_label, ev.new_label)
+                    for ev in traj.crossings]
+
         monkeypatch.setattr(_Runner, "propagate", counting)
         grown = list(runs())
         monkeypatch.setattr(simulator, "_BLOCK_MAX", _BLOCK)
@@ -692,10 +696,7 @@ class TestPropagator:
         for (got, _), (want, _) in zip(grown, fixed):
             np.testing.assert_array_equal(got.mode_i, want.mode_i)
             np.testing.assert_array_equal(got.mode_j, want.mode_j)
-            assert ([(ev.t_inside, ev.t_outside, ev.old_label, ev.new_label)
-                     for ev in got.crossings]
-                    == [(ev.t_inside, ev.t_outside, ev.old_label, ev.new_label)
-                        for ev in want.crossings])
+            assert events(got) == events(want)
             for a, b in ((got.x1, want.x1), (got.x2, want.x2)):
                 assert np.all(np.linalg.norm(a - b, axis=1)
                               <= 1e-12 * np.linalg.norm(b, axis=1))
