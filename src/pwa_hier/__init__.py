@@ -11,7 +11,6 @@ from .certificate import (
     sim_fn_values,
     synthesize_certificate,
     verify_all,
-    verify_lmi,
 )
 from .polytope import (
     AFFINE,
@@ -46,7 +45,6 @@ from .simulator import (
     export_trajectory,
     reference_schedule,
     run_scenario,
-    step_rk4,
     verdict,
 )
 from .systems import (

@@ -66,8 +66,8 @@ class ModeCertificate:
         M = as_matrix(self.M, "M")
         if M.shape[0] != M.shape[1]:
             raise DimensionMismatchError(f"M must be square, got {M.shape}")
-        scale = max(1.0, float(np.linalg.norm(M)))
-        asym = float(np.linalg.norm(M - M.T))
+        scale = max(1.0, float(frobenius(M)))
+        asym = float(frobenius(M - M.T))
         if asym > SYMMETRY_RTOL * scale:
             raise NotSymmetricError(
                 f"M: relative asymmetry {asym / scale:.3e} exceeds {SYMMETRY_RTOL:.0e}"
@@ -139,8 +139,8 @@ class Certificate:
                             f"extended M's size)"
                         )
                     rebuilt = J.T @ T @ J
-                    err = np.linalg.norm(rebuilt - target)
-                    if err > _FACTORIZATION_TOL * (1.0 + np.linalg.norm(target)):
+                    err = frobenius(rebuilt - target)
+                    if err > _FACTORIZATION_TOL * (1.0 + frobenius(target)):
                         raise InfeasibleCertificateError(
                             f"entry {idx}: continuity factorization off by {err:.3e}"
                         )
@@ -193,15 +193,6 @@ def _margins(w: np.ndarray) -> np.ndarray:
     return np.stack([w[..., 0, 0], w[..., 1, 0], w[..., 2, -1]], axis=-1)
 
 
-def lmi_margins(M, A, C, E, U, W, lam: float, affine: bool) -> tuple[float, float, float]:
-    """Raw eigenvalue margins of the three conditions for given blocks."""
-    M, A, C, E = as_matrix(M, "M"), as_matrix(A, "A"), as_matrix(C, "C"), as_matrix(E, "E")
-    U = None if U is None else as_matrix(U, "U")
-    W = None if W is None else as_matrix(W, "W")
-    w = np.linalg.eigvalsh(_condition_matrices(M, A, C, E, U, W, lam, affine))
-    return tuple(_margins(w).tolist())
-
-
 def _stacked_blocks(cert: Certificate, joint: JointSystem):
     """The modes in groups whose blocks share their shapes (cell kind,
     dimension, bounding rows, whether ``U``/``W`` are given).  Yields per
@@ -241,12 +232,6 @@ def verify_all(cert: Certificate, joint: JointSystem) -> tuple[LmiReport, ...]:
         margins[positions] = _margins(w)
     return tuple(LmiReport((m1, m2, m3), m1 >= -LMI_TOL and m2 >= LMI_TOL and m3 <= LMI_TOL)
                  for m1, m2, m3 in margins.tolist())
-
-
-def verify_lmi(cert: Certificate, joint: JointSystem, idx: int) -> LmiReport:
-    """Eigenvalue margins of the certificate conditions for one mode: the
-    one-mode view of :func:`verify_all`."""
-    return verify_all(cert, joint)[idx]
 
 
 @functools.lru_cache(maxsize=None)

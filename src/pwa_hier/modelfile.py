@@ -269,9 +269,9 @@ def _build_config(doc: _Entry) -> ModelConfig:
         raise kind.error(f"unknown kind {kind.value!r}")
 
     gains = doc["gains"]
-    K = gains["K"].per_mode(n_modes)
+    K = gains["K"].per_mode(n_modes, shape=(system.p, system.n))
     R = gains.get("R")
-    R = None if R is None else R.per_mode(n_modes)
+    R = None if R is None else R.per_mode(n_modes, shape=(system.p, abstraction.q))
 
     relation_P = relation_Q = None
     if "relation" in doc:
@@ -313,11 +313,13 @@ def _build_config(doc: _Entry) -> ModelConfig:
     cert_T = None if given["T"] is None else given["T"].array(2)
 
     scen = doc["scenario"]
-    x1_0, x2_0 = (scen[key].array(1) for key in ("x1_0", "x2_0"))
+    x1_0 = scen["x1_0"].array(1, shape=(system.n,))
+    x2_0 = scen["x2_0"].array(1, shape=(abstraction.m,))
     t_end, step = (scen[key].array(0) for key in ("t_end", "step"))
     disturbance = _disturbance(scen["disturbance"], system.n)
     check_disturbance_bound(system, disturbance)
-    waypoints = [(wn["t"].array(0), wn["value"].array(1)) for wn in scen["u2bar"].items()]
+    waypoints = [(wn["t"].array(0), wn["value"].array(1, shape=(abstraction.q,)))
+                 for wn in scen["u2bar"].items()]
 
     return ModelConfig(
         name=str(doc.get("name", "model").value), system=system, abstraction=abstraction,

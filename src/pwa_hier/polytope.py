@@ -57,13 +57,10 @@ class Polyhedron:
     def dim(self) -> int:
         return self.E.shape[1]
 
-    def margin(self, x) -> float:
-        """Smallest constraint slack at ``x``; >= 0 means strictly inside."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return float(np.min(self.E @ x - self.f))
-
     def contains(self, x, slack: float = MEMBERSHIP_SLACK) -> bool:
-        return self.margin(x) >= -slack
+        """Whether no constraint slack at ``x`` is below ``-slack``."""
+        x = np.asarray(x, dtype=float).reshape(-1)
+        return float(np.min(self.E @ x - self.f)) >= -slack
 
 
 def classify_cell(p: Polyhedron) -> str:

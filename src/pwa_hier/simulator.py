@@ -87,21 +87,6 @@ _GATHER_ROWS = 1024
 CHAIN_TOL = 1e-6
 
 
-def step_rk4(f: Callable[[np.ndarray, float], np.ndarray], x, t: float, h: float) -> np.ndarray:
-    """One classical four-stage Runge-Kutta step of width ``h``."""
-    if not h > 0.0:
-        raise EmptyTrajectoryError(f"step width must be positive, got {h}")
-    x = np.asarray(x, dtype=float)
-    k1 = f(x, t)
-    k2 = f(x + 0.5 * h * k1, t + 0.5 * h)
-    k3 = f(x + 0.5 * h * k2, t + 0.5 * h)
-    k4 = f(x + h * k3, t + h)
-    out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteStateError(f"non-finite state after step at t={t}")
-    return out
-
-
 @dataclass(frozen=True)
 class ReferenceSchedule:
     """Piecewise-constant, right-continuous reference for the transformed
@@ -400,9 +385,6 @@ class _Runner:
         E, f = self.rows[i]
         return E @ x1 - f
 
-    def _margin(self, x1: np.ndarray, i: int) -> float:
-        return float(self._margins(x1, i).min())
-
     def label(self, x1: np.ndarray, i: int) -> tuple[int, int]:
         """``(i, js[i])``, once ``x1`` is checked to lie in the region of
         the abstraction mode that concrete mode ``i`` is certified against."""
@@ -438,11 +420,6 @@ class _Runner:
         tau = np.asarray(tau, dtype=float)
         return ((self.stages(t, tau) @ _SUB_DRIVE + _SUB_FIXED)
                 * tau[..., None] ** _SUB_EXP)
-
-    def sub_step(self, basis: np.ndarray, t: float, tau: float) -> np.ndarray:
-        """RK4 step of width ``tau`` from ``z`` at ``t``, given the mode's
-        sub-step ``basis`` (see ``coefficients``)."""
-        return self.coefficients(t, tau) @ basis
 
     def propagate(self, zs: np.ndarray, k: int, stop: int, i: int,
                   u2bar: np.ndarray, stages: np.ndarray) -> int:
@@ -533,28 +510,28 @@ class _Runner:
 
         A sub-step that ends outside the mode is bracketed by ``bisect``'s
         batched localization; the state is committed at the bracket's
-        outer end, computed (like the event's margins) by the scalar
-        sub-step, and the mode is relocated with hysteresis from there."""
+        outer end, computed (like the event's margins) from the weights of
+        that one width, and the mode is relocated with hysteresis from there."""
         remaining = h
         for _ in range(_SWITCH_CAP):
             if remaining <= 1e-15:
                 return z, i
             Zk, ZkB, Zkm = self.maps(i)[:3]
             basis = np.concatenate([Zk @ z, ZkB @ u2val, Zkm])
-            trial = self.sub_step(basis, t, remaining)
+            trial = self.coefficients(t, remaining) @ basis
             if not np.isfinite(trial).all():
                 raise NonFiniteStateError(f"non-finite state near t={t}")
             end = self._margins(trial[: self.n], i)
             if end.min() >= -MEMBERSHIP_SLACK:
                 return trial, i
             lo, hi = self.bisect(basis, t, remaining, i, end)
-            z_lo = z if lo == 0.0 else self.sub_step(basis, t, lo * remaining)
-            z = trial if hi == 1.0 else self.sub_step(basis, t, hi * remaining)
+            z_lo = z if lo == 0.0 else self.coefficients(t, lo * remaining) @ basis
+            z = trial if hi == 1.0 else self.coefficients(t, hi * remaining) @ basis
             committed = hi * remaining
             old = (i, self.js[i])
             x1 = z[: self.n]
-            margin_inside = self._margin(z_lo[: self.n], i)
-            margin_outside = self._margin(x1, i)
+            margin_inside = float(self._margins(z_lo[: self.n], i).min())
+            margin_outside = float(self._margins(x1, i).min())
             try:
                 i = locate_mode(self.part, x1, previous=i)
             except NoCellError as exc:

@@ -8,7 +8,7 @@ transformation ``u2 = L x2 + u2bar`` that renders it internally stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -78,9 +78,9 @@ class PwaMode:
     c_bound: float = 0.0
 
     def __post_init__(self):
-        A = as_matrix(self.A, "A")
-        B = as_matrix(self.B, "B")
-        C = as_matrix(self.C, "C")
+        for name in "ABC":
+            object.__setattr__(self, name, as_matrix(getattr(self, name), name))
+        A, B, C = self.A, self.B, self.C
         n = A.shape[0]
         if A.shape[1] != n:
             raise DimensionMismatchError(f"A must be square, got {A.shape}")
@@ -90,9 +90,6 @@ class PwaMode:
             raise DimensionMismatchError(f"C has {C.shape[1]} columns, expected {n}")
         if not self.c_bound >= 0.0:
             raise ModelError(f"c_bound must be nonnegative, got {self.c_bound}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
         object.__setattr__(self, "c_bound", float(self.c_bound))
 
     @property
@@ -158,19 +155,13 @@ class LinearAbstraction:
     L: np.ndarray
 
     def __post_init__(self):
-        F = as_matrix(self.F, "F")
-        G = as_matrix(self.G, "G")
-        H = as_matrix(self.H, "H")
-        L = as_matrix(self.L, "L")
-        if H.shape[1] != F.shape[0]:
+        for name in "FGHL":
+            object.__setattr__(self, name, as_matrix(getattr(self, name), name))
+        if self.H.shape[1] != self.F.shape[0]:
             raise DimensionMismatchError(
-                f"H has {H.shape[1]} columns, expected {F.shape[0]}"
+                f"H has {self.H.shape[1]} columns, expected {self.F.shape[0]}"
             )
-        transformed_abstraction_matrix(F, G, L)  # validates shapes + stability
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "L", L)
+        transformed_abstraction_matrix(self.F, self.G, self.L)  # validates shapes + stability
 
     @property
     def m(self) -> int:
@@ -183,9 +174,6 @@ class LinearAbstraction:
     @property
     def k(self) -> int:
         return self.H.shape[0]
-
-    def transformed(self) -> np.ndarray:
-        return self.F + self.G @ self.L
 
 
 class AbstractionMode(LinearAbstraction):
@@ -337,10 +325,7 @@ class DisturbanceSignal:
         if current == 0.0:
             raise ModelError("cannot scale an identically-zero disturbance upward")
         factor = sup / current
-        return DisturbanceSignal(
-            self.kind, self.mask, offset=self.offset * factor,
-            amplitude=self.amplitude * factor,
-        )
+        return replace(self, offset=self.offset * factor, amplitude=self.amplitude * factor)
 
 
 def check_disturbance_bound(system: PwaSystem, disturbance: DisturbanceSignal) -> None:

@@ -1,6 +1,7 @@
 """Shared test helpers: randomized containment instances, a switch-dense
-cone fan, Kronecker-product oracles for the decay equation and the stacked
-relation system, and a mode-by-mode reference synthesis."""
+cone fan, a scalar RK4 step, the certificate margins of raw blocks,
+Kronecker-product oracles for the decay equation and the stacked relation
+system, and a mode-by-mode reference synthesis."""
 
 import math
 
@@ -22,6 +23,7 @@ from pwa_hier import (
     verify_all,
 )
 from pwa_hier.certificate import SYNTH_EPSILON, _decay_operator, _solve_decay_equation
+from pwa_hier.errors import EmptyTrajectoryError, NonFiniteStateError
 from pwa_hier.polytope import AFFINE
 from pwa_hier.polytope import Polyhedron, vertices_2d
 from pwa_hier.relation import solve_system_relation
@@ -141,6 +143,42 @@ def fan_scenario(cones: int = 32, seed: int = 0, t_end: float = 0.5,
         x1_0=np.concatenate([start, velocity]), x2_0=start,
         t_end=t_end, h=h, joint=joint,
     )
+
+
+def step_rk4(f, x, t: float, h: float) -> np.ndarray:
+    """One classical four-stage Runge-Kutta step of width ``h`` of the field
+    ``f(x, t)``: the scalar oracle of the simulator's batched step maps."""
+    if not h > 0.0:
+        raise EmptyTrajectoryError(f"step width must be positive, got {h}")
+    x = np.asarray(x, dtype=float)
+    k1 = f(x, t)
+    k2 = f(x + 0.5 * h * k1, t + 0.5 * h)
+    k3 = f(x + 0.5 * h * k2, t + 0.5 * h)
+    k4 = f(x + h * k3, t + h)
+    out = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteStateError(f"non-finite state after step at t={t}")
+    return out
+
+
+def lmi_margins(M, A, C, E, U, W, lam, affine):
+    """Eigenvalue margins ``(m1, m2, m3)`` of the three certificate
+    conditions for raw blocks (``U``/``W`` None for zero), one condition
+    matrix and one eigenvalue call at a time.  For affine cells the decay
+    weight skips the homogeneous coordinate."""
+    zero = np.zeros((E.shape[0], E.shape[0]))
+    U = zero if U is None else U
+    W = zero if W is None else W
+    weights = np.full(M.shape[0], lam)
+    if affine:
+        weights[-1] = 0.0
+    S3 = A.T @ M + M @ A + E.T @ W @ E + weights[:, None] * M
+
+    def eig(S):
+        return np.linalg.eigvalsh(0.5 * (S + S.T))
+
+    return (float(eig(M - C.T @ C)[0]), float(eig(M - E.T @ U @ E)[0]),
+            float(eig(S3)[-1]))
 
 
 def kron_decay_solve(A, lam):

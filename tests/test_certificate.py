@@ -14,12 +14,10 @@ from pwa_hier.certificate import (
     ModeCertificate,
     gain_slopes,
     gain_slopes_all,
-    lmi_margins,
     sim_fn_derivative,
     sim_fn_value,
     synthesize_certificate,
     verify_all,
-    verify_lmi,
 )
 from pwa_hier.errors import (
     DegenerateStateError,
@@ -34,7 +32,7 @@ from pwa_hier.relation import JointMode, JointSystem
 from pwa_hier.simulator import reference_schedule, run_scenario
 from pwa_hier.systems import DisturbanceSignal
 
-from helpers import fan_scenario, kron_decay_solve, reference_synthesis
+from helpers import fan_scenario, kron_decay_solve, lmi_margins, reference_synthesis
 
 I2 = np.eye(2)
 
@@ -150,7 +148,7 @@ class TestLmiMargins:
         M = cert.entries[0].M
         base = lmi_margins(M, jm.Aprime, jm.Cprime, jm.cell.E, None, None,
                            cert.lam, affine=False)
-        base_feasible = verify_lmi(cert, joint, 0).feasible
+        base_feasible = verify_all(cert, joint)[0].feasible
         for _ in range(20):
             Q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
             got = lmi_margins(Q.T @ M @ Q, Q.T @ jm.Aprime @ Q, jm.Cprime @ Q,
@@ -168,7 +166,7 @@ class TestSynthesis:
             C=np.array([[1.0, 0.0]]), cell=_conic_cell(2), n=1, m=1,
         )
         cert = synthesize_certificate(joint, kappa=1.0)
-        assert verify_lmi(cert, joint, 0).feasible
+        assert verify_all(cert, joint)[0].feasible
         assert cert.lam <= 2.0
 
     def test_case1_modes_feasible(self, case1):
@@ -284,7 +282,7 @@ class TestDecayEquation:
             C=np.array([[1.0, 0.0, 0.0, 0.0]]), cell=_conic_cell(4), n=3, m=1,
         )
         cert = synthesize_certificate(joint, kappa=1.0)
-        assert verify_lmi(cert, joint, 0).feasible
+        assert verify_all(cert, joint)[0].feasible
 
 
 def _stable(rng, d, slowest):
@@ -468,25 +466,14 @@ def _mixed_joint(rng, kinds, d=4, n=2, m=2, p=2, lam=0.3, rows=None):
 
 
 def _reference_margins(cert, joint, idx):
-    """The per-mode margin formulas, one mode at a time: its three condition
-    matrices with zero ``U``/``W`` written out, one eigenvalue call each."""
+    """The per-mode margin formulas, one mode at a time (``lmi_margins`` on
+    the mode's blocks)."""
     entry, jm = cert.entries[idx], joint.modes[idx]
     if jm.kind == CONIC:
-        M, A, C, E, affine = entry.M, jm.Aprime, jm.Cprime, jm.cell.E, False
-    else:
-        M, A, C, E, affine = entry.extended(), jm.Abar, jm.Cbar, jm.bounding.Ebar, True
-    zero = np.zeros((E.shape[0], E.shape[0]))
-    U = zero if entry.U is None else entry.U
-    W = zero if entry.W is None else entry.W
-    weights = np.full(M.shape[0], cert.lam)
-    if affine:
-        weights[-1] = 0.0
-    S3 = A.T @ M + M @ A + E.T @ W @ E + weights[:, None] * M
-
-    def eig(S):
-        return np.linalg.eigvalsh(0.5 * (S + S.T))
-
-    return eig(M - C.T @ C)[0], eig(M - E.T @ U @ E)[0], eig(S3)[-1]
+        return lmi_margins(entry.M, jm.Aprime, jm.Cprime, jm.cell.E, entry.U, entry.W,
+                           cert.lam, affine=False)
+    return lmi_margins(entry.extended(), jm.Abar, jm.Cbar, jm.bounding.Ebar, entry.U,
+                       entry.W, cert.lam, affine=True)
 
 
 def _reference_slopes(cert, joint, idx):
@@ -519,12 +506,6 @@ class TestStackedChecks:
             assert report.feasible == (m1 >= -LMI_TOL and m2 >= LMI_TOL and m3 <= LMI_TOL)
             feasible.append(report.feasible)
         assert feasible == [k % 2 == 0 for k in range(len(self.KINDS))]
-
-    def test_one_mode_views(self):
-        cert, joint = _mixed_joint(np.random.default_rng(6), self.KINDS)
-        full = verify_all(cert, joint)
-        for idx in range(len(self.KINDS)):
-            assert verify_lmi(cert, joint, idx) == full[idx]
 
     def test_slopes_match_per_mode_formulas(self):
         cert, joint = _mixed_joint(np.random.default_rng(8), self.KINDS)

@@ -76,8 +76,11 @@ def _entry_paths(node, path=()):
 
 
 def _break_model(doc, how):
-    """Apply one named defect to a model document, in place.  Defects named
+    """Apply one named defect to a model document, in place, and return it
+    (or, for ``top-level-list``, the list that holds it).  Defects named
     ``cert-*`` edit the model's own saved certificate, supplied in the file."""
+    if how == "top-level-list":
+        return [doc]
     if how.startswith("cert-"):
         cert = json.loads(_saved_certificate(doc["name"]))
         doc["certificate"].update(cert)
@@ -87,6 +90,10 @@ def _break_model(doc, how):
             doc["certificate"]["lambda"] = "abc"
         elif how == "cert-lambda-list":
             doc["certificate"]["lambda"] = [1]
+        elif how == "cert-lambda-zero":
+            doc["certificate"]["lambda"] = 0.0
+        elif how == "cert-M-without-lambda":
+            del doc["certificate"]["lambda"]
         elif how == "cert-lambda-tiny":
             # positive and finite, but every gain slope 2 ||sqrt(M) X|| / lambda overflows
             doc["certificate"]["lambda"] = 1e-310
@@ -157,8 +164,11 @@ def _break_model(doc, how):
         doc["certificate"]["kappa"] = 10 ** 400  # an integer literal no double holds
     elif how == "pwa-H-row-dropped":
         del doc["abstraction"]["modes"][0]["H"][0]  # one output fewer than the other modes
+    elif how == "pwa-more-modes-than-plant":
+        doc["abstraction"]["modes"] *= 2
     else:
         raise AssertionError(f"unknown defect {how!r}")
+    return doc
 
 
 class TestCheck:
@@ -241,8 +251,15 @@ class TestCheck:
         ("case1", ("scenario", "u2bar", 1, "t"), "x", "scenario.u2bar[1].t: expected a number"),
         ("case1", ("scenario", "disturbance", "offset"), "x",
          "scenario.disturbance.offset: expected a number"),
+        ("case1", ("gains", "K", 1), [[0.0]], "gains.K[1]: shape (1, 1), expected (2, 6)"),
+        ("case1", ("gains", "R"), [[[0.0]]], "gains.R[0]: shape (1, 1), expected (2, 2)"),
+        ("case1", ("scenario", "x1_0"), [0.0], "scenario.x1_0: shape (1,), expected (6,)"),
+        ("case1", ("scenario", "x2_0"), [0.0], "scenario.x2_0: shape (1,), expected (2,)"),
+        ("case1", ("scenario", "u2bar", 1, "value"), [0.0],
+         "scenario.u2bar[1].value: shape (1,), expected (2,)"),
     ], ids=["pwa-F-text", "pwa-cell-f-matrix", "B-list", "E-list", "K-list", "P-list",
-            "waypoint-value-text", "waypoint-t-text", "offset-text"])
+            "waypoint-value-text", "waypoint-t-text", "offset-text", "K-shape", "R-shape",
+            "x1-0-shape", "x2-0-shape", "waypoint-value-shape"])
     def test_loader_error_names_the_json_path(self, base, path, value, line, tmp_path, capsys):
         """A bad entry is named by its full JSON path, in one error line."""
         doc = json.loads(builtin_model_path(base).read_text())
@@ -369,6 +386,12 @@ class TestRun:
         ["run", "step-tiny"],
         ["check", "kappa-huge-integer"],
         ["check", "pwa-H-row-dropped"],
+        ["check", "cert-M-without-lambda"],
+        ["check", "cert-lambda-zero"],
+        ["check", "top-level-list"],
+        ["check", "pwa-more-modes-than-plant"],
+        ["sweep", "case1", "--param", "step", "--values", ""],
+        ["sweep", "case1", "--param", "step", "--values", ","],
     ], ids=["t-end-zero", "no-step-in-horizon", "step-zero", "step-nan", "step-unallocatable",
             "values-not-numbers", "kappa-negative", "kappa-inf", "disturbance-above-bound",
             "disturbance-amplitude-negative", "disturbance-amplitude-nan",
@@ -380,7 +403,9 @@ class TestRun:
             "cert-T-Jbar-shape", "cert-T-only", "cert-lambda-without-M",
             "cert-T-without-M", "pairing-on-linear",
             "pwa-pairing-fraction", "waypoint-ragged", "waypoint-wrong-dim", "R-shape",
-            "t-end-huge", "step-tiny", "kappa-huge-integer", "pwa-H-row-dropped"])
+            "t-end-huge", "step-tiny", "kappa-huge-integer", "pwa-H-row-dropped",
+            "cert-M-without-lambda", "cert-lambda-zero", "top-level-list",
+            "pwa-more-modes-than-plant", "values-empty", "values-comma"])
     def test_zero_horizon_exits_one(self, argv, tmp_path, capsys, caplog):
         """Bad input of every kind exits 1 with one error line, no traceback,
         and no RuntimeWarning on the way.  A model name other than case1
@@ -391,7 +416,7 @@ class TestRun:
         if argv[1] != "case1":
             base = "case2" if argv[1].startswith("pwa-") else "case1"
             doc = json.loads(builtin_model_path(base).read_text())
-            _break_model(doc, argv[1])
+            doc = _break_model(doc, argv[1])
             argv = [argv[0], str(tmp_path / "bad.model")] + argv[2:]
             (tmp_path / "bad.model").write_text(json.dumps(doc))
         with warnings.catch_warnings():

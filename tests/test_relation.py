@@ -36,13 +36,13 @@ from pwa_hier.relation import (
 )
 from pwa_hier.certificate import default_lambda_grid
 from pwa_hier.systems import AbstractionMode, PwaMode, hurwitz_margin
-from pwa_hier.simulator import step_rk4
 
 from helpers import (
     fan_scenario,
     kron_relation_operator,
     kron_relation_solve,
     reference_synthesis,
+    step_rk4,
 )
 
 I2 = np.eye(2)

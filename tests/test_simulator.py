@@ -23,7 +23,6 @@ from pwa_hier import (
     export_trajectory,
     reference_schedule,
     run_scenario,
-    step_rk4,
     synthesize_certificate,
     verdict,
 )
@@ -44,9 +43,9 @@ from pwa_hier.polytope import MEMBERSHIP_SLACK, locate_mode
 from pwa_hier.relation import assemble_joint, solve_system_relation
 from pwa_hier.simulator import (_BLOCK, _BLOCK_MAX, _WRITE_BLOCK, CHAIN_TOL,
                                  CROSSING_BRACKET, _Runner, rk4_weights, write_tables)
-from pwa_hier.systems import paired_modes
+from pwa_hier.systems import paired_modes, transformed_abstraction_matrix
 
-from helpers import fan_scenario
+from helpers import fan_scenario, step_rk4
 
 I2 = np.eye(2)
 
@@ -493,7 +492,7 @@ class TestPropagator:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             tau = 0.37 * scen.h
             Zk, ZkB, Zkm = runner.maps(i)[:3]
-            got = runner.sub_step(np.concatenate([Zk @ z, ZkB @ u2val, Zkm]), t, tau)
+            got = runner.coefficients(t, tau) @ np.concatenate([Zk @ z, ZkB @ u2val, Zkm])
             want = step_rk4(field, z, t, tau)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -715,7 +714,7 @@ def _block_around(step: int) -> tuple[int, int]:
 def end_margins(runner, basis, t, width, i):
     """Row margins of mode ``i`` at the end of a sub-step of ``width``:
     what ``advance`` passes ``bisect`` as ``end``."""
-    return runner._margins(runner.sub_step(basis, t, width)[: runner.n], i)
+    return runner._margins((runner.coefficients(t, width) @ basis)[: runner.n], i)
 
 
 def scalar_bisect(runner, basis, t, width, i, end=None):
@@ -727,8 +726,8 @@ def scalar_bisect(runner, basis, t, width, i, end=None):
         if (hi - lo) * width <= CROSSING_BRACKET:
             break
         mid = 0.5 * (lo + hi)
-        z_mid = runner.sub_step(basis, t, mid * width)
-        if runner._margin(z_mid[: runner.n], i) >= -MEMBERSHIP_SLACK:
+        z_mid = runner.coefficients(t, mid * width) @ basis
+        if float(runner._margins(z_mid[: runner.n], i).min()) >= -MEMBERSHIP_SLACK:
             lo = mid
         else:
             hi = mid
@@ -882,7 +881,7 @@ class TestNonzeroFeedforward:
 
         mode = system.modes[0]
         P = rel.P[0]
-        FGL = absn.transformed()
+        FGL = transformed_abstraction_matrix(absn.F, absn.G, absn.L)
         z = np.concatenate([scen.x1_0, scen.x2_0])
         for k in range(len(traj) - 1):
             u2bar = sched.value(float(traj.t[k]))

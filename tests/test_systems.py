@@ -1,4 +1,7 @@
-"""Plant/abstraction models, disturbance signals, input transformation."""
+"""Plant/abstraction models, disturbance signals, input transformation,
+the Frobenius norm."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from pwa_hier.errors import (
     NotHurwitzError,
     PwaHierError,
 )
-from pwa_hier.linalg import as_matrix, as_vector
+from pwa_hier.linalg import as_matrix, as_vector, frobenius
 from pwa_hier.systems import (
     DisturbanceSignal,
     LinearAbstraction,
@@ -47,9 +50,11 @@ class TestTransformedAbstraction:
             transformed_abstraction_matrix(np.zeros((2, 2)), np.ones((3, 1)), -I2)
 
     def test_case_study_gains_all_stabilize(self, case1, case2):
-        np.testing.assert_allclose(case1.abstraction.transformed(), -I2)
+        absn = case1.abstraction
+        np.testing.assert_allclose(transformed_abstraction_matrix(absn.F, absn.G, absn.L), -I2)
         for mode in case2.abstraction.modes:
-            np.testing.assert_allclose(mode.transformed(), -2 * I2)
+            np.testing.assert_allclose(transformed_abstraction_matrix(mode.F, mode.G, mode.L),
+                                       -2 * I2)
 
 
 class TestDisturbance:
@@ -146,3 +151,30 @@ class TestModelValidation:
     def test_abstraction_requires_stabilizing_L(self):
         with pytest.raises(NotHurwitzError):
             LinearAbstraction(F=I2, G=I2, H=I2, L=np.zeros((2, 2)))
+
+
+class TestFrobenius:
+    def test_bit_equal_in_range(self):
+        """One matrix, or each of a stack, gives ``np.linalg.norm``'s bits
+        over magnitudes from 1e-100 to 1e100."""
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            X = rng.normal(size=tuple(rng.integers(1, 9, size=2))) * 10.0 ** rng.uniform(-100, 100)
+            assert frobenius(X) == np.linalg.norm(X)
+        S = rng.normal(size=(4, 3, 5, 5)) * 10.0 ** rng.uniform(-100, 100, size=(4, 3, 1, 1))
+        want = [[np.linalg.norm(X) for X in row] for row in S]
+        np.testing.assert_array_equal(frobenius(S), want)
+
+    @pytest.mark.parametrize("entry, want", [(1e300, 3e300), (1e-200, 3e-200), (1.7e308, np.inf)],
+                             ids=["huge", "tiny", "beyond-range"])
+    def test_extreme_entries_without_warning(self, entry, want):
+        """A norm is finite wherever the double range holds it, nonzero for
+        a nonzero matrix, and inf beyond the range, with no RuntimeWarning,
+        alone or in a stack whose other norms keep their plain bits."""
+        X = np.full((3, 3), entry)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = frobenius(X)
+            stacked = frobenius(np.stack([X, np.eye(3)]))
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+        np.testing.assert_array_equal(stacked, [got, np.linalg.norm(np.eye(3))])
