@@ -29,22 +29,16 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     return x
 
 
-#: Squared norms from one dot product below this are recomputed rescaled.
-_FROBENIUS_TINY = 1e-150
-
-
 def frobenius(X: np.ndarray) -> np.ndarray:
     """Frobenius norm of a matrix, or of each of a stack: the root of one dot
-    product of the flat entries, bit for bit ``np.linalg.norm`` of one in C
-    order (a two-axis reduction sums in another order).  A product that
-    overflows or falls below ``_FROBENIUS_TINY`` is taken again over the
-    entries scaled by a power of two, which commutes exactly with the root."""
+    product of the flat entries, taken over the entries scaled by a power of
+    two so that it neither overflows nor underflows.  The scaling is exact
+    and commutes with the root, so on in-range input the result is bit for
+    bit ``np.linalg.norm`` of one matrix in C order (a two-axis reduction
+    sums in another order); a norm beyond the double range is ``inf``."""
     flat = X.reshape(X.shape[:-2] + (1, -1))
-    with np.errstate(over="ignore", under="ignore"):
-        sq = (flat @ np.swapaxes(flat, -1, -2))[..., 0, 0]
-        if _FROBENIUS_TINY <= sq.min() and sq.max() < np.inf:
-            return np.sqrt(sq)
-        exp = np.frexp(np.abs(flat).max(axis=-1, initial=0.0))[1]
-        scaled = np.ldexp(flat, -exp[..., None])
-        root = np.ldexp(np.sqrt(scaled @ np.swapaxes(scaled, -1, -2))[..., 0, 0], exp[..., 0])
-        return np.where((_FROBENIUS_TINY <= sq) & (sq < np.inf), np.sqrt(sq), root)
+    exp = np.frexp(np.abs(flat).max(axis=-1, initial=0.0))[1]
+    scaled = np.ldexp(flat, -exp[..., None])
+    root = np.sqrt(scaled @ np.swapaxes(scaled, -1, -2))[..., 0, 0]
+    with np.errstate(over="ignore"):
+        return np.ldexp(root, exp[..., 0])

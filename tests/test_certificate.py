@@ -58,6 +58,13 @@ def _toy_joint(Aprime, B1, B2, C, cell, n, m) -> JointSystem:
     return JointSystem((jm,), n=n, m=m)
 
 
+def _verified(Aprime, C, cell, entry, lam):
+    """``verify_all``'s margins for a one-mode joint with zero inputs."""
+    d = Aprime.shape[0]
+    joint = _toy_joint(Aprime, np.zeros((d, 1)), np.zeros((d, 1)), C, cell, n=C.shape[0], m=1)
+    return verify_all(Certificate(1.0, lam, (entry,)), joint)[0].margins
+
+
 def _conic_cell(d):
     return Polyhedron(np.zeros((1, d)), np.zeros(1))
 
@@ -114,32 +121,40 @@ class TestSimFnValue:
 
 
 class TestLmiMargins:
+    """Hand-worked margins, each asserted on the raw-block oracle and on
+    ``verify_all`` for the same blocks as a one-mode joint."""
+
     def test_stable_block_feasible(self):
         # state block -I2 with a homogeneous zero row; decay weight skips it
         M = np.eye(3)
         A = np.diag([-1.0, -1.0, 0.0])
         C = np.zeros((1, 3))
         E = np.zeros((1, 3))
-        m1, m2, m3 = lmi_margins(M, A, C, E, None, None, lam=1.0, affine=True)
-        assert m1 == pytest.approx(1.0)
-        assert m2 == pytest.approx(1.0)
-        # state block contributes -2 + 1 = -1; the homogeneous row pins the
-        # largest eigenvalue at exactly zero
-        assert m3 == pytest.approx(0.0, abs=1e-12)
+        for m1, m2, m3 in (lmi_margins(M, A, C, E, None, None, lam=1.0, affine=True),
+                           _verified(-I2, np.zeros((1, 2)), _affine_cell(2),
+                                     ModeCertificate(I2, m_scalar=1.0), lam=1.0)):
+            assert m1 == pytest.approx(1.0)
+            assert m2 == pytest.approx(1.0)
+            # state block contributes -2 + 1 = -1; the homogeneous row pins
+            # the largest eigenvalue at exactly zero
+            assert m3 == pytest.approx(0.0, abs=1e-12)
 
     def test_excessive_decay_infeasible(self):
         M = np.eye(3)
         A = np.diag([-1.0, -1.0, 0.0])
         C = np.zeros((1, 3))
         E = np.zeros((1, 3))
-        _, _, m3 = lmi_margins(M, A, C, E, None, None, lam=3.0, affine=True)
-        assert m3 == pytest.approx(1.0)
+        for _, _, m3 in (lmi_margins(M, A, C, E, None, None, lam=3.0, affine=True),
+                         _verified(-I2, np.zeros((1, 2)), _affine_cell(2),
+                                   ModeCertificate(I2, m_scalar=1.0), lam=3.0)):
+            assert m3 == pytest.approx(1.0)
 
     def test_output_equality_boundary(self):
         # M equals C^T C exactly: first margin sits at zero, still feasible
-        m1, _, _ = lmi_margins(np.eye(2), -np.eye(2), np.eye(2),
-                               np.zeros((1, 2)), None, None, 1.0, affine=False)
-        assert m1 == pytest.approx(0.0, abs=1e-12)
+        for m1, _, _ in (lmi_margins(np.eye(2), -np.eye(2), np.eye(2),
+                                     np.zeros((1, 2)), None, None, 1.0, affine=False),
+                         _verified(-I2, I2, _conic_cell(2), ModeCertificate(I2), lam=1.0)):
+            assert m1 == pytest.approx(0.0, abs=1e-12)
 
     def test_congruence_invariance(self, case1):
         rng = np.random.default_rng(7)
@@ -148,7 +163,9 @@ class TestLmiMargins:
         M = cert.entries[0].M
         base = lmi_margins(M, jm.Aprime, jm.Cprime, jm.cell.E, None, None,
                            cert.lam, affine=False)
-        base_feasible = verify_all(cert, joint)[0].feasible
+        report = verify_all(cert, joint)[0]
+        assert base == pytest.approx(report.margins, rel=0.0, abs=1e-12)
+        base_feasible = report.feasible
         for _ in range(20):
             Q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
             got = lmi_margins(Q.T @ M @ Q, Q.T @ jm.Aprime @ Q, jm.Cprime @ Q,
