@@ -37,8 +37,7 @@ def frobenius(X: np.ndarray) -> np.ndarray:
     bit ``np.linalg.norm`` of one matrix in C order (a two-axis reduction
     sums in another order); a norm beyond the double range is ``inf``."""
     flat = X.reshape(X.shape[:-2] + (1, -1))
-    exp = np.frexp(np.abs(flat).max(axis=-1, initial=0.0))[1]
-    scaled = np.ldexp(flat, -exp[..., None])
-    root = np.sqrt(scaled @ np.swapaxes(scaled, -1, -2))[..., 0, 0]
+    exp = np.frexp(np.abs(flat).max(axis=-1, keepdims=True, initial=0.0))[1]
+    scaled = np.ldexp(flat, -exp)
     with np.errstate(over="ignore"):
-        return np.ldexp(root, exp[..., 0])
+        return np.ldexp(np.sqrt(scaled @ np.swapaxes(scaled, -1, -2)), exp)[..., 0, 0]
