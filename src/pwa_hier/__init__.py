@@ -42,7 +42,7 @@ from .simulator import (
     ReferenceSchedule,
     Scenario,
     Trajectory,
-    export_trajectory,
+    export_run,
     reference_schedule,
     run_scenario,
     verdict,

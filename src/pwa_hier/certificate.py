@@ -14,7 +14,6 @@ sample.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,7 +27,7 @@ from .errors import (
     NotSymmetricError,
     SynthesisFailedError,
 )
-from .linalg import as_matrix, as_vector, frobenius
+from .linalg import as_matrix, as_positive, as_vector, frobenius
 from .polytope import AFFINE, CONIC
 from .relation import JointSystem
 from .systems import hurwitz_margin, stack_blocks
@@ -67,12 +66,13 @@ class ModeCertificate:
         if M.shape[0] != M.shape[1]:
             raise DimensionMismatchError(f"M must be square, got {M.shape}")
         scale = max(1.0, float(frobenius(M)))
-        asym = float(frobenius(M - M.T))
-        if asym > SYMMETRY_RTOL * scale:
+        half = 0.5 * M  # sums and differences of halves cannot overflow
+        asym = 2.0 * float(frobenius(half - half.T))
+        if not asym <= SYMMETRY_RTOL * scale:
             raise NotSymmetricError(
                 f"M: relative asymmetry {asym / scale:.3e} exceeds {SYMMETRY_RTOL:.0e}"
             )
-        if float(np.linalg.eigvalsh(0.5 * (M + M.T))[0]) < 1e-10:
+        if not float(np.linalg.eigvalsh(half + half.T)[0]) >= 1e-10:
             raise InfeasibleCertificateError(
                 "M must be positive definite (smallest eigenvalue >= 1e-10)"
             )
@@ -113,10 +113,8 @@ class Certificate:
     jbars: Optional[tuple[np.ndarray, ...]] = None
 
     def __post_init__(self):
-        if not 0.0 < self.kappa < math.inf:
-            raise InfeasibleCertificateError(f"kappa must be positive and finite, got {self.kappa}")
-        if not self.lam > 0.0:
-            raise InfeasibleCertificateError(f"lambda must be positive, got {self.lam}")
+        as_positive(self.kappa, "kappa", InfeasibleCertificateError)
+        as_positive(self.lam, "lambda", InfeasibleCertificateError)
         object.__setattr__(self, "entries", tuple(self.entries))
         if len({entry.M.shape for entry in self.entries}) > 1:
             raise DimensionMismatchError("every mode's M must have the same size")
@@ -138,9 +136,9 @@ class Certificate:
                             f"{(T.shape[0], target.shape[0])} (T's rows by the "
                             f"extended M's size)"
                         )
-                    rebuilt = J.T @ T @ J
-                    err = frobenius(rebuilt - target)
-                    if err > _FACTORIZATION_TOL * (1.0 + frobenius(target)):
+                    with np.errstate(over="ignore", invalid="ignore"):  # NaN fails
+                        err = frobenius(J.T @ T @ J - target)
+                    if not err <= _FACTORIZATION_TOL * (1.0 + frobenius(target)):
                         raise InfeasibleCertificateError(
                             f"entry {idx}: continuity factorization off by {err:.3e}"
                         )
@@ -260,9 +258,10 @@ def _decay_operator(A: np.ndarray) -> np.ndarray:
     a, b, tri = _upper_triangle(A.shape[-1])
     At = np.swapaxes(A.reshape((-1,) + A.shape[-2:]), -1, -2)
     op = np.zeros((len(At), a.size, a.size))
-    np.add.at(op, (np.arange(len(At))[:, None, None], np.arange(a.size)[:, None],
-                   np.hstack([tri[:, b].T, tri[a]])),
-              np.concatenate([At[:, a], At[:, b]], axis=-1))
+    with np.errstate(over="ignore"):  # an overflowed entry fails the decay solve
+        np.add.at(op, (np.arange(len(At))[:, None, None], np.arange(a.size)[:, None],
+                       np.hstack([tri[:, b].T, tri[a]])),
+                  np.concatenate([At[:, a], At[:, b]], axis=-1))
     return op.reshape(A.shape[:-2] + op.shape[1:])
 
 

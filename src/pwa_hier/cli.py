@@ -29,9 +29,8 @@ from .modelfile import (
 )
 from .simulator import (
     Scenario,
-    Trajectory,
     atomic_write,
-    export_trajectory,
+    export_run,
     run_scenario,
     verdict,
 )
@@ -99,24 +98,6 @@ def _print_report(report: RunReport) -> None:
         print(f"bound chain: {report.verdict}")
 
 
-def _plot_tables(traj: Trajectory, plot_dir: Path) -> tuple[dict, list]:
-    """Output-path columns and the ``write_tables`` entries of the
-    space-separated series under ``plot_dir``, one per plotted quantity."""
-    plot_dir.mkdir(parents=True, exist_ok=True)
-    k = traj.y1.shape[1]
-    columns = {f"{name}_{a}": col for name, y in (("y1", traj.y1), ("y2", traj.y2))
-               for a, col in enumerate(y.T)}
-    series = {
-        "err.dat": ("t", "err"),
-        "sim_fn.dat": ("t", "kV"),
-        "bound.dat": ("t", "delta"),
-        "path_concrete.dat": tuple(f"y1_{a}" for a in range(k)),
-        "path_abstraction.dat": tuple(f"y2_{a}" for a in range(k)),
-    }
-    return columns, [(plot_dir / fname, names, " ", False)
-                     for fname, names in series.items()]
-
-
 def cmd_check(model_spec: str, save_certificate: Optional[str] = None) -> int:
     pipe, report = _load(model_spec)
     _print_report(report)
@@ -149,19 +130,8 @@ def cmd_run(model_spec: str, out_dir: str, plot_data: bool = False,
         float(np.max(col)) for col in (traj.err, traj.V, traj.delta))
     report.verdict = verdict(traj)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    traj_path = out / "trajectory.csv"
-    bounds_path = out / "bounds.csv"
-    columns = {"kV": traj.kappa * traj.V}
-    tables = [(bounds_path, ("t", "err", "kV", "delta"), ",", True)]
-    if plot_data:
-        plot_columns, plot_tables = _plot_tables(traj, out / "plot")
-        columns.update(plot_columns)
-        tables += plot_tables
-    export_trajectory(traj, traj_path, columns=columns, files=tables)
-    report.files = [str(traj_path)] + [str(path) for path, *_ in tables]
-    report_path = out / "report.json"
+    report.files = [str(path) for path in export_run(traj, out_dir, plot_data)]
+    report_path = Path(out_dir) / "report.json"
     with atomic_write(report_path) as fh:
         fh.write(json.dumps(report.to_jsonable(), indent=2) + "\n")
     report.files.append(str(report_path))

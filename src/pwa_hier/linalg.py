@@ -1,14 +1,14 @@
 """Input coercion for the small dense arrays used across the package, and
 a stacked Frobenius norm.  Linear algebra itself is plain ``numpy.linalg``;
-coercion turns inputs into finite float arrays of the expected rank,
-raising package errors otherwise.
+coercion turns inputs into finite float arrays of the expected rank, or
+positive finite scalars, raising package errors otherwise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteInputError
+from .errors import DimensionMismatchError, NonFiniteInputError, PwaHierError
 
 
 def as_matrix(A, name: str = "matrix") -> np.ndarray:
@@ -26,6 +26,14 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1)
     if not np.all(np.isfinite(x)):
         raise NonFiniteInputError(f"{name} has non-finite entries")
+    return x
+
+
+def as_positive(x, name: str, error: type[PwaHierError]) -> float:
+    """Coerce to a positive finite float, raising ``error`` otherwise."""
+    x = float(x)
+    if not 0.0 < x < np.inf:
+        raise error(f"{name} must be positive and finite, got {x}")
     return x
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -29,10 +30,9 @@ from .certificate import (
     synthesize_certificate,
 )
 from .errors import ModelError, ParseError, PwaHierError
+from .linalg import as_positive
 from .polytope import Partition, Polyhedron
 from .relation import (
-    Interface,
-    JointSystem,
     RelationMaps,
     assemble_joint,
     build_interface,
@@ -40,7 +40,7 @@ from .relation import (
     solve_relation_pairing,
     solve_system_relation,
 )
-from .simulator import Scenario, reference_schedule
+from .simulator import ReferenceSchedule, Scenario, reference_schedule
 from .systems import (
     DISTURBANCE_TERMS,
     ZERO,
@@ -100,24 +100,24 @@ class ModelConfig:
     t_end: float
     step: float
     disturbance: DisturbanceSignal
-    waypoints: list
+    schedule: ReferenceSchedule
 
 
 @dataclass
 class Pipeline:
-    """Everything derived from a model file, ready to check or run."""
+    """Everything derived from a model file, ready to check or run: the
+    config and the scenario.  The relation, interface, joint system,
+    certificate and pairing (None for a linear abstraction) are read-only
+    views of the scenario's."""
 
     config: ModelConfig
-    relation: RelationMaps
-    interface: Interface
-    joint: JointSystem
-    certificate: Certificate
     scenario: Scenario
 
-    @property
-    def pairing(self) -> Optional[tuple[int, ...]]:
-        """The relation's pairing (None for a linear abstraction)."""
-        return self.relation.pairing
+    relation = property(attrgetter("scenario.relation"))
+    interface = property(attrgetter("scenario.interface"))
+    joint = property(attrgetter("scenario.joint"))
+    certificate = property(attrgetter("scenario.certificate"))
+    pairing = property(attrgetter("scenario.relation.pairing"))
 
 
 #: How a model-file entry of rank 0, 1 or 2 that does not parse as numbers,
@@ -205,6 +205,12 @@ class _Entry:
         except PwaHierError as exc:
             raise type(exc)(f"{self.path}: {exc}") from exc
 
+    def positive(self) -> float:
+        """The value as a positive finite number, by the rule of the
+        constructor that takes it (``as_positive``), named by its key."""
+        return self.build(as_positive, self.array(0), self.path.rsplit(".", 1)[-1],
+                          ModelError)
+
 
 def _cell(node: _Entry, dim: Optional[int] = None) -> Polyhedron:
     """The cell ``{x : E x >= f}`` of ``node``, of dimension ``dim`` if given."""
@@ -290,14 +296,14 @@ def _build_config(doc: _Entry) -> ModelConfig:
         declared_pairing = tuple(int(j) - 1 for j in entries)
 
     cert = doc["certificate"]
-    kappa = cert["kappa"].array(0)
+    kappa = cert["kappa"].positive()
     grid = cert.get("lambda_grid")
     lambda_grid = None if grid is None else grid.array(1)
     if lambda_grid is not None and not np.any(lambda_grid > 0.0):
         raise grid.error("needs a positive decay rate")
     m_scalar = cert.get("m_scalar", 1.0).array(0)
     given = {key: cert.get(key) for key in ("M", "lambda", "m", "U", "W", "T", "Jbar")}
-    cert_lambda = None if given["lambda"] is None else given["lambda"].array(0)
+    cert_lambda = None if given["lambda"] is None else given["lambda"].positive()
     # lambda, m, U, W, T and Jbar belong to a supplied M
     stray = [key for key, node in given.items() if node is not None and key != "M"]
     if given["M"] is None and stray:
@@ -307,6 +313,9 @@ def _build_config(doc: _Entry) -> ModelConfig:
     cert_M, cert_m, cert_U, cert_W, cert_jbar = (
         None if given[key] is None else given[key].per_mode(n_modes, ndim)
         for key, ndim in (("M", 2), ("m", 0), ("U", 2), ("W", 2), ("Jbar", 2)))
+    if cert_M is not None:  # each M's own rules, where its path is known
+        for node, M in zip(given["M"].items(), cert_M):
+            node.build(ModeCertificate, M)
     if (given["T"] is None) != (given["Jbar"] is None):
         raise cert.error("T and Jbar come together, "
                          f"{'T' if given['T'] is None else 'Jbar'} is missing")
@@ -315,11 +324,12 @@ def _build_config(doc: _Entry) -> ModelConfig:
     scen = doc["scenario"]
     x1_0 = scen["x1_0"].array(1, shape=(system.n,))
     x2_0 = scen["x2_0"].array(1, shape=(abstraction.m,))
-    t_end, step = (scen[key].array(0) for key in ("t_end", "step"))
+    t_end, step = (scen[key].positive() for key in ("t_end", "step"))
     disturbance = _disturbance(scen["disturbance"], system.n)
-    check_disturbance_bound(system, disturbance)
-    waypoints = [(wn["t"].array(0), wn["value"].array(1, shape=(abstraction.q,)))
-                 for wn in scen["u2bar"].items()]
+    scen["disturbance"].build(check_disturbance_bound, system, disturbance)
+    schedule = scen["u2bar"].build(reference_schedule, [
+        (wn["t"].array(0), wn["value"].array(1, shape=(abstraction.q,)))
+        for wn in scen["u2bar"].items()])
 
     return ModelConfig(
         name=str(doc.get("name", "model").value), system=system, abstraction=abstraction,
@@ -328,7 +338,7 @@ def _build_config(doc: _Entry) -> ModelConfig:
         m_scalar=m_scalar, cert_lambda=cert_lambda, cert_M=cert_M, cert_m=cert_m,
         cert_U=cert_U, cert_W=cert_W, cert_T=cert_T, cert_jbar=cert_jbar,
         x1_0=x1_0, x2_0=x2_0, t_end=t_end, step=step, disturbance=disturbance,
-        waypoints=waypoints,
+        schedule=schedule,
     )
 
 
@@ -388,17 +398,14 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
 
     scenario = Scenario(
         config.system, config.abstraction, relation, interface, certificate,
-        reference_schedule(config.waypoints), config.disturbance,
+        config.schedule, config.disturbance,
         x1_0=config.x1_0, x2_0=config.x2_0, t_end=config.t_end, h=config.step,
         joint=joint,
     )
     if not np.all(np.isfinite(scenario.slopes)):
         key = "certificate.lambda" if config.cert_M is not None else "certificate.lambda_grid"
         raise ModelError(f"{key}: {certificate.lam!r} makes a gain slope overflow")
-    return Pipeline(
-        config=config, relation=relation, interface=interface,
-        joint=joint, certificate=certificate, scenario=scenario,
-    )
+    return Pipeline(config, scenario)
 
 
 def load_pipeline(path) -> Pipeline:

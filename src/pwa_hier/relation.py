@@ -76,9 +76,11 @@ def relation_residual(A, B, C, F, H, P, Q):
     of the relation equations at ``(P, Q)``: a float for one mode, an array
     for each mode (or pair) of stacked blocks.  Each norm is squared by
     ``float_power``, as a float's ``**`` squares it; an array's ``**`` takes
-    the product instead, which rounds differently."""
-    r = np.sqrt(np.float_power(frobenius(H - C @ P), 2)
-                + np.float_power(frobenius(P @ F - A @ P - B @ Q), 2))
+    the product instead, which rounds differently.  Blocks whose products
+    overflow give an ``inf`` or NaN residual, which no tolerance admits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = np.sqrt(np.float_power(frobenius(H - C @ P), 2)
+                    + np.float_power(frobenius(P @ F - A @ P - B @ Q), 2))
     return float(r) if np.ndim(r) == 0 else r
 
 
@@ -200,7 +202,8 @@ def solve_relation_pairing(
         )
     r_min = np.where(ok, r, np.inf).min(axis=1, keepdims=True)
     tied = ok & (r <= r_min + _PAIRING_TIE_RTOL * (1.0 + np.max(norm_H) + norm_A))
-    norms = np.sqrt(np.sum(P * P, axis=(-2, -1)) + np.sum(Q * Q, axis=(-2, -1)))
+    with np.errstate(over="ignore"):  # an overflowed norm is inf, the last of a tie
+        norms = np.sqrt(np.sum(P * P, axis=(-2, -1)) + np.sum(Q * Q, axis=(-2, -1)))
     pairing = np.where(tied, norms, np.inf).argmin(axis=1)
     rows = np.arange(len(pairing))
     maps = RelationMaps(*_unvec(sol[rows, pairing], n, m, p),
@@ -229,7 +232,8 @@ def default_R(B, P, G) -> np.ndarray:
     if zero.size:
         where = "" if B.ndim == 2 else f"mode {zero[0]}: "
         raise SingularBBtError(f"{where}B is numerically zero; no feedthrough exists")
-    return np.linalg.pinv(B) @ P @ G
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.pinv(B) @ P @ G
 
 
 @dataclass(frozen=True)
@@ -293,7 +297,9 @@ def build_interface(
     paired = paired_modes(abstraction, relation.pairing, system.n_modes)
     A, B = stack_blocks(system.modes, "AB")
     G, L = stack_blocks([pm.mode for pm in paired], "GL")
-    assert_hurwitz(A + B @ K, "closed loop of mode {}")
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite: refused as such
+        closed = A + B @ K
+    assert_hurwitz(closed, "closed loop of mode {}")
     if R is None:
         R = default_R(B, np.asarray(relation.P), G)
     return Interface(K, R, np.asarray(relation.Q), L)
@@ -360,13 +366,14 @@ def assemble_joint(
     residual = relation_residual(A, B, C, F, H, P, Q)
     tol = relation_tolerance(A, H)
     injective = _injective(P)
-    failing = np.flatnonzero((residual > tol) | ~injective)
+    failing = np.flatnonzero(~(residual <= tol) | ~injective)
     if failing.size:
         i = failing[0]
         what = f"mode {i}" if paired[i].j is None else f"pair {labels[i]}"
-        if residual[i] > tol[i]:
-            raise UncertifiedRelationError(f"{what}: relation residual {residual[i]:.3e} "
-                                           f"exceeds tolerance {tol[i]:.3e}")
+        if not residual[i] <= tol[i]:
+            detail = (f"{residual[i]:.3e} exceeds tolerance {tol[i]:.3e}"
+                      if np.isfinite(residual[i]) else "is not finite")
+            raise UncertifiedRelationError(f"{what}: relation residual {detail}")
         raise UncertifiedRelationError(f"{what}: state map is not injective (singular "
                                        f"value below {INJECTIVITY_TOL:.0e})")
 

@@ -32,6 +32,7 @@ import threading
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, TextIO, Union
 
 import numpy as np
@@ -48,7 +49,7 @@ from .errors import (
     PwaHierError,
     UncertifiedModeError,
 )
-from .linalg import as_vector
+from .linalg import as_positive, as_vector
 from .polytope import MEMBERSHIP_SLACK, locate_mode
 from .relation import Interface, JointSystem, RelationMaps, assemble_joint
 from .systems import (
@@ -181,10 +182,8 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "x1_0", as_vector(self.x1_0, "x1_0"))
         object.__setattr__(self, "x2_0", as_vector(self.x2_0, "x2_0"))
-        if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
-            raise EmptyTrajectoryError(f"t_end must be positive and finite, got {self.t_end}")
-        if not (self.h > 0.0 and math.isfinite(self.h)):
-            raise EmptyTrajectoryError(f"step must be positive and finite, got {self.h}")
+        as_positive(self.t_end, "t_end", EmptyTrajectoryError)
+        as_positive(self.h, "step", EmptyTrajectoryError)
         if not math.isfinite(self.t_end / self.h):
             raise EmptyTrajectoryError(f"t_end {self.t_end:g} / step {self.h:g} overflows "
                                        "the sample count")
@@ -898,19 +897,31 @@ def write_tables(columns: Mapping[str, np.ndarray],
                 _append_file(fh, part)
 
 
-def export_trajectory(traj: Trajectory, path,
-                      columns: Optional[Mapping[str, np.ndarray]] = None,
-                      files: Sequence[tuple] = ()) -> None:
-    """Write the trajectory as CSV with shortest-exact decimal columns.
-
-    Mode columns are 1-based in the file (human-facing), floats round-trip
-    exactly.  The write is atomic (temp file + rename).  ``files`` are more
-    ``write_tables`` entries for the same pass, over the trajectory's
-    columns (named as in its header) and ``columns``.
-    """
-    own = {"t": traj.t}
+def export_run(traj: Trajectory, out_dir, plot_data: bool = False) -> list[Path]:
+    """Write the run directory's tables in one ``write_tables`` pass and
+    return their paths, in this order: ``trajectory.csv`` (every per-sample
+    column, modes 1-based), ``bounds.csv`` (``t, err, kV, delta`` with ``kV
+    = kappa V``, the chain ``err <= kV <= delta``) and, with ``plot_data``,
+    the headerless series ``plot/{err,sim_fn,bound}.dat`` against ``t`` and
+    the output paths ``plot/path_{concrete,abstraction}.dat`` (``y1``,
+    ``y2``).  Floats are written shortest-exact, so they read back bit for
+    bit; every file is written atomically."""
+    out = Path(out_dir)
+    columns = {"t": traj.t}
     for prefix, block in (("x1", traj.x1), ("x2", traj.x2), ("u1", traj.u1)):
-        own.update((f"{prefix}_{a}", col) for a, col in enumerate(block.T))
-    own.update(mode_i=traj.mode_i + 1, mode_j=traj.mode_j + 1, err=traj.err,
-               V=traj.V, b=traj.b, delta=traj.delta)
-    write_tables({**own, **(columns or {})}, [(path, tuple(own), ",", True), *files])
+        columns.update((f"{prefix}_{a}", col) for a, col in enumerate(block.T))
+    columns.update(mode_i=traj.mode_i + 1, mode_j=traj.mode_j + 1, err=traj.err,
+                   V=traj.V, b=traj.b, delta=traj.delta)
+    tables = [(out / "trajectory.csv", tuple(columns), ",", True),
+              (out / "bounds.csv", ("t", "err", "kV", "delta"), ",", True)]
+    columns["kV"] = traj.kappa * traj.V
+    if plot_data:
+        series = {"err": ("t", "err"), "sim_fn": ("t", "kV"), "bound": ("t", "delta")}
+        for side, y in (("concrete", traj.y1), ("abstraction", traj.y2)):
+            series[f"path_{side}"] = names = tuple(f"{side}_{a}" for a in range(y.shape[1]))
+            columns.update(zip(names, y.T))
+        tables += [(out / "plot" / f"{stem}.dat", names, " ", False)
+                   for stem, names in series.items()]
+    (out / "plot" if plot_data else out).mkdir(parents=True, exist_ok=True)
+    write_tables(columns, tables)
+    return [path for path, *_ in tables]

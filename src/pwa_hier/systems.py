@@ -34,10 +34,15 @@ def hurwitz_margin(M):
 
 
 def assert_hurwitz(M, what: str = "matrix") -> None:
-    """Raise NotHurwitzError unless ``M`` is Hurwitz; for a stack, name the
-    lowest failing matrix by formatting its index into ``what``."""
+    """Raise NotHurwitzError unless ``M`` is Hurwitz (NonFiniteInputError if
+    it has a non-finite entry); for a stack, name the lowest failing matrix
+    by formatting its index into ``what``."""
+    M = np.asarray(M, dtype=float)
+    nonfinite = np.flatnonzero(~np.isfinite(M).all(axis=(-2, -1))) if M.ndim > 1 else []
+    if len(nonfinite):
+        raise NonFiniteInputError(f"{what.format(nonfinite[0])} has non-finite entries")
     margin = np.atleast_1d(hurwitz_margin(M))
-    failing = np.flatnonzero(margin >= -HURWITZ_MARGIN)
+    failing = np.flatnonzero(~(margin < -HURWITZ_MARGIN))
     if failing.size:
         raise NotHurwitzError(
             f"{what.format(failing[0])} has eigenvalue real part "
@@ -63,7 +68,8 @@ def transformed_abstraction_matrix(F, G, L) -> np.ndarray:
         raise DimensionMismatchError(
             f"inconsistent shapes F{F.shape} G{G.shape} L{L.shape}"
         )
-    M = F + G @ L
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite: refused as such
+        M = F + G @ L
     assert_hurwitz(M, "transformed abstraction")
     return M
 
@@ -333,7 +339,5 @@ def check_disturbance_bound(system: PwaSystem, disturbance: DisturbanceSignal) -
     smallest ``c_bound`` the plant's modes declare."""
     declared = min(mode.c_bound for mode in system.modes)
     if not disturbance.sup_norm() <= declared + 1e-12:
-        raise ModelError(
-            f"scenario.disturbance: supremum {disturbance.sup_norm():.6g} exceeds "
-            f"the declared mode bound {declared:.6g}"
-        )
+        raise ModelError(f"supremum {disturbance.sup_norm():.6g} exceeds "
+                         f"the declared mode bound {declared:.6g}")

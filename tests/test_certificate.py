@@ -23,6 +23,7 @@ from pwa_hier.errors import (
     DegenerateStateError,
     DimensionMismatchError,
     InfeasibleCertificateError,
+    NotSymmetricError,
     SynthesisFailedError,
     UncertifiedModeError,
 )
@@ -693,6 +694,24 @@ class TestCertificateValidation:
     def test_kappa_positive_and_finite(self, kappa):
         with pytest.raises(InfeasibleCertificateError, match="kappa"):
             Certificate(kappa, 1.0, (ModeCertificate(np.eye(2)),))
+
+    @pytest.mark.parametrize("lam", [np.inf, np.nan, 0.0, -1.0])
+    def test_lambda_positive_and_finite(self, lam):
+        with pytest.raises(InfeasibleCertificateError, match="lambda"):
+            Certificate(1.0, lam, (ModeCertificate(np.eye(2)),))
+
+    def test_asymmetry_beyond_double_range_rejected(self):
+        """An asymmetry beyond the double range reads inf, with no
+        RuntimeWarning, and is rejected."""
+        with pytest.raises(NotSymmetricError, match="inf"):
+            ModeCertificate(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+
+    def test_continuity_factorization_nan_rejected(self):
+        """A rebuilt ``Jbar^T T Jbar`` that overflows to ``inf - inf`` is off
+        by NaN, which no tolerance admits."""
+        with pytest.raises(InfeasibleCertificateError, match="off by nan"):
+            Certificate(1.0, 1.0, (ModeCertificate(np.eye(2)),),
+                        T=np.diag([1e308, -1e308]), jbars=(2.0 * np.ones((2, 2)),))
 
     def test_mode_sizes_must_agree(self):
         with pytest.raises(DimensionMismatchError):

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pwa_hier import export_trajectory, run_scenario, simulator
+from pwa_hier import export_run, run_scenario, simulator
 from pwa_hier.cli import _sweep_scenario, build_parser, main
 from pwa_hier.modelfile import (
     build_pipeline,
@@ -235,6 +235,38 @@ class TestCheck:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: no decay rate")
 
+    @pytest.mark.parametrize("base, path, code, line", [
+        ("case1", ("system", "modes", 0, "C", 0, 0), 1,
+         "mode 0: relation residual is not finite"),
+        ("case1", ("relation", "Q", 1, 0, 0), 1, "mode 1: relation residual is not finite"),
+        ("case2", ("relation", "P", 2, 2, 0), 1, "pair (2, 1): relation residual is not finite"),
+        ("case1", ("relation", "P", 2, 4, 0), 1, "mode 2: relation residual is not finite"),
+        ("case2", ("abstraction", "modes", 0, "H", 0, 0), 1,
+         "pairing: solved (3, 3, 2, 3, 3) does not match the declared (1, 1, 2, 3, 3)"),
+        ("case1", ("system", "modes", 0, "B", 0, 0), 1,
+         "closed loop of mode 0 has non-finite entries"),
+        ("case2", ("abstraction", "modes", 0, "G", 0, 0), 1,
+         "abstraction.modes[0]: transformed abstraction has non-finite entries"),
+        ("case1", ("system", "modes", 0, "A", 2, 3), 2,
+         "no decay rate in the grid produced a feasible certificate"),
+    ], ids=["residual-C", "residual-Q", "residual-nan-pair", "default-R", "pairing-norm",
+            "closed-loop", "transformed-abstraction", "decay-operator"])
+    def test_extreme_model_number_is_refused_without_warning(self, base, path, code, line,
+                                                             tmp_path, capsys):
+        """One model number set to 1e308 overflows one evaluation site
+        (relation residual, default feedthrough, pairing norm, closed loop,
+        transformed abstraction, decay operator): the overflow raises no
+        RuntimeWarning, and the finiteness and tolerance checks refuse the
+        model in one error line.  A NaN residual is not certified."""
+        doc = json.loads(builtin_model_path(base).read_text())
+        _edit(doc, path, 1e308)
+        p = tmp_path / "extreme.model"
+        p.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["check", str(p)]) == code
+        assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+
     @pytest.mark.parametrize("base, path, value, line", [
         ("case2", ("abstraction", "modes", 1, "F"), "x",
          "abstraction.modes[1].F: not a numeric matrix"),
@@ -257,12 +289,32 @@ class TestCheck:
         ("case1", ("scenario", "x2_0"), [0.0], "scenario.x2_0: shape (1,), expected (2,)"),
         ("case1", ("scenario", "u2bar", 1, "value"), [0.0],
          "scenario.u2bar[1].value: shape (1,), expected (2,)"),
+        ("case2", ("certificate", "kappa"), -1.0,
+         "certificate.kappa: kappa must be positive and finite, got -1.0"),
+        ("case2+cert", ("certificate", "lambda"), 0.0,
+         "certificate.lambda: lambda must be positive and finite, got 0.0"),
+        ("case2+cert", ("certificate", "M", 0, 0, 1), 1e-3,
+         "certificate.M[0]: M: relative asymmetry"),
+        ("case2", ("scenario", "t_end"), 0.0,
+         "scenario.t_end: t_end must be positive and finite, got 0.0"),
+        ("case2", ("scenario", "step"), 0.0,
+         "scenario.step: step must be positive and finite, got 0.0"),
+        ("case2", ("scenario", "u2bar", 1, "t"), -5.0,
+         "scenario.u2bar: waypoint times must strictly increase"),
+        ("case2", ("scenario", "disturbance", "offset"), 5.0,
+         "scenario.disturbance: supremum 5.05 exceeds the declared mode bound 0.15"),
     ], ids=["pwa-F-text", "pwa-cell-f-matrix", "B-list", "E-list", "K-list", "P-list",
             "waypoint-value-text", "waypoint-t-text", "offset-text", "K-shape", "R-shape",
-            "x1-0-shape", "x2-0-shape", "waypoint-value-shape"])
+            "x1-0-shape", "x2-0-shape", "waypoint-value-shape", "kappa-negative",
+            "cert-lambda-zero", "cert-M-asymmetric", "t-end-zero", "step-zero",
+            "waypoint-t-decreasing", "disturbance-over-bound"])
     def test_loader_error_names_the_json_path(self, base, path, value, line, tmp_path, capsys):
-        """A bad entry is named by its full JSON path, in one error line."""
-        doc = json.loads(builtin_model_path(base).read_text())
+        """A bad entry is named by its full JSON path, in one error line.  A
+        base ending in ``+cert`` supplies the model's saved certificate."""
+        name, cert, _ = base.partition("+cert")
+        doc = json.loads(builtin_model_path(name).read_text())
+        if cert:
+            doc["certificate"].update(json.loads(_saved_certificate(name)))
         _edit(doc, path, value)
         p = tmp_path / "bad.model"
         p.write_text(json.dumps(doc))
@@ -437,8 +489,9 @@ class TestRun:
             want = "".join(f"{r[0]} {r[col]}\n" for r in rows)
             assert (out / "plot" / name).read_text() == want
         traj = run_scenario(build_pipeline(load_model(builtin_model_path("case1"))).scenario)
-        export_trajectory(traj, tmp_path / "alone.csv")
-        assert (out / "trajectory.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
+        alone = tmp_path / "alone"
+        export_run(traj, alone)
+        assert (out / "trajectory.csv").read_bytes() == (alone / "trajectory.csv").read_bytes()
 
     @pytest.mark.parametrize("exchange", [True, False], ids=["exchange", "replace"])
     def test_rerun_replaces_each_file_old_or_new(self, exchange, tmp_path, monkeypatch,

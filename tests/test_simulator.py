@@ -20,7 +20,7 @@ from pwa_hier import (
     Scenario,
     Trajectory,
     build_interface,
-    export_trajectory,
+    export_run,
     reference_schedule,
     run_scenario,
     synthesize_certificate,
@@ -1055,9 +1055,9 @@ class TestExport:
                         t_end=0.002, h=1e-3, joint=scen.joint)
         traj = run_scenario(tiny)
         assert len(traj) == 3
-        path = tmp_path / "tiny.csv"
-        export_trajectory(traj, path)
-        assert len(path.read_text().strip().split("\n")) == 4
+        assert export_run(traj, tmp_path) == [tmp_path / "trajectory.csv",
+                                              tmp_path / "bounds.csv"]
+        assert len((tmp_path / "trajectory.csv").read_text().strip().split("\n")) == 4
 
     def test_round_trip_exact(self, case1, tmp_path):
         scen = case1.scenario
@@ -1066,8 +1066,8 @@ class TestExport:
                          scen.disturbance, x1_0=scen.x1_0, x2_0=scen.x2_0,
                          t_end=0.05, h=1e-3, joint=scen.joint)
         traj = run_scenario(short)
-        path = tmp_path / "traj.csv"
-        export_trajectory(traj, path)
+        path = tmp_path / "trajectory.csv"
+        export_run(traj, tmp_path)
         lines = path.read_text().strip().split("\n")
         assert lines[0].startswith("t,x1_0,")
         assert len(lines) == len(traj) + 1
@@ -1085,9 +1085,8 @@ class TestExport:
             y1=np.empty((0, 1)), y2=np.empty((0, 1)), err=np.empty(0), V=np.empty(0), b=np.empty(0), delta=np.empty(0),
             kappa=1.0,
         )
-        path = tmp_path / "empty.csv"
-        export_trajectory(empty, path)
-        assert path.read_text() == (
+        export_run(empty, tmp_path)
+        assert (tmp_path / "trajectory.csv").read_text() == (
             "t,x1_0,x1_1,x2_0,u1_0,mode_i,mode_j,err,V,b,delta\n"
         )
 
@@ -1097,10 +1096,10 @@ class TestExport:
                          scen.interface, scen.certificate, scen.schedule,
                          scen.disturbance, x1_0=scen.x1_0, x2_0=scen.x2_0,
                          t_end=1.0, h=1e-3, joint=scen.joint)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_trajectory(run_scenario(short), a)
-        export_trajectory(run_scenario(short), b)
-        assert a.read_bytes() == b.read_bytes()
+        a, b = tmp_path / "a", tmp_path / "b"
+        export_run(run_scenario(short), a)
+        export_run(run_scenario(short), b)
+        assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
 
     @pytest.mark.parametrize("rows, cpus", [
         *(pytest.param(rows, None, id=str(rows))
@@ -1201,15 +1200,3 @@ class TestExport:
         with pytest.raises(DimensionMismatchError, match="'z'"):
             write_tables({"t": np.arange(5.0), "z": bad}, [(path, ("t", "z"), " ", False)])
         assert not path.exists()
-
-    def test_export_rejects_short_extra_column(self, tmp_path):
-        traj = Trajectory(
-            t=np.zeros(2), x1=np.zeros((2, 2)), x2=np.zeros((2, 1)),
-            xtilde=np.zeros((2, 2)), u1=np.zeros((2, 1)), u2bar=np.zeros((2, 1)),
-            mode_i=np.zeros(2, dtype=int), mode_j=np.zeros(2, dtype=int),
-            y1=np.zeros((2, 1)), y2=np.zeros((2, 1)), err=np.zeros(2), V=np.zeros(2),
-            b=np.zeros(2), delta=np.zeros(2), kappa=1.0,
-        )
-        with pytest.raises(DimensionMismatchError, match="'kV'"):
-            export_trajectory(traj, tmp_path / "t.csv", columns={"kV": np.zeros(1)},
-                              files=[(tmp_path / "b.csv", ("t", "kV"), ",", True)])
