@@ -222,11 +222,17 @@ def verify_all(cert: Certificate, joint: JointSystem) -> tuple[LmiReport, ...]:
 
     The modes are grouped by block shape (``_stacked_blocks``); each
     group's condition matrices are built in one stacked expression and go
-    through one eigenvalue call.
+    through one eigenvalue call.  A mode whose condition matrices are not
+    finite (an extreme supplied number overflowed) gets NaN margins, which
+    are infeasible, and no eigenvalue call.
     """
     margins = np.empty((len(joint.modes), 3))
     for positions, (M, A, _, _, C, E, U, W), affine in _stacked_blocks(cert, joint):
-        w = np.linalg.eigvalsh(_condition_matrices(M, A, C, E, U, W, cert.lam, affine))
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = _condition_matrices(M, A, C, E, U, W, cert.lam, affine)
+        finite = np.isfinite(S).all(axis=(-3, -2, -1))
+        w = np.full(S.shape[:-1], np.nan)
+        w[finite] = np.linalg.eigvalsh(S[finite])
         margins[positions] = _margins(w)
     return tuple(LmiReport((m1, m2, m3), m1 >= -LMI_TOL and m2 >= LMI_TOL and m3 <= LMI_TOL)
                  for m1, m2, m3 in margins.tolist())
@@ -403,17 +409,23 @@ def gain_slopes_all(cert: Certificate, joint: JointSystem) -> np.ndarray:
     blocks matching the cell kind (``X = I`` for gamma2), where
     ``||sqrt(M) X||_2 = sqrt(lambda_max(X^T M X))``.  ``sqrt_m`` is zero
     for conic cells.  The ``X^T M X`` forms of each group of modes with one
-    block shape (``_stacked_blocks``) are built and solved stacked.
+    block shape (``_stacked_blocks``) are built and solved stacked.  A slope
+    that overflows, or whose form does, is inf, and no eigenvalue call runs
+    on a form that is not finite.
     """
     out = np.zeros((len(joint.modes), 4))
-    for positions, (M, _, B1, B2, *_), affine in _stacked_blocks(cert, joint):
-        XtMX = (np.swapaxes(B2, -1, -2) @ M @ B2, M, np.swapaxes(B1, -1, -2) @ M @ B1)
-        for col, S in enumerate(XtMX):
-            if S.shape[-1]:  # an empty block has slope zero
-                w = np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, -1, -2)))[..., -1]
-                out[positions, col] = 2.0 * np.sqrt(np.maximum(w, 0.0)) / cert.lam
-        if affine:
-            out[positions, 3] = np.sqrt(M[:, -1, -1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for positions, (M, _, B1, B2, *_), affine in _stacked_blocks(cert, joint):
+            XtMX = (np.swapaxes(B2, -1, -2) @ M @ B2, M, np.swapaxes(B1, -1, -2) @ M @ B1)
+            for col, S in enumerate(XtMX):
+                if S.shape[-1]:  # an empty block has slope zero
+                    S = 0.5 * (S + np.swapaxes(S, -1, -2))
+                    finite = np.isfinite(S).all(axis=(-2, -1))
+                    w = np.full(len(S), np.inf)
+                    w[finite] = np.linalg.eigvalsh(S[finite])[..., -1]
+                    out[positions, col] = 2.0 * np.sqrt(np.maximum(w, 0.0)) / cert.lam
+            if affine:
+                out[positions, 3] = np.sqrt(M[:, -1, -1])
     return out
 
 

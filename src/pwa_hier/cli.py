@@ -149,10 +149,8 @@ def _sweep_scenario(pipe: Pipeline, param: str, value: float) -> Scenario:
             scenario, disturbance=scenario.disturbance.scaled_to(value)
         )
     if param == "kappa":
-        # neither the margins nor the gain slopes read kappa: reuse the check
         cert = dataclasses.replace(scenario.certificate, kappa=value)
-        return dataclasses.replace(scenario, certificate=cert,
-                                   check=scenario.check._replace(certificate=cert))
+        return dataclasses.replace(scenario, certificate=cert)
     return dataclasses.replace(scenario, h=value)  # param == "step"
 
 

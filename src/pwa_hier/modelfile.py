@@ -63,9 +63,11 @@ def builtin_model_path(name: str) -> Path:
 
 
 def resolve_model_path(spec: str) -> Path:
-    """Accept either a filesystem path or a builtin model name."""
+    """Accept either a model file's path (a pipe too) or a builtin model
+    name; a directory (a run's ``--out`` named ``case1``) does not hide the
+    builtin of its name."""
     p = Path(spec)
-    if p.exists():
+    if p.exists() and not p.is_dir():
         return p
     builtin = builtin_model_path(spec)
     if builtin.exists():
@@ -356,7 +358,8 @@ def _supplied_relation(config: ModelConfig, solved: Optional[RelationMaps]) -> R
 def build_pipeline(config: ModelConfig) -> Pipeline:
     """Solve relations, build the interface and joint system, obtain a
     certificate (synthesized unless the file supplies one), assemble the
-    scenario, and refuse a lambda at which its gain slopes overflow."""
+    scenario, and refuse a lambda at which the gain slopes of a certificate
+    that verifies overflow (one that does not is left to the check)."""
     relation = None
     if needs_pairing(config.abstraction):
         # the pairing comes from the solve even when the file supplies P/Q
@@ -402,7 +405,7 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
         x1_0=config.x1_0, x2_0=config.x2_0, t_end=config.t_end, h=config.step,
         joint=joint,
     )
-    if not np.all(np.isfinite(scenario.slopes)):
+    if all(r.feasible for r in scenario.reports) and not np.all(np.isfinite(scenario.slopes)):
         key = "certificate.lambda" if config.cert_M is not None else "certificate.lambda_grid"
         raise ModelError(f"{key}: {certificate.lam!r} makes a gain slope overflow")
     return Pipeline(config, scenario)

@@ -33,7 +33,7 @@ from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, TextIO, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -146,24 +146,13 @@ class CrossingEvent:
         return self.t_outside - self.t_inside
 
 
-class CertificateCheck(NamedTuple):
-    """The check of one certificate on every mode of one joint system: the
-    condition margins (``reports``) and the gain slopes ``(gamma1, gamma2,
-    gamma3, sqrt_m)`` per mode, an overflowed one as inf."""
-
-    certificate: Certificate
-    joint: JointSystem
-    reports: tuple[LmiReport, ...]
-    slopes: np.ndarray
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Everything one closed-loop experiment needs.  Building it assembles
     the joint system (unless given) and checks the certificate on every joint
-    mode (``check``), unless ``check`` was made for this very certificate
-    and joint object: a variant made by ``dataclasses.replace`` that keeps
-    both reuses its original's check."""
+    mode: ``reports`` holds the condition margins and ``slopes`` the gain
+    slopes ``(gamma1, gamma2, gamma3, sqrt_m)`` per mode, an overflowed one
+    as inf.  A variant made by ``dataclasses.replace`` checks again."""
 
     system: PwaSystem
     abstraction: Union[LinearAbstraction, PwaAbstraction]
@@ -177,7 +166,8 @@ class Scenario:
     t_end: float
     h: float
     joint: Optional[JointSystem] = None
-    check: Optional[CertificateCheck] = field(default=None, repr=False, compare=False)
+    reports: tuple[LmiReport, ...] = field(init=False, repr=False, compare=False)
+    slopes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "x1_0", as_vector(self.x1_0, "x1_0"))
@@ -207,24 +197,11 @@ class Scenario:
             object.__setattr__(self, "joint", assemble_joint(
                 self.system, self.abstraction, self.relation, self.interface,
             ))
-        check = self.check
-        if not (check and check.certificate is self.certificate and check.joint is self.joint):
-            if len(self.certificate.entries) != len(self.joint):
-                raise DimensionMismatchError(f"certificate has {len(self.certificate.entries)} "
-                                             f"entries, the joint system {len(self.joint)} modes")
-            reports = verify_all(self.certificate, self.joint)
-            with np.errstate(over="ignore"):  # an overflowed slope is inf
-                slopes = gain_slopes_all(self.certificate, self.joint)
-            object.__setattr__(self, "check",
-                               CertificateCheck(self.certificate, self.joint, reports, slopes))
-
-    @property
-    def reports(self) -> tuple[LmiReport, ...]:
-        return self.check.reports
-
-    @property
-    def slopes(self) -> np.ndarray:
-        return self.check.slopes
+        if len(self.certificate.entries) != len(self.joint):
+            raise DimensionMismatchError(f"certificate has {len(self.certificate.entries)} "
+                                         f"entries, the joint system {len(self.joint)} modes")
+        object.__setattr__(self, "reports", verify_all(self.certificate, self.joint))
+        object.__setattr__(self, "slopes", gain_slopes_all(self.certificate, self.joint))
 
     @property
     def steps(self) -> int:
@@ -459,13 +436,13 @@ class _Runner:
         point is guessed first (``_exit_guess``), and the midpoints the walk
         visits if every decision agrees with the guess are stepped to and
         tested in one batched evaluation, with the cell rows projected onto
-        ``basis`` once.  The walk reads its decisions from them until it
-        reaches a midpoint the batch lacks, after a decision that went
-        against the guess; each guess comes from the margins at the
-        bracket's ends, the first from those at the start and ``end``.  A
-        NaN guess (no row outside with finite margins) lists the path
-        towards ``lo``.  Every decision reads the margin at the exact
-        midpoint it visits, so the bracket is the one scalar bisection
+        ``basis`` once.  The walk applies their decisions in order and stops
+        after the first that goes against the guess, since the next midpoint
+        then lies in the half the batch never lists; each guess comes from
+        the margins at the bracket's ends, the first from those at the start
+        and ``end``.  A NaN guess (no row outside with finite margins) lists
+        the path towards ``lo``.  Every decision reads the margin at the
+        exact midpoint it visits, so the bracket is the one scalar bisection
         finds; the guesses only set how many batches it takes, about two per
         crossing.
         """
@@ -486,20 +463,16 @@ class _Runner:
                     a = mid
                 else:
                     b = mid
-            # lo, hi and the points are dyadic with at most BISECTION_CAP
-            # bits, so a point equals the walk's midpoint exactly
             rows = self.coefficients(t, np.array(points) * width) @ proj - f
             inside = (rows.min(axis=1) >= -MEMBERSHIP_SLACK).tolist()
-            index = {mid: k for k, mid in enumerate(points)}
-            while depth > 0:
-                k = index.get(0.5 * (lo + hi))
-                if k is None:
-                    break
-                if inside[k]:
-                    lo, at_lo = points[k], rows[k]
+            for mid, row, went_in in zip(points, rows, inside):
+                if went_in:
+                    lo, at_lo = mid, row
                 else:
-                    hi, at_hi = points[k], rows[k]
+                    hi, at_hi = mid, row
                 depth -= 1
+                if went_in != (mid <= guess):
+                    break
         return lo, hi
 
     def advance(self, z: np.ndarray, t: float, h: float, i: int,
@@ -729,34 +702,24 @@ def atomic_write(path) -> Iterator[TextIO]:
         raise
 
 
-def _column_text(col: np.ndarray, seen: dict) -> list:
-    """``repr`` of each entry of the 1-D numeric ``col``, formatting each
-    distinct bit pattern once.  ``seen`` maps ``(dtype, hash of the bytes)``
-    of the block's columns already formatted to ``(bits, text)``, and a hit
-    is confirmed bit for bit.  The key is a hash, not the bytes: holding a
-    copy of every column for the whole block raised the peak RSS of
-    ``pwa-hier run case1`` then ``case2`` by about 1.4 MB."""
-    bits = col.view(f"u{col.itemsize}")
-    key = (col.dtype.str, hash(bits.tobytes()))
-    hit = seen.get(key)
-    if hit is not None and np.array_equal(hit[0], bits):
-        return hit[1]
-    codes, inverse = np.unique(bits, return_inverse=True)
-    distinct = np.array(list(map(repr, codes.view(col.dtype).tolist())), dtype=object)
-    text = distinct[inverse].tolist()
-    seen[key] = (bits, text)
-    return text
-
-
 def _write_rows(handles: Sequence[TextIO], columns: Mapping[str, np.ndarray],
                 files: Sequence[tuple], used: Sequence[str], start: int, stop: int) -> None:
     """Append rows ``[start, stop)`` of every table in ``files`` to its
-    handle, ``_WRITE_BLOCK`` rows at a time from the block edge ``start``,
-    each distinct value of a block formatted once."""
+    handle, ``_WRITE_BLOCK`` rows at a time from the block edge ``start``.
+    The used columns are grouped by dtype, and each block's distinct bit
+    patterns of a group are formatted once, from one ``np.unique``; the
+    groups keep an int and a float with the same bits apart."""
+    groups: dict = {}
+    for name in used:
+        groups.setdefault(columns[name].dtype, []).append(name)
     for lo in range(start, stop, _WRITE_BLOCK):
         hi = min(lo + _WRITE_BLOCK, stop)
-        seen: dict = {}
-        text = {name: _column_text(columns[name][lo:hi], seen) for name in used}
+        text = {}
+        for dtype, names in groups.items():
+            block = np.stack([columns[name][lo:hi] for name in names])
+            codes, inverse = np.unique(block.view(f"u{dtype.itemsize}"), return_inverse=True)
+            distinct = np.array(list(map(repr, codes.view(dtype).tolist())), dtype=object)
+            text.update(zip(names, distinct[inverse.reshape(block.shape)].tolist()))
         for fh, (_, names, sep, _) in zip(handles, files):
             fh.write("\n".join(map(sep.join, zip(*(text[name] for name in names)))) + "\n")
 

@@ -1,6 +1,7 @@
 """Certificate verification, synthesis, gain slopes, thresholds, derivatives."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -589,6 +590,28 @@ class TestStackedEqualsPerMode:
         cert, joint = cert_joint
         want = [_reference_slopes(cert, joint, idx) for idx in range(len(joint))]
         np.testing.assert_array_equal(_bits(gain_slopes_all(cert, joint)), _bits(want))
+
+    def test_overflowing_mode_leaves_the_others(self, case2):
+        """An entry of 1e308 in one mode's M overflows that mode's condition
+        matrices and gain-slope forms: its margins are NaN and infeasible and
+        its overflowed slopes inf, with no warning and no eigenvalue failure,
+        while the other modes of its stacked group keep their bits."""
+        cert, joint = case2.certificate, case2.joint
+        entries = list(cert.entries)
+        M = entries[3].M.copy()
+        M[0, 0] = 1e308
+        entries[3] = dataclasses.replace(entries[3], M=M)
+        huge = dataclasses.replace(cert, entries=tuple(entries))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            reports, slopes = verify_all(huge, joint), gain_slopes_all(huge, joint)
+        assert np.isnan(reports[3].margins).all() and not reports[3].feasible
+        assert np.isinf(slopes[3]).any()
+        others = [0, 1, 2, 4]
+        want = verify_all(cert, joint)
+        assert [reports[k] for k in others] == [want[k] for k in others]
+        np.testing.assert_array_equal(_bits(slopes[others]),
+                                      _bits(gain_slopes_all(cert, joint)[others]))
 
     def test_ragged_modes_group_by_block_shape(self):
         cert, joint = _ragged_joint()

@@ -1,6 +1,5 @@
 """CLI contract: exit codes, artifacts, determinism, report consistency."""
 
-import dataclasses
 import functools
 import json
 import sys
@@ -177,6 +176,16 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "certified = True" in out
 
+    def test_directory_does_not_hide_a_builtin(self, tmp_path, monkeypatch, capsys):
+        """After ``run case1 --out case1``, ``check case1`` in that directory
+        still reads the builtin case1."""
+        assert main(["check", "case1"]) == 0
+        want = capsys.readouterr().out
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "case1").mkdir()
+        assert main(["check", "case1"]) == 0
+        assert capsys.readouterr() == (want, "")
+
     def test_inconsistent_relation_exits_one(self, tmp_path, capsys):
         doc = json.loads(builtin_model_path("case1").read_text())
         doc["relation"]["P"][0][0][0] = 2.0
@@ -266,6 +275,39 @@ class TestCheck:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["check", str(p)]) == code
         assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+
+    @pytest.mark.parametrize("base, path, modes", [
+        ("case1", ("M", 0, 6, 6), [1]),
+        ("case2", ("M", 0, 0, 0), [1]),
+        ("case2", ("M", 0, 3, 3), [1]),
+        ("case2", ("M", 3, 0, 0), [4]),
+        ("case2", ("lambda",), [1, 2, 3, 4, 5]),
+    ], ids=["decay-sum", "decay-sum-case2", "decay-product", "decay-weight-and-slope",
+            "symmetrization"])
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_extreme_certificate_number_is_uncertified_without_warning(
+            self, base, path, modes, action, tmp_path, capsys):
+        """One number of a supplied certificate set to 1e308 overflows one
+        site of the condition matrices (and, for a block the gain slopes
+        read, the slope): the overflowing modes get NaN margins, and the
+        check prints ``certified = False`` and exits 1 with no error line.
+        With RuntimeWarnings as errors nothing warns; with them ignored, no
+        eigenvalue call fails on the overflowed matrices."""
+        doc = json.loads(builtin_model_path(base).read_text())
+        cert = json.loads(_saved_certificate(base))
+        _edit(cert, path, 1e308)
+        doc["certificate"].update(cert)
+        p = tmp_path / "extreme.model"
+        p.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            assert main(["check", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert err == "" and "certified = False" in out
+        nan_modes = [int(line.split()[1][:-1]) for line in out.splitlines()
+                     if line.startswith("  mode ") and "nan" in line]
+        assert nan_modes == modes
+        assert "margins = (nan, nan, nan)" in out
 
     @pytest.mark.parametrize("base, path, value, line", [
         ("case2", ("abstraction", "modes", 1, "F"), "x",
@@ -580,20 +622,22 @@ class TestRun:
         assert (a / "plot").is_dir() and not (b / "plot").exists()
         assert build_parser() is build_parser()
 
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "case1", "--param", "step", "--values", "0.001,0.002,0.004"],
-        ["sweep", "case1", "--param", "kappa", "--values", "4,8,12"],
-        ["run", "case1", "--t-end", "1"],
-    ], ids=["sweep-step", "sweep-kappa", "run-t-end"])
-    def test_variants_reuse_the_certificate_check(self, argv, tmp_path, capsys, monkeypatch):
-        """A scenario variant that keeps the certificate and joint objects
-        reuses the check made when the scenario was built: synthesis and
-        that build verify once each, and the gain slopes are computed once."""
+    @pytest.mark.parametrize("argv, scenarios", [
+        (["sweep", "case1", "--param", "step", "--values", "0.001,0.002,0.004"], 4),
+        (["sweep", "case1", "--param", "kappa", "--values", "4,8,12"], 4),
+        (["run", "case1", "--t-end", "1"], 2),
+        (["run", "case1"], 1),
+    ], ids=["sweep-step", "sweep-kappa", "run-t-end", "run"])
+    def test_each_scenario_checks_its_certificate_once(self, argv, scenarios, tmp_path,
+                                                       capsys, monkeypatch):
+        """Synthesis verifies once, and each scenario built (the model's and
+        one per variant) verifies its certificate and computes its gain
+        slopes once."""
         if argv[0] == "run":
             argv = argv + ["--out", str(tmp_path / "out")]
         calls = _count_calls(monkeypatch, "verify_all", "gain_slopes_all")
         assert main(argv) == 0
-        assert calls == {"verify_all": 2, "gain_slopes_all": 1}
+        assert calls == {"verify_all": 1 + scenarios, "gain_slopes_all": scenarios}
 
     def test_seed_recorded(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -620,18 +664,14 @@ class TestSweep:
         assert float(line.split()[1]) == pytest.approx(report["max_err"], rel=1e-5)
 
     def test_kappa_variant_check_equals_a_fresh_one(self):
-        """A kappa value's scenario keeps the check made for the shipped
-        certificate, now naming the new one; its margins and gain slopes
-        equal those of checking the new certificate afresh."""
+        """A kappa value's scenario checks its new certificate when it is
+        built; since kappa enters neither, its margins and gain slopes equal
+        those of the shipped scenario."""
         pipe = build_pipeline(load_model(builtin_model_path("case1")))
         variant = _sweep_scenario(pipe, "kappa", 4.0)
         assert variant.certificate.kappa == 4.0
-        assert variant.check.certificate is variant.certificate
-        assert variant.check.reports is pipe.scenario.reports
-        fresh = dataclasses.replace(variant, check=None)
-        assert fresh.check.reports is not variant.reports
-        assert fresh.reports == variant.reports
-        np.testing.assert_array_equal(fresh.slopes, variant.slopes)
+        assert variant.reports == pipe.scenario.reports
+        np.testing.assert_array_equal(variant.slopes, pipe.scenario.slopes)
 
     @pytest.mark.parametrize("kappa", ["1e-310", "1e308"], ids=["V-overflows",
                                                               "delta-overflows"])

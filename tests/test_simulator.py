@@ -1,6 +1,7 @@
 """Integration, mode switching, bound bookkeeping, verdict, trajectory export."""
 
 import dataclasses
+import math
 import os
 import signal
 import threading
@@ -791,17 +792,29 @@ class TestBatchedBisection:
     def test_bracket_matches_scalar_bisection(self, fans, cap, monkeypatch):
         """From the step start before each crossing, the batched bracket is
         the scalar one for widths needing 24, 22 and 3 levels, and with a
-        level cap below the first two."""
+        level cap below the first two, whatever the guess: the chord guess,
+        NaN, the bracket's ends, its exact midpoint (the walk's first
+        midpoint equals the guess) or a random point in it."""
         monkeypatch.setattr(simulator, "BISECTION_CAP", cap)
+        rng = np.random.default_rng(0)
+        guesses = [simulator._exit_guess,
+                   lambda lo, hi, *_: math.nan,
+                   lambda lo, hi, *_: lo,
+                   lambda lo, hi, *_: hi,
+                   lambda lo, hi, *_: 0.5 * (lo + hi),
+                   lambda lo, hi, *_: rng.uniform(lo, hi)]
         scen = fans[0]
         traj = run_scenario(scen)
         runner = _Runner(scen)
         for basis, t, i in _crossing_starts(scen, traj, runner):
             for width in (scen.h, 0.37 * scen.h, 5e-10):
-                got = runner.bisect(basis, t, width, i, end_margins(runner, basis, t, width, i))
-                assert got == scalar_bisect(runner, basis, t, width, i)
-                assert got[1] - got[0] == 0.5 ** min(
+                want = scalar_bisect(runner, basis, t, width, i)
+                assert want[1] - want[0] == 0.5 ** min(
                     cap, max(0, int(np.ceil(np.log2(width / CROSSING_BRACKET)))))
+                end = end_margins(runner, basis, t, width, i)
+                for guess in guesses:
+                    monkeypatch.setattr(simulator, "_exit_guess", guess)
+                    assert runner.bisect(basis, t, width, i, end) == want
 
     @pytest.mark.parametrize("wrong", ["zero", "one", "nan", "next-cell"])
     def test_wrong_guesses_keep_the_bracket(self, fans, wrong, monkeypatch):
