@@ -108,18 +108,17 @@ class ModelConfig:
 @dataclass
 class Pipeline:
     """Everything derived from a model file, ready to check or run: the
-    config and the scenario.  The relation, interface, joint system,
-    certificate and pairing (None for a linear abstraction) are read-only
-    views of the scenario's."""
+    config and the scenario.  The joint system and certificate are
+    read-only views of the scenario's; the relation and pairing (None for a
+    linear abstraction) of its joint system's."""
 
     config: ModelConfig
     scenario: Scenario
 
-    relation = property(attrgetter("scenario.relation"))
-    interface = property(attrgetter("scenario.interface"))
     joint = property(attrgetter("scenario.joint"))
     certificate = property(attrgetter("scenario.certificate"))
-    pairing = property(attrgetter("scenario.relation.pairing"))
+    relation = property(attrgetter("scenario.joint.relation"))
+    pairing = property(attrgetter("scenario.joint.relation.pairing"))
 
 
 #: How a model-file entry of rank 0, 1 or 2 that does not parse as numbers,
@@ -399,12 +398,9 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
             m_scalar=config.m_scalar,
         )
 
-    scenario = Scenario(
-        config.system, config.abstraction, relation, interface, certificate,
-        config.schedule, config.disturbance,
-        x1_0=config.x1_0, x2_0=config.x2_0, t_end=config.t_end, h=config.step,
-        joint=joint,
-    )
+    scenario = Scenario(joint, certificate, config.schedule, config.disturbance,
+                        x1_0=config.x1_0, x2_0=config.x2_0, t_end=config.t_end,
+                        h=config.step)
     if all(r.feasible for r in scenario.reports) and not np.all(np.isfinite(scenario.slopes)):
         key = "certificate.lambda" if config.cert_M is not None else "certificate.lambda_grid"
         raise ModelError(f"{key}: {certificate.lam!r} makes a gain slope overflow")

@@ -11,7 +11,7 @@ block joint system over ``omega = (xtilde, x2)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -242,26 +242,21 @@ class Interface:
     matrix per mode (:func:`build_interface` stacks them by mode).
 
     ``K[i]`` stabilizes ``A_i + B_i K[i]``; ``R[i]`` is the feedthrough for
-    mode i (paired abstraction mode for PWA abstractions); ``Q[i]`` and
-    ``L[i]`` are the relation map and input transformation it closes over.
+    mode i (paired abstraction mode for PWA abstractions); ``QRL[i]`` is the
+    abstraction-state gain ``Q_i + R_i L_j``, of its relation map and the
+    paired input transformation.
     """
 
     K: Sequence[np.ndarray]
     R: Sequence[np.ndarray]
-    Q: Sequence[np.ndarray]
-    L: Sequence[np.ndarray]
-
-    def stacked_gains(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every mode's ``R``, ``Q + R L`` and ``K``, stacked by mode."""
-        R = np.asarray(self.R)
-        return R, np.asarray(self.Q) + R @ np.asarray(self.L), np.asarray(self.K)
+    QRL: Sequence[np.ndarray]
 
     def u1(self, i, xtilde, x2, u2bar) -> np.ndarray:
-        """Concrete input ``u1 = R u2bar + (Q + R L) x2 + K xtilde`` of mode
-        ``i``, or of each row's mode when ``i`` is an array: one row per row
-        of the row-stacked arguments, or one input from vectors."""
-        terms = zip(self.stacked_gains(), (u2bar, x2, xtilde))
-        return sum(np.einsum("...ij,...j->...i", G[i], x) for G, x in terms)
+        """Concrete input ``u1 = R u2bar + QRL x2 + K xtilde`` of mode ``i``,
+        or of each row's mode when ``i`` is an array: one row per row of the
+        row-stacked arguments, or one input from vectors."""
+        terms = ((self.R, u2bar), (self.QRL, x2), (self.K, xtilde))
+        return sum(np.einsum("...ij,...j->...i", np.asarray(G)[i], x) for G, x in terms)
 
 
 def _shaped(X, name: str, shape: tuple) -> np.ndarray:
@@ -297,12 +292,11 @@ def build_interface(
     paired = paired_modes(abstraction, relation.pairing, system.n_modes)
     A, B = stack_blocks(system.modes, "AB")
     G, L = stack_blocks([pm.mode for pm in paired], "GL")
-    with np.errstate(over="ignore", invalid="ignore"):  # not finite: refused as such
-        closed = A + B @ K
-    assert_hurwitz(closed, "closed loop of mode {}")
-    if R is None:
-        R = default_R(B, np.asarray(relation.P), G)
-    return Interface(K, R, np.asarray(relation.Q), L)
+    # a gain or closed loop that is not finite is refused as such, here or by the joint
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_hurwitz(A + B @ K, "closed loop of mode {}")
+        R = default_R(B, np.asarray(relation.P), G) if R is None else R
+        return Interface(K, R, np.asarray(relation.Q) + R @ L)
 
 
 @dataclass(frozen=True)
@@ -332,11 +326,18 @@ class JointMode:
 
 @dataclass(frozen=True)
 class JointSystem:
-    """Per-mode (or per-pair) closed-loop joint blocks and joint partition."""
+    """Per-mode (or per-pair) closed-loop joint blocks and joint partition,
+    and the plant, abstraction, relation and interface :func:`assemble_joint`
+    built them from (None for a joint built from blocks alone)."""
 
     modes: tuple[JointMode, ...]
     n: int
     m: int
+    system: Optional[PwaSystem] = field(default=None, repr=False, compare=False)
+    abstraction: Optional[Union[LinearAbstraction, PwaAbstraction]] = field(
+        default=None, repr=False, compare=False)
+    relation: Optional[RelationMaps] = field(default=None, repr=False, compare=False)
+    interface: Optional[Interface] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.modes)
@@ -356,12 +357,13 @@ def assemble_joint(
     lowest failing pair is named, its residual checked before injectivity.
     Joint cells lift the concrete cell, with the paired region's rows
     stacked under it for a PWA abstraction.  Every block is built for all
-    modes at once; the entries hold slices of the stacks.
+    modes at once; the entries hold slices of the stacks.  The joint records
+    the four parts it was assembled from.
     """
     paired = paired_modes(abstraction, relation.pairing, system.n_modes)
     labels = [(i,) if pm.j is None else (i, pm.j) for i, pm in enumerate(paired)]
     A, B, C = stack_blocks(system.modes, "ABC")
-    F, G, H, L_abs = stack_blocks([pm.mode for pm in paired], "FGHL")
+    F, G, H, L = stack_blocks([pm.mode for pm in paired], "FGHL")
     P, Q = np.asarray(relation.P), np.asarray(relation.Q)
     residual = relation_residual(A, B, C, F, H, P, Q)
     tol = relation_tolerance(A, H)
@@ -378,13 +380,12 @@ def assemble_joint(
                                        f"value below {INJECTIVITY_TOL:.0e})")
 
     n, m, d = system.n, abstraction.m, system.n + abstraction.m
-    K, R, L = (np.asarray(X) for X in (interface.K, interface.R, interface.L))
-    feed = B @ R - P @ G
+    feed = B @ interface.R - P @ G
     # homogeneous forms, zero in the last row (and for A and C the last
     # column); the plain forms are their leading blocks
     Abar = np.zeros((len(A), d + 1, d + 1))
-    Abar[:, :n, :n] = A + B @ K
-    Abar[:, n:d, n:d] = F + G @ L_abs
+    Abar[:, :n, :n] = A + B @ interface.K
+    Abar[:, n:d, n:d] = F + G @ L
     B1bar = np.zeros((len(A), d + 1, m))
     B1bar[:, :n] = feed @ L
     B2bar = np.zeros((len(A), d + 1, G.shape[-1]))
@@ -401,4 +402,5 @@ def assemble_joint(
                   bounding=bound, Abar=Abar[i], B1bar=B1bar[i], B2bar=B2bar[i], Cbar=Cbar[i])
         for i, bound in enumerate(bounds)
     )
-    return JointSystem(modes, n=n, m=m)
+    return JointSystem(modes, n=n, m=m, system=system, abstraction=abstraction,
+                       relation=relation, interface=interface)

@@ -33,7 +33,7 @@ from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -51,12 +51,9 @@ from .errors import (
 )
 from .linalg import as_positive, as_vector
 from .polytope import MEMBERSHIP_SLACK, locate_mode
-from .relation import Interface, JointSystem, RelationMaps, assemble_joint
+from .relation import JointSystem
 from .systems import (
     DisturbanceSignal,
-    LinearAbstraction,
-    PwaAbstraction,
-    PwaSystem,
     check_disturbance_bound,
     paired_modes,
     stack_blocks,
@@ -148,16 +145,15 @@ class CrossingEvent:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything one closed-loop experiment needs.  Building it assembles
-    the joint system (unless given) and checks the certificate on every joint
-    mode: ``reports`` holds the condition margins and ``slopes`` the gain
-    slopes ``(gamma1, gamma2, gamma3, sqrt_m)`` per mode, an overflowed one
-    as inf.  A variant made by ``dataclasses.replace`` checks again."""
+    """One closed-loop experiment: the loop as its joint system (which holds
+    the parts it was assembled from), a certificate, and the experiment.
+    Building it checks the certificate on every joint mode: ``reports``
+    holds the condition margins and ``slopes`` the gain slopes ``(gamma1,
+    gamma2, gamma3, sqrt_m)`` per mode, an overflowed one as inf.  A variant
+    made by ``dataclasses.replace`` checks again; the loop changes only with
+    a new joint from ``assemble_joint``."""
 
-    system: PwaSystem
-    abstraction: Union[LinearAbstraction, PwaAbstraction]
-    relation: RelationMaps
-    interface: Interface
+    joint: JointSystem
     certificate: Certificate
     schedule: ReferenceSchedule
     disturbance: DisturbanceSignal
@@ -165,11 +161,12 @@ class Scenario:
     x2_0: np.ndarray
     t_end: float
     h: float
-    joint: Optional[JointSystem] = None
     reports: tuple[LmiReport, ...] = field(init=False, repr=False, compare=False)
     slopes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.joint.interface is None:  # built from blocks alone
+            raise PwaHierError("the joint system records no loop; build it with assemble_joint")
         object.__setattr__(self, "x1_0", as_vector(self.x1_0, "x1_0"))
         object.__setattr__(self, "x2_0", as_vector(self.x2_0, "x2_0"))
         as_positive(self.t_end, "t_end", EmptyTrajectoryError)
@@ -181,22 +178,18 @@ class Scenario:
             raise EmptyTrajectoryError(
                 f"horizon {self.t_end:g} holds no step of width {self.h:g}"
             )
-        if self.x1_0.shape[0] != self.system.n:
+        if self.x1_0.shape[0] != self.joint.n:
             raise DimensionMismatchError("x1_0 does not match the state dimension")
-        if self.x2_0.shape[0] != self.abstraction.m:
+        if self.x2_0.shape[0] != self.joint.m:
             raise DimensionMismatchError("x2_0 does not match the abstraction dimension")
-        if self.schedule.values.shape[1] != self.abstraction.q:
+        if self.schedule.values.shape[1] != self.joint.abstraction.q:
             raise DimensionMismatchError(
                 f"u2bar waypoints have {self.schedule.values.shape[1]} values, the "
-                f"abstraction input has dimension {self.abstraction.q}"
+                f"abstraction input has dimension {self.joint.abstraction.q}"
             )
-        if self.disturbance.dim != self.system.n:
+        if self.disturbance.dim != self.joint.n:
             raise DimensionMismatchError("disturbance does not match the state dimension")
-        check_disturbance_bound(self.system, self.disturbance)
-        if self.joint is None:
-            object.__setattr__(self, "joint", assemble_joint(
-                self.system, self.abstraction, self.relation, self.interface,
-            ))
+        check_disturbance_bound(self.joint.system, self.disturbance)
         if len(self.certificate.entries) != len(self.joint):
             raise DimensionMismatchError(f"certificate has {len(self.certificate.entries)} "
                                          f"entries, the joint system {len(self.joint)} modes")
@@ -310,26 +303,25 @@ class _Runner:
     """Single-run integration state; not part of the public surface."""
 
     def __init__(self, s: Scenario):
-        self.h = s.h
-        self.n = s.system.n
-        self.m = s.joint.m
-        self.part = s.system.partition
-        self.paired = paired_modes(s.abstraction, s.relation.pairing, s.system.n_modes)
+        joint = s.joint
+        self.h, self.n, self.m = s.h, joint.n, joint.m
+        self.part = joint.system.partition
+        paired = paired_modes(joint.abstraction, joint.relation.pairing, len(joint))
         # abstraction-mode index per concrete mode; 0 for a linear abstraction
-        self.js = [0 if pm.j is None else pm.j for pm in self.paired]
+        self.js = [0 if pm.j is None else pm.j for pm in paired]
         self.dist = s.disturbance
         n, d = self.n, self.n + self.m
         mask_ext = np.concatenate([self.dist.mask, np.zeros(self.m)])
         # the rows (E, f) of each concrete mode's cell and paired region in
         # x1 space: the first n columns of its joint cell's rows
         self.rows = [(np.ascontiguousarray(jm.cell.E[:, :n]), jm.cell.f)
-                     for jm in s.joint.modes]
+                     for jm in joint.modes]
         # stacked closed-loop dynamics per concrete mode, z = (x1, x2)
-        A, B, self.C = stack_blocks(s.system.modes, "ABC")
-        F, G, L, self.H = stack_blocks([pm.mode for pm in self.paired], "FGLH")
-        R, feed, K = s.interface.stacked_gains()
-        self.P = P = np.array(s.relation.P)
-        self.Z = np.block([[A + B @ K, B @ (feed - K @ P)],
+        A, B, self.C = stack_blocks(joint.system.modes, "ABC")
+        F, G, L, self.H = stack_blocks([pm.mode for pm in paired], "FGLH")
+        K, R, QRL = joint.interface.K, joint.interface.R, joint.interface.QRL
+        self.P = P = np.array(joint.relation.P)
+        self.Z = np.block([[A + B @ K, B @ (QRL - K @ P)],
                            [np.zeros((len(A), self.m, n)), F + G @ L]])
         self.BU = np.concatenate([B @ R, G], axis=1)
         # every mode's powers Z^0 .. Z^4 and step map, in one stacked pass
@@ -362,10 +354,9 @@ class _Runner:
         return E @ x1 - f
 
     def label(self, x1: np.ndarray, i: int) -> tuple[int, int]:
-        """``(i, js[i])``, once ``x1`` is checked to lie in the region of
-        the abstraction mode that concrete mode ``i`` is certified against."""
-        region = self.paired[i].region
-        if region is not None and not region.contains(x1):
+        """``(i, js[i])``, once ``x1`` is checked to lie in mode ``i``'s rows,
+        the region it is certified against stacked under its cell."""
+        if self._margins(x1, i).min() < -MEMBERSHIP_SLACK:
             raise UncertifiedModeError(
                 f"state left region {self.js[i]}, against which mode {i} is certified"
             )
@@ -538,7 +529,8 @@ def run_scenario(s: Scenario) -> Trajectory:
     certificate columns are evaluated afterwards in one vectorized pass.  A
     certificate that fails any mode, visited or not, raises
     UncertifiedModeError (lowest mode) first, and one with a gain slope that
-    overflowed InfeasibleCertificateError.
+    overflowed InfeasibleCertificateError; a horizon too long for memory,
+    EmptyTrajectoryError before integrating.
     """
     bad = [jm.label for jm, r in zip(s.joint.modes, s.reports) if not r.feasible]
     if bad:
@@ -551,7 +543,14 @@ def run_scenario(s: Scenario) -> Trajectory:
     runner = _Runner(s)
     n = runner.n
     steps = s.steps
+    # 8-byte columns of t, its arange, u2bar, the three stages, zs and mode_i
+    needed = 8 * (steps + 1) * (6 + s.schedule.values.shape[1] + n + runner.m)
     try:
+        # beyond physical memory, writing them gets the process killed, not a
+        # MemoryError; no check where sysconf lacks either name
+        with suppress(AttributeError, ValueError, OSError):
+            if needed > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") > 0:
+                raise MemoryError
         t = np.arange(steps + 1) * s.h
         u2bar = s.schedule.value(t)
         stages = runner.stages(t[:-1], s.h)
@@ -563,7 +562,7 @@ def run_scenario(s: Scenario) -> Trajectory:
             f"than can be allocated"
         ) from exc
 
-    i = locate_mode(s.system.partition, s.x1_0)
+    i = locate_mode(runner.part, s.x1_0)
     runner.label(s.x1_0, i)  # raises unless x1_0 lies in the paired region
     zs[0] = np.concatenate([s.x1_0, s.x2_0])
     mode_i[0] = i
@@ -600,12 +599,12 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i, mode_j,
     P, C, H = runner.P, runner.C, runner.H
     kinds = np.array([jm.kind for jm in joint.modes])
     xtilde, u1, y1, y2, V = (np.empty((len(t), *cols)) for cols in (
-        (runner.n,), (s.system.p,), (s.system.k,), (s.system.k,), ()))
+        (runner.n,), (joint.system.p,), (joint.system.k,), (joint.system.k,), ()))
     for start in range(0, len(t), _GATHER_ROWS):
         rows = slice(start, start + _GATHER_ROWS)
         i = mode_i[rows]
         xtilde[rows] = x1[rows] - np.einsum("rij,rj->ri", P[i], x2[rows])
-        u1[rows] = s.interface.u1(i, xtilde[rows], x2[rows], u2bar[rows])
+        u1[rows] = joint.interface.u1(i, xtilde[rows], x2[rows], u2bar[rows])
         y1[rows] = np.einsum("rij,rj->ri", C[i], x1[rows])
         y2[rows] = np.einsum("rij,rj->ri", H[i], x2[rows])
         V[rows] = sim_fn_values(cert, i, np.hstack([xtilde[rows], x2[rows]]), kinds[i])

@@ -58,9 +58,8 @@ def build_case1() -> SimpleNamespace:
     ])
     disturbance = DisturbanceSignal.sinusoid(-0.1, 0.05, 6)
     scenario = Scenario(
-        system, abstraction, relation, interface, certificate, schedule,
-        disturbance, x1_0=[-3.9, 0.2, 0, 0, 0, 0], x2_0=[-4.0, 0.2],
-        t_end=12.0, h=1e-3, joint=joint,
+        joint, certificate, schedule, disturbance, x1_0=[-3.9, 0.2, 0, 0, 0, 0],
+        x2_0=[-4.0, 0.2], t_end=12.0, h=1e-3,
     )
     return SimpleNamespace(
         system=system, abstraction=abstraction, relation=relation,
@@ -123,9 +122,8 @@ def build_case2() -> SimpleNamespace:
     ])
     disturbance = DisturbanceSignal.sinusoid(-0.1, 0.05, 4)
     scenario = Scenario(
-        system, abstraction, relation, interface, certificate, schedule,
-        disturbance, x1_0=[-2.4, 0.0, 0.0, 0.0], x2_0=[-2.5, 0.0],
-        t_end=12.0, h=1e-3, joint=joint,
+        joint, certificate, schedule, disturbance, x1_0=[-2.4, 0.0, 0.0, 0.0],
+        x2_0=[-2.5, 0.0], t_end=12.0, h=1e-3,
     )
     return SimpleNamespace(
         system=system, abstraction=abstraction, relation=relation,

@@ -138,10 +138,8 @@ def fan_scenario(cones: int = 32, seed: int = 0, t_end: float = 0.5,
     start = radius * np.array([math.cos(phase), math.sin(phase)])
     velocity = radius * omega * np.array([-math.sin(phase), math.cos(phase)])
     return Scenario(
-        system, abstraction, relation, interface, certificate, schedule,
-        DisturbanceSignal.sinusoid(-0.1, 0.05, 4),
-        x1_0=np.concatenate([start, velocity]), x2_0=start,
-        t_end=t_end, h=h, joint=joint,
+        joint, certificate, schedule, DisturbanceSignal.sinusoid(-0.1, 0.05, 4),
+        x1_0=np.concatenate([start, velocity]), x2_0=start, t_end=t_end, h=h,
     )
 
 

@@ -135,7 +135,7 @@ class TestStackedLocate:
         raises NoCellError exactly where the loop finds no cell."""
         part = {"case1": lambda: case1.system.partition,
                 "case2": lambda: case2.system.partition,
-                "fan": lambda: fan_scenario(32, seed=3, t_end=0.05).system.partition}[which]()
+                "fan": lambda: fan_scenario(32, seed=3, t_end=0.05).joint.system.partition}[which]()
         rng = np.random.default_rng(7)
         points = [rng.normal(scale=2.0, size=part.dim) for _ in range(150)]
         points += _facet_points(part, rng, 150)

@@ -249,7 +249,7 @@ class TestDefaultR:
 
 
 def _one_mode_interface(R, Q, L, K) -> Interface:
-    return Interface((K,), (R,), (Q,), (L,))
+    return Interface((K,), (R,), (Q + R @ L,))
 
 
 class TestInterface:
@@ -262,17 +262,20 @@ class TestInterface:
     def test_case1_error_feedback_column(self, case1):
         e1 = np.zeros(6)
         e1[0] = 1.0
-        # the interface closes over mode 1's relation map and the abstraction's L
-        np.testing.assert_array_equal(case1.interface.Q[0], case1.relation.Q[0])
-        np.testing.assert_array_equal(case1.interface.L[0], case1.abstraction.L)
+        # the x2 gain of every mode is its relation map Q plus R times the abstraction's L
+        for i, (Q, R) in enumerate(zip(case1.relation.Q, case1.interface.R)):
+            np.testing.assert_array_equal(case1.interface.QRL[i], Q + R @ case1.abstraction.L)
         u = case1.interface.u1(0, e1, np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(u, [-52.0, 0.0])
 
     def test_case2_error_feedback_column(self, case2):
         e1 = np.zeros(4)
         e1[0] = 1.0
-        np.testing.assert_array_equal(case2.interface.Q[0], case2.relation.Q[0])
-        np.testing.assert_array_equal(case2.interface.L[0], case2.abstraction.modes[0].L)
+        # ... with L the paired abstraction mode's
+        for i, (Q, R, j) in enumerate(zip(case2.relation.Q, case2.interface.R,
+                                          case2.relation.pairing, strict=True)):
+            np.testing.assert_array_equal(case2.interface.QRL[i],
+                                          Q + R @ case2.abstraction.modes[j].L)
         u = case2.interface.u1(0, e1, np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(u, [-50.0, 0.0])
 
@@ -304,7 +307,7 @@ class TestInterface:
         iface = (case1 if which == "case1" else case2).interface
         rng = np.random.default_rng(41)
         n, q = iface.K[0].shape[1], iface.R[0].shape[1]
-        xt, x2, u2 = (rng.normal(size=(64, d)) for d in (n, iface.L[0].shape[1], q))
+        xt, x2, u2 = (rng.normal(size=(64, d)) for d in (n, iface.QRL[0].shape[1], q))
         for i in range(len(iface.K)):
             many = iface.u1(i, xt, x2, u2)
             assert many.shape == (64, iface.K[i].shape[0])
@@ -611,8 +614,9 @@ class TestStackedEqualsOneModeViews:
     @pytest.mark.parametrize("cones, seed", [(8, 0), (48, 1)])
     def test_fan(self, cones, seed):
         scen = fan_scenario(cones, seed=seed)
-        self._assert_one_mode_views(scen.system, scen.abstraction, scen.relation,
-                                    scen.interface, scen.joint, scen.certificate)
+        joint = scen.joint
+        self._assert_one_mode_views(joint.system, joint.abstraction, joint.relation,
+                                    joint.interface, joint, scen.certificate)
 
     @pytest.mark.parametrize("modes, n, m, k", [(3, 4, 2, 2), (5, 6, 3, 1)])
     def test_planted_pwa(self, modes, n, m, k):

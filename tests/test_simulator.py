@@ -27,7 +27,7 @@ from pwa_hier import (
     synthesize_certificate,
     verdict,
 )
-from pwa_hier.certificate import ModeCertificate, sim_fn_derivative
+from pwa_hier.certificate import ModeCertificate, sim_fn_derivative, verify_all
 from pwa_hier.errors import (
     DimensionMismatchError,
     EmptyScheduleError,
@@ -37,11 +37,12 @@ from pwa_hier.errors import (
     NonFiniteInputError,
     NonFiniteStateError,
     NonMonotoneTimesError,
+    PwaHierError,
     UncertifiedModeError,
 )
 from pwa_hier import simulator
 from pwa_hier.polytope import MEMBERSHIP_SLACK, locate_mode
-from pwa_hier.relation import assemble_joint, solve_system_relation
+from pwa_hier.relation import Interface, JointSystem, assemble_joint, solve_system_relation
 from pwa_hier.simulator import (_BLOCK, _BLOCK_MAX, _WRITE_BLOCK, CHAIN_TOL,
                                  CROSSING_BRACKET, _Runner, rk4_weights, write_tables)
 from pwa_hier.systems import paired_modes, transformed_abstraction_matrix
@@ -77,10 +78,9 @@ class TestStepRk4:
         sched = reference_schedule([(0.0, [-3.0, 0.5])])
 
         def terminal(h):
-            s = Scenario(scen.system, scen.abstraction, scen.relation,
-                         scen.interface, scen.certificate, sched,
+            s = Scenario(scen.joint, scen.certificate, sched,
                          scen.disturbance, x1_0=scen.x1_0, x2_0=scen.x2_0,
-                         t_end=1.0, h=h, joint=scen.joint)
+                         t_end=1.0, h=h)
             traj = run_scenario(s)
             assert len(np.unique(traj.mode_i)) == 1
             return np.concatenate([traj.x1[-1], traj.x2[-1]])
@@ -152,8 +152,7 @@ def _matched_single_mode_scenario(case1, x1_offset=0.0, disturbance=None):
     x2_0 = np.array([0.5, 0.25])
     x1_0 = rel.P[0] @ x2_0
     x1_0[0] += x1_offset
-    return Scenario(system, absn, rel, iface, cert, sched, dist,
-                    x1_0=x1_0, x2_0=x2_0, t_end=10.0, h=1e-3, joint=joint)
+    return Scenario(joint, cert, sched, dist, x1_0=x1_0, x2_0=x2_0, t_end=10.0, h=1e-3)
 
 
 class TestRunScenario:
@@ -210,20 +209,18 @@ class TestRunScenario:
     def test_off_road_terminates(self, case1):
         scen = case1.scenario
         sched = reference_schedule([(0.0, [0.0, -6.0])])  # into the gap cone
-        bad = Scenario(scen.system, scen.abstraction, scen.relation,
-                       scen.interface, scen.certificate, sched,
+        bad = Scenario(scen.joint, scen.certificate, sched,
                        scen.disturbance, x1_0=scen.x1_0, x2_0=scen.x2_0,
-                       t_end=12.0, h=1e-3, joint=scen.joint)
+                       t_end=12.0, h=1e-3)
         with pytest.raises(NoCellError):
             run_scenario(bad)
 
     def test_zero_horizon_rejected(self, case1):
         scen = case1.scenario
         with pytest.raises(EmptyTrajectoryError):
-            Scenario(scen.system, scen.abstraction, scen.relation,
-                     scen.interface, scen.certificate, scen.schedule,
+            Scenario(scen.joint, scen.certificate, scen.schedule,
                      scen.disturbance, x1_0=scen.x1_0, x2_0=scen.x2_0,
-                     t_end=0.0, h=1e-3, joint=scen.joint)
+                     t_end=0.0, h=1e-3)
 
     @pytest.mark.parametrize("field", ["x1_0", "x2_0"])
     def test_non_finite_initial_state_rejected(self, field, case1):
@@ -244,11 +241,60 @@ class TestRunScenario:
             case2.abstraction.modes,
             tuple(reversed(case2.abstraction.concrete_cells)),
         )
-        bad = Scenario(scen.system, shuffled, scen.relation, scen.interface,
-                       scen.certificate, scen.schedule, scen.disturbance,
-                       x1_0=scen.x1_0, x2_0=scen.x2_0, t_end=1.0, h=1e-3)
+        joint = assemble_joint(case2.system, shuffled, case2.relation, case2.interface)
+        bad = dataclasses.replace(scen, joint=joint, t_end=1.0)
         with pytest.raises(UncertifiedModeError):
             run_scenario(bad)
+
+    def test_replaced_joint_is_checked_and_run(self, case1):
+        """A loop changed by assembling a new joint is the loop the scenario
+        checks its certificate on and the loop it runs: here every K
+        doubled, which the shipped certificate still certifies."""
+        K = [2.0 * np.asarray(Ki) for Ki in case1.interface.K]
+        doubled = build_interface(case1.system, case1.abstraction, case1.relation, K)
+        joint = assemble_joint(case1.system, case1.abstraction, case1.relation, doubled)
+        variant = dataclasses.replace(case1.scenario, joint=joint, t_end=1.0)
+        assert variant.reports == verify_all(case1.certificate, joint)
+        assert variant.reports != case1.scenario.reports
+        traj = run_scenario(variant)
+        args = (traj.mode_i, traj.xtilde, traj.x2, traj.u2bar)
+        u1 = doubled.u1(*args)
+        np.testing.assert_allclose(traj.u1, u1, rtol=0.0, atol=1e-12 * np.abs(u1).max())
+        assert np.abs(traj.u1 - case1.interface.u1(*args)).max() > 1.0
+
+    def test_experiment_of_another_loop_is_refused(self, case1, case2):
+        """case2's loop and certificate under case1's experiment (its 6-D
+        start) are refused when the scenario is built, not mid-run."""
+        with pytest.raises(DimensionMismatchError, match="x1_0"):
+            dataclasses.replace(case1.scenario, joint=case2.joint,
+                                certificate=case2.certificate)
+
+    def test_joint_of_blocks_alone_is_refused(self, case1):
+        """A joint built from its blocks records no loop to simulate."""
+        blocks = JointSystem(case1.joint.modes, n=case1.joint.n, m=case1.joint.m)
+        with pytest.raises(PwaHierError, match="assemble_joint"):
+            dataclasses.replace(case1.scenario, joint=blocks)
+
+    def test_horizon_beyond_physical_memory_is_refused(self, case1, monkeypatch):
+        """A run whose sample arrays exceed physical memory (1 MB here) is
+        refused before any is allocated: writing them would get the process
+        killed, where numpy raises no MemoryError."""
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        with pytest.raises(EmptyTrajectoryError, match="more than can be allocated"):
+            run_scenario(case1.scenario)
+
+    @pytest.mark.parametrize("pages", [None, -1], ids=["no-such-name", "indeterminate"])
+    def test_unknown_physical_memory_refuses_nothing(self, pages, case1, monkeypatch):
+        """Where sysconf lacks either name, or gives no page count, no horizon
+        is refused for memory."""
+        def sysconf(name):
+            if pages is None:
+                raise ValueError(f"unrecognized configuration name {name!r}")
+            return {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}[name]
+
+        monkeypatch.setattr(os, "sysconf", sysconf)
+        assert len(run_scenario(dataclasses.replace(case1.scenario, t_end=0.1))) == 101
 
     def test_mode_crossed_between_samples_is_verified(self):
         """A mode the state passes through between two samples has its
@@ -368,14 +414,13 @@ class TestRunScenario:
             for idx in np.unique(traj.mode_i):
                 rows = np.nonzero(traj.mode_i == idx)[0]
                 x1, x2 = traj.x1[rows], traj.x2[rows]
-                xt = x1 - x2 @ scen.relation.P[idx].T
+                xt = x1 - x2 @ scen.joint.relation.P[idx].T
                 np.testing.assert_array_equal(traj.xtilde[rows], xt)
-                np.testing.assert_array_equal(traj.y1[rows], x1 @ scen.system.modes[idx].C.T)
-                np.testing.assert_array_equal(traj.y2[rows],
-                                              x2 @ runner.paired[idx].mode.H.T)
-                iface = scen.interface
-                u1 = (traj.u2bar[rows] @ iface.R[idx].T
-                      + x2 @ (iface.Q[idx] + iface.R[idx] @ iface.L[idx]).T
+                np.testing.assert_array_equal(traj.y1[rows],
+                                              x1 @ scen.joint.system.modes[idx].C.T)
+                np.testing.assert_array_equal(traj.y2[rows], x2 @ runner.H[idx].T)
+                iface = scen.joint.interface
+                u1 = (traj.u2bar[rows] @ iface.R[idx].T + x2 @ iface.QRL[idx].T
                       + xt @ iface.K[idx].T)
                 np.testing.assert_allclose(traj.u1[rows], u1, rtol=0.0,
                                            atol=1e-13 * (1.0 + np.abs(u1).max()))
@@ -424,10 +469,9 @@ class TestDecreaseAndInvariance:
         scen = case1.scenario
         x1_0 = np.array(scen.x1_0, copy=True)
         x1_0[0] += 1000.0  # into the rightmost cone, huge tracking error
-        far = Scenario(scen.system, scen.abstraction, scen.relation,
-                       scen.interface, scen.certificate, scen.schedule,
+        far = Scenario(scen.joint, scen.certificate, scen.schedule,
                        scen.disturbance, x1_0=x1_0, x2_0=scen.x2_0,
-                       t_end=12.0, h=1e-3, joint=scen.joint)
+                       t_end=12.0, h=1e-3)
         traj = run_scenario(far)
         skip = _switch_adjacent(traj)
         above = 0
@@ -482,7 +526,7 @@ class TestPropagator:
         scen = (case1 if which == "case1" else case2).scenario
         runner = _Runner(scen)
         rng = np.random.default_rng(11)
-        for i in range(len(scen.system.modes)):
+        for i in range(len(scen.joint)):
             z = rng.normal(size=runner.n + runner.m)
             u2val = rng.normal(size=scen.schedule.values.shape[1])
             t = float(rng.uniform(0.0, 12.0))
@@ -521,9 +565,10 @@ class TestPropagator:
         its paired region's, bit for bit."""
         scen = case2.scenario
         runner = _Runner(scen)
-        for i, pm in enumerate(paired_modes(scen.abstraction, scen.relation.pairing,
-                                            scen.system.n_modes)):
-            cell = scen.system.partition.cells[i]
+        joint = scen.joint
+        for i, pm in enumerate(paired_modes(joint.abstraction, joint.relation.pairing,
+                                            len(joint))):
+            cell = joint.system.partition.cells[i]
             E, f = runner.rows[i]
             np.testing.assert_array_equal(E, np.vstack([cell.E, pm.region.E]))
             np.testing.assert_array_equal(f, np.concatenate([cell.f, pm.region.f]))
@@ -551,7 +596,7 @@ class TestPropagator:
         runner = _Runner(scen)
         rng = np.random.default_rng(5)
         d = runner.n + runner.m
-        for i in range(len(scen.system.modes)):
+        for i in range(len(scen.joint)):
             Phi, Gu, Ws = runner.maps(i)[3:]
             u2bar = rng.normal(size=(_BLOCK_MAX, Gu.shape[1]))
             stages = rng.normal(size=(_BLOCK_MAX, 3))
@@ -619,14 +664,15 @@ class TestPropagator:
         assert int(traj.crossings[0].t_outside / h) == k_cross
 
         runner = _Runner(short)
-        paired = paired_modes(short.abstraction, short.relation.pairing, short.system.n_modes)
+        joint = short.joint
+        paired = paired_modes(joint.abstraction, joint.relation.pairing, len(joint))
         z = np.concatenate([short.x1_0, short.x2_0])
         i, j = int(traj.mode_i[0]), int(traj.mode_j[0])
         modes, labels = [(i, j)], []
         for k in range(len(traj) - 1):
             field = _frozen_field(short, runner, i, traj.u2bar[k])
             z = step_rk4(field, z, float(traj.t[k]), h)
-            new_i = locate_mode(short.system.partition, z[: runner.n], previous=i)
+            new_i = locate_mode(joint.system.partition, z[: runner.n], previous=i)
             # the state stays in the region of the abstraction mode it is paired with
             region = paired[new_i].region
             assert region is None or region.contains(z[: runner.n])
@@ -643,10 +689,19 @@ class TestPropagator:
         """A state that overflows inside a block is reported as non-finite,
         not as having left the (single, all-space) cell."""
         scen = _matched_single_mode_scenario(case1)
-        mode = scen.system.modes[0]
+        joint = scen.joint
+        mode = joint.system.modes[0]
         hot = PwaSystem((PwaMode(mode.A + 1e5 * np.eye(6), mode.B, mode.C, mode.c_bound),),
-                        scen.system.partition)
-        bad = dataclasses.replace(scen, system=hot)
+                        joint.system.partition)
+        rel = solve_system_relation(hot, joint.abstraction)
+        # the old gains, which build_interface refuses: they no longer
+        # stabilize the plant
+        K, R = joint.interface.K, joint.interface.R
+        iface = Interface(K, R, np.asarray(rel.Q) + R @ joint.abstraction.L)
+        bad = dataclasses.replace(
+            scen, joint=assemble_joint(hot, joint.abstraction, rel, iface))
+        # no certificate holds on an unstable loop: let the run through anyway
+        object.__setattr__(bad, "reports", scen.reports)
         runner = _Runner(bad)
         z = np.concatenate([bad.x1_0, bad.x2_0])
         diverged_at = 0
@@ -869,7 +924,7 @@ class TestNonzeroFeedforward:
         fused closed-loop matrices agree with stepping the raw plant and
         abstraction through the interface formula."""
         from pwa_hier import LinearAbstraction
-        from pwa_hier.relation import assemble_joint, solve_system_relation
+        from pwa_hier.relation import Interface, JointSystem, assemble_joint, solve_system_relation
         system = PwaSystem(
             (PwaMode(np.array([[0.0, 1.0], [0.0, 0.0]]),
                      np.array([[0.0], [1.0]]),
@@ -887,9 +942,8 @@ class TestNonzeroFeedforward:
         cert = synthesize_certificate(joint, kappa=4.0)
         sched = reference_schedule([(0.0, [0.8]), (2.0, [-0.4])])
         dist = DisturbanceSignal.sinusoid(-0.05, 0.05, 2)
-        scen = Scenario(system, absn, rel, iface, cert, sched, dist,
-                        x1_0=[0.5, 0.0], x2_0=[0.3], t_end=4.0, h=1e-3,
-                        joint=joint)
+        scen = Scenario(joint, cert, sched, dist, x1_0=[0.5, 0.0], x2_0=[0.3], t_end=4.0,
+                        h=1e-3)
         traj = run_scenario(scen)
 
         mode = system.modes[0]
@@ -918,10 +972,9 @@ class TestRobustnessSweep:
         scen = case1.scenario
         for amp in (0.0, 0.0375, 0.075, 0.1125, 0.15):
             dist = case1.disturbance.scaled_to(amp)
-            s = Scenario(scen.system, scen.abstraction, scen.relation,
-                         scen.interface, scen.certificate, scen.schedule,
+            s = Scenario(scen.joint, scen.certificate, scen.schedule,
                          dist, x1_0=scen.x1_0, x2_0=scen.x2_0,
-                         t_end=12.0, h=1e-3, joint=scen.joint)
+                         t_end=12.0, h=1e-3)
             traj = run_scenario(s)
             assert np.all(traj.err <= traj.kappa * traj.V + 1e-6)
             assert np.all(traj.kappa * traj.V <= traj.delta + 1e-6)
@@ -1062,10 +1115,9 @@ def _record_spans(monkeypatch):
 class TestExport:
     def test_three_samples_four_lines(self, case1, tmp_path):
         scen = case1.scenario
-        tiny = Scenario(scen.system, scen.abstraction, scen.relation,
-                        scen.interface, scen.certificate, scen.schedule,
+        tiny = Scenario(scen.joint, scen.certificate, scen.schedule,
                         scen.disturbance, x1_0=scen.x1_0, x2_0=scen.x2_0,
-                        t_end=0.002, h=1e-3, joint=scen.joint)
+                        t_end=0.002, h=1e-3)
         traj = run_scenario(tiny)
         assert len(traj) == 3
         assert export_run(traj, tmp_path) == [tmp_path / "trajectory.csv",
@@ -1074,10 +1126,9 @@ class TestExport:
 
     def test_round_trip_exact(self, case1, tmp_path):
         scen = case1.scenario
-        short = Scenario(scen.system, scen.abstraction, scen.relation,
-                         scen.interface, scen.certificate, scen.schedule,
+        short = Scenario(scen.joint, scen.certificate, scen.schedule,
                          scen.disturbance, x1_0=scen.x1_0, x2_0=scen.x2_0,
-                         t_end=0.05, h=1e-3, joint=scen.joint)
+                         t_end=0.05, h=1e-3)
         traj = run_scenario(short)
         path = tmp_path / "trajectory.csv"
         export_run(traj, tmp_path)
@@ -1105,10 +1156,9 @@ class TestExport:
 
     def test_determinism(self, case1, tmp_path):
         scen = case1.scenario
-        short = Scenario(scen.system, scen.abstraction, scen.relation,
-                         scen.interface, scen.certificate, scen.schedule,
+        short = Scenario(scen.joint, scen.certificate, scen.schedule,
                          scen.disturbance, x1_0=scen.x1_0, x2_0=scen.x2_0,
-                         t_end=1.0, h=1e-3, joint=scen.joint)
+                         t_end=1.0, h=1e-3)
         a, b = tmp_path / "a", tmp_path / "b"
         export_run(run_scenario(short), a)
         export_run(run_scenario(short), b)
