@@ -357,8 +357,9 @@ def assemble_joint(
     lowest failing pair is named, its residual checked before injectivity.
     Joint cells lift the concrete cell, with the paired region's rows
     stacked under it for a PWA abstraction.  Every block is built for all
-    modes at once; the entries hold slices of the stacks.  The joint records
-    the four parts it was assembled from.
+    modes at once; the entries hold slices of the stacks, which assume the
+    x2 gain ``Q + R L`` of :func:`build_interface`, bit for bit, and refuse
+    any other.  The joint records the four parts it was assembled from.
     """
     paired = paired_modes(abstraction, relation.pairing, system.n_modes)
     labels = [(i,) if pm.j is None else (i, pm.j) for i, pm in enumerate(paired)]
@@ -378,6 +379,10 @@ def assemble_joint(
             raise UncertifiedRelationError(f"{what}: relation residual {detail}")
         raise UncertifiedRelationError(f"{what}: state map is not injective (singular "
                                        f"value below {INJECTIVITY_TOL:.0e})")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.array_equal(interface.QRL, Q + np.asarray(interface.R) @ L, equal_nan=True):
+            raise UncertifiedRelationError("interface x2 gain is not Q + R L of the pairs")
 
     n, m, d = system.n, abstraction.m, system.n + abstraction.m
     feed = B @ interface.R - P @ G

@@ -165,7 +165,8 @@ class Scenario:
     slopes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.joint.interface is None:  # built from blocks alone
+        j = self.joint  # a joint built from blocks alone records no parts
+        if any(part is None for part in (j.system, j.abstraction, j.relation, j.interface)):
             raise PwaHierError("the joint system records no loop; build it with assemble_joint")
         object.__setattr__(self, "x1_0", as_vector(self.x1_0, "x1_0"))
         object.__setattr__(self, "x2_0", as_vector(self.x2_0, "x2_0"))
@@ -347,16 +348,11 @@ class _Runner:
 
     # -- membership ---------------------------------------------------------
 
-    def _margins(self, x1: np.ndarray, i: int) -> np.ndarray:
-        """Margins ``E x1 - f`` of mode ``i``'s rows; inside within slack
-        when none is below ``-MEMBERSHIP_SLACK``."""
-        E, f = self.rows[i]
-        return E @ x1 - f
-
     def label(self, x1: np.ndarray, i: int) -> tuple[int, int]:
         """``(i, js[i])``, once ``x1`` is checked to lie in mode ``i``'s rows,
         the region it is certified against stacked under its cell."""
-        if self._margins(x1, i).min() < -MEMBERSHIP_SLACK:
+        E, f = self.rows[i]
+        if (E @ x1 - f).min() < -MEMBERSHIP_SLACK:
             raise UncertifiedModeError(
                 f"state left region {self.js[i]}, against which mode {i} is certified"
             )
@@ -480,11 +476,12 @@ class _Runner:
             if remaining <= 1e-15:
                 return z, i
             Zk, ZkB, Zkm = self.maps(i)[:3]
+            E, f = self.rows[i]
             basis = np.concatenate([Zk @ z, ZkB @ u2val, Zkm])
             trial = self.coefficients(t, remaining) @ basis
             if not np.isfinite(trial).all():
                 raise NonFiniteStateError(f"non-finite state near t={t}")
-            end = self._margins(trial[: self.n], i)
+            end = E @ trial[: self.n] - f
             if end.min() >= -MEMBERSHIP_SLACK:
                 return trial, i
             lo, hi = self.bisect(basis, t, remaining, i, end)
@@ -493,8 +490,8 @@ class _Runner:
             committed = hi * remaining
             old = (i, self.js[i])
             x1 = z[: self.n]
-            margin_inside = float(self._margins(z_lo[: self.n], i).min())
-            margin_outside = float(self._margins(x1, i).min())
+            margin_inside = float((E @ z_lo[: self.n] - f).min())
+            margin_outside = float((E @ x1 - f).min())
             try:
                 i = locate_mode(self.part, x1, previous=i)
             except NoCellError as exc:
@@ -530,7 +527,8 @@ def run_scenario(s: Scenario) -> Trajectory:
     certificate that fails any mode, visited or not, raises
     UncertifiedModeError (lowest mode) first, and one with a gain slope that
     overflowed InfeasibleCertificateError; a horizon too long for memory,
-    EmptyTrajectoryError before integrating.
+    EmptyTrajectoryError (before integrating when the run's arrays would
+    exceed physical memory).
     """
     bad = [jm.label for jm, r in zip(s.joint.modes, s.reports) if not r.feasible]
     if bad:
@@ -541,13 +539,14 @@ def run_scenario(s: Scenario) -> Trajectory:
             f"certificate lambda {s.certificate.lam!r} makes a gain slope of mode "
             f"{s.joint.modes[int(np.argmax(over))].label} overflow")
     runner = _Runner(s)
-    n = runner.n
-    steps = s.steps
-    # 8-byte columns of t, its arange, u2bar, the three stages, zs and mode_i
-    needed = 8 * (steps + 1) * (6 + s.schedule.values.shape[1] + n + runner.m)
+    n, steps = runner.n, s.steps
+    # 8-byte columns per sample: t, its arange, u2bar, stage times, stages, zs,
+    # mode_i, and the bookkeeping's xtilde, u1, y1, y2, y1 - y2, |x2| and nine more
+    needed = 8 * (steps + 1) * (18 + s.schedule.values.shape[1] + 2 * (n + runner.m)
+                                + s.joint.system.p + 3 * s.joint.system.k)
     try:
-        # beyond physical memory, writing them gets the process killed, not a
-        # MemoryError; no check where sysconf lacks either name
+        # beyond physical memory (not a cgroup limit), writing them gets the process
+        # killed, not a MemoryError; no check where sysconf lacks either name
         with suppress(AttributeError, ValueError, OSError):
             if needed > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") > 0:
                 raise MemoryError
@@ -556,41 +555,38 @@ def run_scenario(s: Scenario) -> Trajectory:
         stages = runner.stages(t[:-1], s.h)
         zs = np.empty((steps + 1, n + runner.m))
         mode_i = np.empty(steps + 1, dtype=int)
+        i = locate_mode(runner.part, s.x1_0)
+        runner.label(s.x1_0, i)  # raises unless x1_0 lies in the paired region
+        zs[0] = np.concatenate([s.x1_0, s.x2_0])
+        mode_i[0] = i
+
+        events: list[CrossingEvent] = []
+        k, block = 0, _BLOCK
+        # a diverging state overflows quietly; advance reports it as non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            while k < steps:
+                stop = min(k + block, steps)
+                kept = runner.propagate(zs, k, stop, i, u2bar, stages)
+                mode_i[k + 1: k + 1 + kept] = i
+                k += kept
+                if k < stop:
+                    zs[k + 1], i = runner.advance(zs[k], float(t[k]), s.h, i,
+                                                  u2bar[k], events)
+                    mode_i[k + 1] = i
+                    k += 1
+                    block = _BLOCK
+                else:
+                    block = min(2 * block, _BLOCK_MAX)
+
+        return _bookkeep(s, runner, t, zs[:, :n], zs[:, n:], u2bar, mode_i, tuple(events))
     except MemoryError as exc:
         raise EmptyTrajectoryError(
             f"horizon {s.t_end:g} at step {s.h:g} needs {steps + 1} samples, more "
             f"than can be allocated"
         ) from exc
 
-    i = locate_mode(runner.part, s.x1_0)
-    runner.label(s.x1_0, i)  # raises unless x1_0 lies in the paired region
-    zs[0] = np.concatenate([s.x1_0, s.x2_0])
-    mode_i[0] = i
 
-    events: list[CrossingEvent] = []
-    k, block = 0, _BLOCK
-    # a diverging state overflows quietly; advance reports it as non-finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        while k < steps:
-            stop = min(k + block, steps)
-            kept = runner.propagate(zs, k, stop, i, u2bar, stages)
-            mode_i[k + 1: k + 1 + kept] = i
-            k += kept
-            if k < stop:
-                zs[k + 1], i = runner.advance(zs[k], float(t[k]), s.h, i,
-                                              u2bar[k], events)
-                mode_i[k + 1] = i
-                k += 1
-                block = _BLOCK
-            else:
-                block = min(2 * block, _BLOCK_MAX)
-
-    mode_j = np.array(runner.js)[mode_i]
-    return _bookkeep(s, runner, t, zs[:, :n], zs[:, n:], u2bar, mode_i, mode_j,
-                     tuple(events))
-
-
-def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i, mode_j,
+def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i,
               events: tuple[CrossingEvent, ...]) -> Trajectory:
     """Per-sample certificate columns, with no loop over modes: each sample's
     P, C, H, interface gains and M are gathered by its mode, ``_GATHER_ROWS``
@@ -619,7 +615,7 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i, mode_j,
 
     return Trajectory(
         t=t, x1=x1, x2=x2, xtilde=xtilde, u1=u1, u2bar=u2bar,
-        mode_i=mode_i, mode_j=mode_j, y1=y1, y2=y2, err=err, V=V, b=b, delta=delta,
+        mode_i=mode_i, mode_j=np.array(runner.js)[mode_i], y1=y1, y2=y2, err=err, V=V, b=b, delta=delta,
         kappa=cert.kappa, crossings=events,
     )
 

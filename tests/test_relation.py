@@ -375,6 +375,21 @@ class TestJointAssembly:
         with pytest.raises(UncertifiedRelationError, match="mode 0"):
             assemble_joint(case1.system, case1.abstraction, bad, case1.interface)
 
+    @pytest.mark.parametrize("which", ["case1", "case2"])
+    def test_interface_x2_gain_must_be_the_relations(self, which, case1, case2):
+        """An interface whose x2 gain is not Q + R L of the relation and the
+        paired modes would drive another loop than the blocks describe, so
+        assembly refuses it; the gain build_interface forms passes as is."""
+        case = case1 if which == "case1" else case2
+        iface = case.interface
+        joint = assemble_joint(case.system, case.abstraction, case.relation, iface)
+        assert joint.interface is iface
+        QRL = np.array(iface.QRL)
+        QRL[-1, 0, 0] += 1e-12 * (1.0 + abs(QRL[-1, 0, 0]))
+        with pytest.raises(UncertifiedRelationError, match="x2 gain"):
+            assemble_joint(case.system, case.abstraction, case.relation,
+                           Interface(iface.K, iface.R, QRL))
+
     def test_pairing_certified_as_assembled(self, case2):
         """A pairing other than the solved one is checked against the pair
         it assembles, not the residuals recorded for the solved pairing."""

@@ -155,6 +155,10 @@ def _matched_single_mode_scenario(case1, x1_offset=0.0, disturbance=None):
     return Scenario(joint, cert, sched, dist, x1_0=x1_0, x2_0=x2_0, t_end=10.0, h=1e-3)
 
 
+#: The parts assemble_joint records on a joint system.
+_PARTS = ("system", "abstraction", "relation", "interface")
+
+
 class TestRunScenario:
     def test_output_matching_zero_initial_error(self, case1):
         traj = run_scenario(_matched_single_mode_scenario(case1))
@@ -269,9 +273,13 @@ class TestRunScenario:
             dataclasses.replace(case1.scenario, joint=case2.joint,
                                 certificate=case2.certificate)
 
-    def test_joint_of_blocks_alone_is_refused(self, case1):
-        """A joint built from its blocks records no loop to simulate."""
-        blocks = JointSystem(case1.joint.modes, n=case1.joint.n, m=case1.joint.m)
+    @pytest.mark.parametrize("missing", [_PARTS, *((name,) for name in _PARTS)],
+                             ids=["all", *_PARTS])
+    def test_joint_of_blocks_alone_is_refused(self, missing, case1):
+        """A joint built from its blocks, with all or one of its four parts
+        not recorded, holds no loop to simulate."""
+        parts = {name: getattr(case1.joint, name) for name in _PARTS if name not in missing}
+        blocks = JointSystem(case1.joint.modes, n=case1.joint.n, m=case1.joint.m, **parts)
         with pytest.raises(PwaHierError, match="assemble_joint"):
             dataclasses.replace(case1.scenario, joint=blocks)
 
@@ -283,6 +291,28 @@ class TestRunScenario:
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         with pytest.raises(EmptyTrajectoryError, match="more than can be allocated"):
             run_scenario(case1.scenario)
+
+    def test_bookkeeping_counts_towards_physical_memory(self, case1, monkeypatch):
+        """The estimate covers the per-sample columns the bookkeeping adds
+        after integrating, not only the arrays allocated before: physical
+        memory just above the latter still refuses the run."""
+        scen = case1.scenario
+        before = 8 * (scen.steps + 1) * (6 + scen.schedule.values.shape[1] + scen.joint.n
+                                         + scen.joint.m)
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": before // 4096 + 1}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        with pytest.raises(EmptyTrajectoryError, match="more than can be allocated"):
+            run_scenario(scen)
+
+    def test_memory_error_in_bookkeeping_is_refused(self, case1, monkeypatch):
+        """A MemoryError after integrating, in the bookkeeping, is refused
+        like one before it."""
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(simulator, "sim_fn_values", no_memory)
+        with pytest.raises(EmptyTrajectoryError, match="more than can be allocated"):
+            run_scenario(dataclasses.replace(case1.scenario, t_end=0.1))
 
     @pytest.mark.parametrize("pages", [None, -1], ids=["no-such-name", "indeterminate"])
     def test_unknown_physical_memory_refuses_nothing(self, pages, case1, monkeypatch):
@@ -418,7 +448,9 @@ class TestRunScenario:
                 np.testing.assert_array_equal(traj.xtilde[rows], xt)
                 np.testing.assert_array_equal(traj.y1[rows],
                                               x1 @ scen.joint.system.modes[idx].C.T)
-                np.testing.assert_array_equal(traj.y2[rows], x2 @ runner.H[idx].T)
+                paired = paired_modes(scen.joint.abstraction, scen.joint.relation.pairing,
+                                      len(scen.joint))
+                np.testing.assert_array_equal(traj.y2[rows], x2 @ paired[idx].mode.H.T)
                 iface = scen.joint.interface
                 u1 = (traj.u2bar[rows] @ iface.R[idx].T + x2 @ iface.QRL[idx].T
                       + xt @ iface.K[idx].T)
@@ -767,10 +799,16 @@ def _block_around(step: int) -> tuple[int, int]:
     return start, start + length
 
 
+def margins(runner, x1, i):
+    """Margins ``E x1 - f`` of mode ``i``'s rows in the runner."""
+    E, f = runner.rows[i]
+    return E @ x1 - f
+
+
 def end_margins(runner, basis, t, width, i):
     """Row margins of mode ``i`` at the end of a sub-step of ``width``:
     what ``advance`` passes ``bisect`` as ``end``."""
-    return runner._margins((runner.coefficients(t, width) @ basis)[: runner.n], i)
+    return margins(runner, (runner.coefficients(t, width) @ basis)[: runner.n], i)
 
 
 def scalar_bisect(runner, basis, t, width, i, end=None):
@@ -783,7 +821,7 @@ def scalar_bisect(runner, basis, t, width, i, end=None):
             break
         mid = 0.5 * (lo + hi)
         z_mid = runner.coefficients(t, mid * width) @ basis
-        if float(runner._margins(z_mid[: runner.n], i).min()) >= -MEMBERSHIP_SLACK:
+        if float(margins(runner, z_mid[: runner.n], i).min()) >= -MEMBERSHIP_SLACK:
             lo = mid
         else:
             hi = mid
@@ -924,7 +962,7 @@ class TestNonzeroFeedforward:
         fused closed-loop matrices agree with stepping the raw plant and
         abstraction through the interface formula."""
         from pwa_hier import LinearAbstraction
-        from pwa_hier.relation import Interface, JointSystem, assemble_joint, solve_system_relation
+        from pwa_hier.relation import assemble_joint, solve_system_relation
         system = PwaSystem(
             (PwaMode(np.array([[0.0, 1.0], [0.0, 0.0]]),
                      np.array([[0.0], [1.0]]),
