@@ -10,12 +10,14 @@ products, and one vectorized membership test checks it.  A block starts at
 ``_BLOCK`` steps and doubles, up to ``_BLOCK_MAX``, while the run stays in
 its mode; a crossing drops it back to ``_BLOCK``.  Only the first step that
 leaves the mode is split, by bisecting the crossing.  The bisection
-guesses the exit point and tests, in one batched evaluation, the midpoints
-it visits if every decision agrees with the guess; a decision that
-disagrees starts a new guess and batch from there.  A crossing costs about
-two batches rather than one sub-step per level, and its bracket is the one
-plain bisection finds.  A run is refused unless its certificate holds on
-every mode, as checked once when the scenario is built.  Each sample
+guesses the exit point, first from the failing block row's margins, and
+tests in one batched evaluation the midpoints it visits if every decision
+agrees with the guess, the full step riding in the first batch; a decision
+that disagrees starts a new guess and batch.  The committed state and the
+event margins come from the batch rows that decided the bracket, the one
+plain bisection finds, so a crossing costs about three evaluations of the
+sub-step weights.  A run is refused unless its certificate holds on every
+mode, as checked once when the scenario is built.  Each sample
 records the tracking error, the simulation-function value, the running
 invariant-level threshold, and the certified output-error level, computed
 after the run for all modes at once from matrices gathered by each
@@ -336,15 +338,21 @@ class _Runner:
         Gu = np.einsum("k,mkij->mij", w[1:].sum(axis=0), ZkB)
         Ws = np.einsum("sk,mki->msi", w[1:], Zkm)
         self._maps = (Zk, ZkB, Zkm, Phi, Gu, Ws)
-        # transposed Phi^s for the scan's shifts s, by repeated squaring; an
-        # unstable mode's power may overflow, which only spoils rows that
-        # propagate reports and advance redoes
-        powers = np.empty((len(self.Z), len(_SHIFTS), d, d))
-        powers[:, 0] = Phi
+        # Phi^s for the scan's shifts s: those a block of _BLOCK uses for
+        # every mode here, the rest when a mode's block first grows past it
+        self.powers = np.empty((len(self.Z), len(_SHIFTS), d, d))
+        self.powers[:, 0] = Phi
+        self.scan_powers, self.grown = np.empty_like(self.powers), set()
+        self._square(slice(None), 1, (_BLOCK - 1).bit_length())
+
+    def _square(self, modes, start: int, stop: int) -> None:
+        """Square powers ``start .. stop - 1`` of ``modes`` (index or slice),
+        stored transposed; an overflowed one only spoils rows advance redoes."""
+        p = self.powers
         with np.errstate(over="ignore", invalid="ignore"):
-            for b in range(1, len(_SHIFTS)):
-                powers[:, b] = powers[:, b - 1] @ powers[:, b - 1]
-        self.scan_powers = powers.transpose(0, 1, 3, 2).copy()
+            for b in range(start, stop):
+                p[modes, b] = p[modes, b - 1] @ p[modes, b - 1]
+        self.scan_powers[modes, :stop] = p[modes, :stop].swapaxes(-1, -2)
 
     # -- membership ---------------------------------------------------------
 
@@ -381,13 +389,15 @@ class _Runner:
         ``Z^k BU u2bar`` and ``Z^k mask`` of the mode) for an RK4 step of
         width ``tau`` from ``t``; one row per width when ``tau`` is an array."""
         tau = np.asarray(tau, dtype=float)
-        return ((self.stages(t, tau) @ _SUB_DRIVE + _SUB_FIXED)
-                * tau[..., None] ** _SUB_EXP)
+        # fixed-order, unlike BLAS: a batch row has its one-width call's bits
+        drive = np.einsum("...c,cj->...j", self.stages(t, tau), _SUB_DRIVE)
+        return (drive + _SUB_FIXED) * tau[..., None] ** _SUB_EXP
 
     def propagate(self, zs: np.ndarray, k: int, stop: int, i: int,
-                  u2bar: np.ndarray, stages: np.ndarray) -> int:
+                  u2bar: np.ndarray, stages: np.ndarray) -> tuple[int, Optional[np.ndarray]]:
         """Fill ``zs[k+1 : stop+1]`` with steps of mode ``i`` from ``zs[k]``;
-        return how many leading rows are finite and inside the mode.
+        return how many leading rows are finite and inside the mode, and the
+        next row's margins for ``advance``'s first guess (None past the end).
 
         The block first holds each step's drive ``Gu u2bar + stages @ Ws``,
         the first row also ``Phi zs[k]``.  A doubling scan then adds to
@@ -402,21 +412,27 @@ class _Runner:
         np.matmul(u2bar[k:stop], Gu.T, out=block)
         block += stages[k:stop] @ Ws
         block[0] += Phi @ zs[k]
+        if len(block) > _BLOCK and i not in self.grown:
+            self.grown.add(i)
+            self._square(i, (_BLOCK - 1).bit_length(), len(_SHIFTS))
         for s, power in zip(_SHIFTS, self.scan_powers[i]):
             if s >= len(block):
                 break
             block[s:] += block[:-s] @ power
         E, f = self.rows[i]
-        ok = (np.isfinite(block).all(axis=1)
-              & (np.min(block[:, : self.n] @ E.T - f, axis=1) >= -MEMBERSHIP_SLACK))
-        return len(ok) if ok.all() else int(np.argmin(ok))
+        margins = block[:, : self.n] @ E.T - f
+        ok = np.isfinite(block).all(axis=1) & (margins.min(axis=1) >= -MEMBERSHIP_SLACK)
+        kept = len(ok) if ok.all() else int(np.argmin(ok))
+        return kept, (margins[kept] if kept < len(ok) else None)
 
     def bisect(self, basis: np.ndarray, t: float, width: float, i: int,
-               end: np.ndarray) -> tuple[float, float]:
+               end: np.ndarray, trial: bool = False) -> tuple:
         """Bracket ``(lo, hi)``, as fractions of ``width``, of where a
         sub-step from ``t`` leaves mode ``i``: inside at ``lo`` (or ``lo =
-        0``), outside at ``hi``.  ``end`` holds the mode's row margins at
-        the full width.
+        0``), outside at ``hi``; then the coefficient rows of the batch
+        midpoints that set them (None at 0 and 1) and, with ``trial``, of the
+        full width, one more row of the first batch.  ``end`` holds the
+        mode's row margins at the full width, or predicts them with ``trial``.
 
         Plain bisection on the fraction, ``BISECTION_CAP`` levels at most
         and none once the bracket is within ``CROSSING_BRACKET``.  The exit
@@ -438,11 +454,11 @@ class _Runner:
         depth = 0
         while depth < BISECTION_CAP and 0.5 ** depth * width > CROSSING_BRACKET:
             depth += 1
-        lo, hi = 0.0, 1.0
+        lo, hi, c_lo, c_hi, c_trial = 0.0, 1.0, None, None, None
         at_lo, at_hi = proj[0] - f, end
-        while depth > 0:
+        while depth > 0 or trial:
             guess = _exit_guess(lo, hi, at_lo, at_hi)
-            points, a, b = [], lo, hi
+            points, a, b = ([1.0] if trial else []), lo, hi
             for _ in range(depth):
                 mid = 0.5 * (a + b)
                 points.append(mid)
@@ -450,27 +466,33 @@ class _Runner:
                     a = mid
                 else:
                     b = mid
-            rows = self.coefficients(t, np.array(points) * width) @ proj - f
+            coef = self.coefficients(t, np.array(points) * width)
+            if trial:
+                c_trial, coef, points, trial = coef[0], coef[1:], points[1:], False
+            rows = coef @ proj - f
             inside = (rows.min(axis=1) >= -MEMBERSHIP_SLACK).tolist()
-            for mid, row, went_in in zip(points, rows, inside):
+            for mid, c, row, went_in in zip(points, coef, rows, inside):
                 if went_in:
-                    lo, at_lo = mid, row
+                    lo, at_lo, c_lo = mid, row, c
                 else:
-                    hi, at_hi = mid, row
+                    hi, at_hi, c_hi = mid, row, c
                 depth -= 1
                 if went_in != (mid <= guess):
                     break
-        return lo, hi
+        return lo, hi, c_lo, c_hi, c_trial
 
-    def advance(self, z: np.ndarray, t: float, h: float, i: int,
-                u2val: np.ndarray, events: list) -> tuple[np.ndarray, int]:
+    def advance(self, z: np.ndarray, t: float, h: float, i: int, u2val: np.ndarray,
+                events: list, predicted: Optional[np.ndarray]) -> tuple[np.ndarray, int]:
         """Advance exactly ``h`` with the reference value frozen at the step
         start, splitting the step at every detected cell-boundary crossing.
 
         A sub-step that ends outside the mode is bracketed by ``bisect``'s
-        batched localization; the state is committed at the bracket's
-        outer end, computed (like the event's margins) from the weights of
-        that one width, and the mode is relocated with hysteresis from there."""
+        batched localization; the state is committed at the bracket's outer
+        end from the batch row that set it (the event's margins from the
+        states at both ends), and the mode is relocated with hysteresis from
+        there.  ``predicted`` holds the margins ``propagate`` found at the
+        step's end: the first sub-step goes to ``bisect`` at once, its full
+        width riding in the first batch; a later one is stepped alone first."""
         remaining = h
         for _ in range(_SWITCH_CAP):
             if remaining <= 1e-15:
@@ -478,20 +500,23 @@ class _Runner:
             Zk, ZkB, Zkm = self.maps(i)[:3]
             E, f = self.rows[i]
             basis = np.concatenate([Zk @ z, ZkB @ u2val, Zkm])
-            trial = self.coefficients(t, remaining) @ basis
+            if predicted is None:
+                bracket, c_trial = None, self.coefficients(t, remaining)
+            else:
+                bracket = self.bisect(basis, t, remaining, i, predicted, trial=True)
+                c_trial, predicted = bracket[-1], None
+            trial = c_trial @ basis
             if not np.isfinite(trial).all():
                 raise NonFiniteStateError(f"non-finite state near t={t}")
             end = E @ trial[: self.n] - f
             if end.min() >= -MEMBERSHIP_SLACK:
                 return trial, i
-            lo, hi = self.bisect(basis, t, remaining, i, end)
-            z_lo = z if lo == 0.0 else self.coefficients(t, lo * remaining) @ basis
-            z = trial if hi == 1.0 else self.coefficients(t, hi * remaining) @ basis
+            lo, hi, c_lo, c_hi, _ = bracket or self.bisect(basis, t, remaining, i, end)
+            z_lo = z if c_lo is None else c_lo @ basis
+            z = trial if c_hi is None else c_hi @ basis
             committed = hi * remaining
             old = (i, self.js[i])
             x1 = z[: self.n]
-            margin_inside = float((E @ z_lo[: self.n] - f).min())
-            margin_outside = float((E @ x1 - f).min())
             try:
                 i = locate_mode(self.part, x1, previous=i)
             except NoCellError as exc:
@@ -499,8 +524,8 @@ class _Runner:
             events.append(CrossingEvent(
                 t_inside=t + lo * remaining,
                 t_outside=t + committed,
-                margin_inside=margin_inside,
-                margin_outside=margin_outside,
+                margin_inside=float((E @ z_lo[: self.n] - f).min()),
+                margin_outside=float((E @ x1 - f).min()),
                 old_label=old,
                 new_label=self.label(x1, i),
             ))
@@ -566,12 +591,12 @@ def run_scenario(s: Scenario) -> Trajectory:
         with np.errstate(over="ignore", invalid="ignore"):
             while k < steps:
                 stop = min(k + block, steps)
-                kept = runner.propagate(zs, k, stop, i, u2bar, stages)
+                kept, end = runner.propagate(zs, k, stop, i, u2bar, stages)
                 mode_i[k + 1: k + 1 + kept] = i
                 k += kept
                 if k < stop:
                     zs[k + 1], i = runner.advance(zs[k], float(t[k]), s.h, i,
-                                                  u2bar[k], events)
+                                                  u2bar[k], events, end)
                     mode_i[k + 1] = i
                     k += 1
                     block = _BLOCK

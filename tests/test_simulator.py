@@ -608,16 +608,16 @@ class TestPropagator:
 
     def test_batched_coefficients_match_scalar(self, case1):
         """RK4 weights and sub-step coefficients for an array of widths
-        equal the one-width results row by row (up to rounding)."""
+        equal the one-width results row by row, bit for bit: ``advance``
+        commits states from the rows of ``bisect``'s batches."""
         runner = _Runner(case1.scenario)
         taus = np.array([1e-3, 3.7e-4, 2.5e-7, 1.0])
         got_w = rk4_weights(taus)
         got_c = runner.coefficients(1.3, taus)
         assert got_w.shape == (4, 4, 5) and got_c.shape == (4, 15)
         for k, tau in enumerate(taus):
-            np.testing.assert_allclose(got_w[k], rk4_weights(float(tau)), rtol=1e-15, atol=0.0)
-            np.testing.assert_allclose(got_c[k], runner.coefficients(1.3, float(tau)),
-                                       rtol=1e-15, atol=0.0)
+            np.testing.assert_array_equal(got_w[k], rk4_weights(float(tau)))
+            np.testing.assert_array_equal(got_c[k], runner.coefficients(1.3, float(tau)))
 
     @pytest.mark.parametrize("which", ["case1", "case2", "fan"])
     def test_block_scan_matches_recurrence(self, which, case1, case2, fans):
@@ -811,21 +811,34 @@ def end_margins(runner, basis, t, width, i):
     return margins(runner, (runner.coefficients(t, width) @ basis)[: runner.n], i)
 
 
-def scalar_bisect(runner, basis, t, width, i, end=None):
+def scalar_bisect(runner, basis, t, width, i, end=None, trial=False):
     """Plain bisection of the exit point, one scalar sub-step and margin
-    per level: the reference the batched localization must reproduce
-    (``end``, the margins at the full width, is not needed)."""
-    lo, hi = 0.0, 1.0
+    per level: the reference the batched localization must reproduce.
+    Returns what ``bisect`` does: the bracket, its own one-width
+    coefficient rows at ``lo`` and ``hi`` (None at 0 and 1) and, with
+    ``trial``, at the full width (``end``, the margins there, is not
+    needed)."""
+    lo, hi, c_lo, c_hi = 0.0, 1.0, None, None
     for _ in range(simulator.BISECTION_CAP):
         if (hi - lo) * width <= CROSSING_BRACKET:
             break
         mid = 0.5 * (lo + hi)
-        z_mid = runner.coefficients(t, mid * width) @ basis
+        c_mid = runner.coefficients(t, mid * width)
+        z_mid = c_mid @ basis
         if float(margins(runner, z_mid[: runner.n], i).min()) >= -MEMBERSHIP_SLACK:
-            lo = mid
+            lo, c_lo = mid, c_mid
         else:
-            hi = mid
-    return lo, hi
+            hi, c_hi = mid, c_mid
+    return lo, hi, c_lo, c_hi, runner.coefficients(t, width) if trial else None
+
+
+def assert_same_bisection(got, want):
+    """Equal brackets, and equal coefficient rows bit for bit (or both None)."""
+    assert len(got) == len(want) and got[:2] == want[:2]
+    for a, b in zip(got[2:], want[2:]):
+        assert (a is None) == (b is None)
+        if a is not None:
+            np.testing.assert_array_equal(a, b)
 
 
 @pytest.fixture(scope="module")
@@ -887,7 +900,9 @@ class TestBatchedBisection:
         the scalar one for widths needing 24, 22 and 3 levels, and with a
         level cap below the first two, whatever the guess: the chord guess,
         NaN, the bracket's ends, its exact midpoint (the walk's first
-        midpoint equals the guess) or a random point in it."""
+        midpoint equals the guess) or a random point in it.  So are the
+        coefficient rows at its ends and, with the full width riding in
+        the first batch and the end margins only predicted, its row."""
         monkeypatch.setattr(simulator, "BISECTION_CAP", cap)
         rng = np.random.default_rng(0)
         guesses = [simulator._exit_guess,
@@ -907,7 +922,10 @@ class TestBatchedBisection:
                 end = end_margins(runner, basis, t, width, i)
                 for guess in guesses:
                     monkeypatch.setattr(simulator, "_exit_guess", guess)
-                    assert runner.bisect(basis, t, width, i, end) == want
+                    assert_same_bisection(runner.bisect(basis, t, width, i, end), want)
+                assert_same_bisection(
+                    runner.bisect(basis, t, width, i, end * (1.0 + 1e-3), trial=True),
+                    scalar_bisect(runner, basis, t, width, i, trial=True))
 
     @pytest.mark.parametrize("wrong", ["zero", "one", "nan", "next-cell"])
     def test_wrong_guesses_keep_the_bracket(self, fans, wrong, monkeypatch):
@@ -928,7 +946,7 @@ class TestBatchedBisection:
                         "next-cell": want[1] + 0.5 * cell if want[1] < 1.0
                         else want[0] - 0.5 * cell}[wrong]
             end = end_margins(runner, basis, t, width, i)
-            assert runner.bisect(basis, t, width, i, end) == want
+            assert_same_bisection(runner.bisect(basis, t, width, i, end), want)
 
     def test_about_two_batches_per_crossing(self, fans, monkeypatch):
         """The predicted path settles a crossing of the 32-cone fan, 24
@@ -941,11 +959,11 @@ class TestBatchedBisection:
             calls["coefficients"] += in_bisect[0]
             return coefficients(self, t, tau)
 
-        def counted_bisect(self, *args):
+        def counted_bisect(self, *args, **kwargs):
             calls["bisect"] += 1
             in_bisect[0] = True
             try:
-                return bisect(self, *args)
+                return bisect(self, *args, **kwargs)
             finally:
                 in_bisect[0] = False
 
@@ -955,14 +973,28 @@ class TestBatchedBisection:
         assert calls["bisect"] == len(traj.crossings) >= 25
         assert calls["coefficients"] / calls["bisect"] <= 2.5
 
+    def test_three_evaluations_per_crossing(self, fans, monkeypatch):
+        """A crossing of the 32-cone fan costs at most 3.5 ``coefficients``
+        evaluations on average: the first batch, which the full-width trial
+        rides in, the second, and the remainder sub-step in the new mode;
+        the committed states come from the batch rows."""
+        calls = [0]
+        coefficients = _Runner.coefficients
+
+        def counted(self, *args):
+            calls[0] += 1
+            return coefficients(self, *args)
+
+        monkeypatch.setattr(_Runner, "coefficients", counted)
+        traj = run_scenario(fans[0])
+        assert calls[0] / len(traj.crossings) <= 3.5
+
 
 class TestNonzeroFeedforward:
     def test_matches_reference_integration(self):
         """Double integrator whose relation needs Q != 0 and R != 0: the
         fused closed-loop matrices agree with stepping the raw plant and
         abstraction through the interface formula."""
-        from pwa_hier import LinearAbstraction
-        from pwa_hier.relation import assemble_joint, solve_system_relation
         system = PwaSystem(
             (PwaMode(np.array([[0.0, 1.0], [0.0, 0.0]]),
                      np.array([[0.0], [1.0]]),
