@@ -3,12 +3,11 @@
 A certificate for a joint mode is a positive-definite matrix ``M`` (extended
 by a positive scalar ``m`` in homogeneous coordinates for affine cells)
 satisfying three matrix-inequality margins: it dominates the squared output
-map, stays positive definite against the cell-bounding relaxation, and
-decays at rate ``lambda`` along the closed loop.  The simulation function
-``V = sqrt(quadratic form)/kappa`` then bounds the output error by
-``kappa V``, and linear gain slopes translate input/disturbance magnitudes
-into the invariant-level threshold ``b`` that the simulator evaluates per
-sample.
+map, is positive definite, and decays at rate ``lambda`` along the closed
+loop.  The simulation function ``V = sqrt(quadratic form)/kappa`` then
+bounds the output error by ``kappa V``, and linear gain slopes translate
+input/disturbance magnitudes into the invariant-level threshold ``b`` that
+the simulator evaluates per sample.
 """
 
 from __future__ import annotations
@@ -52,14 +51,13 @@ class ModeCertificate:
     """Certificate data of one joint mode.
 
     ``m_scalar`` is the homogeneous-block entry for affine cells and None
-    for conic cells.  ``U``/``W`` are the symmetric nonnegative-entry
-    relaxation weights (None means zero).
+    for conic cells.
     """
 
     M: np.ndarray
     m_scalar: Optional[float] = None
-    U: Optional[np.ndarray] = None
-    W: Optional[np.ndarray] = None
+    # not fields: perfbench/checks.py still reads these as zero relaxation weights
+    U = W = None
 
     def __post_init__(self):
         M = as_matrix(self.M, "M")
@@ -83,13 +81,6 @@ class ModeCertificate:
                     f"m_scalar must be positive, got {self.m_scalar}"
                 )
             object.__setattr__(self, "m_scalar", float(self.m_scalar))
-        for name in ("U", "W"):
-            val = getattr(self, name)
-            if val is not None:
-                val = as_matrix(val, name)
-                if np.any(val < 0.0):
-                    raise InfeasibleCertificateError(f"{name} must have nonnegative entries")
-                object.__setattr__(self, name, val)
 
     def extended(self) -> np.ndarray:
         """Homogeneous block matrix ``diag(M, m_scalar)``."""
@@ -150,7 +141,7 @@ class LmiReport:
 
     ``margins[0]`` = smallest eigenvalue of the output-domination condition
     (feasible at >= -LMI_TOL); ``margins[1]`` = smallest eigenvalue of the
-    relaxed positivity condition (feasible at >= +LMI_TOL); ``margins[2]`` =
+    positivity condition (feasible at >= +LMI_TOL); ``margins[2]`` =
     largest eigenvalue of the decay condition (feasible at <= +LMI_TOL).
     """
 
@@ -158,31 +149,25 @@ class LmiReport:
     feasible: bool
 
 
-def _condition_matrices(M, A, C, E, U, W, lam: float, affine: bool) -> np.ndarray:
+def _condition_matrices(M, A, C, lam: float, affine: bool) -> np.ndarray:
     """The three symmetrized condition matrices ``(S1, S2, S3)`` of one
     mode, stacked, or of each mode of blocks stacked along a leading axis,
-    after checking the blocks' shapes (``U``/``W`` may be None for zero).
+    after checking the blocks' shapes.
 
     For affine cells the decay weight applies only to the state block
     (``diag(lam I, 0)``); conic cells scale all of ``M``.
     """
-    d, rows = M.shape[-1], E.shape[-2]
-    if A.shape[-2:] != (d, d) or C.shape[-1] != d or E.shape[-1] != d:
+    d = M.shape[-1]
+    if A.shape[-2:] != (d, d) or C.shape[-1] != d:
         raise DimensionMismatchError("certificate blocks disagree on dimension")
-    if any(X is not None and X.shape[-2:] != (rows, rows) for X in (U, W)):
-        raise DimensionMismatchError("U/W must be square over the bounding rows")
 
-    Et = np.swapaxes(E, -1, -2)
     S = np.empty(M.shape[:-2] + (3, d, d))
     S[..., 0, :, :] = M - np.swapaxes(C, -1, -2) @ C
-    S[..., 1, :, :] = M if U is None else M - Et @ U @ E
+    S[..., 1, :, :] = M
     lam_weights = np.full(d, lam)
     if affine:
         lam_weights[-1] = 0.0
-    S3 = np.swapaxes(A, -1, -2) @ M + M @ A
-    if W is not None:
-        S3 += Et @ W @ E
-    S[..., 2, :, :] = S3 + lam_weights[:, None] * M
+    S[..., 2, :, :] = np.swapaxes(A, -1, -2) @ M + M @ A + lam_weights[:, None] * M
     return 0.5 * (S + np.swapaxes(S, -1, -2))
 
 
@@ -192,12 +177,11 @@ def _margins(w: np.ndarray) -> np.ndarray:
 
 
 def _stacked_blocks(cert: Certificate, joint: JointSystem):
-    """The modes in groups whose blocks share their shapes (cell kind,
-    dimension, bounding rows, whether ``U``/``W`` are given).  Yields per
-    group the indices of its modes, its blocks ``(M, A, B1, B2, C, E, U,
-    W)`` stacked along a leading axis (``U``/``W`` None if not given), and
-    whether its cells are affine: then the blocks are in homogeneous
-    coordinates, else in plain joint ones."""
+    """The modes in groups whose blocks share their shapes (cell kind and
+    size).  Yields per group the indices of its modes, its blocks ``(M, A,
+    B1, B2, C)`` stacked along a leading axis, and whether its cells are
+    affine: then the blocks are in homogeneous coordinates, else in plain
+    joint ones."""
     groups: dict = {}
     for idx, jm in enumerate(joint.modes):
         entry = cert.entries[idx]
@@ -205,16 +189,14 @@ def _stacked_blocks(cert: Certificate, joint: JointSystem):
         if affine and entry.m_scalar is None:
             raise InfeasibleCertificateError(
                 f"mode {jm.label}: affine cell requires a homogeneous block entry")
-        blocks = ((entry.extended(), jm.Abar, jm.B1bar, jm.B2bar, jm.Cbar, jm.bounding.Ebar)
-                  if affine else (entry.M, jm.Aprime, jm.B1prime, jm.B2prime, jm.Cprime,
-                                  jm.cell.E)) + (entry.U, entry.W)
-        key = (affine, *(None if X is None else X.shape for X in blocks))
+        blocks = ((entry.extended(), jm.Abar, jm.B1bar, jm.B2bar, jm.Cbar) if affine
+                  else (entry.M, jm.Aprime, jm.B1prime, jm.B2prime, jm.Cprime))
+        key = (affine, *(X.shape for X in blocks))
         positions, members = groups.setdefault(key, ([], []))
         positions.append(idx)
         members.append(blocks)
     for (affine, *_), (positions, members) in groups.items():
-        yield positions, [None if col[0] is None else np.array(col)
-                          for col in zip(*members)], affine
+        yield positions, [np.array(col) for col in zip(*members)], affine
 
 
 def verify_all(cert: Certificate, joint: JointSystem) -> tuple[LmiReport, ...]:
@@ -227,9 +209,9 @@ def verify_all(cert: Certificate, joint: JointSystem) -> tuple[LmiReport, ...]:
     are infeasible, and no eigenvalue call.
     """
     margins = np.empty((len(joint.modes), 3))
-    for positions, (M, A, _, _, C, E, U, W), affine in _stacked_blocks(cert, joint):
+    for positions, (M, A, _, _, C), affine in _stacked_blocks(cert, joint):
         with np.errstate(over="ignore", invalid="ignore"):
-            S = _condition_matrices(M, A, C, E, U, W, cert.lam, affine)
+            S = _condition_matrices(M, A, C, cert.lam, affine)
         finite = np.isfinite(S).all(axis=(-3, -2, -1))
         w = np.full(S.shape[:-1], np.nan)
         w[finite] = np.linalg.eigvalsh(S[finite])
@@ -324,8 +306,7 @@ def synthesize_certificate(
     shifted per rate), scale each solution until it dominates the squared
     output map, attach the homogeneous entry for affine cells, and accept
     the first rate at which every mode verifies.  A rate at which any mode
-    fails is skipped.  Relaxation weights stay zero, which only strengthens
-    the verified conditions.  Deterministic given its inputs.
+    fails is skipped.  Deterministic given its inputs.
     """
     grid = default_lambda_grid(joint) if lambda_grid is None else np.asarray(lambda_grid, float)
     A, C = stack_blocks(joint.modes, ("Aprime", "Cprime"))
@@ -415,7 +396,7 @@ def gain_slopes_all(cert: Certificate, joint: JointSystem) -> np.ndarray:
     """
     out = np.zeros((len(joint.modes), 4))
     with np.errstate(over="ignore", invalid="ignore"):
-        for positions, (M, _, B1, B2, *_), affine in _stacked_blocks(cert, joint):
+        for positions, (M, _, B1, B2, _), affine in _stacked_blocks(cert, joint):
             XtMX = (np.swapaxes(B2, -1, -2) @ M @ B2, M, np.swapaxes(B1, -1, -2) @ M @ B1)
             for col, S in enumerate(XtMX):
                 if S.shape[-1]:  # an empty block has slope zero

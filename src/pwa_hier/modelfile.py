@@ -93,8 +93,6 @@ class ModelConfig:
     cert_lambda: Optional[float]
     cert_M: Optional[list]
     cert_m: Optional[list]
-    cert_U: Optional[list]
-    cert_W: Optional[list]
     cert_T: Optional[np.ndarray]
     cert_jbar: Optional[list]
     x1_0: np.ndarray
@@ -191,10 +189,11 @@ class _Entry:
         """The required matrix entries named by each letter (``"ABC"``)."""
         return tuple(self[X].array(2) for X in letters)
 
-    def per_mode(self, count: int, ndim: int = 2, shape: Optional[tuple] = None) -> list:
-        """A list of ``count`` entries of rank ``ndim`` (and of ``shape``),
-        one per mode."""
-        entries = [item.array(ndim, shape) for item in self.items()]
+    def per_mode(self, count: int, shape: Optional[tuple] = None, read=None) -> list:
+        """A list of ``count`` entries, one per mode, each read by ``read``
+        (by default as a matrix, of ``shape`` if given)."""
+        entries = [item.array(2, shape) if read is None else read(item)
+                   for item in self.items()]
         if len(entries) != count:
             raise self.error(f"need {count} entries, got {len(entries)}")
         return entries
@@ -302,18 +301,22 @@ def _build_config(doc: _Entry) -> ModelConfig:
     lambda_grid = None if grid is None else grid.array(1)
     if lambda_grid is not None and not np.any(lambda_grid > 0.0):
         raise grid.error("needs a positive decay rate")
-    m_scalar = cert.get("m_scalar", 1.0).array(0)
-    given = {key: cert.get(key) for key in ("M", "lambda", "m", "U", "W", "T", "Jbar")}
+    m_scalar = cert.get("m_scalar", 1.0).positive()
+    for key in ("U", "W"):  # dropping a supplied relaxation would change what is checked
+        if key in cert:
+            raise cert[key].error("cell relaxation weights are not supported (remove the key)")
+    given = {key: cert.get(key) for key in ("M", "lambda", "m", "T", "Jbar")}
     cert_lambda = None if given["lambda"] is None else given["lambda"].positive()
-    # lambda, m, U, W, T and Jbar belong to a supplied M
+    # lambda, m, T and Jbar belong to a supplied M
     stray = [key for key, node in given.items() if node is not None and key != "M"]
     if given["M"] is None and stray:
         raise cert.error(f"{', '.join(stray)} given without a supplied M")
     if given["M"] is not None and cert_lambda is None:
         raise cert.error("supplied M requires an explicit lambda")
-    cert_M, cert_m, cert_U, cert_W, cert_jbar = (
-        None if given[key] is None else given[key].per_mode(n_modes, ndim)
-        for key, ndim in (("M", 2), ("m", 0), ("U", 2), ("W", 2), ("Jbar", 2)))
+    d = system.n + abstraction.m
+    cert_M = None if given["M"] is None else given["M"].per_mode(n_modes, shape=(d, d))
+    cert_m = None if given["m"] is None else given["m"].per_mode(n_modes, read=_Entry.positive)
+    cert_jbar = None if given["Jbar"] is None else given["Jbar"].per_mode(n_modes)
     if cert_M is not None:  # each M's own rules, where its path is known
         for node, M in zip(given["M"].items(), cert_M):
             node.build(ModeCertificate, M)
@@ -337,7 +340,7 @@ def _build_config(doc: _Entry) -> ModelConfig:
         K=K, R=R, relation_P=relation_P, relation_Q=relation_Q,
         declared_pairing=declared_pairing, kappa=kappa, lambda_grid=lambda_grid,
         m_scalar=m_scalar, cert_lambda=cert_lambda, cert_M=cert_M, cert_m=cert_m,
-        cert_U=cert_U, cert_W=cert_W, cert_T=cert_T, cert_jbar=cert_jbar,
+        cert_T=cert_T, cert_jbar=cert_jbar,
         x1_0=x1_0, x2_0=x2_0, t_end=t_end, step=step, disturbance=disturbance,
         schedule=schedule,
     )
@@ -385,8 +388,6 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
             ModeCertificate(
                 config.cert_M[idx],
                 m_scalar=float(m[idx]) if jm.kind == "affine" else None,
-                U=config.cert_U[idx] if config.cert_U is not None else None,
-                W=config.cert_W[idx] if config.cert_W is not None else None,
             )
             for idx, jm in enumerate(joint.modes)
         )

@@ -327,21 +327,23 @@ class _Runner:
         self.Z = np.block([[A + B @ K, B @ (QRL - K @ P)],
                            [np.zeros((len(A), self.m, n)), F + G @ L]])
         self.BU = np.concatenate([B @ R, G], axis=1)
-        # every mode's powers Z^0 .. Z^4 and step map, in one stacked pass
-        Zk = np.empty((len(self.Z), 5, d, d))
+        # every mode's powers Z^0 .. Z^4 applied to the identity, to its
+        # reference input map and to the disturbance mask (a sub-step's basis
+        # for advance), then its step map z+ = Phi z + Gu u2bar + stages @ Ws
+        # (for propagate), in one stacked pass; mode i's are [i] of each
+        self.Zk = Zk = np.empty((len(self.Z), 5, d, d))
         Zk[:, 0] = np.eye(d)
         for k in range(1, 5):
             Zk[:, k] = self.Z @ Zk[:, k - 1]
-        ZkB, Zkm = Zk @ self.BU[:, None], Zk @ mask_ext
+        self.ZkB, self.Zkm = Zk @ self.BU[:, None], Zk @ mask_ext
         w = rk4_weights(self.h)
-        Phi = np.einsum("k,mkij->mij", w[0], Zk)
-        Gu = np.einsum("k,mkij->mij", w[1:].sum(axis=0), ZkB)
-        Ws = np.einsum("sk,mki->msi", w[1:], Zkm)
-        self._maps = (Zk, ZkB, Zkm, Phi, Gu, Ws)
+        self.Phi = np.einsum("k,mkij->mij", w[0], Zk)
+        self.Gu = np.einsum("k,mkij->mij", w[1:].sum(axis=0), self.ZkB)
+        self.Ws = np.einsum("sk,mki->msi", w[1:], self.Zkm)
         # Phi^s for the scan's shifts s: those a block of _BLOCK uses for
         # every mode here, the rest when a mode's block first grows past it
         self.powers = np.empty((len(self.Z), len(_SHIFTS), d, d))
-        self.powers[:, 0] = Phi
+        self.powers[:, 0] = self.Phi
         self.scan_powers, self.grown = np.empty_like(self.powers), set()
         self._square(slice(None), 1, (_BLOCK - 1).bit_length())
 
@@ -376,14 +378,6 @@ class _Runner:
                  + np.asarray(h, dtype=float)[..., None] * _STAGE_AT)
         return self.dist.scale(times)
 
-    def maps(self, i: int) -> tuple:
-        """Mode ``i``'s powers ``Z^0 .. Z^4`` applied to the identity, to its
-        reference input map and to the disturbance mask, then its step map
-        ``(Phi, Gu, Ws)``: ``z+ = Phi z + Gu u2bar + stages(t, h) @ Ws``.
-        Every mode's maps are built together, as stacked arrays, when the
-        runner is."""
-        return tuple(a[i] for a in self._maps)
-
     def coefficients(self, t: float, tau) -> np.ndarray:
         """Weights on the rows of a sub-step ``basis`` (the stacked ``Z^k z``,
         ``Z^k BU u2bar`` and ``Z^k mask`` of the mode) for an RK4 step of
@@ -407,11 +401,10 @@ class _Runner:
         ``z+ = Phi z + drive`` in ``log2`` of the length batched products.
         The block may be up to ``_BLOCK_MAX`` rows long.  A row that
         overflows only spoils the rows after it, which the caller redoes."""
-        Phi, Gu, Ws = self.maps(i)[3:]
         block = zs[k + 1: stop + 1]
-        np.matmul(u2bar[k:stop], Gu.T, out=block)
-        block += stages[k:stop] @ Ws
-        block[0] += Phi @ zs[k]
+        np.matmul(u2bar[k:stop], self.Gu[i].T, out=block)
+        block += stages[k:stop] @ self.Ws[i]
+        block[0] += self.Phi[i] @ zs[k]
         if len(block) > _BLOCK and i not in self.grown:
             self.grown.add(i)
             self._square(i, (_BLOCK - 1).bit_length(), len(_SHIFTS))
@@ -497,9 +490,8 @@ class _Runner:
         for _ in range(_SWITCH_CAP):
             if remaining <= 1e-15:
                 return z, i
-            Zk, ZkB, Zkm = self.maps(i)[:3]
             E, f = self.rows[i]
-            basis = np.concatenate([Zk @ z, ZkB @ u2val, Zkm])
+            basis = np.concatenate([self.Zk[i] @ z, self.ZkB[i] @ u2val, self.Zkm[i]])
             if predicted is None:
                 bracket, c_trial = None, self.coefficients(t, remaining)
             else:

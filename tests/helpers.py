@@ -159,24 +159,20 @@ def step_rk4(f, x, t: float, h: float) -> np.ndarray:
     return out
 
 
-def lmi_margins(M, A, C, E, U, W, lam, affine):
+def lmi_margins(M, A, C, lam, affine):
     """Eigenvalue margins ``(m1, m2, m3)`` of the three certificate
-    conditions for raw blocks (``U``/``W`` None for zero), one condition
-    matrix and one eigenvalue call at a time.  For affine cells the decay
-    weight skips the homogeneous coordinate."""
-    zero = np.zeros((E.shape[0], E.shape[0]))
-    U = zero if U is None else U
-    W = zero if W is None else W
+    conditions for raw blocks, one condition matrix and one eigenvalue call
+    at a time.  For affine cells the decay weight skips the homogeneous
+    coordinate."""
     weights = np.full(M.shape[0], lam)
     if affine:
         weights[-1] = 0.0
-    S3 = A.T @ M + M @ A + E.T @ W @ E + weights[:, None] * M
+    S3 = A.T @ M + M @ A + weights[:, None] * M
 
     def eig(S):
         return np.linalg.eigvalsh(0.5 * (S + S.T))
 
-    return (float(eig(M - C.T @ C)[0]), float(eig(M - E.T @ U @ E)[0]),
-            float(eig(S3)[-1]))
+    return float(eig(M - C.T @ C)[0]), float(eig(M)[0]), float(eig(S3)[-1])
 
 
 def kron_decay_solve(A, lam):

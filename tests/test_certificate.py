@@ -131,8 +131,7 @@ class TestLmiMargins:
         M = np.eye(3)
         A = np.diag([-1.0, -1.0, 0.0])
         C = np.zeros((1, 3))
-        E = np.zeros((1, 3))
-        for m1, m2, m3 in (lmi_margins(M, A, C, E, None, None, lam=1.0, affine=True),
+        for m1, m2, m3 in (lmi_margins(M, A, C, lam=1.0, affine=True),
                            _verified(-I2, np.zeros((1, 2)), _affine_cell(2),
                                      ModeCertificate(I2, m_scalar=1.0), lam=1.0)):
             assert m1 == pytest.approx(1.0)
@@ -145,16 +144,14 @@ class TestLmiMargins:
         M = np.eye(3)
         A = np.diag([-1.0, -1.0, 0.0])
         C = np.zeros((1, 3))
-        E = np.zeros((1, 3))
-        for _, _, m3 in (lmi_margins(M, A, C, E, None, None, lam=3.0, affine=True),
+        for _, _, m3 in (lmi_margins(M, A, C, lam=3.0, affine=True),
                          _verified(-I2, np.zeros((1, 2)), _affine_cell(2),
                                    ModeCertificate(I2, m_scalar=1.0), lam=3.0)):
             assert m3 == pytest.approx(1.0)
 
     def test_output_equality_boundary(self):
         # M equals C^T C exactly: first margin sits at zero, still feasible
-        for m1, _, _ in (lmi_margins(np.eye(2), -np.eye(2), np.eye(2),
-                                     np.zeros((1, 2)), None, None, 1.0, affine=False),
+        for m1, _, _ in (lmi_margins(np.eye(2), -np.eye(2), np.eye(2), 1.0, affine=False),
                          _verified(-I2, I2, _conic_cell(2), ModeCertificate(I2), lam=1.0)):
             assert m1 == pytest.approx(0.0, abs=1e-12)
 
@@ -163,15 +160,14 @@ class TestLmiMargins:
         cert, joint = case1.certificate, case1.joint
         jm = joint.modes[0]
         M = cert.entries[0].M
-        base = lmi_margins(M, jm.Aprime, jm.Cprime, jm.cell.E, None, None,
-                           cert.lam, affine=False)
+        base = lmi_margins(M, jm.Aprime, jm.Cprime, cert.lam, affine=False)
         report = verify_all(cert, joint)[0]
         assert base == pytest.approx(report.margins, rel=0.0, abs=1e-12)
         base_feasible = report.feasible
         for _ in range(20):
             Q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
             got = lmi_margins(Q.T @ M @ Q, Q.T @ jm.Aprime @ Q, jm.Cprime @ Q,
-                              jm.cell.E @ Q, None, None, cert.lam, affine=False)
+                              cert.lam, affine=False)
             np.testing.assert_allclose(got[:2], base[:2], atol=1e-8)
             np.testing.assert_allclose(got[2], base[2], atol=1e-6)
             feasible = (got[0] >= -1e-9 and got[1] >= 1e-9 and got[2] <= 1e-9)
@@ -445,8 +441,7 @@ def _mixed_joint(rng, kinds, d=4, n=2, m=2, p=2, lam=0.3, rows=None):
     says, with random Hurwitz drift, and ``rows[k]`` bounding rows in mode
     ``k`` (2 in every mode by default).  The certificate is feasible by
     construction on even modes (decay-equation ``M`` scaled over ``C^T C``,
-    no affine drift offset) and random, with relaxation weights, on odd
-    ones."""
+    no affine drift offset) and random on odd ones."""
     modes, entries = [], []
     I = np.eye(d)
     for k, kind in enumerate(kinds):
@@ -466,13 +461,11 @@ def _mixed_joint(rng, kinds, d=4, n=2, m=2, p=2, lam=0.3, rows=None):
             M = vec.reshape(d, d)
             M = 0.5 * (M + M.T)
             M *= 1.0 + 2.0 * np.linalg.eigvalsh(C.T @ C)[-1] / np.linalg.eigvalsh(M)[0]
-            weights = {}
         else:
             Abar[:d, d] = rng.normal(size=d)
             Cbar[:, d] = rng.normal(size=n)
             root = rng.normal(size=(d, d))
             M = root @ root.T + 0.2 * I
-            weights = {"U": np.full((r, r), 0.01), "W": np.full((r, r), 0.02)}
         modes.append(JointMode(
             label=(k,), kind=kind, Aprime=A, B1prime=B1, B2prime=B2, Cprime=C,
             cell=cell, bounding=cell_bounding(cell), Abar=Abar,
@@ -480,7 +473,7 @@ def _mixed_joint(rng, kinds, d=4, n=2, m=2, p=2, lam=0.3, rows=None):
             B2bar=np.vstack([B2, np.zeros((1, p))]), Cbar=Cbar,
         ))
         m_scalar = None if kind == CONIC else float(rng.uniform(0.5, 2.0))
-        entries.append(ModeCertificate(M, m_scalar=m_scalar, **weights))
+        entries.append(ModeCertificate(M, m_scalar=m_scalar))
     return Certificate(2.0, lam, tuple(entries)), JointSystem(tuple(modes), n=n, m=m)
 
 
@@ -489,10 +482,8 @@ def _reference_margins(cert, joint, idx):
     the mode's blocks)."""
     entry, jm = cert.entries[idx], joint.modes[idx]
     if jm.kind == CONIC:
-        return lmi_margins(entry.M, jm.Aprime, jm.Cprime, jm.cell.E, entry.U, entry.W,
-                           cert.lam, affine=False)
-    return lmi_margins(entry.extended(), jm.Abar, jm.Cbar, jm.bounding.Ebar, entry.U,
-                       entry.W, cert.lam, affine=True)
+        return lmi_margins(entry.M, jm.Aprime, jm.Cprime, cert.lam, affine=False)
+    return lmi_margins(entry.extended(), jm.Abar, jm.Cbar, cert.lam, affine=True)
 
 
 def _reference_slopes(cert, joint, idx):
@@ -547,16 +538,11 @@ class TestStackedChecks:
 
 def _ragged_joint():
     """Supplied certificate over modes of both cell kinds with 2 to 4
-    bounding rows, relaxation weights on odd modes, two odd modes without
-    ``W`` and one without ``U``: seven block shapes, six of them shared by
-    several modes."""
+    bounding rows: the bounding rows do not enter the certificate, so there
+    are two block shapes, one per cell kind."""
     kinds = (CONIC, AFFINE) * 2 + (AFFINE, CONIC) * 2 + (CONIC, AFFINE) * 3
     rows = (2, 3, 2, 3, 2, 3, 2, 3, 4, 3, 4, 3, 2, 3)
-    cert, joint = _mixed_joint(np.random.default_rng(11), kinds, rows=rows)
-    entries = list(cert.entries)
-    for idx, weight in ((9, "W"), (11, "W"), (13, "U")):
-        entries[idx] = dataclasses.replace(entries[idx], **{weight: None})
-    return dataclasses.replace(cert, entries=tuple(entries)), joint
+    return _mixed_joint(np.random.default_rng(11), kinds, rows=rows)
 
 
 def _bits(x):
@@ -614,9 +600,11 @@ class TestStackedEqualsPerMode:
                                       _bits(gain_slopes_all(cert, joint)[others]))
 
     def test_ragged_modes_group_by_block_shape(self):
+        """Modes with 2, 3 and 4 bounding rows share one stacked eigenvalue
+        call per cell kind."""
         cert, joint = _ragged_joint()
-        groups = [pos for pos, _, _ in _stacked_blocks(cert, joint)]
-        assert groups == [[0, 2, 12], [1, 3], [4, 6], [5, 7], [8, 10], [9, 11], [13]]
+        groups = [(pos, affine) for pos, _, affine in _stacked_blocks(cert, joint)]
+        assert groups == [([0, 2, 5, 7, 8, 10, 12], False), ([1, 3, 4, 6, 9, 11, 13], True)]
 
 
 class TestErrorBound:
@@ -709,9 +697,12 @@ class TestCertificateValidation:
         with pytest.raises(InfeasibleCertificateError):
             ModeCertificate(np.diag([1.0, 0.0]))
 
-    def test_negative_relaxation_rejected(self):
-        with pytest.raises(ValueError):
-            ModeCertificate(np.eye(2), U=np.array([[-1.0]]))
+    def test_relaxation_weights_are_not_fields(self):
+        """A certificate is ``M`` and ``m_scalar`` only; ``U``/``W`` read None."""
+        assert [f.name for f in dataclasses.fields(ModeCertificate)] == ["M", "m_scalar"]
+        assert ModeCertificate(np.eye(2)).U is None and ModeCertificate(np.eye(2)).W is None
+        with pytest.raises(TypeError):
+            ModeCertificate(np.eye(2), U=np.zeros((1, 1)))
 
     @pytest.mark.parametrize("kappa", [np.inf, np.nan, 0.0, -1.0])
     def test_kappa_positive_and_finite(self, kappa):

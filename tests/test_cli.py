@@ -100,8 +100,9 @@ def _break_model(doc, how):
             doc["certificate"]["m"] = ["x"] + [1.0] * (modes - 1)
         elif how == "cert-m-short":
             doc["certificate"]["m"] = [1.0]
-        elif how == "cert-U-short":
-            doc["certificate"]["U"] = [[[0.0] * rows] * rows]
+        elif how == "cert-U":
+            # zero weights of the right shape, refused all the same
+            doc["certificate"]["U"] = [[[0.0] * rows] * rows] * modes
         elif how == "cert-M-asymmetric":
             doc["certificate"]["M"][0][0][1] += 1e-3
         elif how == "cert-jbar-short":
@@ -337,6 +338,12 @@ class TestCheck:
          "certificate.lambda: lambda must be positive and finite, got 0.0"),
         ("case2+cert", ("certificate", "M", 0, 0, 1), 1e-3,
          "certificate.M[0]: M: relative asymmetry"),
+        ("case2+cert", ("certificate", "M", 0), [[1.0]],
+         "certificate.M[0]: shape (1, 1), expected (6, 6)"),
+        ("case2", ("certificate", "m_scalar"), -1.0,
+         "certificate.m_scalar: m_scalar must be positive and finite, got -1.0"),
+        ("case2+cert", ("certificate", "m", 0), -1.0,
+         "certificate.m[0]: m[0] must be positive and finite, got -1.0"),
         ("case2", ("scenario", "t_end"), 0.0,
          "scenario.t_end: t_end must be positive and finite, got 0.0"),
         ("case2", ("scenario", "step"), 0.0,
@@ -348,7 +355,8 @@ class TestCheck:
     ], ids=["pwa-F-text", "pwa-cell-f-matrix", "B-list", "E-list", "K-list", "P-list",
             "waypoint-value-text", "waypoint-t-text", "offset-text", "K-shape", "R-shape",
             "x1-0-shape", "x2-0-shape", "waypoint-value-shape", "kappa-negative",
-            "cert-lambda-zero", "cert-M-asymmetric", "t-end-zero", "step-zero",
+            "cert-lambda-zero", "cert-M-asymmetric", "cert-M-shape", "m-scalar-negative",
+            "cert-m-negative", "t-end-zero", "step-zero",
             "waypoint-t-decreasing", "disturbance-over-bound"])
     def test_loader_error_names_the_json_path(self, base, path, value, line, tmp_path, capsys):
         """A bad entry is named by its full JSON path, in one error line.  A
@@ -464,7 +472,7 @@ class TestRun:
         ["check", "cert-lambda-tiny"],
         ["check", "cert-m-text"],
         ["check", "cert-m-short"],
-        ["check", "cert-U-short"],
+        ["check", "cert-U"],
         ["check", "cert-jbar-short"],
         ["check", "cert-M-asymmetric"],
         ["check", "cert-T-Jbar-shape"],
@@ -493,7 +501,7 @@ class TestRun:
             "lambda-grid-nonpositive", "lambda-grid-empty", "lambda-grid-tiny",
             "zero-disturbance-scaled", "waypoint-t-nan", "offset-nan", "constant-with-amplitude",
             "cert-lambda-text", "cert-lambda-list", "cert-lambda-tiny", "cert-m-text",
-            "cert-m-short", "cert-U-short", "cert-jbar-short", "cert-M-asymmetric",
+            "cert-m-short", "cert-U", "cert-jbar-short", "cert-M-asymmetric",
             "cert-T-Jbar-shape", "cert-T-only", "cert-lambda-without-M",
             "cert-T-without-M", "pairing-on-linear",
             "pwa-pairing-fraction", "waypoint-ragged", "waypoint-wrong-dim", "R-shape",

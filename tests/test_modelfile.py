@@ -143,9 +143,7 @@ class TestValidation:
             load_model(p)
         assert "vector" not in str(info.value) and "flat list" not in str(info.value)
 
-    @pytest.mark.parametrize("key, value", [
-        ("lambda", 5.0), ("m", [1.0]), ("U", [[[1.0]]]), ("W", [[[1.0]]]),
-    ])
+    @pytest.mark.parametrize("key, value", [("lambda", 5.0), ("m", [1.0])])
     def test_certificate_keys_need_M(self, tmp_path, case1_doc, key, value):
         """Keys read only with a supplied M are rejected without one, by
         name, instead of being ignored in favour of synthesis."""
@@ -154,6 +152,23 @@ class TestValidation:
         p = tmp_path / "bad.model"
         p.write_text(json.dumps(doc))
         with pytest.raises(ModelError, match=f"certificate: {key} given without a supplied M"):
+            load_model(p)
+
+    @pytest.mark.parametrize("with_M", [False, True], ids=["without-M", "with-M"])
+    @pytest.mark.parametrize("key", ["U", "W"])
+    def test_relaxation_weights_are_refused(self, tmp_path, case1_doc, key, with_M):
+        """Cell relaxation weights are refused by their path, not ignored:
+        ignoring them would drop a relaxation the file supplies."""
+        doc = json.loads(json.dumps(case1_doc))
+        if with_M:
+            pipe = load_pipeline(builtin_model_path("case1"))
+            doc["certificate"].update(certificate_to_jsonable(pipe.certificate,
+                                                              pipe.scenario.reports))
+        rows = len(doc["system"]["partition"][0]["f"])
+        doc["certificate"][key] = [[[0.0] * rows] * rows] * 3
+        p = tmp_path / "bad.model"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match=f"^certificate.{key}: "):
             load_model(p)
 
     def test_declared_pairing_mismatch(self, tmp_path):
@@ -202,20 +217,17 @@ class TestCertificateFragments:
         )
 
     def test_supplied_relaxation_and_continuity_blocks(self, tmp_path):
-        """Explicit zero U/W plus an identity continuity factorization are
-        accepted and verify; a wrong T is rejected."""
+        """An identity continuity factorization is accepted and verifies; a
+        wrong T is rejected.  (Relaxation weights are refused:
+        ``test_relaxation_weights_are_refused``.)"""
         pipe = load_pipeline(builtin_model_path("case1"))
         mats = [[[float(v) for v in row] for row in e.M]
                 for e in pipe.certificate.entries]
-        rows = pipe.joint.modes[0].cell.E.shape[0]
-        zero = [[0.0] * rows for _ in range(rows)]
         eye8 = [[1.0 if a == b else 0.0 for b in range(8)] for a in range(8)]
         doc = json.loads(builtin_model_path("case1").read_text())
         doc["certificate"].update({
             "lambda": pipe.certificate.lam,
             "M": mats,
-            "U": [zero] * 3,
-            "W": [zero] * 3,
             # all three modes share one M, so T = M factors through J = I
             "T": mats[0],
             "Jbar": [eye8] * 3,

@@ -563,12 +563,12 @@ class TestPropagator:
             u2val = rng.normal(size=scen.schedule.values.shape[1])
             t = float(rng.uniform(0.0, 12.0))
             field = _frozen_field(scen, runner, i, u2val)
-            Phi, Gu, Ws = runner.maps(i)[3:]
+            Phi, Gu, Ws = runner.Phi[i], runner.Gu[i], runner.Ws[i]
             got = Phi @ z + Gu @ u2val + runner.stages(t, scen.h) @ Ws
             want = step_rk4(field, z, t, scen.h)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             tau = 0.37 * scen.h
-            Zk, ZkB, Zkm = runner.maps(i)[:3]
+            Zk, ZkB, Zkm = runner.Zk[i], runner.ZkB[i], runner.Zkm[i]
             got = runner.coefficients(t, tau) @ np.concatenate([Zk @ z, ZkB @ u2val, Zkm])
             want = step_rk4(field, z, t, tau)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -629,7 +629,7 @@ class TestPropagator:
         rng = np.random.default_rng(5)
         d = runner.n + runner.m
         for i in range(len(scen.joint)):
-            Phi, Gu, Ws = runner.maps(i)[3:]
+            Phi, Gu, Ws = runner.Phi[i], runner.Gu[i], runner.Ws[i]
             u2bar = rng.normal(size=(_BLOCK_MAX, Gu.shape[1]))
             stages = rng.normal(size=(_BLOCK_MAX, 3))
             z0 = rng.normal(size=d)
@@ -853,7 +853,7 @@ def _crossing_starts(scen, traj, runner):
     for ev in traj.crossings:
         k = int(np.searchsorted(traj.t, ev.t_inside, side="right")) - 1
         i = int(traj.mode_i[k])
-        Zk, ZkB, Zkm = runner.maps(i)[:3]
+        Zk, ZkB, Zkm = runner.Zk[i], runner.ZkB[i], runner.Zkm[i]
         yield np.concatenate([Zk @ z[k], ZkB @ traj.u2bar[k], Zkm]), float(traj.t[k]), i
 
 
