@@ -30,7 +30,6 @@ from .relation import (
     JointMode,
     JointSystem,
     RelationMaps,
-    assemble_joint,
     build_interface,
     default_R,
     relation_residual,

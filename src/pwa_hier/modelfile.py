@@ -33,8 +33,8 @@ from .errors import ModelError, ParseError, PwaHierError
 from .linalg import as_positive
 from .polytope import Partition, Polyhedron
 from .relation import (
+    JointSystem,
     RelationMaps,
-    assemble_joint,
     build_interface,
     relation_residual,
     solve_relation_pairing,
@@ -235,9 +235,12 @@ def _disturbance(node: _Entry, dim: int) -> DisturbanceSignal:
 
 def load_model(path) -> ModelConfig:
     """Parse and schema-validate one model file."""
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: nested deeper than the JSON reader recurses") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -380,7 +383,7 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
 
     interface = build_interface(config.system, config.abstraction, relation, config.K,
                                 R=config.R)
-    joint = assemble_joint(config.system, config.abstraction, relation, interface)
+    joint = JointSystem(config.system, config.abstraction, relation, interface)
 
     if config.cert_M is not None:
         m = config.cert_m if config.cert_m is not None else [config.m_scalar] * len(joint)

@@ -12,6 +12,7 @@ block joint system over ``omega = (xtilde, x2)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -242,21 +243,12 @@ class Interface:
     matrix per mode (:func:`build_interface` stacks them by mode).
 
     ``K[i]`` stabilizes ``A_i + B_i K[i]``; ``R[i]`` is the feedthrough for
-    mode i (paired abstraction mode for PWA abstractions); ``QRL[i]`` is the
-    abstraction-state gain ``Q_i + R_i L_j``, of its relation map and the
-    paired input transformation.
+    mode i (paired abstraction mode for PWA abstractions).  The x2 gain
+    ``Q_i + R_i L_j`` is the joint system's (``JointSystem.QRL``).
     """
 
     K: Sequence[np.ndarray]
     R: Sequence[np.ndarray]
-    QRL: Sequence[np.ndarray]
-
-    def u1(self, i, xtilde, x2, u2bar) -> np.ndarray:
-        """Concrete input ``u1 = R u2bar + QRL x2 + K xtilde`` of mode ``i``,
-        or of each row's mode when ``i`` is an array: one row per row of the
-        row-stacked arguments, or one input from vectors."""
-        terms = ((self.R, u2bar), (self.QRL, x2), (self.K, xtilde))
-        return sum(np.einsum("...ij,...j->...i", np.asarray(G)[i], x) for G, x in terms)
 
 
 def _shaped(X, name: str, shape: tuple) -> np.ndarray:
@@ -291,12 +283,12 @@ def build_interface(
                       for i, Ri in enumerate(R)])
     paired = paired_modes(abstraction, relation.pairing, system.n_modes)
     A, B = stack_blocks(system.modes, "AB")
-    G, L = stack_blocks([pm.mode for pm in paired], "GL")
     # a gain or closed loop that is not finite is refused as such, here or by the joint
     with np.errstate(over="ignore", invalid="ignore"):
         assert_hurwitz(A + B @ K, "closed loop of mode {}")
-        R = default_R(B, np.asarray(relation.P), G) if R is None else R
-        return Interface(K, R, np.asarray(relation.Q) + R @ L)
+    if R is None:
+        R = default_R(B, np.asarray(relation.P), stack_blocks([pm.mode for pm in paired], "G")[0])
+    return Interface(K, R)
 
 
 @dataclass(frozen=True)
@@ -324,88 +316,89 @@ class JointMode:
     Cbar: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointSystem:
-    """Per-mode (or per-pair) closed-loop joint blocks and joint partition,
-    and the plant, abstraction, relation and interface :func:`assemble_joint`
-    built them from (None for a joint built from blocks alone)."""
-
-    modes: tuple[JointMode, ...]
-    n: int
-    m: int
-    system: Optional[PwaSystem] = field(default=None, repr=False, compare=False)
-    abstraction: Optional[Union[LinearAbstraction, PwaAbstraction]] = field(
-        default=None, repr=False, compare=False)
-    relation: Optional[RelationMaps] = field(default=None, repr=False, compare=False)
-    interface: Optional[Interface] = field(default=None, repr=False, compare=False)
-
-    def __len__(self) -> int:
-        return len(self.modes)
-
-
-def assemble_joint(
-    system: PwaSystem,
-    abstraction: Union[LinearAbstraction, PwaAbstraction],
-    relation: RelationMaps,
-    interface: Interface,
-) -> JointSystem:
-    """Closed-loop joint system, one entry per concrete mode i and the
-    abstraction mode the relation pairs it with: labelled ``(i,)`` for a
-    linear abstraction and ``(i, relation.pairing[i])`` for a PWA one.
-    Each pair is certified as assembled: its relation residual is
+    """Closed-loop joint system of a plant, an abstraction, their relation
+    maps and an interface, built with them: one entry of ``modes`` per
+    concrete mode i and the abstraction mode the relation pairs it with,
+    labelled ``(i,)`` for a linear abstraction and ``(i, relation.pairing[i])``
+    for a PWA one.  Each pair is certified as built: its relation residual is
     recomputed for that pair, not read from ``relation.residuals``; the
     lowest failing pair is named, its residual checked before injectivity.
     Joint cells lift the concrete cell, with the paired region's rows
     stacked under it for a PWA abstraction.  Every block is built for all
-    modes at once; the entries hold slices of the stacks, which assume the
-    x2 gain ``Q + R L`` of :func:`build_interface`, bit for bit, and refuse
-    any other.  The joint records the four parts it was assembled from.
+    modes at once; the entries hold slices of the stacks.  ``QRL`` holds
+    the x2 gain ``Q + R L`` of each pair, formed here once.  Nothing else
+    is settable, so a ``dataclasses.replace`` of any part is built and
+    certified anew.  Compared and hashed by identity (array fields have no
+    single truth value for a generated ``__eq__``).
     """
-    paired = paired_modes(abstraction, relation.pairing, system.n_modes)
-    labels = [(i,) if pm.j is None else (i, pm.j) for i, pm in enumerate(paired)]
-    A, B, C = stack_blocks(system.modes, "ABC")
-    F, G, H, L = stack_blocks([pm.mode for pm in paired], "FGHL")
-    P, Q = np.asarray(relation.P), np.asarray(relation.Q)
-    residual = relation_residual(A, B, C, F, H, P, Q)
-    tol = relation_tolerance(A, H)
-    injective = _injective(P)
-    failing = np.flatnonzero(~(residual <= tol) | ~injective)
-    if failing.size:
-        i = failing[0]
-        what = f"mode {i}" if paired[i].j is None else f"pair {labels[i]}"
-        if not residual[i] <= tol[i]:
-            detail = (f"{residual[i]:.3e} exceeds tolerance {tol[i]:.3e}"
-                      if np.isfinite(residual[i]) else "is not finite")
-            raise UncertifiedRelationError(f"{what}: relation residual {detail}")
-        raise UncertifiedRelationError(f"{what}: state map is not injective (singular "
-                                       f"value below {INJECTIVITY_TOL:.0e})")
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.array_equal(interface.QRL, Q + np.asarray(interface.R) @ L, equal_nan=True):
-            raise UncertifiedRelationError("interface x2 gain is not Q + R L of the pairs")
+    system: PwaSystem
+    abstraction: Union[LinearAbstraction, PwaAbstraction]
+    relation: RelationMaps
+    interface: Interface
+    modes: tuple[JointMode, ...] = field(init=False, repr=False)
+    QRL: np.ndarray = field(init=False, repr=False)
 
-    n, m, d = system.n, abstraction.m, system.n + abstraction.m
-    feed = B @ interface.R - P @ G
-    # homogeneous forms, zero in the last row (and for A and C the last
-    # column); the plain forms are their leading blocks
-    Abar = np.zeros((len(A), d + 1, d + 1))
-    Abar[:, :n, :n] = A + B @ interface.K
-    Abar[:, n:d, n:d] = F + G @ L
-    B1bar = np.zeros((len(A), d + 1, m))
-    B1bar[:, :n] = feed @ L
-    B2bar = np.zeros((len(A), d + 1, G.shape[-1]))
-    B2bar[:, :n], B2bar[:, n:d] = feed, G
-    Cbar = np.zeros((len(A), system.k, d + 1))
-    Cbar[:, :, :n] = C
-    Aprime, B1prime, B2prime, Cprime = (np.ascontiguousarray(X) for X in (
-        Abar[:, :d, :d], B1bar[:, :d], B2bar[:, :d], Cbar[:, :, :d]))
-    joint_cells = joint_partition(system.partition, P, [pm.region for pm in paired])
-    bounds = [cell_bounding(cell) for cell in joint_cells.cells]
-    modes = tuple(
-        JointMode(label=labels[i], kind=bound.kind, Aprime=Aprime[i], B1prime=B1prime[i],
-                  B2prime=B2prime[i], Cprime=Cprime[i], cell=joint_cells.cells[i],
-                  bounding=bound, Abar=Abar[i], B1bar=B1bar[i], B2bar=B2bar[i], Cbar=Cbar[i])
-        for i, bound in enumerate(bounds)
-    )
-    return JointSystem(modes, n=n, m=m, system=system, abstraction=abstraction,
-                       relation=relation, interface=interface)
+    n = property(attrgetter("system.n"))
+    m = property(attrgetter("abstraction.m"))
+
+    def __len__(self) -> int:
+        return len(self.modes)
+
+    def __post_init__(self):
+        system, abstraction, relation = self.system, self.abstraction, self.relation
+        paired = paired_modes(abstraction, relation.pairing, system.n_modes)
+        labels = [(i,) if pm.j is None else (i, pm.j) for i, pm in enumerate(paired)]
+        A, B, C = stack_blocks(system.modes, "ABC")
+        F, G, H, L = stack_blocks([pm.mode for pm in paired], "FGHL")
+        P, Q = np.asarray(relation.P), np.asarray(relation.Q)
+        residual = relation_residual(A, B, C, F, H, P, Q)
+        tol = relation_tolerance(A, H)
+        injective = _injective(P)
+        failing = np.flatnonzero(~(residual <= tol) | ~injective)
+        if failing.size:
+            i = failing[0]
+            what = f"mode {i}" if paired[i].j is None else f"pair {labels[i]}"
+            if not residual[i] <= tol[i]:
+                detail = (f"{residual[i]:.3e} exceeds tolerance {tol[i]:.3e}"
+                          if np.isfinite(residual[i]) else "is not finite")
+                raise UncertifiedRelationError(f"{what}: relation residual {detail}")
+            raise UncertifiedRelationError(f"{what}: state map is not injective (singular "
+                                           f"value below {INJECTIVITY_TOL:.0e})")
+
+        K, R = np.asarray(self.interface.K), np.asarray(self.interface.R)
+        with np.errstate(over="ignore", invalid="ignore"):
+            object.__setattr__(self, "QRL", Q + R @ L)
+        n, m, d = system.n, abstraction.m, system.n + abstraction.m
+        feed = B @ R - P @ G
+        # homogeneous forms, zero in the last row (and for A and C the last
+        # column); the plain forms are their leading blocks
+        Abar = np.zeros((len(A), d + 1, d + 1))
+        Abar[:, :n, :n] = A + B @ K
+        Abar[:, n:d, n:d] = F + G @ L
+        B1bar = np.zeros((len(A), d + 1, m))
+        B1bar[:, :n] = feed @ L
+        B2bar = np.zeros((len(A), d + 1, G.shape[-1]))
+        B2bar[:, :n], B2bar[:, n:d] = feed, G
+        Cbar = np.zeros((len(A), system.k, d + 1))
+        Cbar[:, :, :n] = C
+        Aprime, B1prime, B2prime, Cprime = (np.ascontiguousarray(X) for X in (
+            Abar[:, :d, :d], B1bar[:, :d], B2bar[:, :d], Cbar[:, :, :d]))
+        joint_cells = joint_partition(system.partition, P, [pm.region for pm in paired])
+        bounds = [cell_bounding(cell) for cell in joint_cells.cells]
+        object.__setattr__(self, "modes", tuple(
+            JointMode(label=labels[i], kind=bound.kind, Aprime=Aprime[i], B1prime=B1prime[i],
+                      B2prime=B2prime[i], Cprime=Cprime[i], cell=joint_cells.cells[i],
+                      bounding=bound, Abar=Abar[i], B1bar=B1bar[i], B2bar=B2bar[i],
+                      Cbar=Cbar[i])
+            for i, bound in enumerate(bounds)
+        ))
+
+    def u1(self, i, xtilde, x2, u2bar) -> np.ndarray:
+        """Concrete input ``u1 = R u2bar + QRL x2 + K xtilde`` of mode ``i``,
+        or of each row's mode when ``i`` is an array: one row per row of the
+        row-stacked arguments, or one input from vectors."""
+        terms = ((self.interface.R, u2bar), (self.QRL, x2), (self.interface.K, xtilde))
+        return sum(np.einsum("...ij,...j->...i", np.asarray(G)[i], x) for G, x in terms)

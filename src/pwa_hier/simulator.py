@@ -147,13 +147,13 @@ class CrossingEvent:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One closed-loop experiment: the loop as its joint system (which holds
-    the parts it was assembled from), a certificate, and the experiment.
+    """One closed-loop experiment: the loop as its joint system (the parts
+    it was built from and its blocks), a certificate, and the experiment.
     Building it checks the certificate on every joint mode: ``reports``
     holds the condition margins and ``slopes`` the gain slopes ``(gamma1,
     gamma2, gamma3, sqrt_m)`` per mode, an overflowed one as inf.  A variant
-    made by ``dataclasses.replace`` checks again; the loop changes only with
-    a new joint from ``assemble_joint``."""
+    made by ``dataclasses.replace`` checks again, also with a joint whose
+    part was replaced, which is built and certified anew."""
 
     joint: JointSystem
     certificate: Certificate
@@ -167,9 +167,6 @@ class Scenario:
     slopes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        j = self.joint  # a joint built from blocks alone records no parts
-        if any(part is None for part in (j.system, j.abstraction, j.relation, j.interface)):
-            raise PwaHierError("the joint system records no loop; build it with assemble_joint")
         object.__setattr__(self, "x1_0", as_vector(self.x1_0, "x1_0"))
         object.__setattr__(self, "x2_0", as_vector(self.x2_0, "x2_0"))
         as_positive(self.t_end, "t_end", EmptyTrajectoryError)
@@ -320,12 +317,14 @@ class _Runner:
         self.rows = [(np.ascontiguousarray(jm.cell.E[:, :n]), jm.cell.f)
                      for jm in joint.modes]
         # stacked closed-loop dynamics per concrete mode, z = (x1, x2)
-        A, B, self.C = stack_blocks(joint.system.modes, "ABC")
-        F, G, L, self.H = stack_blocks([pm.mode for pm in paired], "FGLH")
-        K, R, QRL = joint.interface.K, joint.interface.R, joint.interface.QRL
+        B, self.C = stack_blocks(joint.system.modes, "BC")
+        G, self.H = stack_blocks([pm.mode for pm in paired], "GH")
+        K, R = joint.interface.K, joint.interface.R
         self.P = P = np.array(joint.relation.P)
-        self.Z = np.block([[A + B @ K, B @ (QRL - K @ P)],
-                           [np.zeros((len(A), self.m, n)), F + G @ L]])
+        # the diagonal blocks A + B K and F + G L are the certified ones, the
+        # joint's Aprime; only the x1-x2 coupling is written here
+        self.Z = stack_blocks(joint.modes, ["Aprime"])[0]
+        self.Z[:, :n, n:] = B @ (joint.QRL - K @ P)
         self.BU = np.concatenate([B @ R, G], axis=1)
         # every mode's powers Z^0 .. Z^4 applied to the identity, to its
         # reference input map and to the disturbance mask (a sub-step's basis
@@ -617,7 +616,7 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i,
         rows = slice(start, start + _GATHER_ROWS)
         i = mode_i[rows]
         xtilde[rows] = x1[rows] - np.einsum("rij,rj->ri", P[i], x2[rows])
-        u1[rows] = joint.interface.u1(i, xtilde[rows], x2[rows], u2bar[rows])
+        u1[rows] = joint.u1(i, xtilde[rows], x2[rows], u2bar[rows])
         y1[rows] = np.einsum("rij,rj->ri", C[i], x1[rows])
         y2[rows] = np.einsum("rij,rj->ri", H[i], x2[rows])
         V[rows] = sim_fn_values(cert, i, np.hstack([xtilde[rows], x2[rows]]), kinds[i])

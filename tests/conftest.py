@@ -7,6 +7,7 @@ import pytest
 
 from pwa_hier import (
     DisturbanceSignal,
+    JointSystem,
     LinearAbstraction,
     Partition,
     Polyhedron,
@@ -14,7 +15,6 @@ from pwa_hier import (
     PwaMode,
     PwaSystem,
     Scenario,
-    assemble_joint,
     build_interface,
     reference_schedule,
     solve_relation_pairing,
@@ -51,7 +51,7 @@ def build_case1() -> SimpleNamespace:
     relation = solve_system_relation(system, abstraction)
     K1 = -np.hstack([52 * I2, 52.3 * I2, 13 * I2])
     interface = build_interface(system, abstraction, relation, [K1, 0.5 * K1, 2 * K1])
-    joint = assemble_joint(system, abstraction, relation, interface)
+    joint = JointSystem(system, abstraction, relation, interface)
     certificate = synthesize_certificate(joint, kappa=8.0)
     schedule = reference_schedule([
         (0.0, [0.0, 3.0]), (4.0, [4.0, 0.2]), (8.0, [4.0, 0.0]),
@@ -114,7 +114,7 @@ def build_case2() -> SimpleNamespace:
     K1 = -np.hstack([50 * I2, 10 * I2])
     K = [K1, K1, 0.5 * K1, 2 * K1, 2 * K1]
     interface = build_interface(system, abstraction, relation, K)
-    joint = assemble_joint(system, abstraction, relation, interface)
+    joint = JointSystem(system, abstraction, relation, interface)
     certificate = synthesize_certificate(joint, kappa=12.0)
     schedule = reference_schedule([
         (0.0, [-2.0, 0.2]), (2.5, [0.0, 0.4]), (5.0, [2.0, 0.2]),

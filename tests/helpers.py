@@ -10,13 +10,13 @@ import numpy as np
 from pwa_hier import (
     Certificate,
     DisturbanceSignal,
+    JointSystem,
     ModeCertificate,
     LinearAbstraction,
     Partition,
     PwaMode,
     PwaSystem,
     Scenario,
-    assemble_joint,
     build_interface,
     reference_schedule,
     synthesize_certificate,
@@ -119,7 +119,7 @@ def fan_scenario(cones: int = 32, seed: int = 0, t_end: float = 0.5,
     abstraction = LinearAbstraction(F=Z2, G=I2, H=I2, L=-rate * I2)
     relation = solve_system_relation(system, abstraction)
     interface = build_interface(system, abstraction, relation, gains)
-    joint = assemble_joint(system, abstraction, relation, interface)
+    joint = JointSystem(system, abstraction, relation, interface)
     certificate = synthesize_certificate(joint, kappa=8.0)
 
     omega = 2.0 * math.pi * 80.0 / cones

@@ -30,7 +30,7 @@ from pwa_hier.errors import (
 )
 from pwa_hier.polytope import AFFINE, CONIC, Polyhedron, cell_bounding
 from pwa_hier.modelfile import build_pipeline, builtin_model_path, load_model
-from pwa_hier.relation import JointMode, JointSystem
+from pwa_hier.relation import JointMode
 from pwa_hier.simulator import reference_schedule, run_scenario
 from pwa_hier.systems import DisturbanceSignal
 
@@ -39,7 +39,17 @@ from helpers import fan_scenario, kron_decay_solve, lmi_margins, reference_synth
 I2 = np.eye(2)
 
 
-def _toy_joint(Aprime, B1, B2, C, cell, n, m) -> JointSystem:
+@dataclasses.dataclass(frozen=True)
+class _Blocks:
+    """A joint system given by its blocks alone, with no loop: the modes
+    and the dimensions ``n`` and ``m`` are all the certificate layer reads."""
+
+    modes: tuple
+    n: int
+    m: int
+
+
+def _toy_joint(Aprime, B1, B2, C, cell, n, m) -> _Blocks:
     d = Aprime.shape[0]
     Abar = np.zeros((d + 1, d + 1))
     Abar[:d, :d] = Aprime
@@ -57,7 +67,7 @@ def _toy_joint(Aprime, B1, B2, C, cell, n, m) -> JointSystem:
         B2bar=np.vstack([B2, np.zeros((1, B2.shape[1]))]),
         Cbar=np.hstack([C, np.zeros((C.shape[0], 1))]),
     )
-    return JointSystem((jm,), n=n, m=m)
+    return _Blocks((jm,), n=n, m=m)
 
 
 def _verified(Aprime, C, cell, entry, lam):
@@ -307,7 +317,7 @@ def _stable(rng, d, slowest):
     return X - (np.max(np.linalg.eigvals(X).real) + slowest) * np.eye(d)
 
 
-def _joint_of(As) -> JointSystem:
+def _joint_of(As) -> _Blocks:
     """Conic joint modes with the given closed loops, each observed through
     its first coordinate."""
     modes = []
@@ -317,7 +327,7 @@ def _joint_of(As) -> JointSystem:
         jm = _toy_joint(A, np.zeros((d, 1)), np.zeros((d, 1)), C, _conic_cell(d),
                         n=d - 1, m=1).modes[0]
         modes.append(dataclasses.replace(jm, label=(i,)))
-    return JointSystem(tuple(modes), n=As[0].shape[0] - 1, m=1)
+    return _Blocks(tuple(modes), n=As[0].shape[0] - 1, m=1)
 
 
 def _assert_same_certificate(cert, ref):
@@ -474,7 +484,7 @@ def _mixed_joint(rng, kinds, d=4, n=2, m=2, p=2, lam=0.3, rows=None):
         ))
         m_scalar = None if kind == CONIC else float(rng.uniform(0.5, 2.0))
         entries.append(ModeCertificate(M, m_scalar=m_scalar))
-    return Certificate(2.0, lam, tuple(entries)), JointSystem(tuple(modes), n=n, m=m)
+    return Certificate(2.0, lam, tuple(entries)), _Blocks(tuple(modes), n=n, m=m)
 
 
 def _reference_margins(cert, joint, idx):
@@ -566,7 +576,7 @@ class TestStackedEqualsPerMode:
 
     def test_margins_and_feasibility(self, cert_joint):
         cert, joint = cert_joint
-        want = np.array([_reference_margins(cert, joint, idx) for idx in range(len(joint))])
+        want = np.array([_reference_margins(cert, joint, idx) for idx in range(len(joint.modes))])
         reports = verify_all(cert, joint)
         np.testing.assert_array_equal(_bits([r.margins for r in reports]), _bits(want))
         assert [r.feasible for r in reports] == [
@@ -574,7 +584,7 @@ class TestStackedEqualsPerMode:
 
     def test_gain_slopes(self, cert_joint):
         cert, joint = cert_joint
-        want = [_reference_slopes(cert, joint, idx) for idx in range(len(joint))]
+        want = [_reference_slopes(cert, joint, idx) for idx in range(len(joint.modes))]
         np.testing.assert_array_equal(_bits(gain_slopes_all(cert, joint)), _bits(want))
 
     def test_overflowing_mode_leaves_the_others(self, case2):

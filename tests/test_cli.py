@@ -2,12 +2,16 @@
 
 import functools
 import json
+import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pwa_hier
 from pwa_hier import export_run, run_scenario, simulator
 from pwa_hier.cli import _sweep_scenario, build_parser, main
 from pwa_hier.modelfile import (
@@ -201,6 +205,23 @@ class TestCheck:
         p.write_text("")
         assert main(["check", str(p)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_unreadable_model_exits_one(self, content, tmp_path):
+        """A model file that is not UTF-8 text, or that nests deeper than the
+        JSON reader recurses, ends in one error line naming the file, not a
+        traceback.  Run in a fresh interpreter, whose uncaught exception
+        would exit 1 too."""
+        p = tmp_path / "bad.model"
+        p.write_bytes(content)
+        env = dict(os.environ, PYTHONPATH=str(Path(pwa_hier.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "pwa_hier.cli", "check", str(p)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {p}: ")
+        assert "Traceback" not in proc.stderr
 
     def test_save_certificate(self, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"

@@ -24,9 +24,9 @@ from pwa_hier.errors import (
 )
 from pwa_hier.relation import (
     Interface,
+    JointSystem,
     RelationMaps,
     _relation_operator,
-    assemble_joint,
     default_R,
     relation_residual,
     relation_tolerance,
@@ -248,15 +248,25 @@ class TestDefaultR:
             assert best <= np.linalg.norm(B @ cand - P @ G) + 1e-12
 
 
-def _one_mode_interface(R, Q, L, K) -> Interface:
-    return Interface((K,), (R,), (Q + R @ L,))
+def _one_mode_joint(R, Q, L, K) -> JointSystem:
+    """A one-mode joint of interface gains ``R`` and ``K`` over a certified
+    relation whose map is ``Q``: ``P = B = [I; 0]``, ``C = P^T``, ``A P =
+    P F - B Q`` and ``F + G L = -I``."""
+    (p, n), (q, m) = np.shape(K), np.shape(L)
+    P, B, G = np.eye(n, m), np.eye(n, p), np.eye(m, q)
+    F = -G @ L - np.eye(m)
+    A = np.zeros((n, n))
+    A[:, :m] = P @ F - B @ Q
+    system = PwaSystem((PwaMode(A, B, P.T),),
+                       Partition((Polyhedron(np.zeros((1, n)), np.zeros(1)),)))
+    absn = LinearAbstraction(F=F, G=G, H=np.eye(m), L=L)
+    return JointSystem(system, absn, RelationMaps((P,), (Q,), (0.0,)), Interface((K,), (R,)))
 
 
 class TestInterface:
     def test_feedthrough_only(self):
-        iface = _one_mode_interface(R=np.eye(2), Q=np.zeros((2, 2)), L=-I2,
-                                    K=np.zeros((2, 3)))
-        u = iface.u1(0, np.zeros(3), np.zeros(2), [1.0, 2.0])
+        joint = _one_mode_joint(R=np.eye(2), Q=np.zeros((2, 2)), L=-I2, K=np.zeros((2, 3)))
+        u = joint.u1(0, np.zeros(3), np.zeros(2), [1.0, 2.0])
         np.testing.assert_allclose(u, [1.0, 2.0])
 
     def test_case1_error_feedback_column(self, case1):
@@ -264,8 +274,8 @@ class TestInterface:
         e1[0] = 1.0
         # the x2 gain of every mode is its relation map Q plus R times the abstraction's L
         for i, (Q, R) in enumerate(zip(case1.relation.Q, case1.interface.R)):
-            np.testing.assert_array_equal(case1.interface.QRL[i], Q + R @ case1.abstraction.L)
-        u = case1.interface.u1(0, e1, np.zeros(2), np.zeros(2))
+            np.testing.assert_array_equal(case1.joint.QRL[i], Q + R @ case1.abstraction.L)
+        u = case1.joint.u1(0, e1, np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(u, [-52.0, 0.0])
 
     def test_case2_error_feedback_column(self, case2):
@@ -274,27 +284,30 @@ class TestInterface:
         # ... with L the paired abstraction mode's
         for i, (Q, R, j) in enumerate(zip(case2.relation.Q, case2.interface.R,
                                           case2.relation.pairing, strict=True)):
-            np.testing.assert_array_equal(case2.interface.QRL[i],
+            np.testing.assert_array_equal(case2.joint.QRL[i],
                                           Q + R @ case2.abstraction.modes[j].L)
-        u = case2.interface.u1(0, e1, np.zeros(2), np.zeros(2))
+        u = case2.joint.u1(0, e1, np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(u, [-50.0, 0.0])
 
     def test_zero_everything(self):
-        iface = _one_mode_interface(R=Z2, Q=Z2, L=-5 * I2, K=Z2)
-        u = iface.u1(0, np.zeros(2), np.zeros(2), np.zeros(2))
+        joint = _one_mode_joint(R=Z2, Q=Z2, L=-5 * I2, K=Z2)
+        u = joint.u1(0, np.zeros(2), np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(u, np.zeros(2))
 
     def test_affine_in_arguments(self):
         rng = np.random.default_rng(37)
         R, Q, L, K = (rng.normal(size=(2, 2)) for _ in range(4))
-        iface = _one_mode_interface(R=R, Q=Q, L=L, K=K)
+        joint = _one_mode_joint(R=R, Q=Q, L=L, K=K)
         def u(args):
-            return iface.u1(0, args[:2], args[2:4], args[4:])
+            return joint.u1(0, args[:2], args[2:4], args[4:])
         a, b = rng.normal(size=6), rng.normal(size=6)
         al, be = 0.7, -1.3
         np.testing.assert_allclose(
             u(al * a + be * b), al * u(a) + be * u(b), atol=1e-12
         )
+        # each argument enters through its own gain, x2 through Q + R L
+        np.testing.assert_allclose(u(np.arange(6.0)),
+                                   K @ [0, 1] + (Q + R @ L) @ [2, 3] + R @ [4, 5], atol=1e-12)
 
     @pytest.mark.parametrize("which", ["case1", "case2"])
     def test_one_row_matches_stacked_rows(self, which, case1, case2):
@@ -304,19 +317,19 @@ class TestInterface:
         matrix-vector kernel and a stack through its matrix-matrix kernel,
         and the two round differently (about half the rows of case1 differ
         in the last bit)."""
-        iface = (case1 if which == "case1" else case2).interface
+        joint = (case1 if which == "case1" else case2).joint
         rng = np.random.default_rng(41)
-        n, q = iface.K[0].shape[1], iface.R[0].shape[1]
-        xt, x2, u2 = (rng.normal(size=(64, d)) for d in (n, iface.QRL[0].shape[1], q))
-        for i in range(len(iface.K)):
-            many = iface.u1(i, xt, x2, u2)
-            assert many.shape == (64, iface.K[i].shape[0])
+        xt, x2, u2 = (rng.normal(size=(64, d)) for d in (joint.n, joint.m,
+                                                         joint.abstraction.q))
+        for i, K in enumerate(joint.interface.K):
+            many = joint.u1(i, xt, x2, u2)
+            assert many.shape == (64, K.shape[0])
             tol = 1e-13 * (1.0 + np.max(np.abs(many)))
             for k in range(64):
-                np.testing.assert_allclose(iface.u1(i, xt[k], x2[k], u2[k]), many[k],
+                np.testing.assert_allclose(joint.u1(i, xt[k], x2[k], u2[k]), many[k],
                                            rtol=0.0, atol=tol)
                 np.testing.assert_allclose(
-                    iface.u1(i, xt[k:k + 1], x2[k:k + 1], u2[k:k + 1]), many[k:k + 1],
+                    joint.u1(i, xt[k:k + 1], x2[k:k + 1], u2[k:k + 1]), many[k:k + 1],
                     rtol=0.0, atol=tol)
 
 
@@ -359,7 +372,7 @@ class TestJointAssembly:
         rel = solve_system_relation(system, absn)
         iface = build_interface(system, absn, rel, [np.zeros((3, 3))],
                                 R=[np.zeros((3, 1))])
-        joint = assemble_joint(system, absn, rel, iface)
+        joint = JointSystem(system, absn, rel, iface)
         jm = joint.modes[0]
         np.testing.assert_allclose(jm.Aprime[:3, :3], mode.A)
         np.testing.assert_allclose(jm.Aprime[3:, 3:], -np.eye(1))
@@ -373,29 +386,32 @@ class TestJointAssembly:
         bad = RelationMaps((P0, *case1.relation.P[1:]), case1.relation.Q,
                            case1.relation.residuals)
         with pytest.raises(UncertifiedRelationError, match="mode 0"):
-            assemble_joint(case1.system, case1.abstraction, bad, case1.interface)
+            JointSystem(case1.system, case1.abstraction, bad, case1.interface)
 
-    @pytest.mark.parametrize("which", ["case1", "case2"])
-    def test_interface_x2_gain_must_be_the_relations(self, which, case1, case2):
-        """An interface whose x2 gain is not Q + R L of the relation and the
-        paired modes would drive another loop than the blocks describe, so
-        assembly refuses it; the gain build_interface forms passes as is."""
-        case = case1 if which == "case1" else case2
-        iface = case.interface
-        joint = assemble_joint(case.system, case.abstraction, case.relation, iface)
-        assert joint.interface is iface
-        QRL = np.array(iface.QRL)
-        QRL[-1, 0, 0] += 1e-12 * (1.0 + abs(QRL[-1, 0, 0]))
-        with pytest.raises(UncertifiedRelationError, match="x2 gain"):
-            assemble_joint(case.system, case.abstraction, case.relation,
-                           Interface(iface.K, iface.R, QRL))
+    def test_joint_is_its_four_parts(self, case1):
+        """A joint's only settable values are its four parts; its blocks, its
+        dimensions and its x2 gain are derived from them when it is built."""
+        assert [f.name for f in dataclasses.fields(JointSystem) if f.init] == [
+            "system", "abstraction", "relation", "interface"]
+        assert (case1.joint.n, case1.joint.m) == (case1.system.n, case1.abstraction.m)
+        with pytest.raises(TypeError):
+            JointSystem(case1.joint.modes, n=6, m=2)
+
+    def test_replaced_relation_is_certified_anew(self, case1):
+        """A relation replaced in a built joint is certified as that joint is
+        built again, not carried over from the joint it replaced."""
+        P = [np.array(Pi) for Pi in case1.relation.P]
+        P[0][0, 0] += 1.0
+        with pytest.raises(UncertifiedRelationError, match="mode 0: relation residual"):
+            dataclasses.replace(case1.joint,
+                                relation=dataclasses.replace(case1.relation, P=tuple(P)))
 
     def test_pairing_certified_as_assembled(self, case2):
         """A pairing other than the solved one is checked against the pair
         it assembles, not the residuals recorded for the solved pairing."""
         repaired = dataclasses.replace(case2.relation, pairing=(0,) * 5)
         with pytest.raises(UncertifiedRelationError, match=r"pair \(2, 0\)"):
-            assemble_joint(case2.system, case2.abstraction, repaired, case2.interface)
+            JointSystem(case2.system, case2.abstraction, repaired, case2.interface)
 
     @pytest.mark.parametrize("pairing", [None, (0, 0, 1, 2), (0, 0, 1, 2, -1),
                                          (0, 0, 1, 2, 3)],
@@ -404,7 +420,7 @@ class TestJointAssembly:
         """A PWA abstraction needs an in-range abstraction mode for every
         concrete mode; a negative index is not read from the end."""
         with pytest.raises(DimensionMismatchError):
-            assemble_joint(case2.system, case2.abstraction,
+            JointSystem(case2.system, case2.abstraction,
                            dataclasses.replace(case2.relation, pairing=pairing),
                            case2.interface)
 
@@ -417,7 +433,7 @@ class TestJointAssembly:
         single = PwaAbstraction(
             (AbstractionMode(F=a.F, G=a.G, H=a.H, L=a.L),), (vac,)
         )
-        joint_pwa = assemble_joint(
+        joint_pwa = JointSystem(
             case1.system, single, dataclasses.replace(case1.relation, pairing=(0, 0, 0)),
             case1.interface,
         )
@@ -448,7 +464,7 @@ class TestJointAssembly:
 
         def physical_field(z, t):
             x1, x2 = z[:6], z[6:]
-            u1 = case1.interface.u1(0, x1 - P @ x2, x2, u2bar)
+            u1 = case1.joint.u1(0, x1 - P @ x2, x2, u2bar)
             dx1 = mode.A @ x1 + mode.B @ u1
             dx2 = (F + G @ L) @ x2 + G @ u2bar
             return np.concatenate([dx1, dx2])
@@ -484,7 +500,7 @@ class TestJointAssembly:
         K = -3 * np.eye(6) - A  # A + B K = -3I
         iface = build_interface(system, absn, rel, [K])
         np.testing.assert_allclose(B @ iface.R[0], rel.P[0] @ absn.G, atol=1e-10)
-        joint = assemble_joint(system, absn, rel, iface)
+        joint = JointSystem(system, absn, rel, iface)
         jm = joint.modes[0]
         u2bar = np.array([1.0, -2.0])
         omega = np.concatenate([np.zeros(6), np.array([0.7, 0.1])])
@@ -565,7 +581,7 @@ class TestFailureOrder:
         relation = RelationMaps((I2, maps[middle], maps[last]), (Z2,) * 3, (0.0,) * 3)
         interface = build_interface(system, absn, relation, [Z2] * 3)
         with pytest.raises(UncertifiedRelationError, match=message):
-            assemble_joint(system, absn, relation, interface)
+            JointSystem(system, absn, relation, interface)
 
 
 def _planted_pwa(rng, modes, n, m, k):
@@ -583,7 +599,7 @@ def _planted_pwa(rng, modes, n, m, k):
     pairing, relation = pair_relations(system.modes, absn.modes)
     K = [-np.linalg.solve(B, A + 3 * np.eye(n)) for A, B, *_ in insts]
     interface = build_interface(system, absn, relation, K)
-    joint = assemble_joint(system, absn, relation, interface)
+    joint = JointSystem(system, absn, relation, interface)
     return system, absn, relation, interface, joint, synthesize_certificate(joint, kappa=2.0)
 
 

@@ -37,12 +37,11 @@ from pwa_hier.errors import (
     NonFiniteInputError,
     NonFiniteStateError,
     NonMonotoneTimesError,
-    PwaHierError,
     UncertifiedModeError,
 )
 from pwa_hier import simulator
 from pwa_hier.polytope import MEMBERSHIP_SLACK, locate_mode
-from pwa_hier.relation import Interface, JointSystem, assemble_joint, solve_system_relation
+from pwa_hier.relation import Interface, JointSystem, solve_system_relation
 from pwa_hier.simulator import (_BLOCK, _BLOCK_MAX, _WRITE_BLOCK, CHAIN_TOL,
                                  CROSSING_BRACKET, _Runner, rk4_weights, write_tables)
 from pwa_hier.systems import paired_modes, transformed_abstraction_matrix
@@ -145,7 +144,7 @@ def _matched_single_mode_scenario(case1, x1_offset=0.0, disturbance=None):
     rel = solve_system_relation(system, absn)
     K = -3 * np.eye(6) - A
     iface = build_interface(system, absn, rel, [K])
-    joint = assemble_joint(system, absn, rel, iface)
+    joint = JointSystem(system, absn, rel, iface)
     cert = synthesize_certificate(joint, kappa=8.0)
     sched = reference_schedule([(0.0, [1.0, -0.5]), (3.0, [-2.0, 1.0])])
     dist = disturbance or DisturbanceSignal.zero(6)
@@ -153,10 +152,6 @@ def _matched_single_mode_scenario(case1, x1_offset=0.0, disturbance=None):
     x1_0 = rel.P[0] @ x2_0
     x1_0[0] += x1_offset
     return Scenario(joint, cert, sched, dist, x1_0=x1_0, x2_0=x2_0, t_end=10.0, h=1e-3)
-
-
-#: The parts assemble_joint records on a joint system.
-_PARTS = ("system", "abstraction", "relation", "interface")
 
 
 class TestRunScenario:
@@ -245,26 +240,49 @@ class TestRunScenario:
             case2.abstraction.modes,
             tuple(reversed(case2.abstraction.concrete_cells)),
         )
-        joint = assemble_joint(case2.system, shuffled, case2.relation, case2.interface)
+        joint = JointSystem(case2.system, shuffled, case2.relation, case2.interface)
         bad = dataclasses.replace(scen, joint=joint, t_end=1.0)
         with pytest.raises(UncertifiedModeError):
             run_scenario(bad)
 
     def test_replaced_joint_is_checked_and_run(self, case1):
-        """A loop changed by assembling a new joint is the loop the scenario
-        checks its certificate on and the loop it runs: here every K
-        doubled, which the shipped certificate still certifies."""
+        """A loop changed by replacing a part of its joint is the loop the
+        scenario checks its certificate on and the loop it runs: here every
+        K doubled, which the shipped certificate still certifies."""
         K = [2.0 * np.asarray(Ki) for Ki in case1.interface.K]
         doubled = build_interface(case1.system, case1.abstraction, case1.relation, K)
-        joint = assemble_joint(case1.system, case1.abstraction, case1.relation, doubled)
+        joint = dataclasses.replace(case1.joint, interface=doubled)
         variant = dataclasses.replace(case1.scenario, joint=joint, t_end=1.0)
         assert variant.reports == verify_all(case1.certificate, joint)
         assert variant.reports != case1.scenario.reports
         traj = run_scenario(variant)
         args = (traj.mode_i, traj.xtilde, traj.x2, traj.u2bar)
-        u1 = doubled.u1(*args)
+        u1 = joint.u1(*args)
         np.testing.assert_allclose(traj.u1, u1, rtol=0.0, atol=1e-12 * np.abs(u1).max())
-        assert np.abs(traj.u1 - case1.interface.u1(*args)).max() > 1.0
+        assert np.abs(traj.u1 - case1.joint.u1(*args)).max() > 1.0
+
+    def test_replaced_interface_is_certified_anew(self, tmp_path, monkeypatch):
+        """case1's gains halved in a copy of its joint: the copy is built and
+        certified anew, so its scenario's reports are the new loop's, which
+        the shipped certificate does not certify, and ``run`` refuses it
+        (exit 1, nothing written) instead of simulating it to PASS."""
+        from pwa_hier import cli
+        from pwa_hier.modelfile import Pipeline, builtin_model_path, load_pipeline
+
+        pipe = load_pipeline(builtin_model_path("case1"))
+        j = pipe.joint
+        halved = build_interface(j.system, j.abstraction, j.relation,
+                                 [0.5 * np.asarray(K) for K in j.interface.K])
+        joint = dataclasses.replace(j, interface=halved)
+        variant = dataclasses.replace(pipe.scenario, joint=joint)
+        assert variant.reports == verify_all(pipe.certificate, joint)
+        assert not all(r.feasible for r in variant.reports)
+        with pytest.raises(UncertifiedModeError):
+            run_scenario(variant)
+        monkeypatch.setattr(cli, "build_pipeline",
+                            lambda config: Pipeline(config, variant))
+        assert cli.main(["run", "case1", "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_experiment_of_another_loop_is_refused(self, case1, case2):
         """case2's loop and certificate under case1's experiment (its 6-D
@@ -272,16 +290,6 @@ class TestRunScenario:
         with pytest.raises(DimensionMismatchError, match="x1_0"):
             dataclasses.replace(case1.scenario, joint=case2.joint,
                                 certificate=case2.certificate)
-
-    @pytest.mark.parametrize("missing", [_PARTS, *((name,) for name in _PARTS)],
-                             ids=["all", *_PARTS])
-    def test_joint_of_blocks_alone_is_refused(self, missing, case1):
-        """A joint built from its blocks, with all or one of its four parts
-        not recorded, holds no loop to simulate."""
-        parts = {name: getattr(case1.joint, name) for name in _PARTS if name not in missing}
-        blocks = JointSystem(case1.joint.modes, n=case1.joint.n, m=case1.joint.m, **parts)
-        with pytest.raises(PwaHierError, match="assemble_joint"):
-            dataclasses.replace(case1.scenario, joint=blocks)
 
     def test_horizon_beyond_physical_memory_is_refused(self, case1, monkeypatch):
         """A run whose sample arrays exceed physical memory (1 MB here) is
@@ -452,7 +460,7 @@ class TestRunScenario:
                                       len(scen.joint))
                 np.testing.assert_array_equal(traj.y2[rows], x2 @ paired[idx].mode.H.T)
                 iface = scen.joint.interface
-                u1 = (traj.u2bar[rows] @ iface.R[idx].T + x2 @ iface.QRL[idx].T
+                u1 = (traj.u2bar[rows] @ iface.R[idx].T + x2 @ scen.joint.QRL[idx].T
                       + xt @ iface.K[idx].T)
                 np.testing.assert_allclose(traj.u1[rows], u1, rtol=0.0,
                                            atol=1e-13 * (1.0 + np.abs(u1).max()))
@@ -728,10 +736,8 @@ class TestPropagator:
         rel = solve_system_relation(hot, joint.abstraction)
         # the old gains, which build_interface refuses: they no longer
         # stabilize the plant
-        K, R = joint.interface.K, joint.interface.R
-        iface = Interface(K, R, np.asarray(rel.Q) + R @ joint.abstraction.L)
-        bad = dataclasses.replace(
-            scen, joint=assemble_joint(hot, joint.abstraction, rel, iface))
+        iface = Interface(joint.interface.K, joint.interface.R)
+        bad = dataclasses.replace(scen, joint=JointSystem(hot, joint.abstraction, rel, iface))
         # no certificate holds on an unstable loop: let the run through anyway
         object.__setattr__(bad, "reports", scen.reports)
         runner = _Runner(bad)
@@ -1008,7 +1014,7 @@ class TestNonzeroFeedforward:
         K = np.array([[-2.0, -3.0]])
         iface = build_interface(system, absn, rel, [K])
         np.testing.assert_allclose(iface.R[0], [[-1.0]], atol=1e-10)
-        joint = assemble_joint(system, absn, rel, iface)
+        joint = JointSystem(system, absn, rel, iface)
         cert = synthesize_certificate(joint, kappa=4.0)
         sched = reference_schedule([(0.0, [0.8]), (2.0, [-0.4])])
         dist = DisturbanceSignal.sinusoid(-0.05, 0.05, 2)
@@ -1025,7 +1031,7 @@ class TestNonzeroFeedforward:
 
             def field(state, tau):
                 x1, x2 = state[:2], state[2:]
-                u1 = iface.u1(0, x1 - P @ x2, x2, u2bar)
+                u1 = joint.u1(0, x1 - P @ x2, x2, u2bar)
                 dx1 = mode.A @ x1 + mode.B @ u1 + dist.value(tau)
                 dx2 = FGL @ x2 + absn.G @ u2bar
                 return np.concatenate([dx1, dx2])
