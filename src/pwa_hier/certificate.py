@@ -1,13 +1,13 @@
 """Simulation-function certificates: verification, synthesis, values, gain slopes.
 
-A certificate for a joint mode is a positive-definite matrix ``M`` (extended
-by a positive scalar ``m`` in homogeneous coordinates for affine cells)
+A certificate for a joint mode is a symmetric matrix ``M`` (extended by a
+positive scalar ``m`` in homogeneous coordinates for affine cells)
 satisfying three matrix-inequality margins: it dominates the squared output
-map, is positive definite, and decays at rate ``lambda`` along the closed
-loop.  The simulation function ``V = sqrt(quadratic form)/kappa`` then
-bounds the output error by ``kappa V``, and linear gain slopes translate
-input/disturbance magnitudes into the invariant-level threshold ``b`` that
-the simulator evaluates per sample.
+map, is positive definite (margin 2 of :func:`verify_all` alone tests it),
+and decays at rate ``lambda`` along the closed loop.  ``V = sqrt(quadratic
+form)/kappa`` then bounds the output error by ``kappa V``, and linear gain
+slopes translate input/disturbance magnitudes into the invariant-level
+threshold ``b`` that the simulator evaluates per sample.
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ SYMMETRY_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class ModeCertificate:
-    """Certificate data of one joint mode.
-
+    """Certificate data of one joint mode: a finite, square, symmetric ``M``
+    (``sim_fn_derivative`` assumes the symmetry) that need not be positive
+    definite, since margin 2 of :func:`verify_all` decides that.
     ``m_scalar`` is the homogeneous-block entry for affine cells and None
     for conic cells.
     """
@@ -64,15 +65,11 @@ class ModeCertificate:
         if M.shape[0] != M.shape[1]:
             raise DimensionMismatchError(f"M must be square, got {M.shape}")
         scale = max(1.0, float(frobenius(M)))
-        half = 0.5 * M  # sums and differences of halves cannot overflow
+        half = 0.5 * M  # a difference of halves cannot overflow
         asym = 2.0 * float(frobenius(half - half.T))
         if not asym <= SYMMETRY_RTOL * scale:
             raise NotSymmetricError(
                 f"M: relative asymmetry {asym / scale:.3e} exceeds {SYMMETRY_RTOL:.0e}"
-            )
-        if not float(np.linalg.eigvalsh(half + half.T)[0]) >= 1e-10:
-            raise InfeasibleCertificateError(
-                "M must be positive definite (smallest eigenvalue >= 1e-10)"
             )
         object.__setattr__(self, "M", M)
         if self.m_scalar is not None:
@@ -140,9 +137,9 @@ class LmiReport:
     """Eigenvalue margins of the three certificate conditions.
 
     ``margins[0]`` = smallest eigenvalue of the output-domination condition
-    (feasible at >= -LMI_TOL); ``margins[1]`` = smallest eigenvalue of the
-    positivity condition (feasible at >= +LMI_TOL); ``margins[2]`` =
-    largest eigenvalue of the decay condition (feasible at <= +LMI_TOL).
+    (feasible at >= -LMI_TOL); ``margins[1]`` = that of the extended ``M``,
+    the only test of its positivity (feasible at >= +LMI_TOL);
+    ``margins[2]`` = largest eigenvalue of the decay condition (<= +LMI_TOL).
     """
 
     margins: tuple[float, float, float]
@@ -333,8 +330,6 @@ def synthesize_certificate(
         if not np.isfinite(ratio).all():
             continue
         alpha = np.maximum(1.0, np.linalg.eigh(0.5 * (ratio + ratio.swapaxes(-1, -2)))[0][:, -1])
-        if np.any(alpha * w[:, 0] < 1e-10):
-            continue
         cert = Certificate(kappa=kappa, lam=float(lam), entries=tuple(
             ModeCertificate(M=alpha_i * M_i, m_scalar=m_i)
             for alpha_i, M_i, m_i in zip(alpha.tolist(), M, m)))

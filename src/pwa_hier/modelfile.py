@@ -316,6 +316,9 @@ def _build_config(doc: _Entry) -> ModelConfig:
         raise cert.error(f"{', '.join(stray)} given without a supplied M")
     if given["M"] is not None and cert_lambda is None:
         raise cert.error("supplied M requires an explicit lambda")
+    for key, owner in (("lambda_grid", "M"), ("m_scalar", "m")):  # unread beside their owner
+        if given[owner] is not None and cert.get(key) is not None:
+            raise cert[key].error(f"ignored with a supplied {owner} (remove the key)")
     d = system.n + abstraction.m
     cert_M = None if given["M"] is None else given["M"].per_mode(n_modes, shape=(d, d))
     cert_m = None if given["m"] is None else given["m"].per_mode(n_modes, read=_Entry.positive)

@@ -703,9 +703,19 @@ class TestSimFnDerivative:
 
 
 class TestCertificateValidation:
-    def test_non_pd_rejected(self):
-        with pytest.raises(InfeasibleCertificateError):
-            ModeCertificate(np.diag([1.0, 0.0]))
+    @pytest.mark.parametrize("low", [0.0, 5e-11, 5e-10, -1.0])
+    def test_positivity_is_decided_by_margin_two(self, low):
+        """An ``M`` that is not positive definite builds; ``verify_all``
+        reports its smallest eigenvalue as margin 2, and the mode as
+        infeasible.  With zero output map and ``A = -I`` at ``lam = 1`` the
+        other margins pass whenever ``low`` is within ``LMI_TOL`` of zero,
+        so margin 2 alone decides there."""
+        M = np.diag([1.0, low])
+        joint = _toy_joint(-I2, np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((1, 2)),
+                           _conic_cell(2), n=1, m=1)
+        report = verify_all(Certificate(1.0, 1.0, (ModeCertificate(M),)), joint)[0]
+        assert report.margins[1] == np.linalg.eigvalsh(M)[0]
+        assert not report.feasible
 
     def test_relaxation_weights_are_not_fields(self):
         """A certificate is ``M`` and ``m_scalar`` only; ``U``/``W`` read None."""

@@ -331,6 +331,26 @@ class TestCheck:
         assert nan_modes == modes
         assert "margins = (nan, nan, nan)" in out
 
+    @pytest.mark.parametrize("scale", [5e-10, 5e-11, 0.0, -1.0])
+    def test_supplied_m_not_positive_definite_is_uncertified(self, scale, tmp_path, capsys):
+        """A supplied ``M`` that is not positive definite loads; margin 2 is
+        the decision: ``check`` prints ``certified = False`` with the mode's
+        smallest eigenvalue as its second margin and exits 1, with nothing
+        on stderr and no RuntimeWarning."""
+        doc = json.loads(builtin_model_path("case2").read_text())
+        cert = json.loads(_saved_certificate("case2"))
+        cert["M"][0] = (scale * np.eye(len(cert["M"][0]))).tolist()
+        doc["certificate"].update(cert)
+        p = tmp_path / "indefinite.model"
+        p.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["check", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert err == "" and "certified = False" in out
+        mode1 = next(line for line in out.splitlines() if line.startswith("  mode 1:"))
+        assert mode1.split(", ")[1] == f"{scale:.3e}"
+
     @pytest.mark.parametrize("base, path, value, line", [
         ("case2", ("abstraction", "modes", 1, "F"), "x",
          "abstraction.modes[1].F: not a numeric matrix"),
@@ -365,6 +385,10 @@ class TestCheck:
          "certificate.m_scalar: m_scalar must be positive and finite, got -1.0"),
         ("case2+cert", ("certificate", "m", 0), -1.0,
          "certificate.m[0]: m[0] must be positive and finite, got -1.0"),
+        ("case2+cert", ("certificate", "lambda_grid"), [5.0, 0.1],
+         "certificate.lambda_grid: ignored with a supplied M (remove the key)"),
+        ("case2+cert", ("certificate", "m_scalar"), 7.0,
+         "certificate.m_scalar: ignored with a supplied m (remove the key)"),
         ("case2", ("scenario", "t_end"), 0.0,
          "scenario.t_end: t_end must be positive and finite, got 0.0"),
         ("case2", ("scenario", "step"), 0.0,
@@ -377,7 +401,7 @@ class TestCheck:
             "waypoint-value-text", "waypoint-t-text", "offset-text", "K-shape", "R-shape",
             "x1-0-shape", "x2-0-shape", "waypoint-value-shape", "kappa-negative",
             "cert-lambda-zero", "cert-M-asymmetric", "cert-M-shape", "m-scalar-negative",
-            "cert-m-negative", "t-end-zero", "step-zero",
+            "cert-m-negative", "grid-with-M", "m-scalar-with-m", "t-end-zero", "step-zero",
             "waypoint-t-decreasing", "disturbance-over-bound"])
     def test_loader_error_names_the_json_path(self, base, path, value, line, tmp_path, capsys):
         """A bad entry is named by its full JSON path, in one error line.  A
