@@ -37,8 +37,11 @@ LMI_TOL = 1e-9
 #: Diagonal loading of the decay equation during synthesis.
 SYNTH_EPSILON = 1e-6
 
+#: Homogeneous-block entry of affine cells where none is given.
+DEFAULT_M_SCALAR = 1.0
+
 #: Number of decay-rate candidates in the default synthesis grid.
-LAMBDA_GRID_POINTS = 16
+LAMBDA_GRID_POINTS = 15
 
 _FACTORIZATION_TOL = 1e-8
 
@@ -64,13 +67,14 @@ class ModeCertificate:
         M = as_matrix(self.M, "M")
         if M.shape[0] != M.shape[1]:
             raise DimensionMismatchError(f"M must be square, got {M.shape}")
-        scale = max(1.0, float(frobenius(M)))
-        half = 0.5 * M  # a difference of halves cannot overflow
-        asym = 2.0 * float(frobenius(half - half.T))
-        if not asym <= SYMMETRY_RTOL * scale:
-            raise NotSymmetricError(
-                f"M: relative asymmetry {asym / scale:.3e} exceeds {SYMMETRY_RTOL:.0e}"
-            )
+        if not (M == M.T).all():  # a synthesized M is symmetric bit for bit
+            scale = max(1.0, float(frobenius(M)))
+            half = 0.5 * M  # a difference of halves cannot overflow
+            asym = 2.0 * float(frobenius(half - half.T))
+            if not asym <= SYMMETRY_RTOL * scale:
+                raise NotSymmetricError(
+                    f"M: relative asymmetry {asym / scale:.3e} exceeds {SYMMETRY_RTOL:.0e}"
+                )
         object.__setattr__(self, "M", M)
         if self.m_scalar is not None:
             if not self.m_scalar > 0.0:
@@ -273,27 +277,32 @@ def _solve_decay_equation(A: np.ndarray, op: np.ndarray, lam: float) -> Optional
     M = np.empty(A.shape)
     M[..., a, b] = M[..., b, a] = x
     residual = np.swapaxes(A, -1, -2) @ M + M @ A + lam * M + SYNTH_EPSILON * np.eye(d)
-    if not np.all(frobenius(residual) <= 1e-6 * SYNTH_EPSILON * np.sqrt(d)):
+    if not (frobenius(residual) <= 1e-6 * SYNTH_EPSILON * np.sqrt(d)).all():
         return None
     return M
 
 
 def default_lambda_grid(joint: JointSystem) -> np.ndarray:
-    """Descending log-spaced decay-rate candidates below twice the slowest
-    closed-loop eigenvalue (one stacked eigenvalue call over the modes)."""
+    """Descending log-spaced decay-rate candidates strictly below twice the
+    slowest closed-loop decay rate (one stacked eigenvalue call over the
+    modes): the log spacing from ``top`` down to ``lo`` without ``top``
+    itself.  At ``lam = top`` the decay equation has no solution: for the
+    slowest eigenpair ``(mu, v)`` of ``A'``, ``v^H (A'^T M + M A' + lam M) v
+    = (2 Re mu + lam) v^H M v = 0``, while the right side gives
+    ``-SYNTH_EPSILON |v|^2``."""
     slowest = -np.max(hurwitz_margin(np.array([jm.Aprime for jm in joint.modes])))
     if slowest <= 0.0:
         raise SynthesisFailedError("joint closed loop is not Hurwitz")
     top = 2.0 * slowest
     lo = min(1e-3, top / 10.0)
-    return np.geomspace(top, lo, LAMBDA_GRID_POINTS)
+    return np.geomspace(top, lo, LAMBDA_GRID_POINTS + 1)[1:]
 
 
 def synthesize_certificate(
     joint: JointSystem,
     kappa: float,
     lambda_grid: Optional[Sequence[float]] = None,
-    m_scalar: float = 1.0,
+    m_scalar: Optional[float] = None,
 ) -> Certificate:
     """Heuristic certificate construction checked by the exact verifier.
 
@@ -303,7 +312,8 @@ def synthesize_certificate(
     shifted per rate), scale each solution until it dominates the squared
     output map, attach the homogeneous entry for affine cells, and accept
     the first rate at which every mode verifies.  A rate at which any mode
-    fails is skipped.  Deterministic given its inputs.
+    fails is skipped.  ``m_scalar`` is the homogeneous entry of affine
+    cells (``DEFAULT_M_SCALAR`` where None).  Deterministic given its inputs.
     """
     grid = default_lambda_grid(joint) if lambda_grid is None else np.asarray(lambda_grid, float)
     A, C = stack_blocks(joint.modes, ("Aprime", "Cprime"))
@@ -312,6 +322,8 @@ def synthesize_certificate(
     # a rate whose scaling matrix is not finite is skipped below
     with np.errstate(over="ignore", invalid="ignore"):
         CtC = np.swapaxes(C, -1, -2) @ C
+    if m_scalar is None:
+        m_scalar = DEFAULT_M_SCALAR
     m = [m_scalar if jm.kind == AFFINE else None for jm in joint.modes]
     for lam in sorted(grid, reverse=True):
         if lam <= 0.0:

@@ -16,7 +16,7 @@ def as_matrix(A, name: str = "matrix") -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-D, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise NonFiniteInputError(f"{name} has non-finite entries")
     return A
 
@@ -24,7 +24,7 @@ def as_matrix(A, name: str = "matrix") -> np.ndarray:
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float array."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteInputError(f"{name} has non-finite entries")
     return x
 

@@ -24,6 +24,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .certificate import (
+    DEFAULT_M_SCALAR,
     Certificate,
     LmiReport,
     ModeCertificate,
@@ -31,7 +32,7 @@ from .certificate import (
 )
 from .errors import ModelError, ParseError, PwaHierError
 from .linalg import as_positive
-from .polytope import Partition, Polyhedron
+from .polytope import CONIC, Partition, Polyhedron
 from .relation import (
     JointSystem,
     RelationMaps,
@@ -89,7 +90,7 @@ class ModelConfig:
     declared_pairing: Optional[tuple[int, ...]]
     kappa: float
     lambda_grid: Optional[np.ndarray]
-    m_scalar: float
+    m_scalar: Optional[float]  # None where the file gives none (DEFAULT_M_SCALAR)
     cert_lambda: Optional[float]
     cert_M: Optional[list]
     cert_m: Optional[list]
@@ -126,13 +127,30 @@ _RANK_ERRORS = (("expected a number", "expected a number, not a list"),
                 ("not a numeric matrix", "expected a matrix (list of rows)"))
 
 
+def _read_at_once(values: list, rank: int, key: Optional[str] = None) -> Optional[np.ndarray]:
+    """``values`` (or the entry ``key`` of each) as one finite float array of
+    rank ``rank + 1``: one ``np.asarray`` and one finiteness test.  None
+    where that read fails: an entry is missing, is not a finite number array
+    of rank ``rank``, or the entries differ in shape."""
+    try:
+        arr = np.asarray(values if key is None else [v[key] for v in values], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    return arr if arr.ndim == rank + 1 and np.isfinite(arr).all() else None
+
+
 @dataclass(slots=True)
 class _Entry:
     """One value of the model document and its JSON path (such as
-    ``system.modes[1].B``), which every error about the value starts with."""
+    ``system.modes[1].B``), which every error about the value starts with.
+    Where the list the value sits in was read at once (``items``), ``arr``
+    is the value already read, and ``field_arrs`` holds its fields already
+    read, by key."""
 
     value: object
     path: str = ""
+    arr: Optional[np.ndarray] = None
+    field_arrs: Optional[dict] = None
 
     def error(self, message: str) -> ModelError:
         return ModelError(f"{self.path}: {message}")
@@ -153,34 +171,56 @@ class _Entry:
         fields = self._fields()
         if key not in fields:
             raise ModelError(f"{self._child(key)}: missing required key")
-        return _Entry(fields[key], self._child(key))
+        return _Entry(fields[key], self._child(key), self._field_arr(key))
 
     def get(self, key: str, default=None) -> Optional["_Entry"]:
         """The entry ``key``, or ``default`` where it is missing; None where
         the entry is missing or null and there is no default."""
         value = self._fields().get(key, default)
-        return None if value is None and default is None else _Entry(value, self._child(key))
+        if value is None and default is None:
+            return None
+        return _Entry(value, self._child(key), self._field_arr(key))
 
-    def items(self) -> list["_Entry"]:
+    def _field_arr(self, key: str) -> Optional[np.ndarray]:
+        return None if self.field_arrs is None else self.field_arrs.get(key)
+
+    def items(self, rank: Optional[int] = None, **field_ranks: int) -> list["_Entry"]:
+        """The entries of this list.  Entries read as arrays of rank
+        ``rank``, or whose fields are read as arrays of the rank
+        ``field_ranks`` gives each key, are read at once (``_read_at_once``)
+        over the whole list, per key, and each entry keeps its slice.  Where
+        that read fails, nothing of the key is kept, and each entry's value
+        is read on its own, in document order, when it is asked for: the
+        first error and its path are those of reading entry by entry."""
         if not isinstance(self.value, list):
             raise self.error("expected a list")
-        return [_Entry(v, f"{self.path}[{i}]") for i, v in enumerate(self.value)]
+        arr = None if rank is None else _read_at_once(self.value, rank)
+        fields = {}
+        for key, field_rank in field_ranks.items():
+            field_arr = _read_at_once(self.value, field_rank, key)
+            if field_arr is not None:
+                fields[key] = field_arr
+        return [_Entry(v, f"{self.path}[{i}]", None if arr is None else arr[i],
+                       {key: a[i] for key, a in fields.items()} if fields else None)
+                for i, v in enumerate(self.value)]
 
     def array(self, ndim: int, shape: Optional[tuple] = None):
         """The value as a finite float array of rank ``ndim`` (and of
         ``shape``, if given), a float for rank 0."""
-        unparsed, misshapen = _RANK_ERRORS[ndim]
-        nonfinite = "entries must be finite numbers" if ndim else "must be a finite number"
-        try:
-            arr = np.asarray(self.value, dtype=float)
-        except OverflowError as exc:  # an integer literal beyond the double range
-            raise self.error(nonfinite) from exc
-        except (TypeError, ValueError) as exc:
-            raise self.error(f"{unparsed} ({exc})") from exc
-        if arr.ndim != ndim:
-            raise self.error(misshapen)
-        if not np.all(np.isfinite(arr)):
-            raise self.error(nonfinite)
+        arr = self.arr
+        if arr is None or arr.ndim != ndim:  # not read with its list
+            unparsed, misshapen = _RANK_ERRORS[ndim]
+            nonfinite = "entries must be finite numbers" if ndim else "must be a finite number"
+            try:
+                arr = np.asarray(self.value, dtype=float)
+            except OverflowError as exc:  # an integer literal beyond the double range
+                raise self.error(nonfinite) from exc
+            except (TypeError, ValueError) as exc:
+                raise self.error(f"{unparsed} ({exc})") from exc
+            if arr.ndim != ndim:
+                raise self.error(misshapen)
+            if not np.isfinite(arr).all():
+                raise self.error(nonfinite)
         if shape is not None and arr.shape != shape:
             raise self.error(f"shape {arr.shape}, expected {shape}")
         return arr if ndim else float(arr)
@@ -189,11 +229,13 @@ class _Entry:
         """The required matrix entries named by each letter (``"ABC"``)."""
         return tuple(self[X].array(2) for X in letters)
 
-    def per_mode(self, count: int, shape: Optional[tuple] = None, read=None) -> list:
-        """A list of ``count`` entries, one per mode, each read by ``read``
-        (by default as a matrix, of ``shape`` if given)."""
+    def per_mode(self, count: int, shape: Optional[tuple] = None, read=None,
+                 rank: int = 2) -> list:
+        """A list of ``count`` entries, one per mode, read at once as arrays
+        of rank ``rank``, each then read by ``read`` (by default as a matrix,
+        of ``shape`` if given)."""
         entries = [item.array(2, shape) if read is None else read(item)
-                   for item in self.items()]
+                   for item in self.items(rank)]
         if len(entries) != count:
             raise self.error(f"need {count} entries, got {len(entries)}")
         return entries
@@ -253,7 +295,8 @@ def load_model(path) -> ModelConfig:
 def _build_config(doc: _Entry) -> ModelConfig:
     sys_node = doc["system"]
     part_node = sys_node["partition"]
-    mode_nodes, cell_nodes = sys_node["modes"].items(), part_node.items()
+    mode_nodes = sys_node["modes"].items(A=2, B=2, C=2, c_bound=0)
+    cell_nodes = part_node.items(E=2, f=1)
     if len(mode_nodes) != len(cell_nodes):
         raise sys_node.error(f"{len(mode_nodes)} modes but {len(cell_nodes)} partition cells")
     modes = tuple(mn.build(PwaMode, *mn.matrices("ABC"), mn.get("c_bound", 0.0).array(0))
@@ -269,8 +312,9 @@ def _build_config(doc: _Entry) -> ModelConfig:
     elif kind.value == "pwa":
         mode_list = abs_node["modes"]
         abs_modes = tuple(an.build(AbstractionMode, *an.matrices("FGHL"))
-                          for an in mode_list.items())
-        cells = tuple(_cell(cn, system.n) for cn in abs_node["concrete_cells"].items())
+                          for an in mode_list.items(F=2, G=2, H=2, L=2))
+        cells = tuple(_cell(cn, system.n)
+                      for cn in abs_node["concrete_cells"].items(E=2, f=1))
         if len(abs_modes) > n_modes:
             raise mode_list.error(f"{len(abs_modes)} modes exceed the plant's {n_modes}")
         abstraction = abs_node.build(PwaAbstraction, abs_modes, cells)
@@ -294,7 +338,7 @@ def _build_config(doc: _Entry) -> ModelConfig:
         if not needs_pairing(abstraction):
             raise pairing.error("only a PWA abstraction is paired")
         entries = pairing.array(1)
-        if len(entries) != n_modes or not np.all(entries == np.round(entries)):
+        if len(entries) != n_modes or not (entries == np.round(entries)).all():
             raise pairing.error("need one whole number per concrete mode")
         declared_pairing = tuple(int(j) - 1 for j in entries)
 
@@ -304,7 +348,7 @@ def _build_config(doc: _Entry) -> ModelConfig:
     lambda_grid = None if grid is None else grid.array(1)
     if lambda_grid is not None and not np.any(lambda_grid > 0.0):
         raise grid.error("needs a positive decay rate")
-    m_scalar = cert.get("m_scalar", 1.0).positive()
+    m_scalar = cert["m_scalar"].positive() if "m_scalar" in cert else None
     for key in ("U", "W"):  # dropping a supplied relaxation would change what is checked
         if key in cert:
             raise cert[key].error("cell relaxation weights are not supported (remove the key)")
@@ -321,7 +365,8 @@ def _build_config(doc: _Entry) -> ModelConfig:
             raise cert[key].error(f"ignored with a supplied {owner} (remove the key)")
     d = system.n + abstraction.m
     cert_M = None if given["M"] is None else given["M"].per_mode(n_modes, shape=(d, d))
-    cert_m = None if given["m"] is None else given["m"].per_mode(n_modes, read=_Entry.positive)
+    cert_m = (None if given["m"] is None
+              else given["m"].per_mode(n_modes, read=_Entry.positive, rank=0))
     cert_jbar = None if given["Jbar"] is None else given["Jbar"].per_mode(n_modes)
     if cert_M is not None:  # each M's own rules, where its path is known
         for node, M in zip(given["M"].items(), cert_M):
@@ -339,7 +384,7 @@ def _build_config(doc: _Entry) -> ModelConfig:
     scen["disturbance"].build(check_disturbance_bound, system, disturbance)
     schedule = scen["u2bar"].build(reference_schedule, [
         (wn["t"].array(0), wn["value"].array(1, shape=(abstraction.q,)))
-        for wn in scen["u2bar"].items()])
+        for wn in scen["u2bar"].items(t=0, value=1)])
 
     return ModelConfig(
         name=str(doc.get("name", "model").value), system=system, abstraction=abstraction,
@@ -367,7 +412,9 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
     """Solve relations, build the interface and joint system, obtain a
     certificate (synthesized unless the file supplies one), assemble the
     scenario, and refuse a lambda at which the gain slopes of a certificate
-    that verifies overflow (one that does not is left to the check)."""
+    that verifies overflow (one that does not is left to the check).  A
+    homogeneous entry (``m_scalar``, ``m``) given where every joint cell is
+    conic is refused, as no certificate would read it."""
     relation = None
     if needs_pairing(config.abstraction):
         # the pairing comes from the solve even when the file supplies P/Q
@@ -387,9 +434,16 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
     interface = build_interface(config.system, config.abstraction, relation, config.K,
                                 R=config.R)
     joint = JointSystem(config.system, config.abstraction, relation, interface)
+    if all(jm.kind == CONIC for jm in joint.modes):
+        for key, given in (("m_scalar", config.m_scalar), ("m", config.cert_m)):
+            if given is not None:
+                raise ModelError(f"certificate.{key}: unused, every cell is conic "
+                                 "(remove the key)")
 
     if config.cert_M is not None:
-        m = config.cert_m if config.cert_m is not None else [config.m_scalar] * len(joint)
+        m = config.cert_m
+        if m is None:
+            m = [DEFAULT_M_SCALAR if config.m_scalar is None else config.m_scalar] * len(joint)
         entries = tuple(
             ModeCertificate(
                 config.cert_M[idx],
@@ -408,7 +462,7 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
     scenario = Scenario(joint, certificate, config.schedule, config.disturbance,
                         x1_0=config.x1_0, x2_0=config.x2_0, t_end=config.t_end,
                         h=config.step)
-    if all(r.feasible for r in scenario.reports) and not np.all(np.isfinite(scenario.slopes)):
+    if all(r.feasible for r in scenario.reports) and not np.isfinite(scenario.slopes).all():
         key = "certificate.lambda" if config.cert_M is not None else "certificate.lambda_grid"
         raise ModelError(f"{key}: {certificate.lam!r} makes a gain slope overflow")
     return Pipeline(config, scenario)

@@ -113,11 +113,11 @@ def reference_schedule(waypoints: Sequence[tuple[float, Sequence[float]]]) -> Re
     if not waypoints:
         raise EmptyScheduleError("schedule needs at least one waypoint")
     times = np.array([float(t) for t, _ in waypoints])
-    if not np.all(np.isfinite(times)):
+    if not np.isfinite(times).all():
         raise NonMonotoneTimesError("waypoint times must be finite")
     if times[0] != 0.0:
         raise NonMonotoneTimesError("first waypoint must be at t=0")
-    if np.any(np.diff(times) <= 0.0):
+    if (np.diff(times) <= 0.0).any():
         raise NonMonotoneTimesError("waypoint times must strictly increase")
     values = [as_vector(v, "waypoint value") for _, v in waypoints]
     for k, v in enumerate(values):

@@ -27,7 +27,7 @@ def hurwitz_margin(M):
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.shape[-2] != M.shape[-1]:
         raise DimensionMismatchError(f"expected square matrix, got {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise NonFiniteInputError("M has non-finite entries")
     margin = np.linalg.eigvals(M).real.max(axis=-1)
     return float(margin) if M.ndim == 2 else margin

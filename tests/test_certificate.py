@@ -13,6 +13,7 @@ from pwa_hier.certificate import (
     _stacked_blocks,
     Certificate,
     ModeCertificate,
+    default_lambda_grid,
     gain_slopes,
     gain_slopes_all,
     sim_fn_derivative,
@@ -32,7 +33,7 @@ from pwa_hier.polytope import AFFINE, CONIC, Polyhedron, cell_bounding
 from pwa_hier.modelfile import build_pipeline, builtin_model_path, load_model
 from pwa_hier.relation import JointMode
 from pwa_hier.simulator import reference_schedule, run_scenario
-from pwa_hier.systems import DisturbanceSignal
+from pwa_hier.systems import DisturbanceSignal, hurwitz_margin
 
 from helpers import fan_scenario, kron_decay_solve, lmi_margins, reference_synthesis
 
@@ -228,6 +229,42 @@ class TestSynthesis:
         assert bundle.certificate.lam == pytest.approx(lam, rel=1e-12, abs=0.0)
         config = load_model(builtin_model_path(which))
         assert build_pipeline(config).certificate.lam == pytest.approx(lam, rel=1e-12, abs=0.0)
+
+    @pytest.fixture(params=["case1", "case2", "fan48"])
+    def shipped_or_fan(self, request, case1, case2):
+        """A joint system and its certificate's kappa."""
+        if request.param == "fan48":
+            scen = fan_scenario(cones=48, seed=0)
+            return scen.joint, scen.certificate.kappa
+        bundle = {"case1": case1, "case2": case2}[request.param]
+        return bundle.joint, bundle.certificate.kappa
+
+    def test_default_grid_is_the_log_spacing_without_its_top(self, shipped_or_fan):
+        """The default grid is the 16-point log spacing from twice the
+        slowest decay rate down, without that first point, bit for bit; at
+        that point the stacked decay solve has no solution."""
+        joint, _ = shipped_or_fan
+        A = np.array([jm.Aprime for jm in joint.modes])
+        top = 2.0 * -np.max(hurwitz_margin(A))
+        want = np.geomspace(top, min(1e-3, top / 10.0), 16)[1:]
+        np.testing.assert_array_equal(_bits(default_lambda_grid(joint)), _bits(want))
+        assert _solve_decay_equation(A, _decay_operator(A), top) is None
+
+    def test_default_grid_certifies_at_its_first_rate(self, shipped_or_fan, monkeypatch):
+        """Synthesis on the default grid runs one stacked decay solve: its
+        first rate certifies every mode."""
+        from pwa_hier import certificate
+
+        joint, kappa = shipped_or_fan
+        real, solves = certificate._solve_decay_equation, []
+
+        def counting(*args):
+            solves.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(certificate, "_solve_decay_equation", counting)
+        cert = synthesize_certificate(joint, kappa=kappa)
+        assert solves == [cert.lam] == [default_lambda_grid(joint)[0]]
 
     def test_unstable_block_fails(self):
         joint = _toy_joint(

@@ -397,20 +397,39 @@ class TestCheck:
          "scenario.u2bar: waypoint times must strictly increase"),
         ("case2", ("scenario", "disturbance", "offset"), 5.0,
          "scenario.disturbance: supremum 5.05 exceeds the declared mode bound 0.15"),
+        ("case1", ("system", "modes", 1, "A", 1), [0.0],
+         "system.modes[1].A: not a numeric matrix ("),
+        ("case1", [("system", "modes", 2, "B", 0, 0), ("system", "modes", 0, "C")],
+         [np.nan, "x"],
+         "system.modes[0].C: not a numeric matrix ("),
+        ("case1", ("system", "partition", 1, "E"), "x",
+         "system.partition[1].E: not a numeric matrix ("),
+        ("case2", ("gains", "K", 3, 0, 0), np.nan, "gains.K[3]: entries must be finite numbers"),
+        ("case1", ("scenario", "u2bar", 1, "value", 0), np.nan,
+         "scenario.u2bar[1].value: entries must be finite numbers"),
+        ("case1", ("certificate", "m_scalar"), 7.0,
+         "certificate.m_scalar: unused, every cell is conic (remove the key)"),
+        ("case1+cert", ("certificate", "m"), [5.0, 5.0, 5.0],
+         "certificate.m: unused, every cell is conic (remove the key)"),
     ], ids=["pwa-F-text", "pwa-cell-f-matrix", "B-list", "E-list", "K-list", "P-list",
             "waypoint-value-text", "waypoint-t-text", "offset-text", "K-shape", "R-shape",
             "x1-0-shape", "x2-0-shape", "waypoint-value-shape", "kappa-negative",
             "cert-lambda-zero", "cert-M-asymmetric", "cert-M-shape", "m-scalar-negative",
             "cert-m-negative", "grid-with-M", "m-scalar-with-m", "t-end-zero", "step-zero",
-            "waypoint-t-decreasing", "disturbance-over-bound"])
+            "waypoint-t-decreasing", "disturbance-over-bound", "A-ragged",
+            "B-nan-after-bad-C", "E-text", "K-nan", "waypoint-value-nan",
+            "m-scalar-all-conic", "m-all-conic"])
     def test_loader_error_names_the_json_path(self, base, path, value, line, tmp_path, capsys):
-        """A bad entry is named by its full JSON path, in one error line.  A
-        base ending in ``+cert`` supplies the model's saved certificate."""
+        """A bad entry is named by its full JSON path, in one error line; of
+        two bad entries, the one read first in document order.  A base
+        ending in ``+cert`` supplies the model's saved certificate; a list
+        of paths takes one value each."""
         name, cert, _ = base.partition("+cert")
         doc = json.loads(builtin_model_path(name).read_text())
         if cert:
             doc["certificate"].update(json.loads(_saved_certificate(name)))
-        _edit(doc, path, value)
+        for at, v in zip(path, value) if isinstance(path, list) else [(path, value)]:
+            _edit(doc, at, v)
         p = tmp_path / "bad.model"
         p.write_text(json.dumps(doc))
         assert main(["check", str(p)]) == 1
