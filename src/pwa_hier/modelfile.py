@@ -127,30 +127,13 @@ _RANK_ERRORS = (("expected a number", "expected a number, not a list"),
                 ("not a numeric matrix", "expected a matrix (list of rows)"))
 
 
-def _read_at_once(values: list, rank: int, key: Optional[str] = None) -> Optional[np.ndarray]:
-    """``values`` (or the entry ``key`` of each) as one finite float array of
-    rank ``rank + 1``: one ``np.asarray`` and one finiteness test.  None
-    where that read fails: an entry is missing, is not a finite number array
-    of rank ``rank``, or the entries differ in shape."""
-    try:
-        arr = np.asarray(values if key is None else [v[key] for v in values], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return None
-    return arr if arr.ndim == rank + 1 and np.isfinite(arr).all() else None
-
-
 @dataclass(slots=True)
 class _Entry:
     """One value of the model document and its JSON path (such as
-    ``system.modes[1].B``), which every error about the value starts with.
-    Where the list the value sits in was read at once (``items``), ``arr``
-    is the value already read, and ``field_arrs`` holds its fields already
-    read, by key."""
+    ``system.modes[1].B``), which every error about the value starts with."""
 
     value: object
     path: str = ""
-    arr: Optional[np.ndarray] = None
-    field_arrs: Optional[dict] = None
 
     def error(self, message: str) -> ModelError:
         return ModelError(f"{self.path}: {message}")
@@ -171,56 +154,37 @@ class _Entry:
         fields = self._fields()
         if key not in fields:
             raise ModelError(f"{self._child(key)}: missing required key")
-        return _Entry(fields[key], self._child(key), self._field_arr(key))
+        return _Entry(fields[key], self._child(key))
 
     def get(self, key: str, default=None) -> Optional["_Entry"]:
         """The entry ``key``, or ``default`` where it is missing; None where
         the entry is missing or null and there is no default."""
         value = self._fields().get(key, default)
-        if value is None and default is None:
-            return None
-        return _Entry(value, self._child(key), self._field_arr(key))
+        return None if value is None and default is None else _Entry(value, self._child(key))
 
-    def _field_arr(self, key: str) -> Optional[np.ndarray]:
-        return None if self.field_arrs is None else self.field_arrs.get(key)
-
-    def items(self, rank: Optional[int] = None, **field_ranks: int) -> list["_Entry"]:
-        """The entries of this list.  Entries read as arrays of rank
-        ``rank``, or whose fields are read as arrays of the rank
-        ``field_ranks`` gives each key, are read at once (``_read_at_once``)
-        over the whole list, per key, and each entry keeps its slice.  Where
-        that read fails, nothing of the key is kept, and each entry's value
-        is read on its own, in document order, when it is asked for: the
-        first error and its path are those of reading entry by entry."""
+    def items(self) -> list["_Entry"]:
+        """The entries of this list, each named by its index."""
         if not isinstance(self.value, list):
             raise self.error("expected a list")
-        arr = None if rank is None else _read_at_once(self.value, rank)
-        fields = {}
-        for key, field_rank in field_ranks.items():
-            field_arr = _read_at_once(self.value, field_rank, key)
-            if field_arr is not None:
-                fields[key] = field_arr
-        return [_Entry(v, f"{self.path}[{i}]", None if arr is None else arr[i],
-                       {key: a[i] for key, a in fields.items()} if fields else None)
-                for i, v in enumerate(self.value)]
+        return [_Entry(v, f"{self.path}[{i}]") for i, v in enumerate(self.value)]
 
     def array(self, ndim: int, shape: Optional[tuple] = None):
         """The value as a finite float array of rank ``ndim`` (and of
-        ``shape``, if given), a float for rank 0."""
-        arr = self.arr
-        if arr is None or arr.ndim != ndim:  # not read with its list
-            unparsed, misshapen = _RANK_ERRORS[ndim]
-            nonfinite = "entries must be finite numbers" if ndim else "must be a finite number"
-            try:
-                arr = np.asarray(self.value, dtype=float)
-            except OverflowError as exc:  # an integer literal beyond the double range
-                raise self.error(nonfinite) from exc
-            except (TypeError, ValueError) as exc:
-                raise self.error(f"{unparsed} ({exc})") from exc
-            if arr.ndim != ndim:
-                raise self.error(misshapen)
-            if not np.isfinite(arr).all():
-                raise self.error(nonfinite)
+        ``shape``, if given), a float for rank 0, which a JSON boolean is not."""
+        if not ndim and isinstance(self.value, bool):
+            raise self.error(f"expected a number, not {json.dumps(self.value)}")
+        unparsed, misshapen = _RANK_ERRORS[ndim]
+        nonfinite = "entries must be finite numbers" if ndim else "must be a finite number"
+        try:
+            arr = np.asarray(self.value, dtype=float)
+        except OverflowError as exc:  # an integer literal beyond the double range
+            raise self.error(nonfinite) from exc
+        except (TypeError, ValueError) as exc:
+            raise self.error(f"{unparsed} ({exc})") from exc
+        if arr.ndim != ndim:
+            raise self.error(misshapen)
+        if not np.isfinite(arr).all():
+            raise self.error(nonfinite)
         if shape is not None and arr.shape != shape:
             raise self.error(f"shape {arr.shape}, expected {shape}")
         return arr if ndim else float(arr)
@@ -229,13 +193,11 @@ class _Entry:
         """The required matrix entries named by each letter (``"ABC"``)."""
         return tuple(self[X].array(2) for X in letters)
 
-    def per_mode(self, count: int, shape: Optional[tuple] = None, read=None,
-                 rank: int = 2) -> list:
-        """A list of ``count`` entries, one per mode, read at once as arrays
-        of rank ``rank``, each then read by ``read`` (by default as a matrix,
-        of ``shape`` if given)."""
+    def per_mode(self, count: int, shape: Optional[tuple] = None, read=None) -> list:
+        """A list of ``count`` entries, one per mode, each read by ``read``
+        (by default as a matrix, of ``shape`` if given)."""
         entries = [item.array(2, shape) if read is None else read(item)
-                   for item in self.items(rank)]
+                   for item in self.items()]
         if len(entries) != count:
             raise self.error(f"need {count} entries, got {len(entries)}")
         return entries
@@ -295,8 +257,8 @@ def load_model(path) -> ModelConfig:
 def _build_config(doc: _Entry) -> ModelConfig:
     sys_node = doc["system"]
     part_node = sys_node["partition"]
-    mode_nodes = sys_node["modes"].items(A=2, B=2, C=2, c_bound=0)
-    cell_nodes = part_node.items(E=2, f=1)
+    mode_nodes = sys_node["modes"].items()
+    cell_nodes = part_node.items()
     if len(mode_nodes) != len(cell_nodes):
         raise sys_node.error(f"{len(mode_nodes)} modes but {len(cell_nodes)} partition cells")
     modes = tuple(mn.build(PwaMode, *mn.matrices("ABC"), mn.get("c_bound", 0.0).array(0))
@@ -312,9 +274,8 @@ def _build_config(doc: _Entry) -> ModelConfig:
     elif kind.value == "pwa":
         mode_list = abs_node["modes"]
         abs_modes = tuple(an.build(AbstractionMode, *an.matrices("FGHL"))
-                          for an in mode_list.items(F=2, G=2, H=2, L=2))
-        cells = tuple(_cell(cn, system.n)
-                      for cn in abs_node["concrete_cells"].items(E=2, f=1))
+                          for an in mode_list.items())
+        cells = tuple(_cell(cn, system.n) for cn in abs_node["concrete_cells"].items())
         if len(abs_modes) > n_modes:
             raise mode_list.error(f"{len(abs_modes)} modes exceed the plant's {n_modes}")
         abstraction = abs_node.build(PwaAbstraction, abs_modes, cells)
@@ -365,8 +326,7 @@ def _build_config(doc: _Entry) -> ModelConfig:
             raise cert[key].error(f"ignored with a supplied {owner} (remove the key)")
     d = system.n + abstraction.m
     cert_M = None if given["M"] is None else given["M"].per_mode(n_modes, shape=(d, d))
-    cert_m = (None if given["m"] is None
-              else given["m"].per_mode(n_modes, read=_Entry.positive, rank=0))
+    cert_m = None if given["m"] is None else given["m"].per_mode(n_modes, read=_Entry.positive)
     cert_jbar = None if given["Jbar"] is None else given["Jbar"].per_mode(n_modes)
     if cert_M is not None:  # each M's own rules, where its path is known
         for node, M in zip(given["M"].items(), cert_M):
@@ -384,7 +344,7 @@ def _build_config(doc: _Entry) -> ModelConfig:
     scen["disturbance"].build(check_disturbance_bound, system, disturbance)
     schedule = scen["u2bar"].build(reference_schedule, [
         (wn["t"].array(0), wn["value"].array(1, shape=(abstraction.q,)))
-        for wn in scen["u2bar"].items(t=0, value=1)])
+        for wn in scen["u2bar"].items()])
 
     return ModelConfig(
         name=str(doc.get("name", "model").value), system=system, abstraction=abstraction,
