@@ -170,9 +170,12 @@ class _Entry:
 
     def array(self, ndim: int, shape: Optional[tuple] = None):
         """The value as a finite float array of rank ``ndim`` (and of
-        ``shape``, if given), a float for rank 0, which a JSON boolean is not."""
-        if not ndim and isinstance(self.value, bool):
-            raise self.error(f"expected a number, not {json.dumps(self.value)}")
+        ``shape``, if given), a float for rank 0; a JSON boolean, alone or
+        in a vector (matrices are not walked), is not a number."""
+        if ndim < 2:
+            for item in self.items() if ndim and isinstance(self.value, list) else [self]:
+                if isinstance(item.value, bool):
+                    raise item.error(f"expected a number, not {json.dumps(item.value)}")
         unparsed, misshapen = _RANK_ERRORS[ndim]
         nonfinite = "entries must be finite numbers" if ndim else "must be a finite number"
         try:

@@ -1,9 +1,13 @@
 """Shared test helpers: randomized containment instances, a switch-dense
-cone fan, a scalar RK4 step, the certificate margins of raw blocks,
-Kronecker-product oracles for the decay equation and the stacked relation
-system, and a mode-by-mode reference synthesis."""
+cone fan, a scalar RK4 step, the certificate margins of raw blocks, an
+exact rational audit of a certificate, Kronecker-product oracles for the
+decay equation and the stacked relation system, and a mode-by-mode
+reference synthesis."""
 
+import importlib.util
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -22,9 +26,10 @@ from pwa_hier import (
     synthesize_certificate,
     verify_all,
 )
-from pwa_hier.certificate import SYNTH_EPSILON, _decay_operator, _solve_decay_equation
+from pwa_hier.certificate import SYNTH_EPSILON, SYNTH_MARGIN, _solve_decay_equation
 from pwa_hier.errors import EmptyTrajectoryError, NonFiniteStateError
-from pwa_hier.polytope import AFFINE
+from pwa_hier.modelfile import build_pipeline, load_model
+from pwa_hier.polytope import AFFINE, CONIC
 from pwa_hier.polytope import Polyhedron, vertices_2d
 from pwa_hier.relation import solve_system_relation
 
@@ -175,6 +180,109 @@ def lmi_margins(M, A, C, lam, affine):
     return float(eig(M - C.T @ C)[0]), float(eig(M)[0]), float(eig(S3)[-1])
 
 
+def exact_inertia(S):
+    """Numbers ``(positive, negative, zero)`` of eigenvalues of the symmetric
+    matrix ``S`` (a nested sequence of floats or fractions), in exact
+    rational arithmetic: by Sylvester's law of inertia they are the signs
+    of the pivots of a symmetric-pivoted LDL^T.  The pivot is the largest
+    remaining diagonal entry; where every remaining diagonal entry is zero
+    but an off-diagonal one is not, the 2 x 2 block ``[[0, s], [s, 0]]``
+    it spans has one eigenvalue of each sign and is eliminated whole."""
+    A = [[Fraction(x) for x in row] for row in S]
+    rest = list(range(len(A)))
+    pos = neg = 0
+    while rest:
+        p = max(rest, key=lambda i: abs(A[i][i]))
+        if A[p][p] != 0:
+            pivot = A[p][p]
+            pos, neg = pos + (pivot > 0), neg + (pivot < 0)
+            rest.remove(p)
+            for i in rest:
+                if A[i][p]:
+                    f = A[i][p] / pivot
+                    for j in rest:
+                        A[i][j] -= f * A[p][j]
+            continue
+        pair = next(((i, j) for i in rest for j in rest if i < j and A[i][j]), None)
+        if pair is None:  # the remaining block is zero
+            break
+        p, q = pair
+        pos, neg = pos + 1, neg + 1
+        rest.remove(p)
+        rest.remove(q)
+        s = A[p][q]
+        for i in rest:
+            for j in rest:
+                A[i][j] -= (A[i][p] * A[q][j] + A[i][q] * A[p][j]) / s
+    return pos, neg, len(A) - pos - neg
+
+
+def _exact(X):
+    return [[Fraction(float(x)) for x in row] for row in np.atleast_2d(X)]
+
+
+def _exact_product(X, Y):
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*Y)]
+            for row in X]
+
+
+def exact_certificate_holds(cert, joint) -> bool:
+    """Whether every mode's certificate conditions hold in exact arithmetic
+    over the stored floats: the certificate's ``M`` (extended by
+    ``m_scalar`` on affine cells) and the joint blocks ``A'``, ``C'`` (their
+    homogeneous forms on affine cells) that ``verify_all`` reads, each
+    taken as the rational it stores.  It says nothing of the model file's
+    decimal numbers, from which those blocks were computed in floating
+    point.  The conditions, symmetrized as ``verify_all`` symmetrizes them:
+    ``M - C^T C`` and ``M`` are positive definite, and ``-(A^T M + M A +
+    lam W M)`` is positive definite on conic cells and positive
+    semidefinite with exactly one zero eigenvalue, that of the homogeneous
+    row, on affine ones."""
+    lam = Fraction(cert.lam)
+    for entry, jm in zip(cert.entries, joint.modes, strict=True):
+        affine = jm.kind != CONIC
+        M, A, C = ((entry.extended(), jm.Abar, jm.Cbar) if affine
+                   else (entry.M, jm.Aprime, jm.Cprime))
+        M, A, C = _exact(M), _exact(A), _exact(C)
+        d = len(M)
+        CtC = _exact_product(list(zip(*C)), C)
+        AtM, MA = _exact_product(list(zip(*A)), M), _exact_product(M, A)
+        weight = [lam] * d
+        if affine:
+            weight[-1] = Fraction(0)
+        S1 = [[M[i][j] - CtC[i][j] for j in range(d)] for i in range(d)]
+        S3 = [[AtM[i][j] + MA[i][j] + weight[i] * M[i][j] for j in range(d)]
+              for i in range(d)]
+        S1, S2, S3 = ([[(S[i][j] + S[j][i]) / 2 for j in range(d)] for i in range(d)]
+                      for S in (S1, M, S3))
+        decay = (d - 1, 0, 1) if affine else (d, 0, 0)
+        if (exact_inertia(S1) != (d, 0, 0) or exact_inertia(S2) != (d, 0, 0)
+                or exact_inertia([[-x for x in row] for row in S3]) != decay):
+            return False
+    return True
+
+
+def synth_pool_failures(directory, indices=None, seed=0) -> list:
+    """Names of the models of the benchmark's synth-check pool (entries
+    ``indices`` of seed ``seed``, all of them where None, written to
+    ``directory`` by the benchmark's own generator) whose built certificate
+    fails :func:`exact_certificate_holds`."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_generate", Path(__file__).resolve().parents[1] / "perfbench" / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    if indices is None:
+        indices = range(generate.SYNTH_POOL)
+    paths = generate.write_pool(Path(directory),
+                                [generate.synth_check_model(seed, k) for k in indices])
+    failing = []
+    for path in paths:
+        pipe = build_pipeline(load_model(path))
+        if not exact_certificate_holds(pipe.certificate, pipe.joint):
+            failing.append(path.stem)
+    return failing
+
+
 def kron_decay_solve(A, lam):
     """Symmetrized solution of ``A^T M + M A + lam M = -SYNTH_EPSILON I`` by
     one LU solve of the full ``d^2 x d^2`` Kronecker sum on column-major
@@ -231,7 +339,7 @@ def reference_synthesis(joint, kappa, lambda_grid, m_scalar=1.0):
         entries = []
         for jm in joint.modes:
             A = jm.Aprime
-            M = _solve_decay_equation(A, _decay_operator(A), lam)
+            M = _solve_decay_equation(A, lam)
             if M is None:
                 break
             w, V = np.linalg.eigh(M)
@@ -239,7 +347,8 @@ def reference_synthesis(joint, kappa, lambda_grid, m_scalar=1.0):
                 break
             inv_sqrt = (V / np.sqrt(w)) @ V.T
             ratio = inv_sqrt @ (jm.Cprime.T @ jm.Cprime) @ inv_sqrt
-            alpha = max(1.0, float(np.linalg.eigh(0.5 * (ratio + ratio.T))[0][-1]))
+            alpha = (1.0 + SYNTH_MARGIN) * max(
+                1.0, float(np.linalg.eigh(0.5 * (ratio + ratio.T))[0][-1]))
             if alpha * w[0] < 1e-10:
                 break
             entries.append(ModeCertificate(alpha * M, m_scalar if jm.kind == AFFINE else None))

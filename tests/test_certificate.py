@@ -8,7 +8,7 @@ import pytest
 
 from pwa_hier.certificate import (
     LMI_TOL,
-    _decay_operator,
+    SYNTH_MARGIN,
     _solve_decay_equation,
     _stacked_blocks,
     Certificate,
@@ -35,7 +35,15 @@ from pwa_hier.relation import JointMode
 from pwa_hier.simulator import reference_schedule, run_scenario
 from pwa_hier.systems import DisturbanceSignal, hurwitz_margin
 
-from helpers import fan_scenario, kron_decay_solve, lmi_margins, reference_synthesis
+from helpers import (
+    exact_certificate_holds,
+    exact_inertia,
+    fan_scenario,
+    kron_decay_solve,
+    lmi_margins,
+    reference_synthesis,
+    synth_pool_failures,
+)
 
 I2 = np.eye(2)
 
@@ -208,13 +216,14 @@ class TestSynthesis:
             assert report.feasible
 
     def test_singular_decay_operator_skips_lambda(self):
-        """With Aprime = -I and lambda = 2 the decay operator is zero."""
+        """With Aprime = -I and lambda = 2 the shifted matrix ``A + (lambda/2) I``
+        of the decay solve is zero."""
         joint = _toy_joint(
             Aprime=-np.eye(2), B1=np.zeros((2, 1)), B2=np.zeros((2, 1)),
             C=np.array([[1.0, 0.0]]), cell=_conic_cell(2), n=1, m=1,
         )
         A = joint.modes[0].Aprime
-        assert _solve_decay_equation(A, _decay_operator(A), 2.0) is None
+        assert _solve_decay_equation(A, 2.0) is None
         assert kron_decay_solve(A, 2.0) is None
         assert synthesize_certificate(joint, kappa=1.0, lambda_grid=[2.0, 1.0]).lam == 1.0
         with pytest.raises(SynthesisFailedError):
@@ -248,7 +257,7 @@ class TestSynthesis:
         top = 2.0 * -np.max(hurwitz_margin(A))
         want = np.geomspace(top, min(1e-3, top / 10.0), 16)[1:]
         np.testing.assert_array_equal(_bits(default_lambda_grid(joint)), _bits(want))
-        assert _solve_decay_equation(A, _decay_operator(A), top) is None
+        assert _solve_decay_equation(A, top) is None
 
     def test_default_grid_certifies_at_its_first_rate(self, shipped_or_fan, monkeypatch):
         """Synthesis on the default grid runs one stacked decay solve: its
@@ -259,7 +268,7 @@ class TestSynthesis:
         real, solves = certificate._solve_decay_equation, []
 
         def counting(*args):
-            solves.append(args[2])
+            solves.append(args[1])
             return real(*args)
 
         monkeypatch.setattr(certificate, "_solve_decay_equation", counting)
@@ -294,17 +303,17 @@ def _jordan_block(d, eig=-1.0):
 
 
 class TestDecayEquation:
-    """The symmetric-subspace decay solve against the full Kronecker LU."""
+    """The sign-iteration decay solve against the full Kronecker LU."""
 
     @staticmethod
     def _relative_gap(A, lam):
-        M = _solve_decay_equation(A, _decay_operator(A), lam)
+        M = _solve_decay_equation(A, lam)
         ref = kron_decay_solve(A, lam)
         assert M is not None and ref is not None
         np.testing.assert_array_equal(M, M.T)
         return np.linalg.norm(M - ref) / np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("d", range(1, 17))
+    @pytest.mark.parametrize("d", [*range(1, 17), 24, 32])
     def test_random_stable_matches_kronecker(self, d):
         rng = np.random.default_rng(100 + d)
         X = rng.normal(size=(d, d))
@@ -314,29 +323,16 @@ class TestDecayEquation:
 
     def test_defective_jordan_block(self):
         """A defective A has no eigenvector basis (a solve through
-        ``np.linalg.eig`` is off by O(1) here); the operator solve needs
-        none.  Both solves reject the rate at which the shifted operator
-        is too ill-conditioned to meet the residual bound."""
+        ``np.linalg.eig`` is off by O(1) here); the sign iteration needs
+        none.  Both solves reject the rate at which the equation is too
+        ill-conditioned to meet the residual bound."""
         A = _jordan_block(8)
         S = np.linalg.eig(A)[1]
         assert np.linalg.cond(S) > 1e12
         for lam in (0.1, 0.5, 1.0):
             assert self._relative_gap(A, lam) <= 1e-12
-        assert _solve_decay_equation(A, _decay_operator(A), 1.9) is None
+        assert _solve_decay_equation(A, 1.9) is None
         assert kron_decay_solve(A, 1.9) is None
-
-    def test_operator_is_the_lyapunov_map(self):
-        """On symmetric M the operator reproduces the upper triangle of
-        ``A^T M + M A`` in row-major order."""
-        rng = np.random.default_rng(5)
-        d = 5
-        A = rng.normal(size=(d, d))
-        R = rng.normal(size=(d, d))
-        M = R + R.T
-        rows, cols = np.triu_indices(d)
-        image = A.T @ M + M @ A
-        np.testing.assert_allclose(_decay_operator(A) @ M[rows, cols], image[rows, cols],
-                                   rtol=1e-13, atol=1e-13)
 
     def test_defective_mode_synthesizes(self):
         joint = _toy_joint(
@@ -379,15 +375,15 @@ class TestStackedSynthesis:
     single mode fails is skipped, as the mode-by-mode reference skips it."""
 
     def test_one_singular_mode_skips_the_rate(self):
-        """With Aprime = -I and lambda = 2 the shifted decay operator of the
-        middle mode is zero; the other two solve at that rate."""
+        """With Aprime = -I and lambda = 2 the shifted matrix ``A + (lambda/2)
+        I`` of the middle mode is zero; the other two solve at that rate."""
         rng = np.random.default_rng(17)
         As = [_stable(rng, 2, 1.5), -np.eye(2), _stable(rng, 2, 1.2)]
         joint = _joint_of(As)
-        assert [_solve_decay_equation(A, _decay_operator(A), 2.0) is None for A in As] == [
+        assert [_solve_decay_equation(A, 2.0) is None for A in As] == [
             False, True, False]
         stack = np.array(As)
-        assert _solve_decay_equation(stack, _decay_operator(stack), 2.0) is None
+        assert _solve_decay_equation(stack, 2.0) is None
         cert = synthesize_certificate(joint, kappa=1.0, lambda_grid=[2.0, 1.0])
         assert cert.lam == 1.0
         _assert_same_certificate(cert, reference_synthesis(joint, 1.0, [2.0, 1.0]))
@@ -398,10 +394,10 @@ class TestStackedSynthesis:
         rng = np.random.default_rng(19)
         As = [_stable(rng, 8, 1.5), _jordan_block(8), _stable(rng, 8, 1.2), _stable(rng, 8, 2.0)]
         joint = _joint_of(As)
-        assert [_solve_decay_equation(A, _decay_operator(A), 1.9) is None for A in As] == [
+        assert [_solve_decay_equation(A, 1.9) is None for A in As] == [
             False, True, False, False]
         stack = np.array(As)
-        assert _solve_decay_equation(stack, _decay_operator(stack), 1.9) is None
+        assert _solve_decay_equation(stack, 1.9) is None
         cert = synthesize_certificate(joint, kappa=1.0, lambda_grid=[1.9, 1.0])
         assert cert.lam == 1.0
         _assert_same_certificate(cert, reference_synthesis(joint, 1.0, [1.9, 1.0]))
@@ -409,10 +405,48 @@ class TestStackedSynthesis:
     def test_stacked_solve_equals_one_mode_solves(self):
         rng = np.random.default_rng(23)
         As = np.array([_stable(rng, 5, 0.8) for _ in range(6)])
-        M = _solve_decay_equation(As, _decay_operator(As), 1.0)
+        M = _solve_decay_equation(As, 1.0)
         for A, Mi in zip(As, M):
-            np.testing.assert_allclose(Mi, _solve_decay_equation(A, _decay_operator(A), 1.0),
+            np.testing.assert_allclose(Mi, _solve_decay_equation(A, 1.0),
                                        rtol=1e-12, atol=0.0)
+
+
+class TestExactAudit:
+    """Synthesized certificates hold in exact rational arithmetic, not only
+    to within ``LMI_TOL``."""
+
+    @pytest.mark.parametrize("S, inertia", [
+        ([[2.0, 1.0], [1.0, 2.0]], (2, 0, 0)),
+        ([[0.0, 1.0], [1.0, 0.0]], (1, 1, 0)),
+        ([[1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, 0.0]], (1, 1, 1)),
+        ([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], (2, 1, 0)),
+        ([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -52]], (2, 0, 0)),
+        ([[1.0, 1.0], [1.0, 1.0 - 2.0 ** -53]], (1, 1, 0)),
+        ([[1.0, 2.0], [2.0, 4.0]], (1, 0, 1)),
+    ])
+    def test_inertia(self, S, inertia):
+        assert exact_inertia(S) == inertia
+
+    def test_shipped_cases_hold_exactly(self, case1, case2):
+        for bundle in (case1, case2):
+            assert exact_certificate_holds(bundle.certificate, bundle.joint)
+
+    def test_synth_pool_models_hold_exactly(self, tmp_path):
+        """The four kinds of model (linear or PWA abstraction, conic or
+        affine cells) at joint dimensions 4 and 6; the CI workflow audits
+        the whole pool."""
+        assert synth_pool_failures(tmp_path, [0, 1, 7, 8, 14, 15, 21, 22]) == []
+
+    def test_audit_rejects_what_the_tolerance_forgives(self, case1):
+        """Scaled from its synthesis margin to a relative 1e-12 short of
+        dominating the output map, case1's M passes ``verify_all``, whose
+        tolerance forgives that, and fails the audit."""
+        cert = case1.certificate
+        short = (1.0 - 1e-12) / (1.0 + SYNTH_MARGIN)
+        tight = dataclasses.replace(cert, entries=tuple(
+            ModeCertificate(short * e.M, e.m_scalar) for e in cert.entries))
+        assert all(r.feasible for r in verify_all(tight, case1.joint))
+        assert not exact_certificate_holds(tight, case1.joint)
 
 
 class TestGains:

@@ -416,6 +416,9 @@ class TestCheck:
          "certificate.kappa: expected a number, not false"),
         ("case1", ("system", "modes", 0, "c_bound"), True,
          "system.modes[0].c_bound: expected a number, not true"),
+        ("case2", ("pairing",), [True, True, 2, 3, 3], "pairing[0]: expected a number, not true"),
+        ("case1", ("certificate", "lambda_grid"), [True],
+         "certificate.lambda_grid[0]: expected a number, not true"),
     ], ids=["pwa-F-text", "pwa-cell-f-matrix", "B-list", "E-list", "K-list", "P-list",
             "waypoint-value-text", "waypoint-t-text", "offset-text", "K-shape", "R-shape",
             "x1-0-shape", "x2-0-shape", "waypoint-value-shape", "kappa-negative",
@@ -423,7 +426,8 @@ class TestCheck:
             "cert-m-negative", "grid-with-M", "m-scalar-with-m", "t-end-zero", "step-zero",
             "waypoint-t-decreasing", "disturbance-over-bound", "A-ragged",
             "B-nan-after-bad-C", "E-text", "K-nan", "waypoint-value-nan",
-            "m-scalar-all-conic", "m-all-conic", "step-true", "kappa-false", "c-bound-true"])
+            "m-scalar-all-conic", "m-all-conic", "step-true", "kappa-false", "c-bound-true",
+            "pairing-true", "grid-true"])
     def test_loader_error_names_the_json_path(self, base, path, value, line, tmp_path, capsys):
         """A bad entry is named by its full JSON path, in one error line; of
         two bad entries, the one read first in document order.  A base
