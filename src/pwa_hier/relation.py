@@ -2,8 +2,8 @@
 
 A relation between a concrete mode ``(A, B, C)`` and an abstraction
 ``(F, H)`` is a pair ``(P, Q)`` with ``H = C P`` and ``P F = A P + B Q``.
-Both equations are vectorized into one stacked linear system and solved for
-the minimum-norm least-squares pair; the residual certifies the relation.
+Both equations are vectorized into one linear system, solved by Householder
+QR for the minimum-norm least-squares pair; the residual certifies it.
 The interface feeds the abstraction state, transformed input, and tracking
 error back into the concrete input, and the closed loop is assembled as a
 block joint system over ``omega = (xtilde, x2)``.
@@ -47,6 +47,9 @@ _PAIRING_TIE_RTOL = 1e-12
 
 #: Smallest singular value an injective state map must exceed.
 INJECTIVITY_TOL = 1e-8
+
+#: Pairs whose relation operators are formed and factored at a time.
+_SOLVE_PAIRS = 8
 
 
 def _tolerance(norm_A, norm_H):
@@ -111,22 +114,44 @@ def _relation_operator(A, B, C, F) -> np.ndarray:
     return coeff
 
 
+def _min_norm_solve(coeff, rhs) -> np.ndarray:
+    """Minimum-norm least-squares solution of each system of a stack by
+    Householder QR: ``x = Q R^-T rhs`` from ``coeff^T = Q R`` with no more
+    rows than columns, else ``x = R^-1 Q^T rhs`` from ``coeff = Q R``.  A
+    rank-deficient ``R`` (a diagonal entry not finite or at most
+    ``eps * max(rows, cols) * max|R_ii|``) falls back to ``numpy.linalg.lstsq``."""
+    rows, cols = coeff.shape[-2:]
+    q, r = np.linalg.qr(np.swapaxes(coeff, -1, -2) if rows <= cols else coeff)
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    full = np.isfinite(diag).all(-1) & (
+        diag > np.finfo(float).eps * max(rows, cols) * diag.max(-1, keepdims=True)).all(-1)
+    r[~full] = np.eye(r.shape[-1])  # a stand-in: lstsq solves these below
+    x = (q @ np.linalg.solve(np.swapaxes(r, -1, -2), rhs[..., None]) if rows <= cols
+         else np.linalg.solve(r, np.swapaxes(q, -1, -2) @ rhs[..., None]))[..., 0]
+    for i in np.flatnonzero(~full):
+        x[i] = np.linalg.lstsq(coeff[i], rhs[i], rcond=None)[0]
+    return x
+
+
 def _relation_solutions(A, B, C, F, H) -> np.ndarray:
     """Minimum-norm least-squares ``(vec P, vec Q)`` of the relation
-    equations, per pair of blocks over their broadcast leading axes, from
-    the SVD-based ``numpy.linalg.lstsq`` (one call per pair: numpy has no
-    stacked one).  It works on the operator itself, so its condition number
-    is not squared, and its minimum-norm solution makes the result
-    deterministic even when the relation is underdetermined."""
-    k, m = C.shape[-2], F.shape[-1]
+    equations, per pair of blocks over their broadcast leading axes, by
+    ``_min_norm_solve`` on the operators of ``_SOLVE_PAIRS`` pairs at a time
+    (no normal equations; deterministic even where it is underdetermined)."""
+    n, p, k, m = A.shape[-1], B.shape[-1], C.shape[-2], F.shape[-1]
     if F.shape[-2] != m or H.shape[-2:] != (k, m):
         raise DimensionMismatchError("F/H do not match the abstraction dimension")
-    coeff = _relation_operator(A, B, C, F)
-    rhs = np.zeros(coeff.shape[:-1])
-    rhs[..., :k * m] = np.swapaxes(H, -1, -2).reshape(H.shape[:-2] + (k * m,))
-    sols = [np.linalg.lstsq(c, r, rcond=None)[0] for c, r in
-            zip(coeff.reshape((-1,) + coeff.shape[-2:]), rhs.reshape(-1, rhs.shape[-1]))]
-    return np.array(sols).reshape(coeff.shape[:-2] + (-1,))
+    batch = np.broadcast_shapes(*(X.shape[:-2] for X in (A, B, C, F, H)))
+    A, B, C, F, H = (np.broadcast_to(X, batch + X.shape[-2:]).reshape((-1,) + X.shape[-2:])
+                     for X in (A, B, C, F, H))
+    sols = np.empty((len(A), n * m + p * m))
+    for start in range(0, len(A), _SOLVE_PAIRS):
+        run = slice(start, start + _SOLVE_PAIRS)
+        coeff = _relation_operator(A[run], B[run], C[run], F[run])
+        rhs = np.zeros(coeff.shape[:-1])
+        rhs[:, :k * m] = np.swapaxes(H[run], -1, -2).reshape(-1, k * m)
+        sols[run] = _min_norm_solve(coeff, rhs)
+    return sols.reshape(batch + (-1,))
 
 
 def _unvec(sol: np.ndarray, n: int, m: int, p: int) -> tuple[np.ndarray, np.ndarray]:

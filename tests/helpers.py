@@ -262,11 +262,11 @@ def exact_certificate_holds(cert, joint) -> bool:
     return True
 
 
-def synth_pool_failures(directory, indices=None, seed=0) -> list:
-    """Names of the models of the benchmark's synth-check pool (entries
-    ``indices`` of seed ``seed``, all of them where None, written to
-    ``directory`` by the benchmark's own generator) whose built certificate
-    fails :func:`exact_certificate_holds`."""
+def synth_pool_pipelines(directory, indices=None, seed=0):
+    """``(path, pipeline)`` of each model of the benchmark's synth-check
+    pool (entries ``indices`` of seed ``seed``, all of them where None,
+    written to ``directory`` by the benchmark's own generator), built one
+    at a time as the iteration asks for it."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_generate", Path(__file__).resolve().parents[1] / "perfbench" / "generate.py")
     generate = importlib.util.module_from_spec(spec)
@@ -275,12 +275,15 @@ def synth_pool_failures(directory, indices=None, seed=0) -> list:
         indices = range(generate.SYNTH_POOL)
     paths = generate.write_pool(Path(directory),
                                 [generate.synth_check_model(seed, k) for k in indices])
-    failing = []
     for path in paths:
-        pipe = build_pipeline(load_model(path))
-        if not exact_certificate_holds(pipe.certificate, pipe.joint):
-            failing.append(path.stem)
-    return failing
+        yield path, build_pipeline(load_model(path))
+
+
+def synth_pool_failures(directory, indices=None, seed=0) -> list:
+    """Names of the models of :func:`synth_pool_pipelines` whose built
+    certificate fails :func:`exact_certificate_holds`."""
+    return [path.stem for path, pipe in synth_pool_pipelines(directory, indices, seed)
+            if not exact_certificate_holds(pipe.certificate, pipe.joint)]
 
 
 def kron_decay_solve(A, lam):

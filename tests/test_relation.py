@@ -26,6 +26,7 @@ from pwa_hier.relation import (
     Interface,
     JointSystem,
     RelationMaps,
+    _min_norm_solve,
     _relation_operator,
     default_R,
     relation_residual,
@@ -43,6 +44,7 @@ from helpers import (
     kron_relation_solve,
     reference_synthesis,
     step_rk4,
+    synth_pool_pipelines,
 )
 
 I2 = np.eye(2)
@@ -54,6 +56,23 @@ def _residual_norms(A, B, C, F, H, P, Q):
         np.linalg.norm(H - C @ P),
         np.linalg.norm(P @ F - A @ P - B @ Q),
     )
+
+
+def _count_lstsq(monkeypatch) -> list:
+    """The arguments of each ``numpy.linalg.lstsq`` call made until
+    ``monkeypatch.undo()``."""
+    calls, lstsq = [], np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    return calls
+
+
+def _vec(P, Q) -> np.ndarray:
+    return np.concatenate([P.reshape(-1, order="F"), Q.reshape(-1, order="F")])
 
 
 class TestSolveRelation:
@@ -106,17 +125,29 @@ class TestSolveRelation:
 class TestRelationOperator:
     """``solve_relation`` assembles the stacked system without Kronecker
     products: the operator must equal the Kronecker-built one entry for
-    entry, and the solution must match that system's bit for bit."""
+    entry, with no ``-0.0`` (a Householder reflector reads the sign of a
+    zero), so the QR solve gives the same bits on either.  The solve must
+    not fall back to ``lstsq`` on these full-rank operators, wide (k < p),
+    square (k = p) or tall (k > p), and must agree with the ``lstsq``
+    oracle to within ``100 eps cond(operator) ||x||``."""
 
     @staticmethod
-    def _assert_matches_oracle(A, B, C, F, H):
+    def _assert_matches_oracle(A, B, C, F, H, monkeypatch):
         op = _relation_operator(A, B, C, F)
-        np.testing.assert_array_equal(op, kron_relation_operator(A, B, C, F))
+        kron_op = kron_relation_operator(A, B, C, F) + 0.0
+        np.testing.assert_array_equal(op, kron_op)
         assert not np.signbit(op[op == 0.0]).any()
+        rhs = np.zeros((1, len(op)))
+        rhs[0, :H.size] = H.reshape(-1, order="F")
+        assert (_min_norm_solve(op[None], rhs).tobytes()
+                == _min_norm_solve(kron_op[None], rhs).tobytes())
+        calls = _count_lstsq(monkeypatch)
         P, Q, _ = solve_relation(A, B, C, F, H)
-        P_ref, Q_ref = kron_relation_solve(A, B, C, F, H)
-        np.testing.assert_array_equal(P, P_ref)
-        np.testing.assert_array_equal(Q, Q_ref)
+        assert not calls
+        monkeypatch.undo()
+        x_ref = _vec(*kron_relation_solve(A, B, C, F, H))
+        bound = 100 * np.finfo(float).eps * np.linalg.cond(op) * np.linalg.norm(x_ref)
+        assert np.linalg.norm(_vec(P, Q) - x_ref) <= bound
 
     @pytest.mark.parametrize("n, m, p, k", [
         (3, 1, 2, 2),   # one abstraction state
@@ -125,12 +156,12 @@ class TestRelationOperator:
         (6, 3, 3, 1),
         (1, 1, 1, 1),
     ])
-    def test_planted_instances(self, n, m, p, k):
+    def test_planted_instances(self, n, m, p, k, monkeypatch):
         rng = np.random.default_rng(7 * n + m)
         for _ in range(5):
-            self._assert_matches_oracle(*plant_relation_instance(rng, n, m, p, k))
+            self._assert_matches_oracle(*plant_relation_instance(rng, n, m, p, k), monkeypatch)
 
-    def test_non_symmetric_F_and_sparse_blocks(self):
+    def test_non_symmetric_F_and_sparse_blocks(self, monkeypatch):
         """A transposed F would swap the off-diagonal blocks; zeros in A,
         B and F exercise the signed-zero arithmetic of the block writes."""
         rng = np.random.default_rng(3)
@@ -142,7 +173,31 @@ class TestRelationOperator:
         A, B, C, H = sparse(n, n), sparse(n, p), sparse(k, n), rng.normal(size=(k, m))
         F = np.triu(rng.normal(size=(m, m)), 1) - np.eye(m)
         assert not np.array_equal(F, F.T)
-        self._assert_matches_oracle(A, B, C, F, H)
+        self._assert_matches_oracle(A, B, C, F, H, monkeypatch)
+
+    @pytest.mark.parametrize("deficient", ["zero-B-column", "zero-C"])
+    def test_rank_deficient_operator_takes_lstsq(self, deficient, monkeypatch):
+        """A zero column of ``B`` leaves a zero column in the operator, and
+        ``C = 0`` zero rows; either one takes ``lstsq``'s truncated
+        minimum-norm solution, which the oracle's equals bit for bit."""
+        A, B, C, F, H = plant_relation_instance(np.random.default_rng(5), 4, 2, 2, 2)
+        if deficient == "zero-B-column":
+            B[:, 1] = 0.0
+        else:
+            C, H = np.zeros_like(C), np.zeros_like(H)
+        calls = _count_lstsq(monkeypatch)
+        P, Q, _ = solve_relation(A, B, C, F, H)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        P_ref, Q_ref = kron_relation_solve(A, B, C, F, H)
+        assert P.tobytes() == P_ref.tobytes() and Q.tobytes() == Q_ref.tobytes()
+
+    def test_pool_models_never_take_lstsq(self, tmp_path, monkeypatch):
+        """The benchmark's planted models (both abstraction kinds, both cell
+        kinds, joint dimensions 4 and 6) are all solved by QR."""
+        calls = _count_lstsq(monkeypatch)
+        built = list(synth_pool_pipelines(tmp_path, [0, 1, 7, 8, 14, 15, 21, 22]))
+        assert len(built) == 8 and not calls
 
     def test_case2_pairing_matches_per_pair_tolerances(self, case2):
         """The pairing computes each spectral norm once; it must select
@@ -654,3 +709,26 @@ class TestStackedEqualsOneModeViews:
     def test_planted_pwa(self, modes, n, m, k):
         self._assert_one_mode_views(*_planted_pwa(np.random.default_rng(modes * n),
                                                   modes, n, m, k))
+
+
+class TestSliceIndependence:
+    """Pairs are solved a few at a time; each pair's ``(P, Q)`` equals its
+    one-pair ``solve_relation`` bit for bit wherever it falls in a run.  The
+    CI workflow also runs these with two BLAS threads (blocked QR goes
+    through GEMM)."""
+
+    @staticmethod
+    def _assert_one_pair_bits(relation, modes, abstraction_modes):
+        for P, Q, mode, am in zip(relation.P, relation.Q, modes, abstraction_modes, strict=True):
+            P1, Q1, _ = solve_relation(mode.A, mode.B, mode.C, am.F, am.H)
+            assert P.tobytes() == P1.tobytes() and Q.tobytes() == Q1.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_system_relation_of_48_modes(self, seed):
+        joint = fan_scenario(48, seed=seed).joint
+        self._assert_one_pair_bits(joint.relation, joint.system.modes, [joint.abstraction] * 48)
+
+    def test_pairing_of_12_by_12_modes(self):
+        system, absn, relation, *_ = _planted_pwa(np.random.default_rng(12), 12, 4, 2, 2)
+        self._assert_one_pair_bits(relation, system.modes,
+                                   [absn.modes[j] for j in relation.pairing])
