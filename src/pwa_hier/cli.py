@@ -30,6 +30,7 @@ from .modelfile import (
 from .simulator import (
     Scenario,
     atomic_write,
+    check_allocatable,
     export_run,
     run_scenario,
     verdict,
@@ -165,6 +166,8 @@ def cmd_sweep(model_spec: str, param: str, values: list[float]) -> int:
         return 1
     # every value is checked before the table starts
     scenarios = [_sweep_scenario(pipe, param, value) for value in values]
+    for scenario in scenarios:
+        check_allocatable(scenario)
     print(f"{'value':>12} {'max ||e||':>14} {'max V':>14} verdict")
     all_pass = True
     for value, scenario in zip(values, scenarios):

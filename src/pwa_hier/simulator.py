@@ -20,8 +20,8 @@ sub-step weights.  A run is refused unless its certificate holds on every
 mode, as checked once when the scenario is built.  Each sample
 records the tracking error, the simulation-function value, the running
 invariant-level threshold, and the certified output-error level, computed
-after the run for all modes at once from matrices gathered by each
-sample's mode, a bounded chunk at a time.
+after the run, a bounded chunk at a time, from the chunk's one mode's
+matrices or, where it crosses, from those gathered by each sample's mode.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ _BLOCK_MAX = 256
 #: Rows formatted at a time by the artifact writer.
 _WRITE_BLOCK = 1024
 
-#: Samples whose per-mode matrices the bookkeeping gathers at a time.
+#: Samples the bookkeeping takes at a time; see ``_bookkeep``.
 _GATHER_ROWS = 1024
 
 #: Slack of the PASS verdict on the per-sample bound chain.
@@ -554,18 +554,10 @@ def run_scenario(s: Scenario) -> Trajectory:
         raise InfeasibleCertificateError(
             f"certificate lambda {s.certificate.lam!r} makes a gain slope of mode "
             f"{s.joint.modes[int(np.argmax(over))].label} overflow")
+    check_allocatable(s)
     runner = _Runner(s)
     n, steps = runner.n, s.steps
-    # 8-byte columns per sample: t, its arange, u2bar, stage times, stages, zs,
-    # mode_i, and the bookkeeping's xtilde, u1, y1, y2, y1 - y2, |x2| and nine more
-    needed = 8 * (steps + 1) * (18 + s.schedule.values.shape[1] + 2 * (n + runner.m)
-                                + s.joint.system.p + 3 * s.joint.system.k)
     try:
-        # beyond physical memory (not a cgroup limit), writing them gets the process
-        # killed, not a MemoryError; no check where sysconf lacks either name
-        with suppress(AttributeError, ValueError, OSError):
-            if needed > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") > 0:
-                raise MemoryError
         t = np.arange(steps + 1) * s.h
         u2bar = s.schedule.value(t)
         stages = runner.stages(t[:-1], s.h)
@@ -596,17 +588,34 @@ def run_scenario(s: Scenario) -> Trajectory:
 
         return _bookkeep(s, runner, t, zs[:, :n], zs[:, n:], u2bar, mode_i, tuple(events))
     except MemoryError as exc:
-        raise EmptyTrajectoryError(
-            f"horizon {s.t_end:g} at step {s.h:g} needs {steps + 1} samples, more "
-            f"than can be allocated"
-        ) from exc
+        raise _unallocatable(s) from exc
+
+
+def _unallocatable(s: Scenario) -> EmptyTrajectoryError:
+    return EmptyTrajectoryError(f"horizon {s.t_end:g} at step {s.h:g} needs "
+                                f"{s.steps + 1:.3g} samples, more than can be allocated")
+
+
+def check_allocatable(s: Scenario) -> None:
+    """Raise EmptyTrajectoryError if a run of ``s`` needs more than physical
+    memory (not a cgroup limit), where writing its arrays gets the process
+    killed, not a MemoryError; no check where sysconf gives no page count."""
+    # 8-byte columns per sample: t, its arange, u2bar, stage times, stages, zs,
+    # mode_i, and the bookkeeping's xtilde, u1, y1, y2, y1 - y2, |x2| and nine more
+    needed = 8 * (s.steps + 1) * (18 + s.schedule.values.shape[1] + 2 * (s.joint.n + s.joint.m)
+                                  + s.joint.system.p + 3 * s.joint.system.k)
+    physical = 0
+    with suppress(AttributeError, ValueError, OSError):
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > physical > 0:
+        raise _unallocatable(s)
 
 
 def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i,
               events: tuple[CrossingEvent, ...]) -> Trajectory:
-    """Per-sample certificate columns, with no loop over modes: each sample's
-    P, C, H, interface gains and M are gathered by its mode, ``_GATHER_ROWS``
-    samples at a time, and its gain slopes read from the scenario's."""
+    """Per-sample certificate columns, ``_GATHER_ROWS`` samples at a time with
+    no loop over modes: a chunk uses its one mode's P, C, H, interface gains and
+    M, or gathers each sample's by mode; gain slopes come from the scenario's."""
     joint, cert, slopes = s.joint, s.certificate, s.slopes
     P, C, H = runner.P, runner.C, runner.H
     kinds = np.array([jm.kind for jm in joint.modes])
@@ -615,10 +624,11 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i,
     for start in range(0, len(t), _GATHER_ROWS):
         rows = slice(start, start + _GATHER_ROWS)
         i = mode_i[rows]
-        xtilde[rows] = x1[rows] - np.einsum("rij,rj->ri", P[i], x2[rows])
+        i = i[0] if (i == i[0]).all() else i  # one mode: no copy per sample
+        xtilde[rows] = x1[rows] - np.einsum("...ij,...j->...i", P[i], x2[rows])
         u1[rows] = joint.u1(i, xtilde[rows], x2[rows], u2bar[rows])
-        y1[rows] = np.einsum("rij,rj->ri", C[i], x1[rows])
-        y2[rows] = np.einsum("rij,rj->ri", H[i], x2[rows])
+        y1[rows] = np.einsum("...ij,...j->...i", C[i], x1[rows])
+        y2[rows] = np.einsum("...ij,...j->...i", H[i], x2[rows])
         V[rows] = sim_fn_values(cert, i, np.hstack([xtilde[rows], x2[rows]]), kinds[i])
 
     err = np.linalg.norm(y1 - y2, axis=1)
@@ -717,20 +727,23 @@ def _write_rows(handles: Sequence[TextIO], columns: Mapping[str, np.ndarray],
                 files: Sequence[tuple], used: Sequence[str], start: int, stop: int) -> None:
     """Append rows ``[start, stop)`` of every table in ``files`` to its
     handle, ``_WRITE_BLOCK`` rows at a time from the block edge ``start``.
-    The used columns are grouped by dtype, and each block's distinct bit
-    patterns of a group are formatted once, from one ``np.unique``; the
-    groups keep an int and a float with the same bits apart."""
-    groups: dict = {}
-    for name in used:
-        groups.setdefault(columns[name].dtype, []).append(name)
+    A column block with the dtype and bytes of one already formatted reuses
+    its text, and within a block each run of one bit pattern is formatted
+    once."""
     for lo in range(start, stop, _WRITE_BLOCK):
         hi = min(lo + _WRITE_BLOCK, stop)
-        text = {}
-        for dtype, names in groups.items():
-            block = np.stack([columns[name][lo:hi] for name in names])
-            codes, inverse = np.unique(block.view(f"u{dtype.itemsize}"), return_inverse=True)
-            distinct = np.array(list(map(repr, codes.view(dtype).tolist())), dtype=object)
-            text.update(zip(names, distinct[inverse.reshape(block.shape)].tolist()))
+        text, formatted = {}, {}
+        for name in used:
+            block = columns[name][lo:hi]
+            key = (block.dtype, block.tobytes())
+            if key not in formatted:
+                bits = block.view(f"u{block.itemsize}")
+                starts = np.concatenate(([True], bits[1:] != bits[:-1]))
+                texts = list(map(repr, block[starts].tolist()))
+                if len(texts) < len(block):
+                    texts = list(map(texts.__getitem__, (np.cumsum(starts) - 1).tolist()))
+                formatted[key] = texts
+            text[name] = formatted[key]
         for fh, (_, names, sep, _) in zip(handles, files):
             fh.write("\n".join(map(sep.join, zip(*(text[name] for name in names)))) + "\n")
 
@@ -818,12 +831,11 @@ def write_tables(columns: Mapping[str, np.ndarray],
     Each ``(path, names, sep, header)`` entry of ``files`` is a table whose
     rows are its named columns' shortest-exact (``repr``) values joined by
     ``sep``, under a line of the names when ``header`` is true.  The rows
-    are walked in blocks of ``_WRITE_BLOCK``, and each distinct value of a
-    block is formatted once: a column shared by several tables, a column
-    bit-identical to another and a value repeated within a column all reuse
-    one text, keyed by bit pattern (so ``-0.0`` and ``0.0`` stay apart).
-    The bytes are those of formatting every value on its own.  Every table
-    is written atomically.
+    are walked in blocks of ``_WRITE_BLOCK``; in each, a column shared by
+    several tables or with the dtype and bytes of another is formatted
+    once, and so is each run of one bit pattern in a column (``-0.0`` and
+    ``0.0`` stay apart).  The bytes are those of formatting every value on
+    its own.  Every table is written atomically.
 
     Where ``_split_row`` allows, a forked child formats the rows from the
     block edge nearest the middle into one anonymous temp file per table,

@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -797,6 +798,15 @@ class TestSweep:
                      "--values", values]) == 1
         captured = capsys.readouterr()
         assert "sup-norm target" in captured.err and captured.out == ""
+
+    def test_unallocatable_step_rejected_before_the_table(self, capsys):
+        """A step whose run would exceed physical memory is refused before
+        any row runs, with its sample count in a few digits."""
+        assert main(["sweep", "case1", "--param", "step", "--values", "0.001,1e-300"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "more than can be allocated" in captured.err
+        assert not re.search(r"\d{21}", captured.err)
 
     def test_unknown_parameter_exits_one(self, capsys):
         # argparse rejects unknown choices before our handler sees them

@@ -471,6 +471,21 @@ class TestRunScenario:
                 np.testing.assert_array_equal(
                     traj.V[rows], np.sqrt(np.clip(quad, 0.0, None)) / scen.certificate.kappa)
 
+    def test_columns_do_not_depend_on_chunking(self, case2, fans, monkeypatch):
+        """A chunk of samples in one mode indexes that mode's matrices, and
+        one with several modes gathers them per sample: chunks of 1024, 7
+        and 1 samples, which put the samples next to a crossing in one kind
+        or the other, give the same columns bit for bit."""
+        for scen in (case2.scenario, fans[0]):
+            runs = []
+            for rows in (1024, 7, 1):
+                monkeypatch.setattr(simulator, "_GATHER_ROWS", rows)
+                runs.append(run_scenario(scen))
+            assert len(runs[0].crossings) > 0
+            for traj in runs[1:]:
+                for name in ("xtilde", "u1", "y1", "y2", "V", "b", "delta"):
+                    assert getattr(traj, name).tobytes() == getattr(runs[0], name).tobytes()
+
 
 def _switch_adjacent(traj):
     """Sample indices within one step of any boundary crossing."""
@@ -1150,7 +1165,10 @@ class TestAtomicWrite:
 def _writer_columns(rows):
     """Columns of ``rows`` values that exercise the writer's dedup: signed
     zeros, NaN payloads, infinities, subnormals, repeated values, constant,
-    twin and strided columns and ints."""
+    twin and strided columns and ints; a run across a block edge, a column
+    that is another's twin in its first block only, adjacent NaNs with
+    other payloads, alternating runs of -0.0 and 0.0, and ints with a float
+    column's bytes."""
     rng = np.random.default_rng(rows)
     nan_payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
     special = np.array([-0.0, 0.0, np.nan, nan_payload, np.inf, -np.inf, 5e-324])
@@ -1166,6 +1184,11 @@ def _writer_columns(rows):
         "negzero": -np.zeros(rows),
         "mode": rng.integers(1, 4, rows),
         "strided": stacked.T[1],
+        "straddle": np.where(abs(np.arange(rows) - _WRITE_BLOCK) < 5, 2.5, x),
+        "first_twin": np.where(np.arange(rows) < _WRITE_BLOCK, x, -x),
+        "nans": np.resize([np.nan, nan_payload, nan_payload, -np.nan, 1.0], rows),
+        "zeros": np.where(np.arange(rows) // 3 % 2, -0.0, 0.0),
+        "bits": x.view(np.int64),
     }
 
 
