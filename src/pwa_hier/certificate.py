@@ -7,7 +7,9 @@ map, is positive definite (margin 2 of :func:`verify_all` alone tests it),
 and decays at rate ``lambda`` along the closed loop.  ``V = sqrt(quadratic
 form)/kappa`` then bounds the output error by ``kappa V``, and linear gain
 slopes translate input/disturbance magnitudes into the invariant-level
-threshold ``b`` that the simulator evaluates per sample.
+threshold ``b`` that the simulator evaluates per sample.  A certificate is
+``(kappa, lambda, M, m)`` and nothing more: it carries no cell relaxation
+weights and no continuity factorization of ``M``.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ DEFAULT_M_SCALAR = 1.0
 
 #: Number of decay-rate candidates in the default synthesis grid.
 LAMBDA_GRID_POINTS = 15
-
-_FACTORIZATION_TOL = 1e-8
 
 #: Relative asymmetry tolerated in a supplied ``M`` before it is rejected.
 SYMMETRY_RTOL = 1e-12
@@ -99,13 +99,12 @@ class ModeCertificate:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Per-mode certificates sharing one decay rate and error scaling."""
+    """Per-mode certificates sharing one decay rate and error scaling, and
+    nothing else: no relaxation weights, no continuity factorization."""
 
     kappa: float
     lam: float
     entries: tuple[ModeCertificate, ...]
-    T: Optional[np.ndarray] = None
-    jbars: Optional[tuple[np.ndarray, ...]] = None
 
     def __post_init__(self):
         as_positive(self.kappa, "kappa", InfeasibleCertificateError)
@@ -113,30 +112,6 @@ class Certificate:
         object.__setattr__(self, "entries", tuple(self.entries))
         if len({entry.M.shape for entry in self.entries}) > 1:
             raise DimensionMismatchError("every mode's M must have the same size")
-        if self.jbars is not None:
-            object.__setattr__(self, "jbars", tuple(as_matrix(J, "Jbar") for J in self.jbars))
-            if len(self.jbars) != len(self.entries):
-                raise DimensionMismatchError("need one continuity matrix per mode")
-        if self.T is not None:
-            T = as_matrix(self.T, "T")
-            object.__setattr__(self, "T", T)
-            if T.shape[0] != T.shape[1]:
-                raise DimensionMismatchError(f"T must be square, got shape {T.shape}")
-            if self.jbars is not None:
-                for idx, (entry, J) in enumerate(zip(self.entries, self.jbars)):
-                    target = entry.extended()
-                    if J.shape != (T.shape[0], target.shape[0]):
-                        raise DimensionMismatchError(
-                            f"entry {idx}: Jbar has shape {J.shape}, expected "
-                            f"{(T.shape[0], target.shape[0])} (T's rows by the "
-                            f"extended M's size)"
-                        )
-                    with np.errstate(over="ignore", invalid="ignore"):  # NaN fails
-                        err = frobenius(J.T @ T @ J - target)
-                    if not err <= _FACTORIZATION_TOL * (1.0 + frobenius(target)):
-                        raise InfeasibleCertificateError(
-                            f"entry {idx}: continuity factorization off by {err:.3e}"
-                        )
 
 
 @dataclass(frozen=True)

@@ -102,7 +102,7 @@ def _print_report(report: RunReport) -> None:
 def cmd_check(model_spec: str, save_certificate: Optional[str] = None) -> int:
     pipe, report = _load(model_spec)
     _print_report(report)
-    if save_certificate:
+    if save_certificate is not None:
         with atomic_write(save_certificate) as fh:
             fh.write(json.dumps(
                 certificate_to_jsonable(pipe.certificate, pipe.scenario.reports), indent=2

@@ -32,7 +32,7 @@ from .certificate import (
 )
 from .errors import ModelError, ParseError, PwaHierError
 from .linalg import as_positive
-from .polytope import CONIC, Partition, Polyhedron
+from .polytope import AFFINE, CONIC, Partition, Polyhedron
 from .relation import (
     JointSystem,
     RelationMaps,
@@ -78,7 +78,9 @@ def resolve_model_path(spec: str) -> Path:
 
 @dataclass
 class ModelConfig:
-    """Validated raw content of a model file."""
+    """Validated raw content of a model file.  A supplied certificate is
+    ``cert_lambda``, ``cert_M`` and ``cert_m``: the loader refuses the keys
+    no certificate reads (``U``, ``W``, ``T``, ``Jbar``) by their path."""
 
     name: str
     system: PwaSystem
@@ -94,8 +96,6 @@ class ModelConfig:
     cert_lambda: Optional[float]
     cert_M: Optional[list]
     cert_m: Optional[list]
-    cert_T: Optional[np.ndarray]
-    cert_jbar: Optional[list]
     x1_0: np.ndarray
     x2_0: np.ndarray
     t_end: float
@@ -313,12 +313,13 @@ def _build_config(doc: _Entry) -> ModelConfig:
     if lambda_grid is not None and not np.any(lambda_grid > 0.0):
         raise grid.error("needs a positive decay rate")
     m_scalar = cert["m_scalar"].positive() if "m_scalar" in cert else None
-    for key in ("U", "W"):  # dropping a supplied relaxation would change what is checked
+    for key in ("U", "W", "T", "Jbar"):  # dropping one would change what is checked
         if key in cert:
-            raise cert[key].error("cell relaxation weights are not supported (remove the key)")
-    given = {key: cert.get(key) for key in ("M", "lambda", "m", "T", "Jbar")}
+            what = "cell relaxation weights" if key in ("U", "W") else "continuity factorizations"
+            raise cert[key].error(f"{what} are not supported (remove the key)")
+    given = {key: cert.get(key) for key in ("M", "lambda", "m")}
     cert_lambda = None if given["lambda"] is None else given["lambda"].positive()
-    # lambda, m, T and Jbar belong to a supplied M
+    # lambda and m belong to a supplied M
     stray = [key for key, node in given.items() if node is not None and key != "M"]
     if given["M"] is None and stray:
         raise cert.error(f"{', '.join(stray)} given without a supplied M")
@@ -330,14 +331,9 @@ def _build_config(doc: _Entry) -> ModelConfig:
     d = system.n + abstraction.m
     cert_M = None if given["M"] is None else given["M"].per_mode(n_modes, shape=(d, d))
     cert_m = None if given["m"] is None else given["m"].per_mode(n_modes, read=_Entry.positive)
-    cert_jbar = None if given["Jbar"] is None else given["Jbar"].per_mode(n_modes)
     if cert_M is not None:  # each M's own rules, where its path is known
         for node, M in zip(given["M"].items(), cert_M):
             node.build(ModeCertificate, M)
-    if (given["T"] is None) != (given["Jbar"] is None):
-        raise cert.error("T and Jbar come together, "
-                         f"{'T' if given['T'] is None else 'Jbar'} is missing")
-    cert_T = None if given["T"] is None else given["T"].array(2)
 
     scen = doc["scenario"]
     x1_0 = scen["x1_0"].array(1, shape=(system.n,))
@@ -354,7 +350,6 @@ def _build_config(doc: _Entry) -> ModelConfig:
         K=K, R=R, relation_P=relation_P, relation_Q=relation_Q,
         declared_pairing=declared_pairing, kappa=kappa, lambda_grid=lambda_grid,
         m_scalar=m_scalar, cert_lambda=cert_lambda, cert_M=cert_M, cert_m=cert_m,
-        cert_T=cert_T, cert_jbar=cert_jbar,
         x1_0=x1_0, x2_0=x2_0, t_end=t_end, step=step, disturbance=disturbance,
         schedule=schedule,
     )
@@ -373,11 +368,11 @@ def _supplied_relation(config: ModelConfig, solved: Optional[RelationMaps]) -> R
 
 def build_pipeline(config: ModelConfig) -> Pipeline:
     """Solve relations, build the interface and joint system, obtain a
-    certificate (synthesized unless the file supplies one), assemble the
-    scenario, and refuse a lambda at which the gain slopes of a certificate
-    that verifies overflow (one that does not is left to the check).  A
-    homogeneous entry (``m_scalar``, ``m``) given where every joint cell is
-    conic is refused, as no certificate would read it."""
+    certificate (synthesized unless the file supplies its lambda, M and m),
+    assemble the scenario, and refuse a lambda at which the gain slopes of a
+    certificate that verifies overflow (one that does not is left to the
+    check).  A homogeneous entry (``m_scalar``, ``m``) given where every
+    joint cell is conic is refused, as no certificate would read it."""
     relation = None
     if needs_pairing(config.abstraction):
         # the pairing comes from the solve even when the file supplies P/Q
@@ -407,15 +402,9 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
         m = config.cert_m
         if m is None:
             m = [DEFAULT_M_SCALAR if config.m_scalar is None else config.m_scalar] * len(joint)
-        entries = tuple(
-            ModeCertificate(
-                config.cert_M[idx],
-                m_scalar=float(m[idx]) if jm.kind == "affine" else None,
-            )
-            for idx, jm in enumerate(joint.modes)
-        )
-        certificate = Certificate(config.kappa, config.cert_lambda, entries,
-                                  T=config.cert_T, jbars=config.cert_jbar)
+        entries = [ModeCertificate(M, m_scalar=float(mi) if jm.kind == AFFINE else None)
+                   for M, mi, jm in zip(config.cert_M, m, joint.modes)]
+        certificate = Certificate(config.kappa, config.cert_lambda, entries)
     else:
         certificate = synthesize_certificate(
             joint, kappa=config.kappa, lambda_grid=config.lambda_grid,

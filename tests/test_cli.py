@@ -111,18 +111,18 @@ def _break_model(doc, how):
         elif how == "cert-M-asymmetric":
             doc["certificate"]["M"][0][0][1] += 1e-3
         elif how == "cert-jbar-short":
-            # case1's modes share one M, so T = M factors through J = I
-            eye = np.eye(len(cert["M"][0])).tolist()
-            doc["certificate"].update(T=cert["M"][0], Jbar=[eye])
+            # one continuity matrix for every mode and no T: refused by its key
+            doc["certificate"]["Jbar"] = [np.eye(len(cert["M"][0])).tolist()]
         elif how == "cert-T-Jbar-shape":
             eye = np.eye(len(cert["M"][0])).tolist()
             doc["certificate"].update(T=np.eye(3).tolist(), Jbar=[eye] * modes)
         elif how == "cert-T-only":
+            # case1's modes share one M, so T = M would factor it through J = I
             doc["certificate"]["T"] = cert["M"][0]
         elif how == "cert-lambda-without-M":
             doc["certificate"] = {"kappa": cert["kappa"], "lambda": 5.0}
         elif how == "cert-T-without-M":
-            # shapes that could not even factor M: only the missing M is wrong
+            # shapes that could not even factor M, and no M to factor
             doc["certificate"] = {"kappa": cert["kappa"], "T": np.eye(3).tolist(),
                                   "Jbar": [np.eye(3, len(cert["M"][0])).tolist()] * modes}
         else:
@@ -224,6 +224,20 @@ class TestCheck:
         assert len(errors) == 1 and errors[0].startswith(f"error: {p}: ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("how, key", [("cert-jbar-short", "Jbar"), ("cert-T-only", "T"),
+                                          ("cert-T-Jbar-shape", "T"), ("cert-T-without-M", "T")])
+    def test_continuity_factorization_is_refused(self, how, key, tmp_path, capsys):
+        """A supplied ``T`` or ``Jbar`` is refused by its path, with or
+        without ``M`` and whatever its shape: no certificate reads it."""
+        doc = _break_model(json.loads(builtin_model_path("case1").read_text()), how)
+        p = tmp_path / "bad.model"
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: certificate.{key}: continuity factorizations are not "
+                              "supported (remove the key)")
+
     def test_save_certificate(self, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"
         assert main(["check", "case2", "--save-certificate", str(cert_path)]) == 0
@@ -252,6 +266,16 @@ class TestCheck:
         assert [p.name for p in target.iterdir()] == ["keep.txt"]
         assert (target / "keep.txt").read_text() == "mine\n"
         assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_save_certificate_to_empty_path_exits_two(self, tmp_path, monkeypatch, capsys):
+        """An empty path is a path no file can take, not a missing option:
+        an I/O error, exit 2, with nothing left in the working directory."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", "case1", "--save-certificate", ""]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("i/o error: ") and len(err.splitlines()) == 1
+        assert "certificate written" not in out
+        assert not list(tmp_path.iterdir())
 
     def test_overflowing_data_ends_synthesis_in_one_line(self, tmp_path, capsys):
         """An output map entry of 1e308 makes every rate's scaling matrix

@@ -155,17 +155,21 @@ class TestValidation:
             load_model(p)
 
     @pytest.mark.parametrize("with_M", [False, True], ids=["without-M", "with-M"])
-    @pytest.mark.parametrize("key", ["U", "W"])
+    @pytest.mark.parametrize("key", ["U", "W", "T", "Jbar"])
     def test_relaxation_weights_are_refused(self, tmp_path, case1_doc, key, with_M):
-        """Cell relaxation weights are refused by their path, not ignored:
-        ignoring them would drop a relaxation the file supplies."""
+        """Cell relaxation weights and continuity factorizations are refused
+        by their path, not ignored: ignoring them would drop a relaxation or
+        a factorization the file supplies.  ``T`` and ``Jbar`` are the
+        identity factorization, which has the shapes case1's M would need."""
         doc = json.loads(json.dumps(case1_doc))
         if with_M:
             pipe = load_pipeline(builtin_model_path("case1"))
             doc["certificate"].update(certificate_to_jsonable(pipe.certificate,
                                                               pipe.scenario.reports))
         rows = len(doc["system"]["partition"][0]["f"])
-        doc["certificate"][key] = [[[0.0] * rows] * rows] * 3
+        eye8 = np.eye(8).tolist()
+        doc["certificate"][key] = {"T": eye8, "Jbar": [eye8] * 3}.get(
+            key, [[[0.0] * rows] * rows] * 3)
         p = tmp_path / "bad.model"
         p.write_text(json.dumps(doc))
         with pytest.raises(ModelError, match=f"^certificate.{key}: "):
@@ -215,33 +219,3 @@ class TestCertificateFragments:
         np.testing.assert_array_equal(
             pipe2.certificate.entries[0].M, pipe.certificate.entries[0].M
         )
-
-    def test_supplied_relaxation_and_continuity_blocks(self, tmp_path):
-        """An identity continuity factorization is accepted and verifies; a
-        wrong T is rejected.  (Relaxation weights are refused:
-        ``test_relaxation_weights_are_refused``.)"""
-        pipe = load_pipeline(builtin_model_path("case1"))
-        mats = [[[float(v) for v in row] for row in e.M]
-                for e in pipe.certificate.entries]
-        eye8 = [[1.0 if a == b else 0.0 for b in range(8)] for a in range(8)]
-        doc = json.loads(builtin_model_path("case1").read_text())
-        doc["certificate"].update({
-            "lambda": pipe.certificate.lam,
-            "M": mats,
-            # all three modes share one M, so T = M factors through J = I
-            "T": mats[0],
-            "Jbar": [eye8] * 3,
-        })
-        p = tmp_path / "full.model"
-        p.write_text(json.dumps(doc))
-        pipe2 = build_pipeline(load_model(p))
-        assert pipe2.certificate.T is not None
-        from pwa_hier.certificate import verify_all
-        assert all(r.feasible for r in verify_all(pipe2.certificate, pipe2.joint))
-
-        doc["certificate"]["T"] = eye8  # not the factorization of M
-        p2 = tmp_path / "badT.model"
-        p2.write_text(json.dumps(doc))
-        from pwa_hier.errors import InfeasibleCertificateError
-        with pytest.raises(InfeasibleCertificateError):
-            build_pipeline(load_model(p2))

@@ -1198,6 +1198,19 @@ def _can_fork():
             and len(os.sched_getaffinity(0)) >= 2)
 
 
+def _assert_same_lines(written, expected, what):
+    """Fail on the first line where ``written`` and ``expected`` (text or
+    bytes) differ, naming its index and both versions: pytest's diff of two
+    whole tables of thousands of lines takes minutes."""
+    got, want = written.splitlines(keepends=True), expected.splitlines(keepends=True)
+    if got != want:
+        i = next(i for i, pair in enumerate(zip(got + [None], want + [None]))
+                 if pair[0] != pair[1])
+        end = "<end of table>"
+        pytest.fail(f"{what}: line {i} differs: expected {want[i] if i < len(want) else end!r},"
+                    f" written {got[i] if i < len(got) else end!r}", pytrace=False)
+
+
 def _record_spans(monkeypatch):
     """The ``(start, stop)`` row spans this process formats (a child's are
     not seen), recorded in the returned list."""
@@ -1291,10 +1304,11 @@ class TestExport:
             lines = [sep.join(names)] if header else []
             lines += [sep.join(repr(columns[name][i].item()) for name in names)
                       for i in range(rows)]
-            assert path.read_text() == "".join(line + "\n" for line in lines)
+            _assert_same_lines(path.read_text(), "".join(line + "\n" for line in lines),
+                               path.name)
         if cpus is not None:
             for (path, *_), (twin, *_) in zip(files, default):
-                assert path.read_bytes() == twin.read_bytes()
+                _assert_same_lines(path.read_bytes(), twin.read_bytes(), path.name)
 
     @pytest.mark.parametrize("failure, raised", [(RuntimeError, OSError),
                                                  (KeyboardInterrupt, KeyboardInterrupt)],
@@ -1351,7 +1365,8 @@ class TestExport:
             finally:
                 signal.signal(signal.SIGCHLD, previous)
         assert spans == [(0, 2 * _WRITE_BLOCK + 3)]
-        assert (tmp_path / "all.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
+        _assert_same_lines((tmp_path / "all.csv").read_bytes(),
+                           (tmp_path / "before.csv").read_bytes(), "all.csv")
 
     @pytest.mark.parametrize("bad", [np.arange(3.0), np.zeros((5, 1))],
                              ids=["short", "two-d"])
