@@ -1,15 +1,17 @@
 """Simulation-function certificates: verification, synthesis, values, gain slopes.
 
-A certificate for a joint mode is a symmetric matrix ``M`` (extended by a
-positive scalar ``m`` in homogeneous coordinates for affine cells)
-satisfying three matrix-inequality margins: it dominates the squared output
-map, is positive definite (margin 2 of :func:`verify_all` alone tests it),
-and decays at rate ``lambda`` along the closed loop.  ``V = sqrt(quadratic
-form)/kappa`` then bounds the output error by ``kappa V``, and linear gain
-slopes translate input/disturbance magnitudes into the invariant-level
-threshold ``b`` that the simulator evaluates per sample.  A certificate is
-``(kappa, lambda, M, m)`` and nothing more: it carries no cell relaxation
-weights and no continuity factorization of ``M``.
+A certificate for a joint mode is a symmetric matrix ``M`` over the plain
+joint coordinates, on conic and affine cells alike, satisfying three
+matrix-inequality margins: it dominates the squared output map, is positive
+definite (margin 2 of :func:`verify_all` alone tests it), and decays at
+rate ``lambda`` along the closed loop.  An affine cell adds a positive
+scalar ``m``, which enters only the quadratic form ``omega^T M omega + m``
+and the threshold term ``sqrt(m)``.  ``V = sqrt(quadratic form)/kappa``
+then bounds the output error by ``kappa V``, and linear gain slopes
+translate input/disturbance magnitudes into the invariant-level threshold
+``b`` that the simulator evaluates per sample.  A certificate is ``(kappa,
+lambda, M, m)`` and nothing more: it carries no cell relaxation weights and
+no continuity factorization of ``M``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     SynthesisFailedError,
 )
 from .linalg import as_matrix, as_positive, as_vector, frobenius
-from .polytope import AFFINE, CONIC
+from .polytope import AFFINE
 from .relation import JointSystem
 from .systems import hurwitz_margin, stack_blocks
 
@@ -57,8 +59,8 @@ class ModeCertificate:
     """Certificate data of one joint mode: a finite, square, symmetric ``M``
     (``sim_fn_derivative`` assumes the symmetry) that need not be positive
     definite, since margin 2 of :func:`verify_all` decides that.
-    ``m_scalar`` is the homogeneous-block entry for affine cells and None
-    for conic cells.
+    ``m_scalar`` is the homogeneous entry for affine cells, which enters
+    ``V`` and ``b`` only and must be positive, and None for conic cells.
     """
 
     M: np.ndarray
@@ -86,16 +88,6 @@ class ModeCertificate:
                 )
             object.__setattr__(self, "m_scalar", float(self.m_scalar))
 
-    def extended(self) -> np.ndarray:
-        """Homogeneous block matrix ``diag(M, m_scalar)``."""
-        if self.m_scalar is None:
-            return self.M
-        d = self.M.shape[0]
-        out = np.zeros((d + 1, d + 1))
-        out[:d, :d] = self.M
-        out[d, d] = self.m_scalar
-        return out
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -119,23 +111,20 @@ class LmiReport:
     """Eigenvalue margins of the three certificate conditions.
 
     ``margins[0]`` = smallest eigenvalue of the output-domination condition
-    (feasible at >= -LMI_TOL); ``margins[1]`` = that of the extended ``M``,
-    the only test of its positivity (feasible at >= +LMI_TOL);
-    ``margins[2]`` = largest eigenvalue of the decay condition (<= +LMI_TOL).
+    (feasible at >= -LMI_TOL); ``margins[1]`` = that of ``M``, the only
+    test of its positivity (feasible at >= +LMI_TOL); ``margins[2]`` =
+    largest eigenvalue of the decay condition (<= +LMI_TOL).  All three are
+    of the state blocks, on affine cells as on conic ones.
     """
 
     margins: tuple[float, float, float]
     feasible: bool
 
 
-def _condition_matrices(M, A, C, lam: float, affine: bool) -> np.ndarray:
+def _condition_matrices(M, A, C, lam: float) -> np.ndarray:
     """The three symmetrized condition matrices ``(S1, S2, S3)`` of one
     mode, stacked, or of each mode of blocks stacked along a leading axis,
-    after checking the blocks' shapes.
-
-    For affine cells the decay weight applies only to the state block
-    (``diag(lam I, 0)``); conic cells scale all of ``M``.
-    """
+    after checking the blocks' shapes."""
     d = M.shape[-1]
     if A.shape[-2:] != (d, d) or C.shape[-1] != d:
         raise DimensionMismatchError("certificate blocks disagree on dimension")
@@ -143,60 +132,31 @@ def _condition_matrices(M, A, C, lam: float, affine: bool) -> np.ndarray:
     S = np.empty(M.shape[:-2] + (3, d, d))
     S[..., 0, :, :] = M - np.swapaxes(C, -1, -2) @ C
     S[..., 1, :, :] = M
-    lam_weights = np.full(d, lam)
-    if affine:
-        lam_weights[-1] = 0.0
-    S[..., 2, :, :] = np.swapaxes(A, -1, -2) @ M + M @ A + lam_weights[:, None] * M
+    S[..., 2, :, :] = np.swapaxes(A, -1, -2) @ M + M @ A + lam * M
     return 0.5 * (S + np.swapaxes(S, -1, -2))
-
-
-def _margins(w: np.ndarray) -> np.ndarray:
-    """``(m1, m2, m3)`` along the last axis from condition-matrix eigenvalues."""
-    return np.stack([w[..., 0, 0], w[..., 1, 0], w[..., 2, -1]], axis=-1)
-
-
-def _stacked_blocks(cert: Certificate, joint: JointSystem):
-    """The modes in groups whose blocks share their shapes (cell kind and
-    size).  Yields per group the indices of its modes, its blocks ``(M, A,
-    B1, B2, C)`` stacked along a leading axis, and whether its cells are
-    affine: then the blocks are in homogeneous coordinates, else in plain
-    joint ones."""
-    groups: dict = {}
-    for idx, jm in enumerate(joint.modes):
-        entry = cert.entries[idx]
-        affine = jm.kind != CONIC
-        if affine and entry.m_scalar is None:
-            raise InfeasibleCertificateError(
-                f"mode {jm.label}: affine cell requires a homogeneous block entry")
-        blocks = ((entry.extended(), jm.Abar, jm.B1bar, jm.B2bar, jm.Cbar) if affine
-                  else (entry.M, jm.Aprime, jm.B1prime, jm.B2prime, jm.Cprime))
-        key = (affine, *(X.shape for X in blocks))
-        positions, members = groups.setdefault(key, ([], []))
-        positions.append(idx)
-        members.append(blocks)
-    for (affine, *_), (positions, members) in groups.items():
-        yield positions, [np.array(col) for col in zip(*members)], affine
 
 
 def verify_all(cert: Certificate, joint: JointSystem) -> tuple[LmiReport, ...]:
     """Eigenvalue margins of the certificate conditions for every mode.
 
-    The modes are grouped by block shape (``_stacked_blocks``); each
-    group's condition matrices are built in one stacked expression and go
-    through one eigenvalue call.  A mode whose condition matrices are not
-    finite (an extreme supplied number overflowed) gets NaN margins, which
-    are infeasible, and no eigenvalue call.
+    Every cell, conic or affine, is certified on the mode's state blocks
+    ``(M, A', C')``: the homogeneous entry ``m`` of an affine cell enters
+    ``V`` and ``b`` only.  The condition matrices of all modes are built in
+    one stacked expression and go through one eigenvalue call.  A mode
+    whose condition matrices are not finite (an extreme supplied number
+    overflowed) gets NaN margins, which are infeasible, and no eigenvalue
+    call.
     """
-    margins = np.empty((len(joint.modes), 3))
-    for positions, (M, A, _, _, C), affine in _stacked_blocks(cert, joint):
-        with np.errstate(over="ignore", invalid="ignore"):
-            S = _condition_matrices(M, A, C, cert.lam, affine)
-        finite = np.isfinite(S).all(axis=(-3, -2, -1))
-        w = np.full(S.shape[:-1], np.nan)
-        w[finite] = np.linalg.eigvalsh(S[finite])
-        margins[positions] = _margins(w)
+    M = np.array([entry.M for entry in cert.entries])
+    A, C = stack_blocks(joint.modes, ("Aprime", "Cprime"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = _condition_matrices(M, A, C, cert.lam)
+    finite = np.isfinite(S).all(axis=(-3, -2, -1))
+    w = np.full(S.shape[:-1], np.nan)
+    w[finite] = np.linalg.eigvalsh(S[finite])
+    margins = zip(w[:, 0, 0].tolist(), w[:, 1, 0].tolist(), w[:, 2, -1].tolist())
     return tuple(LmiReport((m1, m2, m3), m1 >= -LMI_TOL and m2 >= LMI_TOL and m3 <= LMI_TOL)
-                 for m1, m2, m3 in margins.tolist())
+                 for m1, m2, m3 in margins)
 
 
 def _solve_decay_equation(A: np.ndarray, lam: float) -> Optional[np.ndarray]:
@@ -263,7 +223,8 @@ def synthesize_certificate(
     output map and then by ``1 + SYNTH_MARGIN``, attach the homogeneous
     entry for affine cells, and accept the first rate at which every mode
     verifies; a rate at which any mode fails is skipped.  ``m_scalar`` is
-    the homogeneous entry of affine cells (``DEFAULT_M_SCALAR`` where None).
+    the homogeneous entry of affine cells (``DEFAULT_M_SCALAR`` where None);
+    no condition reads it, so it moves neither the rate nor any ``M``.
     Deterministic given its inputs.
     """
     grid = default_lambda_grid(joint) if lambda_grid is None else np.asarray(lambda_grid, float)
@@ -344,27 +305,32 @@ def gain_slopes_all(cert: Certificate, joint: JointSystem) -> np.ndarray:
     sqrt_m)`` per mode.
 
     gamma1 scales the transformed input, gamma2 the disturbance, gamma3 the
-    abstraction state; all are ``2 ||sqrt(M) X||_2 / lambda`` with the
-    blocks matching the cell kind (``X = I`` for gamma2), where
-    ``||sqrt(M) X||_2 = sqrt(lambda_max(X^T M X))``.  ``sqrt_m`` is zero
-    for conic cells.  The ``X^T M X`` forms of each group of modes with one
-    block shape (``_stacked_blocks``) are built and solved stacked.  A slope
-    that overflows, or whose form does, is inf, and no eigenvalue call runs
-    on a form that is not finite.
+    abstraction state; all are ``2 ||sqrt(M) X||_2 / lambda`` on the state
+    blocks (``X = B2'``, ``I`` and ``B1'``), where ``||sqrt(M) X||_2 =
+    sqrt(lambda_max(X^T M X))``.  ``sqrt_m`` is the square root of an
+    affine cell's homogeneous entry, which such a cell requires, and zero
+    for conic cells.  The ``X^T M X`` forms of all modes are built and
+    solved stacked.  A slope that overflows, or whose form does, is inf,
+    and no eigenvalue call runs on a form that is not finite.
     """
     out = np.zeros((len(joint.modes), 4))
+    for idx, (entry, jm) in enumerate(zip(cert.entries, joint.modes)):
+        if jm.kind == AFFINE:
+            if entry.m_scalar is None:
+                raise InfeasibleCertificateError(
+                    f"mode {jm.label}: affine cell requires a homogeneous block entry")
+            out[idx, 3] = np.sqrt(entry.m_scalar)
+    M = np.array([entry.M for entry in cert.entries])
+    B1, B2 = stack_blocks(joint.modes, ("B1prime", "B2prime"))
     with np.errstate(over="ignore", invalid="ignore"):
-        for positions, (M, _, B1, B2, _), affine in _stacked_blocks(cert, joint):
-            XtMX = (np.swapaxes(B2, -1, -2) @ M @ B2, M, np.swapaxes(B1, -1, -2) @ M @ B1)
-            for col, S in enumerate(XtMX):
-                if S.shape[-1]:  # an empty block has slope zero
-                    S = 0.5 * (S + np.swapaxes(S, -1, -2))
-                    finite = np.isfinite(S).all(axis=(-2, -1))
-                    w = np.full(len(S), np.inf)
-                    w[finite] = np.linalg.eigvalsh(S[finite])[..., -1]
-                    out[positions, col] = 2.0 * np.sqrt(np.maximum(w, 0.0)) / cert.lam
-            if affine:
-                out[positions, 3] = np.sqrt(M[:, -1, -1])
+        XtMX = (np.swapaxes(B2, -1, -2) @ M @ B2, M, np.swapaxes(B1, -1, -2) @ M @ B1)
+        for col, S in enumerate(XtMX):
+            if S.shape[-1]:  # an empty block has slope zero
+                S = 0.5 * (S + np.swapaxes(S, -1, -2))
+                finite = np.isfinite(S).all(axis=(-2, -1))
+                w = np.full(len(S), np.inf)
+                w[finite] = np.linalg.eigvalsh(S[finite])[..., -1]
+                out[:, col] = 2.0 * np.sqrt(np.maximum(w, 0.0)) / cert.lam
     return out
 
 

@@ -2,7 +2,8 @@
 
 Cells are half-space intersections written as ``E x >= f``.  A cell whose
 offset vector is exactly zero is a cone ("conic"); any other cell is
-"affine" and is handled in homogeneous coordinates ``[x; 1]`` where needed.
+"affine".  Both kinds are certified in plain coordinates; an affine cell's
+certificate adds a constant to its quadratic form.
 Membership checks carry a small componentwise slack so integrator states
 that land numerically on a facet still resolve to a cell.
 """

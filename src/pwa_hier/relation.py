@@ -29,6 +29,7 @@ from .polytope import (
     CellBounding,
     Polyhedron,
     cell_bounding,
+    classify_cell,
     joint_partition,
 )
 from .systems import (
@@ -319,12 +320,13 @@ def build_interface(
 @dataclass(frozen=True)
 class JointMode:
     """Closed-loop joint dynamics of one mode (or pair) over
-    ``omega = (xtilde, x2)`` plus the homogeneous extension over
-    ``omegabar = (omega, 1)``.
+    ``omega = (xtilde, x2)``, the coordinates every cell is certified in.
 
     The drift splits as ``omega' = Aprime omega + B1prime x2 + B2prime u2bar
     + (c(t), 0)``; the abstraction state appears both inside ``omega`` and
-    as the separately-bounded input ``x2``.
+    as the separately-bounded input ``x2``.  ``Abar``, ``Cbar`` and
+    ``bounding``, the homogeneous forms over ``(omega, 1)`` that
+    perfbench/checks.py reads, derive from the plain blocks and the cell.
     """
 
     label: tuple
@@ -334,11 +336,20 @@ class JointMode:
     B2prime: np.ndarray
     Cprime: np.ndarray
     cell: Polyhedron
-    bounding: CellBounding
-    Abar: np.ndarray
-    B1bar: np.ndarray
-    B2bar: np.ndarray
-    Cbar: np.ndarray
+
+    @property
+    def Abar(self) -> np.ndarray:
+        """``Aprime`` with a zero homogeneous row and column."""
+        return np.pad(self.Aprime, ((0, 1), (0, 1)))
+
+    @property
+    def Cbar(self) -> np.ndarray:
+        """``Cprime`` with a zero homogeneous column."""
+        return np.pad(self.Cprime, ((0, 0), (0, 1)))
+
+    @property
+    def bounding(self) -> CellBounding:
+        return cell_bounding(self.cell)
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,29 +407,20 @@ class JointSystem:
         K, R = np.asarray(self.interface.K), np.asarray(self.interface.R)
         with np.errstate(over="ignore", invalid="ignore"):
             object.__setattr__(self, "QRL", Q + R @ L)
-        n, m, d = system.n, abstraction.m, system.n + abstraction.m
+        n, m = system.n, abstraction.m
         feed = B @ R - P @ G
-        # homogeneous forms, zero in the last row (and for A and C the last
-        # column); the plain forms are their leading blocks
-        Abar = np.zeros((len(A), d + 1, d + 1))
-        Abar[:, :n, :n] = A + B @ K
-        Abar[:, n:d, n:d] = F + G @ L
-        B1bar = np.zeros((len(A), d + 1, m))
-        B1bar[:, :n] = feed @ L
-        B2bar = np.zeros((len(A), d + 1, G.shape[-1]))
-        B2bar[:, :n], B2bar[:, n:d] = feed, G
-        Cbar = np.zeros((len(A), system.k, d + 1))
-        Cbar[:, :, :n] = C
-        Aprime, B1prime, B2prime, Cprime = (np.ascontiguousarray(X) for X in (
-            Abar[:, :d, :d], B1bar[:, :d], B2bar[:, :d], Cbar[:, :, :d]))
+        Aprime = np.zeros((len(A), n + m, n + m))
+        Aprime[:, :n, :n] = A + B @ K
+        Aprime[:, n:, n:] = F + G @ L
+        B1prime = np.zeros((len(A), n + m, m))
+        B1prime[:, :n] = feed @ L
+        B2prime = np.concatenate([feed, G], axis=1)
+        Cprime = np.concatenate([C, np.zeros((len(A), system.k, m))], axis=2)
         joint_cells = joint_partition(system.partition, P, [pm.region for pm in paired])
-        bounds = [cell_bounding(cell) for cell in joint_cells.cells]
         object.__setattr__(self, "modes", tuple(
-            JointMode(label=labels[i], kind=bound.kind, Aprime=Aprime[i], B1prime=B1prime[i],
-                      B2prime=B2prime[i], Cprime=Cprime[i], cell=joint_cells.cells[i],
-                      bounding=bound, Abar=Abar[i], B1bar=B1bar[i], B2bar=B2bar[i],
-                      Cbar=Cbar[i])
-            for i, bound in enumerate(bounds)
+            JointMode(label=labels[i], kind=classify_cell(cell), Aprime=Aprime[i],
+                      B1prime=B1prime[i], B2prime=B2prime[i], Cprime=Cprime[i], cell=cell)
+            for i, cell in enumerate(joint_cells.cells)
         ))
 
     def u1(self, i, xtilde, x2, u2bar) -> np.ndarray:

@@ -164,15 +164,11 @@ def step_rk4(f, x, t: float, h: float) -> np.ndarray:
     return out
 
 
-def lmi_margins(M, A, C, lam, affine):
+def lmi_margins(M, A, C, lam):
     """Eigenvalue margins ``(m1, m2, m3)`` of the three certificate
-    conditions for raw blocks, one condition matrix and one eigenvalue call
-    at a time.  For affine cells the decay weight skips the homogeneous
-    coordinate."""
-    weights = np.full(M.shape[0], lam)
-    if affine:
-        weights[-1] = 0.0
-    S3 = A.T @ M + M @ A + weights[:, None] * M
+    conditions for raw state blocks, one condition matrix and one
+    eigenvalue call at a time."""
+    S3 = A.T @ M + M @ A + lam * M
 
     def eig(S):
         return np.linalg.eigvalsh(0.5 * (S + S.T))
@@ -228,36 +224,28 @@ def _exact_product(X, Y):
 
 def exact_certificate_holds(cert, joint) -> bool:
     """Whether every mode's certificate conditions hold in exact arithmetic
-    over the stored floats: the certificate's ``M`` (extended by
-    ``m_scalar`` on affine cells) and the joint blocks ``A'``, ``C'`` (their
-    homogeneous forms on affine cells) that ``verify_all`` reads, each
-    taken as the rational it stores.  It says nothing of the model file's
+    over the stored floats: the certificate's ``M`` and the joint state
+    blocks ``A'``, ``C'`` that ``verify_all`` reads, on conic and affine
+    cells alike, each taken as the rational it stores, and the homogeneous
+    entry ``m`` of an affine cell.  It says nothing of the model file's
     decimal numbers, from which those blocks were computed in floating
     point.  The conditions, symmetrized as ``verify_all`` symmetrizes them:
-    ``M - C^T C`` and ``M`` are positive definite, and ``-(A^T M + M A +
-    lam W M)`` is positive definite on conic cells and positive
-    semidefinite with exactly one zero eigenvalue, that of the homogeneous
-    row, on affine ones."""
+    ``M - C^T C``, ``M`` and ``-(A^T M + M A + lam M)`` are positive
+    definite, and ``m > 0`` on an affine cell."""
     lam = Fraction(cert.lam)
     for entry, jm in zip(cert.entries, joint.modes, strict=True):
-        affine = jm.kind != CONIC
-        M, A, C = ((entry.extended(), jm.Abar, jm.Cbar) if affine
-                   else (entry.M, jm.Aprime, jm.Cprime))
-        M, A, C = _exact(M), _exact(A), _exact(C)
+        if jm.kind != CONIC and not (entry.m_scalar is not None and entry.m_scalar > 0.0):
+            return False
+        M, A, C = _exact(entry.M), _exact(jm.Aprime), _exact(jm.Cprime)
         d = len(M)
         CtC = _exact_product(list(zip(*C)), C)
         AtM, MA = _exact_product(list(zip(*A)), M), _exact_product(M, A)
-        weight = [lam] * d
-        if affine:
-            weight[-1] = Fraction(0)
         S1 = [[M[i][j] - CtC[i][j] for j in range(d)] for i in range(d)]
-        S3 = [[AtM[i][j] + MA[i][j] + weight[i] * M[i][j] for j in range(d)]
-              for i in range(d)]
+        S3 = [[AtM[i][j] + MA[i][j] + lam * M[i][j] for j in range(d)] for i in range(d)]
         S1, S2, S3 = ([[(S[i][j] + S[j][i]) / 2 for j in range(d)] for i in range(d)]
                       for S in (S1, M, S3))
-        decay = (d - 1, 0, 1) if affine else (d, 0, 0)
         if (exact_inertia(S1) != (d, 0, 0) or exact_inertia(S2) != (d, 0, 0)
-                or exact_inertia([[-x for x in row] for row in S3]) != decay):
+                or exact_inertia([[-x for x in row] for row in S3]) != (d, 0, 0)):
             return False
     return True
 

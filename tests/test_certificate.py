@@ -10,7 +10,6 @@ from pwa_hier.certificate import (
     LMI_TOL,
     SYNTH_MARGIN,
     _solve_decay_equation,
-    _stacked_blocks,
     Certificate,
     ModeCertificate,
     default_lambda_grid,
@@ -29,7 +28,7 @@ from pwa_hier.errors import (
     SynthesisFailedError,
     UncertifiedModeError,
 )
-from pwa_hier.polytope import AFFINE, CONIC, Polyhedron, cell_bounding
+from pwa_hier.polytope import AFFINE, CONIC, Polyhedron
 from pwa_hier.modelfile import build_pipeline, builtin_model_path, load_model
 from pwa_hier.relation import JointMode
 from pwa_hier.simulator import reference_schedule, run_scenario
@@ -59,9 +58,6 @@ class _Blocks:
 
 
 def _toy_joint(Aprime, B1, B2, C, cell, n, m) -> _Blocks:
-    d = Aprime.shape[0]
-    Abar = np.zeros((d + 1, d + 1))
-    Abar[:d, :d] = Aprime
     jm = JointMode(
         label=(0,),
         kind="conic" if np.all(cell.f == 0.0) else "affine",
@@ -70,11 +66,6 @@ def _toy_joint(Aprime, B1, B2, C, cell, n, m) -> _Blocks:
         B2prime=B2,
         Cprime=C,
         cell=cell,
-        bounding=cell_bounding(cell),
-        Abar=Abar,
-        B1bar=np.vstack([B1, np.zeros((1, B1.shape[1]))]),
-        B2bar=np.vstack([B2, np.zeros((1, B2.shape[1]))]),
-        Cbar=np.hstack([C, np.zeros((C.shape[0], 1))]),
     )
     return _Blocks((jm,), n=n, m=m)
 
@@ -146,47 +137,59 @@ class TestLmiMargins:
     ``verify_all`` for the same blocks as a one-mode joint."""
 
     def test_stable_block_feasible(self):
-        # state block -I2 with a homogeneous zero row; decay weight skips it
-        M = np.eye(3)
-        A = np.diag([-1.0, -1.0, 0.0])
-        C = np.zeros((1, 3))
-        for m1, m2, m3 in (lmi_margins(M, A, C, lam=1.0, affine=True),
+        # an affine cell is certified on its state block -I2: -2 + 1 = -1
+        for m1, m2, m3 in (lmi_margins(I2, -I2, np.zeros((1, 2)), lam=1.0),
                            _verified(-I2, np.zeros((1, 2)), _affine_cell(2),
                                      ModeCertificate(I2, m_scalar=1.0), lam=1.0)):
             assert m1 == pytest.approx(1.0)
             assert m2 == pytest.approx(1.0)
-            # state block contributes -2 + 1 = -1; the homogeneous row pins
-            # the largest eigenvalue at exactly zero
-            assert m3 == pytest.approx(0.0, abs=1e-12)
+            assert m3 == pytest.approx(-1.0)
+
+    def test_homogeneous_entry_enters_no_margin(self):
+        """Margin 2 is the smallest eigenvalue of M alone: a tiny positive
+        homogeneous entry leaves every margin and the verdict as they are."""
+        want = _verified(-I2, np.zeros((1, 2)), _affine_cell(2),
+                         ModeCertificate(I2, m_scalar=1.0), lam=1.0)
+        for m in (1e-12, 1e12):
+            assert _verified(-I2, np.zeros((1, 2)), _affine_cell(2),
+                             ModeCertificate(I2, m_scalar=m), lam=1.0) == want
 
     def test_excessive_decay_infeasible(self):
-        M = np.eye(3)
-        A = np.diag([-1.0, -1.0, 0.0])
-        C = np.zeros((1, 3))
-        for _, _, m3 in (lmi_margins(M, A, C, lam=3.0, affine=True),
+        for _, _, m3 in (lmi_margins(I2, -I2, np.zeros((1, 2)), lam=3.0),
                          _verified(-I2, np.zeros((1, 2)), _affine_cell(2),
                                    ModeCertificate(I2, m_scalar=1.0), lam=3.0)):
             assert m3 == pytest.approx(1.0)
 
     def test_output_equality_boundary(self):
         # M equals C^T C exactly: first margin sits at zero, still feasible
-        for m1, _, _ in (lmi_margins(np.eye(2), -np.eye(2), np.eye(2), 1.0, affine=False),
+        for m1, _, _ in (lmi_margins(np.eye(2), -np.eye(2), np.eye(2), 1.0),
                          _verified(-I2, I2, _conic_cell(2), ModeCertificate(I2), lam=1.0)):
             assert m1 == pytest.approx(0.0, abs=1e-12)
+
+    def test_case2_decay_margin_is_the_state_block(self, case2):
+        """On case2's affine cells m3 is the top eigenvalue of the state
+        block's decay condition, bit for bit, and below zero: no zero
+        homogeneous row pins it at 0."""
+        cert, joint = case2.certificate, case2.joint
+        for entry, jm, report in zip(cert.entries, joint.modes, verify_all(cert, joint)):
+            assert jm.kind == AFFINE
+            S = jm.Aprime.T @ entry.M + entry.M @ jm.Aprime + cert.lam * entry.M
+            top = np.linalg.eigvalsh(0.5 * (S + S.T))[-1]
+            assert _bits(report.margins[2]) == _bits(top)
+            assert top < 0.0
 
     def test_congruence_invariance(self, case1):
         rng = np.random.default_rng(7)
         cert, joint = case1.certificate, case1.joint
         jm = joint.modes[0]
         M = cert.entries[0].M
-        base = lmi_margins(M, jm.Aprime, jm.Cprime, cert.lam, affine=False)
+        base = lmi_margins(M, jm.Aprime, jm.Cprime, cert.lam)
         report = verify_all(cert, joint)[0]
         assert base == pytest.approx(report.margins, rel=0.0, abs=1e-12)
         base_feasible = report.feasible
         for _ in range(20):
             Q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
-            got = lmi_margins(Q.T @ M @ Q, Q.T @ jm.Aprime @ Q, jm.Cprime @ Q,
-                              cert.lam, affine=False)
+            got = lmi_margins(Q.T @ M @ Q, Q.T @ jm.Aprime @ Q, jm.Cprime @ Q, cert.lam)
             np.testing.assert_allclose(got[:2], base[:2], atol=1e-8)
             np.testing.assert_allclose(got[2], base[2], atol=1e-6)
             feasible = (got[0] >= -1e-9 and got[1] >= 1e-9 and got[2] <= 1e-9)
@@ -461,9 +464,11 @@ class TestGains:
             Aprime=-np.eye(2), B1=np.zeros((2, 1)), B2=np.zeros((2, 1)),
             C=np.zeros((1, 2)), cell=_affine_cell(2), n=1, m=1,
         )
-        g1, _, g3, sqrt_m = gain_slopes(cert, joint, 0)
+        g1, g2, g3, sqrt_m = gain_slopes(cert, joint, 0)
         assert (g1, g3) == (0.0, 0.0)
         assert sqrt_m == pytest.approx(2.0)
+        # the disturbance enters the state block: gamma2 reads lambda_max(M) = 1, not m = 4
+        assert g2 == pytest.approx(1.0)
 
     def test_unit_slope(self):
         cert = Certificate(1.0, 2.0, (ModeCertificate(np.eye(2)),))
@@ -488,16 +493,14 @@ class TestGains:
 
     @pytest.mark.parametrize("which", ["case1", "case2"])
     def test_matches_sqrt_oracle(self, which, case1, case2):
-        """Slopes equal ``2 ||sqrt(M) X||_2 / lambda`` with the square root
-        taken by eigendecomposition (case1 cells are conic, case2 affine)."""
+        """Slopes equal ``2 ||sqrt(M) X||_2 / lambda`` on the state blocks,
+        with the square root taken by eigendecomposition (case1 cells are
+        conic, case2 affine)."""
         bundle = {"case1": case1, "case2": case2}[which]
         cert, joint = bundle.certificate, bundle.joint
         for idx, jm in enumerate(joint.modes):
             entry = cert.entries[idx]
-            if jm.kind == CONIC:
-                M, B1, B2 = entry.M, jm.B1prime, jm.B2prime
-            else:
-                M, B1, B2 = entry.extended(), jm.B1bar, jm.B2bar
+            M, B1, B2 = entry.M, jm.B1prime, jm.B2prime
             w, V = np.linalg.eigh(M)
             root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
             assert np.linalg.norm(root @ root - M) <= 1e-12 * np.linalg.norm(M)
@@ -519,10 +522,10 @@ class TestGains:
 
 def _mixed_joint(rng, kinds, d=4, n=2, m=2, p=2, lam=0.3, rows=None):
     """Joint system whose modes have conic or affine cells as ``kinds``
-    says, with random Hurwitz drift, and ``rows[k]`` bounding rows in mode
+    says, with random Hurwitz drift, and ``rows[k]`` cell rows in mode
     ``k`` (2 in every mode by default).  The certificate is feasible by
-    construction on even modes (decay-equation ``M`` scaled over ``C^T C``,
-    no affine drift offset) and random on odd ones."""
+    construction on even modes (decay-equation ``M`` scaled over ``C^T C``)
+    and random on odd ones."""
     modes, entries = [], []
     I = np.eye(d)
     for k, kind in enumerate(kinds):
@@ -533,9 +536,6 @@ def _mixed_joint(rng, kinds, d=4, n=2, m=2, p=2, lam=0.3, rows=None):
         cell = Polyhedron(E, np.zeros(r) if kind == CONIC else rng.normal(size=r))
         B1, B2 = rng.normal(size=(d, m)), rng.normal(size=(d, p))
         C = 0.3 * rng.normal(size=(n, d))
-        Abar = np.zeros((d + 1, d + 1))
-        Abar[:d, :d] = A
-        Cbar = np.hstack([C, np.zeros((n, 1))])
         if k % 2 == 0:
             vec = np.linalg.solve(np.kron(I, A.T) + np.kron(A.T, I) + lam * np.eye(d * d),
                                   -I.reshape(-1))
@@ -543,16 +543,10 @@ def _mixed_joint(rng, kinds, d=4, n=2, m=2, p=2, lam=0.3, rows=None):
             M = 0.5 * (M + M.T)
             M *= 1.0 + 2.0 * np.linalg.eigvalsh(C.T @ C)[-1] / np.linalg.eigvalsh(M)[0]
         else:
-            Abar[:d, d] = rng.normal(size=d)
-            Cbar[:, d] = rng.normal(size=n)
             root = rng.normal(size=(d, d))
             M = root @ root.T + 0.2 * I
-        modes.append(JointMode(
-            label=(k,), kind=kind, Aprime=A, B1prime=B1, B2prime=B2, Cprime=C,
-            cell=cell, bounding=cell_bounding(cell), Abar=Abar,
-            B1bar=np.vstack([B1, np.zeros((1, m))]),
-            B2bar=np.vstack([B2, np.zeros((1, p))]), Cbar=Cbar,
-        ))
+        modes.append(JointMode(label=(k,), kind=kind, Aprime=A, B1prime=B1, B2prime=B2,
+                               Cprime=C, cell=cell))
         m_scalar = None if kind == CONIC else float(rng.uniform(0.5, 2.0))
         entries.append(ModeCertificate(M, m_scalar=m_scalar))
     return Certificate(2.0, lam, tuple(entries)), _Blocks(tuple(modes), n=n, m=m)
@@ -560,20 +554,17 @@ def _mixed_joint(rng, kinds, d=4, n=2, m=2, p=2, lam=0.3, rows=None):
 
 def _reference_margins(cert, joint, idx):
     """The per-mode margin formulas, one mode at a time (``lmi_margins`` on
-    the mode's blocks)."""
+    the mode's state blocks, whatever its cell kind)."""
     entry, jm = cert.entries[idx], joint.modes[idx]
-    if jm.kind == CONIC:
-        return lmi_margins(entry.M, jm.Aprime, jm.Cprime, cert.lam, affine=False)
-    return lmi_margins(entry.extended(), jm.Abar, jm.Cbar, cert.lam, affine=True)
+    return lmi_margins(entry.M, jm.Aprime, jm.Cprime, cert.lam)
 
 
 def _reference_slopes(cert, joint, idx):
-    """``2 sqrt(lambda_max(X^T M X)) / lambda`` per block, then sqrt(m)."""
+    """``2 sqrt(lambda_max(X^T M X)) / lambda`` per state block, then
+    sqrt(m) on an affine cell."""
     entry, jm = cert.entries[idx], joint.modes[idx]
-    if jm.kind == CONIC:
-        M, B1, B2, tail = entry.M, jm.B1prime, jm.B2prime, 0.0
-    else:
-        M, B1, B2, tail = entry.extended(), jm.B1bar, jm.B2bar, np.sqrt(entry.m_scalar)
+    M, B1, B2 = entry.M, jm.B1prime, jm.B2prime
+    tail = 0.0 if jm.kind == CONIC else np.sqrt(entry.m_scalar)
     out = []
     for X in (B2, np.eye(len(M)), B1):
         S = X.T @ M @ X
@@ -585,8 +576,8 @@ class TestStackedChecks:
     KINDS = (CONIC, AFFINE, AFFINE, CONIC, AFFINE, CONIC, CONIC, AFFINE)
 
     def test_margins_match_per_mode_formulas(self):
-        """One stacked eigenvalue call per matrix size (d and d+1 here)
-        gives the per-mode margins within 1e-12 and the same feasibility."""
+        """One stacked eigenvalue call over conic and affine modes gives
+        the per-mode margins within 1e-12 and the same feasibility."""
         cert, joint = _mixed_joint(np.random.default_rng(5), self.KINDS)
         reports = verify_all(cert, joint)
         feasible = []
@@ -618,9 +609,9 @@ class TestStackedChecks:
 
 
 def _ragged_joint():
-    """Supplied certificate over modes of both cell kinds with 2 to 4
-    bounding rows: the bounding rows do not enter the certificate, so there
-    are two block shapes, one per cell kind."""
+    """Supplied certificate over modes of both cell kinds with 2 to 4 cell
+    rows: neither the kind nor the rows enter the conditions, so every mode
+    has blocks of one shape."""
     kinds = (CONIC, AFFINE) * 2 + (AFFINE, CONIC) * 2 + (CONIC, AFFINE) * 3
     rows = (2, 3, 2, 3, 2, 3, 2, 3, 4, 3, 4, 3, 2, 3)
     return _mixed_joint(np.random.default_rng(11), kinds, rows=rows)
@@ -631,9 +622,8 @@ def _bits(x):
 
 
 class TestStackedEqualsPerMode:
-    """``verify_all`` and ``gain_slopes_all`` stack the modes of each block
-    shape; their results equal the one-mode-at-a-time formulas bit for
-    bit."""
+    """``verify_all`` and ``gain_slopes_all`` stack every mode; their
+    results equal the one-mode-at-a-time formulas bit for bit."""
 
     @pytest.fixture(params=["case1", "case2", "fan48", "ragged"])
     def cert_joint(self, request, case1, case2):
@@ -662,7 +652,7 @@ class TestStackedEqualsPerMode:
         """An entry of 1e308 in one mode's M overflows that mode's condition
         matrices and gain-slope forms: its margins are NaN and infeasible and
         its overflowed slopes inf, with no warning and no eigenvalue failure,
-        while the other modes of its stacked group keep their bits."""
+        while the other modes of the stack keep their bits."""
         cert, joint = case2.certificate, case2.joint
         entries = list(cert.entries)
         M = entries[3].M.copy()
@@ -679,13 +669,6 @@ class TestStackedEqualsPerMode:
         assert [reports[k] for k in others] == [want[k] for k in others]
         np.testing.assert_array_equal(_bits(slopes[others]),
                                       _bits(gain_slopes_all(cert, joint)[others]))
-
-    def test_ragged_modes_group_by_block_shape(self):
-        """Modes with 2, 3 and 4 bounding rows share one stacked eigenvalue
-        call per cell kind."""
-        cert, joint = _ragged_joint()
-        groups = [(pos, affine) for pos, _, affine in _stacked_blocks(cert, joint)]
-        assert groups == [([0, 2, 5, 7, 8, 10, 12], False), ([1, 3, 4, 6, 9, 11, 13], True)]
 
 
 class TestErrorBound:

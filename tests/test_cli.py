@@ -376,6 +376,26 @@ class TestCheck:
         mode1 = next(line for line in out.splitlines() if line.startswith("  mode 1:"))
         assert mode1.split(", ")[1] == f"{scale:.3e}"
 
+    @pytest.mark.parametrize("how", ["m_scalar", "m"])
+    def test_tiny_homogeneous_entry_certifies(self, how, tmp_path, capsys):
+        """A homogeneous entry of 1e-12 is positive and finite, so valid; it
+        enters V and b only, so case2 certifies at its usual rate whether
+        synthesis attaches it (``m_scalar``) or it is supplied beside the
+        saved ``M`` (``m``)."""
+        doc = json.loads(builtin_model_path("case2").read_text())
+        if how == "m_scalar":
+            doc["certificate"]["m_scalar"] = 1e-12
+        else:
+            cert = json.loads(_saved_certificate("case2"))
+            cert["m"] = [1e-12] * len(cert["M"])
+            doc["certificate"].update(cert)
+        p = tmp_path / "tiny-m.model"
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "certificate: lambda = 2.30103, kappa = 12, certified = True" in out
+
     @pytest.mark.parametrize("base, path, value, line", [
         ("case2", ("abstraction", "modes", 1, "F"), "x",
          "abstraction.modes[1].F: not a numeric matrix"),

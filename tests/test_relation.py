@@ -401,10 +401,11 @@ class TestJointAssembly:
             jm.B2prime, np.vstack([-case1.relation.P[0], I2])
         )
         np.testing.assert_allclose(jm.B1prime, np.vstack([I2, Z2, Z2, Z2]))
-        # homogeneous padding: zero last row and column
-        np.testing.assert_allclose(jm.Abar[-1], np.zeros(9))
-        np.testing.assert_allclose(jm.Abar[:, -1], np.zeros(9))
-        np.testing.assert_allclose(jm.B2bar[-1], np.zeros(2))
+        # homogeneous forms: the plain blocks with a zero last row and column
+        np.testing.assert_array_equal(jm.Abar[:8, :8], jm.Aprime)
+        assert not jm.Abar[8].any() and not jm.Abar[:, 8].any()
+        np.testing.assert_array_equal(jm.Cbar[:, :8], jm.Cprime)
+        assert not jm.Cbar[:, 8].any()
 
     def test_case2_pair_blocks(self, case2):
         jm = case2.joint.modes[0]
@@ -684,10 +685,6 @@ class TestStackedEqualsOneModeViews:
             }
             for name, want in blocks.items():
                 _close(getattr(jm, name), want)
-                bar = getattr(jm, name.replace("prime", "bar"))
-                rows, cols = want.shape
-                _close(bar[:rows, :cols], want)
-                assert not bar[rows:].any() and not bar[:, cols:].any()
         A, H = np.array([mode.A for mode in system.modes]), np.array([am.H for am in paired])
         _close(relation_tolerance(A, H), [relation_tolerance(a, h) for a, h in zip(A, H)])
         grid = default_lambda_grid(joint)
