@@ -41,8 +41,8 @@ _SWEEP_PARAMS = ("disturbance-amplitude", "kappa", "step")
 
 @dataclasses.dataclass
 class RunReport:
-    """Summary of one check or run; every number is recomputable from the
-    emitted CSV artifacts."""
+    """Summary of one check or run; every number but the crossing events is
+    recomputable from the emitted CSV artifacts."""
 
     name: str
     residuals: list
@@ -58,6 +58,8 @@ class RunReport:
     verdict: Optional[str] = None
     files: list = dataclasses.field(default_factory=list)
     seed: Optional[int] = None
+    crossings: Optional[list] = None
+    tightness: Optional[float] = None
 
     def to_jsonable(self) -> dict:
         """The report as JSON data, non-finite numbers (an overflowed V or
@@ -130,6 +132,11 @@ def cmd_run(model_spec: str, out_dir: str, plot_data: bool = False,
     report.max_err, report.max_V, report.max_delta = (
         float(np.max(col)) for col in (traj.err, traj.V, traj.delta))
     report.verdict = verdict(traj)
+    report.crossings = [{**dataclasses.asdict(ev), "width": ev.width,
+                         "old_label": [int(k) + 1 for k in ev.old_label],
+                         "new_label": [int(k) + 1 for k in ev.new_label]}
+                        for ev in traj.crossings]
+    report.tightness = report.max_delta / report.max_err if report.max_err else None
 
     report.files = [str(path) for path in export_run(traj, out_dir, plot_data)]
     report_path = Path(out_dir) / "report.json"

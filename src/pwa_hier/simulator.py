@@ -2,26 +2,26 @@
 
 The concrete plant and the transformed abstraction are integrated together
 with classical RK4, the active mode frozen within a step.  Every mode's
-affine step map, and the matrix powers the crossing sub-steps use, are
-built when the run starts, for all modes in one stacked pass; the RK4
-weights are constant tables times powers of the step width.  Steps go in
-blocks: a doubling scan fills a block with ``log2`` of its length batched
-products, and one vectorized membership test checks it.  A block starts at
-``_BLOCK`` steps and doubles, up to ``_BLOCK_MAX``, while the run stays in
-its mode; a crossing drops it back to ``_BLOCK``.  Only the first step that
-leaves the mode is split, by bisecting the crossing.  The bisection
-guesses the exit point, first from the failing block row's margins, and
-tests in one batched evaluation the midpoints it visits if every decision
-agrees with the guess, the full step riding in the first batch; a decision
-that disagrees starts a new guess and batch.  The committed state and the
-event margins come from the batch rows that decided the bracket, the one
-plain bisection finds, so a crossing costs about three evaluations of the
-sub-step weights.  A run is refused unless its certificate holds on every
-mode, as checked once when the scenario is built.  Each sample
-records the tracking error, the simulation-function value, the running
-invariant-level threshold, and the certified output-error level, computed
-after the run, a bounded chunk at a time, from the chunk's one mode's
-matrices or, where it crosses, from those gathered by each sample's mode.
+affine step map, and the matrix powers the crossing sub-steps use, are built
+when the run starts, for all modes in one stacked pass; the RK4 weights are
+constant tables times powers of the step width.  Steps go in blocks: a
+doubling scan fills a block with ``log2`` of its length batched products,
+and one vectorized membership test checks it.  A block starts at ``_BLOCK``
+steps and doubles, up to ``_BLOCK_MAX``, while the run stays in its mode; a
+crossing drops it back to ``_BLOCK``.  Only the first step that leaves the
+mode is split, by bisecting the crossing.  The bisection guesses the exit
+point, first from an interpolant of the block's margins around the failing
+row, and tests in one batched evaluation the midpoints it visits if every
+decision agrees with the guess and the rest of the step after them; a
+disagreeing decision starts a new guess and batch.  The committed states and
+the next sub-step come from batch rows, so a crossing costs about one
+evaluation of the sub-step weights, and the bracket is the one plain
+bisection finds.  A run is refused unless its certificate holds on every
+mode, as checked once when the scenario is built.  Each sample records the
+tracking error, the simulation-function value, the running invariant-level
+threshold, and the certified output-error level, computed after the run, a
+bounded chunk at a time, from the chunk's one mode's matrices or, where it
+crosses, from those gathered by each sample's mode.
 """
 
 from __future__ import annotations
@@ -277,6 +277,31 @@ def rk4_weights(h) -> np.ndarray:
     return _RK4_COEF * np.asarray(h, dtype=float)[..., None, None] ** _RK4_EXP
 
 
+#: Degree-5 interpolation of margins at -2 .. 3 steps from a step's start.
+_FIT = np.linalg.inv(np.vander(np.arange(-2.0, 4.0), increasing=True))
+
+
+def _fit_guess(around: np.ndarray) -> float:
+    """Predicted fraction of a step where it leaves the mode, from
+    ``propagate``'s six sample rows ``around`` it: three Newton steps from
+    the chord root on the interpolant of each row outside at the end, the
+    earliest root; NaN when no row is, or Newton leaves ``[0, 1]``."""
+    shifted, first = around + MEMBERSHIP_SLACK, math.inf  # relative to the membership threshold
+    for poly, a, c in zip((_FIT @ shifted)[::-1].T.tolist(), *shifted[2:4].tolist()):
+        if not c < 0.0:
+            continue
+        s = a / (a - c)
+        for _ in range(3):
+            v = dv = 0.0
+            for q in poly:  # Horner on the value and the slope
+                v, dv = v * s + q, dv * s + v
+            s -= v / dv if dv else math.inf
+        if not 0.0 <= s <= 1.0:
+            return math.nan
+        first = min(first, s)
+    return first if first <= 1.0 else math.nan
+
+
 def _exit_guess(lo: float, hi: float, at_lo: np.ndarray, at_hi: np.ndarray) -> float:
     """Predicted point in ``[lo, hi]`` where a sub-step leaves the mode,
     from its row margins at ``lo`` (inside) and ``hi`` (outside).
@@ -377,10 +402,10 @@ class _Runner:
                  + np.asarray(h, dtype=float)[..., None] * _STAGE_AT)
         return self.dist.scale(times)
 
-    def coefficients(self, t: float, tau) -> np.ndarray:
+    def coefficients(self, t, tau) -> np.ndarray:
         """Weights on the rows of a sub-step ``basis`` (the stacked ``Z^k z``,
         ``Z^k BU u2bar`` and ``Z^k mask`` of the mode) for an RK4 step of
-        width ``tau`` from ``t``; one row per width when ``tau`` is an array."""
+        width ``tau`` from ``t``; one row per width (and start) for arrays."""
         tau = np.asarray(tau, dtype=float)
         # fixed-order, unlike BLAS: a batch row has its one-width call's bits
         drive = np.einsum("...c,cj->...j", self.stages(t, tau), _SUB_DRIVE)
@@ -390,7 +415,9 @@ class _Runner:
                   u2bar: np.ndarray, stages: np.ndarray) -> tuple[int, Optional[np.ndarray]]:
         """Fill ``zs[k+1 : stop+1]`` with steps of mode ``i`` from ``zs[k]``;
         return how many leading rows are finite and inside the mode, and the
-        next row's margins for ``advance``'s first guess (None past the end).
+        margins ``advance`` guesses from: those of six samples, ``zs[k]``
+        counted, whose third and fourth bound the failing step, where the
+        block has them, else its end's (None if no row fails).
 
         The block first holds each step's drive ``Gu u2bar + stages @ Ws``,
         the first row also ``Phi zs[k]``.  A doubling scan then adds to
@@ -415,42 +442,49 @@ class _Runner:
         margins = block[:, : self.n] @ E.T - f
         ok = np.isfinite(block).all(axis=1) & (margins.min(axis=1) >= -MEMBERSHIP_SLACK)
         kept = len(ok) if ok.all() else int(np.argmin(ok))
-        return kept, (margins[kept] if kept < len(ok) else None)
+        if not 2 <= kept <= len(ok) - 3:
+            return kept, (margins[kept] if kept < len(ok) else None)
+        first = margins[kept - 3] if kept > 2 else E @ zs[k, : self.n] - f
+        return kept, np.vstack([first, margins[kept - 2: kept + 3]])
 
     def bisect(self, basis: np.ndarray, t: float, width: float, i: int,
                end: np.ndarray, trial: bool = False) -> tuple:
         """Bracket ``(lo, hi)``, as fractions of ``width``, of where a
         sub-step from ``t`` leaves mode ``i``: inside at ``lo`` (or ``lo =
         0``), outside at ``hi``; then the coefficient rows of the batch
-        midpoints that set them (None at 0 and 1) and, with ``trial``, of the
-        full width, one more row of the first batch.  ``end`` holds the
-        mode's row margins at the full width, or predicts them with ``trial``.
+        midpoints that set them (None at 0 and 1), with ``trial`` of the
+        full width, one more row of the first batch, and ``((start, width),
+        row)`` of the last batch's remainder sub-step.  ``end`` holds the
+        mode's row margins at the full width (predicted with ``trial``), or
+        ``propagate``'s six sample rows, whose fourth they are.
 
         Plain bisection on the fraction, ``BISECTION_CAP`` levels at most
         and none once the bracket is within ``CROSSING_BRACKET``.  The exit
-        point is guessed first (``_exit_guess``), and the midpoints the walk
-        visits if every decision agrees with the guess are stepped to and
-        tested in one batched evaluation, with the cell rows projected onto
-        ``basis`` once.  The walk applies their decisions in order and stops
-        after the first that goes against the guess, since the next midpoint
-        then lies in the half the batch never lists; each guess comes from
-        the margins at the bracket's ends, the first from those at the start
-        and ``end``.  A NaN guess (no row outside with finite margins) lists
-        the path towards ``lo``.  Every decision reads the margin at the
-        exact midpoint it visits, so the bracket is the one scalar bisection
-        finds; the guesses only set how many batches it takes, about two per
-        crossing.
+        point is guessed, first by ``_fit_guess`` from six sample rows, else
+        by ``_exit_guess`` from the margins at the bracket's ends.  The
+        midpoints the walk visits if every decision agrees with the guess,
+        and the remainder from the path's final upper end ``b`` (from ``t +
+        b width``, of width ``width - b width``), are stepped to in one
+        batched evaluation, the midpoints tested with the cell rows
+        projected onto ``basis`` once.  The walk applies the decisions in
+        order, noting the rows that set the bracket, and stops after the
+        first against the guess: the next midpoint lies in the half the
+        batch never lists.  A NaN guess lists the path towards ``lo``.
+        Every decision reads the margin at its exact midpoint, so the
+        bracket is the one scalar bisection finds; the guesses only set how
+        many batches it takes, about one per crossing.
         """
         E, f = self.rows[i]
         proj = basis[:, : self.n] @ E.T
         depth = 0
         while depth < BISECTION_CAP and 0.5 ** depth * width > CROSSING_BRACKET:
             depth += 1
-        lo, hi, c_lo, c_hi, c_trial = 0.0, 1.0, None, None, None
-        at_lo, at_hi = proj[0] - f, end
+        fit = math.nan if end.ndim == 1 else _fit_guess(end)
+        lo, hi, c_lo, c_hi, c_trial, rest = 0.0, 1.0, None, None, None, (None, None)
+        at_lo, at_hi = proj[0] - f, (end if end.ndim == 1 else end[3])
         while depth > 0 or trial:
-            guess = _exit_guess(lo, hi, at_lo, at_hi)
-            points, a, b = ([1.0] if trial else []), lo, hi
+            guess = fit if fit == fit else _exit_guess(lo, hi, at_lo, at_hi)
+            points, a, b, fit, k_lo, k_hi = ([1.0] if trial else []), lo, hi, math.nan, None, None
             for _ in range(depth):
                 mid = 0.5 * (a + b)
                 points.append(mid)
@@ -458,20 +492,27 @@ class _Runner:
                     a = mid
                 else:
                     b = mid
-            coef = self.coefficients(t, np.array(points) * width)
+            key = (t + b * width, width - b * width)
+            coef = self.coefficients(np.array([t] * len(points) + [key[0]]),
+                                     np.array([p * width for p in points] + [key[1]]))
+            rest = key, coef[-1]
             if trial:
                 c_trial, coef, points, trial = coef[0], coef[1:], points[1:], False
-            rows = coef @ proj - f
+            rows = coef[:-1] @ proj - f
             inside = (rows.min(axis=1) >= -MEMBERSHIP_SLACK).tolist()
-            for mid, c, row, went_in in zip(points, coef, rows, inside):
+            for k, (mid, went_in) in enumerate(zip(points, inside)):
                 if went_in:
-                    lo, at_lo, c_lo = mid, row, c
+                    lo, k_lo = mid, k
                 else:
-                    hi, at_hi, c_hi = mid, row, c
+                    hi, k_hi = mid, k
                 depth -= 1
                 if went_in != (mid <= guess):
                     break
-        return lo, hi, c_lo, c_hi, c_trial
+            if k_lo is not None:
+                c_lo, at_lo = coef[k_lo], rows[k_lo]
+            if k_hi is not None:
+                c_hi, at_hi = coef[k_hi], rows[k_hi]
+        return lo, hi, c_lo, c_hi, c_trial, rest
 
     def advance(self, z: np.ndarray, t: float, h: float, i: int, u2val: np.ndarray,
                 events: list, predicted: Optional[np.ndarray]) -> tuple[np.ndarray, int]:
@@ -482,27 +523,29 @@ class _Runner:
         batched localization; the state is committed at the bracket's outer
         end from the batch row that set it (the event's margins from the
         states at both ends), and the mode is relocated with hysteresis from
-        there.  ``predicted`` holds the margins ``propagate`` found at the
-        step's end: the first sub-step goes to ``bisect`` at once, its full
-        width riding in the first batch; a later one is stepped alone first."""
-        remaining = h
+        there.  ``predicted`` holds the margins ``propagate`` returned: the
+        first sub-step goes to ``bisect`` at once, its full width riding in
+        the first batch; a later one takes the last batch's remainder row if
+        its ``(t, remaining)`` is that row's bit for bit, else is stepped."""
+        remaining, rest = h, (None, None)
         for _ in range(_SWITCH_CAP):
             if remaining <= 1e-15:
                 return z, i
             E, f = self.rows[i]
             basis = np.concatenate([self.Zk[i] @ z, self.ZkB[i] @ u2val, self.Zkm[i]])
             if predicted is None:
-                bracket, c_trial = None, self.coefficients(t, remaining)
+                bracket = None
+                c_trial = rest[1] if rest[0] == (t, remaining) else self.coefficients(t, remaining)
             else:
                 bracket = self.bisect(basis, t, remaining, i, predicted, trial=True)
-                c_trial, predicted = bracket[-1], None
+                c_trial, predicted = bracket[4], None
             trial = c_trial @ basis
             if not np.isfinite(trial).all():
                 raise NonFiniteStateError(f"non-finite state near t={t}")
             end = E @ trial[: self.n] - f
             if end.min() >= -MEMBERSHIP_SLACK:
                 return trial, i
-            lo, hi, c_lo, c_hi, _ = bracket or self.bisect(basis, t, remaining, i, end)
+            lo, hi, c_lo, c_hi, _, rest = bracket or self.bisect(basis, t, remaining, i, end)
             z_lo = z if c_lo is None else c_lo @ basis
             z = trial if c_hi is None else c_hi @ basis
             committed = hi * remaining

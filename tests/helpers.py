@@ -1,5 +1,6 @@
 """Shared test helpers: randomized containment instances, a switch-dense
-cone fan, a scalar RK4 step, the certificate margins of raw blocks, an
+cone fan, a scalar RK4 step, scalar bisection of a crossing and a run that
+uses it, the certificate margins of raw blocks, an
 exact rational audit of a certificate, Kronecker-product oracles for the
 decay equation and the stacked relation system, and a mode-by-mode
 reference synthesis."""
@@ -8,6 +9,7 @@ import importlib.util
 import math
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -28,8 +30,9 @@ from pwa_hier import (
 )
 from pwa_hier.certificate import SYNTH_EPSILON, SYNTH_MARGIN, _solve_decay_equation
 from pwa_hier.errors import EmptyTrajectoryError, NonFiniteStateError
+from pwa_hier import simulator
 from pwa_hier.modelfile import build_pipeline, load_model
-from pwa_hier.polytope import AFFINE, CONIC
+from pwa_hier.polytope import AFFINE, CONIC, MEMBERSHIP_SLACK
 from pwa_hier.polytope import Polyhedron, vertices_2d
 from pwa_hier.relation import solve_system_relation
 
@@ -162,6 +165,53 @@ def step_rk4(f, x, t: float, h: float) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise NonFiniteStateError(f"non-finite state after step at t={t}")
     return out
+
+
+def margins(runner, x1, i):
+    """Margins ``E x1 - f`` of mode ``i``'s rows in a run's ``_Runner``."""
+    E, f = runner.rows[i]
+    return E @ x1 - f
+
+
+def scalar_bisect(runner, basis, t, width, i, end=None, trial=False):
+    """Plain bisection of the exit point, one scalar sub-step and margin
+    per level: the reference the batched localization must reproduce.
+    Returns what ``_Runner.bisect`` does: the bracket, its own one-width
+    coefficient rows at ``lo`` and ``hi`` (None at 0 and 1), with ``trial``
+    at the full width (else None), and ``((start, width), row)`` of the
+    remainder sub-step after ``hi``.  ``end``, the margins that predict the
+    exit, is not needed."""
+    lo, hi, c_lo, c_hi = 0.0, 1.0, None, None
+    for _ in range(simulator.BISECTION_CAP):
+        if (hi - lo) * width <= simulator.CROSSING_BRACKET:
+            break
+        mid = 0.5 * (lo + hi)
+        c_mid = runner.coefficients(t, mid * width)
+        z_mid = c_mid @ basis
+        if float(margins(runner, z_mid[: runner.n], i).min()) >= -MEMBERSHIP_SLACK:
+            lo, c_lo = mid, c_mid
+        else:
+            hi, c_hi = mid, c_mid
+    key = (t + hi * width, width - hi * width)
+    return (lo, hi, c_lo, c_hi, runner.coefficients(t, width) if trial else None,
+            (key, runner.coefficients(*key)))
+
+
+def assert_matches_scalar_run(scenarios):
+    """States, modes and every crossing event of each run equal those of a
+    run whose crossings are localized by ``scalar_bisect``."""
+    batched = [simulator.run_scenario(scen) for scen in scenarios]
+    with mock.patch.object(simulator._Runner, "bisect", scalar_bisect):
+        scalar = [simulator.run_scenario(scen) for scen in scenarios]
+    for got, want in zip(batched, scalar):
+        np.testing.assert_array_equal(got.x1, want.x1)
+        np.testing.assert_array_equal(got.x2, want.x2)
+        np.testing.assert_array_equal(got.mode_i, want.mode_i)
+        assert got.crossings == want.crossings
+        for ev in got.crossings:
+            assert ev.width <= simulator.CROSSING_BRACKET
+            assert ev.margin_inside >= -MEMBERSHIP_SLACK
+            assert ev.margin_outside < -MEMBERSHIP_SLACK
 
 
 def lmi_margins(M, A, C, lam):

@@ -196,6 +196,50 @@ class TestLmiMargins:
             assert feasible == base_feasible
 
 
+class TestMarginBoundaries:
+    """Each of ``verify_all``'s three decisions from both sides, on a
+    one-mode joint built so that the margin reads ``+-1e-6`` past its
+    threshold and the other two hold by a wide margin."""
+
+    @pytest.mark.parametrize("s", [1e-6, -1e-6])
+    def test_domination_margin(self, s):
+        """``M = C^T C + s I`` with ``C = I``: margin 1 is ``s``, and the
+        mode is feasible exactly when ``s >= -LMI_TOL``."""
+        M = I2 + s * I2
+        report = verify_all(Certificate(1.0, 1.0, (ModeCertificate(M),)),
+                            _toy_joint(-I2, np.zeros((2, 1)), np.zeros((2, 1)), I2,
+                                       _conic_cell(2), n=2, m=1))[0]
+        m1, m2, m3 = report.margins
+        assert m1 == pytest.approx(s, rel=1e-9)
+        assert m2 > 0.5 and m3 < -0.5
+        assert report.feasible == (s > 0.0)
+
+    @pytest.mark.parametrize("low", [2.0 * LMI_TOL, 0.5 * LMI_TOL])
+    def test_positivity_margin(self, low):
+        """``M = diag(1, low)`` with zero output map and ``A = -I`` at
+        ``lam = 1``: margin 2 is ``low``, margin 1 too (well above
+        ``-LMI_TOL``), margin 3 is ``-low``, and the mode is feasible
+        exactly when ``low >= LMI_TOL``."""
+        M = np.diag([1.0, low])
+        report = verify_all(Certificate(1.0, 1.0, (ModeCertificate(M),)),
+                            _toy_joint(-I2, np.zeros((2, 1)), np.zeros((2, 1)),
+                                       np.zeros((1, 2)), _conic_cell(2), n=1, m=1))[0]
+        assert report.margins == (low, low, -low)
+        assert report.feasible == (low > LMI_TOL)
+
+    @pytest.mark.parametrize("s", [1e-6, -1e-6])
+    def test_decay_margin(self, s):
+        """``M = I`` and ``A = -I`` at ``lam = 2 + s``: margin 3 is ``s``,
+        and the mode is feasible exactly when ``s <= LMI_TOL``."""
+        report = verify_all(Certificate(1.0, 2.0 + s, (ModeCertificate(I2),)),
+                            _toy_joint(-I2, np.zeros((2, 1)), np.zeros((2, 1)),
+                                       np.zeros((1, 2)), _conic_cell(2), n=1, m=1))[0]
+        m1, m2, m3 = report.margins
+        assert m1 == m2 == 1.0
+        assert m3 == pytest.approx(s, rel=1e-9)
+        assert report.feasible == (s < 0.0)
+
+
 class TestSynthesis:
     def test_scalar_joint_system(self):
         joint = _toy_joint(

@@ -15,6 +15,7 @@ import pytest
 import pwa_hier
 from pwa_hier import export_run, run_scenario, simulator
 from pwa_hier.cli import _sweep_scenario, build_parser, main
+from pwa_hier.polytope import MEMBERSHIP_SLACK
 from pwa_hier.modelfile import (
     build_pipeline,
     builtin_model_path,
@@ -552,6 +553,28 @@ class TestRun:
             bounds["kV"] <= bounds["delta"] + 1e-6
         )
         assert bool(chain) == (report["verdict"] == "PASS")
+
+    @pytest.mark.parametrize("which, events, tightness",
+                             [("case1", 2, 71.99952), ("case2", 4, 190.84662)])
+    def test_report_lists_crossings_and_tightness(self, which, events, tightness,
+                                                  tmp_path, capsys):
+        """report.json lists the run's crossing events (brackets within
+        ``CROSSING_BRACKET``, inside and outside margins, 1-based labels)
+        and the tightness max delta / max ||e||."""
+        out = tmp_path / "out"
+        assert main(["run", which, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert len(report["crossings"]) == events
+        for ev in report["crossings"]:
+            assert set(ev) == {"t_inside", "t_outside", "width", "margin_inside",
+                               "margin_outside", "old_label", "new_label"}
+            assert 0.0 < ev["width"] == ev["t_outside"] - ev["t_inside"]
+            assert ev["width"] <= simulator.CROSSING_BRACKET
+            assert ev["margin_inside"] >= -MEMBERSHIP_SLACK > ev["margin_outside"]
+            assert ev["old_label"] != ev["new_label"]
+            assert min(ev["old_label"] + ev["new_label"]) >= 1
+        assert report["tightness"] == report["max_delta"] / report["max_err"]
+        assert report["tightness"] == pytest.approx(tightness, rel=1e-6)
 
     def test_determinism_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

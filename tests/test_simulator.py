@@ -7,6 +7,7 @@ import signal
 import threading
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,13 +41,14 @@ from pwa_hier.errors import (
     UncertifiedModeError,
 )
 from pwa_hier import simulator
-from pwa_hier.polytope import MEMBERSHIP_SLACK, locate_mode
+from pwa_hier.polytope import locate_mode
 from pwa_hier.relation import Interface, JointSystem, solve_system_relation
 from pwa_hier.simulator import (_BLOCK, _BLOCK_MAX, _WRITE_BLOCK, CHAIN_TOL,
                                  CROSSING_BRACKET, _Runner, rk4_weights, write_tables)
 from pwa_hier.systems import paired_modes, transformed_abstraction_matrix
 
-from helpers import fan_scenario, step_rk4
+from helpers import (assert_matches_scalar_run, fan_scenario, margins, scalar_bisect,
+                     step_rk4)
 
 I2 = np.eye(2)
 
@@ -632,7 +634,9 @@ class TestPropagator:
     def test_batched_coefficients_match_scalar(self, case1):
         """RK4 weights and sub-step coefficients for an array of widths
         equal the one-width results row by row, bit for bit: ``advance``
-        commits states from the rows of ``bisect``'s batches."""
+        commits states from the rows of ``bisect``'s batches.  So do rows
+        with starts of their own, like the remainder sub-step a batch
+        holds, from which ``advance`` steps on in the new mode."""
         runner = _Runner(case1.scenario)
         taus = np.array([1e-3, 3.7e-4, 2.5e-7, 1.0])
         got_w = rk4_weights(taus)
@@ -641,6 +645,13 @@ class TestPropagator:
         for k, tau in enumerate(taus):
             np.testing.assert_array_equal(got_w[k], rk4_weights(float(tau)))
             np.testing.assert_array_equal(got_c[k], runner.coefficients(1.3, float(tau)))
+        hi = 0.6180339887
+        starts = [1.3, 1.3, 1.3, 1.3 + hi * 1e-3, 0.0]
+        widths = [1e-3, hi * 1e-3, 5e-4, 1e-3 - hi * 1e-3, 0.0]
+        got_c = runner.coefficients(np.array(starts), np.array(widths))
+        assert got_c.shape == (5, 15)
+        for row, t, tau in zip(got_c, starts, widths):
+            np.testing.assert_array_equal(row, runner.coefficients(t, tau))
 
     @pytest.mark.parametrize("which", ["case1", "case2", "fan"])
     def test_block_scan_matches_recurrence(self, which, case1, case2, fans):
@@ -820,46 +831,23 @@ def _block_around(step: int) -> tuple[int, int]:
     return start, start + length
 
 
-def margins(runner, x1, i):
-    """Margins ``E x1 - f`` of mode ``i``'s rows in the runner."""
-    E, f = runner.rows[i]
-    return E @ x1 - f
-
-
 def end_margins(runner, basis, t, width, i):
     """Row margins of mode ``i`` at the end of a sub-step of ``width``:
     what ``advance`` passes ``bisect`` as ``end``."""
     return margins(runner, (runner.coefficients(t, width) @ basis)[: runner.n], i)
 
 
-def scalar_bisect(runner, basis, t, width, i, end=None, trial=False):
-    """Plain bisection of the exit point, one scalar sub-step and margin
-    per level: the reference the batched localization must reproduce.
-    Returns what ``bisect`` does: the bracket, its own one-width
-    coefficient rows at ``lo`` and ``hi`` (None at 0 and 1) and, with
-    ``trial``, at the full width (``end``, the margins there, is not
-    needed)."""
-    lo, hi, c_lo, c_hi = 0.0, 1.0, None, None
-    for _ in range(simulator.BISECTION_CAP):
-        if (hi - lo) * width <= CROSSING_BRACKET:
-            break
-        mid = 0.5 * (lo + hi)
-        c_mid = runner.coefficients(t, mid * width)
-        z_mid = c_mid @ basis
-        if float(margins(runner, z_mid[: runner.n], i).min()) >= -MEMBERSHIP_SLACK:
-            lo, c_lo = mid, c_mid
-        else:
-            hi, c_hi = mid, c_mid
-    return lo, hi, c_lo, c_hi, runner.coefficients(t, width) if trial else None
-
-
 def assert_same_bisection(got, want):
-    """Equal brackets, and equal coefficient rows bit for bit (or both None)."""
+    """Equal brackets, equal coefficient rows bit for bit (or both None),
+    and, where the batched remainder sub-step is the one after the bracket,
+    its row bit for bit."""
     assert len(got) == len(want) and got[:2] == want[:2]
-    for a, b in zip(got[2:], want[2:]):
+    for a, b in zip(got[2:5], want[2:5]):
         assert (a is None) == (b is None)
         if a is not None:
             np.testing.assert_array_equal(a, b)
+    if got[5][0] == want[5][0]:
+        np.testing.assert_array_equal(got[5][1], want[5][1])
 
 
 @pytest.fixture(scope="module")
@@ -878,21 +866,21 @@ def _crossing_starts(scen, traj, runner):
         yield np.concatenate([Zk @ z[k], ZkB @ traj.u2bar[k], Zkm]), float(traj.t[k]), i
 
 
-def _assert_matches_scalar_run(scenarios, monkeypatch):
-    """States, modes and every crossing event of each run equal those of a
-    run whose crossings are localized by plain scalar bisection."""
-    batched = [run_scenario(scen) for scen in scenarios]
-    monkeypatch.setattr(_Runner, "bisect", scalar_bisect)
-    for scen, got in zip(scenarios, batched):
-        want = run_scenario(scen)
-        np.testing.assert_array_equal(got.x1, want.x1)
-        np.testing.assert_array_equal(got.x2, want.x2)
-        np.testing.assert_array_equal(got.mode_i, want.mode_i)
-        assert got.crossings == want.crossings
-        for ev in got.crossings:
-            assert ev.width <= CROSSING_BRACKET
-            assert ev.margin_inside >= -MEMBERSHIP_SLACK
-            assert ev.margin_outside < -MEMBERSHIP_SLACK
+def _redone_steps(scen):
+    """``(runner, basis, t, i, predicted)`` of each step ``advance`` redoes in
+    a run of ``scen``, with the margins ``propagate`` passed it: six sample
+    rows around the step, or the failing row's alone."""
+    steps = []
+    advance = _Runner.advance
+
+    def recording(self, z, t, h, i, u2val, events, predicted):
+        basis = np.concatenate([self.Zk[i] @ z, self.ZkB[i] @ u2val, self.Zkm[i]])
+        steps.append((self, basis, t, i, predicted))
+        return advance(self, z, t, h, i, u2val, events, predicted)
+
+    with mock.patch.object(_Runner, "advance", recording):
+        run_scenario(scen)
+    return steps
 
 
 class TestBatchedBisection:
@@ -905,7 +893,7 @@ class TestBatchedBisection:
     def test_run_matches_scalar_bisection(self, fans, monkeypatch):
         """States, modes and every crossing event equal those of a run whose
         crossings are localized by plain scalar bisection."""
-        _assert_matches_scalar_run(fans, monkeypatch)
+        assert_matches_scalar_run(fans)
 
     def test_coarse_step_run_matches_scalar_bisection(self, monkeypatch):
         """The same on a step of 0.02: modes are entered and left within one
@@ -913,7 +901,7 @@ class TestBatchedBisection:
         scen = fan_scenario(48, seed=0, h=0.02)
         traj = run_scenario(scen)
         assert {ev.new_label[0] for ev in traj.crossings} - set(traj.mode_i.tolist())
-        _assert_matches_scalar_run([scen], monkeypatch)
+        assert_matches_scalar_run([scen])
 
     @pytest.mark.parametrize("cap", [simulator.BISECTION_CAP, 10])
     def test_bracket_matches_scalar_bisection(self, fans, cap, monkeypatch):
@@ -923,10 +911,14 @@ class TestBatchedBisection:
         NaN, the bracket's ends, its exact midpoint (the walk's first
         midpoint equals the guess) or a random point in it.  So are the
         coefficient rows at its ends and, with the full width riding in
-        the first batch and the end margins only predicted, its row."""
+        the first batch and the end margins only predicted, its row.  From
+        the six sample rows ``propagate`` passes each redone step, the same
+        holds whatever the fit guess: its own, 0, 1, NaN (the chord then
+        guesses) or one final cell off the crossing."""
         monkeypatch.setattr(simulator, "BISECTION_CAP", cap)
         rng = np.random.default_rng(0)
-        guesses = [simulator._exit_guess,
+        chord = simulator._exit_guess
+        guesses = [chord,
                    lambda lo, hi, *_: math.nan,
                    lambda lo, hi, *_: lo,
                    lambda lo, hi, *_: hi,
@@ -947,31 +939,79 @@ class TestBatchedBisection:
                 assert_same_bisection(
                     runner.bisect(basis, t, width, i, end * (1.0 + 1e-3), trial=True),
                     scalar_bisect(runner, basis, t, width, i, trial=True))
+        monkeypatch.setattr(simulator, "_exit_guess", chord)
+        fit = simulator._fit_guess
+        steps = _redone_steps(scen)
+        assert sum(around.ndim == 2 for *_, around in steps) >= 25
+        for runner, basis, t, i, around in steps:
+            want = scalar_bisect(runner, basis, t, scen.h, i, trial=True)
+            for guess in (fit(around) if around.ndim == 2 else math.nan, 0.0, 1.0, math.nan,
+                          _cell_off(want)):
+                monkeypatch.setattr(simulator, "_fit_guess", lambda rows: guess)
+                assert_same_bisection(runner.bisect(basis, t, scen.h, i, around, trial=True),
+                                      want)
 
     @pytest.mark.parametrize("wrong", ["zero", "one", "nan", "next-cell"])
     def test_wrong_guesses_keep_the_bracket(self, fans, wrong, monkeypatch):
         """Guesses that are always 0, always 1, never available (NaN, so
         every path heads towards ``lo``) or one final cell off the crossing
-        cost batches but never change the bracket."""
-        cases = []
-        for scen in fans:
-            runner = _Runner(scen)
-            cases += [(runner, basis, t, scen.h, i)
-                      for basis, t, i in _crossing_starts(scen, run_scenario(scen), runner)]
+        cost batches but never change the bracket, for the chord guess from
+        the end margins and for the fit guess from six sample rows."""
+        cases = [case for scen in fans for case in _redone_steps(scen)]
         guess = [0.0]
         monkeypatch.setattr(simulator, "_exit_guess", lambda *args: guess[0])
-        for runner, basis, t, width, i in cases:
+        monkeypatch.setattr(simulator, "_fit_guess", lambda rows: guess[0])
+        for runner, basis, t, i, around in cases:
+            width = runner.h
             want = scalar_bisect(runner, basis, t, width, i)
-            cell = want[1] - want[0]
             guess[0] = {"zero": 0.0, "one": 1.0, "nan": float("nan"),
-                        "next-cell": want[1] + 0.5 * cell if want[1] < 1.0
-                        else want[0] - 0.5 * cell}[wrong]
+                        "next-cell": _cell_off(want)}[wrong]
             end = end_margins(runner, basis, t, width, i)
             assert_same_bisection(runner.bisect(basis, t, width, i, end), want)
+            assert_same_bisection(runner.bisect(basis, t, width, i, around), want)
 
-    def test_about_two_batches_per_crossing(self, fans, monkeypatch):
+    @pytest.mark.parametrize("before, after", [(0, 8), (1, 8), (2, 8), (3, 8),
+                                               (8, 2), (8, 1), (8, 0)])
+    def test_margins_around_a_failing_row(self, fans, before, after, monkeypatch):
+        """A block whose failing row has ``before`` rows above it and
+        ``after`` below: ``propagate`` returns the margins of the six
+        samples from two before the failing step's start to two after its
+        end, the block's start state counting as a sample, where the block
+        holds them, and the failing row's alone otherwise.  The bisection
+        then takes no fit guess, and its bracket is the scalar one."""
+        scen = fans[0]
+        traj = run_scenario(scen)
+        runner = _Runner(scen)
+        # the step start before the first crossing after 8 steps in one mode
+        k = next(k for k in (np.searchsorted(traj.t, [ev.t_inside for ev in traj.crossings],
+                                             side="right") - 1).tolist()
+                 if k >= 8 and (traj.mode_i[k - 8: k + 1] == traj.mode_i[k]).all())
+        i, t = int(traj.mode_i[k]), float(traj.t[k])
+        zs = np.hstack([traj.x1, traj.x2])
+        stages = runner.stages(traj.t[:-1], scen.h)
+        kept, around = runner.propagate(zs, k - before, k + 1 + after, i, traj.u2bar, stages)
+        assert kept == before
+        # zs now holds the block's rows, the failing step's end zs[k + 1]
+        E, f = runner.rows[i]
+        samples = zs[k - 2: k + 4, : runner.n] @ E.T - f
+        if 2 <= before and 2 <= after:
+            assert around.shape == (6, len(f))
+            np.testing.assert_allclose(around, samples, rtol=1e-12, atol=1e-12)
+            return
+        np.testing.assert_allclose(around, samples[3], rtol=1e-12, atol=1e-12)
+
+        def no_fit(rows):
+            raise AssertionError("a fit guess from one row")
+
+        monkeypatch.setattr(simulator, "_fit_guess", no_fit)
+        basis = np.concatenate([runner.Zk[i] @ zs[k], runner.ZkB[i] @ traj.u2bar[k],
+                                runner.Zkm[i]])
+        assert_same_bisection(runner.bisect(basis, t, scen.h, i, around, trial=True),
+                              scalar_bisect(runner, basis, t, scen.h, i, trial=True))
+
+    def test_about_one_batch_per_crossing(self, fans, monkeypatch):
         """The predicted path settles a crossing of the 32-cone fan, 24
-        levels, in at most 2.5 batched evaluations on average."""
+        levels, in at most 1.5 batched evaluations on average."""
         calls = {"bisect": 0, "coefficients": 0}
         in_bisect = [False]
         coefficients, bisect = _Runner.coefficients, _Runner.bisect
@@ -992,13 +1032,13 @@ class TestBatchedBisection:
         monkeypatch.setattr(_Runner, "bisect", counted_bisect)
         traj = run_scenario(fans[0])
         assert calls["bisect"] == len(traj.crossings) >= 25
-        assert calls["coefficients"] / calls["bisect"] <= 2.5
+        assert calls["coefficients"] / calls["bisect"] <= 1.5
 
-    def test_three_evaluations_per_crossing(self, fans, monkeypatch):
-        """A crossing of the 32-cone fan costs at most 3.5 ``coefficients``
-        evaluations on average: the first batch, which the full-width trial
-        rides in, the second, and the remainder sub-step in the new mode;
-        the committed states come from the batch rows."""
+    def test_about_one_evaluation_per_crossing(self, fans, monkeypatch):
+        """A crossing of the 32-cone fan costs at most 1.5 ``coefficients``
+        evaluations on average: the first batch holds the full-width trial
+        and the remainder sub-step in the new mode, and the committed
+        states come from the batch rows."""
         calls = [0]
         coefficients = _Runner.coefficients
 
@@ -1008,7 +1048,13 @@ class TestBatchedBisection:
 
         monkeypatch.setattr(_Runner, "coefficients", counted)
         traj = run_scenario(fans[0])
-        assert calls[0] / len(traj.crossings) <= 3.5
+        assert calls[0] / len(traj.crossings) <= 1.5
+
+
+def _cell_off(want) -> float:
+    """A guess one final bracket cell past the bracket ``want[:2]``."""
+    cell = want[1] - want[0]
+    return want[1] + 0.5 * cell if want[1] < 1.0 else want[0] - 0.5 * cell
 
 
 class TestNonzeroFeedforward:
