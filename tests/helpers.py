@@ -1,6 +1,6 @@
 """Shared test helpers: randomized containment instances, a switch-dense
 cone fan, a scalar RK4 step, scalar bisection of a crossing and a run that
-uses it, the certificate margins of raw blocks, an
+uses it, a step-by-step RK4 run, the certificate margins of raw blocks, an
 exact rational audit of a certificate, Kronecker-product oracles for the
 decay equation and the stacked relation system, and a mode-by-mode
 reference synthesis."""
@@ -32,9 +32,10 @@ from pwa_hier.certificate import SYNTH_EPSILON, SYNTH_MARGIN, _solve_decay_equat
 from pwa_hier.errors import EmptyTrajectoryError, NonFiniteStateError
 from pwa_hier import simulator
 from pwa_hier.modelfile import build_pipeline, load_model
-from pwa_hier.polytope import AFFINE, CONIC, MEMBERSHIP_SLACK
+from pwa_hier.polytope import AFFINE, CONIC, MEMBERSHIP_SLACK, locate_mode
 from pwa_hier.polytope import Polyhedron, vertices_2d
 from pwa_hier.relation import solve_system_relation
+from pwa_hier.systems import paired_modes
 
 
 def random_polygon(rng, radius=None) -> Polyhedron:
@@ -195,6 +196,66 @@ def scalar_bisect(runner, basis, t, width, i, end=None, trial=False):
     key = (t + hi * width, width - hi * width)
     return (lo, hi, c_lo, c_hi, runner.coefficients(t, width) if trial else None,
             (key, runner.coefficients(*key)))
+
+
+def rk4_oracle_run(scen):
+    """A step-by-step run of ``scen``: each output step is one ``step_rk4``
+    step of the plant, driven through the interface formula, and of the
+    transformed abstraction, with the mode and the reference frozen at its
+    start.  A step that ends outside its mode's cell (and paired region) is
+    split by plain scalar bisection, one ``step_rk4`` sub-step per level at
+    the simulator's level cap and bracket width; the state is committed at
+    the bracket's outer end and the mode relocated there with hysteresis.
+    Returns the states ``(x1, x2)`` and the labels ``(mode_i, mode_j)``
+    stacked per sample, and every crossing as ``(t_inside, t_outside,
+    old_label, new_label)``."""
+    joint, n = scen.joint, scen.joint.n
+    paired = paired_modes(joint.abstraction, joint.relation.pairing, len(joint))
+    part = joint.system.partition
+    labels = [(i, 0 if pm.j is None else pm.j) for i, pm in enumerate(paired)]
+
+    def inside(i, x1):
+        return all(float((c.E @ x1 - c.f).min()) >= -MEMBERSHIP_SLACK
+                   for c in (part.cells[i], paired[i].region) if c is not None)
+
+    def frozen_field(i, u2bar):
+        mode, pm, P = joint.system.modes[i], paired[i].mode, joint.relation.P[i]
+
+        def field(z, tau):
+            x1, x2 = z[:n], z[n:]
+            u1 = joint.u1(i, x1 - P @ x2, x2, u2bar)
+            return np.concatenate([mode.A @ x1 + mode.B @ u1 + scen.disturbance.value(tau),
+                                   (pm.F + pm.G @ pm.L) @ x2 + pm.G @ u2bar])
+        return field
+
+    z = np.concatenate([scen.x1_0, scen.x2_0])
+    i = locate_mode(part, scen.x1_0)
+    states, modes, crossings = [z], [labels[i]], []
+    for start in (np.arange(scen.steps) * scen.h).tolist():
+        field = frozen_field(i, scen.schedule.value(start))
+        t, remaining = start, scen.h
+        while remaining > 1e-15:
+            end = step_rk4(field, z, t, remaining)
+            if inside(i, end[:n]):
+                z = end
+                break
+            lo, hi = 0.0, 1.0
+            for _ in range(simulator.BISECTION_CAP):
+                if (hi - lo) * remaining <= simulator.CROSSING_BRACKET:
+                    break
+                mid = 0.5 * (lo + hi)
+                at_mid = step_rk4(field, z, t, mid * remaining)
+                if inside(i, at_mid[:n]):
+                    lo = mid
+                else:
+                    hi, end = mid, at_mid
+            old, i, z = i, locate_mode(part, end[:n], previous=i), end
+            crossings.append((t + lo * remaining, t + hi * remaining, labels[old], labels[i]))
+            field = frozen_field(i, scen.schedule.value(start))
+            t, remaining = t + hi * remaining, remaining - hi * remaining
+        states.append(z)
+        modes.append(labels[i])
+    return np.array(states), np.array(modes), crossings
 
 
 def assert_matches_scalar_run(scenarios):

@@ -1144,6 +1144,78 @@ class TestVerdict:
         assert verdict(dataclasses.replace(traj, **{column: col})) == "FAIL"
 
 
+#: Smallest margins just inside and just outside ``MEMBERSHIP_SLACK`` = 1e-9,
+#: written out, so that a moved threshold does not move them too.
+AT_SLACK = {"inside": -1e-9 * (1.0 - 1e-3), "outside": -1e-9 * (1.0 + 1e-3)}
+
+#: The quadrant ``x[0] >= 0, x[1] >= 0`` of a fan's 4-D state space: its
+#: margins at a state are the state's first two entries, exactly.
+QUADRANT = (np.eye(2, 4), np.zeros(2))
+
+
+def _on_quadrant(fan, margin):
+    """A runner of ``fan`` whose mode 0 has the rows ``QUADRANT``, and a
+    joint state whose smallest margin there is ``margin``."""
+    runner = _Runner(fan)
+    runner.rows[0] = QUADRANT
+    z = np.zeros(runner.n + runner.m)
+    z[:2] = margin, 0.5
+    return runner, z
+
+
+@pytest.mark.parametrize("side", ["inside", "outside"])
+class TestSlackBoundaries:
+    """Each membership decision, and the verdict's chain, from both sides
+    of its threshold, 1e-3 of it away."""
+
+    def test_locate_mode(self, side):
+        """A state 0.999e-9 left of the axis is in the right quadrant, one
+        1.001e-9 left of it only in the left one."""
+        right = Polyhedron(np.eye(2), np.zeros(2))
+        left = Polyhedron(np.array([[-1.0, 0.0], [0.0, 1.0]]), np.zeros(2))
+        x = np.array([AT_SLACK[side], 0.5])
+        assert locate_mode(Partition((right, left)), x) == {"inside": 0, "outside": 1}[side]
+
+    def test_label(self, side, fans):
+        """Inside, the state gets mode 0's label; outside, it is refused."""
+        runner, z = _on_quadrant(fans[0], AT_SLACK[side])
+        if side == "inside":
+            assert runner.label(z[: runner.n], 0) == (0, 0)
+        else:
+            with pytest.raises(UncertifiedModeError):
+                runner.label(z[: runner.n], 0)
+
+    def test_propagate_block(self, side, fans):
+        """A one-step block that keeps the state (identity step map, no
+        drive) keeps its row inside, or fails it."""
+        runner, z = _on_quadrant(fans[0], AT_SLACK[side])
+        runner.Phi[0] = np.eye(len(z))
+        zs = np.vstack([z, z])
+        kept, _ = runner.propagate(zs, 0, 1, 0, np.zeros((1, 2)), np.zeros((1, 3)))
+        np.testing.assert_array_equal(zs[1], z)
+        assert kept == {"inside": 1, "outside": 0}[side]
+
+    def test_bisect_decision(self, side, fans):
+        """Over a basis that holds the state at every width, every midpoint
+        decides alike: inside, the bracket closes on the full width, and
+        outside on the start."""
+        runner, z = _on_quadrant(fans[0], AT_SLACK[side])
+        basis = np.zeros((15, len(z)))
+        basis[0] = z  # Z^0 z, weighted 1 at every width
+        lo, hi, *_ = runner.bisect(basis, 0.0, 1e-3, 0, z[:2])
+        cell = 0.5 ** 24  # levels from 1e-3 to CROSSING_BRACKET
+        assert (lo, hi) == {"inside": (1.0 - cell, 1.0), "outside": (0.0, cell)}[side]
+
+    def test_chain_tol(self, side, case1):
+        """An error 1e-3 of CHAIN_TOL = 1e-6 inside its level passes the
+        chain, one 1e-3 of it outside fails."""
+        traj = run_scenario(dataclasses.replace(case1.scenario, t_end=0.1))
+        err = np.zeros_like(traj.err)
+        err[50] = {"inside": 1e-6 * (1.0 - 1e-3), "outside": 1e-6 * (1.0 + 1e-3)}[side]
+        traj = dataclasses.replace(traj, err=err, V=np.zeros_like(traj.V))
+        assert verdict(traj) == {"inside": "PASS", "outside": "FAIL"}[side]
+
+
 class TestAtomicWrite:
     def test_error_in_block_keeps_old_file(self, tmp_path):
         """A write that fails part-way leaves the old file as it was and
