@@ -53,7 +53,6 @@ from .systems import (
     PwaAbstraction,
     PwaMode,
     PwaSystem,
-    needs_pairing,
     paired_modes,
     transformed_abstraction_matrix,
 )

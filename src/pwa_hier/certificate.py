@@ -32,7 +32,7 @@ from .errors import (
 from .linalg import as_matrix, as_positive, as_vector, frobenius
 from .polytope import AFFINE
 from .relation import JointSystem
-from .systems import hurwitz_margin, stack_blocks
+from .systems import hurwitz_margin
 
 #: Eigenvalue-margin tolerance used by all three feasibility conditions.
 LMI_TOL = 1e-9
@@ -148,9 +148,8 @@ def verify_all(cert: Certificate, joint: JointSystem) -> tuple[LmiReport, ...]:
     call.
     """
     M = np.array([entry.M for entry in cert.entries])
-    A, C = stack_blocks(joint.modes, ("Aprime", "Cprime"))
     with np.errstate(over="ignore", invalid="ignore"):
-        S = _condition_matrices(M, A, C, cert.lam)
+        S = _condition_matrices(M, joint.Aprime, joint.Cprime, cert.lam)
     finite = np.isfinite(S).all(axis=(-3, -2, -1))
     w = np.full(S.shape[:-1], np.nan)
     w[finite] = np.linalg.eigvalsh(S[finite])
@@ -201,7 +200,7 @@ def default_lambda_grid(joint: JointSystem) -> np.ndarray:
     slowest eigenpair ``(mu, v)`` of ``A'``, ``v^H (A'^T M + M A' + lam M) v
     = (2 Re mu + lam) v^H M v = 0``, while the right side gives
     ``-SYNTH_EPSILON |v|^2``."""
-    slowest = -np.max(hurwitz_margin(np.array([jm.Aprime for jm in joint.modes])))
+    slowest = -np.max(hurwitz_margin(joint.Aprime))
     if slowest <= 0.0:
         raise SynthesisFailedError("joint closed loop is not Hurwitz")
     top = 2.0 * slowest
@@ -228,18 +227,17 @@ def synthesize_certificate(
     Deterministic given its inputs.
     """
     grid = default_lambda_grid(joint) if lambda_grid is None else np.asarray(lambda_grid, float)
-    A, C = stack_blocks(joint.modes, ("Aprime", "Cprime"))
     # an extreme finite output map may overflow C^T C and the scaling matrix;
     # a rate whose scaling matrix is not finite is skipped below
     with np.errstate(over="ignore", invalid="ignore"):
-        CtC = np.swapaxes(C, -1, -2) @ C
+        CtC = np.swapaxes(joint.Cprime, -1, -2) @ joint.Cprime
     if m_scalar is None:
         m_scalar = DEFAULT_M_SCALAR
     m = [m_scalar if jm.kind == AFFINE else None for jm in joint.modes]
     for lam in sorted(grid, reverse=True):
         if lam <= 0.0:
             continue
-        M = _solve_decay_equation(A, lam)
+        M = _solve_decay_equation(joint.Aprime, lam)
         if M is None:
             continue
         w, Qm = np.linalg.eigh(M)
@@ -320,7 +318,7 @@ def gain_slopes_all(cert: Certificate, joint: JointSystem) -> np.ndarray:
                     f"mode {jm.label}: affine cell requires a homogeneous block entry")
             out[idx, 3] = np.sqrt(entry.m_scalar)
     M = np.array([entry.M for entry in cert.entries])
-    B1, B2 = stack_blocks(joint.modes, ("B1prime", "B2prime"))
+    B1, B2 = joint.B1prime, joint.B2prime
     with np.errstate(over="ignore", invalid="ignore"):
         XtMX = (np.swapaxes(B2, -1, -2) @ M @ B2, M, np.swapaxes(B1, -1, -2) @ M @ B1)
         for col, S in enumerate(XtMX):

@@ -52,7 +52,6 @@ from .systems import (
     PwaMode,
     PwaSystem,
     check_disturbance_bound,
-    needs_pairing,
     paired_modes,
     stack_blocks,
 )
@@ -299,7 +298,7 @@ def _build_config(doc: _Entry) -> ModelConfig:
     declared_pairing = None
     if "pairing" in doc:
         pairing = doc["pairing"]
-        if not needs_pairing(abstraction):
+        if not isinstance(abstraction, PwaAbstraction):
             raise pairing.error("only a PWA abstraction is paired")
         entries = pairing.array(1)
         if len(entries) != n_modes or not (entries == np.round(entries)).all():
@@ -374,7 +373,7 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
     check).  A homogeneous entry (``m_scalar``, ``m``) given where every
     joint cell is conic is refused, as no certificate would read it."""
     relation = None
-    if needs_pairing(config.abstraction):
+    if isinstance(config.abstraction, PwaAbstraction):
         # the pairing comes from the solve even when the file supplies P/Q
         pairing, relation = solve_relation_pairing(
             config.system.modes, config.abstraction.modes

@@ -140,10 +140,10 @@ def locate_mode(part: Partition, x, previous: Optional[int] = None) -> int:
     inside = np.minimum.reduceat(part.E @ x - part.f, part.starts) >= -MEMBERSHIP_SLACK
     if previous is not None and 0 <= previous < len(part.cells) and inside[previous]:
         return previous
-    hits = np.flatnonzero(inside)
-    if hits.size == 0:
+    first = int(inside.argmax())  # the lowest qualifying cell, if any qualifies
+    if not inside[first]:
         raise NoCellError(f"state {x.tolist()} lies in no partition cell")
-    return int(hits[0])
+    return first
 
 
 def joint_partition(

@@ -182,8 +182,8 @@ class RelationMaps:
     """Per-mode relation solution: ``P`` and ``Q`` hold one matrix per
     concrete mode (the solvers stack them along a leading axis).
     ``pairing[i]``, set for PWA abstractions only, is the abstraction mode
-    concrete mode i is related to; interface, joint assembly and simulation
-    all read the pairing from here."""
+    concrete mode i is related to; the interface and the joint system read
+    the pairing from here, and the joint keeps it per mode."""
 
     P: Sequence[np.ndarray]
     Q: Sequence[np.ndarray]
@@ -362,12 +362,16 @@ class JointSystem:
     recomputed for that pair, not read from ``relation.residuals``; the
     lowest failing pair is named, its residual checked before injectivity.
     Joint cells lift the concrete cell, with the paired region's rows
-    stacked under it for a PWA abstraction.  Every block is built for all
-    modes at once; the entries hold slices of the stacks.  ``QRL`` holds
-    the x2 gain ``Q + R L`` of each pair, formed here once.  Nothing else
-    is settable, so a ``dataclasses.replace`` of any part is built and
-    certified anew.  Compared and hashed by identity (array fields have no
-    single truth value for a generated ``__eq__``).
+    stacked under it for a PWA abstraction.  Every block is built here once,
+    for all modes at once, and kept stacked by mode and read-only: the joint
+    blocks ``Aprime``, ``B1prime``, ``B2prime`` and ``Cprime`` (the entries
+    of ``modes`` hold views of them), the plant's ``B`` and ``C``, the paired
+    abstraction modes' ``G`` and ``H``, and ``QRL``, the x2 gain ``Q + R L``
+    of each pair.  ``mode_j`` holds each concrete mode's abstraction-mode
+    index, 0 for a linear abstraction.  Nothing else is settable, so a
+    ``dataclasses.replace`` of any part is built and certified anew.
+    Compared and hashed by identity (array fields have no single truth value
+    for a generated ``__eq__``).
     """
 
     system: PwaSystem
@@ -375,7 +379,16 @@ class JointSystem:
     relation: RelationMaps
     interface: Interface
     modes: tuple[JointMode, ...] = field(init=False, repr=False)
+    mode_j: tuple[int, ...] = field(init=False, repr=False)
     QRL: np.ndarray = field(init=False, repr=False)
+    Aprime: np.ndarray = field(init=False, repr=False)
+    B1prime: np.ndarray = field(init=False, repr=False)
+    B2prime: np.ndarray = field(init=False, repr=False)
+    Cprime: np.ndarray = field(init=False, repr=False)
+    B: np.ndarray = field(init=False, repr=False)
+    C: np.ndarray = field(init=False, repr=False)
+    G: np.ndarray = field(init=False, repr=False)
+    H: np.ndarray = field(init=False, repr=False)
 
     n = property(attrgetter("system.n"))
     m = property(attrgetter("abstraction.m"))
@@ -406,7 +419,7 @@ class JointSystem:
 
         K, R = np.asarray(self.interface.K), np.asarray(self.interface.R)
         with np.errstate(over="ignore", invalid="ignore"):
-            object.__setattr__(self, "QRL", Q + R @ L)
+            QRL = Q + R @ L
         n, m = system.n, abstraction.m
         feed = B @ R - P @ G
         Aprime = np.zeros((len(A), n + m, n + m))
@@ -416,6 +429,12 @@ class JointSystem:
         B1prime[:, :n] = feed @ L
         B2prime = np.concatenate([feed, G], axis=1)
         Cprime = np.concatenate([C, np.zeros((len(A), system.k, m))], axis=2)
+        stacks = dict(QRL=QRL, Aprime=Aprime, B1prime=B1prime, B2prime=B2prime,
+                      Cprime=Cprime, B=B, C=C, G=G, H=H)
+        for name, X in stacks.items():
+            X.flags.writeable = False
+            object.__setattr__(self, name, X)
+        object.__setattr__(self, "mode_j", tuple(pm.j or 0 for pm in paired))
         joint_cells = joint_partition(system.partition, P, [pm.region for pm in paired])
         object.__setattr__(self, "modes", tuple(
             JointMode(label=labels[i], kind=classify_cell(cell), Aprime=Aprime[i],

@@ -19,8 +19,8 @@ evaluation of the sub-step weights, and the bracket is the one plain
 bisection finds.  The rest is numpy's fixed cost per call on arrays of 2 to
 15 entries, so the crossing path makes few calls: traced on the benchmark's
 switch-dense pools (2 vCPU, one BLAS thread), simulator self time is about
-172 us per crossing, 194-197 us before.  A run is refused unless its
-certificate holds on every mode, as checked once when the scenario is built.
+172 us per crossing.  A run is refused unless its certificate holds on every
+mode, as checked once when the scenario is built.
 Each sample records the tracking error, the simulation-function value, the
 running invariant-level threshold, and the certified output-error level,
 computed after the run, a bounded chunk at a time, from the chunk's one
@@ -58,12 +58,7 @@ from .errors import (
 from .linalg import as_positive, as_vector
 from .polytope import AFFINE, MEMBERSHIP_SLACK, locate_mode
 from .relation import JointSystem
-from .systems import (
-    DisturbanceSignal,
-    check_disturbance_bound,
-    paired_modes,
-    stack_blocks,
-)
+from .systems import DisturbanceSignal, check_disturbance_bound
 
 #: Crossing times are localized to a bracket narrower than this (seconds).
 CROSSING_BRACKET = 1e-10
@@ -344,9 +339,7 @@ class _Runner:
         joint = s.joint
         self.h, self.n, self.m = s.h, joint.n, joint.m
         self.part = joint.system.partition
-        paired = paired_modes(joint.abstraction, joint.relation.pairing, len(joint))
-        # abstraction-mode index per concrete mode; 0 for a linear abstraction
-        self.js = [0 if pm.j is None else pm.j for pm in paired]
+        self.js = joint.mode_j  # abstraction-mode index per concrete mode
         self.dist = s.disturbance
         n, d = self.n, self.n + self.m
         mask_ext = np.concatenate([self.dist.mask, np.zeros(self.m)])
@@ -355,15 +348,13 @@ class _Runner:
         self.rows = [(np.ascontiguousarray(jm.cell.E[:, :n]), jm.cell.f)
                      for jm in joint.modes]
         # stacked closed-loop dynamics per concrete mode, z = (x1, x2)
-        B, self.C = stack_blocks(joint.system.modes, "BC")
-        G, self.H = stack_blocks([pm.mode for pm in paired], "GH")
-        K, R = joint.interface.K, joint.interface.R
+        B, K, R = joint.B, joint.interface.K, joint.interface.R
         self.P = P = np.array(joint.relation.P)
         # the diagonal blocks A + B K and F + G L are the certified ones, the
-        # joint's Aprime; only the x1-x2 coupling is written here
-        self.Z = stack_blocks(joint.modes, ["Aprime"])[0]
+        # joint's Aprime; only the x1-x2 coupling is written, into a copy
+        self.Z = joint.Aprime.copy()
         self.Z[:, :n, n:] = B @ (joint.QRL - K @ P)
-        self.BU = np.concatenate([B @ R, G], axis=1)
+        self.BU = np.concatenate([B @ R, joint.G], axis=1)
         # every mode's powers Z^0 .. Z^4 applied to the identity, to its
         # reference input map and to the disturbance mask (a sub-step's basis
         # for advance), then its step map z+ = Phi z + Gu u2bar + stages @ Ws
@@ -434,7 +425,7 @@ class _Runner:
         margins ``advance`` guesses from: those of six samples, ``zs[k]``
         counted, whose third and fourth bound the failing step, where the
         block has them, else its end's (None if no row fails).  About 36 us
-        per crossing on switch-dense, 44 us when it stacked the six.
+        per crossing on switch-dense.
 
         The block first holds each step's drive ``Gu u2bar + stages @ Ws``,
         the first row also ``Phi zs[k]``.  A doubling scan then adds to
@@ -493,7 +484,7 @@ class _Runner:
         Every decision reads the margin at its exact midpoint, so the
         bracket is the one scalar bisection finds; the guesses only set how
         many batches it takes, about one per crossing.  The depth is kept per
-        width: about 54 us per crossing on switch-dense, 57 us before.
+        width: about 54 us per crossing on switch-dense.
         """
         E, f = self.rows[i]
         proj = basis[:, : self.n] @ E.T
@@ -553,8 +544,7 @@ class _Runner:
         first sub-step goes to ``bisect`` at once, its full width riding in
         the first batch; a later one takes the last batch's remainder row if
         its ``(t, remaining)`` is that row's bit for bit, else is stepped.
-        Besides ``bisect``, about 45 us per crossing on switch-dense (52 us
-        before one array held each sub-step's basis)."""
+        Besides ``bisect``, about 45 us per crossing on switch-dense."""
         remaining, rest = h, (None, None)
         for _ in range(_SWITCH_CAP):
             if remaining <= 1e-15:
@@ -693,7 +683,6 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i,
     M and form constant, or gathers each sample's by mode from stacks built
     once; gain slopes come from the scenario's."""
     joint, cert, slopes = s.joint, s.certificate, s.slopes
-    P, C, H = runner.P, runner.C, runner.H
     M = np.array([e.M for e in cert.entries])
     m = np.array([e.m_scalar for e in cert.entries], float)  # NaN for None
     add = np.where([jm.kind == AFFINE for jm in joint.modes], m, 0.0)
@@ -703,10 +692,10 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i,
         rows = slice(start, start + _GATHER_ROWS)
         i = mode_i[rows]
         i = i[0] if (i == i[0]).all() else i  # one mode: no copy per sample
-        xtilde[rows] = x1[rows] - np.einsum("...ij,...j->...i", P[i], x2[rows])
+        xtilde[rows] = x1[rows] - np.einsum("...ij,...j->...i", runner.P[i], x2[rows])
         u1[rows] = joint.u1(i, xtilde[rows], x2[rows], u2bar[rows])
-        y1[rows] = np.einsum("...ij,...j->...i", C[i], x1[rows])
-        y2[rows] = np.einsum("...ij,...j->...i", H[i], x2[rows])
+        y1[rows] = np.einsum("...ij,...j->...i", joint.C[i], x1[rows])
+        y2[rows] = np.einsum("...ij,...j->...i", joint.H[i], x2[rows])
         V[rows] = sim_fn_values(M[i], add[i], np.hstack([xtilde[rows], x2[rows]]), cert.kappa)
 
     err = np.linalg.norm(y1 - y2, axis=1)
@@ -718,8 +707,8 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i,
         delta = cert.kappa * np.maximum(V, b)
 
     return Trajectory(
-        t=t, x1=x1, x2=x2, xtilde=xtilde, u1=u1, u2bar=u2bar,
-        mode_i=mode_i, mode_j=np.array(runner.js)[mode_i], y1=y1, y2=y2, err=err, V=V, b=b, delta=delta,
+        t=t, x1=x1, x2=x2, xtilde=xtilde, u1=u1, u2bar=u2bar, y1=y1, y2=y2,
+        mode_i=mode_i, mode_j=np.array(joint.mode_j)[mode_i], err=err, V=V, b=b, delta=delta,
         kappa=cert.kappa, crossings=events,
     )
 

@@ -231,12 +231,6 @@ class PairedMode(NamedTuple):
     region: Optional[Polyhedron]
 
 
-def needs_pairing(abstraction: Union[LinearAbstraction, PwaAbstraction]) -> bool:
-    """Whether concrete modes must be paired with one of several abstraction
-    modes (PWA); a linear abstraction is its own single mode."""
-    return isinstance(abstraction, PwaAbstraction)
-
-
 def paired_modes(
     abstraction: Union[LinearAbstraction, PwaAbstraction],
     pairing: Optional[Sequence[int]],
@@ -249,7 +243,7 @@ def paired_modes(
     linear abstraction it gets the abstraction itself and the pairing is not
     read.
     """
-    if not needs_pairing(abstraction):
+    if not isinstance(abstraction, PwaAbstraction):
         return (PairedMode(None, abstraction, None),) * n_modes
     if (pairing is None or len(pairing) != n_modes
             or not all(0 <= j < abstraction.n_modes for j in pairing)):

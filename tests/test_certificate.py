@@ -49,12 +49,18 @@ I2 = np.eye(2)
 
 @dataclasses.dataclass(frozen=True)
 class _Blocks:
-    """A joint system given by its blocks alone, with no loop: the modes
-    and the dimensions ``n`` and ``m`` are all the certificate layer reads."""
+    """A joint system given by its blocks alone, with no loop: the modes,
+    their blocks stacked by mode (built from the modes, as ``JointSystem``
+    keeps them) and the dimensions ``n`` and ``m`` are all the certificate
+    layer reads."""
 
     modes: tuple
     n: int
     m: int
+
+    def __post_init__(self):
+        for name in ("Aprime", "B1prime", "B2prime", "Cprime"):
+            object.__setattr__(self, name, np.array([getattr(jm, name) for jm in self.modes]))
 
 
 def _toy_joint(Aprime, B1, B2, C, cell, n, m) -> _Blocks:

@@ -729,3 +729,49 @@ class TestSliceIndependence:
         system, absn, relation, *_ = _planted_pwa(np.random.default_rng(12), 12, 4, 2, 2)
         self._assert_one_pair_bits(relation, system.modes,
                                    [absn.modes[j] for j in relation.pairing])
+
+
+class TestKeptStacks:
+    """The joint keeps the stacks it builds, read-only, and its modes view
+    them: each stack is the array of its per-mode blocks bit for bit, and
+    each mode's abstraction-mode index is the pairing."""
+
+    _JOINT = ("Aprime", "B1prime", "B2prime", "Cprime")
+
+    @pytest.fixture(params=["case1", "case2", "pwa-fan"])
+    def joint(self, request, tmp_path):
+        if request.param == "pwa-fan":  # a synth-check fan of 5 cones, 2 abstraction modes
+            (_, pipe), = synth_pool_pipelines(tmp_path, [8])
+            assert isinstance(pipe.joint.abstraction, PwaAbstraction)
+            return pipe.joint
+        return request.getfixturevalue(request.param).joint
+
+    def test_stacks_are_the_per_mode_blocks(self, joint):
+        pairing = joint.relation.pairing
+        paired = ([joint.abstraction.modes[j] for j in pairing] if pairing is not None
+                  else [joint.abstraction] * len(joint))
+        views = {name: [getattr(jm, name) for jm in joint.modes] for name in self._JOINT}
+        views.update({name: [getattr(mode, name) for mode in joint.system.modes]
+                      for name in "BC"})
+        views.update({name: [getattr(am, name) for am in paired] for name in "GH"})
+        for name, blocks in views.items():
+            stack = getattr(joint, name)
+            assert stack.shape == (len(joint),) + blocks[0].shape, name
+            assert stack.tobytes() == np.array(blocks).tobytes(), name
+        for i, jm in enumerate(joint.modes):
+            for name in self._JOINT:
+                assert np.shares_memory(getattr(jm, name), getattr(joint, name)[i]), name
+
+    def test_writes_raise(self, joint):
+        for name in self._JOINT + ("B", "C", "G", "H", "QRL"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(joint, name)[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            joint.modes[0].Aprime[0, 0] = 1.0
+
+    def test_mode_j_is_the_pairing(self, joint):
+        pairing = joint.relation.pairing
+        assert joint.mode_j == (pairing if pairing is not None else (0,) * len(joint))
+        assert all(type(j) is int for j in joint.mode_j)
+        assert [jm.label[1:] for jm in joint.modes] == (
+            [(j,) for j in pairing] if pairing is not None else [()] * len(joint))

@@ -488,6 +488,20 @@ class TestRunScenario:
                 for name in ("xtilde", "u1", "y1", "y2", "V", "b", "delta"):
                     assert getattr(traj, name).tobytes() == getattr(runs[0], name).tobytes()
 
+    def test_rerun_is_identical_and_leaves_the_joint_as_built(self, fans):
+        """The runner writes the x1-x2 coupling into its own copy of the
+        joint's ``Aprime``: a second run of one scenario gives the first's
+        trajectory, and the joint's coupling blocks stay zero."""
+        scen = fans[0]
+        n = scen.joint.n
+        first, second = run_scenario(scen), run_scenario(scen)
+        assert len(first.crossings) > 0 and first.crossings == second.crossings
+        for name, col in vars(first).items():
+            if isinstance(col, np.ndarray):
+                assert col.tobytes() == getattr(second, name).tobytes(), name
+        assert not scen.joint.Aprime[:, :n, n:].any()
+        assert _Runner(scen).Z[:, :n, n:].any()
+
 
 def _switch_adjacent(traj):
     """Sample indices within one step of any boundary crossing."""
