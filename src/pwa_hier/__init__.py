@@ -15,10 +15,8 @@ from .certificate import (
 from .polytope import (
     AFFINE,
     CONIC,
-    CellBounding,
     Partition,
     Polyhedron,
-    cell_bounding,
     classify_cell,
     contains_mapped,
     joint_partition,

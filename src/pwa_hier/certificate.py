@@ -4,14 +4,14 @@ A certificate for a joint mode is a symmetric matrix ``M`` over the plain
 joint coordinates, on conic and affine cells alike, satisfying three
 matrix-inequality margins: it dominates the squared output map, is positive
 definite (margin 2 of :func:`verify_all` alone tests it), and decays at
-rate ``lambda`` along the closed loop.  An affine cell adds a positive
-scalar ``m``, which enters only the quadratic form ``omega^T M omega + m``
-and the threshold term ``sqrt(m)``.  ``V = sqrt(quadratic form)/kappa``
-then bounds the output error by ``kappa V``, and linear gain slopes
-translate input/disturbance magnitudes into the invariant-level threshold
-``b`` that the simulator evaluates per sample.  A certificate is ``(kappa,
-lambda, M, m)`` and nothing more: it carries no cell relaxation weights and
-no continuity factorization of ``M``.
+rate ``lambda`` along the closed loop.  An affine cell adds the fixed
+constant ``AFFINE_M`` to the quadratic form ``omega^T M omega`` and its
+square root to the threshold; no condition reads it.  ``V = sqrt(quadratic
+form)/kappa`` then bounds the output error by ``kappa V``, and linear gain
+slopes translate input/disturbance magnitudes into the invariant-level
+threshold ``b`` that the simulator evaluates per sample.  A certificate is
+``(kappa, lambda, M)`` and nothing more: it carries no cell relaxation
+weights, no continuity factorization of ``M`` and no per-cell constant.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import (
     InfeasibleCertificateError,
     NegativeQuadFormError,
     NotSymmetricError,
+    PwaHierError,
     SynthesisFailedError,
 )
 from .linalg import as_matrix, as_positive, as_vector, frobenius
@@ -44,8 +45,8 @@ SYNTH_EPSILON = 1e-6
 #: that domination holds exactly, not only to within rounding.
 SYNTH_MARGIN = 1e-9
 
-#: Homogeneous-block entry of affine cells where none is given.
-DEFAULT_M_SCALAR = 1.0
+#: Constant an affine cell adds to V's quadratic form (its square root to b).
+AFFINE_M = 1.0
 
 #: Number of decay-rate candidates in the default synthesis grid.
 LAMBDA_GRID_POINTS = 15
@@ -59,14 +60,12 @@ class ModeCertificate:
     """Certificate data of one joint mode: a finite, square, symmetric ``M``
     (``sim_fn_derivative`` assumes the symmetry) that need not be positive
     definite, since margin 2 of :func:`verify_all` decides that.
-    ``m_scalar`` is the homogeneous entry for affine cells, which enters
-    ``V`` and ``b`` only and must be positive, and None for conic cells.
     """
 
     M: np.ndarray
-    m_scalar: Optional[float] = None
-    # not fields: perfbench/checks.py still reads these as zero relaxation weights
-    U = W = None
+    # not fields: perfbench/checks.py still reads these, as zero relaxation
+    # weights and as no homogeneous entry (every cell on its plain blocks)
+    U = W = m_scalar = None
 
     def __post_init__(self):
         M = as_matrix(self.M, "M")
@@ -81,12 +80,6 @@ class ModeCertificate:
                     f"M: relative asymmetry {asym / scale:.3e} exceeds {SYMMETRY_RTOL:.0e}"
                 )
         object.__setattr__(self, "M", M)
-        if self.m_scalar is not None:
-            if not self.m_scalar > 0.0:
-                raise InfeasibleCertificateError(
-                    f"m_scalar must be positive, got {self.m_scalar}"
-                )
-            object.__setattr__(self, "m_scalar", float(self.m_scalar))
 
 
 @dataclass(frozen=True)
@@ -140,8 +133,8 @@ def verify_all(cert: Certificate, joint: JointSystem) -> tuple[LmiReport, ...]:
     """Eigenvalue margins of the certificate conditions for every mode.
 
     Every cell, conic or affine, is certified on the mode's state blocks
-    ``(M, A', C')``: the homogeneous entry ``m`` of an affine cell enters
-    ``V`` and ``b`` only.  The condition matrices of all modes are built in
+    ``(M, A', C')``: an affine cell's ``AFFINE_M`` enters ``V`` and ``b``
+    only.  The condition matrices of all modes are built in
     one stacked expression and go through one eigenvalue call.  A mode
     whose condition matrices are not finite (an extreme supplied number
     overflowed) gets NaN margins, which are infeasible, and no eigenvalue
@@ -219,21 +212,19 @@ def synthesize_certificate(
     For each candidate decay rate (descending, so the first hit is the
     fastest certified decay): solve the loaded decay equation of every mode
     in one stacked solve, scale each solution until it dominates the squared
-    output map and then by ``1 + SYNTH_MARGIN``, attach the homogeneous
-    entry for affine cells, and accept the first rate at which every mode
-    verifies; a rate at which any mode fails is skipped.  ``m_scalar`` is
-    the homogeneous entry of affine cells (``DEFAULT_M_SCALAR`` where None);
-    no condition reads it, so it moves neither the rate nor any ``M``.
+    output map and then by ``1 + SYNTH_MARGIN``, and accept the first rate
+    at which every mode verifies; a rate at which any mode fails is skipped.
+    ``m_scalar`` must be None: an affine cell's constant is ``AFFINE_M``.
     Deterministic given its inputs.
     """
+    if m_scalar is not None:
+        raise PwaHierError(f"m_scalar: the affine-cell constant is fixed at {AFFINE_M:g}, "
+                           f"got {m_scalar!r}")
     grid = default_lambda_grid(joint) if lambda_grid is None else np.asarray(lambda_grid, float)
     # an extreme finite output map may overflow C^T C and the scaling matrix;
     # a rate whose scaling matrix is not finite is skipped below
     with np.errstate(over="ignore", invalid="ignore"):
         CtC = np.swapaxes(joint.Cprime, -1, -2) @ joint.Cprime
-    if m_scalar is None:
-        m_scalar = DEFAULT_M_SCALAR
-    m = [m_scalar if jm.kind == AFFINE else None for jm in joint.modes]
     for lam in sorted(grid, reverse=True):
         if lam <= 0.0:
             continue
@@ -253,8 +244,7 @@ def synthesize_certificate(
         alpha = (1.0 + SYNTH_MARGIN) * np.maximum(
             1.0, np.linalg.eigh(0.5 * (ratio + ratio.swapaxes(-1, -2)))[0][:, -1])
         cert = Certificate(kappa=kappa, lam=float(lam), entries=tuple(
-            ModeCertificate(M=alpha_i * M_i, m_scalar=m_i)
-            for alpha_i, M_i, m_i in zip(alpha.tolist(), M, m)))
+            ModeCertificate(M=alpha_i * M_i) for alpha_i, M_i in zip(alpha.tolist(), M)))
         if all(r.feasible for r in verify_all(cert, joint)):
             return cert
     raise SynthesisFailedError(
@@ -270,10 +260,9 @@ def _quad_forms(M, add, omega: np.ndarray) -> np.ndarray:
 
 def sim_fn_values(M, add, omega: np.ndarray, kappa: float) -> np.ndarray:
     """Simulation-function values ``sqrt(quadratic form)/kappa``, one per row
-    of ``omega`` (homogeneous coordinate excluded): the form under a mode's
-    ``M`` plus ``add``, its ``m_scalar`` (the implicit trailing 1) on an
-    affine cell and 0 on a conic one, with one ``M`` and ``add`` or one per
-    row; forms that round below zero count as zero."""
+    of ``omega``: the form under a mode's ``M`` plus ``add``, ``AFFINE_M``
+    on an affine cell and 0 on a conic one, with one ``M`` and ``add`` or
+    one per row; forms that round below zero count as zero."""
     quad = _quad_forms(M, add, omega)
     with np.errstate(over="ignore"):
         return np.sqrt(np.clip(quad, 0.0, None)) / kappa
@@ -288,9 +277,7 @@ def sim_fn_value(cert: Certificate, idx: int, omega, kind: str) -> float:
         raise DimensionMismatchError(
             f"omega has length {omega.shape[0]}, M is {entry.M.shape[0]}x"
         )
-    if kind == AFFINE and entry.m_scalar is None:
-        raise InfeasibleCertificateError("affine cell without homogeneous entry")
-    add = entry.m_scalar if kind == AFFINE else 0.0
+    add = AFFINE_M if kind == AFFINE else 0.0
     q = float(_quad_forms(entry.M, add, omega[None, :])[0])
     if q < -1e-12:
         raise NegativeQuadFormError(f"quadratic form evaluated to {q:.3e}")
@@ -304,19 +291,14 @@ def gain_slopes_all(cert: Certificate, joint: JointSystem) -> np.ndarray:
     gamma1 scales the transformed input, gamma2 the disturbance, gamma3 the
     abstraction state; all are ``2 ||sqrt(M) X||_2 / lambda`` on the state
     blocks (``X = B2'``, ``I`` and ``B1'``), where ``||sqrt(M) X||_2 =
-    sqrt(lambda_max(X^T M X))``.  ``sqrt_m`` is the square root of an
-    affine cell's homogeneous entry, which such a cell requires, and zero
-    for conic cells.  The ``X^T M X`` forms of all modes are built and
-    solved stacked.  A slope that overflows, or whose form does, is inf,
-    and no eigenvalue call runs on a form that is not finite.
+    sqrt(lambda_max(X^T M X))``.  ``sqrt_m`` is ``sqrt(AFFINE_M)`` on an
+    affine cell and zero on a conic one.  The ``X^T M X`` forms of all
+    modes are built and solved stacked.  A slope that overflows, or whose
+    form does, is inf, and no eigenvalue call runs on a form that is not
+    finite.
     """
     out = np.zeros((len(joint.modes), 4))
-    for idx, (entry, jm) in enumerate(zip(cert.entries, joint.modes)):
-        if jm.kind == AFFINE:
-            if entry.m_scalar is None:
-                raise InfeasibleCertificateError(
-                    f"mode {jm.label}: affine cell requires a homogeneous block entry")
-            out[idx, 3] = np.sqrt(entry.m_scalar)
+    out[[jm.kind == AFFINE for jm in joint.modes], 3] = np.sqrt(AFFINE_M)
     M = np.array([entry.M for entry in cert.entries])
     B1, B2 = joint.B1prime, joint.B2prime
     with np.errstate(over="ignore", invalid="ignore"):

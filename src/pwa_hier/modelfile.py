@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .certificate import (
-    DEFAULT_M_SCALAR,
+    AFFINE_M,
     Certificate,
     LmiReport,
     ModeCertificate,
@@ -32,7 +32,7 @@ from .certificate import (
 )
 from .errors import ModelError, ParseError, PwaHierError
 from .linalg import as_positive
-from .polytope import AFFINE, CONIC, Partition, Polyhedron
+from .polytope import Partition, Polyhedron
 from .relation import (
     JointSystem,
     RelationMaps,
@@ -78,8 +78,9 @@ def resolve_model_path(spec: str) -> Path:
 @dataclass
 class ModelConfig:
     """Validated raw content of a model file.  A supplied certificate is
-    ``cert_lambda``, ``cert_M`` and ``cert_m``: the loader refuses the keys
-    no certificate reads (``U``, ``W``, ``T``, ``Jbar``) by their path."""
+    ``cert_lambda`` and ``cert_M``: the loader refuses the keys no
+    certificate reads (``U``, ``W``, ``T``, ``Jbar``, ``m_scalar``, ``m``)
+    by their path.  ``m_scalar`` is not a field and always None."""
 
     name: str
     system: PwaSystem
@@ -91,16 +92,15 @@ class ModelConfig:
     declared_pairing: Optional[tuple[int, ...]]
     kappa: float
     lambda_grid: Optional[np.ndarray]
-    m_scalar: Optional[float]  # None where the file gives none (DEFAULT_M_SCALAR)
     cert_lambda: Optional[float]
     cert_M: Optional[list]
-    cert_m: Optional[list]
     x1_0: np.ndarray
     x2_0: np.ndarray
     t_end: float
     step: float
     disturbance: DisturbanceSignal
     schedule: ReferenceSchedule
+    m_scalar = None  # not a field: synthesize_certificate's call form keeps it
 
 
 @dataclass
@@ -118,6 +118,17 @@ class Pipeline:
     relation = property(attrgetter("scenario.joint.relation"))
     pairing = property(attrgetter("scenario.joint.relation.pairing"))
 
+
+#: Certificate keys no certificate reads, and why each is refused by its
+#: path: dropping one would change what is checked, or V and b.
+_REFUSED_CERTIFICATE_KEYS = {
+    "U": "cell relaxation weights are not supported",
+    "W": "cell relaxation weights are not supported",
+    "T": "continuity factorizations are not supported",
+    "Jbar": "continuity factorizations are not supported",
+    "m_scalar": f"the affine-cell constant is fixed at {AFFINE_M:g}",
+    "m": f"the affine-cell constant is fixed at {AFFINE_M:g}",
+}
 
 #: How a model-file entry of rank 0, 1 or 2 that does not parse as numbers,
 #: or has another rank, is reported.
@@ -195,11 +206,10 @@ class _Entry:
         """The required matrix entries named by each letter (``"ABC"``)."""
         return tuple(self[X].array(2) for X in letters)
 
-    def per_mode(self, count: int, shape: Optional[tuple] = None, read=None) -> list:
-        """A list of ``count`` entries, one per mode, each read by ``read``
-        (by default as a matrix, of ``shape`` if given)."""
-        entries = [item.array(2, shape) if read is None else read(item)
-                   for item in self.items()]
+    def per_mode(self, count: int, shape: Optional[tuple] = None) -> list:
+        """A list of ``count`` matrix entries, one per mode (each of
+        ``shape``, if given)."""
+        entries = [item.array(2, shape) for item in self.items()]
         if len(entries) != count:
             raise self.error(f"need {count} entries, got {len(entries)}")
         return entries
@@ -311,27 +321,21 @@ def _build_config(doc: _Entry) -> ModelConfig:
     lambda_grid = None if grid is None else grid.array(1)
     if lambda_grid is not None and not np.any(lambda_grid > 0.0):
         raise grid.error("needs a positive decay rate")
-    m_scalar = cert["m_scalar"].positive() if "m_scalar" in cert else None
-    for key in ("U", "W", "T", "Jbar"):  # dropping one would change what is checked
+    for key, what in _REFUSED_CERTIFICATE_KEYS.items():
         if key in cert:
-            what = "cell relaxation weights" if key in ("U", "W") else "continuity factorizations"
-            raise cert[key].error(f"{what} are not supported (remove the key)")
-    given = {key: cert.get(key) for key in ("M", "lambda", "m")}
-    cert_lambda = None if given["lambda"] is None else given["lambda"].positive()
-    # lambda and m belong to a supplied M
-    stray = [key for key, node in given.items() if node is not None and key != "M"]
-    if given["M"] is None and stray:
-        raise cert.error(f"{', '.join(stray)} given without a supplied M")
-    if given["M"] is not None and cert_lambda is None:
+            raise cert[key].error(f"{what} (remove the key)")
+    supplied, given_lambda = cert.get("M"), cert.get("lambda")
+    cert_lambda = None if given_lambda is None else given_lambda.positive()
+    if supplied is None and cert_lambda is not None:  # lambda belongs to a supplied M
+        raise cert.error("lambda given without a supplied M")
+    if supplied is not None and cert_lambda is None:
         raise cert.error("supplied M requires an explicit lambda")
-    for key, owner in (("lambda_grid", "M"), ("m_scalar", "m")):  # unread beside their owner
-        if given[owner] is not None and cert.get(key) is not None:
-            raise cert[key].error(f"ignored with a supplied {owner} (remove the key)")
+    if supplied is not None and grid is not None:  # unread beside a supplied M
+        raise grid.error("ignored with a supplied M (remove the key)")
     d = system.n + abstraction.m
-    cert_M = None if given["M"] is None else given["M"].per_mode(n_modes, shape=(d, d))
-    cert_m = None if given["m"] is None else given["m"].per_mode(n_modes, read=_Entry.positive)
+    cert_M = None if supplied is None else supplied.per_mode(n_modes, shape=(d, d))
     if cert_M is not None:  # each M's own rules, where its path is known
-        for node, M in zip(given["M"].items(), cert_M):
+        for node, M in zip(supplied.items(), cert_M):
             node.build(ModeCertificate, M)
 
     scen = doc["scenario"]
@@ -348,7 +352,7 @@ def _build_config(doc: _Entry) -> ModelConfig:
         name=str(doc.get("name", "model").value), system=system, abstraction=abstraction,
         K=K, R=R, relation_P=relation_P, relation_Q=relation_Q,
         declared_pairing=declared_pairing, kappa=kappa, lambda_grid=lambda_grid,
-        m_scalar=m_scalar, cert_lambda=cert_lambda, cert_M=cert_M, cert_m=cert_m,
+        cert_lambda=cert_lambda, cert_M=cert_M,
         x1_0=x1_0, x2_0=x2_0, t_end=t_end, step=step, disturbance=disturbance,
         schedule=schedule,
     )
@@ -367,11 +371,10 @@ def _supplied_relation(config: ModelConfig, solved: Optional[RelationMaps]) -> R
 
 def build_pipeline(config: ModelConfig) -> Pipeline:
     """Solve relations, build the interface and joint system, obtain a
-    certificate (synthesized unless the file supplies its lambda, M and m),
+    certificate (synthesized unless the file supplies its lambda and M),
     assemble the scenario, and refuse a lambda at which the gain slopes of a
     certificate that verifies overflow (one that does not is left to the
-    check).  A homogeneous entry (``m_scalar``, ``m``) given where every
-    joint cell is conic is refused, as no certificate would read it."""
+    check)."""
     relation = None
     if isinstance(config.abstraction, PwaAbstraction):
         # the pairing comes from the solve even when the file supplies P/Q
@@ -391,24 +394,13 @@ def build_pipeline(config: ModelConfig) -> Pipeline:
     interface = build_interface(config.system, config.abstraction, relation, config.K,
                                 R=config.R)
     joint = JointSystem(config.system, config.abstraction, relation, interface)
-    if all(jm.kind == CONIC for jm in joint.modes):
-        for key, given in (("m_scalar", config.m_scalar), ("m", config.cert_m)):
-            if given is not None:
-                raise ModelError(f"certificate.{key}: unused, every cell is conic "
-                                 "(remove the key)")
 
     if config.cert_M is not None:
-        m = config.cert_m
-        if m is None:
-            m = [DEFAULT_M_SCALAR if config.m_scalar is None else config.m_scalar] * len(joint)
-        entries = [ModeCertificate(M, m_scalar=float(mi) if jm.kind == AFFINE else None)
-                   for M, mi, jm in zip(config.cert_M, m, joint.modes)]
-        certificate = Certificate(config.kappa, config.cert_lambda, entries)
+        certificate = Certificate(config.kappa, config.cert_lambda,
+                                  [ModeCertificate(M) for M in config.cert_M])
     else:
-        certificate = synthesize_certificate(
-            joint, kappa=config.kappa, lambda_grid=config.lambda_grid,
-            m_scalar=config.m_scalar,
-        )
+        certificate = synthesize_certificate(joint, kappa=config.kappa,
+                                             lambda_grid=config.lambda_grid)
 
     scenario = Scenario(joint, certificate, config.schedule, config.disturbance,
                         x1_0=config.x1_0, x2_0=config.x2_0, t_end=config.t_end,
@@ -432,13 +424,9 @@ def _mat_list(M: np.ndarray) -> list:
 def certificate_to_jsonable(cert: Certificate, reports: Sequence[LmiReport]) -> dict:
     """Certificate as a document fragment reusable in a model file, with the
     per-mode verdicts of ``reports`` (the scenario's check) as ``feasible``."""
-    doc = {
+    return {
         "kappa": cert.kappa,
         "lambda": cert.lam,
         "M": [_mat_list(e.M) for e in cert.entries],
+        "feasible": [bool(r.feasible) for r in reports],
     }
-    if any(e.m_scalar is not None for e in cert.entries):
-        doc["m"] = [float(e.m_scalar if e.m_scalar is not None else 1.0)
-                    for e in cert.entries]
-    doc["feasible"] = [bool(r.feasible) for r in reports]
-    return doc

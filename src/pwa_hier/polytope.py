@@ -3,7 +3,8 @@
 Cells are half-space intersections written as ``E x >= f``.  A cell whose
 offset vector is exactly zero is a cone ("conic"); any other cell is
 "affine".  Both kinds are certified in plain coordinates; an affine cell's
-certificate adds a constant to its quadratic form.
+certificate adds the fixed constant ``certificate.AFFINE_M`` to its
+quadratic form.
 Membership checks carry a small componentwise slack so integrator states
 that land numerically on a facet still resolve to a cell.
 """
@@ -67,25 +68,6 @@ class Polyhedron:
 def classify_cell(p: Polyhedron) -> str:
     """CONIC iff the offset vector is exactly zero, AFFINE otherwise."""
     return CONIC if np.all(p.f == 0.0) else AFFINE
-
-
-@dataclass(frozen=True)
-class CellBounding:
-    """Homogeneous form of a cell: rows satisfy ``Ebar [x;1] >= 0`` on it.
-
-    Conic cells keep ``Ebar = E``; affine cells append the negated offset
-    column, ``Ebar = [E, -f]``.
-    """
-
-    Ebar: np.ndarray
-    kind: str
-
-
-def cell_bounding(p: Polyhedron) -> CellBounding:
-    kind = classify_cell(p)
-    if kind == CONIC:
-        return CellBounding(p.E.copy(), CONIC)
-    return CellBounding(np.hstack([p.E, -p.f[:, None]]), AFFINE)
 
 
 @dataclass(frozen=True)

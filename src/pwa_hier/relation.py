@@ -25,13 +25,7 @@ from .errors import (
     UncertifiedRelationError,
 )
 from .linalg import as_matrix, frobenius
-from .polytope import (
-    CellBounding,
-    Polyhedron,
-    cell_bounding,
-    classify_cell,
-    joint_partition,
-)
+from .polytope import Polyhedron, classify_cell, joint_partition
 from .systems import (
     AbstractionMode,
     LinearAbstraction,
@@ -324,9 +318,8 @@ class JointMode:
 
     The drift splits as ``omega' = Aprime omega + B1prime x2 + B2prime u2bar
     + (c(t), 0)``; the abstraction state appears both inside ``omega`` and
-    as the separately-bounded input ``x2``.  ``Abar``, ``Cbar`` and
-    ``bounding``, the homogeneous forms over ``(omega, 1)`` that
-    perfbench/checks.py reads, derive from the plain blocks and the cell.
+    as the separately-bounded input ``x2``.  ``kind`` (conic or affine)
+    selects only the constant the certificate adds to ``V`` and ``b``.
     """
 
     label: tuple
@@ -336,20 +329,6 @@ class JointMode:
     B2prime: np.ndarray
     Cprime: np.ndarray
     cell: Polyhedron
-
-    @property
-    def Abar(self) -> np.ndarray:
-        """``Aprime`` with a zero homogeneous row and column."""
-        return np.pad(self.Aprime, ((0, 1), (0, 1)))
-
-    @property
-    def Cbar(self) -> np.ndarray:
-        """``Cprime`` with a zero homogeneous column."""
-        return np.pad(self.Cprime, ((0, 0), (0, 1)))
-
-    @property
-    def bounding(self) -> CellBounding:
-        return cell_bounding(self.cell)
 
 
 @dataclass(frozen=True, eq=False)

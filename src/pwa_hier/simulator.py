@@ -43,7 +43,8 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .certificate import Certificate, LmiReport, gain_slopes_all, sim_fn_values, verify_all
+from .certificate import (AFFINE_M, Certificate, LmiReport, gain_slopes_all, sim_fn_values,
+                          verify_all)
 from .errors import (
     DimensionMismatchError,
     EmptyScheduleError,
@@ -684,8 +685,7 @@ def _bookkeep(s: Scenario, runner: _Runner, t, x1, x2, u2bar, mode_i,
     once; gain slopes come from the scenario's."""
     joint, cert, slopes = s.joint, s.certificate, s.slopes
     M = np.array([e.M for e in cert.entries])
-    m = np.array([e.m_scalar for e in cert.entries], float)  # NaN for None
-    add = np.where([jm.kind == AFFINE for jm in joint.modes], m, 0.0)
+    add = np.where([jm.kind == AFFINE for jm in joint.modes], AFFINE_M, 0.0)
     xtilde, u1, y1, y2, V = (np.empty((len(t), *cols)) for cols in (
         (runner.n,), (joint.system.p,), (joint.system.k,), (joint.system.k,), ()))
     for start in range(0, len(t), _GATHER_ROWS):

@@ -32,7 +32,7 @@ from pwa_hier.certificate import SYNTH_EPSILON, SYNTH_MARGIN, _solve_decay_equat
 from pwa_hier.errors import EmptyTrajectoryError, NonFiniteStateError
 from pwa_hier import simulator
 from pwa_hier.modelfile import build_pipeline, load_model
-from pwa_hier.polytope import AFFINE, CONIC, MEMBERSHIP_SLACK, locate_mode
+from pwa_hier.polytope import MEMBERSHIP_SLACK, locate_mode
 from pwa_hier.polytope import Polyhedron, vertices_2d
 from pwa_hier.relation import solve_system_relation
 from pwa_hier.systems import paired_modes
@@ -337,16 +337,13 @@ def exact_certificate_holds(cert, joint) -> bool:
     """Whether every mode's certificate conditions hold in exact arithmetic
     over the stored floats: the certificate's ``M`` and the joint state
     blocks ``A'``, ``C'`` that ``verify_all`` reads, on conic and affine
-    cells alike, each taken as the rational it stores, and the homogeneous
-    entry ``m`` of an affine cell.  It says nothing of the model file's
-    decimal numbers, from which those blocks were computed in floating
-    point.  The conditions, symmetrized as ``verify_all`` symmetrizes them:
-    ``M - C^T C``, ``M`` and ``-(A^T M + M A + lam M)`` are positive
-    definite, and ``m > 0`` on an affine cell."""
+    cells alike, each taken as the rational it stores.  It says nothing of
+    the model file's decimal numbers, from which those blocks were computed
+    in floating point.  The conditions, symmetrized as ``verify_all``
+    symmetrizes them: ``M - C^T C``, ``M`` and ``-(A^T M + M A + lam M)``
+    are positive definite."""
     lam = Fraction(cert.lam)
     for entry, jm in zip(cert.entries, joint.modes, strict=True):
-        if jm.kind != CONIC and not (entry.m_scalar is not None and entry.m_scalar > 0.0):
-            return False
         M, A, C = _exact(entry.M), _exact(jm.Aprime), _exact(jm.Cprime)
         d = len(M)
         CtC = _exact_product(list(zip(*C)), C)
@@ -430,7 +427,7 @@ def kron_relation_solve(A, B, C, F, H):
     return sol[:n * m].reshape((n, m), order="F"), sol[n * m:].reshape((p, m), order="F")
 
 
-def reference_synthesis(joint, kappa, lambda_grid, m_scalar=1.0):
+def reference_synthesis(joint, kappa, lambda_grid):
     """Certificate synthesis one mode at a time: for each rate of the grid,
     descending, each mode's decay solve, eigen-decomposition and scaling in
     turn, stopping at the first mode that fails; the first rate at which
@@ -453,7 +450,7 @@ def reference_synthesis(joint, kappa, lambda_grid, m_scalar=1.0):
                 1.0, float(np.linalg.eigh(0.5 * (ratio + ratio.T))[0][-1]))
             if alpha * w[0] < 1e-10:
                 break
-            entries.append(ModeCertificate(alpha * M, m_scalar if jm.kind == AFFINE else None))
+            entries.append(ModeCertificate(alpha * M))
         else:
             cert = Certificate(kappa, float(lam), tuple(entries))
             if all(r.feasible for r in verify_all(cert, joint)):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from pwa_hier.certificate import (
+    AFFINE_M,
     LMI_TOL,
+    SYMMETRY_RTOL,
     SYNTH_MARGIN,
     _solve_decay_equation,
     Certificate,
@@ -25,6 +27,7 @@ from pwa_hier.errors import (
     DimensionMismatchError,
     InfeasibleCertificateError,
     NotSymmetricError,
+    PwaHierError,
     SynthesisFailedError,
     UncertifiedModeError,
 )
@@ -117,15 +120,21 @@ class TestSimFnValue:
         assert sim_fn_value(cert, 0, np.zeros(3), CONIC) == 0.0
 
     def test_homogeneous_floor(self):
-        cert = Certificate(2.0, 1.0, (ModeCertificate(np.eye(2), m_scalar=4.0),))
-        assert sim_fn_value(cert, 0, np.zeros(2), AFFINE) == pytest.approx(1.0)
+        """At the origin of an affine cell V is the fixed constant's root
+        over kappa; a conic cell's is zero."""
+        cert = Certificate(2.0, 1.0, (ModeCertificate(np.eye(2)),))
+        assert AFFINE_M == 1.0
+        assert sim_fn_value(cert, 0, np.zeros(2), AFFINE) == 0.5
+        assert sim_fn_value(cert, 0, np.zeros(2), CONIC) == 0.0
 
     def test_affine_lower_bound_everywhere(self):
         rng = np.random.default_rng(3)
-        cert = Certificate(2.0, 1.0, (ModeCertificate(np.eye(2), m_scalar=4.0),))
+        cert = Certificate(2.0, 1.0, (ModeCertificate(np.eye(2)),))
         for _ in range(100):
-            v = sim_fn_value(cert, 0, rng.normal(size=2), AFFINE)
-            assert v >= np.sqrt(4.0) / 2.0 - 1e-12
+            omega = rng.normal(size=2)
+            v = sim_fn_value(cert, 0, omega, AFFINE)
+            assert v >= np.sqrt(AFFINE_M) / 2.0 - 1e-12
+            assert v == pytest.approx(np.sqrt(omega @ omega + AFFINE_M) / 2.0, rel=1e-15)
 
     @pytest.mark.parametrize("which", ["case1", "case2"])
     def test_matches_trajectory_column(self, which, case1, case2, trajs):
@@ -146,24 +155,15 @@ class TestLmiMargins:
         # an affine cell is certified on its state block -I2: -2 + 1 = -1
         for m1, m2, m3 in (lmi_margins(I2, -I2, np.zeros((1, 2)), lam=1.0),
                            _verified(-I2, np.zeros((1, 2)), _affine_cell(2),
-                                     ModeCertificate(I2, m_scalar=1.0), lam=1.0)):
+                                     ModeCertificate(I2), lam=1.0)):
             assert m1 == pytest.approx(1.0)
             assert m2 == pytest.approx(1.0)
             assert m3 == pytest.approx(-1.0)
 
-    def test_homogeneous_entry_enters_no_margin(self):
-        """Margin 2 is the smallest eigenvalue of M alone: a tiny positive
-        homogeneous entry leaves every margin and the verdict as they are."""
-        want = _verified(-I2, np.zeros((1, 2)), _affine_cell(2),
-                         ModeCertificate(I2, m_scalar=1.0), lam=1.0)
-        for m in (1e-12, 1e12):
-            assert _verified(-I2, np.zeros((1, 2)), _affine_cell(2),
-                             ModeCertificate(I2, m_scalar=m), lam=1.0) == want
-
     def test_excessive_decay_infeasible(self):
         for _, _, m3 in (lmi_margins(I2, -I2, np.zeros((1, 2)), lam=3.0),
                          _verified(-I2, np.zeros((1, 2)), _affine_cell(2),
-                                   ModeCertificate(I2, m_scalar=1.0), lam=3.0)):
+                                   ModeCertificate(I2), lam=3.0)):
             assert m3 == pytest.approx(1.0)
 
     def test_output_equality_boundary(self):
@@ -420,7 +420,6 @@ def _assert_same_certificate(cert, ref):
     assert ref is not None and cert.lam == ref.lam
     for got, want in zip(cert.entries, ref.entries, strict=True):
         np.testing.assert_allclose(got.M, want.M, rtol=1e-12, atol=0.0)
-        assert got.m_scalar == want.m_scalar
 
 
 class TestStackedSynthesis:
@@ -497,7 +496,7 @@ class TestExactAudit:
         cert = case1.certificate
         short = (1.0 - 1e-12) / (1.0 + SYNTH_MARGIN)
         tight = dataclasses.replace(cert, entries=tuple(
-            ModeCertificate(short * e.M, e.m_scalar) for e in cert.entries))
+            ModeCertificate(short * e.M) for e in cert.entries))
         assert all(r.feasible for r in verify_all(tight, case1.joint))
         assert not exact_certificate_holds(tight, case1.joint)
 
@@ -509,16 +508,18 @@ class TestGains:
         assert np.all(trajs["quiet"].b == 0.0)
 
     def test_zero_inputs_affine_sqrt_m(self):
-        cert = Certificate(1.0, 2.0, (ModeCertificate(np.eye(2), m_scalar=4.0),))
+        """The constant column is sqrt(AFFINE_M) on an affine cell, whatever
+        M is; the disturbance slope reads M's state block alone."""
+        cert = Certificate(1.0, 2.0, (ModeCertificate(4.0 * np.eye(2)),))
         joint = _toy_joint(
             Aprime=-np.eye(2), B1=np.zeros((2, 1)), B2=np.zeros((2, 1)),
             C=np.zeros((1, 2)), cell=_affine_cell(2), n=1, m=1,
         )
         g1, g2, g3, sqrt_m = gain_slopes(cert, joint, 0)
         assert (g1, g3) == (0.0, 0.0)
-        assert sqrt_m == pytest.approx(2.0)
-        # the disturbance enters the state block: gamma2 reads lambda_max(M) = 1, not m = 4
-        assert g2 == pytest.approx(1.0)
+        assert sqrt_m == np.sqrt(AFFINE_M) == 1.0
+        # gamma2 = 2 sqrt(lambda_max(M)) / lambda = 2 sqrt(4) / 2, not the constant's 1
+        assert g2 == pytest.approx(2.0)
 
     def test_unit_slope(self):
         cert = Certificate(1.0, 2.0, (ModeCertificate(np.eye(2)),))
@@ -535,7 +536,7 @@ class TestGains:
         g = gain_slopes(cert, joint, 0)
         doubled = Certificate(
             cert.kappa, cert.lam,
-            tuple(ModeCertificate(2.0 * e.M, e.m_scalar) for e in cert.entries),
+            tuple(ModeCertificate(2.0 * e.M) for e in cert.entries),
         )
         g2 = gain_slopes(doubled, joint, 0)
         for a, b in zip(g[:3], g2[:3]):
@@ -558,7 +559,7 @@ class TestGains:
                     for X in (B2, np.eye(len(M)), B1)]
             got = gain_slopes(cert, joint, idx)
             np.testing.assert_allclose(got[:3], want, rtol=1e-12)
-            assert got[3] == (0.0 if jm.kind == CONIC else np.sqrt(entry.m_scalar))
+            assert got[3] == (0.0 if jm.kind == CONIC else np.sqrt(AFFINE_M))
 
     def test_infeasible_certificate_rejected(self, case1):
         bad = Certificate(
@@ -597,8 +598,9 @@ def _mixed_joint(rng, kinds, d=4, n=2, m=2, p=2, lam=0.3, rows=None):
             M = root @ root.T + 0.2 * I
         modes.append(JointMode(label=(k,), kind=kind, Aprime=A, B1prime=B1, B2prime=B2,
                                Cprime=C, cell=cell))
-        m_scalar = None if kind == CONIC else float(rng.uniform(0.5, 2.0))
-        entries.append(ModeCertificate(M, m_scalar=m_scalar))
+        entries.append(ModeCertificate(M))
+        if kind != CONIC:
+            rng.uniform(0.5, 2.0)  # an unused draw, so that the later modes stay as pinned
     return Certificate(2.0, lam, tuple(entries)), _Blocks(tuple(modes), n=n, m=m)
 
 
@@ -611,10 +613,10 @@ def _reference_margins(cert, joint, idx):
 
 def _reference_slopes(cert, joint, idx):
     """``2 sqrt(lambda_max(X^T M X)) / lambda`` per state block, then
-    sqrt(m) on an affine cell."""
+    sqrt(AFFINE_M) on an affine cell."""
     entry, jm = cert.entries[idx], joint.modes[idx]
     M, B1, B2 = entry.M, jm.B1prime, jm.B2prime
-    tail = 0.0 if jm.kind == CONIC else np.sqrt(entry.m_scalar)
+    tail = 0.0 if jm.kind == CONIC else np.sqrt(AFFINE_M)
     out = []
     for X in (B2, np.eye(len(M)), B1):
         S = X.T @ M @ X
@@ -822,11 +824,37 @@ class TestCertificateValidation:
         assert not report.feasible
 
     def test_relaxation_weights_are_not_fields(self):
-        """A certificate is ``M`` and ``m_scalar`` only; ``U``/``W`` read None."""
-        assert [f.name for f in dataclasses.fields(ModeCertificate)] == ["M", "m_scalar"]
-        assert ModeCertificate(np.eye(2)).U is None and ModeCertificate(np.eye(2)).W is None
-        with pytest.raises(TypeError):
-            ModeCertificate(np.eye(2), U=np.zeros((1, 1)))
+        """A certificate is ``M`` only; ``U``, ``W`` and ``m_scalar`` read
+        None and none of them can be given."""
+        assert [f.name for f in dataclasses.fields(ModeCertificate)] == ["M"]
+        entry = ModeCertificate(np.eye(2))
+        assert entry.U is None and entry.W is None and entry.m_scalar is None
+        for key in ("U", "W", "m_scalar"):
+            with pytest.raises(TypeError):
+                ModeCertificate(np.eye(2), **{key: np.ones((1, 1))})
+
+    @pytest.mark.parametrize("side, scale", [("inside", 1.0 - 1e-3), ("outside", 1.0 + 1e-3)])
+    def test_symmetry_boundary(self, side, scale):
+        """``M = I/2`` with ``t/2`` added at (0, 1) and (0, 2), ``t``
+        ``SYMMETRY_RTOL`` scaled by 1 -+ 1e-3: its Frobenius norm is below 1,
+        so the tolerance is absolute, and its asymmetry
+        ``2 ||(M - M^T)/2||_F`` is ``t`` up to rounding.  It is accepted only
+        when ``t`` is within the tolerance."""
+        t = SYMMETRY_RTOL * scale
+        M = 0.5 * np.eye(3)
+        M[0, 1:] += 0.5 * t
+        if side == "inside":
+            np.testing.assert_array_equal(ModeCertificate(M).M, M)
+        else:
+            with pytest.raises(NotSymmetricError, match=f"asymmetry {t:.3e} exceeds"):
+                ModeCertificate(M)
+
+    @pytest.mark.parametrize("m_scalar", [1.0, 1e-12])
+    def test_synthesis_takes_no_affine_constant(self, case2, m_scalar):
+        """``m_scalar`` stays in synthesis's call form only as None: the
+        affine-cell constant is fixed, so any value is refused."""
+        with pytest.raises(PwaHierError, match="^m_scalar: the affine-cell constant is fixed"):
+            synthesize_certificate(case2.joint, kappa=12.0, m_scalar=m_scalar)
 
     @pytest.mark.parametrize("kappa", [np.inf, np.nan, 0.0, -1.0])
     def test_kappa_positive_and_finite(self, kappa):

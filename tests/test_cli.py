@@ -377,26 +377,6 @@ class TestCheck:
         mode1 = next(line for line in out.splitlines() if line.startswith("  mode 1:"))
         assert mode1.split(", ")[1] == f"{scale:.3e}"
 
-    @pytest.mark.parametrize("how", ["m_scalar", "m"])
-    def test_tiny_homogeneous_entry_certifies(self, how, tmp_path, capsys):
-        """A homogeneous entry of 1e-12 is positive and finite, so valid; it
-        enters V and b only, so case2 certifies at its usual rate whether
-        synthesis attaches it (``m_scalar``) or it is supplied beside the
-        saved ``M`` (``m``)."""
-        doc = json.loads(builtin_model_path("case2").read_text())
-        if how == "m_scalar":
-            doc["certificate"]["m_scalar"] = 1e-12
-        else:
-            cert = json.loads(_saved_certificate("case2"))
-            cert["m"] = [1e-12] * len(cert["M"])
-            doc["certificate"].update(cert)
-        p = tmp_path / "tiny-m.model"
-        p.write_text(json.dumps(doc))
-        assert main(["check", str(p)]) == 0
-        out, err = capsys.readouterr()
-        assert err == ""
-        assert "certificate: lambda = 2.30103, kappa = 12, certified = True" in out
-
     @pytest.mark.parametrize("base, path, value, line", [
         ("case2", ("abstraction", "modes", 1, "F"), "x",
          "abstraction.modes[1].F: not a numeric matrix"),
@@ -428,13 +408,13 @@ class TestCheck:
         ("case2+cert", ("certificate", "M", 0), [[1.0]],
          "certificate.M[0]: shape (1, 1), expected (6, 6)"),
         ("case2", ("certificate", "m_scalar"), -1.0,
-         "certificate.m_scalar: m_scalar must be positive and finite, got -1.0"),
-        ("case2+cert", ("certificate", "m", 0), -1.0,
-         "certificate.m[0]: m[0] must be positive and finite, got -1.0"),
+         "certificate.m_scalar: the affine-cell constant is fixed at 1"),
+        ("case2+cert", ("certificate", "m"), [-1.0] * 5,
+         "certificate.m: the affine-cell constant is fixed at 1"),
         ("case2+cert", ("certificate", "lambda_grid"), [5.0, 0.1],
          "certificate.lambda_grid: ignored with a supplied M (remove the key)"),
-        ("case2+cert", ("certificate", "m_scalar"), 7.0,
-         "certificate.m_scalar: ignored with a supplied m (remove the key)"),
+        ("case2+cert", [("certificate", "m"), ("certificate", "m_scalar")], [[1.0] * 5, 7.0],
+         "certificate.m_scalar: the affine-cell constant is fixed at 1"),
         ("case2", ("scenario", "t_end"), 0.0,
          "scenario.t_end: t_end must be positive and finite, got 0.0"),
         ("case2", ("scenario", "step"), 0.0,
@@ -454,9 +434,17 @@ class TestCheck:
         ("case1", ("scenario", "u2bar", 1, "value", 0), np.nan,
          "scenario.u2bar[1].value: entries must be finite numbers"),
         ("case1", ("certificate", "m_scalar"), 7.0,
-         "certificate.m_scalar: unused, every cell is conic (remove the key)"),
+         "certificate.m_scalar: the affine-cell constant is fixed at 1"),
         ("case1+cert", ("certificate", "m"), [5.0, 5.0, 5.0],
-         "certificate.m: unused, every cell is conic (remove the key)"),
+         "certificate.m: the affine-cell constant is fixed at 1"),
+        ("case1+cert", ("certificate", "m_scalar"), 1.0,
+         "certificate.m_scalar: the affine-cell constant is fixed at 1 (remove the key)"),
+        ("case1", ("certificate", "m"), [1.0] * 3,
+         "certificate.m: the affine-cell constant is fixed at 1 (remove the key)"),
+        ("case2", ("certificate", "m_scalar"), 1.0,
+         "certificate.m_scalar: the affine-cell constant is fixed at 1 (remove the key)"),
+        ("case2", ("certificate", "m"), [1.0] * 5,
+         "certificate.m: the affine-cell constant is fixed at 1 (remove the key)"),
         ("case2", ("scenario", "step"), True, "scenario.step: expected a number, not true"),
         ("case2", ("certificate", "kappa"), False,
          "certificate.kappa: expected a number, not false"),
@@ -472,7 +460,8 @@ class TestCheck:
             "cert-m-negative", "grid-with-M", "m-scalar-with-m", "t-end-zero", "step-zero",
             "waypoint-t-decreasing", "disturbance-over-bound", "A-ragged",
             "B-nan-after-bad-C", "E-text", "K-nan", "waypoint-value-nan",
-            "m-scalar-all-conic", "m-all-conic", "step-true", "kappa-false", "c-bound-true",
+            "m-scalar-all-conic", "m-all-conic", "m-scalar-one-with-M-conic",
+            "m-one-conic", "m-scalar-one", "m-one", "step-true", "kappa-false", "c-bound-true",
             "pairing-true", "grid-true"])
     def test_loader_error_names_the_json_path(self, base, path, value, line, tmp_path, capsys):
         """A bad entry is named by its full JSON path, in one error line; of

@@ -14,6 +14,7 @@ from pwa_hier.modelfile import (
     load_pipeline,
     resolve_model_path,
 )
+from pwa_hier.simulator import run_scenario
 
 I2 = np.eye(2)
 
@@ -143,9 +144,9 @@ class TestValidation:
             load_model(p)
         assert "vector" not in str(info.value) and "flat list" not in str(info.value)
 
-    @pytest.mark.parametrize("key, value", [("lambda", 5.0), ("m", [1.0])])
+    @pytest.mark.parametrize("key, value", [("lambda", 5.0)])
     def test_certificate_keys_need_M(self, tmp_path, case1_doc, key, value):
-        """Keys read only with a supplied M are rejected without one, by
+        """A key read only with a supplied M is rejected without one, by
         name, instead of being ignored in favour of synthesis."""
         doc = json.loads(json.dumps(case1_doc))
         doc["certificate"][key] = value
@@ -186,23 +187,26 @@ class TestValidation:
 
 class TestCertificateFragments:
     def test_round_trip_exact(self, tmp_path):
-        """A saved fragment pasted into the model's certificate block comes
-        back bit for bit."""
+        """A saved fragment, which carries no affine-cell constant, pasted
+        into the model's certificate block comes back bit for bit, and so
+        do the run's V, b and delta on case2's affine cells."""
         pipe = load_pipeline(builtin_model_path("case2"))
         frag = json.loads(json.dumps(
             certificate_to_jsonable(pipe.certificate, pipe.scenario.reports)))
         assert all(frag["feasible"])
+        assert sorted(frag) == ["M", "feasible", "kappa", "lambda"]
         doc = json.loads(builtin_model_path("case2").read_text())
-        doc["certificate"].update((key, frag[key]) for key in ("lambda", "M", "m")
-                                  if key in frag)
+        doc["certificate"].update((key, frag[key]) for key in ("lambda", "M"))
         p = tmp_path / "withcert.model"
         p.write_text(json.dumps(doc))
-        rebuilt = build_pipeline(load_model(p)).certificate
-        assert rebuilt.kappa == pipe.certificate.kappa
-        assert rebuilt.lam == pipe.certificate.lam
-        for a, b in zip(rebuilt.entries, pipe.certificate.entries):
+        rebuilt = build_pipeline(load_model(p))
+        assert rebuilt.certificate.kappa == pipe.certificate.kappa
+        assert rebuilt.certificate.lam == pipe.certificate.lam
+        for a, b in zip(rebuilt.certificate.entries, pipe.certificate.entries, strict=True):
             np.testing.assert_array_equal(a.M, b.M)
-            assert a.m_scalar == b.m_scalar
+        want, got = run_scenario(pipe.scenario), run_scenario(rebuilt.scenario)
+        for column in ("V", "b", "delta"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
 
     def test_supplied_certificate_used(self, tmp_path):
         pipe = load_pipeline(builtin_model_path("case1"))

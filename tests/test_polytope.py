@@ -14,7 +14,6 @@ from pwa_hier.polytope import (
     CONIC,
     Partition,
     Polyhedron,
-    cell_bounding,
     classify_cell,
     contains_mapped,
     joint_partition,
@@ -41,13 +40,6 @@ class TestClassify:
 
     def test_identity_zero(self):
         assert classify_cell(Polyhedron(np.eye(2), [0.0, 0.0])) == CONIC
-
-    def test_bounding_forms(self):
-        conic = cell_bounding(Polyhedron(np.eye(2), [0.0, 0.0]))
-        np.testing.assert_allclose(conic.Ebar, np.eye(2))
-        affine = cell_bounding(Polyhedron([[2.0, 0.0]], [3.0]))
-        np.testing.assert_allclose(affine.Ebar, [[2.0, 0.0, -3.0]])
-        assert affine.kind == AFFINE
 
 
 class TestCellIdentity:
@@ -210,9 +202,6 @@ class TestJointPartitionPwa:
         np.testing.assert_allclose(cell.E[2:, :4], reg.E)
         np.testing.assert_allclose(cell.E[2:, 4:], reg.E @ P0)
         np.testing.assert_allclose(cell.f, np.concatenate([conc.f, reg.f]))
-        # homogeneous form carries the negated offsets in its last column
-        bound = cell_bounding(cell)
-        np.testing.assert_allclose(bound.Ebar[:, -1], -cell.f)
 
     def test_vacuous_region_matches_linear(self, case1):
         part = case1.system.partition

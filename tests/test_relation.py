@@ -23,6 +23,7 @@ from pwa_hier.errors import (
     UncertifiedRelationError,
 )
 from pwa_hier.relation import (
+    INJECTIVITY_TOL,
     Interface,
     JointSystem,
     RelationMaps,
@@ -401,11 +402,6 @@ class TestJointAssembly:
             jm.B2prime, np.vstack([-case1.relation.P[0], I2])
         )
         np.testing.assert_allclose(jm.B1prime, np.vstack([I2, Z2, Z2, Z2]))
-        # homogeneous forms: the plain blocks with a zero last row and column
-        np.testing.assert_array_equal(jm.Abar[:8, :8], jm.Aprime)
-        assert not jm.Abar[8].any() and not jm.Abar[:, 8].any()
-        np.testing.assert_array_equal(jm.Cbar[:, :8], jm.Cprime)
-        assert not jm.Cbar[:, 8].any()
 
     def test_case2_pair_blocks(self, case2):
         jm = case2.joint.modes[0]
@@ -637,6 +633,27 @@ class TestFailureOrder:
         relation = RelationMaps((I2, maps[middle], maps[last]), (Z2,) * 3, (0.0,) * 3)
         interface = build_interface(system, absn, relation, [Z2] * 3)
         with pytest.raises(UncertifiedRelationError, match=message):
+            JointSystem(system, absn, relation, interface)
+
+
+@pytest.mark.parametrize("side, scale", [("inside", 1.0 + 1e-3), ("outside", 1.0 - 1e-3)])
+def test_injectivity_boundary(side, scale):
+    """``P = diag(1, s)``, with ``s`` ``INJECTIVITY_TOL`` scaled by 1 +- 1e-3,
+    is an exact relation of ``A = F = -I``, ``C = H = [1, 0]`` (residual 0)
+    whose smallest singular value is ``s`` exactly: the joint system is
+    built only when ``s`` reaches the tolerance."""
+    s = INJECTIVITY_TOL * scale
+    C = np.array([[1.0, 0.0]])
+    system = _minus_identity_system([I2], C)
+    absn = LinearAbstraction(F=-I2, G=I2, H=C, L=Z2)
+    P = np.diag([1.0, s])
+    assert np.linalg.svd(P, compute_uv=False)[-1] == s
+    relation = RelationMaps((P,), (Z2,), (0.0,))
+    interface = build_interface(system, absn, relation, [Z2])
+    if side == "inside":
+        assert len(JointSystem(system, absn, relation, interface)) == 1
+    else:
+        with pytest.raises(UncertifiedRelationError, match="mode 0: state map is not injective"):
             JointSystem(system, absn, relation, interface)
 
 

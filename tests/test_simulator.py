@@ -28,7 +28,7 @@ from pwa_hier import (
     synthesize_certificate,
     verdict,
 )
-from pwa_hier.certificate import ModeCertificate, sim_fn_derivative, verify_all
+from pwa_hier.certificate import AFFINE_M, ModeCertificate, sim_fn_derivative, verify_all
 from pwa_hier.errors import (
     DimensionMismatchError,
     EmptyScheduleError,
@@ -365,8 +365,7 @@ class TestRunScenario:
             label[0] for ev in traj.crossings for label in (ev.old_label, ev.new_label)}
         assert last not in entered
         entries = list(short.certificate.entries)
-        entries[last] = ModeCertificate(1e-6 * np.eye(entries[last].M.shape[0]),
-                                        m_scalar=entries[last].m_scalar)
+        entries[last] = ModeCertificate(1e-6 * np.eye(entries[last].M.shape[0]))
         bad = dataclasses.replace(
             short, certificate=dataclasses.replace(short.certificate, entries=tuple(entries)))
         assert not bad.reports[last].feasible
@@ -469,7 +468,7 @@ class TestRunScenario:
                 omega = np.hstack([xt, x2])
                 quad = np.einsum("ij,jk,ik->i", omega, scen.certificate.entries[idx].M, omega)
                 if scen.joint.modes[idx].kind == "affine":
-                    quad = quad + scen.certificate.entries[idx].m_scalar
+                    quad = quad + AFFINE_M
                 np.testing.assert_array_equal(
                     traj.V[rows], np.sqrt(np.clip(quad, 0.0, None)) / scen.certificate.kappa)
 

@@ -15,9 +15,12 @@ from pwa_hier.errors import (
 )
 from pwa_hier.linalg import as_matrix, as_vector, frobenius
 from pwa_hier.systems import (
+    HURWITZ_MARGIN,
     DisturbanceSignal,
     LinearAbstraction,
     PwaMode,
+    assert_hurwitz,
+    hurwitz_margin,
     transformed_abstraction_matrix,
 )
 
@@ -116,6 +119,21 @@ class TestDisturbance:
         np.testing.assert_array_equal(DisturbanceSignal.constant(-0.2, 3).value(1.3),
                                       [-0.2] * 3)
         np.testing.assert_array_equal(DisturbanceSignal.zero(3).value(4.0), np.zeros(3))
+
+
+@pytest.mark.parametrize("side, scale", [("inside", 1.0 + 1e-3), ("outside", 1.0 - 1e-3)])
+def test_hurwitz_margin_boundary(side, scale):
+    """A stack whose second matrix is ``diag(-h, -1)``, with ``h``
+    ``HURWITZ_MARGIN`` scaled by 1 +- 1e-3: its eigenvalues are its diagonal
+    exactly, and it is Hurwitz only when ``h`` exceeds the margin."""
+    h = HURWITZ_MARGIN * scale
+    stack = np.array([-I2, np.diag([-h, -1.0])])
+    assert hurwitz_margin(stack[1]) == -h
+    if side == "inside":
+        assert_hurwitz(stack, "matrix {}")
+    else:
+        with pytest.raises(NotHurwitzError, match="^matrix 1 has eigenvalue real part"):
+            assert_hurwitz(stack, "matrix {}")
 
 
 class TestModelValidation:
